@@ -12,16 +12,17 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .basis import OperatorBasis, build_basis, state_to_coords
 from .channels import (
     KrausChannel,
     ProcessEnsemble,
     build_regression_matrices,
+    closed_system_channels,
     haar_unitary,
     make_named_channel,
     pauli,
+    sampled_unitaries,
 )
 from .errors import DegeneracyError, ValidationError
 from .estimator import Stage1Config, estimate_joint_v1, estimate_joint_v2, project_pure
@@ -71,26 +72,13 @@ class Scenario:
         return self.basis.d
 
 
-def _closed_system_channels(hams, dt: float, n: int) -> list:
-    channels = []
-    for i, h in enumerate(hams):
-        step = expm(-1j * np.asarray(h, complex) * dt)
-        u = np.eye(h.shape[0], dtype=complex)
-        for k in range(1, n + 1):
-            u = u @ step
-            channels.append(make_named_channel("unitary", u=u, label=f"H{i + 1}_k{k}"))
-    return channels
-
-
 def _mixed_unitary_channels(ham_pairs, weights, dt: float, n: int) -> list:
     channels = []
     for a, pair in enumerate(ham_pairs):
-        steps = [expm(-1j * np.asarray(h, complex) * dt) for h in pair]
-        powers = [np.eye(s.shape[0], dtype=complex) for s in steps]
-        for k in range(1, n + 1):
-            powers = [p @ s for p, s in zip(powers, steps)]
+        evolutions = zip(*(sampled_unitaries(h, dt, n) for h in pair))
+        for k, powers in enumerate(evolutions, start=1):
             kraus = np.stack([np.sqrt(w) * p for w, p in zip(weights, powers)])
-            channels.append(KrausChannel(steps[0].shape[0], kraus, label=f"pair{a + 1}_k{k}"))
+            channels.append(KrausChannel(kraus.shape[1], kraus, label=f"pair{a + 1}_k{k}"))
     return channels
 
 
@@ -160,7 +148,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
         if not complete:
             hams = hams[:3]
         n = 3 if complete else 2
-        channels = _closed_system_channels(hams, dt=1.0, n=n)
+        channels = closed_system_channels([(h, 1.0) for h in hams], n=n)
         state = _draw_state(rng, basis, (0.1, 0.9), need_anchor=True, anchor_index=1)
         povm = _draw_povm(rng, 2, [(0.4, 0.1), (0.5, 0.1)])
         return Scenario(
@@ -238,13 +226,13 @@ class MseTable:
             json.dump(self.metadata, fh, indent=2)
 
 
-def _estimate_for(sc: Scenario, ds, reg, config: Stage1Config):
+def _estimate_for(sc: Scenario, ds, b, config: Stage1Config):
     if sc.estimator == "v2":
-        result = estimate_joint_v2(ds, reg.b_natural, config)
+        result = estimate_joint_v2(ds, b, config)
         if sc.pure:
             result = replace(result, rho_hat=project_pure(result.rho_hat))
         return result
-    return estimate_joint_v1(ds, reg.b, sc.basis, config)
+    return estimate_joint_v1(ds, b, sc.basis, config)
 
 
 def _mse_pair(sc: Scenario, result) -> tuple:
@@ -253,13 +241,53 @@ def _mse_pair(sc: Scenario, result) -> tuple:
     return ds_state, ds_povm
 
 
-def _reduce(rows_state, rows_povm):
-    k = len(rows_state)
-    mean_s = float(np.mean(rows_state)) if k else float("nan")
-    mean_p = float(np.mean(rows_povm)) if k else float("nan")
-    se_s = float(np.std(rows_state, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan")
-    se_p = float(np.std(rows_povm, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan")
-    return mean_s, se_s, mean_p, se_p
+def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
+    k = len(errs_s)
+    return MseRow(
+        n=n_total,
+        mse_state=float(np.mean(errs_s)) if k else float("nan"),
+        se_state=float(np.std(errs_s, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan"),
+        mse_povm=float(np.mean(errs_p)) if k else float("nan"),
+        se_povm=float(np.std(errs_p, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan"),
+        trials=k,
+    )
+
+
+def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, cases) -> list:
+    """Simulate, estimate and score every case on shared datasets.
+
+    ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
+    other than None restrict both the dataset and the regression matrix.
+    Trial ``t`` at grid index ``i`` draws from the stream
+    ``(scenario seed, seed, i, t)``.  Returns ``(rows, failures)`` per case.
+    """
+    if trials < 2:
+        raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    b = reg.b_natural if sc.estimator == "v2" else reg.b
+    designs = [b if idx is None else b[np.asarray(idx, dtype=int)] for _, idx in cases]
+    rows, failures = [[] for _ in cases], [0] * len(cases)
+    for i, n0 in enumerate(n0_grid):
+        errs = [([], []) for _ in cases]
+        for t in range(trials):
+            ds = simulate_dataset(
+                sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
+                scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
+            )
+            subsets = [ds if idx is None else ds.subset(idx) for _, idx in cases]
+            for c, (config, _) in enumerate(cases):
+                try:
+                    result = _estimate_for(sc, subsets[c], designs[c], config)
+                except DegeneracyError:
+                    failures[c] += 1
+                    continue
+                s, p = _mse_pair(sc, result)
+                errs[c][0].append(s)
+                errs[c][1].append(p)
+        for c, ds_c in enumerate(subsets):
+            rows[c].append(_mse_row(ds_c.total_copies, *errs[c]))
+    return [(tuple(r), f) for r, f in zip(rows, failures)]
 
 
 def run_mse_experiment(
@@ -277,36 +305,11 @@ def run_mse_experiment(
     index).  Estimator degeneracies are counted as failures, not dropped
     silently; the per-row trial count reports the successes.
     """
-    if trials < 2:
-        raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     n0_grid = [int(v) for v in n0_grid]
     if any(b <= a for a, b in zip(n0_grid, n0_grid[1:])):
         raise ValidationError("the shot grid must be strictly increasing")
     config = config or sc.stage1
-    reg = build_regression_matrices(sc.ensemble, sc.basis)
-    rows = []
-    failures = 0
-    for i, n0 in enumerate(n0_grid):
-        stats_s, stats_p = [], []
-        n_total = None
-        for t in range(trials):
-            ds = simulate_dataset(
-                sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
-                scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
-            )
-            n_total = ds.total_copies
-            try:
-                result = _estimate_for(sc, ds, reg, config)
-            except DegeneracyError:
-                failures += 1
-                continue
-            s, p = _mse_pair(sc, result)
-            stats_s.append(s)
-            stats_p.append(p)
-        mean_s, se_s, mean_p, se_p = _reduce(stats_s, stats_p)
-        rows.append(MseRow(n=n_total, mse_state=mean_s, se_state=se_s,
-                           mse_povm=mean_p, se_povm=se_p, trials=len(stats_s)))
+    ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
     metadata = {
         "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": int(seed),
         "n0_grid": n0_grid, "trials": trials, "exact": exact,
@@ -314,8 +317,7 @@ def run_mse_experiment(
         "reg_scale": config.reg_scale, "failures": failures,
         "n_processes": len(sc.ensemble), "d": sc.d,
     }
-    return MseTable(rows=tuple(rows), scenario=sc.name, failures=failures,
-                    metadata=metadata)
+    return MseTable(rows=rows, scenario=sc.name, failures=failures, metadata=metadata)
 
 
 def run_method_comparison(
@@ -332,52 +334,20 @@ def run_method_comparison(
     both the dataset and the regression matrix to those processes so that
     informationally complete and incomplete variants can share one draw.
     """
-    if trials < 2:
-        raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     n0_grid = [int(v) for v in n0_grid]
-    reg = build_regression_matrices(sc.ensemble, sc.basis)
-    acc = {label: {"s": [[] for _ in n0_grid], "p": [[] for _ in n0_grid],
-                   "n": [None] * len(n0_grid), "failures": 0}
-           for label, _, _ in configs}
-    for i, n0 in enumerate(n0_grid):
-        for t in range(trials):
-            ds = simulate_dataset(
-                sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
-                scale_observable=sc.anchor_index, basis=sc.basis,
-            )
-            for label, config, indices in configs:
-                if indices is None:
-                    ds_c, b_c = ds, reg.b
-                else:
-                    ds_c = ds.subset(indices)
-                    b_c = reg.b[np.asarray(indices, dtype=int)]
-                acc[label]["n"][i] = ds_c.total_copies
-                try:
-                    result = estimate_joint_v1(ds_c, b_c, sc.basis, config)
-                except DegeneracyError:
-                    acc[label]["failures"] += 1
-                    continue
-                s, p = _mse_pair(sc, result)
-                acc[label]["s"][i].append(s)
-                acc[label]["p"][i].append(p)
+    results = _run_trials(sc, n0_grid, trials, seed, False,
+                          [(config, indices) for _, config, indices in configs])
     out = {}
-    for label, config, indices in configs:
-        rows = []
-        for i, n0 in enumerate(n0_grid):
-            mean_s, se_s, mean_p, se_p = _reduce(acc[label]["s"][i], acc[label]["p"][i])
-            rows.append(MseRow(n=acc[label]["n"][i], mse_state=mean_s, se_state=se_s,
-                               mse_povm=mean_p, se_povm=se_p,
-                               trials=len(acc[label]["s"][i])))
+    for (label, config, indices), (rows, failures) in zip(configs, results):
         metadata = {
             "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": int(seed),
             "n0_grid": n0_grid, "trials": trials, "label": label,
             "method": config.method, "reg_scale": config.reg_scale,
             "process_indices": None if indices is None else list(map(int, indices)),
-            "failures": acc[label]["failures"],
+            "failures": failures,
         }
-        out[label] = MseTable(rows=tuple(rows), scenario=sc.name, config_label=label,
-                              failures=acc[label]["failures"], metadata=metadata)
+        out[label] = MseTable(rows=rows, scenario=sc.name, config_label=label,
+                              failures=failures, metadata=metadata)
     return out
 
 

@@ -14,7 +14,7 @@ A process maps the identity to a multiple of itself exactly when ``h = 0``
 regression applies.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -275,6 +275,24 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
+def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
+    """The evolutions ``exp(-i h k dt)`` for k = 1..n, as powers of one step."""
+    step = expm(-1j * np.asarray(h, complex) * dt)
+    u = np.eye(step.shape[0], dtype=complex)
+    out = []
+    for _ in range(n):
+        u = u @ step
+        out.append(u)
+    return out
+
+
+def closed_system_channels(records, n: int) -> list:
+    """Unitary channels ``H{i}_k{k}`` sampled at n times from each ``(h, dt)``."""
+    return [make_named_channel("unitary", u=u, label=f"H{i + 1}_k{k}")
+            for i, (h, dt) in enumerate(records)
+            for k, u in enumerate(sampled_unitaries(h, dt, n), start=1)]
+
+
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Qubit amplitude damping; non-unital for gamma > 0."""
     if not 0.0 <= gamma <= 1.0:
@@ -371,7 +389,6 @@ class RegressionMatrices:
     rank_b_natural: int
     complete_v1: bool
     complete_v2: bool
-    transfers: tuple = field(repr=False, default=())
 
 
 def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> RegressionMatrices:
@@ -383,8 +400,7 @@ def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> Reg
     """
     if ens.d != basis.d:
         raise ValidationError(f"dimension mismatch: ensemble {ens.d}, basis {basis.d}")
-    transfers = tuple(transfer_matrix(ch, basis) for ch in ens.channels)
-    b = np.stack([vectorize(tm.e) for tm in transfers]).astype(float)
+    b = np.stack([vectorize(transfer_matrix(ch, basis).e) for ch in ens.channels]).astype(float)
     b_nat = np.stack([vectorize(superoperator(ch)) for ch in ens.channels])
     rank_b = numerical_rank(b)
     rank_b_nat = numerical_rank(b_nat)
@@ -396,7 +412,6 @@ def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> Reg
         rank_b_natural=rank_b_nat,
         complete_v1=rank_b == n * n,
         complete_v2=rank_b_nat == basis.d ** 4,
-        transfers=transfers,
     )
 
 

@@ -9,7 +9,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import bench as bench_mod
 from . import refine as refine_mod
@@ -18,7 +17,7 @@ from .basis import build_basis
 from .channels import (
     ProcessEnsemble,
     build_regression_matrices,
-    make_named_channel,
+    closed_system_channels,
     min_hamiltonian_count,
     rank_bound,
 )
@@ -44,25 +43,46 @@ def _print_config(args, quiet: bool) -> None:
 def _load_inputs(args):
     """Ensemble, truth (may be None), basis, and scenario from the flags."""
     if args.preset:
+        if args.state or args.povm:
+            raise ValidationError("--state/--povm cannot be combined with --preset, "
+                                  "which supplies its own truth")
         sc = bench_mod.preset(args.preset, seed=args.seed)
         return sc.ensemble, sc.truth_state, sc.truth_povm, sc.basis, sc
     if args.channels:
         ens = serialize.load_ensemble(args.channels)
-    elif getattr(args, "hamiltonians", None):
+    elif args.hamiltonians:
         records = serialize.load_hamiltonians(args.hamiltonians)
-        channels = []
-        for idx, (h, dt) in enumerate(records):
-            step = expm(-1j * h * dt)
-            u = np.eye(h.shape[0], dtype=complex)
-            for k in range(1, args.samples + 1):
-                u = u @ step
-                channels.append(make_named_channel("unitary", u=u, label=f"H{idx + 1}_k{k}"))
-        ens = ProcessEnsemble(tuple(channels))
+        ens = ProcessEnsemble(tuple(closed_system_channels(records, args.samples)))
     else:
         raise ValidationError("provide --preset, --channels, or --hamiltonians")
-    state = serialize.load_state(args.state) if getattr(args, "state", None) else None
-    povm = serialize.load_povm(args.povm) if getattr(args, "povm", None) else None
+    state = serialize.load_state(args.state) if args.state else None
+    povm = serialize.load_povm(args.povm) if args.povm else None
     return ens, state, povm, build_basis(ens.d), None
+
+
+def _stage1_config(args):
+    """The stage-1 settings of ``--method`` and ``--reg-scale``; None when no
+    method is given, so that the preset's own choice applies."""
+    reg_scale = None
+    if args.reg_scale != "auto":
+        try:
+            reg_scale = float(args.reg_scale)
+        except ValueError:
+            raise ValidationError(
+                f"--reg-scale must be a number or 'auto', got {args.reg_scale!r}") from None
+    if args.method is None:
+        if reg_scale is not None:
+            raise ValidationError("--reg-scale needs --method")
+        return None
+    return Stage1Config(method=_METHOD_NAMES[args.method], reg_scale=reg_scale)
+
+
+def _parse_grid(text: str) -> list:
+    try:
+        return [int(float(tok)) for tok in text.split(",")]
+    except (ValueError, OverflowError):
+        raise ValidationError(
+            f"--n0-grid must be comma-separated shot counts, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -95,8 +115,7 @@ def _cmd_estimate(args) -> int:
     ens, state, povm, basis, sc = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
-    config = Stage1Config(method=_METHOD_NAMES[args.method],
-                          reg_scale=None if args.reg_scale == "auto" else float(args.reg_scale))
+    config = _stage1_config(args)
     version = args.version or (sc.estimator if sc else "v1")
     if version == "v2":
         result = estimate_joint_v2(ds, reg.b_natural, config)
@@ -116,9 +135,7 @@ def _cmd_refine(args) -> int:
     ens, state, povm, basis, _ = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
-    config = Stage1Config(method=_METHOD_NAMES[args.method],
-                          reg_scale=None if args.reg_scale == "auto" else float(args.reg_scale))
-    init = estimate_joint_v1(ds, reg.b, basis, config)
+    init = estimate_joint_v1(ds, reg.b, basis, _stage1_config(args))
     result = refine_mod.refine_alternating(ds, reg.b, basis, init, iters=args.iters)
     serialize.save_result(result, args.out)
     _report_errors(result, state, povm, args.quiet)
@@ -161,15 +178,12 @@ def _cmd_rank_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sc = bench_mod.preset(args.preset, seed=args.seed)
-    grid = [int(float(tok)) for tok in args.n0_grid.split(",")]
-    config = None
-    if args.method:
-        config = Stage1Config(method=_METHOD_NAMES[args.method],
-                              reg_scale=None if args.reg_scale == "auto"
-                              else float(args.reg_scale))
-    table = bench_mod.run_mse_experiment(sc, grid, trials=args.trials, seed=args.seed,
-                                         exact=args.exact, config=config)
+    if not args.preset:
+        raise ValidationError("bench needs --preset")
+    sc = _load_inputs(args)[-1]
+    table = bench_mod.run_mse_experiment(sc, _parse_grid(args.n0_grid), trials=args.trials,
+                                         seed=args.seed, exact=args.exact,
+                                         config=_stage1_config(args))
     table.to_csv(args.out)
     table.write_metadata(args.out + ".meta.json")
     if not args.quiet:
@@ -185,7 +199,7 @@ def _add_common(p, out_default=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n0", type=int, default=10000, help="shots per configuration")
     p.add_argument("--out", default=out_default)
-    p.add_argument("--exact", action="store_true", help="noiseless simulation mode")
+    p.add_argument("--exact", action="store_true", help="noiseless simulation")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--preset", choices=bench_mod.PRESET_NAMES, default=None)
     p.add_argument("--channels", default=None, help="ensemble JSON file")

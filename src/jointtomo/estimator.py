@@ -7,14 +7,16 @@ The pipeline has four steps, run once per detector outcome j:
 2. solve the linear system ``B z_j = Y_j`` by plain least squares, the
    Moore-Penrose inverse, or Tikhonov regularization,
 3. factor each ``z_j`` as a Kronecker product of a state vector and a
-   detector vector through the rank-1 SVD of its rearrangement, then fix the
-   common scale with the separately measured anchor coordinate,
+   detector vector through the rank-1 SVD of its rearrangement, fix its
+   scale, and average the state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector).
 
-Two variants exist: the coherence-vector version for generalized-unital
-processes, and the natural-basis version that works for arbitrary processes
-by regressing raw frequencies on the stacked superoperators.
+Steps 2-4 are shared by two bases.  The coherence-vector version regresses
+background-subtracted targets for generalized-unital processes and fixes the
+scale with the separately measured anchor coordinate; the natural-basis
+version regresses raw frequencies on the stacked superoperators of arbitrary
+processes and fixes the scale by unit trace.
 """
 
 from dataclasses import dataclass, field
@@ -53,8 +55,10 @@ class Stage1Config:
     def __post_init__(self):
         if self.method not in STAGE1_METHODS:
             raise ValidationError(f"method must be one of {STAGE1_METHODS}, got {self.method!r}")
-        if self.reg_scale is not None and self.reg_scale < 0:
-            raise ValidationError(f"regularization scale must be >= 0, got {self.reg_scale}")
+        if self.reg_scale is not None and not (np.isfinite(self.reg_scale)
+                                               and self.reg_scale >= 0):
+            raise ValidationError(
+                f"regularization scale must be finite and >= 0, got {self.reg_scale}")
 
     def resolved(self, total_copies: int) -> "Stage1Config":
         if self.method != "tikhonov" or self.reg_scale is not None:
@@ -180,16 +184,9 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar: float, tol: float = ANCHO
     return np.asarray(fac.left, float) * ratio, np.asarray(fac.right, float) / ratio
 
 
-def combine_state_estimates(candidates, mode: str = "average", pick: int = 0) -> np.ndarray:
-    """Merge the per-outcome state estimates (arithmetic mean or one pick)."""
-    stack = np.stack([np.asarray(c) for c in candidates])
-    if mode == "average":
-        return stack.mean(axis=0)
-    if mode == "pick":
-        if not 0 <= pick < len(stack):
-            raise ValidationError(f"pick index {pick} out of range for {len(stack)} candidates")
-        return stack[pick]
-    raise ValidationError(f"combine mode must be 'average' or 'pick', got {mode!r}")
+def combine_state_estimates(candidates) -> np.ndarray:
+    """Merge the per-outcome state estimates by their arithmetic mean."""
+    return np.stack([np.asarray(c) for c in candidates]).mean(axis=0)
 
 
 def _project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
@@ -260,71 +257,100 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None) -> Povm:
     return Povm(d, out)
 
 
-def estimate_joint_v1(
-    ds: MeasurementDataset,
-    b: np.ndarray,
-    basis: OperatorBasis,
-    config: Stage1Config = Stage1Config(),
-    combine: str = "average",
-    pick: int = 0,
-) -> EstimateResult:
-    """Full coherence-vector reconstruction from one dataset.
+def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict) -> EstimateResult:
+    """Correct a rough pair onto the physical sets and package the result.
 
-    ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
-    processes, one vectorized block per row.
+    ``diagnostics`` is extended by the correction distances and the POVM
+    epsilon repair.
     """
-    n = basis.n_traceless
-    if b.shape != (ds.n_processes, n * n):
-        raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
-    config = config.resolved(ds.total_copies)
-    y = _stage("targets", build_targets_v1, ds, basis)
-    z = _stage("stage1", stage1_solve, b, y, config)
-
-    facs, candidates, c_bars = [], [], []
-    for j in range(ds.n_outcomes):
-        fac = _stage("kronecker", nearest_kronecker, z[:, j], n, n)
-        x_bar, c_bar = _stage("scale", fix_scale_v1, fac, ds.x01_bar,
-                              anchor=ds.anchor_index - 1)
-        facs.append(fac)
-        candidates.append(x_bar)
-        c_bars.append(c_bar)
-    x0 = combine_state_estimates(candidates, mode=combine, pick=pick)
-
-    rho_bar = coords_to_state(StateCoordinates(1.0 / np.sqrt(basis.d), x0), basis)
-    povm_bar = np.stack([
-        coords_to_povm_element(PovmCoordinates(c0, c), basis)
-        for c0, c in zip(ds.c_j0_hat, c_bars)
-    ])
     info = {}
     rho_hat = _stage("correct", correct_state, rho_bar)
     povm_hat = _stage("correct", correct_povm, povm_bar, info=info)
+    diagnostics = {
+        **diagnostics,
+        "state_correction_distance": float(np.linalg.norm(rho_hat.rho - rho_bar)),
+        "povm_correction_distance": float(np.linalg.norm(povm_hat.elements - povm_bar)),
+        "povm_epsilon": info.get("povm_epsilon", 0.0),
+    }
+    return EstimateResult(rho_hat=rho_hat, povm_hat=povm_hat, rho_bar=rho_bar,
+                          povm_bar=povm_bar, diagnostics=diagnostics)
 
+
+def _reconstruct(y: np.ndarray, b: np.ndarray, config: Stage1Config, side: int,
+                 rescale, assemble) -> EstimateResult:
+    """The pipeline shared by both bases, after the targets ``y`` are formed.
+
+    Solves stage 1, factors every outcome's column as a ``side x side``
+    Kronecker pair, averages the state candidates and corrects the result.
+    The representation supplies the rest: ``rescale(j, fac)`` fixes outcome
+    ``j``'s scale and returns ``(state candidate, detector candidate, anchor
+    value)``, and ``assemble(state, detector candidates)`` returns the rough
+    matrices ``(rho_bar, povm_bar)``.
+    """
+    z = _stage("stage1", stage1_solve, b, y, config)
+    facs, scaled = [], []
+    for j in range(y.shape[1]):
+        facs.append(_stage("kronecker", nearest_kronecker, z[:, j], side, side))
+        scaled.append(_stage("scale", rescale, j, facs[-1]))
+    candidates, detectors, anchors = zip(*scaled)
+    mean = combine_state_estimates(candidates)
+    rho_bar, povm_bar = _stage("scale", assemble, mean, detectors)
+
+    spread = np.stack(candidates) - mean
     diagnostics = {
         "method": config.method,
         "reg_scale": config.reg_scale,
         "rank_b": numerical_rank(b),
         "stage1_residuals": [float(np.linalg.norm(y[:, j] - b @ z[:, j]))
-                             for j in range(ds.n_outcomes)],
+                             for j in range(y.shape[1])],
         "kron_residuals": [f.residual for f in facs],
         "kron_ties": [f.degenerate_tie for f in facs],
-        "anchor_values": [float(f.left[ds.anchor_index - 1]) for f in facs],
+        "anchor_values": list(anchors),
         "state_candidate_spread": float(np.max(np.linalg.norm(
-            np.stack(candidates) - x0, axis=1))) if len(candidates) > 1 else 0.0,
-        "state_correction_distance": float(np.linalg.norm(rho_hat.rho - rho_bar)),
-        "povm_correction_distance": float(np.linalg.norm(povm_hat.elements - povm_bar)),
-        "povm_epsilon": info.get("povm_epsilon", 0.0),
-        "combine": combine,
+            spread.reshape(len(spread), -1), axis=1))) if len(spread) > 1 else 0.0,
     }
-    return EstimateResult(rho_hat=rho_hat, povm_hat=povm_hat, rho_bar=rho_bar,
-                          povm_bar=povm_bar, diagnostics=diagnostics)
+    return _corrected(rho_bar, povm_bar, diagnostics)
+
+
+def estimate_joint_v1(
+    ds: MeasurementDataset,
+    b: np.ndarray,
+    basis: OperatorBasis,
+    config: Stage1Config = Stage1Config(),
+) -> EstimateResult:
+    """Full coherence-vector reconstruction from one dataset.
+
+    ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
+    processes, one vectorized block per row.  Each outcome's scale is fixed by
+    the measured anchor coordinate; its anchor value is that coordinate of the
+    unscaled state factor.
+    """
+    n = basis.n_traceless
+    if b.shape != (ds.n_processes, n * n):
+        raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
+    config = config.resolved(ds.total_copies)
+    anchor = ds.anchor_index - 1
+
+    def rescale(j, fac):
+        x_bar, c_bar = fix_scale_v1(fac, ds.x01_bar, anchor=anchor)
+        return x_bar, c_bar, float(fac.left[anchor])
+
+    def assemble(x0, c_bars):
+        rho_bar = coords_to_state(StateCoordinates(1.0 / np.sqrt(basis.d), x0), basis)
+        povm_bar = np.stack([
+            coords_to_povm_element(PovmCoordinates(c0, c), basis)
+            for c0, c in zip(ds.c_j0_hat, c_bars)
+        ])
+        return rho_bar, povm_bar
+
+    y = _stage("targets", build_targets_v1, ds, basis)
+    return _reconstruct(y, b, config, n, rescale, assemble)
 
 
 def estimate_joint_v2(
     ds,
     b_natural: np.ndarray,
     config: Stage1Config = Stage1Config(),
-    combine: str = "average",
-    pick: int = 0,
     total_copies: int = None,
 ) -> EstimateResult:
     """Natural-basis reconstruction for arbitrary (not necessarily
@@ -334,7 +360,8 @@ def estimate_joint_v2(
     used) or a plain L x M frequency matrix.  Per outcome, the complex rank-1
     factorization yields a candidate pair ``(vec(rho), vec(P_j^T))`` whose
     joint complex scale is fixed by normalizing the state candidate to unit
-    trace; the detector candidate absorbs the inverse factor.
+    trace; the detector candidate absorbs the inverse factor.  The anchor
+    value of an outcome is the modulus of that trace.
     """
     if isinstance(ds, MeasurementDataset):
         y_hat = ds.y_hat
@@ -345,50 +372,26 @@ def estimate_joint_v2(
     d = int(round(d4 ** 0.25))
     if d ** 4 != d4:
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
-    if config.method == "tikhonov" and config.reg_scale is None:
-        if total_copies is None:
-            raise ValidationError("tikhonov auto-scale needs the total copy count")
-        config = config.resolved(total_copies)
+    if config.method == "tikhonov" and config.reg_scale is None and total_copies is None:
+        raise ValidationError("tikhonov auto-scale needs the total copy count")
+    config = config.resolved(total_copies)
 
-    z = _stage("stage1", stage1_solve, b_natural, y_hat.astype(complex), config)
-    facs, state_candidates, povm_bar = [], [], []
-    for j in range(y_hat.shape[1]):
-        fac = _stage("kronecker", nearest_kronecker, z[:, j], d * d, d * d)
+    def rescale(j, fac):
         rho_tilde = devectorize(fac.left)
         tr = complex(np.trace(rho_tilde))
         if abs(tr) <= 1e-6 * max(np.linalg.norm(fac.left), 1e-30):
-            raise DegeneracyError(f"[scale] state candidate {j} has near-zero trace {tr:.3e}")
-        state_candidates.append(rho_tilde / tr)
+            raise DegeneracyError(f"state candidate {j} has near-zero trace {tr:.3e}")
         p_tilde = devectorize(fac.right).T * tr
-        povm_bar.append((p_tilde + p_tilde.conj().T) / 2.0)
-        facs.append(fac)
+        return rho_tilde / tr, (p_tilde + p_tilde.conj().T) / 2.0, abs(tr)
 
-    rho_tilde = combine_state_estimates(state_candidates, mode=combine, pick=pick)
-    rho_sym = (rho_tilde + rho_tilde.conj().T) / 2.0
-    tr = float(np.real(np.trace(rho_sym)))
-    if abs(tr) < 1e-6:
-        raise DegeneracyError(f"[scale] symmetrized state has near-zero trace {tr:.3e}")
-    rho_bar = rho_sym / tr
-    povm_bar = np.stack(povm_bar)
+    def assemble(rho_tilde, povm_parts):
+        rho_sym = (rho_tilde + rho_tilde.conj().T) / 2.0
+        tr = float(np.real(np.trace(rho_sym)))
+        if abs(tr) < 1e-6:
+            raise DegeneracyError(f"symmetrized state has near-zero trace {tr:.3e}")
+        return rho_sym / tr, np.stack(povm_parts)
 
-    info = {}
-    rho_hat = _stage("correct", correct_state, rho_bar)
-    povm_hat = _stage("correct", correct_povm, povm_bar, info=info)
-    diagnostics = {
-        "method": config.method,
-        "reg_scale": config.reg_scale,
-        "rank_b_natural": numerical_rank(b_natural),
-        "stage1_residuals": [float(np.linalg.norm(y_hat[:, j] - b_natural @ z[:, j]))
-                             for j in range(y_hat.shape[1])],
-        "kron_residuals": [f.residual for f in facs],
-        "kron_ties": [f.degenerate_tie for f in facs],
-        "state_correction_distance": float(np.linalg.norm(rho_hat.rho - rho_bar)),
-        "povm_correction_distance": float(np.linalg.norm(povm_hat.elements - povm_bar)),
-        "povm_epsilon": info.get("povm_epsilon", 0.0),
-        "combine": combine,
-    }
-    return EstimateResult(rho_hat=rho_hat, povm_hat=povm_hat, rho_bar=rho_bar,
-                          povm_bar=povm_bar, diagnostics=diagnostics)
+    return _reconstruct(y_hat.astype(complex), b_natural, config, d * d, rescale, assemble)
 
 
 def project_pure(state: DensityMatrix, info: dict = None) -> DensityMatrix:

@@ -28,12 +28,7 @@ from .basis import (
     state_to_coords,
 )
 from .errors import DegeneracyError, ValidationError
-from .estimator import (
-    EstimateResult,
-    build_targets_v1,
-    correct_povm,
-    correct_state,
-)
+from .estimator import EstimateResult, _corrected, build_targets_v1, correct_state
 from .measurement import MeasurementDataset
 
 
@@ -190,18 +185,12 @@ def refine_alternating(
     povm_bar = np.stack([
         coords_to_povm_element(PovmCoordinates(c0s[j], cs[j]), basis) for j in range(m)
     ])
-    info = {}
-    rho_hat = correct_state(rho_bar)
-    povm_hat = correct_povm(povm_bar, info=info)
-    diagnostics = {
+    return _corrected(rho_bar, povm_bar, {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
         "initial_objective": trajectory[0],
         "final_objective": obj,
-        "povm_epsilon": info.get("povm_epsilon", 0.0),
-    }
-    return EstimateResult(rho_hat=rho_hat, povm_hat=povm_hat, rho_bar=rho_bar,
-                          povm_bar=povm_bar, diagnostics=diagnostics)
+    })
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +394,7 @@ def export_sos_problem(
 ) -> SosProblem:
     """Write the reconstruction program for external SOS/SDP solvers.
 
-    Default mode expands the coherence-vector objective over the state and
+    By default the program expands the coherence-vector objective over the state and
     detector coordinates with completeness and anchor equalities plus the
     semialgebraic positivity inequalities.  With ``pure=True`` the program is
     written over the real and imaginary amplitudes of a unit state vector plus

@@ -187,3 +187,34 @@ def test_bench_command(tmp_path, capsys):
     assert out.exists() and (tmp_path / "mse.csv.meta.json").exists()
     assert out.read_text().splitlines()[0] == "N,mse_state,se_state,mse_povm,se_povm,trials"
     assert "slope" in capsys.readouterr().out
+
+
+def test_preset_excludes_truth_files(tmp_path, capsys):
+    rc = run_cli("simulate", "--preset", "one_qubit_closed_complete",
+                 "--state", str(tmp_path / "nonexistent.json"),
+                 "--out", str(tmp_path / "ds.json"))
+    assert rc == 2
+    assert "--state/--povm" in capsys.readouterr().err
+    assert not (tmp_path / "ds.json").exists()
+
+
+BENCH = ("bench", "--preset", "one_qubit_closed_complete", "--trials", "2", "--quiet")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(BENCH + ("--n0-grid", "1e3,abc"), id="grid-word"),
+    pytest.param(BENCH + ("--n0-grid", "1e3,nan"), id="grid-nan"),
+    pytest.param(BENCH + ("--n0-grid", "1e3,"), id="grid-empty"),
+    pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "abc"), id="reg-word"),
+    pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "nan"), id="reg-nan"),
+    pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "inf"), id="reg-inf"),
+    pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "-1"), id="reg-negative"),
+    pytest.param(BENCH + ("--reg-scale", "abc"), id="reg-word-no-method"),
+    pytest.param(BENCH + ("--reg-scale", "0.1"), id="reg-without-method"),
+    pytest.param(BENCH + ("--povm", "p.json"), id="preset-with-povm"),
+    pytest.param(("bench", "--trials", "2"), id="no-preset"),
+])
+def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "mse.csv")) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "mse.csv").exists()

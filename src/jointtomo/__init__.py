@@ -49,6 +49,7 @@ from .channels import (
 from .errors import DegeneracyError, TomographyError, ValidationError
 from .estimator import (
     EstimateResult,
+    FactoredDesign,
     KroneckerFactorization,
     Stage1Config,
     build_targets_v1,
@@ -57,6 +58,7 @@ from .estimator import (
     correct_state,
     estimate_joint_v1,
     estimate_joint_v2,
+    factor_design,
     fix_scale_v1,
     nearest_kronecker,
     project_pure,

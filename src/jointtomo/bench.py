@@ -25,7 +25,13 @@ from .channels import (
     sampled_unitaries,
 )
 from .errors import DegeneracyError, ValidationError
-from .estimator import Stage1Config, estimate_joint_v1, estimate_joint_v2, project_pure
+from .estimator import (
+    Stage1Config,
+    estimate_joint_v1,
+    estimate_joint_v2,
+    factor_design,
+    project_pure,
+)
 from .measurement import DensityMatrix, Povm, simulate_dataset
 
 PRESET_NAMES = (
@@ -258,6 +264,7 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None restrict both the dataset and the regression matrix.
+    Each case's regression matrix is factored once, before the first trial.
     Trial ``t`` at grid index ``i`` draws from the stream
     ``(scenario seed, seed, i, t)``.  Returns ``(rows, failures)`` per case.
     """
@@ -265,7 +272,8 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
         raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     reg = build_regression_matrices(sc.ensemble, sc.basis)
     b = reg.b_natural if sc.estimator == "v2" else reg.b
-    designs = [b if idx is None else b[np.asarray(idx, dtype=int)] for _, idx in cases]
+    designs = [factor_design(b if idx is None else b[np.asarray(idx, dtype=int)])
+               for _, idx in cases]
     rows, failures = [[] for _ in cases], [0] * len(cases)
     for i, n0 in enumerate(n0_grid):
         errs = [([], []) for _ in cases]

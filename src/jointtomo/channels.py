@@ -15,11 +15,12 @@ regression applies.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
-from .basis import OperatorBasis, build_basis, change_of_basis, vectorize
+from .basis import OperatorBasis, build_basis, change_of_basis
 from .errors import ValidationError
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
@@ -103,6 +104,30 @@ class ProcessEnsemble:
     def labels(self) -> tuple:
         return tuple(ch.label for ch in self.channels)
 
+    @cached_property
+    def kraus_stack(self) -> np.ndarray:
+        """Every channel's Kraus matrices in one read-only ``(L, k_max, d, d)``
+        array; a channel with fewer than ``k_max`` of them is padded with zero
+        matrices, which add nothing to any sum over the Kraus axis."""
+        k_max = max(len(ch.kraus) for ch in self.channels)
+        stack = np.zeros((len(self), k_max, self.d, self.d), dtype=complex)
+        for a, ch in enumerate(self.channels):
+            stack[a, :len(ch.kraus)] = ch.kraus
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def tp_flags(self) -> np.ndarray:
+        """Read-only flags: which channels are trace-preserving."""
+        flags = np.array([ch.is_trace_preserving for ch in self.channels])
+        flags.setflags(write=False)
+        return flags
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Evolve one matrix through every channel: the ``(L, d, d)`` outputs."""
+        k = self.kraus_stack
+        return np.einsum("akij,jl,akml->aim", k, np.asarray(rho, dtype=complex), k.conj())
+
 
 def superoperator(channel: KrausChannel) -> np.ndarray:
     """Natural-basis superoperator ``sum_i conj(A_i) kron A_i``."""
@@ -112,16 +137,22 @@ def superoperator(channel: KrausChannel) -> np.ndarray:
     return b
 
 
+def _real_transfer(full_c: np.ndarray) -> np.ndarray:
+    """The real part of transfer matrices ``(..., d^2, d^2)``, refusing any
+    whose imaginary residue exceeds TRANSFER_IMAG_TOL relative to its size."""
+    imag = np.max(np.abs(full_c.imag), axis=(-2, -1))
+    bad = imag > TRANSFER_IMAG_TOL * np.maximum(1.0, np.max(np.abs(full_c.real), axis=(-2, -1)))
+    if np.any(bad):
+        raise ValidationError(f"transfer matrix has imaginary residue {np.max(imag[bad]):.3e}")
+    return full_c.real
+
+
 def transfer_matrix(channel: KrausChannel, basis: OperatorBasis) -> TransferMatrix:
     """Transfer matrix ``U B U^dag`` with its (r, t, h, e) partition."""
     if channel.d != basis.d:
         raise ValidationError(f"dimension mismatch: channel {channel.d}, basis {basis.d}")
     u = change_of_basis(basis)
-    full_c = u @ superoperator(channel) @ u.conj().T
-    imag = float(np.max(np.abs(full_c.imag)))
-    if imag > TRANSFER_IMAG_TOL * max(1.0, float(np.max(np.abs(full_c.real)))):
-        raise ValidationError(f"transfer matrix has imaginary residue {imag:.3e}")
-    full = full_c.real
+    full = _real_transfer(u @ superoperator(channel) @ u.conj().T)
     return TransferMatrix(
         full=full,
         r=float(full[0, 0]),
@@ -373,7 +404,11 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
 
 def numerical_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Rank by counting singular values above ``rtol * sigma_max``."""
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), rtol)
+
+
+def _rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """How many of the descending singular values ``s`` exceed ``rtol * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
@@ -391,17 +426,36 @@ class RegressionMatrices:
     complete_v2: bool
 
 
+def _stacked_rows(ens: ProcessEnsemble, basis: OperatorBasis) -> tuple:
+    """The rows ``vec(E_a)`` (real) and ``vec(B_a)`` (complex) of every channel.
+
+    ``vec(B_a)`` is accumulated from the Kraus stack one Kraus index at a
+    time, straight into column-major order: entry ``[m, n, i, j]`` is
+    ``B_a[(i, j), (m, n)] = sum_k conj(A_k)[i, m] A_k[j, n]``.  The transfer
+    matrices ``U B_a U^dag`` of all channels are then one batched product.
+    """
+    l, d = len(ens), basis.d
+    b_nat = np.zeros((l, d, d, d, d), dtype=complex)
+    for a in np.moveaxis(ens.kraus_stack, 1, 0):
+        b_nat += np.einsum("aim,ajn->amnij", a.conj(), a)
+    b_nat = b_nat.reshape(l, -1)
+    sup = b_nat.reshape(l, d * d, d * d).transpose(0, 2, 1)
+    u = change_of_basis(basis)
+    e = _real_transfer(u @ sup @ u.conj().T)[:, 1:, 1:]
+    return e.transpose(0, 2, 1).reshape(l, -1), b_nat
+
+
 def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> RegressionMatrices:
     """Rows ``vec(E_a)^T`` (real) and ``vec(B_a)^T`` (complex) for every channel.
 
-    The coherence-vector problem is informationally complete when the real
-    matrix has full column rank (d^2-1)^2; the natural-basis problem when the
-    complex matrix reaches rank d^4.
+    Both are built for all channels at once from the ensemble's Kraus stack
+    (see ``_stacked_rows``).  The coherence-vector problem is informationally
+    complete when the real matrix has full column rank (d^2-1)^2; the
+    natural-basis problem when the complex matrix reaches rank d^4.
     """
     if ens.d != basis.d:
         raise ValidationError(f"dimension mismatch: ensemble {ens.d}, basis {basis.d}")
-    b = np.stack([vectorize(transfer_matrix(ch, basis).e) for ch in ens.channels]).astype(float)
-    b_nat = np.stack([vectorize(superoperator(ch)) for ch in ens.channels])
+    b, b_nat = _stacked_rows(ens, basis)
     rank_b = numerical_rank(b)
     rank_b_nat = numerical_rank(b_nat)
     n = basis.n_traceless

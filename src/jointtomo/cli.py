@@ -34,6 +34,15 @@ _METHOD_NAMES = {"ls": "plain_ls", "plain_ls": "plain_ls", "mp": "mp_inverse",
                  "mp_inverse": "mp_inverse", "tikhonov": "tikhonov"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValidationError, so that it exits 2
+    with an ``error:`` line like every other invalid input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _print_config(args, quiet: bool) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     stream = sys.stderr if quiet else sys.stdout
@@ -46,6 +55,9 @@ def _load_inputs(args):
         if args.state or args.povm:
             raise ValidationError("--state/--povm cannot be combined with --preset, "
                                   "which supplies its own truth")
+        if args.channels or args.hamiltonians:
+            raise ValidationError("--channels/--hamiltonians cannot be combined with --preset, "
+                                  "which supplies its own processes")
         sc = bench_mod.preset(args.preset, seed=args.seed)
         return sc.ensemble, sc.truth_state, sc.truth_povm, sc.basis, sc
     if args.channels:
@@ -61,8 +73,12 @@ def _load_inputs(args):
 
 
 def _stage1_config(args):
-    """The stage-1 settings of ``--method`` and ``--reg-scale``; None when no
-    method is given, so that the preset's own choice applies."""
+    """The stage-1 settings of ``--method`` and ``--reg-scale``.
+
+    ``estimate`` and ``refine`` default to ``--method ls``.  Only ``bench``
+    may leave the method out; then this returns None and the preset's own
+    choice applies.
+    """
     reg_scale = None
     if args.reg_scale != "auto":
         try:
@@ -211,7 +227,7 @@ def _add_common(p, out_default=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jointtomo",
         description="Joint quantum state and detector reconstruction toolkit",
     )
@@ -229,10 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=sorted(_METHOD_NAMES), default="ls")
         p.add_argument("--reg-scale", default="auto",
                        help="Tikhonov scale, or 'auto' for 100/N")
-        p.add_argument("--version", choices=("v1", "v2"), default=None)
-        p.add_argument("--pure", action="store_true",
-                       help="project the state estimate to rank 1")
-        p.add_argument("--iters", type=int, default=100)
+        if name == "estimate":
+            p.add_argument("--version", choices=("v1", "v2"), default=None)
+            p.add_argument("--pure", action="store_true",
+                           help="project the state estimate to rank 1")
+        else:
+            p.add_argument("--iters", type=int, default=100)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("export-sos", help="write the polynomial program to a file")
@@ -256,10 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _print_config(args, args.quiet)
     try:
+        args = build_parser().parse_args(argv)
+        _print_config(args, args.quiet)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

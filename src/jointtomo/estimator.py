@@ -5,7 +5,11 @@ The pipeline has four steps, run once per detector outcome j:
 1. assemble regression targets from the measured frequencies and the
    calibration estimates,
 2. solve the linear system ``B z_j = Y_j`` by plain least squares, the
-   Moore-Penrose inverse, or Tikhonov regularization,
+   Moore-Penrose inverse, or Tikhonov regularization.  B depends only on the
+   probe processes, so its economy SVD ``B = U S V^dag`` is computed once per
+   design (``factor_design``) and every solve applies it:
+   ``z = V diag(f(s)) U^dag Y`` with the method's filter factors ``f``,
+   one pair of matrix products for all outcomes together,
 3. factor each ``z_j`` as a Kronecker product of a state vector and a
    detector vector through the rank-1 SVD of its rearrangement, fix its
    scale, and average the state candidates,
@@ -31,7 +35,7 @@ from .basis import (
     coords_to_state,
     devectorize,
 )
-from .channels import numerical_rank
+from .channels import _rank
 from .errors import DegeneracyError, TomographyError, ValidationError
 from .measurement import DensityMatrix, MeasurementDataset, Povm
 
@@ -88,12 +92,48 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class FactoredDesign:
+    """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
+    its numerical rank (singular values above ``RANK_RTOL * s[0]``)."""
+
+    b: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @property
+    def shape(self) -> tuple:
+        return self.b.shape
+
+
+def factor_design(b) -> FactoredDesign:
+    """Factor a regression matrix once, for any number of stage-1 solves.
+
+    A FactoredDesign is returned unchanged, so callers may pass either.
+    """
+    if isinstance(b, FactoredDesign):
+        return b
+    b = np.asarray(b)
+    if b.ndim != 2:
+        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
+
+
 def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage, labeling any package error with its stage."""
+    """Run one pipeline stage, labeling any package error with its stage.
+
+    A failed LAPACK routine (an SVD that does not converge, a singular
+    solve) is a numerical degeneracy of that stage.
+    """
     try:
         return fn(*args, **kwargs)
     except TomographyError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(f"[{name}] {exc}") from exc
 
 
 def build_targets_v1(ds: MeasurementDataset, basis: OperatorBasis) -> np.ndarray:
@@ -108,33 +148,40 @@ def build_targets_v1(ds: MeasurementDataset, basis: OperatorBasis) -> np.ndarray
     return ds.y_hat - np.outer(x_a0, ds.c_j0_hat)
 
 
-def stage1_solve(b: np.ndarray, y: np.ndarray, config: Stage1Config) -> np.ndarray:
+def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     """Solve ``min || y - B z ||`` by the configured method.
 
+    ``b`` is a FactoredDesign or a raw matrix, which is factored here.
     ``y`` may be a vector or a matrix of stacked targets (one column per
-    outcome); the solution has matching shape.
+    outcome); the solution has matching shape.  Each method is a filter on
+    the singular values: ``plain_ls`` inverts them all and refuses a
+    rank-deficient B, ``mp_inverse`` inverts those above ``RANK_RTOL * s[0]``
+    and drops the rest, and ``tikhonov`` applies ``s / (s^2 + reg_scale)``,
+    refusing ``reg_scale = 0`` on a rank-deficient B.
     """
-    b = np.asarray(b)
     y = np.asarray(y)
-    if y.shape[0] != b.shape[0]:
-        raise ValidationError(f"target length {y.shape[0]} does not match {b.shape[0]} rows")
+    if y.shape[0] != np.shape(b)[0]:
+        raise ValidationError(f"target length {y.shape[0]} does not match {np.shape(b)[0]} rows")
+    if config.method == "tikhonov" and config.reg_scale is None:
+        raise ValidationError("tikhonov needs a concrete reg_scale (or resolve via dataset)")
+    design = factor_design(b)
+    s, full_rank = design.s, design.rank == design.shape[1]
     if config.method == "plain_ls":
-        if numerical_rank(b) < b.shape[1]:
+        if not full_rank:
             raise DegeneracyError(
                 "regression matrix is rank deficient; use mp_inverse or tikhonov"
             )
-        z, *_ = np.linalg.lstsq(b, y, rcond=None)
-        return z
-    if config.method == "mp_inverse":
-        return np.linalg.pinv(b, rcond=1e-8) @ y
-    scale = config.reg_scale
-    if scale is None:
-        raise ValidationError("tikhonov needs a concrete reg_scale (or resolve via dataset)")
-    gram = b.conj().T @ b + scale * np.eye(b.shape[1])
-    try:
-        return np.linalg.solve(gram, b.conj().T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"regularized normal matrix is singular: {exc}") from exc
+        f = 1.0 / s
+    elif config.method == "mp_inverse":
+        f = np.zeros_like(s)
+        f[:design.rank] = 1.0 / s[:design.rank]
+    else:
+        if config.reg_scale == 0.0 and not full_rank:
+            raise DegeneracyError("regularized normal matrix is singular: B is rank deficient")
+        f = s / (s * s + config.reg_scale)
+    coef = design.u.conj().T @ y
+    coef = coef * (f if y.ndim == 1 else f[:, None])
+    return design.vh.conj().T @ coef
 
 
 def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -276,18 +323,20 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict) -> 
                           povm_bar=povm_bar, diagnostics=diagnostics)
 
 
-def _reconstruct(y: np.ndarray, b: np.ndarray, config: Stage1Config, side: int,
+def _reconstruct(y: np.ndarray, b, config: Stage1Config, side: int,
                  rescale, assemble) -> EstimateResult:
     """The pipeline shared by both bases, after the targets ``y`` are formed.
 
-    Solves stage 1, factors every outcome's column as a ``side x side``
+    Solves stage 1 with the factored design (a raw ``b`` is factored here,
+    once), factors every outcome's column as a ``side x side``
     Kronecker pair, averages the state candidates and corrects the result.
     The representation supplies the rest: ``rescale(j, fac)`` fixes outcome
     ``j``'s scale and returns ``(state candidate, detector candidate, anchor
     value)``, and ``assemble(state, detector candidates)`` returns the rough
     matrices ``(rho_bar, povm_bar)``.
     """
-    z = _stage("stage1", stage1_solve, b, y, config)
+    design = _stage("stage1", factor_design, b)
+    z = _stage("stage1", stage1_solve, design, y, config)
     facs, scaled = [], []
     for j in range(y.shape[1]):
         facs.append(_stage("kronecker", nearest_kronecker, z[:, j], side, side))
@@ -300,9 +349,8 @@ def _reconstruct(y: np.ndarray, b: np.ndarray, config: Stage1Config, side: int,
     diagnostics = {
         "method": config.method,
         "reg_scale": config.reg_scale,
-        "rank_b": numerical_rank(b),
-        "stage1_residuals": [float(np.linalg.norm(y[:, j] - b @ z[:, j]))
-                             for j in range(y.shape[1])],
+        "rank_b": design.rank,
+        "stage1_residuals": [float(np.linalg.norm(r)) for r in (y - design.b @ z).T],
         "kron_residuals": [f.residual for f in facs],
         "kron_ties": [f.degenerate_tie for f in facs],
         "anchor_values": list(anchors),
@@ -314,14 +362,15 @@ def _reconstruct(y: np.ndarray, b: np.ndarray, config: Stage1Config, side: int,
 
 def estimate_joint_v1(
     ds: MeasurementDataset,
-    b: np.ndarray,
+    b,
     basis: OperatorBasis,
     config: Stage1Config = Stage1Config(),
 ) -> EstimateResult:
     """Full coherence-vector reconstruction from one dataset.
 
     ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
-    processes, one vectorized block per row.  Each outcome's scale is fixed by
+    processes, one vectorized block per row, as a raw matrix or as its
+    ``factor_design`` record.  Each outcome's scale is fixed by
     the measured anchor coordinate; its anchor value is that coordinate of the
     unscaled state factor.
     """
@@ -349,15 +398,16 @@ def estimate_joint_v1(
 
 def estimate_joint_v2(
     ds,
-    b_natural: np.ndarray,
+    b_natural,
     config: Stage1Config = Stage1Config(),
     total_copies: int = None,
 ) -> EstimateResult:
     """Natural-basis reconstruction for arbitrary (not necessarily
     generalized-unital) processes.
 
-    ``ds`` may be a full MeasurementDataset (only its raw frequencies are
-    used) or a plain L x M frequency matrix.  Per outcome, the complex rank-1
+    ``b_natural`` is a raw matrix or its ``factor_design`` record.  ``ds``
+    may be a full MeasurementDataset (only its raw frequencies are used) or
+    a plain L x M frequency matrix.  Per outcome, the complex rank-1
     factorization yields a candidate pair ``(vec(rho), vec(P_j^T))`` whose
     joint complex scale is fixed by normalizing the state candidate to unit
     trace; the detector candidate absorbs the inverse factor.  The anchor

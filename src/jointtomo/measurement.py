@@ -82,12 +82,13 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     """Outcome probabilities ``Tr(P_j rho)``.
 
     Accepts a DensityMatrix or a raw (possibly sub-normalized) matrix, so it
-    also serves for outputs of trace-decreasing processes.
+    also serves for outputs of trace-decreasing processes.  A stack of raw
+    matrices, shape ``(L, d, d)``, gives one row of probabilities per matrix.
     """
     rho = state.rho if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    if rho.shape != (povm.d, povm.d):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (povm.d, povm.d):
         raise ValidationError(f"dimension mismatch: state {rho.shape}, detector d={povm.d}")
-    p = np.real(np.einsum("jik,ki->j", povm.elements, rho))
+    p = np.real(np.einsum("jik,...ki->...j", povm.elements, rho))
     if np.min(p) < -1e-12:
         raise ValidationError(f"negative Born probability {np.min(p):.3e}")
     return np.clip(p, 0.0, None)
@@ -97,19 +98,23 @@ def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     """One multinomial draw of ``n0`` shots over the given outcomes.
 
     Probability mass missing from ``sum(p) < 1`` goes to an implicit loss
-    outcome that is dropped from the returned frequency vector.
+    outcome that is dropped from the returned frequency vector.  A matrix of
+    probabilities is one independent draw per row, taken from the stream in
+    row order, exactly as one call per row would take them.
     """
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probabilities must be finite")
     if np.min(p) < -1e-12:
         raise ValidationError(f"negative probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total > 1.0 + 1e-9:
-        raise ValidationError(f"probabilities sum to {total:.12g} > 1")
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total > 1.0 + 1e-9):
+        raise ValidationError(f"probabilities sum to {np.max(total):.12g} > 1")
     rng = np.random.default_rng(rng)
-    full = np.append(p, max(1.0 - total, 0.0))
-    counts = rng.multinomial(int(n0), full / full.sum())
-    return counts[:-1] / float(n0)
+    full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
+    counts = rng.multinomial(int(n0), full / full.sum(axis=-1, keepdims=True))
+    return counts[..., :-1] / float(n0)
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,14 @@ class MeasurementDataset:
             raise ValidationError("per-process fields must have length L")
         if len(self.c_j0_hat) != y.shape[1]:
             raise ValidationError("c_j0_hat must have length M")
+        for name in ("y_hat", "x_a0_hat", "c_j0_hat"):
+            values = getattr(self, name)
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{name} has a non-finite entry")
+            if values.size and np.min(values) < 0.0:
+                raise ValidationError(f"{name} has a negative frequency {np.min(values):.3e}")
+        if not np.isfinite(self.x01_bar):
+            raise ValidationError(f"x01_bar must be finite, got {self.x01_bar}")
         if np.any(y.sum(axis=1) > 1.0 + 1e-9):
             raise ValidationError("a frequency row sums above 1")
 
@@ -201,20 +214,15 @@ def simulate_dataset(
     rng = np.random.default_rng(seed)
     sqd = np.sqrt(d)
 
-    tp_flags = np.array([ch.is_trace_preserving for ch in ens.channels])
-    y_rows, x_a0 = [], []
-    for ch, tp in zip(ens.channels, tp_flags):
-        rho_a = ch.apply(truth_state.rho)
-        p = born_probabilities(rho_a, truth_povm)
-        y_rows.append(p if exact else sample_frequencies(p, n0, rng))
-        if tp:
-            x_a0.append(1.0 / sqd)
-        else:
-            survival = float(np.clip(np.real(np.trace(rho_a)), 0.0, 1.0))
-            if exact:
-                x_a0.append(survival / sqd)
-            else:
-                x_a0.append(rng.binomial(int(n0), survival) / float(n0) / sqd)
+    # All processes in one stacked pass: outputs, probabilities, one draw per row.
+    rho_out = ens.apply(truth_state.rho)
+    p = born_probabilities(rho_out, truth_povm)
+    y_hat = p if exact else sample_frequencies(p, n0, rng)
+    x_a0 = np.full(len(ens), 1.0 / sqd)
+    lossy = ~ens.tp_flags
+    if np.any(lossy):
+        survival = np.clip(np.real(np.trace(rho_out[lossy], axis1=1, axis2=2)), 0.0, 1.0)
+        x_a0[lossy] = (survival if exact else rng.binomial(int(n0), survival) / float(n0)) / sqd
 
     # Detector trace components from the maximally mixed probe state.
     q = np.real(np.einsum("jii->j", truth_povm.elements)) / d
@@ -229,12 +237,12 @@ def simulate_dataset(
     x01 = float(np.dot(lam, weights))
 
     return MeasurementDataset(
-        y_hat=np.stack(y_rows),
-        x_a0_hat=np.array(x_a0),
+        y_hat=y_hat,
+        x_a0_hat=x_a0,
         c_j0_hat=c_j0,
         x01_bar=x01,
         n0=int(n0),
-        tp_flags=tp_flags,
+        tp_flags=ens.tp_flags,
         anchor_index=int(scale_observable),
         exact=exact,
     )

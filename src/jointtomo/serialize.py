@@ -1,7 +1,9 @@
 """JSON file formats for channels, datasets, states, and results.
 
 Complex matrices are stored as nested arrays of ``[re, im]`` pairs.  Operator
-bases are never serialized; they are rebuilt from the dimension.
+bases are never serialized; they are rebuilt from the dimension.  A file that
+is not JSON, or whose records lack a field or have the wrong shape, is
+refused by the loaders with a ValidationError.
 """
 
 import json
@@ -12,6 +14,26 @@ from .channels import KrausChannel, ProcessEnsemble
 from .errors import ValidationError
 from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm
+
+
+# What a malformed record raises while it is parsed: a missing key, a wrong
+# type or shape, an infinite integer.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _load(path, parse):
+    """Parse the JSON file at ``path`` into an object with ``parse``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
+    try:
+        return parse(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise ValidationError(f"{path}: malformed record: {exc!r}") from exc
 
 
 def matrix_to_json(a) -> list:
@@ -46,18 +68,22 @@ def save_ensemble(ens: ProcessEnsemble, path) -> None:
         json.dump([channel_to_json(ch) for ch in ens.channels], fh)
 
 
-def load_ensemble(path) -> ProcessEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _ensemble_from_json(data) -> ProcessEnsemble:
     if not isinstance(data, list):
-        raise ValidationError(f"{path}: ensemble file must be a JSON array of channels")
+        raise ValidationError("ensemble file must be a JSON array of channels")
     return ProcessEnsemble(tuple(channel_from_json(item) for item in data))
+
+
+def load_ensemble(path) -> ProcessEnsemble:
+    return _load(path, _ensemble_from_json)
 
 
 def load_hamiltonians(path):
     """Hamiltonian records ``{"d": int, "h": matrix, "dt_us": real}``."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    return _load(path, _hamiltonians_from_json)
+
+
+def _hamiltonians_from_json(data) -> list:
     if isinstance(data, dict):
         data = [data]
     out = []
@@ -75,9 +101,7 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return DensityMatrix(int(data["d"]), matrix_from_json(data["rho"]))
+    return _load(path, lambda data: DensityMatrix(int(data["d"]), matrix_from_json(data["rho"])))
 
 
 def save_povm(povm: Povm, path) -> None:
@@ -86,9 +110,8 @@ def save_povm(povm: Povm, path) -> None:
 
 
 def load_povm(path) -> Povm:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return Povm(int(data["d"]), np.stack([matrix_from_json(p) for p in data["elements"]]))
+    return _load(path, lambda data: Povm(
+        int(data["d"]), np.stack([matrix_from_json(p) for p in data["elements"]])))
 
 
 def dataset_to_json(ds: MeasurementDataset) -> dict:
@@ -124,9 +147,7 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
 
 
 def load_dataset(path) -> MeasurementDataset:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return dataset_from_json(data)
+    return _load(path, dataset_from_json)
 
 
 def _plain(value):

@@ -372,3 +372,46 @@ def test_pauli_sandwich_input_validation():
         pauli_sandwich_processes(np.array([[0, 1], [0, 0]]), np.eye(2), 0.1)
     with pytest.raises(ValidationError):
         pauli_sandwich_processes(np.eye(2), np.eye(2), -0.1)
+
+
+def _mixed_kraus_ensemble():
+    """Channels with 1, 2, 2 and 4 Kraus operators; amplitude damping loses
+    no trace but is not unital, the scaled unitary loses trace."""
+    rng = np.random.default_rng(21)
+    unitary = make_named_channel("unitary", u=haar_unitary(2, rng))
+    return ProcessEnsemble((
+        unitary,
+        make_named_channel("bit_flip", p=0.3),
+        amplitude_damping(0.4),
+        make_named_channel("random_cp", d=2, rank=4, seed=5),
+        make_named_channel("scaled", alpha=0.7, channel=unitary),
+    ))
+
+
+def test_stacked_build_matches_per_channel_transfer_matrices():
+    ens = _mixed_kraus_ensemble()
+    basis = build_basis(2)
+    assert ens.kraus_stack.shape == (5, 4, 2, 2)
+    assert not ens.kraus_stack.flags.writeable
+    for a, ch in enumerate(ens.channels):
+        assert np.array_equal(ens.kraus_stack[a, :len(ch.kraus)], ch.kraus)
+        assert not np.any(ens.kraus_stack[a, len(ch.kraus):])
+    assert list(ens.tp_flags) == [ch.is_trace_preserving for ch in ens.channels]
+    assert list(ens.tp_flags) == [True, True, True, False, False]
+    reg = build_regression_matrices(ens, basis)
+    per_b = np.stack([vectorize(transfer_matrix(ch, basis).e) for ch in ens.channels])
+    per_nat = np.stack([vectorize(superoperator(ch)) for ch in ens.channels])
+    assert reg.b.dtype == float and reg.b.shape == per_b.shape
+    assert np.max(np.abs(reg.b - per_b)) < 1e-15
+    assert np.max(np.abs(reg.b_natural - per_nat)) < 1e-15
+    assert reg.rank_b == numerical_rank(per_b)
+    assert reg.rank_b_natural == numerical_rank(per_nat)
+
+
+def test_ensemble_apply_matches_per_channel_apply():
+    ens = _mixed_kraus_ensemble()
+    rho = random_density(np.random.default_rng(22), 2)
+    out = ens.apply(rho)
+    assert out.shape == (len(ens), 2, 2)
+    for a, ch in enumerate(ens.channels):
+        assert np.max(np.abs(out[a] - ch.apply(rho))) < 1e-15

@@ -199,6 +199,7 @@ def test_preset_excludes_truth_files(tmp_path, capsys):
 
 
 BENCH = ("bench", "--preset", "one_qubit_closed_complete", "--trials", "2", "--quiet")
+FIT = ("--preset", "one_qubit_closed_complete", "--dataset", "ds.json", "--quiet")
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,8 +214,34 @@ BENCH = ("bench", "--preset", "one_qubit_closed_complete", "--trials", "2", "--q
     pytest.param(BENCH + ("--reg-scale", "0.1"), id="reg-without-method"),
     pytest.param(BENCH + ("--povm", "p.json"), id="preset-with-povm"),
     pytest.param(("bench", "--trials", "2"), id="no-preset"),
+    pytest.param(BENCH + ("--channels", "c.json"), id="preset-with-channels"),
+    pytest.param(("rank-check", "--preset", "one_qubit_closed_complete",
+                  "--hamiltonians", "h.json"), id="preset-with-hamiltonians"),
+    pytest.param(("estimate",) + FIT + ("--iters", "5"), id="estimate-iters"),
+    pytest.param(("refine",) + FIT + ("--version", "v2"), id="refine-version"),
+    pytest.param(("refine",) + FIT + ("--pure",), id="refine-pure"),
 ])
 def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "mse.csv")) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "{bad",
+    json.dumps({"y_hat": [[0.5]]}),
+    json.dumps({"y_hat": [[float("nan"), 0.1]], "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
+                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
+    json.dumps({"y_hat": [[-0.3, 0.1]], "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
+                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
+    json.dumps({"y_hat": 3, "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
+                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
+], ids=["not-json", "missing-keys", "nan-frequency", "negative-frequency", "bad-shape"])
+def test_bad_dataset_file_exits_with_validation_code(tmp_path, capsys, text):
+    path = tmp_path / "ds.json"
+    path.write_text(text)
+    rc = run_cli("estimate", "--preset", "one_qubit_closed_complete", "--dataset", str(path),
+                 "--out", str(tmp_path / "est.json"), "--quiet")
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "est.json").exists()

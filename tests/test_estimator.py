@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from jointtomo import (
     DegeneracyError,
     DensityMatrix,
+    FactoredDesign,
     MeasurementDataset,
     Povm,
     ProcessEnsemble,
@@ -21,6 +22,7 @@ from jointtomo import (
     devectorize,
     estimate_joint_v1,
     estimate_joint_v2,
+    factor_design,
     fix_scale_v1,
     haar_unitary,
     make_named_channel,
@@ -387,3 +389,83 @@ def test_estimate_cost_scales_mildly_with_process_count():
     t_large = _timed_estimate(6000, rng)
     # linear-in-L contract, with generous headroom for timer noise
     assert t_large <= 12 * t_small + 0.05
+
+
+def _design(kind, rows, cols, rank, rng):
+    """A ``rows x cols`` test design of the given rank, real or complex, and
+    two target columns."""
+    def draw(*size):
+        g = rng.normal(size=size)
+        return g if kind == "real" else g + 1j * rng.normal(size=size)
+    return draw(rows, rank) @ draw(rank, cols), draw(rows, 2)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(40, 9, 9), (40, 16, 3), (6, 16, 6)],
+                         ids=["tall-full-rank", "rank-deficient", "wide"])
+def test_factored_stage1_matches_direct_solves(kind, shape):
+    rng = np.random.default_rng([sum(shape), kind == "complex"])
+    b, y = _design(kind, *shape, rng)
+    design = factor_design(b)
+    assert isinstance(design, FactoredDesign) and factor_design(design) is design
+    assert design.rank == shape[2]
+    full_rank = shape[2] == shape[1]
+    for target in (y, y[:, 0]):
+        # Moore-Penrose: numpy's pinv with the same cutoff
+        z_mp = stage1_solve(design, target, Stage1Config(method="mp_inverse"))
+        assert _rel(z_mp, np.linalg.pinv(b, rcond=1e-8) @ target) < 1e-10
+        # Tikhonov: the regularized normal equations
+        lam = 0.3
+        z_tk = stage1_solve(design, target, Stage1Config(method="tikhonov", reg_scale=lam))
+        gram = b.conj().T @ b + lam * np.eye(b.shape[1])
+        assert _rel(z_tk, np.linalg.solve(gram, b.conj().T @ target)) < 1e-10
+        if full_rank:
+            z_ls = stage1_solve(design, target, Stage1Config())
+            assert _rel(z_ls, np.linalg.lstsq(b, target, rcond=None)[0]) < 1e-10
+            z_0 = stage1_solve(design, target, Stage1Config(method="tikhonov", reg_scale=0.0))
+            assert _rel(z_0, z_ls) < 1e-10
+        else:
+            with pytest.raises(DegeneracyError):
+                stage1_solve(design, target, Stage1Config())
+            with pytest.raises(DegeneracyError):
+                stage1_solve(design, target, Stage1Config(method="tikhonov", reg_scale=0.0))
+        # a raw matrix is factored on the spot and gives the same solution
+        assert np.array_equal(stage1_solve(b, target, Stage1Config(method="mp_inverse")), z_mp)
+
+
+def test_estimators_accept_a_factored_design():
+    sc = preset("one_qubit_closed_complete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=4,
+                          basis=sc.basis)
+    raw = estimate_joint_v1(ds, reg.b, sc.basis)
+    factored = estimate_joint_v1(ds, factor_design(reg.b), sc.basis)
+    assert np.array_equal(raw.rho_bar, factored.rho_bar)
+    assert raw.diagnostics["rank_b"] == reg.rank_b
+    scp = preset("one_qubit_random_pure")
+    regp = build_regression_matrices(scp.ensemble, scp.basis)
+    dsp = simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 1000, seed=4)
+    raw = estimate_joint_v2(dsp, regp.b_natural)
+    factored = estimate_joint_v2(dsp, factor_design(regp.b_natural))
+    assert np.array_equal(raw.rho_bar, factored.rho_bar)
+    assert raw.diagnostics["rank_b"] == regp.rank_b_natural
+    with pytest.raises(ValidationError):
+        estimate_joint_v1(ds, factor_design(reg.b[:-1]), sc.basis)
+
+
+def test_lapack_failure_is_a_stage_labelled_degeneracy():
+    # a raw frequency matrix bypasses dataset validation; NaN makes an SVD fail
+    y = np.full((16, 2), 0.25)
+    y[3, 0] = np.nan
+    with pytest.raises(DegeneracyError) as err:
+        estimate_joint_v2(y, np.eye(16), Stage1Config(method="mp_inverse"))
+    assert str(err.value).startswith("[kronecker]")
+    b = np.eye(16)
+    b[0, 0] = np.nan
+    with pytest.raises(DegeneracyError) as err:
+        estimate_joint_v2(np.full((16, 2), 0.25), b, Stage1Config(method="mp_inverse"))
+    assert str(err.value).startswith("[stage1]")

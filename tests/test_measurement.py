@@ -3,9 +3,11 @@ import pytest
 
 from jointtomo import (
     DensityMatrix,
+    MeasurementDataset,
     Povm,
     ProcessEnsemble,
     ValidationError,
+    amplitude_damping,
     born_probabilities,
     build_basis,
     haar_unitary,
@@ -177,3 +179,71 @@ def test_dataset_subset():
     assert np.array_equal(sub.y_hat[0], ds.y_hat[1])
     assert sub.tp_flags[0] == ds.tp_flags[1]
     assert sub.total_copies == (2 * 1 + 2) * 100
+
+
+def test_stacked_born_probabilities_match_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    rhos = np.stack([0.8 * random_density_matrix(2, rng).rho for _ in range(6)])
+    povm = Povm(2, np.stack([0.5 * KET0, np.eye(2) - 0.5 * KET0]))
+    stacked = born_probabilities(rhos, povm)
+    assert stacked.shape == (6, 2)
+    for row, rho in zip(stacked, rhos):
+        assert np.max(np.abs(row - born_probabilities(rho, povm))) < 1e-15
+    with pytest.raises(ValidationError):
+        born_probabilities(np.zeros((2, 2, 2, 2)), povm)
+
+
+def test_simulate_exact_matches_per_channel_born_probabilities():
+    rng = np.random.default_rng(12)
+    unitary = make_named_channel("unitary", u=haar_unitary(2, rng))
+    ens = ProcessEnsemble((
+        unitary, make_named_channel("bit_flip", p=0.2), amplitude_damping(0.3),
+        make_named_channel("random_cp", d=2, rank=4, seed=3),
+        make_named_channel("scaled", alpha=0.6, channel=unitary)))
+    state = random_density_matrix(2, rng)
+    ds = simulate_dataset(ens, state, ZBASIS, 100, seed=0, exact=True)
+    for a, ch in enumerate(ens.channels):
+        out = ch.apply(state.rho)
+        assert np.max(np.abs(ds.y_hat[a] - born_probabilities(out, ZBASIS))) < 1e-15
+        tr = np.trace(out).real if not ch.is_trace_preserving else 1.0
+        assert ds.x_a0_hat[a] == pytest.approx(tr / np.sqrt(2), abs=1e-15)
+
+
+def test_batched_sampling_matches_a_per_row_loop_on_tp_ensembles():
+    # one 2-D multinomial takes the stream row by row, as one call per row does
+    sc = preset("one_qubit_closed_complete")
+    for n0 in (1000, 100000):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=8,
+                              basis=sc.basis)
+        rng = np.random.default_rng(8)
+        rows = [sample_frequencies(born_probabilities(ch.apply(sc.truth_state.rho),
+                                                      sc.truth_povm), n0, rng)
+                for ch in sc.ensemble.channels]
+        assert np.array_equal(ds.y_hat, np.stack(rows))
+        q = np.real(np.einsum("jii->j", sc.truth_povm.elements)) / 2
+        assert np.array_equal(ds.c_j0_hat, np.sqrt(2) * sample_frequencies(q, n0, rng))
+    p = np.array([[0.2, 0.3], [0.7, 0.4]])
+    with pytest.raises(ValidationError):
+        sample_frequencies(p, 10, 0)  # the second row sums above 1
+    with pytest.raises(ValidationError):
+        sample_frequencies(np.array([0.2, np.nan]), 10, 0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("y_hat", np.nan), ("y_hat", np.inf), ("y_hat", -0.3),
+    ("x_a0_hat", np.nan), ("x_a0_hat", -0.1),
+    ("c_j0_hat", np.inf), ("c_j0_hat", -0.2),
+    ("x01_bar", np.nan),
+])
+def test_dataset_rejects_bad_frequencies(field, value):
+    good = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
+                c_j0_hat=np.array([0.7, 0.7]), x01_bar=0.1, n0=10,
+                tp_flags=np.ones(2, dtype=bool))
+    MeasurementDataset(**good)
+    bad = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in good.items()}
+    if field == "x01_bar":
+        bad[field] = value
+    else:
+        bad[field].flat[0] = value
+    with pytest.raises(ValidationError):
+        MeasurementDataset(**bad)

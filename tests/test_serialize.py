@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtomo import ValidationError, preset, simulate_dataset
 from jointtomo.serialize import (
@@ -90,3 +94,45 @@ def test_hamiltonian_file(tmp_path):
     path.write_text(json.dumps([{"d": 2, "h": h}]))
     with pytest.raises(ValidationError):
         load_hamiltonians(path)
+
+
+LOADERS = (load_ensemble, load_hamiltonians, load_state, load_povm, load_dataset)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text", [
+    "{bad", "", "\u00ff", "[[]]", "{}", "3", "null", '"text"',
+    '{"d": 2, "rho": [[1, 0]], "elements": 7, "kraus": [[[1]]], "h": 1, "dt_us": "x"}',
+    '[{"d": "two", "h": [], "dt_us": 1, "kraus": []}]',
+    '{"y_hat": [[0.5]], "x_a0_hat": [], "c_j0_hat": 1, "x01_bar": "a", "n0": 1e400, '
+    '"tp_flags": [true]}',
+])
+def test_loaders_refuse_malformed_files(tmp_path, loader, text):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="latin-1")
+    with pytest.raises(ValidationError):
+        loader(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+    | st.sampled_from(["d", "h", "rho", "kraus", "y_hat"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["d", "h", "dt_us", "rho", "elements", "kraus",
+                                       "label", "y_hat", "x_a0_hat", "c_j0_hat",
+                                       "x01_bar", "n0", "tp_flags", "anchor_index"]),
+                      inner, max_size=6),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_JSON)
+def test_loaders_raise_only_validation_errors_on_fuzzed_json(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(data))
+    for loader in LOADERS:
+        try:
+            loader(path)
+        except ValidationError:
+            pass

@@ -67,9 +67,11 @@ from .estimator import (
 )
 from .measurement import (
     DensityMatrix,
+    IdealStatistics,
     MeasurementDataset,
     Povm,
     born_probabilities,
+    ideal_statistics,
     random_density_matrix,
     sample_frequencies,
     simulate_dataset,

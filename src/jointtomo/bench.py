@@ -32,7 +32,7 @@ from .estimator import (
     factor_design,
     project_pure,
 )
-from .measurement import DensityMatrix, Povm, simulate_dataset
+from .measurement import DensityMatrix, Povm, ideal_statistics, simulate_dataset
 
 PRESET_NAMES = (
     "one_qubit_closed_complete",
@@ -264,7 +264,8 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None restrict both the dataset and the regression matrix.
-    Each case's regression matrix is factored once, before the first trial.
+    Each case's regression matrix is factored once, and the truth's ideal
+    statistics are computed once, before the first trial.
     Trial ``t`` at grid index ``i`` draws from the stream
     ``(scenario seed, seed, i, t)``.  Returns ``(rows, failures)`` per case.
     """
@@ -274,6 +275,8 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     b = reg.b_natural if sc.estimator == "v2" else reg.b
     designs = [factor_design(b if idx is None else b[np.asarray(idx, dtype=int)])
                for _, idx in cases]
+    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
+                             scale_observable=sc.anchor_index, basis=sc.basis)
     rows, failures = [[] for _ in cases], [0] * len(cases)
     for i, n0 in enumerate(n0_grid):
         errs = [([], []) for _ in cases]
@@ -281,7 +284,7 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
             ds = simulate_dataset(
                 sc.ensemble, sc.truth_state, sc.truth_povm, n0,
                 seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
-                scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
+                scale_observable=sc.anchor_index, exact=exact, basis=sc.basis, ideal=ideal,
             )
             subsets = [ds if idx is None else ds.subset(idx) for _, idx in cases]
             for c, (config, _) in enumerate(cases):

@@ -148,6 +148,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    if args.iters < 0:
+        raise ValidationError(f"--iters must be >= 0, got {args.iters}")
     ens, state, povm, basis, _ = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
@@ -156,9 +158,10 @@ def _cmd_refine(args) -> int:
     serialize.save_result(result, args.out)
     _report_errors(result, state, povm, args.quiet)
     if not args.quiet:
-        tr = result.diagnostics["objective_trajectory"]
-        print(f"objective {tr[0]:.6e} -> {tr[-1]:.6e} "
-              f"in {result.diagnostics['sweeps_accepted']} accepted sweeps; wrote {args.out}")
+        diag = result.diagnostics
+        tr = diag["objective_trajectory"]
+        print(f"objective {tr[0]:.6e} -> {tr[-1]:.6e} in {diag['sweeps_accepted']} accepted "
+              f"sweeps (stopped: {diag['stop_reason']}); wrote {args.out}")
     return 0
 
 

@@ -182,6 +182,66 @@ class MeasurementDataset:
         )
 
 
+@dataclass(frozen=True)
+class IdealStatistics:
+    """The noiseless statistics of one (ensemble, truth, scale observable).
+
+    They depend on neither the shot count nor the random stream, so a
+    Monte-Carlo study computes them once (``ideal_statistics``) and passes
+    them to every ``simulate_dataset`` call.  ``probabilities`` are the Born
+    probabilities after each process, ``survival`` the output traces (read on
+    lossy processes only), ``trace_probabilities`` the detector's outcomes on
+    the maximally mixed state, and ``scale_eigenvalues``/``scale_probabilities``
+    the spectrum of the scale observable and its outcome probabilities on the
+    truth.  The inputs they were computed from are kept, so a mismatched pair
+    is refused.
+    """
+
+    ensemble: ProcessEnsemble
+    truth_state: DensityMatrix
+    truth_povm: Povm
+    anchor_index: int
+    probabilities: np.ndarray
+    survival: np.ndarray
+    trace_probabilities: np.ndarray
+    scale_eigenvalues: np.ndarray
+    scale_probabilities: np.ndarray
+
+
+def ideal_statistics(
+    ens: ProcessEnsemble,
+    truth_state: DensityMatrix,
+    truth_povm: Povm,
+    scale_observable: int = 1,
+    basis: OperatorBasis = None,
+) -> IdealStatistics:
+    """Every probability the data-collection protocol samples from.
+
+    ``scale_observable`` selects which basis operator Omega_k is measured on
+    the input state to pin the reconstruction scale.
+    """
+    if ens.d != truth_state.d or ens.d != truth_povm.d:
+        raise ValidationError("ensemble, state and detector dimensions must agree")
+    if basis is None:
+        basis = build_basis(ens.d)
+    if not 1 <= scale_observable <= basis.n_traceless:
+        raise ValidationError(
+            f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
+        )
+    # All processes in one stacked pass: outputs, then their probabilities.
+    rho_out = ens.apply(truth_state.rho)
+    p = born_probabilities(rho_out, truth_povm)
+    survival = np.clip(np.real(np.trace(rho_out, axis1=1, axis2=2)), 0.0, 1.0)
+    q = np.real(np.einsum("jii->j", truth_povm.elements)) / ens.d
+    omega = basis.omegas[scale_observable]
+    lam, vecs = np.linalg.eigh(omega)
+    probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), truth_state.rho, vecs)), 0.0, None)
+    arrays = (p, survival, q, lam, probs / probs.sum())
+    for a in arrays:
+        a.setflags(write=False)
+    return IdealStatistics(ens, truth_state, truth_povm, int(scale_observable), *arrays)
+
+
 def simulate_dataset(
     ens: ProcessEnsemble,
     truth_state: DensityMatrix,
@@ -191,6 +251,7 @@ def simulate_dataset(
     scale_observable: int = 1,
     exact: bool = False,
     basis: OperatorBasis = None,
+    ideal: IdealStatistics = None,
 ) -> MeasurementDataset:
     """Simulate the full data-collection protocol with ``n0`` shots per setup.
 
@@ -198,43 +259,37 @@ def simulate_dataset(
     the input state to pin the reconstruction scale; its eigenbasis statistics
     are sampled with ``n0`` shots like every other configuration.  ``exact``
     bypasses all sampling and records the ideal values (a simulation switch
-    for pipeline-exactness checks, not a physical claim).
+    for pipeline-exactness checks, not a physical claim).  ``ideal`` is the
+    ``ideal_statistics`` of these same inputs, computed once for many calls;
+    without it they are computed here.  Either way the draws are the same.
     """
-    if ens.d != truth_state.d or ens.d != truth_povm.d:
-        raise ValidationError("ensemble, state and detector dimensions must agree")
+    if ideal is None:
+        ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
+    elif not (ideal.ensemble is ens and ideal.truth_state is truth_state
+              and ideal.truth_povm is truth_povm and ideal.anchor_index == scale_observable):
+        raise ValidationError("ideal statistics were computed for other inputs")
     if n0 < 1:
         raise ValidationError(f"need at least one shot, got n0={n0}")
-    if basis is None:
-        basis = build_basis(ens.d)
-    if not 1 <= scale_observable <= basis.n_traceless:
-        raise ValidationError(
-            f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
-        )
-    d = ens.d
     rng = np.random.default_rng(seed)
-    sqd = np.sqrt(d)
+    sqd = np.sqrt(ens.d)
 
-    # All processes in one stacked pass: outputs, probabilities, one draw per row.
-    rho_out = ens.apply(truth_state.rho)
-    p = born_probabilities(rho_out, truth_povm)
-    y_hat = p if exact else sample_frequencies(p, n0, rng)
+    # One draw per process row, then the lossy processes' survival counts.
+    p = ideal.probabilities
+    y_hat = p.copy() if exact else sample_frequencies(p, n0, rng)
     x_a0 = np.full(len(ens), 1.0 / sqd)
     lossy = ~ens.tp_flags
     if np.any(lossy):
-        survival = np.clip(np.real(np.trace(rho_out[lossy], axis1=1, axis2=2)), 0.0, 1.0)
+        survival = ideal.survival[lossy]
         x_a0[lossy] = (survival if exact else rng.binomial(int(n0), survival) / float(n0)) / sqd
 
     # Detector trace components from the maximally mixed probe state.
-    q = np.real(np.einsum("jii->j", truth_povm.elements)) / d
+    q = ideal.trace_probabilities
     c_j0 = sqd * (q if exact else sample_frequencies(q, n0, rng))
 
     # Scale observable measured projectively in its own eigenbasis.
-    omega = basis.omegas[scale_observable]
-    lam, vecs = np.linalg.eigh(omega)
-    probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), truth_state.rho, vecs)), 0.0, None)
-    probs = probs / probs.sum()
+    probs = ideal.scale_probabilities
     weights = probs if exact else sample_frequencies(probs, n0, rng)
-    x01 = float(np.dot(lam, weights))
+    x01 = float(np.dot(ideal.scale_eigenvalues, weights))
 
     return MeasurementDataset(
         y_hat=y_hat,
@@ -243,7 +298,7 @@ def simulate_dataset(
         x01_bar=x01,
         n0=int(n0),
         tp_flags=ens.tp_flags,
-        anchor_index=int(scale_observable),
+        anchor_index=ideal.anchor_index,
         exact=exact,
     )
 

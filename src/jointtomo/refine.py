@@ -13,6 +13,16 @@ sets is a polynomial (sum-of-squares) program; solving it needs an external
 SDP/SOS front end, so this module exports the fully expanded program to a
 self-describing text file and offers a block-coordinate refinement with
 projections as an in-repo substitute.
+
+The refinement works on the design tensor ``B3 = b.reshape(L, n, n)``, whose
+entry ``B3[a, i, k]`` multiplies ``x_i c_k``.  For a state ``x`` the matrix
+``G = x . B3`` (L x n) turns the objective into ``||Y - G C||_F^2``, with one
+detector element's coordinates per column of ``C``.  Under completeness,
+``sum_j c_j = 0``, the detector block's stationarity conditions
+``G^T (G c_j - y_j) + lam = 0`` sum over the M outcomes to ``lam = G^T ybar``
+(``ybar`` the mean target), hence ``c_j = G^+ (y_j - ybar)``: one
+least-squares solve on the centred targets for all outcomes.  The state
+block stacks ``B3 . c_j`` over the outcomes with one matrix product.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +38,13 @@ from .basis import (
     state_to_coords,
 )
 from .errors import DegeneracyError, ValidationError
-from .estimator import EstimateResult, _corrected, build_targets_v1, correct_state
+from .estimator import (
+    EstimateResult,
+    FactoredDesign,
+    _corrected,
+    build_targets_v1,
+    correct_state,
+)
 from .measurement import MeasurementDataset
 
 
@@ -93,27 +109,26 @@ def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis, tol: float =
 # Projected alternating refinement
 # --------------------------------------------------------------------------
 
-def _objective(b: np.ndarray, y: np.ndarray, x: np.ndarray, cs) -> float:
-    return float(sum(
-        np.linalg.norm(y[:, j] - b @ np.kron(x, cs[j])) ** 2 for j in range(len(cs))
-    ))
-
-
 def _project_state_coords(x: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     rho = correct_state(coherence_to_state(x, basis)).rho
     return state_to_coords(rho, basis).x
 
 
-def _project_povm_coords(c0: float, c: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    p = coords_to_povm_element(PovmCoordinates(c0, c), basis)
-    vals, vecs = np.linalg.eigh(p)
-    clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    return povm_element_to_coords(clipped, basis).c
+def _project_povm_coords(c0s: np.ndarray, cs: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Clip the negative eigenvalues of every detector element, one stacked
+    ``eigh`` for all; ``cs`` holds one element's coordinates per column."""
+    d = basis.d
+    omegas = basis.omegas.reshape(d * d, d * d)
+    elements = (np.vstack([c0s, cs]).T @ omegas).reshape(-1, d, d)
+    vals, vecs = np.linalg.eigh(elements)
+    clipped = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    # Tr(Omega_k P) = sum_ab Omega_k[a, b] P[b, a]
+    return np.real(omegas[1:] @ clipped.transpose(0, 2, 1).reshape(-1, d * d).T)
 
 
 def refine_alternating(
     ds: MeasurementDataset,
-    b: np.ndarray,
+    b,
     basis: OperatorBasis,
     init: EstimateResult,
     iters: int = 100,
@@ -124,43 +139,60 @@ def refine_alternating(
     Alternates least squares for the detector coordinates (under the exact
     completeness constraint) and for the state coordinates (with the anchor
     coordinate pinned to its measured value), projecting each block onto its
-    physical set afterwards.  A sweep is accepted only if it does not increase
-    the objective, so the recorded objective sequence is non-increasing; the
-    loop stops at ``iters`` sweeps or when the relative improvement of an
-    accepted sweep falls below ``rel_tol``.
+    physical set afterwards.  ``b`` is the coherence-vector regression matrix,
+    raw or as its ``factor_design`` record.  A sweep is accepted only if it
+    does not increase the objective, so the recorded objective sequence is
+    non-increasing; the loop stops at ``iters`` sweeps or when the relative
+    improvement of an accepted sweep falls below ``rel_tol``.
+    ``diagnostics["stop_reason"]`` says which: ``"converged"``,
+    ``"max_iters"``, or ``"rejected"`` when a sweep's projections undid its
+    gain and the previous point was kept.
+
+    Both blocks work on the design tensor, as the module docstring derives:
+    the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
+    outcomes, and its stacked ``eigh`` projects every element at once.
     """
     n = basis.n_traceless
+    if isinstance(b, FactoredDesign):
+        b = b.b
+    b = np.asarray(b)
+    if b.shape != (ds.n_processes, n * n):
+        raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
+    if iters < 0:
+        raise ValidationError(f"iters must be >= 0, got {iters}")
+    if not rel_tol >= 0.0:
+        raise ValidationError(f"rel_tol must be >= 0, got {rel_tol}")
     y = build_targets_v1(ds, basis)
     x = state_to_coords(init.rho_hat.rho, basis).x
-    cs = [povm_element_to_coords(p, basis).c for p in init.povm_hat.elements]
-    m = len(cs)
+    c = np.stack([povm_element_to_coords(p, basis).c for p in init.povm_hat.elements], axis=1)
+    l, m = y.shape
     anchor = ds.anchor_index - 1
+    free = [i for i in range(n) if i != anchor]
     c0s = ds.c_j0_hat
-    l = y.shape[0]
 
-    obj = _objective(b, y, x, cs)
+    # The tensor laid out once as B3[a, i, k] -> b_t[k, a, i]: G^T is then
+    # one matrix-vector product, and the state block's stacked matrix one
+    # GEMM whose rows already come outcome by outcome.
+    b_t = np.ascontiguousarray(b.reshape(l, n, n).transpose(2, 0, 1))
+    b_rows, b_cols = b_t.reshape(n * l, n), b_t.reshape(n, l * n)
+    y_centred = y - y.mean(axis=1, keepdims=True)
+    rhs_all = y.T.ravel()
+
+    g = (b_rows @ x).reshape(n, l).T
+    obj = float(np.linalg.norm(y - g @ c) ** 2)
     if not np.isfinite(obj):
         raise DegeneracyError(f"objective is not finite at the initial point: {obj}")
     trajectory = [obj]
-    rhs_all = np.concatenate([y[:, j] for j in range(m)])
-    eye = np.eye(n)
     accepted = 0
+    stop_reason = "max_iters"
 
     for _ in range(iters):
-        # Detector block: joint least squares with sum_j C_j = 0 eliminated.
-        g = b @ np.kron(x[:, None], eye)
-        a = np.zeros((l * m, n * (m - 1)))
-        for j in range(m - 1):
-            a[j * l:(j + 1) * l, j * n:(j + 1) * n] = g
-        a[(m - 1) * l:, :] = -np.tile(g, (1, m - 1))
-        u, *_ = np.linalg.lstsq(a, rhs_all, rcond=None)
-        cs_new = [u[j * n:(j + 1) * n] for j in range(m - 1)]
-        cs_new.append(-np.sum(cs_new, axis=0))
-        cs_new = [_project_povm_coords(c0s[j], cs_new[j], basis) for j in range(m)]
+        # Detector block: every c_j from one solve on the centred targets.
+        c_new, *_ = np.linalg.lstsq(g, y_centred, rcond=None)
+        c_new = _project_povm_coords(c0s, c_new, basis)
 
-        # State block: least squares with the anchor coordinate pinned.
-        a_x = np.vstack([b @ np.kron(eye, c[:, None]) for c in cs_new])
-        free = [i for i in range(n) if i != anchor]
+        # State block: the (M L) x n system of all outcomes, anchor pinned.
+        a_x = (c_new.T @ b_cols).reshape(m * l, n)
         rhs = rhs_all - a_x[:, anchor] * ds.x01_bar
         sol, *_ = np.linalg.lstsq(a_x[:, free], rhs, rcond=None)
         x_new = np.empty(n)
@@ -168,26 +200,30 @@ def refine_alternating(
         x_new[free] = sol
         x_new = _project_state_coords(x_new, basis)
 
-        new_obj = _objective(b, y, x_new, cs_new)
+        g_new = (b_rows @ x_new).reshape(n, l).T
+        new_obj = float(np.linalg.norm(y - g_new @ c_new) ** 2)
         if not np.isfinite(new_obj):
             raise DegeneracyError(f"objective became non-finite: {new_obj}")
         if new_obj > obj * (1.0 + 1e-12) + 1e-15:
-            break  # projection undid the gain; keep the previous point
-        x, cs = x_new, cs_new
+            stop_reason = "rejected"  # projection undid the gain; keep the previous point
+            break
+        x, c, g = x_new, c_new, g_new
         accepted += 1
         improved = obj - new_obj
         obj = new_obj
         trajectory.append(obj)
         if improved <= rel_tol * max(trajectory[0], 1e-300):
+            stop_reason = "converged"
             break
 
     rho_bar = coherence_to_state(x, basis)
     povm_bar = np.stack([
-        coords_to_povm_element(PovmCoordinates(c0s[j], cs[j]), basis) for j in range(m)
+        coords_to_povm_element(PovmCoordinates(c0s[j], c[:, j]), basis) for j in range(m)
     ])
     return _corrected(rho_bar, povm_bar, {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
+        "stop_reason": stop_reason,
         "initial_objective": trajectory[0],
         "final_objective": obj,
     })

@@ -163,3 +163,19 @@ def test_experiment_input_validation():
         run_mse_experiment(sc, [1000], trials=1)
     with pytest.raises(ValidationError):
         run_mse_experiment(sc, [1000, 1000], trials=2)
+
+
+def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
+    from jointtomo import ProcessEnsemble
+    calls = []
+    original = ProcessEnsemble.apply
+
+    def counting(self, rho):
+        calls.append(len(self))
+        return original(self, rho)
+
+    monkeypatch.setattr(ProcessEnsemble, "apply", counting)
+    sc = preset("one_qubit_closed_complete")
+    table = run_mse_experiment(sc, [100, 1000], trials=3, seed=4)
+    assert calls == [len(sc.ensemble)]  # one evolution of the truth for six trials
+    assert table.failures == 0 and [r.trials for r in table.rows] == [3, 3]

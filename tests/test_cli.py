@@ -118,6 +118,20 @@ def test_refine_command(tmp_path, capsys):
     assert out.exists()
 
 
+def test_refine_summary_reports_the_stop_reason(tmp_path, capsys):
+    ds_path = tmp_path / "ds.json"
+    run_cli("simulate", "--preset", "one_qubit_closed_incomplete", "--n0", "10000",
+            "--out", str(ds_path), "--quiet")
+    out = tmp_path / "ref.json"
+    rc = run_cli("refine", "--preset", "one_qubit_closed_incomplete", "--dataset", str(ds_path),
+                 "--method", "mp", "--iters", "3", "--out", str(out))
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    reason = json.loads(out.read_text())["diagnostics"]["stop_reason"]
+    assert reason in ("converged", "max_iters", "rejected")
+    assert f"(stopped: {reason})" in summary
+
+
 def test_export_sos_command(tmp_path):
     ds_path = tmp_path / "ds.json"
     run_cli("simulate", "--preset", "one_qubit_closed_complete", "--n0", "1000",
@@ -220,6 +234,7 @@ FIT = ("--preset", "one_qubit_closed_complete", "--dataset", "ds.json", "--quiet
     pytest.param(("estimate",) + FIT + ("--iters", "5"), id="estimate-iters"),
     pytest.param(("refine",) + FIT + ("--version", "v2"), id="refine-version"),
     pytest.param(("refine",) + FIT + ("--pure",), id="refine-pure"),
+    pytest.param(("refine",) + FIT + ("--iters", "-1"), id="refine-negative-iters"),
 ])
 def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "mse.csv")) == 2

@@ -11,12 +11,14 @@ from jointtomo import (
     born_probabilities,
     build_basis,
     haar_unitary,
+    ideal_statistics,
     make_named_channel,
     preset,
     random_density_matrix,
     sample_frequencies,
     simulate_dataset,
 )
+from jointtomo.bench import PRESET_NAMES
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -247,3 +249,68 @@ def test_dataset_rejects_bad_frequencies(field, value):
         bad[field].flat[0] = value
     with pytest.raises(ValidationError):
         MeasurementDataset(**bad)
+
+
+def _one_pass_simulation(sc, n0, seed, exact):
+    """The protocol in one pass, as ``simulate_dataset`` ran it before the
+    ideal statistics were split off: evolve, sample the process rows, then
+    the survival counts, the trace components and the scale observable."""
+    d, sqd = sc.d, np.sqrt(sc.d)
+    rng = np.random.default_rng(seed)
+    rho_out = sc.ensemble.apply(sc.truth_state.rho)
+    p = born_probabilities(rho_out, sc.truth_povm)
+    y_hat = p if exact else sample_frequencies(p, n0, rng)
+    x_a0 = np.full(len(sc.ensemble), 1.0 / sqd)
+    lossy = ~sc.ensemble.tp_flags
+    if np.any(lossy):
+        survival = np.clip(np.real(np.trace(rho_out[lossy], axis1=1, axis2=2)), 0.0, 1.0)
+        x_a0[lossy] = (survival if exact else rng.binomial(n0, survival) / float(n0)) / sqd
+    q = np.real(np.einsum("jii->j", sc.truth_povm.elements)) / d
+    c_j0 = sqd * (q if exact else sample_frequencies(q, n0, rng))
+    lam, vecs = np.linalg.eigh(sc.basis.omegas[sc.anchor_index])
+    probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sc.truth_state.rho, vecs)),
+                    0.0, None)
+    probs = probs / probs.sum()
+    weights = probs if exact else sample_frequencies(probs, n0, rng)
+    return y_hat, x_a0, c_j0, float(np.dot(lam, weights))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_split_simulation_matches_the_one_pass_protocol(name):
+    sc = preset(name)
+    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
+                             scale_observable=sc.anchor_index, basis=sc.basis)
+    for exact in (False, True):
+        for n0 in (1000, 100000):
+            seed = np.random.SeedSequence([sc.seed, 3, n0])
+            y, x_a0, c_j0, x01 = _one_pass_simulation(sc, n0, seed, exact)
+            for given in (None, ideal):
+                ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                      seed=seed, scale_observable=sc.anchor_index,
+                                      exact=exact, basis=sc.basis, ideal=given)
+                assert np.array_equal(ds.y_hat, y)
+                assert np.array_equal(ds.x_a0_hat, x_a0)
+                assert np.array_equal(ds.c_j0_hat, c_j0)
+                assert ds.x01_bar == x01
+
+
+def test_ideal_statistics_are_shared_safely():
+    sc = preset("one_qubit_random_pure")
+    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis)
+    with pytest.raises(ValueError):
+        ideal.probabilities[0, 0] = 0.5  # read-only, shared by every trial
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10, exact=True,
+                          basis=sc.basis, ideal=ideal)
+    ds.y_hat[0, 0] = 0.0  # an exact dataset owns its copy
+    assert ideal.probabilities[0, 0] != 0.0
+    other = preset("one_qubit_closed_complete")
+    for args, kwargs in [
+        ((other.ensemble, sc.truth_state, sc.truth_povm), {}),
+        ((sc.ensemble, random_density_matrix(2, 0), sc.truth_povm), {}),
+        ((sc.ensemble, sc.truth_state, other.truth_povm), {}),
+        ((sc.ensemble, sc.truth_state, sc.truth_povm), {"scale_observable": 2}),
+    ]:
+        with pytest.raises(ValidationError):
+            simulate_dataset(*args, 10, basis=sc.basis, ideal=ideal, **kwargs)
+    with pytest.raises(ValidationError):
+        ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, scale_observable=4)

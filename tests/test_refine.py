@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from jointtomo import (
     MeasurementDataset,
+    PovmCoordinates,
     Stage1Config,
     ValidationError,
     build_basis,
     build_regression_matrices,
     build_targets_v1,
     coherence_to_state,
+    coords_to_povm_element,
+    correct_povm,
+    correct_state,
     estimate_joint_v1,
     export_sos_problem,
+    factor_design,
     haar_unitary,
     in_physical_set,
     k_coefficients,
@@ -166,6 +173,160 @@ def test_refine_outputs_physical():
     assert np.linalg.norm(out.povm_hat.elements.sum(axis=0) - np.eye(2)) < 1e-10
 
 
+def _kron_refine_reference(ds, b, basis, init, iters=100, rel_tol=1e-10):
+    """The Kronecker-built sweep that the tensor form replaced, kept as the
+    reference: the detector block solves the eliminated (L M) x n (M - 1)
+    system, the state block stacks one ``b @ kron(I, c_j)`` per outcome, and
+    the objective sums one ``b @ kron(x, c_j)`` residual per outcome."""
+    def objective(x, cs):
+        return float(sum(np.linalg.norm(y[:, j] - b @ np.kron(x, cs[j])) ** 2
+                         for j in range(len(cs))))
+
+    def project_povm(c0, c):
+        p = coords_to_povm_element(PovmCoordinates(c0, c), basis)
+        vals, vecs = np.linalg.eigh(p)
+        clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+        return povm_element_to_coords(clipped, basis).c
+
+    def project_state(x):
+        rho = correct_state(coherence_to_state(x, basis)).rho
+        return state_to_coords(rho, basis).x
+
+    n = basis.n_traceless
+    y = build_targets_v1(ds, basis)
+    x = state_to_coords(init.rho_hat.rho, basis).x
+    cs = [povm_element_to_coords(p, basis).c for p in init.povm_hat.elements]
+    m = len(cs)
+    anchor = ds.anchor_index - 1
+    c0s = ds.c_j0_hat
+    l = y.shape[0]
+    obj = objective(x, cs)
+    trajectory = [obj]
+    rhs_all = np.concatenate([y[:, j] for j in range(m)])
+    eye = np.eye(n)
+    accepted, stop_reason = 0, "max_iters"
+    for _ in range(iters):
+        g = b @ np.kron(x[:, None], eye)
+        a = np.zeros((l * m, n * (m - 1)))
+        for j in range(m - 1):
+            a[j * l:(j + 1) * l, j * n:(j + 1) * n] = g
+        a[(m - 1) * l:, :] = -np.tile(g, (1, m - 1))
+        u, *_ = np.linalg.lstsq(a, rhs_all, rcond=None)
+        cs_new = [u[j * n:(j + 1) * n] for j in range(m - 1)]
+        cs_new.append(-np.sum(cs_new, axis=0))
+        cs_new = [project_povm(c0s[j], cs_new[j]) for j in range(m)]
+        a_x = np.vstack([b @ np.kron(eye, c[:, None]) for c in cs_new])
+        free = [i for i in range(n) if i != anchor]
+        rhs = rhs_all - a_x[:, anchor] * ds.x01_bar
+        sol, *_ = np.linalg.lstsq(a_x[:, free], rhs, rcond=None)
+        x_new = np.empty(n)
+        x_new[anchor] = ds.x01_bar
+        x_new[free] = sol
+        x_new = project_state(x_new)
+        new_obj = objective(x_new, cs_new)
+        if new_obj > obj * (1.0 + 1e-12) + 1e-15:
+            stop_reason = "rejected"
+            break
+        x, cs = x_new, cs_new
+        accepted += 1
+        improved = obj - new_obj
+        obj = new_obj
+        trajectory.append(obj)
+        if improved <= rel_tol * max(trajectory[0], 1e-300):
+            stop_reason = "converged"
+            break
+    rho_bar = coherence_to_state(x, basis)
+    povm_bar = np.stack([coords_to_povm_element(PovmCoordinates(c0s[j], cs[j]), basis)
+                         for j in range(m)])
+    rho_hat, povm_hat = correct_state(rho_bar), correct_povm(povm_bar)
+    return rho_hat, povm_hat, {"objective_trajectory": trajectory,
+                               "sweeps_accepted": accepted, "stop_reason": stop_reason}
+
+
+V1_PRESETS = ("one_qubit_closed_complete", "one_qubit_closed_incomplete",
+              "two_qubit_mixed_unitary", "two_qubit_mixed_unitary_incomplete")
+
+
+@pytest.mark.parametrize("name", V1_PRESETS)
+def test_tensor_form_matches_the_kronecker_sweep(name):
+    sc = preset(name)
+    b = build_regression_matrices(sc.ensemble, sc.basis).b
+    for n0 in (10 ** 3, 10 ** 5):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                              seed=np.random.SeedSequence([12, n0]),
+                              scale_observable=sc.anchor_index, basis=sc.basis)
+        init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
+        out = refine_alternating(ds, b, sc.basis, init)
+        rho_ref, povm_ref, diag_ref = _kron_refine_reference(ds, b, sc.basis, init)
+        diag = out.diagnostics
+        assert diag["sweeps_accepted"] == diag_ref["sweeps_accepted"]
+        assert diag["stop_reason"] == diag_ref["stop_reason"]
+        assert np.max(np.abs(out.rho_hat.rho - rho_ref.rho)) < 1e-12
+        assert np.max(np.abs(out.povm_hat.elements - povm_ref.elements)) < 1e-12
+        new, ref = np.array(diag["objective_trajectory"]), np.array(diag_ref["objective_trajectory"])
+        assert np.all(np.abs(new - ref) <= 1e-10 * np.abs(ref))
+
+
+def test_centred_solve_is_the_minimum_norm_eliminated_solution():
+    rng = np.random.default_rng(13)
+    l, n, m = 20, 6, 4
+    g = rng.normal(size=(l, 3)) @ rng.normal(size=(3, n))  # rank 3 < n
+    assert np.linalg.matrix_rank(g) == 3
+    y = rng.normal(size=(l, m))
+    c, *_ = np.linalg.lstsq(g, y - y.mean(axis=1, keepdims=True), rcond=None)
+    # The eliminated system: unknowns c_1 .. c_{M-1}, and c_M = -sum of them.
+    a = np.zeros((l * m, n * (m - 1)))
+    for j in range(m - 1):
+        a[j * l:(j + 1) * l, j * n:(j + 1) * n] = g
+    a[(m - 1) * l:, :] = -np.tile(g, (1, m - 1))
+    u, *_ = np.linalg.lstsq(a, y.T.ravel(), rcond=None)
+    blocks = u.reshape(m - 1, n).T
+    expected = np.column_stack([blocks, -blocks.sum(axis=1)])
+    assert np.max(np.abs(c - expected)) < 1e-12
+    assert np.max(np.abs(c.sum(axis=1))) < 1e-12
+
+
+def test_refine_reports_why_it_stopped():
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 4, seed=14,
+                          basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    capped = refine_alternating(ds, reg.b, sc.basis, init, iters=2, rel_tol=0.0)
+    assert capped.diagnostics["stop_reason"] == "max_iters"
+    assert capped.diagnostics["sweeps_accepted"] == 2
+    none = refine_alternating(ds, reg.b, sc.basis, init, iters=0)
+    assert none.diagnostics["stop_reason"] == "max_iters"
+    assert none.diagnostics["objective_trajectory"] == [none.diagnostics["initial_objective"]]
+    done = refine_alternating(ds, reg.b, sc.basis, init, rel_tol=1e-3)
+    assert done.diagnostics["stop_reason"] == "converged"
+    assert done.diagnostics["sweeps_accepted"] < 100
+    # At 100 shots the projections undo the third sweep's gain on this draw.
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=0,
+                          basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    undone = refine_alternating(ds, reg.b, sc.basis, init)
+    assert undone.diagnostics["stop_reason"] == "rejected"
+    assert undone.diagnostics["sweeps_accepted"] == 2
+    assert _kron_refine_reference(ds, reg.b, sc.basis, init)[2]["stop_reason"] == "rejected"
+
+
+def test_refine_validates_its_inputs():
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=15,
+                          basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    for b in (reg.b[:-1], reg.b[:, :-1]):
+        with pytest.raises(ValidationError):
+            refine_alternating(ds, b, sc.basis, init)
+    for kwargs in ({"iters": -1}, {"rel_tol": float("nan")}, {"rel_tol": -1e-10}):
+        with pytest.raises(ValidationError):
+            refine_alternating(ds, reg.b, sc.basis, init, **kwargs)
+    raw = refine_alternating(ds, reg.b, sc.basis, init, iters=5)
+    factored = refine_alternating(ds, factor_design(reg.b), sc.basis, init, iters=5)
+    assert np.array_equal(raw.rho_hat.rho, factored.rho_hat.rho)
+    assert raw.diagnostics == factored.diagnostics
+
+
 def _truth_values(sc):
     x = state_to_coords(sc.truth_state.rho, sc.basis).x
     cs = [povm_element_to_coords(p, sc.basis).c for p in sc.truth_povm.elements]
@@ -277,3 +438,20 @@ def test_export_dimension_guard(tmp_path):
                           basis=sc.basis)
     with pytest.raises(ValidationError):
         export_sos_problem(ds, reg.b, sc.basis, tmp_path / "big.sos")
+
+
+def test_tensor_form_matches_when_targets_do_not_sum_to_zero():
+    # Frequencies summing to 1 with measured trace components summing to
+    # sqrt(d) make the targets of every process sum to 0 over the outcomes,
+    # so the centring is then a no-op; a lossy detector breaks that.
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 4, seed=16,
+                          basis=sc.basis)
+    ds = replace(ds, y_hat=ds.y_hat * np.linspace(0.9, 0.97, ds.n_processes)[:, None])
+    assert np.min(np.abs(build_targets_v1(ds, sc.basis).sum(axis=1))) > 1e-2
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    out = refine_alternating(ds, reg.b, sc.basis, init, iters=30)
+    rho_ref, povm_ref, diag_ref = _kron_refine_reference(ds, reg.b, sc.basis, init, iters=30)
+    assert out.diagnostics["sweeps_accepted"] == diag_ref["sweeps_accepted"]
+    assert np.max(np.abs(out.rho_hat.rho - rho_ref.rho)) < 1e-12
+    assert np.max(np.abs(out.povm_hat.elements - povm_ref.elements)) < 1e-12

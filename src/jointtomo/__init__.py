@@ -26,6 +26,7 @@ from .bench import (
     run_mse_experiment,
 )
 from .channels import (
+    FactoredDesign,
     KrausChannel,
     ProcessEnsemble,
     RegressionMatrices,
@@ -33,6 +34,7 @@ from .channels import (
     amplitude_damping,
     build_regression_matrices,
     discretize_hamiltonian,
+    factor_design,
     hamiltonian_generator,
     haar_unitary,
     is_generalized_unital,
@@ -49,7 +51,6 @@ from .channels import (
 from .errors import DegeneracyError, TomographyError, ValidationError
 from .estimator import (
     EstimateResult,
-    FactoredDesign,
     KroneckerFactorization,
     Stage1Config,
     build_targets_v1,
@@ -58,7 +59,6 @@ from .estimator import (
     correct_state,
     estimate_joint_v1,
     estimate_joint_v2,
-    factor_design,
     fix_scale_v1,
     nearest_kronecker,
     project_pure,

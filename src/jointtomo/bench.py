@@ -19,6 +19,7 @@ from .channels import (
     ProcessEnsemble,
     build_regression_matrices,
     closed_system_channels,
+    factor_design,
     haar_unitary,
     make_named_channel,
     pauli,
@@ -29,7 +30,6 @@ from .estimator import (
     Stage1Config,
     estimate_joint_v1,
     estimate_joint_v2,
-    factor_design,
     project_pure,
 )
 from .measurement import DensityMatrix, Povm, ideal_statistics, simulate_dataset
@@ -264,16 +264,17 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None restrict both the dataset and the regression matrix.
-    Each case's regression matrix is factored once, and the truth's ideal
-    statistics are computed once, before the first trial.
+    The full design is the record's own factorization, a process subset is
+    factored once per case, and the truth's ideal statistics are computed
+    once, before the first trial.
     Trial ``t`` at grid index ``i`` draws from the stream
     ``(scenario seed, seed, i, t)``.  Returns ``(rows, failures)`` per case.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     reg = build_regression_matrices(sc.ensemble, sc.basis)
-    b = reg.b_natural if sc.estimator == "v2" else reg.b
-    designs = [factor_design(b if idx is None else b[np.asarray(idx, dtype=int)])
+    full = reg.design_natural if sc.estimator == "v2" else reg.design
+    designs = [full if idx is None else factor_design(full.b[np.asarray(idx, dtype=int)])
                for _, idx in cases]
     ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
                              scale_observable=sc.anchor_index, basis=sc.basis)

@@ -415,15 +415,78 @@ def _rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
 
 
 @dataclass(frozen=True)
+class FactoredDesign:
+    """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
+    its numerical rank (singular values above ``RANK_RTOL * s[0]``)."""
+
+    b: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @property
+    def shape(self) -> tuple:
+        return self.b.shape
+
+    @property
+    def full_column_rank(self) -> bool:
+        return self.rank == self.shape[1]
+
+
+def factor_design(b) -> FactoredDesign:
+    """Factor a regression matrix once, for any number of stage-1 solves.
+
+    ``b`` may be anything array-like; a FactoredDesign is returned
+    unchanged, so callers may pass either.
+    """
+    if isinstance(b, FactoredDesign):
+        return b
+    b = np.asarray(b)
+    if b.ndim != 2:
+        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
+
+
+@dataclass(frozen=True)
 class RegressionMatrices:
-    """Stacked regression matrices of an ensemble plus completeness verdicts."""
+    """The design of an ensemble in both bases, factored on first use.
+
+    ``b`` stacks the rows ``vec(E_a)`` (real, coherence-vector basis) and
+    ``b_natural`` the rows ``vec(B_a)`` (complex, natural basis).  Each is
+    factored at most once, when ``design``/``design_natural`` is first read,
+    and the ranks and completeness verdicts are read off those
+    factorizations: a basis is informationally complete when its matrix has
+    full column rank, (d^2-1)^2 for ``b`` and d^4 for ``b_natural``.
+    """
 
     b: np.ndarray
     b_natural: np.ndarray
-    rank_b: int
-    rank_b_natural: int
-    complete_v1: bool
-    complete_v2: bool
+
+    @cached_property
+    def design(self) -> FactoredDesign:
+        return factor_design(self.b)
+
+    @cached_property
+    def design_natural(self) -> FactoredDesign:
+        return factor_design(self.b_natural)
+
+    @property
+    def rank_b(self) -> int:
+        return self.design.rank
+
+    @property
+    def rank_b_natural(self) -> int:
+        return self.design_natural.rank
+
+    @property
+    def complete_v1(self) -> bool:
+        return self.design.full_column_rank
+
+    @property
+    def complete_v2(self) -> bool:
+        return self.design_natural.full_column_rank
 
 
 def _stacked_rows(ens: ProcessEnsemble, basis: OperatorBasis) -> tuple:
@@ -449,24 +512,15 @@ def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> Reg
     """Rows ``vec(E_a)^T`` (real) and ``vec(B_a)^T`` (complex) for every channel.
 
     Both are built for all channels at once from the ensemble's Kraus stack
-    (see ``_stacked_rows``).  The coherence-vector problem is informationally
-    complete when the real matrix has full column rank (d^2-1)^2; the
-    natural-basis problem when the complex matrix reaches rank d^4.
+    (see ``_stacked_rows``) and kept read-only, so that the record's cached
+    factorizations always describe them.  No matrix is factored here.
     """
     if ens.d != basis.d:
         raise ValidationError(f"dimension mismatch: ensemble {ens.d}, basis {basis.d}")
     b, b_nat = _stacked_rows(ens, basis)
-    rank_b = numerical_rank(b)
-    rank_b_nat = numerical_rank(b_nat)
-    n = basis.n_traceless
-    return RegressionMatrices(
-        b=b,
-        b_natural=b_nat,
-        rank_b=rank_b,
-        rank_b_natural=rank_b_nat,
-        complete_v1=rank_b == n * n,
-        complete_v2=rank_b_nat == basis.d ** 4,
-    )
+    b.setflags(write=False)
+    b_nat.setflags(write=False)
+    return RegressionMatrices(b=b, b_natural=b_nat)
 
 
 def rank_bound(ens: ProcessEnsemble, tol: float = 1e-8) -> int:

@@ -134,9 +134,9 @@ def _cmd_estimate(args) -> int:
     config = _stage1_config(args)
     version = args.version or (sc.estimator if sc else "v1")
     if version == "v2":
-        result = estimate_joint_v2(ds, reg.b_natural, config)
+        result = estimate_joint_v2(ds, reg.design_natural, config)
     else:
-        result = estimate_joint_v1(ds, reg.b, basis, config)
+        result = estimate_joint_v1(ds, reg.design, basis, config)
     if args.pure:
         from dataclasses import replace
         result = replace(result, rho_hat=project_pure(result.rho_hat))
@@ -153,8 +153,8 @@ def _cmd_refine(args) -> int:
     ens, state, povm, basis, _ = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
-    init = estimate_joint_v1(ds, reg.b, basis, _stage1_config(args))
-    result = refine_mod.refine_alternating(ds, reg.b, basis, init, iters=args.iters)
+    init = estimate_joint_v1(ds, reg.design, basis, _stage1_config(args))
+    result = refine_mod.refine_alternating(ds, reg.design, basis, init, iters=args.iters)
     serialize.save_result(result, args.out)
     _report_errors(result, state, povm, args.quiet)
     if not args.quiet:

@@ -7,9 +7,11 @@ The pipeline has four steps, run once per detector outcome j:
 2. solve the linear system ``B z_j = Y_j`` by plain least squares, the
    Moore-Penrose inverse, or Tikhonov regularization.  B depends only on the
    probe processes, so its economy SVD ``B = U S V^dag`` is computed once per
-   design (``factor_design``) and every solve applies it:
-   ``z = V diag(f(s)) U^dag Y`` with the method's filter factors ``f``,
-   one pair of matrix products for all outcomes together,
+   design (``channels.factor_design``; ``RegressionMatrices.design`` and
+   ``design_natural`` hold it for an ensemble, and the ensemble's ranks and
+   completeness verdicts are read off that same factorization) and every
+   solve applies it: ``z = V diag(f(s)) U^dag Y`` with the method's filter
+   factors ``f``, one pair of matrix products for all outcomes together,
 3. factor each ``z_j`` as a Kronecker product of a state vector and a
    detector vector through the rank-1 SVD of its rearrangement, fix its
    scale, and average the state candidates,
@@ -35,9 +37,9 @@ from .basis import (
     coords_to_state,
     devectorize,
 )
-from .channels import _rank
+from .channels import FactoredDesign, factor_design
 from .errors import DegeneracyError, TomographyError, ValidationError
-from .measurement import DensityMatrix, MeasurementDataset, Povm
+from .measurement import DensityMatrix, MeasurementDataset, Povm, frequency_matrix
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
@@ -92,36 +94,6 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class FactoredDesign:
-    """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
-    its numerical rank (singular values above ``RANK_RTOL * s[0]``)."""
-
-    b: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-    rank: int
-
-    @property
-    def shape(self) -> tuple:
-        return self.b.shape
-
-
-def factor_design(b) -> FactoredDesign:
-    """Factor a regression matrix once, for any number of stage-1 solves.
-
-    A FactoredDesign is returned unchanged, so callers may pass either.
-    """
-    if isinstance(b, FactoredDesign):
-        return b
-    b = np.asarray(b)
-    if b.ndim != 2:
-        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
-    return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
-
-
 def _stage(name: str, fn, *args, **kwargs):
     """Run one pipeline stage, labeling any package error with its stage.
 
@@ -144,6 +116,9 @@ def build_targets_v1(ds: MeasurementDataset, basis: OperatorBasis) -> np.ndarray
     """
     if ds.y_hat.shape[1] != len(ds.c_j0_hat):
         raise ValidationError("dataset is missing detector trace estimates")
+    if ds.anchor_index > basis.n_traceless:
+        raise ValidationError(
+            f"anchor index must be in 1..{basis.n_traceless}, got {ds.anchor_index}")
     x_a0 = np.where(ds.tp_flags, 1.0 / np.sqrt(basis.d), ds.x_a0_hat)
     return ds.y_hat - np.outer(x_a0, ds.c_j0_hat)
 
@@ -165,7 +140,7 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     if config.method == "tikhonov" and config.reg_scale is None:
         raise ValidationError("tikhonov needs a concrete reg_scale (or resolve via dataset)")
     design = factor_design(b)
-    s, full_rank = design.s, design.rank == design.shape[1]
+    s, full_rank = design.s, design.full_column_rank
     if config.method == "plain_ls":
         if not full_rank:
             raise DegeneracyError(
@@ -246,6 +221,28 @@ def _project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def _nearest_density(rho: np.ndarray) -> np.ndarray:
+    """The density matrix nearest to a Hermitian unit-trace matrix.
+
+    Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
+    projection onto the probability simplex; a matrix that is already PSD
+    is only divided by its trace.  Inputs are not checked.
+    """
+    rho = (rho + rho.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(rho)
+    if vals[0] >= 0.0:
+        return rho / float(np.real(np.trace(rho)))
+    return (vecs * _project_simplex(vals)) @ vecs.conj().T
+
+
+def _clip_negative(elements: np.ndarray) -> np.ndarray:
+    """Symmetrize a stack of matrices ``(..., d, d)`` and clip the negative
+    eigenvalues of each to zero, one stacked ``eigh`` for all."""
+    elements = (elements + elements.conj().swapaxes(-1, -2)) / 2.0
+    vals, vecs = np.linalg.eigh(elements)
+    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
 def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6) -> DensityMatrix:
     """Nearest density matrix to a Hermitian unit-trace estimate.
 
@@ -256,15 +253,10 @@ def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6) -> DensityMatrix
     rho_bar = np.asarray(rho_bar, dtype=complex)
     if np.linalg.norm(rho_bar - rho_bar.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho_bar)):
         raise ValidationError("state estimate must be Hermitian before correction")
-    rho_bar = (rho_bar + rho_bar.conj().T) / 2.0
     tr = float(np.real(np.trace(rho_bar)))
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"state estimate has trace {tr:.6g}, expected 1")
-    vals, vecs = np.linalg.eigh(rho_bar)
-    if vals[0] >= 0.0:
-        return DensityMatrix(rho_bar.shape[0], rho_bar / tr)
-    new_vals = _project_simplex(vals)
-    rho = (vecs * new_vals) @ vecs.conj().T
+    rho = _nearest_density(rho_bar)
     return DensityMatrix(rho.shape[0], rho)
 
 
@@ -279,12 +271,7 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None) -> Povm:
     """
     elements = np.asarray(elements, dtype=complex)
     d = elements.shape[-1]
-    clipped = []
-    for p in elements:
-        p = (p + p.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(p)
-        clipped.append((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
-    clipped = np.stack(clipped)
+    clipped = _clip_negative(elements)
     s = clipped.sum(axis=0)
     s_norm = float(np.linalg.norm(s))
     eps_used = 0.0
@@ -323,19 +310,17 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict) -> 
                           povm_bar=povm_bar, diagnostics=diagnostics)
 
 
-def _reconstruct(y: np.ndarray, b, config: Stage1Config, side: int,
+def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int,
                  rescale, assemble) -> EstimateResult:
     """The pipeline shared by both bases, after the targets ``y`` are formed.
 
-    Solves stage 1 with the factored design (a raw ``b`` is factored here,
-    once), factors every outcome's column as a ``side x side``
-    Kronecker pair, averages the state candidates and corrects the result.
-    The representation supplies the rest: ``rescale(j, fac)`` fixes outcome
+    Solves stage 1 with the factored design, factors every outcome's column
+    as a ``side x side`` Kronecker pair, averages the state candidates and
+    corrects the result.  The representation supplies the rest: ``rescale(j, fac)`` fixes outcome
     ``j``'s scale and returns ``(state candidate, detector candidate, anchor
     value)``, and ``assemble(state, detector candidates)`` returns the rough
     matrices ``(rho_bar, povm_bar)``.
     """
-    design = _stage("stage1", factor_design, b)
     z = _stage("stage1", stage1_solve, design, y, config)
     facs, scaled = [], []
     for j in range(y.shape[1]):
@@ -369,14 +354,16 @@ def estimate_joint_v1(
     """Full coherence-vector reconstruction from one dataset.
 
     ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
-    processes, one vectorized block per row, as a raw matrix or as its
-    ``factor_design`` record.  Each outcome's scale is fixed by
-    the measured anchor coordinate; its anchor value is that coordinate of the
-    unscaled state factor.
+    processes, one vectorized block per row, as any array-like matrix or as
+    its ``factor_design`` record, which a raw matrix is turned into here.
+    Each outcome's scale is fixed by the measured anchor coordinate; its
+    anchor value is that coordinate of the unscaled state factor.
     """
     n = basis.n_traceless
-    if b.shape != (ds.n_processes, n * n):
-        raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
+    design = _stage("stage1", factor_design, b)
+    if design.shape != (ds.n_processes, n * n):
+        raise ValidationError(
+            f"regression matrix must be {ds.n_processes}x{n * n}, got {design.shape}")
     config = config.resolved(ds.total_copies)
     anchor = ds.anchor_index - 1
 
@@ -393,7 +380,7 @@ def estimate_joint_v1(
         return rho_bar, povm_bar
 
     y = _stage("targets", build_targets_v1, ds, basis)
-    return _reconstruct(y, b, config, n, rescale, assemble)
+    return _reconstruct(y, design, config, n, rescale, assemble)
 
 
 def estimate_joint_v2(
@@ -405,9 +392,10 @@ def estimate_joint_v2(
     """Natural-basis reconstruction for arbitrary (not necessarily
     generalized-unital) processes.
 
-    ``b_natural`` is a raw matrix or its ``factor_design`` record.  ``ds``
-    may be a full MeasurementDataset (only its raw frequencies are used) or
-    a plain L x M frequency matrix.  Per outcome, the complex rank-1
+    ``b_natural`` is any array-like matrix or its ``factor_design`` record.
+    ``ds`` may be a full MeasurementDataset (only its raw frequencies are
+    used) or a plain L x M frequency matrix, which is checked as a dataset's
+    frequencies are (``frequency_matrix``).  Per outcome, the complex rank-1
     factorization yields a candidate pair ``(vec(rho), vec(P_j^T))`` whose
     joint complex scale is fixed by normalizing the state candidate to unit
     trace; the detector candidate absorbs the inverse factor.  The anchor
@@ -417,8 +405,9 @@ def estimate_joint_v2(
         y_hat = ds.y_hat
         total_copies = ds.total_copies
     else:
-        y_hat = np.asarray(ds, dtype=float)
-    d4 = b_natural.shape[1]
+        y_hat = _stage("targets", frequency_matrix, ds)
+    design = _stage("stage1", factor_design, b_natural)
+    d4 = design.shape[1]
     d = int(round(d4 ** 0.25))
     if d ** 4 != d4:
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
@@ -441,7 +430,7 @@ def estimate_joint_v2(
             raise DegeneracyError(f"symmetrized state has near-zero trace {tr:.3e}")
         return rho_sym / tr, np.stack(povm_parts)
 
-    return _reconstruct(y_hat.astype(complex), b_natural, config, d * d, rescale, assemble)
+    return _reconstruct(y_hat.astype(complex), design, config, d * d, rescale, assemble)
 
 
 def project_pure(state: DensityMatrix, info: dict = None) -> DensityMatrix:

@@ -117,6 +117,25 @@ def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     return counts[..., :-1] / float(n0)
 
 
+def _check_frequencies(name: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} has a non-finite entry")
+    if values.size and np.min(values) < 0.0:
+        raise ValidationError(f"{name} has a negative frequency {np.min(values):.3e}")
+
+
+def frequency_matrix(y_hat) -> np.ndarray:
+    """Measured frequencies as a float L x M matrix, refused unless every
+    entry is finite and non-negative and no row sums above 1."""
+    y = np.asarray(y_hat, dtype=float)
+    if y.ndim != 2:
+        raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape}")
+    _check_frequencies("y_hat", y)
+    if np.any(y.sum(axis=1) > 1.0 + 1e-9):
+        raise ValidationError("a frequency row sums above 1")
+    return y
+
+
 @dataclass(frozen=True)
 class MeasurementDataset:
     """Frequencies and calibration estimates from one experiment run."""
@@ -131,27 +150,23 @@ class MeasurementDataset:
     exact: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y_hat, dtype=float)
+        y = frequency_matrix(self.y_hat)
         object.__setattr__(self, "y_hat", y)
         object.__setattr__(self, "x_a0_hat", np.asarray(self.x_a0_hat, dtype=float))
         object.__setattr__(self, "c_j0_hat", np.asarray(self.c_j0_hat, dtype=float))
         object.__setattr__(self, "tp_flags", np.asarray(self.tp_flags, dtype=bool))
-        if y.ndim != 2:
-            raise ValidationError("y_hat must be an L x M matrix")
         if len(self.x_a0_hat) != y.shape[0] or len(self.tp_flags) != y.shape[0]:
             raise ValidationError("per-process fields must have length L")
         if len(self.c_j0_hat) != y.shape[1]:
             raise ValidationError("c_j0_hat must have length M")
-        for name in ("y_hat", "x_a0_hat", "c_j0_hat"):
-            values = getattr(self, name)
-            if not np.all(np.isfinite(values)):
-                raise ValidationError(f"{name} has a non-finite entry")
-            if values.size and np.min(values) < 0.0:
-                raise ValidationError(f"{name} has a negative frequency {np.min(values):.3e}")
+        for name in ("x_a0_hat", "c_j0_hat"):
+            _check_frequencies(name, getattr(self, name))
         if not np.isfinite(self.x01_bar):
             raise ValidationError(f"x01_bar must be finite, got {self.x01_bar}")
-        if np.any(y.sum(axis=1) > 1.0 + 1e-9):
-            raise ValidationError("a frequency row sums above 1")
+        if self.n0 < 1:
+            raise ValidationError(f"need at least one shot per configuration, got n0={self.n0}")
+        if self.anchor_index < 1:
+            raise ValidationError(f"anchor index must be >= 1, got {self.anchor_index}")
 
     @property
     def n_processes(self) -> int:

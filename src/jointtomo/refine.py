@@ -37,11 +37,13 @@ from .basis import (
     povm_element_to_coords,
     state_to_coords,
 )
+from .channels import FactoredDesign
 from .errors import DegeneracyError, ValidationError
-from .estimator import (
+from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
-    FactoredDesign,
+    _clip_negative,
     _corrected,
+    _nearest_density,
     build_targets_v1,
     correct_state,
 )
@@ -109,21 +111,18 @@ def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis, tol: float =
 # Projected alternating refinement
 # --------------------------------------------------------------------------
 
-def _project_state_coords(x: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    rho = correct_state(coherence_to_state(x, basis)).rho
-    return state_to_coords(rho, basis).x
-
-
-def _project_povm_coords(c0s: np.ndarray, cs: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Clip the negative eigenvalues of every detector element, one stacked
-    ``eigh`` for all; ``cs`` holds one element's coordinates per column."""
+def _matrices(full: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """The matrices ``sum_k f_k Omega_k``, one per row ``f`` of ``full``."""
     d = basis.d
-    omegas = basis.omegas.reshape(d * d, d * d)
-    elements = (np.vstack([c0s, cs]).T @ omegas).reshape(-1, d, d)
-    vals, vecs = np.linalg.eigh(elements)
-    clipped = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return (full @ basis.omegas.reshape(d * d, d * d)).reshape(-1, d, d)
+
+
+def _traceless_coords(mats: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """``Tr(Omega_k P)`` for k >= 1, one column per matrix P of the stack."""
+    d = basis.d
     # Tr(Omega_k P) = sum_ab Omega_k[a, b] P[b, a]
-    return np.real(omegas[1:] @ clipped.transpose(0, 2, 1).reshape(-1, d * d).T)
+    return np.real(basis.omegas[1:].reshape(-1, d * d)
+                   @ mats.transpose(0, 2, 1).reshape(-1, d * d).T)
 
 
 def refine_alternating(
@@ -150,7 +149,11 @@ def refine_alternating(
 
     Both blocks work on the design tensor, as the module docstring derives:
     the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
-    outcomes, and its stacked ``eigh`` projects every element at once.
+    outcomes.  The projections are the correction kernels of the estimator:
+    one stacked ``eigh`` clips the negative eigenvalues of every detector
+    element (``correct_povm``'s clip, without its renormalization), and the
+    state goes to the nearest density matrix (``correct_state``'s projection,
+    without re-validating a matrix it has just built).
     """
     n = basis.n_traceless
     if isinstance(b, FactoredDesign):
@@ -169,6 +172,7 @@ def refine_alternating(
     anchor = ds.anchor_index - 1
     free = [i for i in range(n) if i != anchor]
     c0s = ds.c_j0_hat
+    trace_part = [1.0 / np.sqrt(basis.d)]
 
     # The tensor laid out once as B3[a, i, k] -> b_t[k, a, i]: G^T is then
     # one matrix-vector product, and the state block's stacked matrix one
@@ -187,9 +191,11 @@ def refine_alternating(
     stop_reason = "max_iters"
 
     for _ in range(iters):
-        # Detector block: every c_j from one solve on the centred targets.
+        # Detector block: every c_j from one solve on the centred targets,
+        # then every element's negative eigenvalues clipped at once.
         c_new, *_ = np.linalg.lstsq(g, y_centred, rcond=None)
-        c_new = _project_povm_coords(c0s, c_new, basis)
+        c_new = _traceless_coords(_clip_negative(_matrices(np.vstack([c0s, c_new]).T, basis)),
+                                  basis)
 
         # State block: the (M L) x n system of all outcomes, anchor pinned.
         a_x = (c_new.T @ b_cols).reshape(m * l, n)
@@ -198,7 +204,8 @@ def refine_alternating(
         x_new = np.empty(n)
         x_new[anchor] = ds.x01_bar
         x_new[free] = sol
-        x_new = _project_state_coords(x_new, basis)
+        rho = _nearest_density(_matrices(np.concatenate((trace_part, x_new)), basis)[0])
+        x_new = _traceless_coords(rho[None], basis)[:, 0]
 
         g_new = (b_rows @ x_new).reshape(n, l).T
         new_obj = float(np.linalg.norm(y - g_new @ c_new) ** 2)

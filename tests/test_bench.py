@@ -179,3 +179,40 @@ def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
     table = run_mse_experiment(sc, [100, 1000], trials=3, seed=4)
     assert calls == [len(sc.ensemble)]  # one evolution of the truth for six trials
     assert table.failures == 0 and [r.trials for r in table.rows] == [3, 3]
+
+
+def _svd_calls_on_design_rows(monkeypatch, rows, action) -> int:
+    """How many ``np.linalg.svd`` calls ``action`` makes on matrices with
+    ``rows`` rows, the number of processes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    action()
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls.count(rows)
+
+
+@pytest.mark.parametrize("name", ["one_qubit_closed_complete", "one_qubit_random_pure"])
+def test_experiment_factors_its_design_once(monkeypatch, name):
+    sc = preset(name)
+    count = _svd_calls_on_design_rows(
+        monkeypatch, len(sc.ensemble),
+        lambda: run_mse_experiment(sc, [1000, 10000], trials=2, seed=1))
+    assert count == 1
+
+
+def test_cli_estimate_factors_its_design_once(monkeypatch, tmp_path):
+    from jointtomo.cli import main
+    ds = str(tmp_path / "ds.json")
+    assert main(["simulate", "--preset", "one_qubit_closed_complete", "--n0", "1000",
+                 "--out", ds, "--quiet"]) == 0
+    count = _svd_calls_on_design_rows(
+        monkeypatch, len(preset("one_qubit_closed_complete").ensemble),
+        lambda: main(["estimate", "--preset", "one_qubit_closed_complete", "--dataset", ds,
+                      "--out", str(tmp_path / "est.json"), "--quiet"]))
+    assert count == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,12 +23,14 @@ from jointtomo import (
     numerical_rank,
     pauli,
     pauli_sandwich_processes,
+    preset,
     rank_bound,
     state_to_coords,
     superoperator,
     transfer_matrix,
     vectorize,
 )
+from jointtomo.bench import PRESET_NAMES
 
 
 def random_density(rng, d):
@@ -415,3 +419,39 @@ def test_ensemble_apply_matches_per_channel_apply():
     assert out.shape == (len(ens), 2, 2)
     for a, ch in enumerate(ens.channels):
         assert np.max(np.abs(out[a] - ch.apply(rho))) < 1e-15
+
+
+def test_regression_record_is_two_matrices_factored_on_first_use(monkeypatch):
+    sc = preset("one_qubit_closed_complete")
+    svds = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    assert [f.name for f in dataclasses.fields(reg)] == ["b", "b_natural"]
+    assert svds == []
+    assert not reg.b.flags.writeable and not reg.b_natural.flags.writeable
+    assert reg.rank_b == 9 and reg.complete_v1
+    assert svds == [reg.b.shape]
+    assert reg.design is reg.design and reg.design.b is reg.b
+    assert svds == [reg.b.shape]
+    assert reg.rank_b_natural == reg.design_natural.rank
+    assert svds == [reg.b.shape, reg.b_natural.shape]
+    with pytest.raises(AttributeError):
+        reg.rank_b = 3
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_ranks_and_completeness_read_the_cached_factorizations(name):
+    sc = preset(name)
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    assert reg.design is reg.design
+    assert reg.design_natural is reg.design_natural
+    assert reg.rank_b == reg.design.rank == numerical_rank(reg.b)
+    assert reg.rank_b_natural == reg.design_natural.rank == numerical_rank(reg.b_natural)
+    assert reg.complete_v1 == (reg.rank_b == sc.basis.n_traceless ** 2)
+    assert reg.complete_v2 == (reg.rank_b_natural == sc.d ** 4)

@@ -242,21 +242,52 @@ def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
     assert not (tmp_path / "mse.csv").exists()
 
 
-@pytest.mark.parametrize("text", [
-    "{bad",
-    json.dumps({"y_hat": [[0.5]]}),
-    json.dumps({"y_hat": [[float("nan"), 0.1]], "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
-                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
-    json.dumps({"y_hat": [[-0.3, 0.1]], "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
-                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
-    json.dumps({"y_hat": 3, "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
-                "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}),
-], ids=["not-json", "missing-keys", "nan-frequency", "negative-frequency", "bad-shape"])
-def test_bad_dataset_file_exits_with_validation_code(tmp_path, capsys, text):
+def _edited_dataset(tmp_path, **fields) -> str:
+    """A simulated one_qubit_closed_complete dataset with some fields replaced."""
+    path = tmp_path / "sim.json"
+    assert run_cli("simulate", "--preset", "one_qubit_closed_complete", "--n0", "1000",
+                   "--out", str(path), "--quiet") == 0
+    return json.dumps({**json.loads(path.read_text()), **fields})
+
+
+@pytest.mark.parametrize("text,method", [
+    pytest.param("{bad", "ls", id="not-json"),
+    pytest.param(json.dumps({"y_hat": [[0.5]]}), "ls", id="missing-keys"),
+    pytest.param(json.dumps({"y_hat": [[float("nan"), 0.1]], "x_a0_hat": [0.7],
+                             "c_j0_hat": [0.7, 0.7], "x01_bar": 0.1, "n0": 10,
+                             "tp_flags": [True]}), "ls", id="nan-frequency"),
+    pytest.param(json.dumps({"y_hat": [[-0.3, 0.1]], "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
+                             "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}), "ls",
+                 id="negative-frequency"),
+    pytest.param(json.dumps({"y_hat": 3, "x_a0_hat": [0.7], "c_j0_hat": [0.7, 0.7],
+                             "x01_bar": 0.1, "n0": 10, "tp_flags": [True]}), "ls",
+                 id="bad-shape"),
+    # A real dataset with one field changed, so that only that field is wrong.
+    pytest.param({"n0": 0}, "ls", id="zero-shots"),
+    pytest.param({"n0": -5}, "ls", id="negative-shots"),
+    pytest.param({"n0": 0}, "tikhonov", id="zero-shots-tikhonov"),
+    pytest.param({"anchor_index": 0}, "ls", id="zero-anchor"),
+    pytest.param({"anchor_index": -2}, "ls", id="negative-anchor"),
+    pytest.param({"anchor_index": 99}, "ls", id="anchor-beyond-basis"),
+])
+def test_bad_dataset_file_exits_with_validation_code(tmp_path, capsys, text, method):
+    if isinstance(text, dict):
+        text = _edited_dataset(tmp_path, **text)
     path = tmp_path / "ds.json"
     path.write_text(text)
     rc = run_cli("estimate", "--preset", "one_qubit_closed_complete", "--dataset", str(path),
-                 "--out", str(tmp_path / "est.json"), "--quiet")
+                 "--method", method, "--out", str(tmp_path / "est.json"), "--quiet")
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert not (tmp_path / "est.json").exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "export-sos"])
+def test_fits_refuse_an_anchor_beyond_the_basis(tmp_path, capsys, command):
+    path = tmp_path / "ds.json"
+    path.write_text(_edited_dataset(tmp_path, anchor_index=4))
+    rc = run_cli(command, "--preset", "one_qubit_closed_complete", "--dataset", str(path),
+                 "--out", str(tmp_path / "out"), "--quiet")
+    assert rc == 2
+    assert "anchor index" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

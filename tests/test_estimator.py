@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_correct_povm_singular_beyond_repair():
 
 def test_estimate_v2_degenerate_scale_error():
     # a traceless state factor cannot pin the complex gauge
-    traceless = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    traceless = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     p = np.eye(2, dtype=complex)
     z = np.kron(vectorize(traceless), vectorize(p.T))
     y = np.eye(16) @ z  # rows of an identity design reproduce z exactly
@@ -457,15 +458,75 @@ def test_estimators_accept_a_factored_design():
         estimate_joint_v1(ds, factor_design(reg.b[:-1]), sc.basis)
 
 
-def test_lapack_failure_is_a_stage_labelled_degeneracy():
-    # a raw frequency matrix bypasses dataset validation; NaN makes an SVD fail
-    y = np.full((16, 2), 0.25)
-    y[3, 0] = np.nan
-    with pytest.raises(DegeneracyError) as err:
-        estimate_joint_v2(y, np.eye(16), Stage1Config(method="mp_inverse"))
-    assert str(err.value).startswith("[kronecker]")
+def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
+    # NaN in the design makes its SVD fail
     b = np.eye(16)
     b[0, 0] = np.nan
     with pytest.raises(DegeneracyError) as err:
         estimate_joint_v2(np.full((16, 2), 0.25), b, Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[stage1]")
+    # valid inputs reach the Kronecker stage, whose SVD is made to fail there
+    design = factor_design(np.eye(16))
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(DegeneracyError) as err:
+        estimate_joint_v2(np.full((16, 2), 0.25), design, Stage1Config(method="mp_inverse"))
+    assert str(err.value).startswith("[kronecker]")
+
+
+def test_targets_refuse_an_anchor_beyond_the_basis():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=5,
+                          basis=sc.basis)
+    build_targets_v1(replace(ds, anchor_index=3), sc.basis)
+    with pytest.raises(ValidationError):
+        build_targets_v1(replace(ds, anchor_index=4), sc.basis)
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    with pytest.raises(ValidationError):
+        estimate_joint_v1(replace(ds, anchor_index=99), reg.b, sc.basis)
+
+
+@pytest.mark.parametrize("y", [
+    np.array([[0.25, np.nan]] * 16),
+    np.array([[0.25, -0.1]] * 16),
+    np.full(16, 0.25),
+    np.full((16, 2), 0.6),
+], ids=["nan", "negative", "one-dimensional", "row-sum-above-one"])
+def test_v2_checks_a_plain_frequency_matrix_as_a_dataset(y):
+    with pytest.raises(ValidationError) as err:
+        estimate_joint_v2(y, np.eye(16), Stage1Config(method="mp_inverse"))
+    assert str(err.value).startswith("[targets]")
+
+
+def test_estimators_accept_list_valued_designs():
+    sc = preset("one_qubit_closed_complete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=6,
+                          basis=sc.basis)
+    listed = estimate_joint_v1(ds, reg.b.tolist(), sc.basis)
+    assert np.array_equal(listed.rho_bar, estimate_joint_v1(ds, reg.b, sc.basis).rho_bar)
+    scp = preset("one_qubit_random_pure")
+    regp = build_regression_matrices(scp.ensemble, scp.basis)
+    dsp = simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 1000, seed=6)
+    listed = estimate_joint_v2(dsp.y_hat.tolist(), regp.b_natural.tolist(),
+                               total_copies=dsp.total_copies)
+    assert np.array_equal(listed.rho_bar, estimate_joint_v2(dsp, regp.b_natural).rho_bar)
+
+
+def test_correction_kernels_match_the_per_matrix_corrections():
+    from jointtomo.estimator import _clip_negative, _nearest_density
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4):
+        for _ in range(20):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) / 2.0
+            rho = h - (np.trace(h).real - 1.0) / d * np.eye(d)  # unit trace, often not PSD
+            nearest = _nearest_density(rho)  # DensityMatrix then symmetrizes it
+            assert np.array_equal((nearest + nearest.conj().T) / 2.0, correct_state(rho).rho)
+            stack = np.stack([rho, h, np.eye(d) / d])
+            for p, clipped in zip(stack, _clip_negative(stack)):
+                vals, vecs = np.linalg.eigh(p)
+                assert np.array_equal(clipped, (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)

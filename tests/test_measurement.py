@@ -314,3 +314,15 @@ def test_ideal_statistics_are_shared_safely():
             simulate_dataset(*args, 10, basis=sc.basis, ideal=ideal, **kwargs)
     with pytest.raises(ValidationError):
         ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, scale_observable=4)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n0", 0), ("n0", -5), ("anchor_index", 0), ("anchor_index", -2),
+])
+def test_dataset_rejects_bad_shot_count_and_anchor(field, value):
+    good = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
+                c_j0_hat=np.array([0.7, 0.7]), x01_bar=0.1, n0=10,
+                tp_flags=np.ones(2, dtype=bool), anchor_index=3)
+    MeasurementDataset(**good)
+    with pytest.raises(ValidationError):
+        MeasurementDataset(**{**good, field: value})

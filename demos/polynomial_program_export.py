@@ -53,8 +53,7 @@ scp = jt.preset("one_qubit_random_pure")
 regp = jt.build_regression_matrices(scp.ensemble, scp.basis)
 dsp = jt.simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 10 ** 5,
                           seed=5, basis=scp.basis)
-prob_pure = export_sos_problem(dsp, regp.b, scp.basis, pure_out, pure=True,
-                               b_natural=regp.b_natural)
+prob_pure = export_sos_problem(dsp, regp.b_natural, scp.basis, pure_out, pure=True)
 print(f"\npure-state program written to {pure_out}:")
 print("equalities:", ", ".join(name for name, _ in prob_pure.equalities))
 print("inequalities:", ", ".join(name for name, _ in prob_pure.inequalities))

@@ -76,7 +76,8 @@ from .measurement import (
     sample_frequencies,
     simulate_dataset,
 )
-from .refine import (
+from .refine import refine_alternating
+from .sos import (
     SemialgebraicCert,
     SosProblem,
     export_sos_problem,
@@ -84,7 +85,6 @@ from .refine import (
     k_coefficients,
     load_sos_problem,
     povm_membership,
-    refine_alternating,
 )
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .estimator import (
     project_pure,
 )
 from .measurement import simulate_dataset
+from .sos import export_sos_problem
 
 _METHOD_NAMES = {"ls": "plain_ls", "plain_ls": "plain_ls", "mp": "mp_inverse",
                  "mp_inverse": "mp_inverse", "tikhonov": "tikhonov"}
@@ -169,10 +170,8 @@ def _cmd_export_sos(args) -> int:
     ens, _, _, basis, _ = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
-    problem = refine_mod.export_sos_problem(
-        ds, reg.b, basis, args.out, pure=args.pure,
-        b_natural=reg.b_natural if args.pure else None,
-    )
+    problem = export_sos_problem(ds, reg.b_natural if args.pure else reg.b, basis, args.out,
+                                 pure=args.pure)
     if not args.quiet:
         print(f"wrote polynomial program with {len(problem.variables)} variables, "
               f"{len(problem.equalities)} equalities, {len(problem.inequalities)} "

@@ -145,6 +145,26 @@ def test_export_sos_command(tmp_path):
     assert "OBJECTIVE" in text and "INEQ state_ball_p2" in text
 
 
+@pytest.mark.parametrize("command", [["estimate"], ["refine"], ["export-sos"],
+                                     ["export-sos", "--pure"]])
+@pytest.mark.parametrize("preset_name, data_preset", [
+    ("one_qubit_closed_complete", "one_qubit_closed_incomplete"),
+    ("one_qubit_closed_incomplete", "one_qubit_closed_complete"),
+    ("one_qubit_closed_complete", "one_qubit_random_pure"),
+])
+def test_dataset_of_another_ensemble_is_refused(tmp_path, capsys, command, preset_name,
+                                                data_preset):
+    ds_path = tmp_path / "ds.json"
+    run_cli("simulate", "--preset", data_preset, "--n0", "1000", "--out", str(ds_path),
+            "--quiet")
+    out = tmp_path / "out"
+    rc = run_cli(*command, "--preset", preset_name, "--dataset", str(ds_path),
+                 "--out", str(out), "--quiet")
+    assert rc == 2
+    assert "regression matrix must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rank_check_preset(capsys):
     rc = run_cli("rank-check", "--preset", "one_qubit_closed_complete")
     assert rc == 0

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from jointtomo import (
+    KrausChannel,
     MeasurementDataset,
+    Povm,
     PovmCoordinates,
+    ProcessEnsemble,
     Stage1Config,
     ValidationError,
     build_basis,
@@ -25,11 +28,13 @@ from jointtomo import (
     povm_element_to_coords,
     povm_membership,
     preset,
+    random_density_matrix,
     refine_alternating,
     simulate_dataset,
     state_to_coords,
+    vectorize,
 )
-from jointtomo.refine import poly_eval
+from jointtomo.sos import poly_eval
 
 
 def random_hermitian(rng, d):
@@ -409,8 +414,7 @@ def test_export_pure_mode(tmp_path):
                           basis=sc.basis)
     with pytest.raises(ValidationError):
         export_sos_problem(ds, reg.b, sc.basis, tmp_path / "x.sos", pure=True)
-    prob = export_sos_problem(ds, reg.b, sc.basis, tmp_path / "pure.sos", pure=True,
-                              b_natural=reg.b_natural)
+    prob = export_sos_problem(ds, reg.b_natural, sc.basis, tmp_path / "pure.sos", pure=True)
     eq_names = [n for n, _ in prob.equalities]
     assert "state_unit_norm" in eq_names
     assert not any(n.startswith("state") for n, _ in prob.inequalities)
@@ -438,6 +442,88 @@ def test_export_dimension_guard(tmp_path):
                           basis=sc.basis)
     with pytest.raises(ValidationError):
         export_sos_problem(ds, reg.b, sc.basis, tmp_path / "big.sos")
+
+
+def _qutrit_setup(seed=5, n_channels=12):
+    """A d=3 ensemble of Haar-random unitary channels with a random truth."""
+    rng = np.random.default_rng(seed)
+    basis = build_basis(3)
+    ens = ProcessEnsemble(tuple(KrausChannel(3, haar_unitary(3, rng)[None])
+                                for _ in range(n_channels)))
+    u = haar_unitary(3, rng)
+    povm = Povm(3, np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(3)]))
+    state = random_density_matrix(3, rng)
+    ds = simulate_dataset(ens, state, povm, 10 ** 4, seed=seed, basis=basis)
+    return ens, basis, ds
+
+
+@pytest.mark.parametrize("case", ["qubit", "qubit_pure", "qutrit"])
+def test_export_objective_matches_the_residual_at_random_points(tmp_path, case):
+    if case == "qutrit":
+        ens, basis, ds = _qutrit_setup()
+    else:
+        sc = preset("one_qubit_random_pure" if case == "qubit_pure"
+                    else "one_qubit_closed_complete")
+        ens, basis = sc.ensemble, sc.basis
+        ds = simulate_dataset(ens, sc.truth_state, sc.truth_povm, 10 ** 4, seed=12,
+                              basis=basis)
+    reg = build_regression_matrices(ens, basis)
+    pure = case == "qubit_pure"
+    b = reg.b_natural if pure else reg.b
+    prob = export_sos_problem(ds, b, basis, tmp_path / "p.sos", pure=pure)
+    d, n, m = basis.d, basis.n_traceless, ds.n_outcomes
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        vals = rng.normal(size=len(prob.variables)) * 0.5
+        if pure:
+            psi = vals[:d] + 1j * vals[d:2 * d]
+            rho = np.outer(psi, psi.conj())
+            cs = vals[2 * d:].reshape(m, d * d)
+            z = [np.kron(vectorize(rho), vectorize(np.tensordot(c, basis.omegas, 1).T))
+                 for c in cs]
+            y = ds.y_hat
+        else:
+            cs = vals[n:].reshape(m, n)
+            z = [np.kron(vals[:n], c) for c in cs]
+            y = build_targets_v1(ds, basis)
+        direct = sum(np.linalg.norm(y[:, j] - b @ z[j]) ** 2 for j in range(m))
+        assert abs(prob.evaluate_objective(vals) - direct) <= 1e-10 * direct
+    if case == "qutrit":
+        # the state positivity polynomials hold inside the state set
+        x = state_to_coords(random_density_matrix(3, rng).rho, basis).x
+        vals = np.concatenate([x, rng.normal(size=n * m)])
+        balls = dict(prob.inequalities)
+        for p in (2, 3):
+            assert poly_eval(balls[f"state_ball_p{p}"], vals) >= 0.0
+
+
+def test_export_objective_is_the_refined_objective(tmp_path):
+    sc, reg = _incomplete_setup()
+    for seed in range(5):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 4, seed=seed,
+                              basis=sc.basis)
+        init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+        result = refine_alternating(ds, reg.b, sc.basis, init)
+        prob = export_sos_problem(ds, reg.b, sc.basis, tmp_path / f"p{seed}.sos")
+        vals = np.concatenate([state_to_coords(result.rho_bar, sc.basis).x]
+                              + [povm_element_to_coords(p, sc.basis).c for p in result.povm_bar])
+        final = result.diagnostics["final_objective"]
+        assert abs(prob.evaluate_objective(vals) - final) <= 1e-10 * final
+
+
+@pytest.mark.parametrize("text", [
+    "dim 2\nM 2\nvars a\nEQ e\n1.0 1\n",  # no OBJECTIVE section
+    "dim 2\nM 2\nvars a\n1.0 1\nOBJECTIVE\n1.0 0\n",  # coefficient before any section
+    "dim 2\nM 2\nvars a\nOBJECTIVE\nabc 1\n",  # non-numeric coefficient
+    "dim two\nM 2\nvars a\nOBJECTIVE\n1.0 0\n",  # non-numeric dim
+    "OBJECTIVE\n1.0\n",  # no headers
+])
+def test_malformed_program_file_is_refused(tmp_path, text):
+    path = tmp_path / "bad.sos"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as excinfo:
+        load_sos_problem(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_tensor_form_matches_when_targets_do_not_sum_to_zero():

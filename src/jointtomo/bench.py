@@ -10,6 +10,7 @@ copies.
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .basis import OperatorBasis, build_basis, state_to_coords
 from .channels import (
     KrausChannel,
     ProcessEnsemble,
+    RegressionMatrices,
     build_regression_matrices,
     closed_system_channels,
     factor_design,
@@ -26,13 +28,14 @@ from .channels import (
     sampled_unitaries,
 )
 from .errors import DegeneracyError, ValidationError
-from .estimator import (
-    Stage1Config,
-    estimate_joint_v1,
-    estimate_joint_v2,
-    project_pure,
+from .estimator import Stage1Config, _estimate_stack_v1, _estimate_stack_v2, project_pure
+from .measurement import (
+    DensityMatrix,
+    IdealStatistics,
+    Povm,
+    ideal_statistics,
+    simulate_dataset,
 )
-from .measurement import DensityMatrix, Povm, ideal_statistics, simulate_dataset
 
 PRESET_NAMES = (
     "one_qubit_closed_complete",
@@ -55,6 +58,9 @@ _DRAW_KEYS = {
 # Anchor coordinate must carry a reasonable share of the coherence vector for
 # the scale-fixing division to be well conditioned.
 _ANCHOR_FRACTION = 0.15
+# Trials estimated as one stack.  A fixed block bounds the memory a run holds
+# at once, whatever its trial count.
+TRIAL_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,18 @@ class Scenario:
     @property
     def d(self) -> int:
         return self.basis.d
+
+    @cached_property
+    def regression(self) -> RegressionMatrices:
+        """The ensemble's design record, built on first use and kept, so its
+        factorizations are also computed at most once per scenario."""
+        return build_regression_matrices(self.ensemble, self.basis)
+
+    @cached_property
+    def ideal(self) -> IdealStatistics:
+        """The truth's noiseless statistics, computed on first use and kept."""
+        return ideal_statistics(self.ensemble, self.truth_state, self.truth_povm,
+                                scale_observable=self.anchor_index, basis=self.basis)
 
 
 def _mixed_unitary_channels(ham_pairs, weights, dt: float, n: int) -> list:
@@ -232,13 +250,19 @@ class MseTable:
             json.dump(self.metadata, fh, indent=2)
 
 
-def _estimate_for(sc: Scenario, ds, b, config: Stage1Config):
-    if sc.estimator == "v2":
-        result = estimate_joint_v2(ds, b, config)
-        if sc.pure:
-            result = replace(result, rho_hat=project_pure(result.rho_hat))
-        return result
-    return estimate_joint_v1(ds, b, sc.basis, config)
+def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> list:
+    """Per dataset, the estimate the scenario scores or its DegeneracyError;
+    a pure scenario's states are projected by one stacked ``project_pure``."""
+    if sc.estimator != "v2":
+        return _estimate_stack_v1(datasets, design, sc.basis, config)
+    results = _estimate_stack_v2(datasets, design, config)
+    done = [k for k, r in enumerate(results) if not isinstance(r, DegeneracyError)]
+    if not (sc.pure and done):
+        return results
+    projectors = project_pure(np.stack([results[k].rho_hat.rho for k in done]))
+    for k, p in zip(done, projectors):
+        results[k] = replace(results[k], rho_hat=DensityMatrix(sc.d, p))
+    return results
 
 
 def _mse_pair(sc: Scenario, result) -> tuple:
@@ -259,46 +283,62 @@ def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
     )
 
 
+def _shot_grid(n0_grid) -> list:
+    """The shot grid as a list of ints, refused unless it is non-empty and
+    strictly increasing."""
+    grid = [int(v) for v in n0_grid]
+    if not grid:
+        raise ValidationError("the shot grid is empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("the shot grid must be strictly increasing")
+    return grid
+
+
 def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, cases) -> list:
     """Simulate, estimate and score every case on shared datasets.
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None restrict both the dataset and the regression matrix.
-    The full design is the record's own factorization, a process subset is
-    factored once per case, and the truth's ideal statistics are computed
-    once, before the first trial.
+    The full design is the scenario's cached record (``sc.regression``), a
+    process subset is factored once per case, and the truth's ideal
+    statistics are the scenario's cached ``sc.ideal``; a second call on the
+    same scenario builds and factors nothing.
     Trial ``t`` at grid index ``i`` draws from the stream
-    ``(scenario seed, seed, i, t)``.  Returns ``(rows, failures)`` per case.
+    ``(scenario seed, seed, i, t)``, one simulation per trial.  The datasets
+    are estimated in stacks of ``TRIAL_BLOCK`` trials; a degenerate dataset
+    is one failure of its own case and leaves the other trials' estimates
+    as they are.  Returns ``(rows, failures)`` per case.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
-    reg = build_regression_matrices(sc.ensemble, sc.basis)
-    full = reg.design_natural if sc.estimator == "v2" else reg.design
+    full = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
     designs = [full if idx is None else factor_design(full.b[np.asarray(idx, dtype=int)])
                for _, idx in cases]
-    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
-                             scale_observable=sc.anchor_index, basis=sc.basis)
     rows, failures = [[] for _ in cases], [0] * len(cases)
     for i, n0 in enumerate(n0_grid):
-        errs = [([], []) for _ in cases]
-        for t in range(trials):
-            ds = simulate_dataset(
-                sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
-                scale_observable=sc.anchor_index, exact=exact, basis=sc.basis, ideal=ideal,
-            )
-            subsets = [ds if idx is None else ds.subset(idx) for _, idx in cases]
-            for c, (config, _) in enumerate(cases):
-                try:
-                    result = _estimate_for(sc, subsets[c], designs[c], config)
-                except DegeneracyError:
-                    failures[c] += 1
-                    continue
-                s, p = _mse_pair(sc, result)
-                errs[c][0].append(s)
-                errs[c][1].append(p)
-        for c, ds_c in enumerate(subsets):
-            rows[c].append(_mse_row(ds_c.total_copies, *errs[c]))
+        errs, copies = [([], []) for _ in cases], [0] * len(cases)
+        for start in range(0, trials, TRIAL_BLOCK):
+            block = [
+                simulate_dataset(
+                    sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                    seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
+                    scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
+                    ideal=sc.ideal,
+                )
+                for t in range(start, min(start + TRIAL_BLOCK, trials))
+            ]
+            for c, (config, idx) in enumerate(cases):
+                subsets = block if idx is None else [ds.subset(idx) for ds in block]
+                copies[c] = subsets[0].total_copies
+                for result in _estimate_stack(sc, subsets, designs[c], config):
+                    if isinstance(result, DegeneracyError):
+                        failures[c] += 1
+                        continue
+                    s, p = _mse_pair(sc, result)
+                    errs[c][0].append(s)
+                    errs[c][1].append(p)
+        for c in range(len(cases)):
+            rows[c].append(_mse_row(copies[c], *errs[c]))
     return [(tuple(r), f) for r, f in zip(rows, failures)]
 
 
@@ -317,9 +357,7 @@ def run_mse_experiment(
     index).  Estimator degeneracies are counted as failures, not dropped
     silently; the per-row trial count reports the successes.
     """
-    n0_grid = [int(v) for v in n0_grid]
-    if any(b <= a for a, b in zip(n0_grid, n0_grid[1:])):
-        raise ValidationError("the shot grid must be strictly increasing")
+    n0_grid = _shot_grid(n0_grid)
     config = config or sc.stage1
     ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
     metadata = {
@@ -345,8 +383,12 @@ def run_method_comparison(
     ``process_indices=None`` uses the full ensemble, anything else restricts
     both the dataset and the regression matrix to those processes so that
     informationally complete and incomplete variants can share one draw.
+    Labels must be unique, since they key the returned tables.
     """
-    n0_grid = [int(v) for v in n0_grid]
+    n0_grid = _shot_grid(n0_grid)
+    labels = [label for label, _, _ in configs]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"config labels must be unique, got {labels}")
     results = _run_trials(sc, n0_grid, trials, seed, False,
                           [(config, indices) for _, config, indices in configs])
     out = {}

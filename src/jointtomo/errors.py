@@ -10,4 +10,12 @@ class ValidationError(TomographyError):
 
 
 class DegeneracyError(TomographyError):
-    """A computation hit a numerical degeneracy (rank loss, zero anchor, ...)."""
+    """A computation hit a numerical degeneracy (rank loss, zero anchor, ...).
+
+    A step over a stack of inputs may say which entries it refuses:
+    ``refused`` is then a boolean mask over the stack's leading axes.
+    """
+
+    def __init__(self, message: str = "", refused=None):
+        super().__init__(message)
+        self.refused = refused

@@ -1,42 +1,46 @@
 """Closed-form joint reconstruction of a state and a detector.
 
-The pipeline has four steps, run once per detector outcome j:
+The pipeline runs on a stack of T datasets at once; a single estimate is the
+stack T = 1.  It has four steps:
 
 1. assemble regression targets from the measured frequencies and the
-   calibration estimates,
-2. solve the linear system ``B z_j = Y_j`` by plain least squares, the
+   calibration estimates, one L x M matrix per dataset,
+2. solve the linear system ``B z = Y`` by plain least squares, the
    Moore-Penrose inverse, or Tikhonov regularization.  B depends only on the
    probe processes, so its economy SVD ``B = U S V^dag`` is computed once per
    design (``channels.factor_design``; ``RegressionMatrices.design`` and
    ``design_natural`` hold it for an ensemble, and the ensemble's ranks and
    completeness verdicts are read off that same factorization) and every
    solve applies it: ``z = V diag(f(s)) U^dag Y`` with the method's filter
-   factors ``f``, one pair of matrix products for all outcomes together,
-3. factor each ``z_j`` as a Kronecker product of a state vector and a
-   detector vector through the rank-1 SVD of its rearrangement, fix its
-   scale, and average the state candidates,
+   factors ``f``, one pair of matrix products for the ``T M`` target columns
+   of every outcome of every dataset,
+3. factor each column of ``z`` as a Kronecker product of a state vector and
+   a detector vector through the rank-1 SVD of its rearrangement (one
+   stacked SVD for all ``T M`` columns), fix the scales (vectorized), and
+   average each dataset's state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
-   simplex projection for the state; clip-and-renormalize for the detector).
+   simplex projection for the state; clip-and-renormalize for the detector),
+   with one stacked eigendecomposition for the T states and one for the
+   ``T M`` detector elements.
 
 Steps 2-4 are shared by two bases.  The coherence-vector version regresses
 background-subtracted targets for generalized-unital processes and fixes the
 scale with the separately measured anchor coordinate; the natural-basis
 version regresses raw frequencies on the stacked superoperators of arbitrary
 processes and fixes the scale by unit trace.
+
+A step that refuses some datasets of a stack says which (the ``refused``
+mask of its DegeneracyError); they leave the stack there, and the step runs
+again on the rest, so one degenerate dataset never costs the others their
+estimates.  A refused dataset is then estimated alone, which raises the
+error the single-dataset estimators raise for it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    OperatorBasis,
-    PovmCoordinates,
-    StateCoordinates,
-    coords_to_povm_element,
-    coords_to_state,
-    devectorize,
-)
+from .basis import OperatorBasis
 from .channels import FactoredDesign, factor_design
 from .errors import DegeneracyError, TomographyError, ValidationError
 from .measurement import DensityMatrix, MeasurementDataset, Povm, frequency_matrix
@@ -74,7 +78,11 @@ class Stage1Config:
 
 @dataclass(frozen=True)
 class KroneckerFactorization:
-    """Best rank-1 Kronecker factorization ``z ~ left kron right``."""
+    """Best rank-1 Kronecker factorization ``z ~ left kron right``.
+
+    For a stack of vectors ``z`` every field carries the stack's leading
+    axes, ``residual`` and ``degenerate_tie`` as arrays.
+    """
 
     left: np.ndarray
     right: np.ndarray
@@ -102,10 +110,39 @@ def _stage(name: str, fn, *args, **kwargs):
     """
     try:
         return fn(*args, **kwargs)
+    except DegeneracyError as exc:
+        raise DegeneracyError(f"[{name}] {exc}", refused=exc.refused) from exc
     except TomographyError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"[{name}] {exc}") from exc
+
+
+def _lanewise(name: str, refused: np.ndarray, inputs, fn, *args, **kwargs):
+    """``_stage`` over a stack of datasets, some of which it may refuse.
+
+    ``refused`` marks the datasets refused so far.  Before the stage runs,
+    each of them takes the first standing dataset's entries of ``inputs``
+    (the arrays, led by the dataset axis, that the stage reads; changed in
+    place), so that it passes wherever that dataset does.  A DegeneracyError
+    whose ``refused`` mask (over the stack's leading axes, the datasets
+    first) names standing datasets marks them, and the stage runs again.  It
+    raises when it refuses every dataset, or none that was standing.
+    """
+    while True:
+        if refused.any():
+            keep = np.flatnonzero(~refused)[0]
+            for a in inputs:
+                a[refused] = a[keep]
+        try:
+            return _stage(name, fn, *args, **kwargs)
+        except DegeneracyError as exc:
+            if exc.refused is None:
+                raise
+            grown = refused | np.reshape(exc.refused, (len(refused), -1)).any(axis=1)
+            if grown.all() or np.array_equal(grown, refused):
+                raise
+            refused |= grown
 
 
 def build_targets_v1(ds: MeasurementDataset, basis: OperatorBasis) -> np.ndarray:
@@ -160,11 +197,14 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
 
 
 def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Reshape ``z`` so that ``||z - x kron c|| == ||rearrange(z) - x c^T||``."""
-    z = np.asarray(z)
-    if z.size != rows * cols:
-        raise ValidationError(f"cannot rearrange length {z.size} into {rows}x{cols}")
-    return z.reshape(rows, cols)
+    """Reshape ``z`` so that ``||z - x kron c|| == ||rearrange(z) - x c^T||``.
+
+    Leading axes of ``z`` are a stack of vectors, each rearranged alike.
+    """
+    z = np.atleast_1d(np.asarray(z))
+    if z.shape[-1] != rows * cols:
+        raise ValidationError(f"cannot rearrange length {z.shape[-1]} into {rows}x{cols}")
+    return z.reshape(*z.shape[:-1], rows, cols)
 
 
 def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactorization:
@@ -172,67 +212,99 @@ def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactoriza
 
     The factorization is unique only up to ``(q left, right / q)``; ties in
     the top singular value are resolved by taking the first triplet and
-    flagged in the result.
+    flagged in the result.  Leading axes of ``z`` are a stack of vectors,
+    factored by one stacked SVD: every field of the result then carries
+    those axes, and the stack is refused if any of its matrices is zero
+    (the error's ``refused`` mask says which).
     """
     mat = rearrange(z, rows, cols)
     u, s, vh = np.linalg.svd(mat)
-    if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(z))):
-        raise DegeneracyError("rearranged matrix is numerically zero; no rank-1 factor")
-    left = np.sqrt(s[0]) * u[:, 0]
-    right = np.sqrt(s[0]) * vh[0, :]
-    residual = float(np.sqrt(max(np.sum(s[1:] ** 2), 0.0)))
-    tie = bool(len(s) > 1 and (s[0] - s[1]) <= 1e-12 * s[0])
+    top = s[..., 0]
+    zero = top <= 1e-12 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
+    if np.any(zero):
+        raise DegeneracyError("rearranged matrix is numerically zero; no rank-1 factor",
+                              refused=zero)
+    root = np.sqrt(top)[..., None]
+    residual = np.sqrt(np.sum(s[..., 1:] ** 2, axis=-1))
+    if s.shape[-1] > 1:
+        tie = top - s[..., 1] <= 1e-12 * top
+    else:
+        tie = np.zeros(top.shape, dtype=bool)
+    if mat.ndim == 2:
+        residual, tie = float(residual), bool(tie)
     return KroneckerFactorization(
-        left=left, right=right, residual=residual, singular_values=s, degenerate_tie=tie
+        left=root * u[..., :, 0], right=root * vh[..., 0, :], residual=residual,
+        singular_values=s, degenerate_tie=tie,
     )
 
 
-def fix_scale_v1(fac: KroneckerFactorization, x01_bar: float, tol: float = ANCHOR_RTOL,
+def fix_scale_v1(fac: KroneckerFactorization, x01_bar, tol: float = ANCHOR_RTOL,
                  anchor: int = 0):
     """Resolve the Kronecker scale ambiguity with the measured anchor coordinate.
 
     Returns the rescaled pair ``(x_bar, c_bar)`` with
-    ``x_bar[anchor] == x01_bar`` and ``x_bar kron c_bar`` unchanged.
+    ``x_bar[anchor] == x01_bar`` and ``x_bar kron c_bar`` unchanged.  A
+    stacked factorization is rescaled factor by factor, with ``x01_bar``
+    broadcast against its leading axes; the stack is refused if any factor
+    is (the error's ``refused`` mask says which).
     """
-    pivot = float(fac.left[anchor])
-    if abs(pivot) <= tol * np.linalg.norm(fac.left):
+    left = np.asarray(fac.left, float)
+    pivot = left[..., anchor]
+    small = np.abs(pivot) <= tol * np.linalg.norm(left, axis=-1)
+    x01_bar = np.broadcast_to(x01_bar, pivot.shape)
+    zero = x01_bar == 0.0
+    if np.any(small):
         raise DegeneracyError(
-            f"anchor coordinate {pivot:.3e} is too small relative to the factor; "
-            "choose a different anchor observable"
+            f"anchor coordinate {pivot[small][0]:.3e} is too small relative to the factor; "
+            "choose a different anchor observable", refused=small | zero,
         )
-    if x01_bar == 0.0:
-        raise DegeneracyError("measured anchor value is zero; the scale cannot be fixed")
-    ratio = x01_bar / pivot
-    return np.asarray(fac.left, float) * ratio, np.asarray(fac.right, float) / ratio
+    if np.any(zero):
+        raise DegeneracyError("measured anchor value is zero; the scale cannot be fixed",
+                              refused=zero)
+    ratio = (x01_bar / pivot)[..., None]
+    return left * ratio, np.asarray(fac.right, float) / ratio
 
 
 def combine_state_estimates(candidates) -> np.ndarray:
-    """Merge the per-outcome state estimates by their arithmetic mean."""
-    return np.stack([np.asarray(c) for c in candidates]).mean(axis=0)
+    """Merge the per-outcome state estimates by their arithmetic mean.
+
+    The mean runs over the first axis, the outcomes; any further axes (a
+    stack of datasets, then the candidates' own) are kept.
+    """
+    return np.asarray(candidates).mean(axis=0)
 
 
 def _project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of a real vector onto the simplex of sum ``total``."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, len(u) + 1)
-    k = idx[u - css / idx > 0][-1]
-    tau = css[k - 1] / k
+    """Euclidean projection of real vectors onto the simplex of sum ``total``,
+    one vector along the last axis of ``v``.
+
+    With ``u`` sorted in descending order, the threshold is the largest of
+    ``(u_1 + .. + u_k - total) / k`` over k; it is attained at the last k
+    whose ``u_k`` exceeds it.
+    """
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - total
+    tau = (css / np.arange(1, u.shape[-1] + 1)).max(axis=-1, keepdims=True)
     return np.maximum(v - tau, 0.0)
 
 
 def _nearest_density(rho: np.ndarray) -> np.ndarray:
-    """The density matrix nearest to a Hermitian unit-trace matrix.
+    """The density matrices nearest to Hermitian unit-trace matrices ``(..., d, d)``.
 
     Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
     projection onto the probability simplex; a matrix that is already PSD
     is only divided by its trace.  Inputs are not checked.
     """
-    rho = (rho + rho.conj().T) / 2.0
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(rho)
-    if vals[0] >= 0.0:
-        return rho / float(np.real(np.trace(rho)))
-    return (vecs * _project_simplex(vals)) @ vecs.conj().T
+    psd = vals[..., :1, None] >= 0.0
+    n_psd = np.count_nonzero(psd)
+    if n_psd < psd.size:
+        projected = (vecs * _project_simplex(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        if n_psd == 0:
+            return projected
+    scaled = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return scaled if n_psd == psd.size else np.where(psd, scaled, projected)
 
 
 def _clip_negative(elements: np.ndarray) -> np.ndarray:
@@ -243,106 +315,202 @@ def _clip_negative(elements: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6) -> DensityMatrix:
+def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
     """Nearest density matrix to a Hermitian unit-trace estimate.
 
     Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
     projection onto the probability simplex, which is the global Frobenius
-    projection onto the set of density matrices.
+    projection onto the set of density matrices.  A stack ``(T, d, d)`` of
+    estimates is corrected with one stacked eigendecomposition and gives a
+    list of T states; it is refused if any of its estimates is.
     """
     rho_bar = np.asarray(rho_bar, dtype=complex)
-    if np.linalg.norm(rho_bar - rho_bar.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho_bar)):
+    defect = np.linalg.norm(rho_bar - rho_bar.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(rho_bar, axis=(-2, -1)))):
         raise ValidationError("state estimate must be Hermitian before correction")
-    tr = float(np.real(np.trace(rho_bar)))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"state estimate has trace {tr:.6g}, expected 1")
+    tr = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
+    off = np.abs(tr - 1.0) > trace_tol
+    if np.any(off):
+        raise ValidationError(f"state estimate has trace {tr[off][0]:.6g}, expected 1")
     rho = _nearest_density(rho_bar)
-    return DensityMatrix(rho.shape[0], rho)
+    d = rho.shape[-1]
+    if rho.ndim == 2:
+        return DensityMatrix(d, rho)
+    return [DensityMatrix(d, r) for r in rho]
 
 
-def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None) -> Povm:
+def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
     """Map rough detector estimates onto a valid POVM.
 
     Each element is symmetrized and its negative eigenvalues are clipped to
     zero; the clipped set is then renormalized as
     ``S^{-1/2} P_j S^{-1/2}`` with ``S`` the element sum.  If clipping leaves
     ``S`` singular, ``eps_scale * ||S|| * I`` is added first (recorded in
-    ``info`` when a dict is supplied).
+    ``info`` when a dict is supplied).  A stack ``(T, M, d, d)`` of detectors
+    is corrected with stacked eigendecompositions and gives a list of T
+    POVMs, with one ``povm_epsilon`` per detector in ``info``; it is refused
+    if any of its detectors is (the error's ``refused`` mask says which).
     """
     elements = np.asarray(elements, dtype=complex)
     d = elements.shape[-1]
+    eye = np.eye(d)
     clipped = _clip_negative(elements)
-    s = clipped.sum(axis=0)
-    s_norm = float(np.linalg.norm(s))
-    eps_used = 0.0
-    if np.linalg.eigvalsh(s)[0] <= eps_scale * s_norm:
-        eps_used = eps_scale * s_norm
-        s = s + eps_used * np.eye(d)
-        if np.linalg.eigvalsh(s)[0] <= 0.0:
-            raise DegeneracyError("element sum is singular beyond the epsilon repair")
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    out = np.einsum("ij,kjl,lm->kim", inv_sqrt, clipped, inv_sqrt)
-    if np.linalg.norm(out.sum(axis=0) - np.eye(d)) > 1e-10 * d:
-        # a direction with (numerically) no clipped mass cannot be renormalized
-        raise DegeneracyError("element sum is singular beyond the epsilon repair")
+    s = clipped.sum(axis=-3)
+    floor = eps_scale * np.linalg.norm(s, axis=(-2, -1))
+    eps_used = np.where(np.linalg.eigvalsh(s)[..., 0] <= floor, floor, 0.0)
+    w, v = np.linalg.eigh(s + eps_used[..., None, None] * eye)
+    singular = w[..., 0] <= 0.0
+    if np.any(singular):
+        raise DegeneracyError("element sum is singular beyond the epsilon repair",
+                              refused=singular)
+    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
+    out = inv_sqrt @ clipped @ inv_sqrt
+    # a direction with (numerically) no clipped mass cannot be renormalized
+    singular = np.linalg.norm(out.sum(axis=-3) - eye, axis=(-2, -1)) > 1e-10 * d
+    if np.any(singular):
+        raise DegeneracyError("element sum is singular beyond the epsilon repair",
+                              refused=singular)
     if info is not None:
-        info["povm_epsilon"] = eps_used
-    return Povm(d, out)
+        info["povm_epsilon"] = eps_used if eps_used.ndim else float(eps_used)
+    if out.ndim == 3:
+        return Povm(d, out)
+    return [Povm(d, p) for p in out]
 
 
-def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict) -> EstimateResult:
-    """Correct a rough pair onto the physical sets and package the result.
+def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics,
+               refused: np.ndarray = None) -> list:
+    """Correct a stack of rough pairs onto the physical sets and package them.
 
-    ``diagnostics`` is extended by the correction distances and the POVM
-    epsilon repair.
+    ``rho_bar`` is ``(T, d, d)``, ``povm_bar`` is ``(T, M, d, d)`` and
+    ``diagnostics`` holds one dict per pair, which its result extends by the
+    correction distances and the POVM epsilon repair.  ``refused`` marks the
+    pairs refused before (none if omitted) and gains those refused here;
+    their results are None.
     """
+    if refused is None:
+        refused = np.zeros(len(rho_bar), dtype=bool)
     info = {}
-    rho_hat = _stage("correct", correct_state, rho_bar)
-    povm_hat = _stage("correct", correct_povm, povm_bar, info=info)
-    diagnostics = {
-        **diagnostics,
-        "state_correction_distance": float(np.linalg.norm(rho_hat.rho - rho_bar)),
-        "povm_correction_distance": float(np.linalg.norm(povm_hat.elements - povm_bar)),
-        "povm_epsilon": info.get("povm_epsilon", 0.0),
-    }
-    return EstimateResult(rho_hat=rho_hat, povm_hat=povm_hat, rho_bar=rho_bar,
-                          povm_bar=povm_bar, diagnostics=diagnostics)
+    states = _stage("correct", correct_state, rho_bar)
+    povms = _lanewise("correct", refused, [povm_bar], correct_povm, povm_bar, info=info)
+    return [
+        None if bad else EstimateResult(
+            rho_hat=state, povm_hat=povm, rho_bar=rb, povm_bar=pb, diagnostics={
+                **diag,
+                "state_correction_distance": float(np.linalg.norm(state.rho - rb)),
+                "povm_correction_distance": float(np.linalg.norm(povm.elements - pb)),
+                "povm_epsilon": float(eps),
+            })
+        for state, povm, rb, pb, diag, eps, bad
+        in zip(states, povms, rho_bar, povm_bar, diagnostics, info["povm_epsilon"], refused)
+    ]
 
 
 def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int,
-                 rescale, assemble) -> EstimateResult:
-    """The pipeline shared by both bases, after the targets ``y`` are formed.
+                 rescale, assemble, lane_inputs=()) -> list:
+    """The pipeline shared by both bases, after the targets are formed.
 
-    Solves stage 1 with the factored design, factors every outcome's column
-    as a ``side x side`` Kronecker pair, averages the state candidates and
-    corrects the result.  The representation supplies the rest: ``rescale(j, fac)`` fixes outcome
-    ``j``'s scale and returns ``(state candidate, detector candidate, anchor
-    value)``, and ``assemble(state, detector candidates)`` returns the rough
-    matrices ``(rho_bar, povm_bar)``.
+    ``y`` stacks the ``(L, M)`` targets of T datasets as ``(T, L, M)``.
+    Solves stage 1 for all ``T M`` columns with the factored design, factors
+    every column as a ``side x side`` Kronecker pair by one stacked SVD,
+    averages each dataset's state candidates and corrects the results.  The
+    representation supplies the rest: ``rescale(facs)`` fixes the scales of
+    the ``(T, M)`` stack of factorizations and returns ``(state candidates,
+    detector candidates, anchor values)``, each with leading axes ``(T, M)``,
+    and ``assemble(states, detector candidates)`` returns the rough matrices
+    ``(rho_bar, povm_bar)`` of the T datasets from their mean states.
+    ``lane_inputs`` are the per-dataset arrays (led by the dataset axis)
+    that ``rescale`` reads besides the factorizations.
+    Returns per dataset its result, or None where a step refused it (see
+    ``_lanewise``); a step that refuses every dataset raises its
+    stage-labelled error.
     """
-    z = _stage("stage1", stage1_solve, design, y, config)
-    facs, scaled = [], []
-    for j in range(y.shape[1]):
-        facs.append(_stage("kronecker", nearest_kronecker, z[:, j], side, side))
-        scaled.append(_stage("scale", rescale, j, facs[-1]))
-    candidates, detectors, anchors = zip(*scaled)
-    mean = combine_state_estimates(candidates)
-    rho_bar, povm_bar = _stage("scale", assemble, mean, detectors)
+    t, l, m = y.shape
+    cols = y.transpose(1, 0, 2).reshape(l, t * m)
+    z = _stage("stage1", stage1_solve, design, cols, config)
+    residuals = np.linalg.norm(cols - design.b @ z, axis=0).reshape(t, m)
+    z = z.T.reshape(t, m, -1)
+    refused = np.zeros(t, dtype=bool)
+    facs = _lanewise("kronecker", refused, [z], nearest_kronecker, z, side, side)
+    candidates, detectors, anchors = _lanewise(
+        "scale", refused, [facs.left, facs.right, *lane_inputs], rescale, facs)
+    mean = combine_state_estimates(candidates.swapaxes(0, 1))
+    rho_bar, povm_bar = _lanewise("scale", refused, [mean], assemble, mean, detectors)
 
-    spread = np.stack(candidates) - mean
-    diagnostics = {
+    spread = np.linalg.norm((candidates - mean[:, None]).reshape(t, m, -1), axis=-1).max(axis=1)
+    diagnostics = [{
         "method": config.method,
         "reg_scale": config.reg_scale,
         "rank_b": design.rank,
-        "stage1_residuals": [float(np.linalg.norm(r)) for r in (y - design.b @ z).T],
-        "kron_residuals": [f.residual for f in facs],
-        "kron_ties": [f.degenerate_tie for f in facs],
-        "anchor_values": list(anchors),
-        "state_candidate_spread": float(np.max(np.linalg.norm(
-            spread.reshape(len(spread), -1), axis=1))) if len(spread) > 1 else 0.0,
-    }
-    return _corrected(rho_bar, povm_bar, diagnostics)
+        "stage1_residuals": residuals[k].tolist(),
+        "kron_residuals": facs.residual[k].tolist(),
+        "kron_ties": facs.degenerate_tie[k].tolist(),
+        "anchor_values": anchors[k].tolist(),
+        "state_candidate_spread": float(spread[k]) if m > 1 else 0.0,
+    } for k in range(t)]
+    return _corrected(rho_bar, povm_bar, diagnostics, refused)
+
+
+def _shared(values, what: str):
+    """The one value that every dataset of a stack has; a stack that mixes
+    values is refused."""
+    values = set(values)
+    if len(values) != 1:
+        raise ValidationError(f"the datasets of one stack must share their {what}")
+    return values.pop()
+
+
+def _per_dataset(run, one, datasets) -> list:
+    """Per dataset, its estimate or the DegeneracyError that ``one``, the
+    single-dataset estimator, raises for it.
+
+    ``run`` estimates all the datasets as one stack, with None for those a
+    step refuses; only those, or all of them if the stack as a whole is
+    refused, are estimated again one by one for their own errors.  A single
+    dataset's ValidationError propagates.
+    """
+    datasets = list(datasets)
+    try:
+        results = run(datasets) if datasets else []
+    except TomographyError:
+        results = [None] * len(datasets)
+    out = []
+    for ds, result in zip(datasets, results):
+        if result is None:
+            try:
+                result = one(ds)
+            except DegeneracyError as exc:
+                result = exc
+        out.append(result)
+    return out
+
+
+def _estimates_v1(datasets, b, basis: OperatorBasis, config: Stage1Config) -> list:
+    """Coherence-vector reconstruction of a stack of datasets that share
+    their shape, anchor index and resolved stage-1 settings."""
+    n = basis.n_traceless
+    design = _stage("stage1", factor_design, b)
+    shape = _shared((ds.y_hat.shape for ds in datasets), "frequency shape")
+    if design.shape != (shape[0], n * n):
+        raise ValidationError(
+            f"regression matrix must be {shape[0]}x{n * n}, got {design.shape}")
+    config = _shared((config.resolved(ds.total_copies) for ds in datasets), "copy count")
+    anchor = _shared((ds.anchor_index for ds in datasets), "anchor index") - 1
+    x01_bar = np.array([[ds.x01_bar] for ds in datasets])
+    c0 = np.array([ds.c_j0_hat for ds in datasets])
+
+    def rescale(facs):
+        x_bar, c_bar = fix_scale_v1(facs, x01_bar, anchor=anchor)
+        return x_bar, c_bar, facs.left[..., anchor]
+
+    def assemble(x0, c_bars):
+        trace_part = np.full((*x0.shape[:-1], 1), 1.0 / np.sqrt(basis.d))
+        rho_bar = np.tensordot(np.concatenate([trace_part, x0], axis=-1), basis.omegas, 1)
+        povm_bar = np.tensordot(np.concatenate([c0[..., None], c_bars], axis=-1),
+                                basis.omegas, 1)
+        return rho_bar, povm_bar
+
+    y = np.stack([_stage("targets", build_targets_v1, ds, basis) for ds in datasets])
+    return _reconstruct(y, design, config, n, rescale, assemble, [x01_bar])
 
 
 def estimate_joint_v1(
@@ -359,28 +527,60 @@ def estimate_joint_v1(
     Each outcome's scale is fixed by the measured anchor coordinate; its
     anchor value is that coordinate of the unscaled state factor.
     """
-    n = basis.n_traceless
+    (result,) = _estimates_v1([ds], b, basis, config)
+    return result
+
+
+def _estimate_stack_v1(datasets, b, basis: OperatorBasis,
+                       config: Stage1Config = Stage1Config()) -> list:
+    """``estimate_joint_v1`` for many datasets, run as one stack.
+
+    Returns, per dataset in order, its EstimateResult, or the DegeneracyError
+    that ``estimate_joint_v1`` raises for it; a ValidationError propagates.
+    The design is factored once for all of them.
+    """
     design = _stage("stage1", factor_design, b)
-    if design.shape != (ds.n_processes, n * n):
-        raise ValidationError(
-            f"regression matrix must be {ds.n_processes}x{n * n}, got {design.shape}")
-    config = config.resolved(ds.total_copies)
-    anchor = ds.anchor_index - 1
+    return _per_dataset(lambda part: _estimates_v1(part, design, basis, config),
+                        lambda ds: estimate_joint_v1(ds, design, basis, config), datasets)
 
-    def rescale(j, fac):
-        x_bar, c_bar = fix_scale_v1(fac, ds.x01_bar, anchor=anchor)
-        return x_bar, c_bar, float(fac.left[anchor])
 
-    def assemble(x0, c_bars):
-        rho_bar = coords_to_state(StateCoordinates(1.0 / np.sqrt(basis.d), x0), basis)
-        povm_bar = np.stack([
-            coords_to_povm_element(PovmCoordinates(c0, c), basis)
-            for c0, c in zip(ds.c_j0_hat, c_bars)
-        ])
-        return rho_bar, povm_bar
+def _estimates_v2(y_hat: np.ndarray, b_natural, config: Stage1Config,
+                  total_copies: int) -> list:
+    """Natural-basis reconstruction of a ``(T, L, M)`` stack of frequency
+    matrices that share ``total_copies``."""
+    design = _stage("stage1", factor_design, b_natural)
+    d4 = design.shape[1]
+    d = int(round(d4 ** 0.25))
+    if d ** 4 != d4:
+        raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
+    if config.method == "tikhonov" and config.reg_scale is None and total_copies is None:
+        raise ValidationError("tikhonov auto-scale needs the total copy count")
+    config = config.resolved(total_copies)
 
-    y = _stage("targets", build_targets_v1, ds, basis)
-    return _reconstruct(y, design, config, n, rescale, assemble)
+    def rescale(facs):
+        # devectorize is column-major: vec(A) reshaped row-major is A^T
+        rho_tilde = facs.left.reshape(*facs.left.shape[:-1], d, d).swapaxes(-1, -2)
+        tr = np.trace(rho_tilde, axis1=-2, axis2=-1)
+        small = np.abs(tr) <= 1e-6 * np.maximum(np.linalg.norm(facs.left, axis=-1), 1e-30)
+        if np.any(small):
+            t, j = np.argwhere(small)[0]
+            raise DegeneracyError(
+                f"state candidate {j} has near-zero trace {complex(tr[t, j]):.3e}",
+                refused=small)
+        p_tilde = facs.right.reshape(*facs.right.shape[:-1], d, d) * tr[..., None, None]
+        return (rho_tilde / tr[..., None, None],
+                (p_tilde + p_tilde.conj().swapaxes(-1, -2)) / 2.0, np.abs(tr))
+
+    def assemble(rho_tilde, povm_parts):
+        rho_sym = (rho_tilde + rho_tilde.conj().swapaxes(-1, -2)) / 2.0
+        tr = np.real(np.trace(rho_sym, axis1=-2, axis2=-1))
+        small = np.abs(tr) < 1e-6
+        if np.any(small):
+            raise DegeneracyError(f"symmetrized state has near-zero trace {tr[small][0]:.3e}",
+                                  refused=small)
+        return rho_sym / tr[..., None, None], povm_parts
+
+    return _reconstruct(y_hat.astype(complex), design, config, d * d, rescale, assemble)
 
 
 def estimate_joint_v2(
@@ -406,43 +606,45 @@ def estimate_joint_v2(
         total_copies = ds.total_copies
     else:
         y_hat = _stage("targets", frequency_matrix, ds)
+    (result,) = _estimates_v2(y_hat[None], b_natural, config, total_copies)
+    return result
+
+
+def _estimate_stack_v2(datasets, b_natural, config: Stage1Config = Stage1Config()) -> list:
+    """``estimate_joint_v2`` for many MeasurementDatasets, run as one stack.
+
+    Returns, per dataset in order, its EstimateResult, or the DegeneracyError
+    that ``estimate_joint_v2`` raises for it; a ValidationError propagates.
+    The design is factored once for all of them.
+    """
     design = _stage("stage1", factor_design, b_natural)
-    d4 = design.shape[1]
-    d = int(round(d4 ** 0.25))
-    if d ** 4 != d4:
-        raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
-    if config.method == "tikhonov" and config.reg_scale is None and total_copies is None:
-        raise ValidationError("tikhonov auto-scale needs the total copy count")
-    config = config.resolved(total_copies)
 
-    def rescale(j, fac):
-        rho_tilde = devectorize(fac.left)
-        tr = complex(np.trace(rho_tilde))
-        if abs(tr) <= 1e-6 * max(np.linalg.norm(fac.left), 1e-30):
-            raise DegeneracyError(f"state candidate {j} has near-zero trace {tr:.3e}")
-        p_tilde = devectorize(fac.right).T * tr
-        return rho_tilde / tr, (p_tilde + p_tilde.conj().T) / 2.0, abs(tr)
+    def run(part):
+        _shared((ds.y_hat.shape for ds in part), "frequency shape")
+        shared = _shared((config.resolved(ds.total_copies) for ds in part), "copy count")
+        return _estimates_v2(np.stack([ds.y_hat for ds in part]), design, shared, None)
 
-    def assemble(rho_tilde, povm_parts):
-        rho_sym = (rho_tilde + rho_tilde.conj().T) / 2.0
-        tr = float(np.real(np.trace(rho_sym)))
-        if abs(tr) < 1e-6:
-            raise DegeneracyError(f"symmetrized state has near-zero trace {tr:.3e}")
-        return rho_sym / tr, np.stack(povm_parts)
-
-    return _reconstruct(y_hat.astype(complex), design, config, d * d, rescale, assemble)
+    return _per_dataset(run, lambda ds: estimate_joint_v2(ds, design, config), datasets)
 
 
-def project_pure(state: DensityMatrix, info: dict = None) -> DensityMatrix:
+def project_pure(state, info: dict = None):
     """Rank-1 projection onto the dominant eigenvector.
 
     Degenerate top eigenvalues are resolved deterministically by the
     eigendecomposition order; the tie is reported through ``info``.
+    ``state`` may also be an array stack ``(..., d, d)`` of density
+    matrices: it is projected by one stacked eigendecomposition, the
+    projectors come back as an array, and ``info`` gets one tie flag per
+    matrix.
     """
-    vals, vecs = np.linalg.eigh(state.rho)
+    single = isinstance(state, DensityMatrix)
+    vals, vecs = np.linalg.eigh(state.rho if single else np.asarray(state))
     if info is not None:
-        info["eigenvalue_tie"] = bool(
-            len(vals) > 1 and vals[-1] - vals[-2] <= 1e-12 * max(abs(vals[-1]), 1.0)
-        )
-    v = vecs[:, -1]
-    return DensityMatrix(state.d, np.outer(v, v.conj()))
+        if vals.shape[-1] > 1:
+            tie = vals[..., -1] - vals[..., -2] <= 1e-12 * np.maximum(np.abs(vals[..., -1]), 1.0)
+        else:
+            tie = np.zeros(vals.shape[:-1], dtype=bool)
+        info["eigenvalue_tie"] = bool(tie) if single else tie
+    v = vecs[..., :, -1]
+    projectors = v[..., :, None] * v[..., None, :].conj()
+    return DensityMatrix(state.d, projectors) if single else projectors

@@ -62,13 +62,16 @@ class Povm:
             raise ValidationError(
                 f"elements must have shape (M, {self.d}, {self.d}), got {elements.shape}"
             )
-        for k, p in enumerate(elements):
-            if np.linalg.norm(p - p.conj().T) > 1e-9 * max(1.0, np.linalg.norm(p)):
-                raise ValidationError(f"element {k} is not Hermitian")
-        elements = (elements + elements.conj().transpose(0, 2, 1)) / 2.0
-        for k, p in enumerate(elements):
-            if float(np.linalg.eigvalsh(p)[0]) < -PSD_TOL:
-                raise ValidationError(f"element {k} has a negative eigenvalue beyond tolerance")
+        adjoint = elements.conj().transpose(0, 2, 1)
+        skew = np.linalg.norm(elements - adjoint, axis=(1, 2))
+        bad = skew > 1e-9 * np.maximum(1.0, np.linalg.norm(elements, axis=(1, 2)))
+        if np.any(bad):
+            raise ValidationError(f"element {np.argmax(bad)} is not Hermitian")
+        elements = (elements + adjoint) / 2.0
+        bad = np.linalg.eigvalsh(elements)[:, 0] < -PSD_TOL
+        if np.any(bad):
+            raise ValidationError(
+                f"element {np.argmax(bad)} has a negative eigenvalue beyond tolerance")
         if np.linalg.norm(elements.sum(axis=0) - np.eye(self.d)) > 1e-10 * self.d:
             raise ValidationError("elements do not sum to the identity")
         object.__setattr__(self, "elements", elements)

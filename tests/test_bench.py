@@ -3,16 +3,23 @@ import pytest
 from dataclasses import replace
 
 from jointtomo import (
+    DegeneracyError,
     DensityMatrix,
     MseTable,
     Stage1Config,
     ValidationError,
     build_regression_matrices,
+    estimate_joint_v1,
+    estimate_joint_v2,
+    factor_design,
     fit_loglog_slope,
     preset,
+    project_pure,
     run_method_comparison,
     run_mse_experiment,
+    simulate_dataset,
 )
+from jointtomo import bench
 from jointtomo.bench import MseRow, PRESET_NAMES
 
 
@@ -161,8 +168,24 @@ def test_experiment_input_validation():
     sc = preset("one_qubit_closed_complete")
     with pytest.raises(ValidationError):
         run_mse_experiment(sc, [1000], trials=1)
-    with pytest.raises(ValidationError):
-        run_mse_experiment(sc, [1000, 1000], trials=2)
+    for grid in ([1000, 1000], [], [1000, 1000, 100]):
+        with pytest.raises(ValidationError):
+            run_mse_experiment(sc, grid, trials=2)
+
+
+@pytest.mark.parametrize("grid", [[1000, 1000, 100], []], ids=["not-increasing", "empty"])
+def test_method_comparison_refuses_the_grids_the_experiment_refuses(grid):
+    sc = preset("one_qubit_closed_complete")
+    with pytest.raises(ValidationError, match="shot grid"):
+        run_method_comparison(sc, grid, trials=2, configs=[("a", Stage1Config(), None)])
+
+
+def test_method_comparison_refuses_duplicate_labels():
+    sc = preset("one_qubit_closed_complete")
+    cfg = Stage1Config()
+    with pytest.raises(ValidationError, match="unique"):
+        run_method_comparison(sc, [1000], trials=2,
+                              configs=[("a", cfg, None), ("a", cfg, list(range(10)))])
 
 
 def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
@@ -179,6 +202,8 @@ def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
     table = run_mse_experiment(sc, [100, 1000], trials=3, seed=4)
     assert calls == [len(sc.ensemble)]  # one evolution of the truth for six trials
     assert table.failures == 0 and [r.trials for r in table.rows] == [3, 3]
+    run_mse_experiment(sc, [1000], trials=2, seed=5)
+    assert calls == [len(sc.ensemble)]  # kept on the scenario for the next call
 
 
 def _svd_calls_on_design_rows(monkeypatch, rows, action) -> int:
@@ -200,10 +225,29 @@ def _svd_calls_on_design_rows(monkeypatch, rows, action) -> int:
 @pytest.mark.parametrize("name", ["one_qubit_closed_complete", "one_qubit_random_pure"])
 def test_experiment_factors_its_design_once(monkeypatch, name):
     sc = preset(name)
+    builds = []
+    original = bench.build_regression_matrices
+    monkeypatch.setattr(bench, "build_regression_matrices",
+                        lambda *args: builds.append(args) or original(*args))
     count = _svd_calls_on_design_rows(
         monkeypatch, len(sc.ensemble),
         lambda: run_mse_experiment(sc, [1000, 10000], trials=2, seed=1))
-    assert count == 1
+    assert count == 1 and len(builds) == 1
+    # a second call on the same scenario builds and factors nothing
+    count = _svd_calls_on_design_rows(
+        monkeypatch, len(sc.ensemble),
+        lambda: run_mse_experiment(sc, [1000, 10000], trials=2, seed=2))
+    assert count == 0 and len(builds) == 1
+
+
+def test_a_replaced_scenario_gets_its_own_statistics():
+    sc = preset("one_qubit_closed_complete")
+    ideal, reg = sc.ideal, sc.regression
+    assert sc.ideal is ideal and sc.regression is reg
+    other = replace(sc, truth_state=DensityMatrix(2, np.eye(2) / 2))
+    assert other.ideal is not ideal and other.ideal.truth_state is other.truth_state
+    assert not np.allclose(other.ideal.probabilities, ideal.probabilities)
+    assert other.regression is not reg
 
 
 def test_cli_estimate_factors_its_design_once(monkeypatch, tmp_path):
@@ -216,3 +260,65 @@ def test_cli_estimate_factors_its_design_once(monkeypatch, tmp_path):
         lambda: main(["estimate", "--preset", "one_qubit_closed_complete", "--dataset", ds,
                       "--out", str(tmp_path / "est.json"), "--quiet"]))
     assert count == 1
+
+
+def _reference_table(sc, n0_grid, trials, seed, config, indices=None):
+    """MSE rows and failure count of a plain per-trial loop over the
+    single-dataset estimators, on the experiment's random streams."""
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    b = reg.b_natural if sc.estimator == "v2" else reg.b
+    design = factor_design(b if indices is None else b[indices])
+    rows, failures = [], 0
+    for i, n0 in enumerate(n0_grid):
+        errs = []
+        for t in range(trials):
+            ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                  seed=np.random.SeedSequence([sc.seed, seed, i, t]),
+                                  scale_observable=sc.anchor_index, basis=sc.basis)
+            ds = ds if indices is None else ds.subset(indices)
+            try:
+                if sc.estimator == "v2":
+                    result = estimate_joint_v2(ds, design, config)
+                    if sc.pure:
+                        result = replace(result, rho_hat=project_pure(result.rho_hat))
+                else:
+                    result = estimate_joint_v1(ds, design, sc.basis, config)
+            except DegeneracyError:
+                failures += 1
+                continue
+            errs.append((np.linalg.norm(result.rho_hat.rho - sc.truth_state.rho) ** 2,
+                         np.sum(np.abs(result.povm_hat.elements - sc.truth_povm.elements) ** 2)))
+        rows.append((ds.total_copies, len(errs), np.mean(errs, axis=0) if errs else None))
+    return rows, failures
+
+
+def _assert_table_matches(table, reference):
+    rows, failures = reference
+    assert table.failures == failures
+    for row, (n, count, means) in zip(table.rows, rows):
+        assert (row.n, row.trials) == (n, count)
+        if count:
+            assert row.mse_state == pytest.approx(means[0], rel=1e-12)
+            assert row.mse_povm == pytest.approx(means[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["one_qubit_closed_complete", "one_qubit_random_pure"])
+def test_stacked_experiment_matches_a_per_trial_loop(monkeypatch, name):
+    monkeypatch.setattr(bench, "TRIAL_BLOCK", 4)  # blocks of 4, 4 and 2 trials
+    sc = preset(name)
+    # two shots per setting leave some trials degenerate, each one failure
+    table = run_mse_experiment(sc, [2, 1000, 100000], trials=10, seed=7)
+    assert table.failures > 0
+    _assert_table_matches(table, _reference_table(sc, [2, 1000, 100000], 10, 7, sc.stage1))
+
+
+def test_stacked_comparison_matches_a_per_trial_loop(monkeypatch):
+    monkeypatch.setattr(bench, "TRIAL_BLOCK", 4)
+    sc = preset("one_qubit_closed_complete")
+    subset = list(range(0, 15, 2))
+    configs = [("tikhonov", Stage1Config("tikhonov"), None),
+               ("subset", Stage1Config("mp_inverse"), subset)]
+    tables = run_method_comparison(sc, [1000, 100000], trials=10, configs=configs, seed=8)
+    for label, config, indices in configs:
+        _assert_table_matches(tables[label],
+                              _reference_table(sc, [1000, 100000], 10, 8, config, indices))

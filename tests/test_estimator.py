@@ -1,8 +1,12 @@
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from jointtomo import (
@@ -38,6 +42,9 @@ from jointtomo import (
     stage1_solve,
     vectorize,
 )
+from jointtomo import bench, estimator
+from jointtomo.bench import PRESET_NAMES
+from jointtomo.estimator import _estimate_stack_v1, _estimate_stack_v2
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -530,3 +537,181 @@ def test_correction_kernels_match_the_per_matrix_corrections():
             for p, clipped in zip(stack, _clip_negative(stack)):
                 vals, vecs = np.linalg.eigh(p)
                 assert np.array_equal(clipped, (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+
+
+def _assert_same_estimate(a, b, rtol=1e-12):
+    """Two results agree: the estimates to ``rtol`` relative, the
+    diagnostics key by key."""
+    for x, y in ((a.rho_hat.rho, b.rho_hat.rho), (a.povm_hat.elements, b.povm_hat.elements),
+                 (a.rho_bar, b.rho_bar), (a.povm_bar, b.povm_bar)):
+        assert _rel(x, y) < rtol
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, value in a.diagnostics.items():
+        other = b.diagnostics[key]
+        if key == "kron_ties" or not isinstance(value, (list, float)):
+            assert value == other, key
+        else:
+            assert np.allclose(value, other, rtol=1e-10, atol=1e-14), key
+
+
+def _single(sc, ds, design, config):
+    """The single-dataset estimate the preset's experiment scores."""
+    if sc.estimator == "v2":
+        result = estimate_joint_v2(ds, design, config)
+        return replace(result, rho_hat=project_pure(result.rho_hat)) if sc.pure else result
+    return estimate_joint_v1(ds, design, sc.basis, config)
+
+
+@pytest.mark.parametrize("n0", [10 ** 3, 10 ** 5])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stack_matches_the_single_dataset_estimators(name, n0):
+    sc = preset(name)
+    design = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                 seed=np.random.SeedSequence([21, n0, t]), basis=sc.basis,
+                                 ideal=sc.ideal)
+                for t in range(5)]
+    for config in (sc.stage1, Stage1Config("mp_inverse"), Stage1Config("tikhonov")):
+        stacked = bench._estimate_stack(sc, datasets, design, config)
+        for ds, result in zip(datasets, stacked):
+            try:
+                single = _single(sc, ds, design, config)
+            except DegeneracyError as exc:
+                assert isinstance(result, DegeneracyError) and str(result) == str(exc)
+                continue
+            _assert_same_estimate(result, single)
+
+
+def test_a_degenerate_dataset_in_a_stack_is_one_failure():
+    sc = preset("one_qubit_closed_complete")
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=t,
+                                 basis=sc.basis, ideal=sc.ideal) for t in range(5)]
+    datasets[2] = replace(datasets[2], x01_bar=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = _estimate_stack_v1(datasets, sc.regression.design, sc.basis)
+    assert [isinstance(r, DegeneracyError) for r in results] == [False, False, True, False, False]
+    with pytest.raises(DegeneracyError) as err:
+        estimate_joint_v1(datasets[2], sc.regression.design, sc.basis)
+    assert str(results[2]) == str(err.value)
+    assert str(results[2]).startswith("[scale] measured anchor value is zero")
+    clean = _estimate_stack_v1(datasets[:2] + datasets[3:], sc.regression.design, sc.basis)
+    for result, alone in zip(results[:2] + results[3:], clean):
+        _assert_same_estimate(result, alone)
+
+    scp = preset("one_qubit_random_pure")
+    datasets = [simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 1000, seed=t,
+                                 basis=scp.basis, ideal=scp.ideal) for t in range(4)]
+    datasets[0] = replace(datasets[0], y_hat=np.zeros_like(datasets[0].y_hat))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = _estimate_stack_v2(datasets, scp.regression.design_natural)
+    assert str(results[0]).startswith("[kronecker] rearranged matrix is numerically zero")
+    assert not any(isinstance(r, DegeneracyError) for r in results[1:])
+    assert _estimate_stack_v1([], sc.regression.design, sc.basis) == []
+
+
+def test_only_the_refused_datasets_of_a_stack_run_alone(monkeypatch):
+    sc = preset("one_qubit_closed_complete")
+    design = sc.regression.design
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=t,
+                                 basis=sc.basis, ideal=sc.ideal) for t in range(8)]
+    clean = _estimate_stack_v1(datasets, design, sc.basis)
+    # refused at the scale fix, and (targets exactly zero) at the Kronecker factor
+    datasets[1] = replace(datasets[1], x01_bar=0.0)
+    flat = np.outer(np.full(len(sc.ensemble), 1.0 / np.sqrt(sc.d)), datasets[5].c_j0_hat)
+    datasets[5] = replace(datasets[5], y_hat=flat)
+    alone = []
+    single = estimator.estimate_joint_v1
+    monkeypatch.setattr(estimator, "estimate_joint_v1",
+                        lambda ds, *args: alone.append(ds) or single(ds, *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = _estimate_stack_v1(datasets, design, sc.basis)
+    assert [id(ds) for ds in alone] == [id(datasets[1]), id(datasets[5])]
+    assert str(results[1]).startswith("[scale] measured anchor value is zero")
+    assert str(results[5]).startswith("[kronecker] rearranged matrix is numerically zero")
+    for k in (0, 2, 3, 4, 6, 7):
+        _assert_same_estimate(results[k], clean[k])
+
+
+def test_a_stack_of_mixed_copy_counts_is_estimated_dataset_by_dataset():
+    sc = preset("one_qubit_closed_complete")
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=4,
+                                 basis=sc.basis, ideal=sc.ideal) for n0 in (1000, 2000, 1000)]
+    config = Stage1Config("tikhonov")  # its automatic scale depends on the copy count
+    for ds, result in zip(datasets, _estimate_stack_v1(datasets, sc.regression.design,
+                                                      sc.basis, config)):
+        _assert_same_estimate(result, estimate_joint_v1(ds, sc.regression.design, sc.basis,
+                                                        config))
+
+
+def _simplex_reference(v, total=1.0):
+    """The textbook projection of one vector: the threshold at the last
+    sorted entry that stays above it."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    idx = np.arange(1, len(u) + 1)
+    k = idx[u - css / idx > 0][-1]
+    return np.maximum(v - css[k - 1] / k, 0.0)
+
+
+def _hermitian_unit_trace(values, d):
+    """Hermitian unit-trace matrices built from ``(T, 2 d d)`` real draws."""
+    g = values[:, :d * d].reshape(-1, d, d) + 1j * values[:, d * d:].reshape(-1, d, d)
+    h = (g + g.conj().swapaxes(1, 2)) / 2.0
+    return h - ((np.trace(h, axis1=1, axis2=2).real - 1.0) / d)[:, None, None] * np.eye(d)
+
+
+_FINITE = st.floats(-3.0, 3.0, allow_nan=False, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=_FINITE))
+def test_stacked_simplex_projection_matches_the_rows(v):
+    from jointtomo.estimator import _project_simplex
+    out = _project_simplex(v)
+    for row, projected in zip(v, out):
+        assert np.array_equal(projected, _project_simplex(row))
+        assert np.allclose(projected, _simplex_reference(row), rtol=0.0, atol=1e-12)
+        assert abs(projected.sum() - 1.0) < 1e-12 and projected.min() >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.just(d), arrays(float, st.tuples(st.integers(1, 4), st.just(2 * d * d)),
+                       elements=_FINITE))))
+def test_correct_state_is_idempotent_and_stacks(case):
+    d, values = case
+    rho_bar = _hermitian_unit_trace(values, d)
+    once = correct_state(rho_bar)
+    twice = correct_state(np.stack([s.rho for s in once]))
+    for first, second, rough in zip(once, twice, rho_bar):
+        assert np.allclose(second.rho, first.rho, rtol=0.0, atol=1e-12)
+        assert np.allclose(first.rho, correct_state(rough).rho, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.just(d), arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(d),
+                                        st.just(d), st.just(2)),
+                       elements=st.floats(-1.0, 1.0, allow_nan=False, width=64)))))
+def test_correct_povm_gives_valid_povms_or_refuses(case):
+    d, values = case
+    stack = values[..., 0] + 1j * values[..., 1]
+    alone = []
+    for elements in stack:
+        try:
+            alone.append(correct_povm(elements))
+        except DegeneracyError:
+            alone.append(None)
+    try:
+        povms = correct_povm(stack)
+    except DegeneracyError:
+        assert any(p is None for p in alone)  # refused only with a refused detector in it
+        return
+    for povm, single in zip(povms, alone):
+        assert isinstance(povm, Povm)
+        assert np.linalg.norm(povm.elements.sum(axis=0) - np.eye(d)) <= 1e-10 * d
+        assert min(np.linalg.eigvalsh(p)[0] for p in povm.elements) >= -1e-10
+        assert np.allclose(povm.elements, single.elements, rtol=0.0, atol=1e-12)

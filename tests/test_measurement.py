@@ -36,6 +36,12 @@ def test_state_and_povm_validation():
         Povm(2, np.stack([KET0, KET0]))  # does not sum to identity
     with pytest.raises(ValidationError):
         Povm(2, np.stack([1.5 * KET0, np.eye(2) - 1.5 * KET0]))  # negative element
+    # the checks run on all elements at once and name the first that fails
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="^element 1 is not Hermitian"):
+        Povm(2, np.stack([KET0, KET1 + skew, KET1 - skew]))
+    with pytest.raises(ValidationError, match="^element 2 has a negative eigenvalue"):
+        Povm(2, np.stack([KET0, 1.5 * KET1, -0.5 * KET1]))
 
 
 def test_born_probabilities_basics():

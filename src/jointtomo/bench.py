@@ -34,6 +34,7 @@ from .measurement import (
     IdealStatistics,
     Povm,
     ideal_statistics,
+    shot_count,
     simulate_dataset,
 )
 
@@ -252,7 +253,8 @@ class MseTable:
 
 def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> list:
     """Per dataset, the estimate the scenario scores or its DegeneracyError;
-    a pure scenario's states are projected by one stacked ``project_pure``."""
+    a pure scenario's states are projected by one stacked ``project_pure``
+    and checked as states by one stacked pass."""
     if sc.estimator != "v2":
         return _estimate_stack_v1(datasets, design, sc.basis, config)
     results = _estimate_stack_v2(datasets, design, config)
@@ -260,15 +262,18 @@ def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> lis
     if not (sc.pure and done):
         return results
     projectors = project_pure(np.stack([results[k].rho_hat.rho for k in done]))
-    for k, p in zip(done, projectors):
-        results[k] = replace(results[k], rho_hat=DensityMatrix(sc.d, p))
+    for k, state in zip(done, DensityMatrix.stack(sc.d, projectors)):
+        results[k] = replace(results[k], rho_hat=state)
     return results
 
 
-def _mse_pair(sc: Scenario, result) -> tuple:
-    ds_state = float(np.linalg.norm(result.rho_hat.rho - sc.truth_state.rho) ** 2)
-    ds_povm = float(np.sum(np.abs(result.povm_hat.elements - sc.truth_povm.elements) ** 2))
-    return ds_state, ds_povm
+def _mse_pair(sc: Scenario, results) -> tuple:
+    """Squared Frobenius errors of the states and of the detectors of a
+    block of results, as two stacked reductions."""
+    rho = np.stack([r.rho_hat.rho for r in results]) - sc.truth_state.rho
+    povm = np.stack([r.povm_hat.elements for r in results]) - sc.truth_povm.elements
+    return ((rho.real ** 2 + rho.imag ** 2).sum(axis=(1, 2)),
+            (povm.real ** 2 + povm.imag ** 2).sum(axis=(1, 2, 3)))
 
 
 def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
@@ -284,9 +289,9 @@ def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
 
 
 def _shot_grid(n0_grid) -> list:
-    """The shot grid as a list of ints, refused unless it is non-empty and
-    strictly increasing."""
-    grid = [int(v) for v in n0_grid]
+    """The shot grid as a list of ints, refused unless it is non-empty,
+    strictly increasing and made of whole shot counts >= 1."""
+    grid = [shot_count(v) for v in n0_grid]
     if not grid:
         raise ValidationError("the shot grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -330,13 +335,12 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
             for c, (config, idx) in enumerate(cases):
                 subsets = block if idx is None else [ds.subset(idx) for ds in block]
                 copies[c] = subsets[0].total_copies
-                for result in _estimate_stack(sc, subsets, designs[c], config):
-                    if isinstance(result, DegeneracyError):
-                        failures[c] += 1
-                        continue
-                    s, p = _mse_pair(sc, result)
-                    errs[c][0].append(s)
-                    errs[c][1].append(p)
+                results = [r for r in _estimate_stack(sc, subsets, designs[c], config)
+                           if not isinstance(r, DegeneracyError)]
+                failures[c] += len(subsets) - len(results)
+                if results:
+                    for err, block_err in zip(errs[c], _mse_pair(sc, results)):
+                        err.extend(block_err.tolist())
         for c in range(len(cases)):
             rows[c].append(_mse_row(copies[c], *errs[c]))
     return [(tuple(r), f) for r, f in zip(rows, failures)]

@@ -95,9 +95,11 @@ def _stage1_config(args):
 
 
 def _parse_grid(text: str) -> list:
+    """The ``--n0-grid`` numbers, which the experiment checks as shot counts
+    (so ``1e3`` is 1000 and ``2.5`` is refused, not truncated)."""
     try:
-        return [int(float(tok)) for tok in text.split(",")]
-    except (ValueError, OverflowError):
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
         raise ValidationError(
             f"--n0-grid must be comma-separated shot counts, got {text!r}") from None
 

@@ -322,7 +322,9 @@ def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
     projection onto the probability simplex, which is the global Frobenius
     projection onto the set of density matrices.  A stack ``(T, d, d)`` of
     estimates is corrected with one stacked eigendecomposition and gives a
-    list of T states; it is refused if any of its estimates is.
+    list of T states, checked as states by one stacked pass
+    (``DensityMatrix.stack``), not T constructor calls; it is refused if any
+    of its estimates is.
     """
     rho_bar = np.asarray(rho_bar, dtype=complex)
     defect = np.linalg.norm(rho_bar - rho_bar.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -334,9 +336,7 @@ def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
         raise ValidationError(f"state estimate has trace {tr[off][0]:.6g}, expected 1")
     rho = _nearest_density(rho_bar)
     d = rho.shape[-1]
-    if rho.ndim == 2:
-        return DensityMatrix(d, rho)
-    return [DensityMatrix(d, r) for r in rho]
+    return DensityMatrix(d, rho) if rho.ndim == 2 else DensityMatrix.stack(d, rho)
 
 
 def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
@@ -348,8 +348,10 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
     ``S`` singular, ``eps_scale * ||S|| * I`` is added first (recorded in
     ``info`` when a dict is supplied).  A stack ``(T, M, d, d)`` of detectors
     is corrected with stacked eigendecompositions and gives a list of T
-    POVMs, with one ``povm_epsilon`` per detector in ``info``; it is refused
-    if any of its detectors is (the error's ``refused`` mask says which).
+    POVMs, checked as detectors by one stacked pass (``Povm.stack``), not T
+    constructor calls, with one ``povm_epsilon`` per detector in ``info``;
+    it is refused if any of its detectors is (the error's ``refused`` mask
+    says which).
     """
     elements = np.asarray(elements, dtype=complex)
     d = elements.shape[-1]
@@ -372,9 +374,7 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
                               refused=singular)
     if info is not None:
         info["povm_epsilon"] = eps_used if eps_used.ndim else float(eps_used)
-    if out.ndim == 3:
-        return Povm(d, out)
-    return [Povm(d, p) for p in out]
+    return Povm(d, out) if out.ndim == 3 else Povm.stack(d, out)
 
 
 def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics,
@@ -385,23 +385,29 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics,
     ``diagnostics`` holds one dict per pair, which its result extends by the
     correction distances and the POVM epsilon repair.  ``refused`` marks the
     pairs refused before (none if omitted) and gains those refused here;
-    their results are None.
+    their results are None.  The correction distances are two stacked norms.
     """
+    t = len(rho_bar)
     if refused is None:
-        refused = np.zeros(len(rho_bar), dtype=bool)
+        refused = np.zeros(t, dtype=bool)
     info = {}
     states = _stage("correct", correct_state, rho_bar)
     povms = _lanewise("correct", refused, [povm_bar], correct_povm, povm_bar, info=info)
+    moved_state = np.linalg.norm(
+        (np.stack([s.rho for s in states]) - rho_bar).reshape(t, -1), axis=1)
+    moved_povm = np.linalg.norm(
+        (np.stack([p.elements for p in povms]) - povm_bar).reshape(t, -1), axis=1)
     return [
         None if bad else EstimateResult(
             rho_hat=state, povm_hat=povm, rho_bar=rb, povm_bar=pb, diagnostics={
                 **diag,
-                "state_correction_distance": float(np.linalg.norm(state.rho - rb)),
-                "povm_correction_distance": float(np.linalg.norm(povm.elements - pb)),
+                "state_correction_distance": float(ds),
+                "povm_correction_distance": float(dp),
                 "povm_epsilon": float(eps),
             })
-        for state, povm, rb, pb, diag, eps, bad
-        in zip(states, povms, rho_bar, povm_bar, diagnostics, info["povm_epsilon"], refused)
+        for state, povm, rb, pb, diag, ds, dp, eps, bad
+        in zip(states, povms, rho_bar, povm_bar, diagnostics, moved_state, moved_povm,
+               info["povm_epsilon"], refused)
     ]
 
 

@@ -15,6 +15,17 @@ evolved unknown state, plus three auxiliary calibrations:
 
 Every configuration consumes ``n0`` state copies; the grand total is
 ``(2L+2) n0`` when any process loses trace and ``(L+2) n0`` otherwise.
+
+Each check runs where its input is made, once.  The probabilities the
+protocol samples (the outcome rows of every process, the trace components
+and the scale observable's outcomes) are fixed by the ensemble and the truth:
+``ideal_statistics`` checks them, pads them with the loss outcome and
+normalizes them into read-only tables, and each simulated trial only draws
+from those tables.  Shot counts must be whole numbers >= 1 (``shot_count``).
+States and detectors are checked by one stacked pass over a ``(T, d, d)`` or
+``(T, M, d, d)`` stack (``DensityMatrix.stack``, ``Povm.stack``), of which
+the constructors are the case T = 1; a failing stack raises the message the
+constructor raises for its first failing member.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +39,62 @@ from .errors import ValidationError
 PSD_TOL = 1e-10
 
 
+def _new(cls, **fields):
+    """An instance of a frozen dataclass whose fields were checked already."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
+    """The state check on a stack ``(T, d, d)``: the Hermitian parts of the T
+    matrices, refused with the message ``DensityMatrix`` raises for the first
+    member that fails."""
+    if rho.ndim != 3 or rho.shape[1:] != (d, d):
+        raise ValidationError(f"state must be {d}x{d}, got {rho.shape[1:]}")
+    adjoint = rho.conj().swapaxes(-1, -2)
+    skewed = (np.linalg.norm(rho - adjoint, axis=(-2, -1))
+              > 1e-9 * np.maximum(1.0, np.linalg.norm(rho, axis=(-2, -1))))
+    rho = (rho + adjoint) / 2.0
+    negative = np.linalg.eigvalsh(rho)[:, 0] < -PSD_TOL
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0) > PSD_TOL
+    bad = skewed | negative | off
+    if bad.any():
+        t = bad.argmax()
+        if skewed[t]:
+            raise ValidationError("state is not Hermitian")
+        if negative[t]:
+            raise ValidationError("state has a negative eigenvalue beyond tolerance")
+        raise ValidationError(f"state trace is {tr[t]:.12g}, not 1")
+    return rho
+
+
+def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
+    """The detector check on a stack ``(T, M, d, d)``: the Hermitian parts of
+    the T detectors' elements, refused with the message ``Povm`` raises for
+    the first member that fails."""
+    if elements.ndim != 4 or elements.shape[2:] != (d, d):
+        raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
+    adjoint = elements.conj().swapaxes(-1, -2)
+    skewed = (np.linalg.norm(elements - adjoint, axis=(-2, -1))
+              > 1e-9 * np.maximum(1.0, np.linalg.norm(elements, axis=(-2, -1))))
+    elements = (elements + adjoint) / 2.0
+    negative = np.linalg.eigvalsh(elements)[..., 0] < -PSD_TOL
+    incomplete = np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
+    bad = skewed.any(axis=1) | negative.any(axis=1) | incomplete
+    if bad.any():
+        t = bad.argmax()
+        if skewed[t].any():
+            raise ValidationError(f"element {skewed[t].argmax()} is not Hermitian")
+        if negative[t].any():
+            raise ValidationError(
+                f"element {negative[t].argmax()} has a negative eigenvalue beyond tolerance")
+        raise ValidationError("elements do not sum to the identity")
+    return elements
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A valid quantum state: Hermitian, PSD, unit trace (to tolerance)."""
@@ -37,16 +104,18 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (self.d, self.d):
-            raise ValidationError(f"state must be {self.d}x{self.d}, got {rho.shape}")
-        if np.linalg.norm(rho - rho.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho)):
-            raise ValidationError("state is not Hermitian")
-        rho = (rho + rho.conj().T) / 2.0
-        if float(np.linalg.eigvalsh(rho)[0]) < -PSD_TOL:
-            raise ValidationError("state has a negative eigenvalue beyond tolerance")
-        if abs(float(np.real(np.trace(rho))) - 1.0) > PSD_TOL:
-            raise ValidationError(f"state trace is {np.real(np.trace(rho)):.12g}, not 1")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _checked_states(self.d, rho[None])[0])
+
+    @classmethod
+    def stack(cls, d: int, rho) -> list:
+        """The T states of a stack ``(T, d, d)``, checked by one stacked pass
+        that applies the constructor's tests and tolerances to every member
+        and raises the constructor's message for the first that fails."""
+        rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 3:
+            raise ValidationError(f"a stack of states must have shape (T, {d}, {d}), "
+                                  f"got {rho.shape}")
+        return [_new(cls, d=d, rho=r) for r in _checked_states(d, rho)]
 
 
 @dataclass(frozen=True)
@@ -58,23 +127,18 @@ class Povm:
 
     def __post_init__(self):
         elements = np.asarray(self.elements, dtype=complex)
-        if elements.ndim != 3 or elements.shape[1:] != (self.d, self.d):
-            raise ValidationError(
-                f"elements must have shape (M, {self.d}, {self.d}), got {elements.shape}"
-            )
-        adjoint = elements.conj().transpose(0, 2, 1)
-        skew = np.linalg.norm(elements - adjoint, axis=(1, 2))
-        bad = skew > 1e-9 * np.maximum(1.0, np.linalg.norm(elements, axis=(1, 2)))
-        if np.any(bad):
-            raise ValidationError(f"element {np.argmax(bad)} is not Hermitian")
-        elements = (elements + adjoint) / 2.0
-        bad = np.linalg.eigvalsh(elements)[:, 0] < -PSD_TOL
-        if np.any(bad):
-            raise ValidationError(
-                f"element {np.argmax(bad)} has a negative eigenvalue beyond tolerance")
-        if np.linalg.norm(elements.sum(axis=0) - np.eye(self.d)) > 1e-10 * self.d:
-            raise ValidationError("elements do not sum to the identity")
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", _checked_povms(self.d, elements[None])[0])
+
+    @classmethod
+    def stack(cls, d: int, elements) -> list:
+        """The T detectors of a stack ``(T, M, d, d)``, checked by one stacked
+        pass that applies the constructor's tests and tolerances to every
+        member and raises the constructor's message for the first that fails."""
+        elements = np.asarray(elements, dtype=complex)
+        if elements.ndim != 4:
+            raise ValidationError(f"a stack of detectors must have shape (T, M, {d}, {d}), "
+                                  f"got {elements.shape}")
+        return [_new(cls, d=d, elements=e) for e in _checked_povms(d, elements)]
 
     @property
     def m(self) -> int:
@@ -97,34 +161,72 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refused unless it is a whole number: an int, a
+    numpy integer or a float with an integral value (``1e3``), not a bool."""
+    try:
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return n
+
+
+def shot_count(n0) -> int:
+    """``n0`` as an int, refused unless it is a whole number of shots >= 1."""
+    n = _whole(n0, "shot count")
+    if n < 1:
+        raise ValidationError(f"need at least one shot per configuration, got n0={n0}")
+    return n
+
+
+def sampling_table(p) -> np.ndarray:
+    """The probabilities one multinomial draw samples from, checked once.
+
+    ``p`` must be finite, non-negative (to 1e-12) and sum to at most 1 (to
+    1e-9) along its last axis.  The mass missing from ``sum(p) < 1`` becomes
+    a trailing loss outcome, and each row is normalized, so the table can be
+    passed to ``Generator.multinomial`` as it is, draw after draw.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValidationError("probabilities must be finite")
+    if p.min() < -1e-12:
+        raise ValidationError(f"negative probability {p.min():.3e}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if (total > 1.0 + 1e-9).any():
+        raise ValidationError(f"probabilities sum to {total.max():.12g} > 1")
+    full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
+    return full / full.sum(axis=-1, keepdims=True)
+
+
+def _draw(table: np.ndarray, n0: int, rng) -> np.ndarray:
+    """Frequencies of ``n0`` multinomial shots from a ``sampling_table``,
+    with the loss outcome dropped; one independent draw per row."""
+    return rng.multinomial(n0, table)[..., :-1] / float(n0)
+
+
 def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     """One multinomial draw of ``n0`` shots over the given outcomes.
 
     Probability mass missing from ``sum(p) < 1`` goes to an implicit loss
     outcome that is dropped from the returned frequency vector.  A matrix of
     probabilities is one independent draw per row, taken from the stream in
-    row order, exactly as one call per row would take them.
+    row order, exactly as one call per row would take them.  This is
+    ``sampling_table`` then one draw; a caller that draws from the same
+    probabilities many times keeps the table instead (``ideal_statistics``).
     """
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("probabilities must be finite")
-    if np.min(p) < -1e-12:
-        raise ValidationError(f"negative probability {np.min(p):.3e}")
-    p = np.clip(p, 0.0, None)
-    total = p.sum(axis=-1, keepdims=True)
-    if np.any(total > 1.0 + 1e-9):
-        raise ValidationError(f"probabilities sum to {np.max(total):.12g} > 1")
-    rng = np.random.default_rng(rng)
-    full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
-    counts = rng.multinomial(int(n0), full / full.sum(axis=-1, keepdims=True))
-    return counts[..., :-1] / float(n0)
+    n0 = shot_count(n0)
+    return _draw(sampling_table(p), n0, np.random.default_rng(rng))
 
 
 def _check_frequencies(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{name} has a non-finite entry")
-    if values.size and np.min(values) < 0.0:
-        raise ValidationError(f"{name} has a negative frequency {np.min(values):.3e}")
+    if values.size and values.min() < 0.0:
+        raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
 
 
 def frequency_matrix(y_hat) -> np.ndarray:
@@ -134,7 +236,7 @@ def frequency_matrix(y_hat) -> np.ndarray:
     if y.ndim != 2:
         raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape}")
     _check_frequencies("y_hat", y)
-    if np.any(y.sum(axis=1) > 1.0 + 1e-9):
+    if (y.sum(axis=1) > 1.0 + 1e-9).any():
         raise ValidationError("a frequency row sums above 1")
     return y
 
@@ -154,22 +256,29 @@ class MeasurementDataset:
 
     def __post_init__(self):
         y = frequency_matrix(self.y_hat)
-        object.__setattr__(self, "y_hat", y)
-        object.__setattr__(self, "x_a0_hat", np.asarray(self.x_a0_hat, dtype=float))
-        object.__setattr__(self, "c_j0_hat", np.asarray(self.c_j0_hat, dtype=float))
-        object.__setattr__(self, "tp_flags", np.asarray(self.tp_flags, dtype=bool))
-        if len(self.x_a0_hat) != y.shape[0] or len(self.tp_flags) != y.shape[0]:
-            raise ValidationError("per-process fields must have length L")
-        if len(self.c_j0_hat) != y.shape[1]:
-            raise ValidationError("c_j0_hat must have length M")
-        for name in ("x_a0_hat", "c_j0_hat"):
-            _check_frequencies(name, getattr(self, name))
+        l, m = y.shape
+        x_a0 = np.asarray(self.x_a0_hat, dtype=float)
+        c_j0 = np.asarray(self.c_j0_hat, dtype=float)
+        tp_flags = np.asarray(self.tp_flags, dtype=bool)
+        if x_a0.shape != (l,) or tp_flags.shape != (l,):
+            raise ValidationError(
+                f"per-process fields must have length L: need shape ({l},), got "
+                f"x_a0_hat {x_a0.shape} and tp_flags {tp_flags.shape}")
+        if c_j0.shape != (m,):
+            raise ValidationError(f"c_j0_hat must have length M: need shape ({m},), "
+                                  f"got {c_j0.shape}")
+        _check_frequencies("x_a0_hat", x_a0)
+        _check_frequencies("c_j0_hat", c_j0)
         if not np.isfinite(self.x01_bar):
             raise ValidationError(f"x01_bar must be finite, got {self.x01_bar}")
-        if self.n0 < 1:
-            raise ValidationError(f"need at least one shot per configuration, got n0={self.n0}")
-        if self.anchor_index < 1:
+        n0 = shot_count(self.n0)
+        anchor = _whole(self.anchor_index, "anchor index")
+        if anchor < 1:
             raise ValidationError(f"anchor index must be >= 1, got {self.anchor_index}")
+        for name, value in (("y_hat", y), ("x_a0_hat", x_a0), ("c_j0_hat", c_j0),
+                            ("tp_flags", tp_flags), ("n0", n0),
+                            ("anchor_index", anchor)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_processes(self) -> int:
@@ -182,7 +291,7 @@ class MeasurementDataset:
     @property
     def total_copies(self) -> int:
         l = self.n_processes
-        factor = (2 * l + 2) if not np.all(self.tp_flags) else (l + 2)
+        factor = (2 * l + 2) if not self.tp_flags.all() else (l + 2)
         return int(factor * self.n0)
 
     def subset(self, indices) -> "MeasurementDataset":
@@ -211,8 +320,15 @@ class IdealStatistics:
     lossy processes only), ``trace_probabilities`` the detector's outcomes on
     the maximally mixed state, and ``scale_eigenvalues``/``scale_probabilities``
     the spectrum of the scale observable and its outcome probabilities on the
-    truth.  The inputs they were computed from are kept, so a mismatched pair
-    is refused.
+    truth.
+
+    The three probability sets the protocol samples are also kept as the
+    tables its multinomial draws read (``sampling_table``: checked, padded
+    with the loss outcome and normalized here, once): ``outcome_table`` has
+    one row per process, ``trace_table`` and ``scale_table`` one row each.
+    So a trial only draws.  Every array is read-only, since every trial
+    shares it.  The inputs they were computed from are kept, so a
+    mismatched pair is refused.
     """
 
     ensemble: ProcessEnsemble
@@ -224,6 +340,14 @@ class IdealStatistics:
     trace_probabilities: np.ndarray
     scale_eigenvalues: np.ndarray
     scale_probabilities: np.ndarray
+    outcome_table: np.ndarray
+    trace_table: np.ndarray
+    scale_table: np.ndarray
+
+
+def _check_basis(basis: OperatorBasis, d: int) -> None:
+    if basis is not None and basis.d != d:
+        raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
 
 
 def ideal_statistics(
@@ -233,13 +357,15 @@ def ideal_statistics(
     scale_observable: int = 1,
     basis: OperatorBasis = None,
 ) -> IdealStatistics:
-    """Every probability the data-collection protocol samples from.
+    """Every probability the data-collection protocol samples from, with
+    the checked tables its draws read.
 
     ``scale_observable`` selects which basis operator Omega_k is measured on
     the input state to pin the reconstruction scale.
     """
     if ens.d != truth_state.d or ens.d != truth_povm.d:
         raise ValidationError("ensemble, state and detector dimensions must agree")
+    _check_basis(basis, ens.d)
     if basis is None:
         basis = build_basis(ens.d)
     if not 1 <= scale_observable <= basis.n_traceless:
@@ -254,7 +380,9 @@ def ideal_statistics(
     omega = basis.omegas[scale_observable]
     lam, vecs = np.linalg.eigh(omega)
     probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), truth_state.rho, vecs)), 0.0, None)
-    arrays = (p, survival, q, lam, probs / probs.sum())
+    probs = probs / probs.sum()
+    arrays = (p, survival, q, lam, probs,
+              sampling_table(p), sampling_table(q), sampling_table(probs))
     for a in arrays:
         a.setflags(write=False)
     return IdealStatistics(ens, truth_state, truth_povm, int(scale_observable), *arrays)
@@ -279,34 +407,35 @@ def simulate_dataset(
     bypasses all sampling and records the ideal values (a simulation switch
     for pipeline-exactness checks, not a physical claim).  ``ideal`` is the
     ``ideal_statistics`` of these same inputs, computed once for many calls;
-    without it they are computed here.  Either way the draws are the same.
+    without it they are computed here.  Either way the draws are the same:
+    one multinomial per table of ``ideal``, whose probabilities were checked
+    when it was made, and a binomial for the lossy processes' survival.
     """
     if ideal is None:
         ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
     elif not (ideal.ensemble is ens and ideal.truth_state is truth_state
               and ideal.truth_povm is truth_povm and ideal.anchor_index == scale_observable):
         raise ValidationError("ideal statistics were computed for other inputs")
-    if n0 < 1:
-        raise ValidationError(f"need at least one shot, got n0={n0}")
+    else:
+        _check_basis(basis, ens.d)
+    n0 = shot_count(n0)
     rng = np.random.default_rng(seed)
     sqd = np.sqrt(ens.d)
 
     # One draw per process row, then the lossy processes' survival counts.
-    p = ideal.probabilities
-    y_hat = p.copy() if exact else sample_frequencies(p, n0, rng)
+    y_hat = ideal.probabilities.copy() if exact else _draw(ideal.outcome_table, n0, rng)
     x_a0 = np.full(len(ens), 1.0 / sqd)
     lossy = ~ens.tp_flags
-    if np.any(lossy):
+    if lossy.any():
         survival = ideal.survival[lossy]
-        x_a0[lossy] = (survival if exact else rng.binomial(int(n0), survival) / float(n0)) / sqd
+        x_a0[lossy] = (survival if exact else rng.binomial(n0, survival) / float(n0)) / sqd
 
     # Detector trace components from the maximally mixed probe state.
-    q = ideal.trace_probabilities
-    c_j0 = sqd * (q if exact else sample_frequencies(q, n0, rng))
+    q = ideal.trace_probabilities if exact else _draw(ideal.trace_table, n0, rng)
+    c_j0 = sqd * q
 
     # Scale observable measured projectively in its own eigenbasis.
-    probs = ideal.scale_probabilities
-    weights = probs if exact else sample_frequencies(probs, n0, rng)
+    weights = ideal.scale_probabilities if exact else _draw(ideal.scale_table, n0, rng)
     x01 = float(np.dot(ideal.scale_eigenvalues, weights))
 
     return MeasurementDataset(
@@ -314,7 +443,7 @@ def simulate_dataset(
         x_a0_hat=x_a0,
         c_j0_hat=c_j0,
         x01_bar=x01,
-        n0=int(n0),
+        n0=n0,
         tp_flags=ens.tp_flags,
         anchor_index=ideal.anchor_index,
         exact=exact,

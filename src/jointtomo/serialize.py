@@ -135,9 +135,9 @@ def dataset_from_json(data) -> MeasurementDataset:
         x_a0_hat=np.asarray(data["x_a0_hat"], dtype=float),
         c_j0_hat=np.asarray(data["c_j0_hat"], dtype=float),
         x01_bar=float(data["x01_bar"]),
-        n0=int(data["n0"]),
+        n0=data["n0"],
         tp_flags=np.asarray(data["tp_flags"], dtype=bool),
-        anchor_index=int(data.get("anchor_index", 1)),
+        anchor_index=data.get("anchor_index", 1),
     )
 
 

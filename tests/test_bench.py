@@ -206,6 +206,38 @@ def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
     assert calls == [len(sc.ensemble)]  # kept on the scenario for the next call
 
 
+def _counting(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's last
+    positional argument; returns the record."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args[-1]) or original(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["one_qubit_closed_complete", "one_qubit_random_pure"])
+def test_trial_loop_checks_constants_once_and_results_once_per_block(monkeypatch, name):
+    from jointtomo import measurement
+    sc = preset(name)
+    tables = _counting(monkeypatch, measurement, "sampling_table")
+    sampled = _counting(monkeypatch, measurement, "sample_frequencies")
+    states = _counting(monkeypatch, measurement, "_checked_states")
+    povms = _counting(monkeypatch, measurement, "_checked_povms")
+    table = run_mse_experiment(sc, [1000, 100000], trials=7, seed=4)
+    assert table.failures == 0 and [r.trials for r in table.rows] == [7, 7]
+    # the three sampled probability sets are checked when the scenario's
+    # statistics are made, and never again for 14 trials
+    assert len(tables) == 3 and sampled == []
+    # one stacked check per block of results: one block per grid point, and a
+    # pure scenario checks its projected states once more
+    per_block = 2 if sc.pure else 1
+    assert len(states) == 2 * per_block and len(povms) == 2
+    assert all(len(stack) == 7 for stack in states + povms)
+    run_mse_experiment(sc, [1000], trials=7, seed=5)
+    assert len(tables) == 3 and sampled == []  # kept on the scenario
+
+
 def _svd_calls_on_design_rows(monkeypatch, rows, action) -> int:
     """How many ``np.linalg.svd`` calls ``action`` makes on matrices with
     ``rows`` rows, the number of processes."""

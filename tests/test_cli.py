@@ -240,6 +240,7 @@ FIT = ("--preset", "one_qubit_closed_complete", "--dataset", "ds.json", "--quiet
     pytest.param(BENCH + ("--n0-grid", "1e3,abc"), id="grid-word"),
     pytest.param(BENCH + ("--n0-grid", "1e3,nan"), id="grid-nan"),
     pytest.param(BENCH + ("--n0-grid", "1e3,"), id="grid-empty"),
+    pytest.param(BENCH + ("--n0-grid", "1e3,2500.5"), id="grid-fraction"),
     pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "abc"), id="reg-word"),
     pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "nan"), id="reg-nan"),
     pytest.param(BENCH + ("--method", "tikhonov", "--reg-scale", "inf"), id="reg-inf"),

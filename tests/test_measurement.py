@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtomo import (
     DensityMatrix,
@@ -18,7 +20,9 @@ from jointtomo import (
     sample_frequencies,
     simulate_dataset,
 )
+from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
+from jointtomo.measurement import sampling_table
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -242,6 +246,8 @@ def test_batched_sampling_matches_a_per_row_loop_on_tp_ensembles():
     ("x_a0_hat", np.nan), ("x_a0_hat", -0.1),
     ("c_j0_hat", np.inf), ("c_j0_hat", -0.2),
     ("x01_bar", np.nan),
+    # right length, wrong shape: a column where a vector belongs
+    ("x_a0_hat", "column"), ("tp_flags", "column"), ("c_j0_hat", "column"),
 ])
 def test_dataset_rejects_bad_frequencies(field, value):
     good = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
@@ -251,6 +257,8 @@ def test_dataset_rejects_bad_frequencies(field, value):
     bad = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in good.items()}
     if field == "x01_bar":
         bad[field] = value
+    elif isinstance(value, str):
+        bad[field] = bad[field][:, None]
     else:
         bad[field].flat[0] = value
     with pytest.raises(ValidationError):
@@ -320,10 +328,19 @@ def test_ideal_statistics_are_shared_safely():
             simulate_dataset(*args, 10, basis=sc.basis, ideal=ideal, **kwargs)
     with pytest.raises(ValidationError):
         ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, scale_observable=4)
+    # a basis of another dimension, with or without the statistics given
+    qutrit = build_basis(3)
+    with pytest.raises(ValidationError, match="basis is for d=3"):
+        ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=qutrit)
+    for given in (None, ideal):
+        with pytest.raises(ValidationError, match="basis is for d=3"):
+            simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10, basis=qutrit,
+                             ideal=given)
 
 
 @pytest.mark.parametrize("field,value", [
     ("n0", 0), ("n0", -5), ("anchor_index", 0), ("anchor_index", -2),
+    ("n0", 2.5), ("anchor_index", 1.5),
 ])
 def test_dataset_rejects_bad_shot_count_and_anchor(field, value):
     good = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
@@ -332,3 +349,182 @@ def test_dataset_rejects_bad_shot_count_and_anchor(field, value):
     MeasurementDataset(**good)
     with pytest.raises(ValidationError):
         MeasurementDataset(**{**good, field: value})
+
+
+def test_ideal_statistics_tables_are_read_only_and_checked():
+    sc = preset("one_qubit_random_pure")  # lossy processes: the tables carry a loss mass
+    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis)
+    tables = {
+        "outcome_table": ideal.probabilities,
+        "trace_table": ideal.trace_probabilities,
+        "scale_table": ideal.scale_probabilities,
+    }
+    for name, probabilities in tables.items():
+        table = getattr(ideal, name)
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table[..., 0] = 0.5
+        assert np.array_equal(table, sampling_table(probabilities))
+        assert np.allclose(table.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(table[..., :-1] > 0, probabilities > 0)
+    assert np.max(1.0 - ideal.probabilities.sum(axis=1)) > 0.01
+    for array in (ideal.probabilities, ideal.survival, ideal.trace_probabilities,
+                  ideal.scale_eigenvalues, ideal.scale_probabilities):
+        assert not array.flags.writeable
+
+
+_GOOD_DATASET = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
+                     c_j0_hat=np.array([0.7, 0.7]), x01_bar=0.1, n0=10,
+                     tp_flags=np.ones(2, dtype=bool))
+# Every entry point that takes a shot count, as a function of that count.
+_SHOT_COUNT_USERS = {
+    "sample_frequencies": lambda n0: sample_frequencies([0.5, 0.2], n0, 0),
+    "simulate_dataset": lambda n0: simulate_dataset(*_small_scenario(), n0, seed=0),
+    "MeasurementDataset": lambda n0: MeasurementDataset(**{**_GOOD_DATASET, "n0": n0}),
+    "shot_grid": lambda n0: bench._shot_grid([n0]),
+}
+
+
+@pytest.mark.parametrize("n0", [0, -3, 2.7, 2.5, np.float64(1000.7), np.nan, np.inf, "10",
+                                None, True])
+@pytest.mark.parametrize("user", sorted(_SHOT_COUNT_USERS))
+def test_shot_counts_are_whole_numbers_of_at_least_one(user, n0):
+    with pytest.raises(ValidationError):
+        _SHOT_COUNT_USERS[user](n0)
+
+
+@pytest.mark.parametrize("n0", [7, np.int64(7), np.int32(7), np.uint8(7), 7.0])
+def test_shot_counts_accept_integer_types(n0):
+    assert sample_frequencies([0.5, 0.5], n0, 0).sum() == pytest.approx(1.0, abs=1e-15)
+    for ds in (_SHOT_COUNT_USERS["simulate_dataset"](n0),
+               _SHOT_COUNT_USERS["MeasurementDataset"](n0)):
+        assert ds.n0 == 7 and type(ds.n0) is int
+    assert bench._shot_grid([n0, 10 ** 3]) == [7, 1000]
+
+
+def _stack_error(build, d, stack):
+    """The message ``build(d, stack)`` raises, or None."""
+    try:
+        build(d, stack)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _valid_states(rng, t, d):
+    g = rng.normal(size=(t, d, d)) + 1j * rng.normal(size=(t, d, d))
+    rho = g @ g.conj().swapaxes(1, 2)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _valid_povms(rng, t, m, d):
+    g = rng.normal(size=(t, m, d, d)) + 1j * rng.normal(size=(t, m, d, d))
+    a = g @ g.conj().swapaxes(-1, -2) + 0.1 * np.eye(d)
+    w, v = np.linalg.eigh(a.sum(axis=1))
+    root = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return root[:, None] @ a @ root[:, None]
+
+
+def _corrupt_state(rho, kind):
+    d = len(rho)
+    if kind == "skew":
+        return rho + 0.1 * (np.eye(d, k=1) - np.eye(d, k=-1))
+    if kind == "negative":
+        _, vecs = np.linalg.eigh(rho)
+        spectrum = np.zeros(d)
+        spectrum[:2] = (-0.5, 1.5)
+        return (vecs * spectrum) @ vecs.conj().T
+    return 1.2 * rho  # wrong trace
+
+
+def _corrupt_povm(elements, kind, j):
+    out = elements.copy()
+    m, d = elements.shape[:2]
+    other = (j + 1) % m
+    if kind == "skew":
+        out[j] = out[j] + 0.1 * (np.eye(d, k=1) - np.eye(d, k=-1))
+    elif kind == "negative":
+        shift = np.linalg.eigvalsh(out[j])[0] + 0.2
+        out[j] = out[j] - shift * np.eye(d)
+        out[other] = out[other] + shift * np.eye(d)  # the sum stays the identity
+    else:
+        out = 1.1 * out  # the sum is not the identity
+    return out
+
+
+_STACK_CASES = st.tuples(
+    st.integers(0, 2 ** 32 - 1),  # seed
+    st.integers(1, 5),  # T
+    st.integers(2, 3),  # d
+    st.integers(2, 4),  # M
+    st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["skew", "negative", "trace"]),
+                       st.integers(0, 3)), max_size=2),  # (member, corruption, element)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STACK_CASES)
+def test_stacked_state_check_is_the_constructor_on_every_member(case):
+    seed, t, d, _, corruptions = case
+    rho = _valid_states(np.random.default_rng(seed), t, d)
+    for k, kind, _ in corruptions:
+        rho[k % t] = _corrupt_state(rho[k % t], kind)
+    messages = [_stack_error(lambda d, r: DensityMatrix(d, r), d, r) for r in rho]
+    failing = [msg for msg in messages if msg is not None]
+    if failing:
+        # the stack raises what the constructor raises for its first failing member
+        assert _stack_error(DensityMatrix.stack, d, rho) == failing[0]
+        return
+    stacked = DensityMatrix.stack(d, rho)
+    assert len(stacked) == t
+    for state, r in zip(stacked, rho):
+        single = DensityMatrix(d, r)
+        assert state.d == single.d and np.array_equal(state.rho, single.rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STACK_CASES)
+def test_stacked_povm_check_is_the_constructor_on_every_member(case):
+    seed, t, d, m, corruptions = case
+    elements = _valid_povms(np.random.default_rng(seed), t, m, d)
+    for k, kind, j in corruptions:
+        elements[k % t] = _corrupt_povm(elements[k % t], kind, j % m)
+    messages = [_stack_error(lambda d, e: Povm(d, e), d, e) for e in elements]
+    failing = [msg for msg in messages if msg is not None]
+    if failing:
+        assert _stack_error(Povm.stack, d, elements) == failing[0]
+        return
+    stacked = Povm.stack(d, elements)
+    assert len(stacked) == t
+    for povm, e in zip(stacked, elements):
+        single = Povm(d, e)
+        assert povm.d == single.d and np.array_equal(povm.elements, single.elements)
+
+
+def test_stacked_checks_name_the_first_failing_member():
+    rng = np.random.default_rng(5)
+    rho = _valid_states(rng, 4, 2)
+    rho[1] = _corrupt_state(rho[1], "trace")
+    rho[2] = _corrupt_state(rho[2], "skew")
+    with pytest.raises(ValidationError, match=r"^state trace is 1\.2, not 1$"):
+        DensityMatrix.stack(2, rho)
+    elements = _valid_povms(rng, 3, 3, 2)
+    elements[2] = _corrupt_povm(elements[2], "skew", 0)
+    elements[1] = _corrupt_povm(elements[1], "negative", 2)
+    with pytest.raises(ValidationError, match="^element 2 has a negative eigenvalue"):
+        Povm.stack(2, elements)
+    # within the first failing detector, the first failing element
+    two_negative = np.stack([np.eye(2) / 2, np.diag([0.8, -0.3]), np.diag([-0.3, 0.8])])
+    skew = 0.1 * (np.eye(2, k=1) - np.eye(2, k=-1))
+    two_skewed = np.stack([np.eye(2) / 2, np.eye(2) / 4 + skew, np.eye(2) / 4 - skew])
+    for member, message in ((two_negative, "^element 1 has a negative eigenvalue"),
+                            (two_skewed, "^element 1 is not Hermitian")):
+        with pytest.raises(ValidationError, match=message):
+            Povm.stack(2, np.stack([elements[0], member]))
+        with pytest.raises(ValidationError, match=message):
+            Povm(2, member)
+    with pytest.raises(ValidationError, match="stack of states"):
+        DensityMatrix.stack(2, rho[0])
+    with pytest.raises(ValidationError, match="stack of detectors"):
+        Povm.stack(2, elements[0])
+    assert DensityMatrix.stack(2, np.zeros((0, 2, 2))) == []

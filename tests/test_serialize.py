@@ -106,6 +106,8 @@ LOADERS = (load_ensemble, load_hamiltonians, load_state, load_povm, load_dataset
     '[{"d": "two", "h": [], "dt_us": 1, "kraus": []}]',
     '{"y_hat": [[0.5]], "x_a0_hat": [], "c_j0_hat": 1, "x01_bar": "a", "n0": 1e400, '
     '"tp_flags": [true]}',
+    '{"y_hat": [[0.5]], "x_a0_hat": [0.7], "c_j0_hat": [0.7], "x01_bar": 0.1, "n0": 2.5, '
+    '"tp_flags": [true]}',
 ])
 def test_loaders_refuse_malformed_files(tmp_path, loader, text):
     path = tmp_path / "in.json"

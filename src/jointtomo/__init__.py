@@ -66,6 +66,7 @@ from .estimator import (
     stage1_solve,
 )
 from .measurement import (
+    DatasetStack,
     DensityMatrix,
     IdealStatistics,
     MeasurementDataset,

@@ -6,6 +6,11 @@ estimate cycles over a grid of per-configuration shot counts, recording
 squared Frobenius errors of state and detector together with standard errors
 of the mean, and fits the log-log slope against the total number of input
 copies.
+
+The trial loop works on blocks of trials as arrays: each block is one
+``DatasetStack``, checked once, estimated as one stack per case, and scored
+from the stacked estimates; a failure is counted from the stack's
+``refused`` mask, and no dataset is estimated a second time.
 """
 
 import json
@@ -28,8 +33,16 @@ from .channels import (
     sampled_unitaries,
 )
 from .errors import DegeneracyError, ValidationError
-from .estimator import Stage1Config, _estimate_stack_v1, _estimate_stack_v2, project_pure
+from .estimator import (
+    Stage1Config,
+    StackEstimates,
+    _estimates_v1,
+    _estimates_v2,
+    _per_dataset,
+    project_pure,
+)
 from .measurement import (
+    DatasetStack,
     DensityMatrix,
     IdealStatistics,
     Povm,
@@ -251,27 +264,33 @@ class MseTable:
             json.dump(self.metadata, fh, indent=2)
 
 
-def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> list:
-    """Per dataset, the estimate the scenario scores or its DegeneracyError;
-    a pure scenario's states are projected by one stacked ``project_pure``
-    and checked as states by one stacked pass."""
+def _estimate_block(sc: Scenario, stack: DatasetStack, design,
+                    config: Stage1Config) -> StackEstimates:
+    """The estimates the scenario scores for a stack of datasets; a pure
+    scenario's states are projected by one stacked ``project_pure`` and
+    checked as states by one stacked pass."""
     if sc.estimator != "v2":
-        return _estimate_stack_v1(datasets, design, sc.basis, config)
-    results = _estimate_stack_v2(datasets, design, config)
-    done = [k for k, r in enumerate(results) if not isinstance(r, DegeneracyError)]
-    if not (sc.pure and done):
-        return results
-    projectors = project_pure(np.stack([results[k].rho_hat.rho for k in done]))
-    for k, state in zip(done, DensityMatrix.stack(sc.d, projectors)):
-        results[k] = replace(results[k], rho_hat=state)
-    return results
+        return _estimates_v1(stack, design, sc.basis, config)
+    est = _estimates_v2(stack.y_hat, design, config, stack.total_copies)
+    if not sc.pure:
+        return est
+    return replace(est, rho_hat=DensityMatrix.checked(sc.d, project_pure(est.rho_hat)))
 
 
-def _mse_pair(sc: Scenario, results) -> tuple:
-    """Squared Frobenius errors of the states and of the detectors of a
-    block of results, as two stacked reductions."""
-    rho = np.stack([r.rho_hat.rho for r in results]) - sc.truth_state.rho
-    povm = np.stack([r.povm_hat.elements for r in results]) - sc.truth_povm.elements
+def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> list:
+    """Per dataset of a list, the estimate the scenario scores, or the
+    DegeneracyError that estimating it alone raises."""
+    def block(part):
+        return _estimate_block(sc, DatasetStack.of(part), design, config).results()
+
+    return _per_dataset(block, lambda ds: block([ds])[0], datasets)
+
+
+def _sq_errors(sc: Scenario, rho: np.ndarray, povm: np.ndarray) -> tuple:
+    """Squared Frobenius errors of a stack of states and of a stack of
+    detectors, as two stacked reductions."""
+    rho = rho - sc.truth_state.rho
+    povm = povm - sc.truth_povm.elements
     return ((rho.real ** 2 + rho.imag ** 2).sum(axis=(1, 2)),
             (povm.real ** 2 + povm.imag ** 2).sum(axis=(1, 2, 3)))
 
@@ -303,16 +322,21 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     """Simulate, estimate and score every case on shared datasets.
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
-    other than None restrict both the dataset and the regression matrix.
+    other than None restrict both the datasets and the regression matrix.
     The full design is the scenario's cached record (``sc.regression``), a
     process subset is factored once per case, and the truth's ideal
     statistics are the scenario's cached ``sc.ideal``; a second call on the
     same scenario builds and factors nothing.
     Trial ``t`` at grid index ``i`` draws from the stream
-    ``(scenario seed, seed, i, t)``, one simulation per trial.  The datasets
-    are estimated in stacks of ``TRIAL_BLOCK`` trials; a degenerate dataset
-    is one failure of its own case and leaves the other trials' estimates
-    as they are.  Returns ``(rows, failures)`` per case.
+    ``(scenario seed, seed, i, t)``, one simulation per trial.  The trials
+    are drawn in blocks of ``TRIAL_BLOCK`` into one ``DatasetStack`` per
+    block, checked once; a process subset is an index on its process axis.
+    Each case estimates the block as one stack and scores the stacked
+    estimates directly.  A dataset a step refuses is one failure of its own
+    case, counted from the stack's ``refused`` mask and not estimated again,
+    and leaves the other trials' estimates as they are; a step that refuses
+    the whole stack fails every trial of the block.  Returns
+    ``(rows, failures)`` per case.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
@@ -323,7 +347,7 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     for i, n0 in enumerate(n0_grid):
         errs, copies = [([], []) for _ in cases], [0] * len(cases)
         for start in range(0, trials, TRIAL_BLOCK):
-            block = [
+            block = DatasetStack.of(
                 simulate_dataset(
                     sc.ensemble, sc.truth_state, sc.truth_povm, n0,
                     seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
@@ -331,15 +355,20 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
                     ideal=sc.ideal,
                 )
                 for t in range(start, min(start + TRIAL_BLOCK, trials))
-            ]
+            )
             for c, (config, idx) in enumerate(cases):
-                subsets = block if idx is None else [ds.subset(idx) for ds in block]
-                copies[c] = subsets[0].total_copies
-                results = [r for r in _estimate_stack(sc, subsets, designs[c], config)
-                           if not isinstance(r, DegeneracyError)]
-                failures[c] += len(subsets) - len(results)
-                if results:
-                    for err, block_err in zip(errs[c], _mse_pair(sc, results)):
+                stack = block if idx is None else block.subset(idx)
+                copies[c] = stack.total_copies
+                try:
+                    est = _estimate_block(sc, stack, designs[c], config)
+                except DegeneracyError:
+                    failures[c] += len(stack)
+                    continue
+                failures[c] += int(est.refused.sum())
+                kept = ~est.refused
+                if kept.any():
+                    for err, block_err in zip(errs[c], _sq_errors(sc, est.rho_hat[kept],
+                                                                  est.povm_hat[kept])):
                         err.extend(block_err.tolist())
         for c in range(len(cases)):
             rows[c].append(_mse_row(copies[c], *errs[c]))

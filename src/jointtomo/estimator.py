@@ -1,10 +1,11 @@
 """Closed-form joint reconstruction of a state and a detector.
 
-The pipeline runs on a stack of T datasets at once; a single estimate is the
-stack T = 1.  It has four steps:
+The pipeline runs on a stack of T datasets at once (a ``DatasetStack``, read
+as arrays; the copy count, anchor and resolved stage-1 settings once per
+stack); a single estimate is the stack T = 1.  It has four steps:
 
 1. assemble regression targets from the measured frequencies and the
-   calibration estimates, one L x M matrix per dataset,
+   calibration estimates, one ``(T, L, M)`` expression for the stack,
 2. solve the linear system ``B z = Y`` by plain least squares, the
    Moore-Penrose inverse, or Tikhonov regularization.  B depends only on the
    probe processes, so its economy SVD ``B = U S V^dag`` is computed once per
@@ -21,7 +22,12 @@ stack T = 1.  It has four steps:
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
    with one stacked eigendecomposition for the T states and one for the
-   ``T M`` detector elements.
+   ``T M`` detector elements, and one stacked check of each.
+
+The result is a ``StackEstimates`` record of arrays: the ``(T, d, d)`` states,
+the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
+``EstimateResult`` objects are built only for callers that ask for one
+dataset's result (``estimate_joint_v1``/``v2`` and the list forms).
 
 Steps 2-4 are shared by two bases.  The coherence-vector version regresses
 background-subtracted targets for generalized-unital processes and fixes the
@@ -32,7 +38,8 @@ processes and fixes the scale by unit trace.
 A step that refuses some datasets of a stack says which (the ``refused``
 mask of its DegeneracyError); they leave the stack there, and the step runs
 again on the rest, so one degenerate dataset never costs the others their
-estimates.  A refused dataset is then estimated alone, which raises the
+estimates.  The stacked pass reports a refused dataset in its mask only; the
+list forms (``_estimate_stack_v1``/``v2``) estimate it alone, which raises the
 error the single-dataset estimators raise for it.
 """
 
@@ -43,7 +50,14 @@ import numpy as np
 from .basis import OperatorBasis
 from .channels import FactoredDesign, factor_design
 from .errors import DegeneracyError, TomographyError, ValidationError
-from .measurement import DensityMatrix, MeasurementDataset, Povm, frequency_matrix
+from .measurement import (
+    DatasetStack,
+    DensityMatrix,
+    MeasurementDataset,
+    Povm,
+    _new,
+    frequency_matrix,
+)
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
@@ -102,6 +116,42 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class StackEstimates:
+    """The estimates of a stack of T datasets, as arrays led by the dataset
+    axis.
+
+    ``rho_hat`` ``(T, d, d)`` and ``povm_hat`` ``(T, M, d, d)`` are checked
+    states and detectors, corrected from the rough ``rho_bar`` and
+    ``povm_bar``.  ``refused`` marks the datasets a step refused; their
+    entries are copies of a standing dataset's, placeholders that pass every
+    check.  ``diagnostics`` maps each name to one value the stack shares or
+    to an array with one entry per dataset.
+    """
+
+    rho_hat: np.ndarray
+    povm_hat: np.ndarray
+    rho_bar: np.ndarray
+    povm_bar: np.ndarray
+    refused: np.ndarray
+    diagnostics: dict
+
+    def results(self) -> list:
+        """Per dataset its EstimateResult, or None where a step refused it."""
+        d = self.rho_hat.shape[-1]
+        per_dataset = {k: v.tolist() for k, v in self.diagnostics.items()
+                       if isinstance(v, np.ndarray)}
+        return [
+            None if bad else EstimateResult(
+                rho_hat=_new(DensityMatrix, d=d, rho=self.rho_hat[k]),
+                povm_hat=_new(Povm, d=d, elements=self.povm_hat[k]),
+                rho_bar=self.rho_bar[k], povm_bar=self.povm_bar[k],
+                diagnostics={name: per_dataset[name][k] if name in per_dataset else value
+                             for name, value in self.diagnostics.items()})
+            for k, bad in enumerate(self.refused.tolist())
+        ]
+
+
 def _stage(name: str, fn, *args, **kwargs):
     """Run one pipeline stage, labeling any package error with its stage.
 
@@ -145,19 +195,21 @@ def _lanewise(name: str, refused: np.ndarray, inputs, fn, *args, **kwargs):
             refused |= grown
 
 
-def build_targets_v1(ds: MeasurementDataset, basis: OperatorBasis) -> np.ndarray:
+def build_targets_v1(ds, basis: OperatorBasis) -> np.ndarray:
     """Regression targets: frequencies minus the trace-component background.
 
     For trace-preserving processes the background is ``c_j0 / sqrt(d)``;
     otherwise the measured ``x_a0`` replaces the exact ``1/sqrt(d)``.
+    ``ds`` is a MeasurementDataset, whose targets are an L x M matrix, or a
+    DatasetStack, whose targets are one ``(T, L, M)`` expression.
     """
-    if ds.y_hat.shape[1] != len(ds.c_j0_hat):
+    if ds.y_hat.shape[-1] != ds.c_j0_hat.shape[-1]:
         raise ValidationError("dataset is missing detector trace estimates")
     if ds.anchor_index > basis.n_traceless:
         raise ValidationError(
             f"anchor index must be in 1..{basis.n_traceless}, got {ds.anchor_index}")
     x_a0 = np.where(ds.tp_flags, 1.0 / np.sqrt(basis.d), ds.x_a0_hat)
-    return ds.y_hat - np.outer(x_a0, ds.c_j0_hat)
+    return ds.y_hat - x_a0[..., :, None] * ds.c_j0_hat[..., None, :]
 
 
 def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
@@ -324,9 +376,18 @@ def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
     estimates is corrected with one stacked eigendecomposition and gives a
     list of T states, checked as states by one stacked pass
     (``DensityMatrix.stack``), not T constructor calls; it is refused if any
-    of its estimates is.
+    of its estimates is, and if any has a non-finite entry.
     """
-    rho_bar = np.asarray(rho_bar, dtype=complex)
+    rho = _nearest_states(np.asarray(rho_bar, dtype=complex), trace_tol)
+    d = rho.shape[-1]
+    return DensityMatrix(d, rho) if rho.ndim == 2 else DensityMatrix.stack(d, rho)
+
+
+def _nearest_states(rho_bar: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
+    """``correct_state``'s projection of finite, Hermitian, unit-trace
+    estimates ``(..., d, d)``, with its input checks but not the output's."""
+    if not np.isfinite(rho_bar).all():
+        raise ValidationError("state estimate has a non-finite entry")
     defect = np.linalg.norm(rho_bar - rho_bar.conj().swapaxes(-1, -2), axis=(-2, -1))
     if np.any(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(rho_bar, axis=(-2, -1)))):
         raise ValidationError("state estimate must be Hermitian before correction")
@@ -334,9 +395,7 @@ def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
     off = np.abs(tr - 1.0) > trace_tol
     if np.any(off):
         raise ValidationError(f"state estimate has trace {tr[off][0]:.6g}, expected 1")
-    rho = _nearest_density(rho_bar)
-    d = rho.shape[-1]
-    return DensityMatrix(d, rho) if rho.ndim == 2 else DensityMatrix.stack(d, rho)
+    return _nearest_density(rho_bar)
 
 
 def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
@@ -351,9 +410,21 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
     POVMs, checked as detectors by one stacked pass (``Povm.stack``), not T
     constructor calls, with one ``povm_epsilon`` per detector in ``info``;
     it is refused if any of its detectors is (the error's ``refused`` mask
-    says which).
+    says which), and if any has a non-finite entry.
     """
-    elements = np.asarray(elements, dtype=complex)
+    out, eps_used = _nearest_povms(np.asarray(elements, dtype=complex), eps_scale)
+    if info is not None:
+        info["povm_epsilon"] = eps_used if eps_used.ndim else float(eps_used)
+    d = out.shape[-1]
+    return Povm(d, out) if out.ndim == 3 else Povm.stack(d, out)
+
+
+def _nearest_povms(elements: np.ndarray, eps_scale: float = 1e-8) -> tuple:
+    """``correct_povm``'s map of finite detector estimates ``(..., M, d, d)``,
+    without the output's check: the elements and the epsilon added per
+    detector."""
+    if not np.isfinite(elements).all():
+        raise ValidationError("detector estimate has a non-finite entry")
     d = elements.shape[-1]
     eye = np.eye(d)
     clipped = _clip_negative(elements)
@@ -372,47 +443,46 @@ def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
     if np.any(singular):
         raise DegeneracyError("element sum is singular beyond the epsilon repair",
                               refused=singular)
-    if info is not None:
-        info["povm_epsilon"] = eps_used if eps_used.ndim else float(eps_used)
-    return Povm(d, out) if out.ndim == 3 else Povm.stack(d, out)
+    return out, eps_used
 
 
-def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics,
-               refused: np.ndarray = None) -> list:
-    """Correct a stack of rough pairs onto the physical sets and package them.
+def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
+    """A stack ``(T, d, d)`` of rough states corrected and checked as states."""
+    return DensityMatrix.checked(rho_bar.shape[-1], _nearest_states(rho_bar))
 
-    ``rho_bar`` is ``(T, d, d)``, ``povm_bar`` is ``(T, M, d, d)`` and
-    ``diagnostics`` holds one dict per pair, which its result extends by the
-    correction distances and the POVM epsilon repair.  ``refused`` marks the
-    pairs refused before (none if omitted) and gains those refused here;
-    their results are None.  The correction distances are two stacked norms.
+
+def _physical_povms(povm_bar: np.ndarray) -> tuple:
+    """A stack ``(T, M, d, d)`` of rough detectors corrected and checked as
+    detectors, with the epsilon repair of each."""
+    out, eps_used = _nearest_povms(povm_bar)
+    return Povm.checked(out.shape[-1], out), eps_used
+
+
+def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
+               refused: np.ndarray = None) -> StackEstimates:
+    """Correct a stack of rough pairs onto the physical sets.
+
+    ``rho_bar`` is ``(T, d, d)`` and ``povm_bar`` is ``(T, M, d, d)``;
+    ``refused`` marks the pairs refused before (none if omitted) and gains
+    those refused here.  ``diagnostics`` (see ``StackEstimates``) gains the
+    correction distances (two stacked norms) and the POVM epsilon repair,
+    one per pair.
     """
     t = len(rho_bar)
     if refused is None:
         refused = np.zeros(t, dtype=bool)
-    info = {}
-    states = _stage("correct", correct_state, rho_bar)
-    povms = _lanewise("correct", refused, [povm_bar], correct_povm, povm_bar, info=info)
-    moved_state = np.linalg.norm(
-        (np.stack([s.rho for s in states]) - rho_bar).reshape(t, -1), axis=1)
-    moved_povm = np.linalg.norm(
-        (np.stack([p.elements for p in povms]) - povm_bar).reshape(t, -1), axis=1)
-    return [
-        None if bad else EstimateResult(
-            rho_hat=state, povm_hat=povm, rho_bar=rb, povm_bar=pb, diagnostics={
-                **diag,
-                "state_correction_distance": float(ds),
-                "povm_correction_distance": float(dp),
-                "povm_epsilon": float(eps),
-            })
-        for state, povm, rb, pb, diag, ds, dp, eps, bad
-        in zip(states, povms, rho_bar, povm_bar, diagnostics, moved_state, moved_povm,
-               info["povm_epsilon"], refused)
-    ]
+    rho = _stage("correct", _physical_states, rho_bar)
+    povm, eps = _lanewise("correct", refused, [povm_bar], _physical_povms, povm_bar)
+    return StackEstimates(rho, povm, rho_bar, povm_bar, refused, {
+        **diagnostics,
+        "state_correction_distance": np.linalg.norm((rho - rho_bar).reshape(t, -1), axis=1),
+        "povm_correction_distance": np.linalg.norm((povm - povm_bar).reshape(t, -1), axis=1),
+        "povm_epsilon": eps,
+    })
 
 
 def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int,
-                 rescale, assemble, lane_inputs=()) -> list:
+                 rescale, assemble, lane_inputs=()) -> StackEstimates:
     """The pipeline shared by both bases, after the targets are formed.
 
     ``y`` stacks the ``(L, M)`` targets of T datasets as ``(T, L, M)``.
@@ -425,9 +495,10 @@ def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, si
     and ``assemble(states, detector candidates)`` returns the rough matrices
     ``(rho_bar, povm_bar)`` of the T datasets from their mean states.
     ``lane_inputs`` are the per-dataset arrays (led by the dataset axis)
-    that ``rescale`` reads besides the factorizations.
-    Returns per dataset its result, or None where a step refused it (see
-    ``_lanewise``); a step that refuses every dataset raises its
+    that ``rescale`` reads besides the factorizations; refused datasets'
+    entries are overwritten in them.
+    Returns the stack's estimates, with the datasets a step refused marked
+    (see ``_lanewise``); a step that refuses every dataset raises its
     stage-labelled error.
     """
     t, l, m = y.shape
@@ -443,26 +514,16 @@ def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, si
     rho_bar, povm_bar = _lanewise("scale", refused, [mean], assemble, mean, detectors)
 
     spread = np.linalg.norm((candidates - mean[:, None]).reshape(t, m, -1), axis=-1).max(axis=1)
-    diagnostics = [{
+    return _corrected(rho_bar, povm_bar, {
         "method": config.method,
         "reg_scale": config.reg_scale,
         "rank_b": design.rank,
-        "stage1_residuals": residuals[k].tolist(),
-        "kron_residuals": facs.residual[k].tolist(),
-        "kron_ties": facs.degenerate_tie[k].tolist(),
-        "anchor_values": anchors[k].tolist(),
-        "state_candidate_spread": float(spread[k]) if m > 1 else 0.0,
-    } for k in range(t)]
-    return _corrected(rho_bar, povm_bar, diagnostics, refused)
-
-
-def _shared(values, what: str):
-    """The one value that every dataset of a stack has; a stack that mixes
-    values is refused."""
-    values = set(values)
-    if len(values) != 1:
-        raise ValidationError(f"the datasets of one stack must share their {what}")
-    return values.pop()
+        "stage1_residuals": residuals,
+        "kron_residuals": facs.residual,
+        "kron_ties": facs.degenerate_tie,
+        "anchor_values": anchors,
+        "state_candidate_spread": spread if m > 1 else np.zeros(t),
+    }, refused)
 
 
 def _per_dataset(run, one, datasets) -> list:
@@ -490,19 +551,18 @@ def _per_dataset(run, one, datasets) -> list:
     return out
 
 
-def _estimates_v1(datasets, b, basis: OperatorBasis, config: Stage1Config) -> list:
-    """Coherence-vector reconstruction of a stack of datasets that share
-    their shape, anchor index and resolved stage-1 settings."""
+def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
+                  config: Stage1Config) -> StackEstimates:
+    """Coherence-vector reconstruction of a stack of datasets."""
     n = basis.n_traceless
     design = _stage("stage1", factor_design, b)
-    shape = _shared((ds.y_hat.shape for ds in datasets), "frequency shape")
-    if design.shape != (shape[0], n * n):
-        raise ValidationError(
-            f"regression matrix must be {shape[0]}x{n * n}, got {design.shape}")
-    config = _shared((config.resolved(ds.total_copies) for ds in datasets), "copy count")
-    anchor = _shared((ds.anchor_index for ds in datasets), "anchor index") - 1
-    x01_bar = np.array([[ds.x01_bar] for ds in datasets])
-    c0 = np.array([ds.c_j0_hat for ds in datasets])
+    l = stack.n_processes
+    if design.shape != (l, n * n):
+        raise ValidationError(f"regression matrix must be {l}x{n * n}, got {design.shape}")
+    config = config.resolved(stack.total_copies)
+    anchor = stack.anchor_index - 1
+    x01_bar = stack.x01_bar[:, None].copy()  # a refused dataset's entry is overwritten
+    c0 = stack.c_j0_hat
 
     def rescale(facs):
         x_bar, c_bar = fix_scale_v1(facs, x01_bar, anchor=anchor)
@@ -515,7 +575,7 @@ def _estimates_v1(datasets, b, basis: OperatorBasis, config: Stage1Config) -> li
                                 basis.omegas, 1)
         return rho_bar, povm_bar
 
-    y = np.stack([_stage("targets", build_targets_v1, ds, basis) for ds in datasets])
+    y = _stage("targets", build_targets_v1, stack, basis)
     return _reconstruct(y, design, config, n, rescale, assemble, [x01_bar])
 
 
@@ -533,7 +593,7 @@ def estimate_joint_v1(
     Each outcome's scale is fixed by the measured anchor coordinate; its
     anchor value is that coordinate of the unscaled state factor.
     """
-    (result,) = _estimates_v1([ds], b, basis, config)
+    (result,) = _estimates_v1(ds.as_stack(), b, basis, config).results()
     return result
 
 
@@ -546,12 +606,13 @@ def _estimate_stack_v1(datasets, b, basis: OperatorBasis,
     The design is factored once for all of them.
     """
     design = _stage("stage1", factor_design, b)
-    return _per_dataset(lambda part: _estimates_v1(part, design, basis, config),
-                        lambda ds: estimate_joint_v1(ds, design, basis, config), datasets)
+    return _per_dataset(
+        lambda part: _estimates_v1(DatasetStack.of(part), design, basis, config).results(),
+        lambda ds: estimate_joint_v1(ds, design, basis, config), datasets)
 
 
 def _estimates_v2(y_hat: np.ndarray, b_natural, config: Stage1Config,
-                  total_copies: int) -> list:
+                  total_copies: int) -> StackEstimates:
     """Natural-basis reconstruction of a ``(T, L, M)`` stack of frequency
     matrices that share ``total_copies``."""
     design = _stage("stage1", factor_design, b_natural)
@@ -612,7 +673,7 @@ def estimate_joint_v2(
         total_copies = ds.total_copies
     else:
         y_hat = _stage("targets", frequency_matrix, ds)
-    (result,) = _estimates_v2(y_hat[None], b_natural, config, total_copies)
+    (result,) = _estimates_v2(y_hat[None], b_natural, config, total_copies).results()
     return result
 
 
@@ -626,9 +687,8 @@ def _estimate_stack_v2(datasets, b_natural, config: Stage1Config = Stage1Config(
     design = _stage("stage1", factor_design, b_natural)
 
     def run(part):
-        _shared((ds.y_hat.shape for ds in part), "frequency shape")
-        shared = _shared((config.resolved(ds.total_copies) for ds in part), "copy count")
-        return _estimates_v2(np.stack([ds.y_hat for ds in part]), design, shared, None)
+        stack = DatasetStack.of(part)
+        return _estimates_v2(stack.y_hat, design, config, stack.total_copies).results()
 
     return _per_dataset(run, lambda ds: estimate_joint_v2(ds, design, config), datasets)
 

@@ -21,13 +21,22 @@ protocol samples (the outcome rows of every process, the trace components
 and the scale observable's outcomes) are fixed by the ensemble and the truth:
 ``ideal_statistics`` checks them, pads them with the loss outcome and
 normalizes them into read-only tables, and each simulated trial only draws
-from those tables.  Shot counts must be whole numbers >= 1 (``shot_count``).
-States and detectors are checked by one stacked pass over a ``(T, d, d)`` or
-``(T, M, d, d)`` stack (``DensityMatrix.stack``, ``Povm.stack``), of which
-the constructors are the case T = 1; a failing stack raises the message the
-constructor raises for its first failing member.
+from those tables, so its dataset is valid as drawn and is not checked
+again.  Shot counts must be whole numbers >= 1 (``shot_count``).
+
+Datasets, states and detectors are each checked by one stacked pass, of
+which the constructors are the case T = 1, and a failing stack raises the
+message the constructor raises for its first failing member.  T datasets of
+one protocol form one record, ``DatasetStack`` (``y_hat`` ``(T, L, M)``,
+``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)``, ``x01_bar`` ``(T,)``),
+checked once; a Monte-Carlo loop draws each trial from its own stream and
+gathers a block of trials into one record (``DatasetStack.of``).  A process
+subset is an index on the process axis.  States and detectors are checked
+over ``(T, d, d)`` and ``(T, M, d, d)`` stacks (``DensityMatrix.checked``,
+``Povm.checked``); a non-finite entry fails before any other test reads it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,17 +51,20 @@ PSD_TOL = 1e-10
 def _new(cls, **fields):
     """An instance of a frozen dataclass whose fields were checked already."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
 def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
     """The state check on a stack ``(T, d, d)``: the Hermitian parts of the T
     matrices, refused with the message ``DensityMatrix`` raises for the first
-    member that fails."""
+    member that fails.  A member with a non-finite entry fails first, and
+    the other tests read it as zeros, so it raises no warning."""
     if rho.ndim != 3 or rho.shape[1:] != (d, d):
         raise ValidationError(f"state must be {d}x{d}, got {rho.shape[1:]}")
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if not finite.all():
+        rho = np.where(finite[:, None, None], rho, 0.0)
     adjoint = rho.conj().swapaxes(-1, -2)
     skewed = (np.linalg.norm(rho - adjoint, axis=(-2, -1))
               > 1e-9 * np.maximum(1.0, np.linalg.norm(rho, axis=(-2, -1))))
@@ -60,9 +72,11 @@ def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
     negative = np.linalg.eigvalsh(rho)[:, 0] < -PSD_TOL
     tr = np.trace(rho, axis1=1, axis2=2).real
     off = np.abs(tr - 1.0) > PSD_TOL
-    bad = skewed | negative | off
+    bad = ~finite | skewed | negative | off
     if bad.any():
         t = bad.argmax()
+        if not finite[t]:
+            raise ValidationError("state has a non-finite entry")
         if skewed[t]:
             raise ValidationError("state is not Hermitian")
         if negative[t]:
@@ -74,18 +88,24 @@ def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
 def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
     """The detector check on a stack ``(T, M, d, d)``: the Hermitian parts of
     the T detectors' elements, refused with the message ``Povm`` raises for
-    the first member that fails."""
+    the first member that fails.  An element with a non-finite entry fails
+    first, and the other tests read it as zeros, so it raises no warning."""
     if elements.ndim != 4 or elements.shape[2:] != (d, d):
         raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
+    finite = np.isfinite(elements).all(axis=(-2, -1))
+    if not finite.all():
+        elements = np.where(finite[..., None, None], elements, 0.0)
     adjoint = elements.conj().swapaxes(-1, -2)
     skewed = (np.linalg.norm(elements - adjoint, axis=(-2, -1))
               > 1e-9 * np.maximum(1.0, np.linalg.norm(elements, axis=(-2, -1))))
     elements = (elements + adjoint) / 2.0
     negative = np.linalg.eigvalsh(elements)[..., 0] < -PSD_TOL
     incomplete = np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
-    bad = skewed.any(axis=1) | negative.any(axis=1) | incomplete
+    bad = (~finite).any(axis=1) | skewed.any(axis=1) | negative.any(axis=1) | incomplete
     if bad.any():
         t = bad.argmax()
+        if not finite[t].all():
+            raise ValidationError(f"element {finite[t].argmin()} has a non-finite entry")
         if skewed[t].any():
             raise ValidationError(f"element {skewed[t].argmax()} is not Hermitian")
         if negative[t].any():
@@ -107,15 +127,22 @@ class DensityMatrix:
         object.__setattr__(self, "rho", _checked_states(self.d, rho[None])[0])
 
     @classmethod
-    def stack(cls, d: int, rho) -> list:
-        """The T states of a stack ``(T, d, d)``, checked by one stacked pass
-        that applies the constructor's tests and tolerances to every member
-        and raises the constructor's message for the first that fails."""
+    def checked(cls, d: int, rho) -> np.ndarray:
+        """The Hermitian parts of a stack ``(T, d, d)`` of states, checked by
+        one stacked pass that applies the constructor's tests and tolerances
+        to every member and raises the constructor's message for the first
+        that fails."""
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 3:
             raise ValidationError(f"a stack of states must have shape (T, {d}, {d}), "
                                   f"got {rho.shape}")
-        return [_new(cls, d=d, rho=r) for r in _checked_states(d, rho)]
+        return _checked_states(d, rho)
+
+    @classmethod
+    def stack(cls, d: int, rho) -> list:
+        """The T states of a stack ``(T, d, d)``, checked as ``checked``
+        checks them."""
+        return [_new(cls, d=d, rho=r) for r in cls.checked(d, rho)]
 
 
 @dataclass(frozen=True)
@@ -130,15 +157,22 @@ class Povm:
         object.__setattr__(self, "elements", _checked_povms(self.d, elements[None])[0])
 
     @classmethod
-    def stack(cls, d: int, elements) -> list:
-        """The T detectors of a stack ``(T, M, d, d)``, checked by one stacked
-        pass that applies the constructor's tests and tolerances to every
-        member and raises the constructor's message for the first that fails."""
+    def checked(cls, d: int, elements) -> np.ndarray:
+        """The Hermitian parts of a stack ``(T, M, d, d)`` of detectors'
+        elements, checked by one stacked pass that applies the constructor's
+        tests and tolerances to every member and raises the constructor's
+        message for the first that fails."""
         elements = np.asarray(elements, dtype=complex)
         if elements.ndim != 4:
             raise ValidationError(f"a stack of detectors must have shape (T, M, {d}, {d}), "
                                   f"got {elements.shape}")
-        return [_new(cls, d=d, elements=e) for e in _checked_povms(d, elements)]
+        return _checked_povms(d, elements)
+
+    @classmethod
+    def stack(cls, d: int, elements) -> list:
+        """The T detectors of a stack ``(T, M, d, d)``, checked as
+        ``checked`` checks them."""
+        return [_new(cls, d=d, elements=e) for e in cls.checked(d, elements)]
 
     @property
     def m(self) -> int:
@@ -184,12 +218,15 @@ def shot_count(n0) -> int:
 def sampling_table(p) -> np.ndarray:
     """The probabilities one multinomial draw samples from, checked once.
 
-    ``p`` must be finite, non-negative (to 1e-12) and sum to at most 1 (to
-    1e-9) along its last axis.  The mass missing from ``sum(p) < 1`` becomes
-    a trailing loss outcome, and each row is normalized, so the table can be
-    passed to ``Generator.multinomial`` as it is, draw after draw.
+    ``p`` must be non-empty, finite, non-negative (to 1e-12) and sum to at
+    most 1 (to 1e-9) along its last axis.  The mass missing from
+    ``sum(p) < 1`` becomes a trailing loss outcome, and each row is
+    normalized, so the table can be passed to ``Generator.multinomial`` as
+    it is, draw after draw.
     """
     p = np.asarray(p, dtype=float)
+    if p.size == 0 or p.ndim == 0:
+        raise ValidationError(f"need at least one outcome to sample, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValidationError("probabilities must be finite")
     if p.min() < -1e-12:
@@ -229,21 +266,98 @@ def _check_frequencies(name: str, values: np.ndarray) -> None:
         raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
 
 
-def frequency_matrix(y_hat) -> np.ndarray:
-    """Measured frequencies as a float L x M matrix, refused unless every
-    entry is finite and non-negative and no row sums above 1."""
+def _frequency_stack(y_hat) -> np.ndarray:
+    """Measured frequencies as a float ``(T, L, M)`` stack of matrices,
+    refused unless every entry is finite and non-negative and no row sums
+    above 1."""
     y = np.asarray(y_hat, dtype=float)
-    if y.ndim != 2:
-        raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape}")
+    if y.ndim != 3:
+        raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape[1:]}")
     _check_frequencies("y_hat", y)
-    if (y.sum(axis=1) > 1.0 + 1e-9).any():
+    if (y.sum(axis=-1) > 1.0 + 1e-9).any():
         raise ValidationError("a frequency row sums above 1")
     return y
 
 
+def frequency_matrix(y_hat) -> np.ndarray:
+    """Measured frequencies as a float L x M matrix, refused unless every
+    entry is finite and non-negative and no row sums above 1."""
+    return _frequency_stack(np.asarray(y_hat)[None])[0]
+
+
+def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
+                      anchor_index) -> tuple:
+    """The dataset check on a stack of T datasets: ``y_hat`` ``(T, L, M)``,
+    ``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)`` and ``x01_bar`` ``(T,)``,
+    with the copy count, the processes' trace flags and the anchor index
+    they share.  Returns the fields as arrays and ints, refused with the
+    message ``MeasurementDataset`` raises."""
+    y = _frequency_stack(y_hat)
+    t, l, m = y.shape
+    x_a0 = np.asarray(x_a0_hat, dtype=float)
+    c_j0 = np.asarray(c_j0_hat, dtype=float)
+    x01 = np.asarray(x01_bar, dtype=float)
+    tp_flags = np.asarray(tp_flags, dtype=bool)
+    if x_a0.shape[:1] != (t,) or c_j0.shape[:1] != (t,) or x01.shape != (t,):
+        raise ValidationError(f"every field of a stack of {t} datasets needs {t} entries")
+    if x_a0.shape[1:] != (l,) or tp_flags.shape != (l,):
+        raise ValidationError(
+            f"per-process fields must have length L: need shape ({l},), got "
+            f"x_a0_hat {x_a0.shape[1:]} and tp_flags {tp_flags.shape}")
+    if c_j0.shape[1:] != (m,):
+        raise ValidationError(f"c_j0_hat must have length M: need shape ({m},), "
+                              f"got {c_j0.shape[1:]}")
+    _check_frequencies("x_a0_hat", x_a0)
+    _check_frequencies("c_j0_hat", c_j0)
+    if not np.isfinite(x01).all():
+        raise ValidationError(f"x01_bar must be finite, got {x01[~np.isfinite(x01)][0]}")
+    n0 = shot_count(n0)
+    anchor = _whole(anchor_index, "anchor index")
+    if anchor < 1:
+        raise ValidationError(f"anchor index must be >= 1, got {anchor_index}")
+    return y, x_a0, c_j0, x01, n0, tp_flags, anchor
+
+
+class _Datasets:
+    """What a dataset and a stack of datasets derive from their fields.
+
+    The process and outcome axes are the last two of ``y_hat``, so one
+    dataset is read like a stack of one.
+    """
+
+    @property
+    def n_processes(self) -> int:
+        return self.y_hat.shape[-2]
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.y_hat.shape[-1]
+
+    @property
+    def total_copies(self) -> int:
+        l = self.n_processes
+        factor = (2 * l + 2) if not self.tp_flags.all() else (l + 2)
+        return int(factor * self.n0)
+
+    def subset(self, indices):
+        """Restrict to a subset of processes (used for paired comparisons):
+        an index on the process axis.  Rows of checked data are not checked
+        again."""
+        idx = np.asarray(indices, dtype=int)
+        if idx.ndim != 1:
+            raise ValidationError(f"process indices must be a sequence, got shape {idx.shape}")
+        return _new(type(self), y_hat=self.y_hat[..., idx, :], x_a0_hat=self.x_a0_hat[..., idx],
+                    c_j0_hat=self.c_j0_hat, x01_bar=self.x01_bar, n0=self.n0,
+                    tp_flags=self.tp_flags[idx], anchor_index=self.anchor_index,
+                    exact=self.exact)
+
+
 @dataclass(frozen=True)
-class MeasurementDataset:
-    """Frequencies and calibration estimates from one experiment run."""
+class MeasurementDataset(_Datasets):
+    """Frequencies and calibration estimates from one experiment run.
+
+    Its check is the stack check (``DatasetStack``) on a stack of one.
+    """
 
     y_hat: np.ndarray
     x_a0_hat: np.ndarray
@@ -255,57 +369,76 @@ class MeasurementDataset:
     exact: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        y = frequency_matrix(self.y_hat)
-        l, m = y.shape
-        x_a0 = np.asarray(self.x_a0_hat, dtype=float)
-        c_j0 = np.asarray(self.c_j0_hat, dtype=float)
-        tp_flags = np.asarray(self.tp_flags, dtype=bool)
-        if x_a0.shape != (l,) or tp_flags.shape != (l,):
-            raise ValidationError(
-                f"per-process fields must have length L: need shape ({l},), got "
-                f"x_a0_hat {x_a0.shape} and tp_flags {tp_flags.shape}")
-        if c_j0.shape != (m,):
-            raise ValidationError(f"c_j0_hat must have length M: need shape ({m},), "
-                                  f"got {c_j0.shape}")
-        _check_frequencies("x_a0_hat", x_a0)
-        _check_frequencies("c_j0_hat", c_j0)
-        if not np.isfinite(self.x01_bar):
-            raise ValidationError(f"x01_bar must be finite, got {self.x01_bar}")
-        n0 = shot_count(self.n0)
-        anchor = _whole(self.anchor_index, "anchor index")
-        if anchor < 1:
-            raise ValidationError(f"anchor index must be >= 1, got {self.anchor_index}")
-        for name, value in (("y_hat", y), ("x_a0_hat", x_a0), ("c_j0_hat", c_j0),
-                            ("tp_flags", tp_flags), ("n0", n0),
-                            ("anchor_index", anchor)):
+        y, x_a0, c_j0, _, n0, tp_flags, anchor = _checked_datasets(
+            np.asarray(self.y_hat)[None], np.asarray(self.x_a0_hat)[None],
+            np.asarray(self.c_j0_hat)[None], [self.x01_bar], self.n0, self.tp_flags,
+            self.anchor_index)
+        for name, value in (("y_hat", y[0]), ("x_a0_hat", x_a0[0]), ("c_j0_hat", c_j0[0]),
+                            ("tp_flags", tp_flags), ("n0", n0), ("anchor_index", anchor)):
             object.__setattr__(self, name, value)
 
-    @property
-    def n_processes(self) -> int:
-        return self.y_hat.shape[0]
+    def as_stack(self) -> "DatasetStack":
+        """This dataset as a stack of one, made of views of its arrays and
+        not checked again."""
+        return _new(DatasetStack, y_hat=self.y_hat[None], x_a0_hat=self.x_a0_hat[None],
+                    c_j0_hat=self.c_j0_hat[None], x01_bar=np.array([float(self.x01_bar)]),
+                    n0=self.n0, tp_flags=self.tp_flags, anchor_index=self.anchor_index,
+                    exact=self.exact)
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.y_hat.shape[1]
 
-    @property
-    def total_copies(self) -> int:
-        l = self.n_processes
-        factor = (2 * l + 2) if not self.tp_flags.all() else (l + 2)
-        return int(factor * self.n0)
+@dataclass(frozen=True)
+class DatasetStack(_Datasets):
+    """T datasets of one protocol as one record: ``y_hat`` ``(T, L, M)``,
+    ``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)`` and ``x01_bar`` ``(T,)``,
+    with the copy count, trace flags and anchor index they share.
 
-    def subset(self, indices) -> "MeasurementDataset":
-        """Restrict to a subset of processes (used for paired comparisons)."""
-        idx = np.asarray(indices, dtype=int)
-        return MeasurementDataset(
-            y_hat=self.y_hat[idx],
-            x_a0_hat=self.x_a0_hat[idx],
-            c_j0_hat=self.c_j0_hat,
-            x01_bar=self.x01_bar,
-            n0=self.n0,
-            tp_flags=self.tp_flags[idx],
-            anchor_index=self.anchor_index,
-            exact=self.exact,
+    It is checked by one stacked pass that applies ``MeasurementDataset``'s
+    tests, tolerances and messages to every member.
+    """
+
+    y_hat: np.ndarray
+    x_a0_hat: np.ndarray
+    c_j0_hat: np.ndarray
+    x01_bar: np.ndarray
+    n0: int
+    tp_flags: np.ndarray
+    anchor_index: int = 1
+    exact: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        checked = _checked_datasets(self.y_hat, self.x_a0_hat, self.c_j0_hat, self.x01_bar,
+                                    self.n0, self.tp_flags, self.anchor_index)
+        for name, value in zip(("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar", "n0", "tp_flags",
+                                "anchor_index"), checked):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.y_hat)
+
+    @classmethod
+    def of(cls, datasets) -> "DatasetStack":
+        """The stack of MeasurementDatasets that share their shape, copy
+        count, trace flags and anchor index, checked once; a list that mixes
+        them is refused."""
+        datasets = list(datasets)
+        if not datasets:
+            raise ValidationError("a stack needs at least one dataset")
+        first = datasets[0]
+        for what, same in (
+                ("frequency shape", lambda ds: ds.y_hat.shape == first.y_hat.shape),
+                ("copy count", lambda ds: ds.n0 == first.n0),
+                ("anchor index", lambda ds: ds.anchor_index == first.anchor_index),
+                ("trace flags", lambda ds: (ds.tp_flags is first.tp_flags
+                                            or np.array_equal(ds.tp_flags, first.tp_flags)))):
+            if not all(map(same, datasets)):
+                raise ValidationError(f"the datasets of one stack must share their {what}")
+        return cls(
+            y_hat=np.stack([ds.y_hat for ds in datasets]),
+            x_a0_hat=np.stack([ds.x_a0_hat for ds in datasets]),
+            c_j0_hat=np.stack([ds.c_j0_hat for ds in datasets]),
+            x01_bar=np.array([ds.x01_bar for ds in datasets], dtype=float),
+            n0=first.n0, tp_flags=first.tp_flags, anchor_index=first.anchor_index,
+            exact=all(ds.exact for ds in datasets),
         )
 
 
@@ -409,7 +542,8 @@ def simulate_dataset(
     ``ideal_statistics`` of these same inputs, computed once for many calls;
     without it they are computed here.  Either way the draws are the same:
     one multinomial per table of ``ideal``, whose probabilities were checked
-    when it was made, and a binomial for the lossy processes' survival.
+    when it was made, and a binomial for the lossy processes' survival.  So
+    the dataset is valid as drawn, and it is not checked again.
     """
     if ideal is None:
         ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
@@ -420,7 +554,7 @@ def simulate_dataset(
         _check_basis(basis, ens.d)
     n0 = shot_count(n0)
     rng = np.random.default_rng(seed)
-    sqd = np.sqrt(ens.d)
+    sqd = math.sqrt(ens.d)
 
     # One draw per process row, then the lossy processes' survival counts.
     y_hat = ideal.probabilities.copy() if exact else _draw(ideal.outcome_table, n0, rng)
@@ -438,16 +572,9 @@ def simulate_dataset(
     weights = ideal.scale_probabilities if exact else _draw(ideal.scale_table, n0, rng)
     x01 = float(np.dot(ideal.scale_eigenvalues, weights))
 
-    return MeasurementDataset(
-        y_hat=y_hat,
-        x_a0_hat=x_a0,
-        c_j0_hat=c_j0,
-        x01_bar=x01,
-        n0=n0,
-        tp_flags=ens.tp_flags,
-        anchor_index=ideal.anchor_index,
-        exact=exact,
-    )
+    # Drawn from checked tables, the dataset is valid as it is: not checked again.
+    return _new(MeasurementDataset, y_hat=y_hat, x_a0_hat=x_a0, c_j0_hat=c_j0, x01_bar=x01,
+                n0=n0, tp_flags=ens.tp_flags, anchor_index=ideal.anchor_index, exact=exact)
 
 
 def random_density_matrix(d: int, rng) -> DensityMatrix:

@@ -155,12 +155,12 @@ def refine_alternating(
     povm_bar = np.stack([
         coords_to_povm_element(PovmCoordinates(c0s[j], c[:, j]), basis) for j in range(m)
     ])
-    (result,) = _corrected(rho_bar[None], povm_bar[None], [{
+    (result,) = _corrected(rho_bar[None], povm_bar[None], {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
         "stop_reason": stop_reason,
         "initial_objective": trajectory[0],
         "final_objective": obj,
-    }])
+    }).results()
     return result
 

@@ -354,3 +354,83 @@ def test_stacked_comparison_matches_a_per_trial_loop(monkeypatch):
     for label, config, indices in configs:
         _assert_table_matches(tables[label],
                               _reference_table(sc, [1000, 100000], 10, 8, config, indices))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_block_draws_are_the_single_dataset_draws(monkeypatch, name):
+    from jointtomo.measurement import MeasurementDataset
+    monkeypatch.setattr(bench, "TRIAL_BLOCK", 4)  # blocks of 4 and 2 trials
+    sc = preset(name)
+    drawn = []
+    estimate = bench._estimate_block
+    monkeypatch.setattr(bench, "_estimate_block",
+                        lambda sc, stack, *args: drawn.append(stack) or estimate(sc, stack, *args))
+    grid = [1000, 100000]
+    for exact in (False, True):
+        drawn.clear()
+        run_mse_experiment(sc, grid, trials=6, seed=9, exact=exact)
+        assert [len(stack) for stack in drawn] == [4, 2, 4, 2]
+        lossy = ~sc.ensemble.tp_flags
+        if lossy.any() and not exact:  # the lossy processes' survival draws vary
+            assert np.ptp(drawn[0].x_a0_hat[:, lossy], axis=0).min() > 0
+        blocks = iter(drawn)
+        for i, n0 in enumerate(grid):
+            for start in (0, 4):
+                stack = next(blocks)
+                assert (stack.n0, stack.anchor_index, stack.exact) == (n0, sc.anchor_index, exact)
+                np.testing.assert_array_equal(stack.tp_flags, sc.ensemble.tp_flags)
+                for k, t in enumerate(range(start, start + len(stack))):
+                    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                          seed=np.random.SeedSequence([sc.seed, 9, i, t]),
+                                          scale_observable=sc.anchor_index, exact=exact,
+                                          basis=sc.basis)
+                    assert isinstance(ds, MeasurementDataset)
+                    for field in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar"):
+                        np.testing.assert_array_equal(getattr(stack, field)[k],
+                                                      getattr(ds, field))
+
+
+def _count_calls(monkeypatch, owner, name, counts) -> None:
+    """Count the calls of ``owner.name`` under ``name`` in ``counts``."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("name", ["one_qubit_closed_complete", "one_qubit_random_pure"])
+def test_trial_loop_makes_no_per_trial_objects(monkeypatch, name):
+    from jointtomo import estimator, measurement
+    from jointtomo.measurement import MeasurementDataset
+    monkeypatch.setattr(bench, "TRIAL_BLOCK", 4)  # blocks of 4, 4 and 2 trials
+    sc = preset(name)
+    subset = list(range(0, len(sc.ensemble), 2))
+    configs = [("full", Stage1Config("mp_inverse"), None),
+               ("subset", Stage1Config("mp_inverse"), subset)]
+    # two shots per setting leave some trials degenerate, each one failure
+    reference = _reference_table(sc, [2, 1000], 10, 7, sc.stage1)
+    references = {label: _reference_table(sc, [2, 1000], 10, 8, config, indices)
+                  for label, config, indices in configs}
+    counts = {}
+    for owner, attr in ((MeasurementDataset, "__post_init__"), (MeasurementDataset, "subset"),
+                        (MeasurementDataset, "as_stack"), (estimator, "estimate_joint_v1"),
+                        (estimator, "estimate_joint_v2"), (measurement, "_checked_datasets"),
+                        (estimator, "_reconstruct")):
+        _count_calls(monkeypatch, owner, attr, counts)
+
+    table = run_mse_experiment(sc, [2, 1000], trials=10, seed=7)
+    # one dataset check and one reconstruction per block of trials: no dataset
+    # is built, checked or estimated on its own, and none is estimated twice
+    assert counts == {"_checked_datasets": 6, "_reconstruct": 6}
+    _assert_table_matches(table, reference)
+    if name == "one_qubit_closed_complete":
+        assert table.failures > 0
+
+    counts.clear()
+    tables = run_method_comparison(sc, [2, 1000], trials=10, configs=configs, seed=8)
+    assert counts == {"_checked_datasets": 6, "_reconstruct": 12}  # one per block and case
+    for label, _, _ in configs:
+        _assert_table_matches(tables[label], references[label])

@@ -256,6 +256,22 @@ def test_correct_povm_cases():
     assert info["povm_epsilon"] == 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_corrections_refuse_non_finite_estimates(value):
+    rho = np.full((2, 2), value)
+    elements = np.full((2, 2, 2), value)
+    stack = np.stack([np.stack([KET0, np.eye(2) - KET0]), elements])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: correct_state(rho), lambda: correct_state(np.stack([KET0, rho]))):
+            with pytest.raises(ValidationError, match="^state estimate has a non-finite entry$"):
+                call()
+        for call in (lambda: correct_povm(elements), lambda: correct_povm(stack)):
+            with pytest.raises(ValidationError,
+                               match="^detector estimate has a non-finite entry$"):
+                call()
+
+
 def test_estimate_v1_exact_recovery():
     sc = preset("one_qubit_closed_complete")
     reg = build_regression_matrices(sc.ensemble, sc.basis)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.measurement import sampling_table
+from jointtomo.measurement import DatasetStack, sampling_table
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -427,6 +429,10 @@ def _valid_povms(rng, t, m, d):
 
 def _corrupt_state(rho, kind):
     d = len(rho)
+    if kind == "nonfinite":
+        out = rho.copy()
+        out[0, d - 1] = np.nan
+        return out
     if kind == "skew":
         return rho + 0.1 * (np.eye(d, k=1) - np.eye(d, k=-1))
     if kind == "negative":
@@ -441,7 +447,9 @@ def _corrupt_povm(elements, kind, j):
     out = elements.copy()
     m, d = elements.shape[:2]
     other = (j + 1) % m
-    if kind == "skew":
+    if kind == "nonfinite":
+        out[j, 0, 0] = np.inf
+    elif kind == "skew":
         out[j] = out[j] + 0.1 * (np.eye(d, k=1) - np.eye(d, k=-1))
     elif kind == "negative":
         shift = np.linalg.eigvalsh(out[j])[0] + 0.2
@@ -452,12 +460,19 @@ def _corrupt_povm(elements, kind, j):
     return out
 
 
+def _nonfinite_last(corruption) -> bool:
+    """Sort key: a non-finite entry goes in after the other corruptions, so
+    that no corruption computes with it."""
+    return corruption[1] == "nonfinite"
+
+
 _STACK_CASES = st.tuples(
     st.integers(0, 2 ** 32 - 1),  # seed
     st.integers(1, 5),  # T
     st.integers(2, 3),  # d
     st.integers(2, 4),  # M
-    st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["skew", "negative", "trace"]),
+    st.lists(st.tuples(st.integers(0, 4),
+                       st.sampled_from(["skew", "negative", "trace", "nonfinite"]),
                        st.integers(0, 3)), max_size=2),  # (member, corruption, element)
 )
 
@@ -465,9 +480,10 @@ _STACK_CASES = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(_STACK_CASES)
 def test_stacked_state_check_is_the_constructor_on_every_member(case):
+    warnings.simplefilter("error", RuntimeWarning)  # a non-finite member warns nowhere
     seed, t, d, _, corruptions = case
     rho = _valid_states(np.random.default_rng(seed), t, d)
-    for k, kind, _ in corruptions:
+    for k, kind, _ in sorted(corruptions, key=_nonfinite_last):
         rho[k % t] = _corrupt_state(rho[k % t], kind)
     messages = [_stack_error(lambda d, r: DensityMatrix(d, r), d, r) for r in rho]
     failing = [msg for msg in messages if msg is not None]
@@ -485,9 +501,10 @@ def test_stacked_state_check_is_the_constructor_on_every_member(case):
 @settings(max_examples=60, deadline=None)
 @given(_STACK_CASES)
 def test_stacked_povm_check_is_the_constructor_on_every_member(case):
+    warnings.simplefilter("error", RuntimeWarning)  # a non-finite member warns nowhere
     seed, t, d, m, corruptions = case
     elements = _valid_povms(np.random.default_rng(seed), t, m, d)
-    for k, kind, j in corruptions:
+    for k, kind, j in sorted(corruptions, key=_nonfinite_last):
         elements[k % t] = _corrupt_povm(elements[k % t], kind, j % m)
     messages = [_stack_error(lambda d, e: Povm(d, e), d, e) for e in elements]
     failing = [msg for msg in messages if msg is not None]
@@ -528,3 +545,121 @@ def test_stacked_checks_name_the_first_failing_member():
     with pytest.raises(ValidationError, match="stack of detectors"):
         Povm.stack(2, elements[0])
     assert DensityMatrix.stack(2, np.zeros((0, 2, 2))) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_states_and_detectors_refuse_non_finite_entries(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="^state has a non-finite entry$"):
+            DensityMatrix(2, np.full((2, 2), value))
+        with pytest.raises(ValidationError, match="^element 0 has a non-finite entry$"):
+            Povm(2, np.full((2, 2, 2), value))
+        rho = np.eye(2, dtype=complex) / 2
+        rho[1, 0] = value
+        with pytest.raises(ValidationError, match="^state has a non-finite entry$"):
+            DensityMatrix(2, rho)
+        elements = np.stack([KET0, KET1.copy()])
+        elements[1, 1, 1] = value
+        with pytest.raises(ValidationError, match="^element 1 has a non-finite entry$"):
+            Povm(2, elements)
+        # a non-finite member after a failing one: the first failing member is named
+        stack = np.stack([np.diag([0.6, 0.6]), np.full((2, 2), value)])
+        with pytest.raises(ValidationError, match="^state trace is 1.2, not 1$"):
+            DensityMatrix.stack(2, stack)
+        with pytest.raises(ValidationError, match="^state has a non-finite entry$"):
+            DensityMatrix.stack(2, stack[::-1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_frequencies([], 10, 0),
+    lambda: sampling_table(np.zeros((3, 0))),
+    lambda: sampling_table(np.zeros((0, 3))),
+    lambda: sampling_table(0.5),
+], ids=["sample-empty", "table-no-outcomes", "table-no-rows", "table-scalar"])
+def test_sampling_refuses_an_empty_probability_array(call):
+    with pytest.raises(ValidationError, match="need at least one outcome"):
+        call()
+
+
+def _dataset_error(build, **fields):
+    """The message ``build(**fields)`` raises, or None."""
+    try:
+        build(**fields)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field,value", [
+    ("y_hat", np.nan), ("y_hat", np.inf), ("y_hat", -0.3), ("y_hat", 0.9),
+    ("x_a0_hat", np.nan), ("x_a0_hat", -0.1),
+    ("c_j0_hat", np.inf), ("c_j0_hat", -0.2),
+    ("x01_bar", np.nan), ("x01_bar", -np.inf),
+    ("x_a0_hat", "column"), ("tp_flags", "column"), ("c_j0_hat", "column"),
+    ("n0", 0), ("n0", 2.5), ("anchor_index", 0), ("anchor_index", 1.5),
+])
+def test_stack_check_is_the_dataset_check_on_every_member(field, value):
+    """A stack of three datasets whose middle one is bad (or, for a shape
+    or a shared field, all of them) raises what that dataset raises."""
+    bad = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in _GOOD_DATASET.items()}
+    if field in ("n0", "anchor_index", "x01_bar"):
+        bad[field] = value
+    elif isinstance(value, str):
+        bad[field] = bad[field][:, None]
+    else:
+        bad[field].flat[0] = value
+    message = _dataset_error(MeasurementDataset, **bad)
+    assert message is not None
+    members = [bad] * 3 if isinstance(value, str) else [_GOOD_DATASET, bad, _GOOD_DATASET]
+    per_dataset = ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar")
+    stacked = {k: np.stack([np.asarray(m[k]) for m in members]) for k in per_dataset}
+    shared = {k: bad[k] for k in ("n0", "tp_flags", "anchor_index") if k in bad}
+    assert _dataset_error(DatasetStack, **stacked, **shared) == message
+    stack = DatasetStack.of([MeasurementDataset(**_GOOD_DATASET)] * 2)
+    for name in per_dataset:
+        np.testing.assert_array_equal(getattr(stack, name),
+                                      np.stack([np.asarray(_GOOD_DATASET[name])] * 2))
+
+
+def test_a_stack_refuses_datasets_of_different_protocols():
+    good = MeasurementDataset(**_GOOD_DATASET)
+    for change, what in ((dict(n0=20), "copy count"), (dict(anchor_index=2), "anchor index"),
+                         (dict(tp_flags=np.array([True, False])), "trace flags"),
+                         (dict(y_hat=good.y_hat[:1], x_a0_hat=good.x_a0_hat[:1],
+                               tp_flags=good.tp_flags[:1]), "frequency shape")):
+        other = MeasurementDataset(**{**_GOOD_DATASET, **change})
+        with pytest.raises(ValidationError, match=f"share their {what}"):
+            DatasetStack.of([good, other])
+    with pytest.raises(ValidationError, match="at least one dataset"):
+        DatasetStack.of([])
+    with pytest.raises(ValidationError, match="needs 2 entries"):
+        DatasetStack(y_hat=np.stack([good.y_hat] * 2), x_a0_hat=good.x_a0_hat[None],
+                     c_j0_hat=np.stack([good.c_j0_hat] * 2), x01_bar=[0.1, 0.1], n0=10,
+                     tp_flags=good.tp_flags)
+
+
+def test_a_subset_and_a_single_stack_are_views_that_are_not_checked_again(monkeypatch):
+    from jointtomo import measurement
+    sc = preset("one_qubit_random_pure")  # lossy: a subset keeps the trace flags aligned
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=t,
+                                 basis=sc.basis, ideal=sc.ideal) for t in range(3)]
+    stack = DatasetStack.of(datasets)
+    checks = []
+    original = measurement._checked_datasets
+    monkeypatch.setattr(measurement, "_checked_datasets",
+                        lambda *args: checks.append(args) or original(*args))
+    idx = [4, 0, 9]
+    sub = stack.subset(idx)
+    for k, ds in enumerate(datasets):
+        alone = ds.subset(idx)
+        for name in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar"):
+            np.testing.assert_array_equal(getattr(sub, name)[k], getattr(alone, name))
+        assert np.array_equal(alone.tp_flags, sub.tp_flags)
+        assert alone.total_copies == sub.total_copies == (2 * 3 + 2) * 100
+        one = ds.as_stack()
+        assert len(one) == 1 and np.shares_memory(one.y_hat, ds.y_hat)
+        assert one.total_copies == ds.total_copies and one.x01_bar[0] == ds.x01_bar
+    assert checks == []
+    with pytest.raises(ValidationError, match="process indices"):
+        stack.subset([[0, 1]])

@@ -164,7 +164,8 @@ def _cmd_refine(args) -> int:
         diag = result.diagnostics
         tr = diag["objective_trajectory"]
         print(f"objective {tr[0]:.6e} -> {tr[-1]:.6e} in {diag['sweeps_accepted']} accepted "
-              f"sweeps (stopped: {diag['stop_reason']}); wrote {args.out}")
+              f"sweeps (stopped: {diag['stop_reason']}); corrected objective "
+              f"{diag['corrected_objective']:.6e}; wrote {args.out}")
     return 0
 
 

@@ -10,22 +10,27 @@ detector element's coordinates per column of ``C``.  Under completeness,
 least-squares solve on the centred targets for all outcomes.  The state
 block stacks ``B3 . c_j`` over the outcomes with one matrix product.
 
+Both blocks are solved from their n x n normal equations, ``G^T G`` for the
+detector and ``A^T A`` of the stacked state matrix ``A`` (the free rows and
+columns, the pinned anchor moved to the right-hand side), by one eigen-solve
+each: the tall design itself is never factored.  The minimum-norm solution
+keeps the eigenvalues above ``max(rows, n) eps lam_max``.  In singular-value
+terms that drops every direction whose singular value lies below
+``sqrt(max(rows, n) eps) s_max``, where a least-squares solve on the tall
+design would have kept it: squaring the design squares its condition number,
+so such a direction is not resolved by the Gram matrix.
+
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
 objectives near 0 on exact data, where the Gram form's cancellation would
 add noise of about ``1e-16 ||y||^2``.
 """
 
+import numbers
+
 import numpy as np
 
-from .basis import (
-    OperatorBasis,
-    PovmCoordinates,
-    coherence_to_state,
-    coords_to_povm_element,
-    povm_element_to_coords,
-    state_to_coords,
-)
+from .basis import OperatorBasis
 from .channels import FactoredDesign
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
@@ -36,7 +41,7 @@ from .estimator import (  # noqa: F401  (perfbench traces correct_state as an al
     build_targets_v1,
     correct_state,
 )
-from .measurement import MeasurementDataset
+from .measurement import MeasurementDataset, _whole
 
 
 def _matrices(full: np.ndarray, basis: OperatorBasis) -> np.ndarray:
@@ -51,6 +56,20 @@ def _traceless_coords(mats: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     # Tr(Omega_k P) = sum_ab Omega_k[a, b] P[b, a]
     return np.real(basis.omegas[1:].reshape(-1, d * d)
                    @ mats.transpose(0, 2, 1).reshape(-1, d * d).T)
+
+
+def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
+    """The minimum-norm least-squares solution of ``A sol = t``, from
+    ``gram = A^T A`` (n x n) and ``rhs = A^T t`` (one column per target).
+
+    One ``eigh`` of the Gram matrix; eigenvalues at or below
+    ``max(rows, n) eps lam_max`` count as zero, with ``rows`` the row count of
+    ``A``.  An all-zero Gram gives zeros.
+    """
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > max(rows, len(vals)) * np.finfo(float).eps * max(vals[-1], 0.0)
+    kept = vecs[:, keep]
+    return (kept / vals[keep]) @ (kept.T @ rhs)
 
 
 def refine_alternating(
@@ -69,38 +88,53 @@ def refine_alternating(
     physical set afterwards.  ``b`` is the coherence-vector regression matrix,
     raw or as its ``factor_design`` record.  A sweep is accepted only if it
     does not increase the objective, so the recorded objective sequence is
-    non-increasing; the loop stops at ``iters`` sweeps or when the relative
-    improvement of an accepted sweep falls below ``rel_tol``.
-    ``diagnostics["stop_reason"]`` says which: ``"converged"``,
+    non-increasing; the loop stops at ``iters`` sweeps (a whole number >= 0)
+    or when the relative improvement of an accepted sweep falls below
+    ``rel_tol``.  ``diagnostics["stop_reason"]`` says which: ``"converged"``,
     ``"max_iters"``, or ``"rejected"`` when a sweep's projections undid its
-    gain and the previous point was kept.
+    gain and the previous point was kept.  ``final_objective`` is the
+    objective at the rough pair ``rho_bar``/``povm_bar``;
+    ``corrected_objective`` is the objective at the returned corrected pair
+    ``rho_hat``/``povm_hat``.
 
     Both blocks work on the design tensor, as the module docstring derives:
     the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
-    outcomes.  The projections are the correction kernels of the estimator:
-    one stacked ``eigh`` clips the negative eigenvalues of every detector
-    element (``correct_povm``'s clip, without its renormalization), and the
-    state goes to the nearest density matrix (``correct_state``'s projection,
+    outcomes.  Each block is solved from its n x n normal equations by one
+    eigen-solve, which drops the directions whose singular value lies below
+    ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
+    matrix would keep them); the objective stays in residual form.  The
+    projections are the correction kernels of the estimator: one stacked
+    ``eigh`` clips the negative eigenvalues of every detector element
+    (``correct_povm``'s clip, without its renormalization), and the state
+    goes to the nearest density matrix (``correct_state``'s projection,
     without re-validating a matrix it has just built).
     """
-    n = basis.n_traceless
+    n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
     if isinstance(b, FactoredDesign):
         b = b.b
     b = np.asarray(b)
     if b.shape != (ds.n_processes, n * n):
         raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
+    if init.rho_hat.rho.shape != (d, d) or init.povm_hat.elements.shape != (m, d, d):
+        raise ValidationError(
+            f"init must be a dimension-{d} state and a {m}-outcome detector, got a state of "
+            f"shape {init.rho_hat.rho.shape} and detector elements of shape "
+            f"{init.povm_hat.elements.shape}")
+    iters = _whole(iters, "iters")
     if iters < 0:
         raise ValidationError(f"iters must be >= 0, got {iters}")
-    if not rel_tol >= 0.0:
-        raise ValidationError(f"rel_tol must be >= 0, got {rel_tol}")
+    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
+            or not rel_tol >= 0.0):
+        raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     y = build_targets_v1(ds, basis)
-    x = state_to_coords(init.rho_hat.rho, basis).x
-    c = np.stack([povm_element_to_coords(p, basis).c for p in init.povm_hat.elements], axis=1)
-    l, m = y.shape
+    x = _traceless_coords(init.rho_hat.rho[None], basis)[:, 0]
+    c = _traceless_coords(init.povm_hat.elements, basis)
+    l = len(y)
     anchor = ds.anchor_index - 1
     free = [i for i in range(n) if i != anchor]
+    free_block = np.ix_(free, free)
     c0s = ds.c_j0_hat
-    trace_part = [1.0 / np.sqrt(basis.d)]
+    trace_part = [1.0 / np.sqrt(d)]
 
     # The tensor laid out once as B3[a, i, k] -> b_t[k, a, i]: G^T is then
     # one matrix-vector product, and the state block's stacked matrix one
@@ -110,8 +144,12 @@ def refine_alternating(
     y_centred = y - y.mean(axis=1, keepdims=True)
     rhs_all = y.T.ravel()
 
-    g = (b_rows @ x).reshape(n, l).T
-    obj = float(np.linalg.norm(y - g @ c) ** 2)
+    def residual(x, c):
+        """``G = x . B3`` and the objective at ``(x, C)``."""
+        g = (b_rows @ x).reshape(n, l).T
+        return g, float(np.linalg.norm(y - g @ c) ** 2)
+
+    g, obj = residual(x, c)
     if not np.isfinite(obj):
         raise DegeneracyError(f"objective is not finite at the initial point: {obj}")
     trajectory = [obj]
@@ -121,22 +159,21 @@ def refine_alternating(
     for _ in range(iters):
         # Detector block: every c_j from one solve on the centred targets,
         # then every element's negative eigenvalues clipped at once.
-        c_new, *_ = np.linalg.lstsq(g, y_centred, rcond=None)
+        c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
         c_new = _traceless_coords(_clip_negative(_matrices(np.vstack([c0s, c_new]).T, basis)),
                                   basis)
 
         # State block: the (M L) x n system of all outcomes, anchor pinned.
         a_x = (c_new.T @ b_cols).reshape(m * l, n)
-        rhs = rhs_all - a_x[:, anchor] * ds.x01_bar
-        sol, *_ = np.linalg.lstsq(a_x[:, free], rhs, rcond=None)
+        gram, rhs = a_x.T @ a_x, a_x.T @ rhs_all
         x_new = np.empty(n)
         x_new[anchor] = ds.x01_bar
-        x_new[free] = sol
+        x_new[free] = _min_norm_solve(gram[free_block],
+                                      rhs[free] - gram[free, anchor] * ds.x01_bar, m * l)
         rho = _nearest_density(_matrices(np.concatenate((trace_part, x_new)), basis)[0])
         x_new = _traceless_coords(rho[None], basis)[:, 0]
 
-        g_new = (b_rows @ x_new).reshape(n, l).T
-        new_obj = float(np.linalg.norm(y - g_new @ c_new) ** 2)
+        g_new, new_obj = residual(x_new, c_new)
         if not np.isfinite(new_obj):
             raise DegeneracyError(f"objective became non-finite: {new_obj}")
         if new_obj > obj * (1.0 + 1e-12) + 1e-15:
@@ -151,16 +188,17 @@ def refine_alternating(
             stop_reason = "converged"
             break
 
-    rho_bar = coherence_to_state(x, basis)
-    povm_bar = np.stack([
-        coords_to_povm_element(PovmCoordinates(c0s[j], c[:, j]), basis) for j in range(m)
-    ])
-    (result,) = _corrected(rho_bar[None], povm_bar[None], {
+    rho_bar = _matrices(np.concatenate((trace_part, x)), basis)
+    povm_bar = _matrices(np.vstack([c0s, c]).T, basis)
+    est = _corrected(rho_bar, povm_bar[None], {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
         "stop_reason": stop_reason,
         "initial_objective": trajectory[0],
         "final_objective": obj,
-    }).results()
+    })
+    est.diagnostics["corrected_objective"] = residual(
+        _traceless_coords(est.rho_hat, basis)[:, 0],
+        _traceless_coords(est.povm_hat[0], basis))[1]
+    (result,) = est.results()
     return result
-

@@ -127,9 +127,10 @@ def test_refine_summary_reports_the_stop_reason(tmp_path, capsys):
                  "--method", "mp", "--iters", "3", "--out", str(out))
     assert rc == 0
     summary = capsys.readouterr().out.splitlines()[-1]
-    reason = json.loads(out.read_text())["diagnostics"]["stop_reason"]
+    diag = json.loads(out.read_text())["diagnostics"]
+    reason = diag["stop_reason"]
     assert reason in ("converged", "max_iters", "rejected")
-    assert f"(stopped: {reason})" in summary
+    assert f"(stopped: {reason}); corrected objective {diag['corrected_objective']:.6e}" in summary
 
 
 def test_export_sos_command(tmp_path):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from jointtomo import (
     state_to_coords,
     vectorize,
 )
+from jointtomo.refine import _min_norm_solve
 from jointtomo.sos import poly_eval
 
 
@@ -130,6 +132,10 @@ def test_refine_fixed_point_at_truth():
     assert np.linalg.norm(out.rho_hat.rho - init.rho_hat.rho) < 1e-7
     assert np.max(np.abs(out.povm_hat.elements - init.povm_hat.elements)) < 1e-7
     assert out.diagnostics["final_objective"] < 1e-15
+    # The rough pair is physical here, so correcting it leaves the objective.
+    scale = np.linalg.norm(build_targets_v1(ds, sc.basis)) ** 2
+    assert (abs(out.diagnostics["corrected_objective"] - out.diagnostics["final_objective"])
+            <= 1e-20 * scale)
 
 
 def test_refine_objective_monotone():
@@ -291,6 +297,72 @@ def test_centred_solve_is_the_minimum_norm_eliminated_solution():
     assert np.max(np.abs(c.sum(axis=1))) < 1e-12
 
 
+def test_min_norm_solve_matches_lstsq():
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(60, 8))
+    t = rng.normal(size=(60, 3))
+    expected, *_ = np.linalg.lstsq(a, t, rcond=None)
+    got = _min_norm_solve(a.T @ a, a.T @ t, len(a))
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+    # The rank-3 G of the centred-solve test: the same minimum-norm columns.
+    rng = np.random.default_rng(13)
+    l, n, m = 20, 6, 4
+    g = rng.normal(size=(l, 3)) @ rng.normal(size=(3, n))
+    y = rng.normal(size=(l, m))
+    y_centred = y - y.mean(axis=1, keepdims=True)
+    expected, *_ = np.linalg.lstsq(g, y_centred, rcond=None)
+    got = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+    # An all-zero Gram (G = 0, a zero state) gives zeros, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _min_norm_solve(np.zeros((n, n)), np.zeros((n, m)), l)
+    assert got.shape == (n, m) and not np.any(got)
+
+
+def test_refine_makes_no_least_squares_call(monkeypatch):
+    sc = preset("two_qubit_mixed_unitary_incomplete")
+    b = build_regression_matrices(sc.ensemble, sc.basis).b
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 3, seed=18,
+                          scale_observable=sc.anchor_index, basis=sc.basis)
+    init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
+    plain = refine_alternating(ds, b, sc.basis, init)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    patched = refine_alternating(ds, b, sc.basis, init)
+    assert calls == []
+    assert patched.diagnostics["sweeps_accepted"] > 0
+    assert np.array_equal(patched.rho_hat.rho, plain.rho_hat.rho)
+    assert np.array_equal(patched.povm_hat.elements, plain.povm_hat.elements)
+    assert patched.diagnostics == plain.diagnostics
+
+
+def test_corrected_objective_is_the_objective_of_the_returned_pair():
+    sc, reg = _incomplete_setup()
+    moved = 0
+    for seed in range(5):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=seed,
+                              basis=sc.basis)
+        init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+        result = refine_alternating(ds, reg.b, sc.basis, init)
+        diag = result.diagnostics
+        y = build_targets_v1(ds, sc.basis)
+        x = state_to_coords(result.rho_hat.rho, sc.basis).x
+        direct = sum(
+            np.linalg.norm(y[:, j] - reg.b @ np.kron(x, povm_element_to_coords(p, sc.basis).c)) ** 2
+            for j, p in enumerate(result.povm_hat.elements))
+        assert abs(diag["corrected_objective"] - direct) <= 1e-10 * direct
+        moved += diag["corrected_objective"] > diag["final_objective"] * (1 + 1e-6)
+    # On at least one of these draws the correction moves the refined point.
+    assert moved >= 1
+
+
 def test_refine_reports_why_it_stopped():
     sc, reg = _incomplete_setup()
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 4, seed=14,
@@ -330,6 +402,23 @@ def test_refine_validates_its_inputs():
     factored = refine_alternating(ds, factor_design(reg.b), sc.basis, init, iters=5)
     assert np.array_equal(raw.rho_hat.rho, factored.rho_hat.rho)
     assert raw.diagnostics == factored.diagnostics
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda init: {"init": replace(init, povm_hat=Povm(2, np.stack(
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)))}, id="two-outcome init"),
+    pytest.param(lambda init: {"iters": 2.5}, id="fractional iters"),
+    pytest.param(lambda init: {"iters": float("inf")}, id="infinite iters"),
+    pytest.param(lambda init: {"iters": True}, id="bool iters"),
+    pytest.param(lambda init: {"rel_tol": "a"}, id="non-numeric rel_tol"),
+])
+def test_refine_refuses_malformed_arguments(bad):
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=15,
+                          basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    with pytest.raises(ValidationError):
+        refine_alternating(ds, reg.b, sc.basis, **{"init": init, **bad(init)})
 
 
 def _truth_values(sc):

@@ -36,10 +36,13 @@ for exps, coeff in terms:
     print(f"  {coeff:+g} {mono}")
 
 # Evaluating the exported objective at the true coordinates reproduces the
-# directly computed residual, so nothing was lost in the expansion.
-x = jt.state_to_coords(sc.truth_state.rho, sc.basis).x
-cs = [jt.povm_element_to_coords(p, sc.basis).c for p in sc.truth_povm.elements]
-vals = np.concatenate([x] + cs)
+# directly computed residual, so nothing was lost in the expansion.  The
+# program's variables are the coherence vectors: each matrix's coordinates
+# (one stacked map for the three detector elements) without the trace
+# component.
+x = jt.to_coords(sc.truth_state.rho, sc.basis)[1:]
+cs = jt.to_coords(sc.truth_povm.elements, sc.basis)[:, 1:]
+vals = np.concatenate([x, *cs])
 y = build_targets_v1(ds, sc.basis)
 direct = sum(np.linalg.norm(y[:, j] - reg.b @ np.kron(x, cs[j])) ** 2 for j in range(3))
 loaded = load_sos_problem(out)

@@ -3,16 +3,12 @@ statistics of multiple known quantum processes."""
 
 from .basis import (
     OperatorBasis,
-    PovmCoordinates,
-    StateCoordinates,
     build_basis,
     change_of_basis,
     coherence_to_state,
-    coords_to_povm_element,
-    coords_to_state,
     devectorize,
-    povm_element_to_coords,
-    state_to_coords,
+    from_coords,
+    to_coords,
     vectorize,
 )
 from .bench import (

@@ -1,4 +1,4 @@
-"""Orthonormal Hermitian operator basis and real coordinate maps.
+"""Orthonormal Hermitian operator basis and the real coordinate map.
 
 Every d-dimensional Hilbert space gets the basis ``Omega_0 .. Omega_{d^2-1}``
 built from generalized Gell-Mann matrices:
@@ -13,6 +13,12 @@ inner product ``Tr(X^dag Y)``, and traceless except ``Omega_0``.  Expanding a
 Hermitian matrix in this basis gives real coordinates, which is what turns the
 tomography regressions in the rest of the package into real least-squares
 problems.
+
+One map does that, for stacks: ``to_coords`` takes ``(..., d, d)`` Hermitian
+matrices to their ``(..., d^2)`` coordinates (index 0 the trace component,
+1.. the coherence vector) and ``from_coords`` takes them back.  States and
+detector elements share it; ``coherence_to_state`` is the map h from a
+coherence vector to the unit-trace matrix.
 
 Vectorization is column-major throughout: ``vec(A)`` stacks the columns of
 ``A``, so ``vec(A B C) = (C^T kron A) vec(B)``.  Every Kronecker identity in
@@ -109,76 +115,59 @@ def change_of_basis(basis: OperatorBasis) -> np.ndarray:
     return np.stack([vectorize(om).conj() for om in basis.omegas])
 
 
-@dataclass(frozen=True)
-class StateCoordinates:
-    """Real coordinates of a state: trace component plus traceless vector."""
-
-    trace_component: float
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class PovmCoordinates:
-    """Real coordinates of a detector element: trace component plus vector."""
-
-    c0: float
-    c: np.ndarray
+def _to_coords(mats: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """``to_coords`` without its checks, for matrices the caller built."""
+    d = basis.d
+    # Tr(Omega_k A) = sum_ab Omega_k[a, b] A[b, a]
+    flat = mats.swapaxes(-1, -2).reshape(-1, d * d)
+    coords = np.real(basis.omegas.reshape(d * d, d * d) @ flat.T).T
+    return coords.reshape(*mats.shape[:-2], d * d)
 
 
-def _require_hermitian(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
-    defect = np.linalg.norm(a - a.conj().T)
-    scale = max(np.linalg.norm(a), 1e-30)
-    if defect > HERMITICITY_RTOL * scale:
+def _from_coords(coords: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """``from_coords`` without its checks, for coordinates the caller built."""
+    d = basis.d
+    mats = coords.reshape(-1, d * d) @ basis.omegas.reshape(d * d, d * d)
+    return mats.reshape(*coords.shape[:-1], d, d)
+
+
+def to_coords(mats, basis: OperatorBasis) -> np.ndarray:
+    """Real coordinates ``Tr(Omega_k A)`` of Hermitian matrices.
+
+    ``mats`` is a stack ``(..., d, d)``; the result is ``(..., d^2)``, with
+    index 0 the trace component and 1.. the traceless (coherence) vector.
+    The stack is refused if it has the wrong dimension, or if any member
+    has a non-finite entry or is not Hermitian to ``HERMITICITY_RTOL``.
+    """
+    a = np.asarray(mats, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (basis.d, basis.d):
+        raise ValidationError(f"need {basis.d}x{basis.d} matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a non-finite entry")
+    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-30)
+    if np.any(defect > HERMITICITY_RTOL * scale):
         raise ValidationError(
-            f"{what} is not Hermitian: relative defect {defect / scale:.3e}"
-        )
-    return (a + a.conj().T) / 2.0
+            f"matrix is not Hermitian: relative defect {np.max(defect / scale):.3e}")
+    return _to_coords(a, basis)
 
 
-def _coords(a: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    # Tr(Omega_k A) for every basis element; real by Hermiticity of both.
-    return np.real(np.einsum("kij,ji->k", basis.omegas, a))
+def from_coords(coords, basis: OperatorBasis) -> np.ndarray:
+    """The matrices ``sum_k f_k Omega_k``, one per vector ``f`` along the last
+    axis of ``coords`` ``(..., d^2)``: the inverse of ``to_coords``."""
+    f = np.asarray(coords, dtype=float)
+    if f.ndim < 1 or f.shape[-1] != basis.d * basis.d:
+        raise ValidationError(
+            f"coordinate vectors must have length {basis.d * basis.d}, got shape {f.shape}")
+    return _from_coords(f, basis)
 
 
-def state_to_coords(rho: np.ndarray, basis: OperatorBasis) -> StateCoordinates:
-    """Expand a Hermitian matrix as trace component plus coherence vector."""
-    rho = _require_hermitian(rho, "state")
-    if rho.shape[0] != basis.d:
-        raise ValidationError(f"dimension mismatch: state {rho.shape[0]}, basis {basis.d}")
-    full = _coords(rho, basis)
-    return StateCoordinates(trace_component=float(full[0]), x=full[1:])
-
-
-def coords_to_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndarray:
-    """Rebuild the matrix from its coordinates (inverse of state_to_coords)."""
-    x = np.asarray(coords.x, dtype=float)
-    if x.size != basis.n_traceless:
-        raise ValidationError(f"coordinate vector must have length {basis.n_traceless}")
-    full = np.concatenate(([coords.trace_component], x))
-    return np.tensordot(full, basis.omegas, axes=(0, 0))
-
-
-def coherence_to_state(x: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Unit-trace matrix with the given traceless coordinates (the map h)."""
-    return coords_to_state(StateCoordinates(1.0 / np.sqrt(basis.d), np.asarray(x, float)), basis)
-
-
-def povm_element_to_coords(p: np.ndarray, basis: OperatorBasis) -> PovmCoordinates:
-    """Expand a Hermitian detector element in the operator basis."""
-    p = _require_hermitian(p, "POVM element")
-    if p.shape[0] != basis.d:
-        raise ValidationError(f"dimension mismatch: element {p.shape[0]}, basis {basis.d}")
-    full = _coords(p, basis)
-    return PovmCoordinates(c0=float(full[0]), c=full[1:])
-
-
-def coords_to_povm_element(coords: PovmCoordinates, basis: OperatorBasis) -> np.ndarray:
-    """Rebuild a detector element from its coordinates."""
-    c = np.asarray(coords.c, dtype=float)
-    if c.size != basis.n_traceless:
-        raise ValidationError(f"coordinate vector must have length {basis.n_traceless}")
-    full = np.concatenate(([coords.c0], c))
-    return np.tensordot(full, basis.omegas, axes=(0, 0))
+def coherence_to_state(x, basis: OperatorBasis) -> np.ndarray:
+    """Unit-trace matrices with the given traceless coordinates (the map h),
+    one per vector along the last axis of ``x`` ``(..., d^2 - 1)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 1 or x.shape[-1] != basis.n_traceless:
+        raise ValidationError(
+            f"coherence vectors must have length {basis.n_traceless}, got shape {x.shape}")
+    trace_part = np.full((*x.shape[:-1], 1), 1.0 / np.sqrt(basis.d))
+    return _from_coords(np.concatenate([trace_part, x], axis=-1), basis)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import OperatorBasis, build_basis, state_to_coords
+from .basis import OperatorBasis, build_basis, to_coords
 from .channels import (
     KrausChannel,
     ProcessEnsemble,
@@ -38,7 +38,6 @@ from .estimator import (
     StackEstimates,
     _estimates_v1,
     _estimates_v2,
-    _per_dataset,
     project_pure,
 )
 from .measurement import (
@@ -46,6 +45,7 @@ from .measurement import (
     DensityMatrix,
     IdealStatistics,
     Povm,
+    _whole,
     ideal_statistics,
     shot_count,
     simulate_dataset,
@@ -127,8 +127,8 @@ def _draw_state(rng, basis, eigenvalues, need_anchor: bool, anchor_index: int) -
         rho = (v * np.asarray(eigenvalues)) @ v.conj().T
         if not need_anchor:
             return DensityMatrix(d, rho)
-        coords = state_to_coords(rho, basis)
-        if abs(coords.x[anchor_index - 1]) >= _ANCHOR_FRACTION * np.linalg.norm(coords.x):
+        x = to_coords(rho, basis)[1:]
+        if abs(x[anchor_index - 1]) >= _ANCHOR_FRACTION * np.linalg.norm(x):
             return DensityMatrix(d, rho)
     raise DegeneracyError("could not draw a state with a usable anchor coordinate")
 
@@ -271,19 +271,10 @@ def _estimate_block(sc: Scenario, stack: DatasetStack, design,
     checked as states by one stacked pass."""
     if sc.estimator != "v2":
         return _estimates_v1(stack, design, sc.basis, config)
-    est = _estimates_v2(stack.y_hat, design, config, stack.total_copies)
+    est = _estimates_v2(stack, design, config)
     if not sc.pure:
         return est
     return replace(est, rho_hat=DensityMatrix.checked(sc.d, project_pure(est.rho_hat)))
-
-
-def _estimate_stack(sc: Scenario, datasets, design, config: Stage1Config) -> list:
-    """Per dataset of a list, the estimate the scenario scores, or the
-    DegeneracyError that estimating it alone raises."""
-    def block(part):
-        return _estimate_block(sc, DatasetStack.of(part), design, config).results()
-
-    return _per_dataset(block, lambda ds: block([ds])[0], datasets)
 
 
 def _sq_errors(sc: Scenario, rho: np.ndarray, povm: np.ndarray) -> tuple:
@@ -391,6 +382,7 @@ def run_mse_experiment(
     silently; the per-row trial count reports the successes.
     """
     n0_grid = _shot_grid(n0_grid)
+    trials = _whole(trials, "trials")
     config = config or sc.stage1
     ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
     metadata = {
@@ -419,6 +411,7 @@ def run_method_comparison(
     Labels must be unique, since they key the returned tables.
     """
     n0_grid = _shot_grid(n0_grid)
+    trials = _whole(trials, "trials")
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")

@@ -45,6 +45,8 @@ class KrausChannel:
             raise ValidationError(
                 f"kraus must have shape (k, {self.d}, {self.d}) with k >= 1, got {kraus.shape}"
             )
+        if not np.isfinite(kraus).all():
+            raise ValidationError("Kraus matrices have a non-finite entry")
         object.__setattr__(self, "kraus", kraus)
         gram = self.kraus_gram()
         top = float(np.linalg.eigvalsh(gram)[-1])

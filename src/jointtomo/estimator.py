@@ -27,7 +27,8 @@ stack); a single estimate is the stack T = 1.  It has four steps:
 The result is a ``StackEstimates`` record of arrays: the ``(T, d, d)`` states,
 the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
 ``EstimateResult`` objects are built only for callers that ask for one
-dataset's result (``estimate_joint_v1``/``v2`` and the list forms).
+dataset's result (``StackEstimates.results``; ``estimate_joint_v1``/``v2``
+are the stack T = 1 of a ``MeasurementDataset``).
 
 Steps 2-4 are shared by two bases.  The coherence-vector version regresses
 background-subtracted targets for generalized-unital processes and fixes the
@@ -38,16 +39,15 @@ processes and fixes the scale by unit trace.
 A step that refuses some datasets of a stack says which (the ``refused``
 mask of its DegeneracyError); they leave the stack there, and the step runs
 again on the rest, so one degenerate dataset never costs the others their
-estimates.  The stacked pass reports a refused dataset in its mask only; the
-list forms (``_estimate_stack_v1``/``v2``) estimate it alone, which raises the
-error the single-dataset estimators raise for it.
+estimates.  The stacked pass reports a refused dataset in its mask only;
+estimating that dataset alone raises the step's error.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OperatorBasis
+from .basis import OperatorBasis, _from_coords, coherence_to_state
 from .channels import FactoredDesign, factor_design
 from .errors import DegeneracyError, TomographyError, ValidationError
 from .measurement import (
@@ -56,7 +56,6 @@ from .measurement import (
     MeasurementDataset,
     Povm,
     _new,
-    frequency_matrix,
 )
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
@@ -526,29 +525,11 @@ def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, si
     }, refused)
 
 
-def _per_dataset(run, one, datasets) -> list:
-    """Per dataset, its estimate or the DegeneracyError that ``one``, the
-    single-dataset estimator, raises for it.
-
-    ``run`` estimates all the datasets as one stack, with None for those a
-    step refuses; only those, or all of them if the stack as a whole is
-    refused, are estimated again one by one for their own errors.  A single
-    dataset's ValidationError propagates.
-    """
-    datasets = list(datasets)
-    try:
-        results = run(datasets) if datasets else []
-    except TomographyError:
-        results = [None] * len(datasets)
-    out = []
-    for ds, result in zip(datasets, results):
-        if result is None:
-            try:
-                result = one(ds)
-            except DegeneracyError as exc:
-                result = exc
-        out.append(result)
-    return out
+def _one_stack(ds) -> DatasetStack:
+    """A MeasurementDataset as a stack of one; anything else is refused."""
+    if not isinstance(ds, MeasurementDataset):
+        raise ValidationError(f"need a MeasurementDataset, got {type(ds).__name__}")
+    return ds.as_stack()
 
 
 def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
@@ -569,11 +550,8 @@ def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
         return x_bar, c_bar, facs.left[..., anchor]
 
     def assemble(x0, c_bars):
-        trace_part = np.full((*x0.shape[:-1], 1), 1.0 / np.sqrt(basis.d))
-        rho_bar = np.tensordot(np.concatenate([trace_part, x0], axis=-1), basis.omegas, 1)
-        povm_bar = np.tensordot(np.concatenate([c0[..., None], c_bars], axis=-1),
-                                basis.omegas, 1)
-        return rho_bar, povm_bar
+        return (coherence_to_state(x0, basis),
+                _from_coords(np.concatenate([c0[..., None], c_bars], axis=-1), basis))
 
     y = _stage("targets", build_targets_v1, stack, basis)
     return _reconstruct(y, design, config, n, rescale, assemble, [x01_bar])
@@ -593,36 +571,19 @@ def estimate_joint_v1(
     Each outcome's scale is fixed by the measured anchor coordinate; its
     anchor value is that coordinate of the unscaled state factor.
     """
-    (result,) = _estimates_v1(ds.as_stack(), b, basis, config).results()
+    (result,) = _estimates_v1(_one_stack(ds), b, basis, config).results()
     return result
 
 
-def _estimate_stack_v1(datasets, b, basis: OperatorBasis,
-                       config: Stage1Config = Stage1Config()) -> list:
-    """``estimate_joint_v1`` for many datasets, run as one stack.
-
-    Returns, per dataset in order, its EstimateResult, or the DegeneracyError
-    that ``estimate_joint_v1`` raises for it; a ValidationError propagates.
-    The design is factored once for all of them.
-    """
-    design = _stage("stage1", factor_design, b)
-    return _per_dataset(
-        lambda part: _estimates_v1(DatasetStack.of(part), design, basis, config).results(),
-        lambda ds: estimate_joint_v1(ds, design, basis, config), datasets)
-
-
-def _estimates_v2(y_hat: np.ndarray, b_natural, config: Stage1Config,
-                  total_copies: int) -> StackEstimates:
-    """Natural-basis reconstruction of a ``(T, L, M)`` stack of frequency
-    matrices that share ``total_copies``."""
+def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> StackEstimates:
+    """Natural-basis reconstruction of a stack of datasets, from their raw
+    frequencies."""
     design = _stage("stage1", factor_design, b_natural)
     d4 = design.shape[1]
     d = int(round(d4 ** 0.25))
     if d ** 4 != d4:
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
-    if config.method == "tikhonov" and config.reg_scale is None and total_copies is None:
-        raise ValidationError("tikhonov auto-scale needs the total copy count")
-    config = config.resolved(total_copies)
+    config = config.resolved(stack.total_copies)
 
     def rescale(facs):
         # devectorize is column-major: vec(A) reshaped row-major is A^T
@@ -647,50 +608,27 @@ def _estimates_v2(y_hat: np.ndarray, b_natural, config: Stage1Config,
                                   refused=small)
         return rho_sym / tr[..., None, None], povm_parts
 
-    return _reconstruct(y_hat.astype(complex), design, config, d * d, rescale, assemble)
+    return _reconstruct(stack.y_hat.astype(complex), design, config, d * d, rescale, assemble)
 
 
 def estimate_joint_v2(
-    ds,
+    ds: MeasurementDataset,
     b_natural,
     config: Stage1Config = Stage1Config(),
-    total_copies: int = None,
 ) -> EstimateResult:
     """Natural-basis reconstruction for arbitrary (not necessarily
     generalized-unital) processes.
 
     ``b_natural`` is any array-like matrix or its ``factor_design`` record.
-    ``ds`` may be a full MeasurementDataset (only its raw frequencies are
-    used) or a plain L x M frequency matrix, which is checked as a dataset's
-    frequencies are (``frequency_matrix``).  Per outcome, the complex rank-1
+    Only the dataset's raw frequencies and its copy count (for Tikhonov's
+    automatic scale) are used.  Per outcome, the complex rank-1
     factorization yields a candidate pair ``(vec(rho), vec(P_j^T))`` whose
     joint complex scale is fixed by normalizing the state candidate to unit
     trace; the detector candidate absorbs the inverse factor.  The anchor
     value of an outcome is the modulus of that trace.
     """
-    if isinstance(ds, MeasurementDataset):
-        y_hat = ds.y_hat
-        total_copies = ds.total_copies
-    else:
-        y_hat = _stage("targets", frequency_matrix, ds)
-    (result,) = _estimates_v2(y_hat[None], b_natural, config, total_copies).results()
+    (result,) = _estimates_v2(_one_stack(ds), b_natural, config).results()
     return result
-
-
-def _estimate_stack_v2(datasets, b_natural, config: Stage1Config = Stage1Config()) -> list:
-    """``estimate_joint_v2`` for many MeasurementDatasets, run as one stack.
-
-    Returns, per dataset in order, its EstimateResult, or the DegeneracyError
-    that ``estimate_joint_v2`` raises for it; a ValidationError propagates.
-    The design is factored once for all of them.
-    """
-    design = _stage("stage1", factor_design, b_natural)
-
-    def run(part):
-        stack = DatasetStack.of(part)
-        return _estimates_v2(stack.y_hat, design, config, stack.total_copies).results()
-
-    return _per_dataset(run, lambda ds: estimate_joint_v2(ds, design, config), datasets)
 
 
 def project_pure(state, info: dict = None):

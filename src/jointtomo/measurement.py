@@ -266,33 +266,20 @@ def _check_frequencies(name: str, values: np.ndarray) -> None:
         raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
 
 
-def _frequency_stack(y_hat) -> np.ndarray:
-    """Measured frequencies as a float ``(T, L, M)`` stack of matrices,
-    refused unless every entry is finite and non-negative and no row sums
-    above 1."""
-    y = np.asarray(y_hat, dtype=float)
-    if y.ndim != 3:
-        raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape[1:]}")
-    _check_frequencies("y_hat", y)
-    if (y.sum(axis=-1) > 1.0 + 1e-9).any():
-        raise ValidationError("a frequency row sums above 1")
-    return y
-
-
-def frequency_matrix(y_hat) -> np.ndarray:
-    """Measured frequencies as a float L x M matrix, refused unless every
-    entry is finite and non-negative and no row sums above 1."""
-    return _frequency_stack(np.asarray(y_hat)[None])[0]
-
-
 def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
                       anchor_index) -> tuple:
     """The dataset check on a stack of T datasets: ``y_hat`` ``(T, L, M)``,
     ``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)`` and ``x01_bar`` ``(T,)``,
     with the copy count, the processes' trace flags and the anchor index
     they share.  Returns the fields as arrays and ints, refused with the
-    message ``MeasurementDataset`` raises."""
-    y = _frequency_stack(y_hat)
+    message ``MeasurementDataset`` raises.  Frequencies must be finite and
+    non-negative, and no row of ``y_hat`` may sum above 1."""
+    y = np.asarray(y_hat, dtype=float)
+    if y.ndim != 3:
+        raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape[1:]}")
+    _check_frequencies("y_hat", y)
+    if (y.sum(axis=-1) > 1.0 + 1e-9).any():
+        raise ValidationError("a frequency row sums above 1")
     t, l, m = y.shape
     x_a0 = np.asarray(x_a0_hat, dtype=float)
     c_j0 = np.asarray(c_j0_hat, dtype=float)

@@ -30,7 +30,7 @@ import numbers
 
 import numpy as np
 
-from .basis import OperatorBasis
+from .basis import OperatorBasis, _from_coords, _to_coords
 from .channels import FactoredDesign
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
@@ -42,20 +42,6 @@ from .estimator import (  # noqa: F401  (perfbench traces correct_state as an al
     correct_state,
 )
 from .measurement import MeasurementDataset, _whole
-
-
-def _matrices(full: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """The matrices ``sum_k f_k Omega_k``, one per row ``f`` of ``full``."""
-    d = basis.d
-    return (full @ basis.omegas.reshape(d * d, d * d)).reshape(-1, d, d)
-
-
-def _traceless_coords(mats: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """``Tr(Omega_k P)`` for k >= 1, one column per matrix P of the stack."""
-    d = basis.d
-    # Tr(Omega_k P) = sum_ab Omega_k[a, b] P[b, a]
-    return np.real(basis.omegas[1:].reshape(-1, d * d)
-                   @ mats.transpose(0, 2, 1).reshape(-1, d * d).T)
 
 
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
@@ -127,8 +113,8 @@ def refine_alternating(
             or not rel_tol >= 0.0):
         raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     y = build_targets_v1(ds, basis)
-    x = _traceless_coords(init.rho_hat.rho[None], basis)[:, 0]
-    c = _traceless_coords(init.povm_hat.elements, basis)
+    x = _to_coords(init.rho_hat.rho, basis)[1:]
+    c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome
     l = len(y)
     anchor = ds.anchor_index - 1
     free = [i for i in range(n) if i != anchor]
@@ -160,8 +146,8 @@ def refine_alternating(
         # Detector block: every c_j from one solve on the centred targets,
         # then every element's negative eigenvalues clipped at once.
         c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
-        c_new = _traceless_coords(_clip_negative(_matrices(np.vstack([c0s, c_new]).T, basis)),
-                                  basis)
+        c_new = _to_coords(_clip_negative(_from_coords(np.vstack([c0s, c_new]).T, basis)),
+                           basis)[:, 1:].T
 
         # State block: the (M L) x n system of all outcomes, anchor pinned.
         a_x = (c_new.T @ b_cols).reshape(m * l, n)
@@ -170,8 +156,8 @@ def refine_alternating(
         x_new[anchor] = ds.x01_bar
         x_new[free] = _min_norm_solve(gram[free_block],
                                       rhs[free] - gram[free, anchor] * ds.x01_bar, m * l)
-        rho = _nearest_density(_matrices(np.concatenate((trace_part, x_new)), basis)[0])
-        x_new = _traceless_coords(rho[None], basis)[:, 0]
+        rho = _nearest_density(_from_coords(np.concatenate((trace_part, x_new)), basis))
+        x_new = _to_coords(rho, basis)[1:]
 
         g_new, new_obj = residual(x_new, c_new)
         if not np.isfinite(new_obj):
@@ -188,9 +174,9 @@ def refine_alternating(
             stop_reason = "converged"
             break
 
-    rho_bar = _matrices(np.concatenate((trace_part, x)), basis)
-    povm_bar = _matrices(np.vstack([c0s, c]).T, basis)
-    est = _corrected(rho_bar, povm_bar[None], {
+    rho_bar = _from_coords(np.concatenate((trace_part, x)), basis)
+    povm_bar = _from_coords(np.vstack([c0s, c]).T, basis)
+    est = _corrected(rho_bar[None], povm_bar[None], {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
         "stop_reason": stop_reason,
@@ -198,7 +184,6 @@ def refine_alternating(
         "final_objective": obj,
     })
     est.diagnostics["corrected_objective"] = residual(
-        _traceless_coords(est.rho_hat, basis)[:, 0],
-        _traceless_coords(est.povm_hat[0], basis))[1]
+        _to_coords(est.rho_hat[0], basis)[1:], _to_coords(est.povm_hat[0], basis)[:, 1:].T)[1]
     (result,) = est.results()
     return result

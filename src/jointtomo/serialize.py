@@ -13,7 +13,7 @@ import numpy as np
 from .channels import KrausChannel, ProcessEnsemble
 from .errors import ValidationError
 from .estimator import EstimateResult
-from .measurement import DensityMatrix, MeasurementDataset, Povm
+from .measurement import DensityMatrix, MeasurementDataset, Povm, _whole
 
 
 # What a malformed record raises while it is parsed: a missing key, a wrong
@@ -79,7 +79,8 @@ def load_ensemble(path) -> ProcessEnsemble:
 
 
 def load_hamiltonians(path):
-    """Hamiltonian records ``{"d": int, "h": matrix, "dt_us": real}``."""
+    """Hamiltonian records ``{"d": int, "h": matrix, "dt_us": real}``: ``h``
+    a finite ``d x d`` matrix and ``dt_us`` a finite sampling interval > 0."""
     return _load(path, _hamiltonians_from_json)
 
 
@@ -91,7 +92,15 @@ def _hamiltonians_from_json(data) -> list:
         for key in ("d", "h", "dt_us"):
             if key not in item:
                 raise ValidationError(f"Hamiltonian record is missing field {key!r}")
-        out.append((matrix_from_json(item["h"]), float(item["dt_us"])))
+        d = _whole(item["d"], "Hamiltonian dimension d")
+        h, dt = matrix_from_json(item["h"]), float(item["dt_us"])
+        if h.shape != (d, d):
+            raise ValidationError(f"Hamiltonian h must be {d}x{d}, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValidationError("Hamiltonian h has a non-finite entry")
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ValidationError(f"dt_us must be finite and > 0, got {dt}")
+        out.append((h, dt))
     return out
 
 

@@ -33,14 +33,13 @@ from jointtomo import (
     make_named_channel,
     nearest_kronecker,
     numerical_rank,
-    povm_element_to_coords,
     preset,
     project_pure,
     rearrange,
     run_method_comparison,
     run_mse_experiment,
     simulate_dataset,
-    state_to_coords,
+    to_coords,
     vectorize,
 )
 from jointtomo.bench import MseRow, MseTable
@@ -305,8 +304,8 @@ def test_criterion_12_sos_export_fidelity(tmp_path):
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 4, seed=12,
                           basis=sc.basis)
     prob = export_sos_problem(ds, reg.b, sc.basis, tmp_path / "p.sos")
-    x = state_to_coords(sc.truth_state.rho, sc.basis).x
-    cs = [povm_element_to_coords(p, sc.basis).c for p in sc.truth_povm.elements]
+    x = to_coords(sc.truth_state.rho, sc.basis)[1:]
+    cs = [to_coords(p, sc.basis)[1:] for p in sc.truth_povm.elements]
     vals = np.concatenate([x] + cs)
     y = build_targets_v1(ds, sc.basis)
     direct = sum(np.linalg.norm(y[:, j] - reg.b @ np.kron(x, cs[j])) ** 2 for j in range(3))

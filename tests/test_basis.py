@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jointtomo import (
-    StateCoordinates,
     ValidationError,
     build_basis,
     change_of_basis,
-    coords_to_povm_element,
-    coords_to_state,
+    coherence_to_state,
     devectorize,
-    povm_element_to_coords,
-    state_to_coords,
+    from_coords,
+    to_coords,
     vectorize,
 )
-from jointtomo.basis import PovmCoordinates
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -110,57 +110,52 @@ def test_conjugation_superoperator_is_real(d):
 
 def test_state_coords_maximally_mixed():
     b = build_basis(2)
-    coords = state_to_coords(np.eye(2) / 2, b)
-    assert abs(coords.trace_component - 1 / np.sqrt(2)) < 1e-14
-    assert np.allclose(coords.x, 0)
+    coords = to_coords(np.eye(2) / 2, b)
+    assert abs(coords[0] - 1 / np.sqrt(2)) < 1e-14
+    assert np.allclose(coords[1:], 0)
 
 
 def test_state_coords_ground_state():
     b = build_basis(2)
     ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    coords = state_to_coords(ket0, b)
+    x = to_coords(ket0, b)[1:]
     # direct inner products: Tr(sigma_k |0><0|)/sqrt(2)
     expected = [np.trace(s @ ket0).real / np.sqrt(2) for s in (SX, SY, SZ)]
-    assert np.allclose(coords.x, expected)
-    assert np.allclose(coords.x, [0, 0, 1 / np.sqrt(2)])
-
-
-def test_state_coords_roundtrip_d3():
-    rng = np.random.default_rng(4)
-    b = build_basis(3)
-    rho = random_hermitian(rng, 3)
-    back = coords_to_state(state_to_coords(rho, b), b)
-    assert np.linalg.norm(back - rho) < 1e-12
-
-
-def test_state_coords_linearity():
-    rng = np.random.default_rng(5)
-    b = build_basis(3)
-    r1, r2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-    a, be = 0.3, -1.7
-    c1, c2 = state_to_coords(r1, b), state_to_coords(r2, b)
-    c12 = state_to_coords(a * r1 + be * r2, b)
-    assert np.allclose(c12.x, a * c1.x + be * c2.x)
-    assert np.isclose(c12.trace_component, a * c1.trace_component + be * c2.trace_component)
+    assert np.allclose(x, expected)
+    assert np.allclose(x, [0, 0, 1 / np.sqrt(2)])
 
 
 def test_non_hermitian_input_rejected():
     b = build_basis(2)
     with pytest.raises(ValidationError):
-        state_to_coords(np.array([[0, 1], [0, 0]], dtype=complex), b)
+        to_coords(np.array([[0, 1], [0, 0]], dtype=complex), b)
     with pytest.raises(ValidationError):
-        povm_element_to_coords(np.array([[0, 1j], [1j, 0]]), b)
+        to_coords(np.array([[0, 1j], [1j, 0]]), b)
+
+
+def test_coordinate_maps_refuse_non_finite_entries_and_wrong_shapes():
+    b = build_basis(2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        to_coords(np.array([[np.nan, 0], [0, 1]]), b)
+    for bad in (np.eye(3), np.ones(4)):
+        with pytest.raises(ValidationError):
+            to_coords(bad, b)
+    for bad in (np.zeros(5), np.zeros((2, 3)), np.float64(1.0)):
+        with pytest.raises(ValidationError):
+            from_coords(bad, b)
+    with pytest.raises(ValidationError):
+        coherence_to_state(np.zeros(4), b)
 
 
 def test_povm_coords_identity_and_projector():
     b = build_basis(2)
-    c = povm_element_to_coords(np.eye(2), b)
-    assert abs(c.c0 - np.sqrt(2)) < 1e-14
-    assert np.allclose(c.c, 0)
-    c = povm_element_to_coords(np.array([[1, 0], [0, 0]], dtype=complex), b)
-    assert abs(c.c0 - 1 / np.sqrt(2)) < 1e-14
-    assert np.allclose(c.c, [0, 0, 1 / np.sqrt(2)])
-    back = coords_to_povm_element(PovmCoordinates(c.c0, c.c), b)
+    c = to_coords(np.eye(2), b)
+    assert abs(c[0] - np.sqrt(2)) < 1e-14
+    assert np.allclose(c[1:], 0)
+    c = to_coords(np.array([[1, 0], [0, 0]], dtype=complex), b)
+    assert abs(c[0] - 1 / np.sqrt(2)) < 1e-14
+    assert np.allclose(c[1:], [0, 0, 1 / np.sqrt(2)])
+    back = from_coords(c, b)
     assert np.allclose(back, [[1, 0], [0, 0]])
 
 
@@ -173,13 +168,57 @@ def test_povm_coords_completeness_sums():
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     p2 = g @ g.conj().T
     p2 = 0.3 * p2 / np.linalg.eigvalsh(p2)[-1]
-    elements = [p1, p2, np.eye(2) - p1 - p2]
-    coords = [povm_element_to_coords(p, b) for p in elements]
-    assert abs(sum(c.c0 for c in coords) - np.sqrt(2)) < 1e-12
-    assert np.linalg.norm(sum(c.c for c in coords)) < 1e-12
+    coords = to_coords(np.stack([p1, p2, np.eye(2) - p1 - p2]), b)
+    assert abs(coords[:, 0].sum() - np.sqrt(2)) < 1e-12
+    assert np.linalg.norm(coords[:, 1:].sum(axis=0)) < 1e-12
 
 
-def test_coords_to_state_shape_check():
-    b = build_basis(2)
+def test_coherence_to_state_is_the_unit_trace_map_over_stacks():
+    rng = np.random.default_rng(7)
+    b = build_basis(3)
+    x = rng.normal(size=(2, 4, 8))
+    rho = coherence_to_state(x, b)
+    assert rho.shape == (2, 4, 3, 3)
+    assert np.allclose(np.trace(rho, axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(to_coords(rho, b)[..., 1:], x, rtol=0.0, atol=1e-12)
+
+
+_SIZE = st.integers(1, 3)
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """``(d, A)``: d in {2, 3, 4} and Hermitian matrices ``A`` stacked with
+    leading shape ``()``, ``(T,)`` or ``(T, M)``."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    lead = draw(st.one_of(st.just(()), st.tuples(_SIZE), st.tuples(_SIZE, _SIZE)))
+    parts = draw(arrays(float, (2, *lead, d, d),
+                        elements=st.floats(-3.0, 3.0, allow_nan=False, width=64)))
+    g = parts[0] + 1j * parts[1]
+    return d, (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_stacks())
+def test_coordinate_maps_are_inverse_and_match_the_traces(case):
+    d, a = case
+    b = build_basis(d)
+    coords = to_coords(a, b)
+    assert coords.shape == a.shape[:-2] + (d * d,) and coords.dtype == float
+    assert np.allclose(from_coords(coords, b), a, rtol=0.0, atol=1e-12)
+    for idx in np.ndindex(a.shape[:-2]):
+        expected = [np.trace(om @ a[idx]).real for om in b.omegas]
+        assert np.allclose(coords[idx], expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hermitian_stacks(), st.data())
+def test_to_coords_refuses_a_non_hermitian_member_or_a_wrong_dimension(case, data):
+    d, a = case
+    member = data.draw(st.tuples(*(st.integers(0, n - 1) for n in a.shape[:-2])))
+    skewed = a.copy()
+    skewed[member + (0, d - 1)] += 1.0
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        to_coords(skewed, build_basis(d))
     with pytest.raises(ValidationError):
-        coords_to_state(StateCoordinates(1.0, np.zeros(5)), b)
+        to_coords(a, build_basis(d % 4 + 2))

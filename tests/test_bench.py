@@ -173,6 +173,27 @@ def test_experiment_input_validation():
             run_mse_experiment(sc, grid, trials=2)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3", None, np.nan],
+                         ids=["fraction", "string", "none", "nan"])
+def test_the_experiments_refuse_a_trial_count_that_is_not_whole(trials):
+    sc = preset("one_qubit_closed_complete")
+    with pytest.raises(ValidationError, match="trials must be a whole number"):
+        run_mse_experiment(sc, [1000], trials=trials)
+    with pytest.raises(ValidationError, match="trials must be a whole number"):
+        run_method_comparison(sc, [1000], trials=trials, configs=[("a", Stage1Config(), None)])
+
+
+@pytest.mark.parametrize("trials", [np.int64(3), 3.0], ids=["numpy-int", "whole-float"])
+def test_the_experiments_accept_a_whole_trial_count(trials):
+    sc = preset("one_qubit_closed_complete")
+    table = run_mse_experiment(sc, [1000], trials=trials, seed=1)
+    assert table.rows[0].trials + table.failures == 3
+    assert table.metadata["trials"] == 3 and type(table.metadata["trials"]) is int
+    (compared,) = run_method_comparison(sc, [1000], trials=trials, seed=1,
+                                        configs=[("a", Stage1Config(), None)]).values()
+    assert compared.rows == table.rows
+
+
 @pytest.mark.parametrize("grid", [[1000, 1000, 100], []], ids=["not-increasing", "empty"])
 def test_method_comparison_refuses_the_grids_the_experiment_refuses(grid):
     sc = preset("one_qubit_closed_complete")

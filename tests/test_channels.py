@@ -25,8 +25,8 @@ from jointtomo import (
     pauli_sandwich_processes,
     preset,
     rank_bound,
-    state_to_coords,
     superoperator,
+    to_coords,
     transfer_matrix,
     vectorize,
 )
@@ -224,10 +224,10 @@ def test_mixed_unitary_transfer_matches_kraus_dynamics():
     t = 0.6
     e = mixed_unitary_transfer([0.3, 0.7], hams, t, basis)
     rho = random_density(rng, 4)
-    x0 = state_to_coords(rho, basis).x
+    x0 = to_coords(rho, basis)[1:]
     out = sum(w * expm(-1j * h * t) @ rho @ expm(-1j * h * t).conj().T
               for w, h in zip((0.3, 0.7), hams))
-    assert np.linalg.norm(e @ x0 - state_to_coords(out, basis).x) < 1e-10
+    assert np.linalg.norm(e @ x0 - to_coords(out, basis)[1:]) < 1e-10
 
 
 def test_named_channels():
@@ -250,6 +250,14 @@ def test_kraus_inequality_enforced():
         KrausChannel(2, 1.2 * np.eye(2)[None])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_kraus_matrices_must_be_finite(bad):
+    kraus = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+    kraus[1, 0, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        KrausChannel(2, kraus)
+
+
 def test_generalized_unital_coherence_pathway():
     # for generalized-unital processes the e-block alone propagates x.
     rng = np.random.default_rng(8)
@@ -260,8 +268,8 @@ def test_generalized_unital_coherence_pathway():
     for _ in range(50):
         rho = random_density(rng, 2)
         out = ch.apply(rho)
-        assert np.linalg.norm(tm.e @ state_to_coords(rho, basis).x
-                              - state_to_coords(out, basis).x) < 1e-10
+        assert np.linalg.norm(tm.e @ to_coords(rho, basis)[1:]
+                              - to_coords(out, basis)[1:]) < 1e-10
 
 
 def test_regression_matrices_single_identity():

@@ -213,6 +213,26 @@ def test_hamiltonian_file_workflow(tmp_path):
     assert ds.y_hat.shape == (3, 3)
 
 
+_H = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("flag,records", [
+    pytest.param("--channels", [{"d": 2, "kraus": [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]]]}], id="kraus-nan"),
+    pytest.param("--hamiltonians", [{"d": 2, "h": [row + [[0.0, 0.0]] for row in _H],
+                                     "dt_us": 1.0}], id="hamiltonian-2x3"),
+    pytest.param("--hamiltonians", [{"d": 2, "h": _H, "dt_us": float("nan")}], id="dt-nan"),
+])
+def test_rank_check_refuses_non_finite_or_misshapen_processes(tmp_path, capsys, flag,
+                                                               records):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(records))
+    assert run_cli("rank-check", flag, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bench_command(tmp_path, capsys):
     out = tmp_path / "mse.csv"
     rc = run_cli("bench", "--preset", "one_qubit_closed_complete",

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from jointtomo import (
+    DatasetStack,
     DegeneracyError,
     DensityMatrix,
     FactoredDesign,
@@ -32,21 +33,27 @@ from jointtomo import (
     haar_unitary,
     make_named_channel,
     nearest_kronecker,
-    povm_element_to_coords,
     preset,
     project_pure,
     random_density_matrix,
     rearrange,
     simulate_dataset,
-    state_to_coords,
     stage1_solve,
+    to_coords,
     vectorize,
 )
-from jointtomo import bench, estimator
+from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.estimator import _estimate_stack_v1, _estimate_stack_v2
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
+
+
+def _frequencies_only(y):
+    """A dataset with the L x M frequencies ``y`` and placeholder
+    calibrations, which the natural-basis estimator does not read."""
+    l, m = y.shape
+    return MeasurementDataset(y_hat=y, x_a0_hat=np.zeros(l), c_j0_hat=np.zeros(m),
+                              x01_bar=0.0, n0=1, tp_flags=np.ones(l, dtype=bool))
 
 
 def test_stage1_config_validation():
@@ -89,8 +96,8 @@ def test_build_targets_exact_identity():
     ds = simulate_dataset(ens, state, povm, 10, seed=0, exact=True)
     reg = build_regression_matrices(ens, basis)
     y = build_targets_v1(ds, basis)
-    x0 = state_to_coords(state.rho, basis).x
-    cs = [povm_element_to_coords(p, basis).c for p in povm.elements]
+    x0 = to_coords(state.rho, basis)[1:]
+    cs = to_coords(povm.elements, basis)[:, 1:]
     for j, c in enumerate(cs):
         assert np.allclose(y[:, j], reg.b @ np.kron(x0, c), atol=1e-12)
 
@@ -118,9 +125,8 @@ def test_stage1_exact_consistency():
                           exact=True, basis=sc.basis)
     y = build_targets_v1(ds, sc.basis)
     z = stage1_solve(reg.b, y, Stage1Config())
-    x0 = state_to_coords(sc.truth_state.rho, sc.basis).x
-    for j, p in enumerate(sc.truth_povm.elements):
-        c = povm_element_to_coords(p, sc.basis).c
+    x0 = to_coords(sc.truth_state.rho, sc.basis)[1:]
+    for j, c in enumerate(to_coords(sc.truth_povm.elements, sc.basis)[:, 1:]):
         assert np.linalg.norm(z[:, j] - np.kron(x0, c)) < 1e-10
 
 
@@ -312,7 +318,7 @@ def test_estimate_v2_degenerate_scale_error():
     z = np.kron(vectorize(traceless), vectorize(p.T))
     y = np.eye(16) @ z  # rows of an identity design reproduce z exactly
     with pytest.raises(DegeneracyError) as err:
-        estimate_joint_v2(y.real[:, None] @ np.ones((1, 1)), np.eye(16),
+        estimate_joint_v2(_frequencies_only(y.real[:, None] @ np.ones((1, 1))), np.eye(16),
                           Stage1Config(method="mp_inverse"))
     assert "trace" in str(err.value)
 
@@ -486,7 +492,8 @@ def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
     b = np.eye(16)
     b[0, 0] = np.nan
     with pytest.raises(DegeneracyError) as err:
-        estimate_joint_v2(np.full((16, 2), 0.25), b, Stage1Config(method="mp_inverse"))
+        estimate_joint_v2(_frequencies_only(np.full((16, 2), 0.25)), b,
+                          Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[stage1]")
     # valid inputs reach the Kronecker stage, whose SVD is made to fail there
     design = factor_design(np.eye(16))
@@ -496,7 +503,8 @@ def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.raises(DegeneracyError) as err:
-        estimate_joint_v2(np.full((16, 2), 0.25), design, Stage1Config(method="mp_inverse"))
+        estimate_joint_v2(_frequencies_only(np.full((16, 2), 0.25)), design,
+                          Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[kronecker]")
 
 
@@ -512,16 +520,15 @@ def test_targets_refuse_an_anchor_beyond_the_basis():
         estimate_joint_v1(replace(ds, anchor_index=99), reg.b, sc.basis)
 
 
-@pytest.mark.parametrize("y", [
-    np.array([[0.25, np.nan]] * 16),
-    np.array([[0.25, -0.1]] * 16),
-    np.full(16, 0.25),
-    np.full((16, 2), 0.6),
-], ids=["nan", "negative", "one-dimensional", "row-sum-above-one"])
-def test_v2_checks_a_plain_frequency_matrix_as_a_dataset(y):
-    with pytest.raises(ValidationError) as err:
-        estimate_joint_v2(y, np.eye(16), Stage1Config(method="mp_inverse"))
-    assert str(err.value).startswith("[targets]")
+def test_estimators_take_a_measurement_dataset_only():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=6,
+                          basis=sc.basis)
+    for bad in (ds.y_hat, ds.y_hat.tolist(), ds.as_stack()):
+        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+            estimate_joint_v2(bad, sc.regression.design_natural, Stage1Config("tikhonov"))
+        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+            estimate_joint_v1(bad, sc.regression.design, sc.basis)
 
 
 def test_estimators_accept_list_valued_designs():
@@ -534,8 +541,7 @@ def test_estimators_accept_list_valued_designs():
     scp = preset("one_qubit_random_pure")
     regp = build_regression_matrices(scp.ensemble, scp.basis)
     dsp = simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 1000, seed=6)
-    listed = estimate_joint_v2(dsp.y_hat.tolist(), regp.b_natural.tolist(),
-                               total_copies=dsp.total_copies)
+    listed = estimate_joint_v2(dsp, regp.b_natural.tolist())
     assert np.array_equal(listed.rho_bar, estimate_joint_v2(dsp, regp.b_natural).rho_bar)
 
 
@@ -578,6 +584,17 @@ def _single(sc, ds, design, config):
     return estimate_joint_v1(ds, design, sc.basis, config)
 
 
+def _stack_results(sc, datasets, design, config=None):
+    """Per dataset, the result of estimating the datasets as one stack, as
+    the scenario's experiment does; None for each dataset it refuses (all of
+    them when it refuses the whole stack)."""
+    try:
+        est = bench._estimate_block(sc, DatasetStack.of(datasets), design, config or sc.stage1)
+    except DegeneracyError:
+        return [None] * len(datasets)
+    return est.results()
+
+
 @pytest.mark.parametrize("n0", [10 ** 3, 10 ** 5])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_stack_matches_the_single_dataset_estimators(name, n0):
@@ -588,14 +605,12 @@ def test_stack_matches_the_single_dataset_estimators(name, n0):
                                  ideal=sc.ideal)
                 for t in range(5)]
     for config in (sc.stage1, Stage1Config("mp_inverse"), Stage1Config("tikhonov")):
-        stacked = bench._estimate_stack(sc, datasets, design, config)
-        for ds, result in zip(datasets, stacked):
-            try:
-                single = _single(sc, ds, design, config)
-            except DegeneracyError as exc:
-                assert isinstance(result, DegeneracyError) and str(result) == str(exc)
+        for ds, result in zip(datasets, _stack_results(sc, datasets, design, config)):
+            if result is None:
+                with pytest.raises(DegeneracyError):
+                    _single(sc, ds, design, config)
                 continue
-            _assert_same_estimate(result, single)
+            _assert_same_estimate(result, _single(sc, ds, design, config))
 
 
 def test_a_degenerate_dataset_in_a_stack_is_one_failure():
@@ -605,13 +620,12 @@ def test_a_degenerate_dataset_in_a_stack_is_one_failure():
     datasets[2] = replace(datasets[2], x01_bar=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = _estimate_stack_v1(datasets, sc.regression.design, sc.basis)
-    assert [isinstance(r, DegeneracyError) for r in results] == [False, False, True, False, False]
+        results = _stack_results(sc, datasets, sc.regression.design)
+    assert [r is None for r in results] == [False, False, True, False, False]
     with pytest.raises(DegeneracyError) as err:
         estimate_joint_v1(datasets[2], sc.regression.design, sc.basis)
-    assert str(results[2]) == str(err.value)
-    assert str(results[2]).startswith("[scale] measured anchor value is zero")
-    clean = _estimate_stack_v1(datasets[:2] + datasets[3:], sc.regression.design, sc.basis)
+    assert str(err.value).startswith("[scale] measured anchor value is zero")
+    clean = _stack_results(sc, datasets[:2] + datasets[3:], sc.regression.design)
     for result, alone in zip(results[:2] + results[3:], clean):
         _assert_same_estimate(result, alone)
 
@@ -621,45 +635,37 @@ def test_a_degenerate_dataset_in_a_stack_is_one_failure():
     datasets[0] = replace(datasets[0], y_hat=np.zeros_like(datasets[0].y_hat))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = _estimate_stack_v2(datasets, scp.regression.design_natural)
-    assert str(results[0]).startswith("[kronecker] rearranged matrix is numerically zero")
-    assert not any(isinstance(r, DegeneracyError) for r in results[1:])
-    assert _estimate_stack_v1([], sc.regression.design, sc.basis) == []
+        results = _stack_results(scp, datasets, scp.regression.design_natural)
+    assert [r is None for r in results] == [True, False, False, False]
+    with pytest.raises(DegeneracyError) as err:
+        estimate_joint_v2(datasets[0], scp.regression.design_natural)
+    assert str(err.value).startswith("[kronecker] rearranged matrix is numerically zero")
+    clean = _stack_results(scp, datasets[1:], scp.regression.design_natural)
+    for result, alone in zip(results[1:], clean):
+        _assert_same_estimate(result, alone)
 
 
-def test_only_the_refused_datasets_of_a_stack_run_alone(monkeypatch):
+def test_datasets_refused_at_two_stages_leave_their_neighbours_unchanged():
     sc = preset("one_qubit_closed_complete")
     design = sc.regression.design
     datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=t,
                                  basis=sc.basis, ideal=sc.ideal) for t in range(8)]
-    clean = _estimate_stack_v1(datasets, design, sc.basis)
+    clean = _stack_results(sc, datasets, design)
     # refused at the scale fix, and (targets exactly zero) at the Kronecker factor
     datasets[1] = replace(datasets[1], x01_bar=0.0)
     flat = np.outer(np.full(len(sc.ensemble), 1.0 / np.sqrt(sc.d)), datasets[5].c_j0_hat)
     datasets[5] = replace(datasets[5], y_hat=flat)
-    alone = []
-    single = estimator.estimate_joint_v1
-    monkeypatch.setattr(estimator, "estimate_joint_v1",
-                        lambda ds, *args: alone.append(ds) or single(ds, *args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = _estimate_stack_v1(datasets, design, sc.basis)
-    assert [id(ds) for ds in alone] == [id(datasets[1]), id(datasets[5])]
-    assert str(results[1]).startswith("[scale] measured anchor value is zero")
-    assert str(results[5]).startswith("[kronecker] rearranged matrix is numerically zero")
+        results = _stack_results(sc, datasets, design)
+    assert [k for k, r in enumerate(results) if r is None] == [1, 5]
+    for k, message in ((1, "[scale] measured anchor value is zero"),
+                       (5, "[kronecker] rearranged matrix is numerically zero")):
+        with pytest.raises(DegeneracyError) as err:
+            estimate_joint_v1(datasets[k], design, sc.basis)
+        assert str(err.value).startswith(message)
     for k in (0, 2, 3, 4, 6, 7):
         _assert_same_estimate(results[k], clean[k])
-
-
-def test_a_stack_of_mixed_copy_counts_is_estimated_dataset_by_dataset():
-    sc = preset("one_qubit_closed_complete")
-    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=4,
-                                 basis=sc.basis, ideal=sc.ideal) for n0 in (1000, 2000, 1000)]
-    config = Stage1Config("tikhonov")  # its automatic scale depends on the copy count
-    for ds, result in zip(datasets, _estimate_stack_v1(datasets, sc.regression.design,
-                                                      sc.basis, config)):
-        _assert_same_estimate(result, estimate_joint_v1(ds, sc.regression.design, sc.basis,
-                                                        config))
 
 
 def _simplex_reference(v, total=1.0):

@@ -267,6 +267,13 @@ def test_dataset_rejects_bad_frequencies(field, value):
         MeasurementDataset(**bad)
 
 
+def test_dataset_refuses_frequencies_that_are_not_a_matrix():
+    for y_hat in (np.full(2, 0.4), np.full((2, 2, 1), 0.4), 0.4):
+        with pytest.raises(ValidationError, match="must be an L x M matrix"):
+            MeasurementDataset(y_hat=y_hat, x_a0_hat=np.full(2, 0.7), c_j0_hat=np.full(2, 0.7),
+                               x01_bar=0.1, n0=10, tp_flags=np.ones(2, dtype=bool))
+
+
 def _one_pass_simulation(sc, n0, seed, exact):
     """The protocol in one pass, as ``simulate_dataset`` ran it before the
     ideal statistics were split off: evolve, sample the process rows, then

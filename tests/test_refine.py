@@ -8,7 +8,6 @@ from jointtomo import (
     KrausChannel,
     MeasurementDataset,
     Povm,
-    PovmCoordinates,
     ProcessEnsemble,
     Stage1Config,
     ValidationError,
@@ -16,23 +15,22 @@ from jointtomo import (
     build_regression_matrices,
     build_targets_v1,
     coherence_to_state,
-    coords_to_povm_element,
     correct_povm,
     correct_state,
     estimate_joint_v1,
     export_sos_problem,
     factor_design,
+    from_coords,
     haar_unitary,
     in_physical_set,
     k_coefficients,
     load_sos_problem,
-    povm_element_to_coords,
     povm_membership,
     preset,
     random_density_matrix,
     refine_alternating,
     simulate_dataset,
-    state_to_coords,
+    to_coords,
     vectorize,
 )
 from jointtomo.refine import _min_norm_solve
@@ -88,7 +86,7 @@ def test_in_physical_set_cases():
     rng = np.random.default_rng(2)
     u = haar_unitary(3, rng)
     rho = (u * np.array([0.6, 0.4, 0.0])) @ u.conj().T
-    x = state_to_coords(rho, basis3).x
+    x = to_coords(rho, basis3)[1:]
     assert in_physical_set(x, basis3, tol=1e-9)
     assert abs(k_coefficients(coherence_to_state(x, basis3)).k[3]) < 1e-12
 
@@ -108,10 +106,10 @@ def test_membership_agrees_with_eigenvalue_test(d):
 
 def test_povm_membership():
     basis = build_basis(2)
-    c = povm_element_to_coords(np.eye(2) / 3, basis)
-    assert povm_membership(c.c0, c.c, basis)
-    bad = povm_element_to_coords(np.diag([0.5, -0.05]).astype(complex), basis)
-    assert not povm_membership(bad.c0, bad.c, basis)
+    c = to_coords(np.eye(2) / 3, basis)
+    assert povm_membership(c[0], c[1:], basis)
+    bad = to_coords(np.diag([0.5, -0.05]).astype(complex), basis)
+    assert not povm_membership(bad[0], bad[1:], basis)
     assert povm_membership(0.0, np.zeros(3), basis)
     assert not povm_membership(0.0, np.array([0.2, 0.0, 0.0]), basis)
 
@@ -194,19 +192,19 @@ def _kron_refine_reference(ds, b, basis, init, iters=100, rel_tol=1e-10):
                          for j in range(len(cs))))
 
     def project_povm(c0, c):
-        p = coords_to_povm_element(PovmCoordinates(c0, c), basis)
+        p = from_coords(np.concatenate(([c0], c)), basis)
         vals, vecs = np.linalg.eigh(p)
         clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-        return povm_element_to_coords(clipped, basis).c
+        return to_coords(clipped, basis)[1:]
 
     def project_state(x):
         rho = correct_state(coherence_to_state(x, basis)).rho
-        return state_to_coords(rho, basis).x
+        return to_coords(rho, basis)[1:]
 
     n = basis.n_traceless
     y = build_targets_v1(ds, basis)
-    x = state_to_coords(init.rho_hat.rho, basis).x
-    cs = [povm_element_to_coords(p, basis).c for p in init.povm_hat.elements]
+    x = to_coords(init.rho_hat.rho, basis)[1:]
+    cs = [to_coords(p, basis)[1:] for p in init.povm_hat.elements]
     m = len(cs)
     anchor = ds.anchor_index - 1
     c0s = ds.c_j0_hat
@@ -247,8 +245,7 @@ def _kron_refine_reference(ds, b, basis, init, iters=100, rel_tol=1e-10):
             stop_reason = "converged"
             break
     rho_bar = coherence_to_state(x, basis)
-    povm_bar = np.stack([coords_to_povm_element(PovmCoordinates(c0s[j], cs[j]), basis)
-                         for j in range(m)])
+    povm_bar = from_coords(np.column_stack([c0s, np.stack(cs)]), basis)
     rho_hat, povm_hat = correct_state(rho_bar), correct_povm(povm_bar)
     return rho_hat, povm_hat, {"objective_trajectory": trajectory,
                                "sweeps_accepted": accepted, "stop_reason": stop_reason}
@@ -353,9 +350,9 @@ def test_corrected_objective_is_the_objective_of_the_returned_pair():
         result = refine_alternating(ds, reg.b, sc.basis, init)
         diag = result.diagnostics
         y = build_targets_v1(ds, sc.basis)
-        x = state_to_coords(result.rho_hat.rho, sc.basis).x
+        x = to_coords(result.rho_hat.rho, sc.basis)[1:]
         direct = sum(
-            np.linalg.norm(y[:, j] - reg.b @ np.kron(x, povm_element_to_coords(p, sc.basis).c)) ** 2
+            np.linalg.norm(y[:, j] - reg.b @ np.kron(x, to_coords(p, sc.basis)[1:])) ** 2
             for j, p in enumerate(result.povm_hat.elements))
         assert abs(diag["corrected_objective"] - direct) <= 1e-10 * direct
         moved += diag["corrected_objective"] > diag["final_objective"] * (1 + 1e-6)
@@ -422,8 +419,8 @@ def test_refine_refuses_malformed_arguments(bad):
 
 
 def _truth_values(sc):
-    x = state_to_coords(sc.truth_state.rho, sc.basis).x
-    cs = [povm_element_to_coords(p, sc.basis).c for p in sc.truth_povm.elements]
+    x = to_coords(sc.truth_state.rho, sc.basis)[1:]
+    cs = [to_coords(p, sc.basis)[1:] for p in sc.truth_povm.elements]
     return np.concatenate([x] + cs)
 
 
@@ -436,9 +433,9 @@ def test_export_objective_fidelity(tmp_path):
     prob = export_sos_problem(ds, reg.b, sc.basis, path)
     vals = _truth_values(sc)
     y = build_targets_v1(ds, sc.basis)
-    x = state_to_coords(sc.truth_state.rho, sc.basis).x
+    x = to_coords(sc.truth_state.rho, sc.basis)[1:]
     direct = sum(
-        np.linalg.norm(y[:, j] - reg.b @ np.kron(x, povm_element_to_coords(p, sc.basis).c)) ** 2
+        np.linalg.norm(y[:, j] - reg.b @ np.kron(x, to_coords(p, sc.basis)[1:])) ** 2
         for j, p in enumerate(sc.truth_povm.elements)
     )
     assert abs(prob.evaluate_objective(vals) - direct) < 1e-10
@@ -509,9 +506,7 @@ def test_export_pure_mode(tmp_path):
     assert not any(n.startswith("state") for n, _ in prob.inequalities)
     # objective at the truth equals the raw natural-basis residual
     psi = np.linalg.eigh(sc.truth_state.rho)[1][:, -1]
-    coords = [povm_element_to_coords(p, sc.basis) for p in sc.truth_povm.elements]
-    vals = np.concatenate([psi.real, psi.imag]
-                          + [np.concatenate(([c.c0], c.c)) for c in coords])
+    vals = np.concatenate([psi.real, psi.imag, *to_coords(sc.truth_povm.elements, sc.basis)])
     from jointtomo import vectorize
     direct = sum(
         np.linalg.norm(ds.y_hat[:, j] - reg.b_natural
@@ -579,7 +574,7 @@ def test_export_objective_matches_the_residual_at_random_points(tmp_path, case):
         assert abs(prob.evaluate_objective(vals) - direct) <= 1e-10 * direct
     if case == "qutrit":
         # the state positivity polynomials hold inside the state set
-        x = state_to_coords(random_density_matrix(3, rng).rho, basis).x
+        x = to_coords(random_density_matrix(3, rng).rho, basis)[1:]
         vals = np.concatenate([x, rng.normal(size=n * m)])
         balls = dict(prob.inequalities)
         for p in (2, 3):
@@ -594,8 +589,8 @@ def test_export_objective_is_the_refined_objective(tmp_path):
         init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
         result = refine_alternating(ds, reg.b, sc.basis, init)
         prob = export_sos_problem(ds, reg.b, sc.basis, tmp_path / f"p{seed}.sos")
-        vals = np.concatenate([state_to_coords(result.rho_bar, sc.basis).x]
-                              + [povm_element_to_coords(p, sc.basis).c for p in result.povm_bar])
+        vals = np.concatenate([to_coords(result.rho_bar, sc.basis)[1:]]
+                              + [to_coords(p, sc.basis)[1:] for p in result.povm_bar])
         final = result.diagnostics["final_objective"]
         assert abs(prob.evaluate_objective(vals) - final) <= 1e-10 * final
 

@@ -94,6 +94,16 @@ def test_hamiltonian_file(tmp_path):
     path.write_text(json.dumps([{"d": 2, "h": h}]))
     with pytest.raises(ValidationError):
         load_hamiltonians(path)
+    nan_h = [[[0.0, 0.0], [float("nan"), 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+    for record, message in (({"d": 3, "h": h, "dt_us": 1.0}, "must be 3x3"),
+                            ({"d": 2.5, "h": h, "dt_us": 1.0}, "whole number"),
+                            ({"d": 2, "h": nan_h, "dt_us": 1.0}, "non-finite"),
+                            ({"d": 2, "h": h, "dt_us": 0.0}, "dt_us"),
+                            ({"d": 2, "h": h, "dt_us": -1.0}, "dt_us"),
+                            ({"d": 2, "h": h, "dt_us": float("inf")}, "dt_us")):
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ValidationError, match=message):
+            load_hamiltonians(path)
 
 
 LOADERS = (load_ensemble, load_hamiltonians, load_state, load_povm, load_dataset)
@@ -108,6 +118,9 @@ LOADERS = (load_ensemble, load_hamiltonians, load_state, load_povm, load_dataset
     '"tp_flags": [true]}',
     '{"y_hat": [[0.5]], "x_a0_hat": [0.7], "c_j0_hat": [0.7], "x01_bar": 0.1, "n0": 2.5, '
     '"tp_flags": [true]}',
+    # a Hamiltonian record whose h is 2x3, and one whose dt_us is NaN
+    '[{"d": 2, "h": [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]], "dt_us": 1.0}]',
+    '[{"d": 2, "h": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]], "dt_us": NaN}]',
 ])
 def test_loaders_refuse_malformed_files(tmp_path, loader, text):
     path = tmp_path / "in.json"

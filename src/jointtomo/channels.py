@@ -419,7 +419,12 @@ def _rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
 @dataclass(frozen=True)
 class FactoredDesign:
     """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
-    its numerical rank (singular values above ``RANK_RTOL * s[0]``)."""
+    its numerical rank (singular values above ``RANK_RTOL * s[0]``).
+
+    The records this package makes hold a read-only ``b``, so their factors
+    cannot go stale: the matrix of a ``build_regression_matrices`` record, or
+    the copy ``factor_design`` made of a raw matrix.
+    """
 
     b: np.ndarray
     u: np.ndarray
@@ -436,19 +441,54 @@ class FactoredDesign:
         return self.rank == self.shape[1]
 
 
-def factor_design(b) -> FactoredDesign:
-    """Factor a regression matrix once, for any number of stage-1 solves.
+def _factor(b: np.ndarray) -> FactoredDesign:
+    """The economy SVD and rank of the 2-D matrix ``b``, kept as ``b``."""
+    if b.ndim != 2:
+        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        # LAPACK's SVD may never return on an infinite entry
+        raise np.linalg.LinAlgError("regression matrix has a non-finite entry")
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
 
-    ``b`` may be anything array-like; a FactoredDesign is returned
-    unchanged, so callers may pass either.
+
+# How many raw matrices ``factor_design`` keeps factored, and the designs it
+# keeps, most recently used first.
+_MEMO_SIZE = 4
+_memo = []
+
+
+def factor_design(b) -> FactoredDesign:
+    """Factor a regression matrix once per process, for any number of
+    stage-1 solves.
+
+    A FactoredDesign is returned unchanged, so callers may pass either.  Any
+    other ``b`` is read as an array and looked up among the last
+    ``_MEMO_SIZE`` matrices factored here: one with the same shape, dtype and
+    entries returns its record as it is.  Otherwise ``b`` is copied once, the
+    copy is marked read-only and factored, and the record, whose ``b`` is
+    that copy, is kept in place of the least recently used one.  Writing to
+    the caller's array afterwards therefore never changes a record; the
+    changed matrix is factored anew.  A matrix that cannot be factored is
+    refused on every call and never kept: one that is not 2-D raises
+    ValidationError, one with a non-finite entry (or whose SVD does not
+    converge) LinAlgError.  ``RegressionMatrices.design`` skips the lookup
+    and the copy for the record's own read-only matrix.
     """
     if isinstance(b, FactoredDesign):
         return b
     b = np.asarray(b)
-    if b.ndim != 2:
-        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
-    return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
+    for i, design in enumerate(_memo):
+        key = design.b
+        if key.shape == b.shape and key.dtype == b.dtype and np.array_equal(key, b):
+            _memo.insert(0, _memo.pop(i))
+            return design
+    key = b.copy()
+    key.setflags(write=False)
+    design = _factor(key)
+    _memo.insert(0, design)
+    del _memo[_MEMO_SIZE:]
+    return design
 
 
 @dataclass(frozen=True)
@@ -460,7 +500,9 @@ class RegressionMatrices:
     factored at most once, when ``design``/``design_natural`` is first read,
     and the ranks and completeness verdicts are read off those
     factorizations: a basis is informationally complete when its matrix has
-    full column rank, (d^2-1)^2 for ``b`` and d^4 for ``b_natural``.
+    full column rank, (d^2-1)^2 for ``b`` and d^4 for ``b_natural``.  These
+    designs hold ``b`` and ``b_natural`` themselves, neither copied nor kept
+    in ``factor_design``'s memo.
     """
 
     b: np.ndarray
@@ -468,11 +510,11 @@ class RegressionMatrices:
 
     @cached_property
     def design(self) -> FactoredDesign:
-        return factor_design(self.b)
+        return _factor(self.b)
 
     @cached_property
     def design_natural(self) -> FactoredDesign:
-        return factor_design(self.b_natural)
+        return _factor(self.b_natural)
 
     @property
     def rank_b(self) -> int:

@@ -9,7 +9,8 @@ stack); a single estimate is the stack T = 1.  It has four steps:
 2. solve the linear system ``B z = Y`` by plain least squares, the
    Moore-Penrose inverse, or Tikhonov regularization.  B depends only on the
    probe processes, so its economy SVD ``B = U S V^dag`` is computed once per
-   design (``channels.factor_design``; ``RegressionMatrices.design`` and
+   design (``channels.factor_design``, which keeps the factors of the last
+   few raw matrices for the process; ``RegressionMatrices.design`` and
    ``design_natural`` hold it for an ensemble, and the ensemble's ranks and
    completeness verdicts are read off that same factorization) and every
    solve applies it: ``z = V diag(f(s)) U^dag Y`` with the method's filter
@@ -214,7 +215,8 @@ def build_targets_v1(ds, basis: OperatorBasis) -> np.ndarray:
 def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     """Solve ``min || y - B z ||`` by the configured method.
 
-    ``b`` is a FactoredDesign or a raw matrix, which is factored here.
+    ``b`` is a FactoredDesign or a raw matrix, which ``factor_design``
+    factors once per process.
     ``y`` may be a vector or a matrix of stacked targets (one column per
     outcome); the solution has matching shape.  Each method is a filter on
     the singular values: ``plain_ls`` inverts them all and refuses a
@@ -567,7 +569,8 @@ def estimate_joint_v1(
 
     ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
     processes, one vectorized block per row, as any array-like matrix or as
-    its ``factor_design`` record, which a raw matrix is turned into here.
+    its ``factor_design`` record, which a raw matrix is turned into here
+    (factored once per process).
     Each outcome's scale is fixed by the measured anchor coordinate; its
     anchor value is that coordinate of the unscaled state factor.
     """

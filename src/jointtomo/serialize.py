@@ -16,6 +16,10 @@ from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm, _whole
 
 
+# Largest entry of ``|h - h^dag|``, relative to ``max(1, max |h|)``, that a
+# Hamiltonian read from a file may have.
+_HERMITIAN_TOL = 1e-12
+
 # What a malformed record raises while it is parsed: a missing key, a wrong
 # type or shape, an infinite integer.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
@@ -60,7 +64,8 @@ def channel_from_json(data) -> KrausChannel:
         if key not in data:
             raise ValidationError(f"channel record is missing field {key!r}")
     kraus = np.stack([matrix_from_json(a) for a in data["kraus"]])
-    return KrausChannel(int(data["d"]), kraus, label=str(data.get("label", "")))
+    return KrausChannel(_whole(data["d"], "channel dimension d"), kraus,
+                        label=str(data.get("label", "")))
 
 
 def save_ensemble(ens: ProcessEnsemble, path) -> None:
@@ -80,7 +85,8 @@ def load_ensemble(path) -> ProcessEnsemble:
 
 def load_hamiltonians(path):
     """Hamiltonian records ``{"d": int, "h": matrix, "dt_us": real}``: ``h``
-    a finite ``d x d`` matrix and ``dt_us`` a finite sampling interval > 0."""
+    a finite, Hermitian ``d x d`` matrix and ``dt_us`` a finite sampling
+    interval > 0."""
     return _load(path, _hamiltonians_from_json)
 
 
@@ -88,7 +94,7 @@ def _hamiltonians_from_json(data) -> list:
     if isinstance(data, dict):
         data = [data]
     out = []
-    for item in data:
+    for i, item in enumerate(data, start=1):
         for key in ("d", "h", "dt_us"):
             if key not in item:
                 raise ValidationError(f"Hamiltonian record is missing field {key!r}")
@@ -98,6 +104,12 @@ def _hamiltonians_from_json(data) -> list:
             raise ValidationError(f"Hamiltonian h must be {d}x{d}, got shape {h.shape}")
         if not np.isfinite(h).all():
             raise ValidationError("Hamiltonian h has a non-finite entry")
+        with np.errstate(over="ignore"):  # an overflowing skew is refused as infinite
+            skew = np.max(np.abs(h - h.conj().T))
+            scale = max(1.0, np.max(np.abs(h)))
+        if skew > _HERMITIAN_TOL * scale:
+            raise ValidationError(
+                f"Hamiltonian H{i} is not Hermitian: max |h - h^dag| = {skew:.3g}")
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValidationError(f"dt_us must be finite and > 0, got {dt}")
         out.append((h, dt))
@@ -110,7 +122,8 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    return _load(path, lambda data: DensityMatrix(int(data["d"]), matrix_from_json(data["rho"])))
+    return _load(path, lambda data: DensityMatrix(_whole(data["d"], "state dimension d"),
+                                                  matrix_from_json(data["rho"])))
 
 
 def save_povm(povm: Povm, path) -> None:
@@ -120,7 +133,8 @@ def save_povm(povm: Povm, path) -> None:
 
 def load_povm(path) -> Povm:
     return _load(path, lambda data: Povm(
-        int(data["d"]), np.stack([matrix_from_json(p) for p in data["elements"]])))
+        _whole(data["d"], "detector dimension d"),
+        np.stack([matrix_from_json(p) for p in data["elements"]])))
 
 
 def dataset_to_json(ds: MeasurementDataset) -> dict:

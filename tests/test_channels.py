@@ -5,8 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from jointtomo import (
+    FactoredDesign,
     KrausChannel,
     ProcessEnsemble,
+    Stage1Config,
     ValidationError,
     amplitude_damping,
     build_basis,
@@ -14,6 +16,8 @@ from jointtomo import (
     change_of_basis,
     devectorize,
     discretize_hamiltonian,
+    estimate_joint_v1,
+    factor_design,
     hamiltonian_generator,
     haar_unitary,
     is_generalized_unital,
@@ -25,11 +29,14 @@ from jointtomo import (
     pauli_sandwich_processes,
     preset,
     rank_bound,
+    run_method_comparison,
+    simulate_dataset,
     superoperator,
     to_coords,
     transfer_matrix,
     vectorize,
 )
+from jointtomo import channels
 from jointtomo.bench import PRESET_NAMES
 
 
@@ -463,3 +470,118 @@ def test_ranks_and_completeness_read_the_cached_factorizations(name):
     assert reg.rank_b_natural == reg.design_natural.rank == numerical_rank(reg.b_natural)
     assert reg.complete_v1 == (reg.rank_b == sc.basis.n_traceless ** 2)
     assert reg.complete_v2 == (reg.rank_b_natural == sc.d ** 4)
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """An empty design memo for one test, and the shapes of the matrices that
+    ``np.linalg.svd`` is called on during it."""
+    monkeypatch.setattr(channels, "_memo", [])
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
+def test_fits_on_a_raw_matrix_factor_it_once(svds):
+    sc = preset("one_qubit_closed_complete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    for seed in range(20):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=seed,
+                              basis=sc.basis)
+        estimate_joint_v1(ds, reg.b, sc.basis)
+    assert svds.count(reg.b.shape) == 1
+
+
+def test_a_hit_returns_the_same_record_with_exact_factors(svds):
+    b = np.random.default_rng(1).normal(size=(12, 5))
+    design = factor_design(b)
+    assert factor_design(b) is design
+    assert factor_design(np.asfortranarray(b)) is design  # equal content, other layout
+    assert svds == [b.shape]
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    assert np.array_equal(design.u, u) and np.array_equal(design.s, s)
+    assert np.array_equal(design.vh, vh) and design.rank == 5
+
+
+def test_a_changed_array_is_factored_again(svds):
+    b = np.random.default_rng(2).normal(size=(12, 5))
+    original = b.copy()
+    first = factor_design(b)
+    b[0, 0] += 5.0
+    second = factor_design(b)
+    assert second is not first and np.array_equal(second.b, b)
+    assert np.allclose((second.u * second.s) @ second.vh, b)
+    # the first record still holds, and factors, the matrix it was made from
+    assert np.array_equal(first.b, original)
+    assert np.allclose((first.u * first.s) @ first.vh, first.b)
+    assert len(svds) == 2
+
+
+def test_a_memo_design_owns_a_read_only_copy(svds):
+    b = np.random.default_rng(3).normal(size=(6, 4))
+    design = factor_design(b)
+    assert design.b is not b and not np.shares_memory(design.b, b)
+    assert np.array_equal(design.b, b) and not design.b.flags.writeable
+    with pytest.raises(ValueError):
+        design.b[0, 0] = 1.0
+    assert b.flags.writeable  # the caller's array is left as it was
+
+
+def test_real_and_complex_matrices_do_not_share_an_entry(svds):
+    b = np.random.default_rng(4).normal(size=(6, 4))
+    real, cplx = factor_design(b), factor_design(b.astype(complex))
+    assert cplx is not real
+    assert real.b.dtype == float and cplx.b.dtype == complex
+    assert len(svds) == 2 and len(channels._memo) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_failures_are_never_kept(svds, bad):
+    b = np.random.default_rng(6).normal(size=(15, 9))
+    b[0, 0] = bad  # an infinite entry can keep LAPACK's SVD from ever returning
+    for _ in range(3):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            factor_design(b)
+    with pytest.raises(ValidationError, match="2-D"):
+        factor_design(np.ones(3))
+    assert svds == [] and channels._memo == []
+
+
+def test_the_memo_keeps_the_most_recently_used_designs(svds):
+    size = channels._MEMO_SIZE
+    mats = [np.full((3, 2), float(k + 1)) for k in range(size + 2)]
+    designs = [factor_design(m) for m in mats[:size]]
+    assert factor_design(mats[0]) is designs[0]  # a hit makes it the most recent
+    factor_design(mats[size])  # evicts mats[1], the least recently used
+    assert len(channels._memo) == size and len(svds) == size + 1
+    assert factor_design(mats[0]) is designs[0] and len(svds) == size + 1
+    assert factor_design(mats[1]) is not designs[1] and len(svds) == size + 2
+    factor_design(mats[size + 1])
+    assert len(channels._memo) == size
+
+
+def test_method_comparison_factors_each_subset_design_once(svds):
+    sc = preset("one_qubit_closed_complete")
+    n = sc.basis.n_traceless ** 2
+    configs = [("full", sc.stage1, None),
+               ("even", Stage1Config("mp_inverse"), list(range(0, len(sc.ensemble), 2))),
+               ("head", Stage1Config("mp_inverse"), list(range(10)))]
+    for seed in (1, 2):
+        run_method_comparison(sc, [1000], 2, configs, seed=seed)
+    assert svds.count((8, n)) == 1 and svds.count((10, n)) == 1
+
+
+def test_a_factored_design_passes_through_unchanged(svds):
+    design = factor_design(np.random.default_rng(5).normal(size=(5, 3)))
+    assert factor_design(design) is design and len(svds) == 1
+    sc = preset("one_qubit_closed_complete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    # a record's design holds the record's own matrix and stays out of the memo
+    assert factor_design(reg.design) is reg.design and reg.design.b is reg.b
+    assert len(channels._memo) == 1 and channels._memo[0] is design

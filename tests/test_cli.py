@@ -233,6 +233,39 @@ def test_rank_check_refuses_non_finite_or_misshapen_processes(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", [2.7, "2", True], ids=["fraction", "string", "bool"])
+@pytest.mark.parametrize("which", ["state", "povm", "channels"])
+def test_files_with_a_fractional_or_non_numeric_dimension_are_refused(tmp_path, capsys,
+                                                                     which, d):
+    from jointtomo.serialize import save_povm, save_state
+    sc = preset("one_qubit_closed_complete")
+    paths = {name: tmp_path / f"{name}.json" for name in ("state", "povm", "channels")}
+    save_state(sc.truth_state, paths["state"])
+    save_povm(sc.truth_povm, paths["povm"])
+    save_ensemble(sc.ensemble, paths["channels"])
+    data = json.loads(paths[which].read_text())
+    for record in data if isinstance(data, list) else [data]:
+        record["d"] = d
+    paths[which].write_text(json.dumps(data))
+    assert run_cli("simulate", "--channels", str(paths["channels"]),
+                   "--state", str(paths["state"]), "--povm", str(paths["povm"]),
+                   "--n0", "100", "--out", str(tmp_path / "ds.json"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {paths[which]}: ")
+    assert "whole number" in err and "Traceback" not in err
+    assert not (tmp_path / "ds.json").exists()
+
+
+def test_a_non_hermitian_hamiltonian_is_refused_with_its_file(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    upper = [[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path.write_text(json.dumps([{"d": 2, "h": upper, "dt_us": 1.0}]))
+    assert run_cli("rank-check", "--hamiltonians", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {path}: Hamiltonian H1 is not Hermitian")
+    assert "Traceback" not in err
+
+
 def test_bench_command(tmp_path, capsys):
     out = tmp_path / "mse.csv"
     rc = run_cli("bench", "--preset", "one_qubit_closed_complete",

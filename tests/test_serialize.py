@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,15 +96,38 @@ def test_hamiltonian_file(tmp_path):
     with pytest.raises(ValidationError):
         load_hamiltonians(path)
     nan_h = [[[0.0, 0.0], [float("nan"), 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+    upper_h = [[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    huge_h = [[[1e308, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
     for record, message in (({"d": 3, "h": h, "dt_us": 1.0}, "must be 3x3"),
+                            ({"d": 2, "h": upper_h, "dt_us": 1.0}, "H2 is not Hermitian"),
+                            ({"d": 2, "h": huge_h, "dt_us": 1.0}, "H2 is not Hermitian"),
                             ({"d": 2.5, "h": h, "dt_us": 1.0}, "whole number"),
                             ({"d": 2, "h": nan_h, "dt_us": 1.0}, "non-finite"),
                             ({"d": 2, "h": h, "dt_us": 0.0}, "dt_us"),
                             ({"d": 2, "h": h, "dt_us": -1.0}, "dt_us"),
                             ({"d": 2, "h": h, "dt_us": float("inf")}, "dt_us")):
-        path.write_text(json.dumps([record]))
-        with pytest.raises(ValidationError, match=message):
+        path.write_text(json.dumps([{"d": 2, "h": h, "dt_us": 1.0}, record]))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_hamiltonians(path)
+
+
+@pytest.mark.parametrize("d", [2.7, "2", True, 2.0], ids=["fraction", "string", "bool", "float"])
+def test_loaders_read_the_dimension_as_a_whole_number(tmp_path, d):
+    sc = preset("one_qubit_closed_complete")
+    paths = (tmp_path / "state.json", tmp_path / "povm.json", tmp_path / "ens.json")
+    save_state(sc.truth_state, paths[0])
+    save_povm(sc.truth_povm, paths[1])
+    save_ensemble(sc.ensemble, paths[2])
+    for path, loader in zip(paths, (load_state, load_povm, load_ensemble)):
+        data = json.loads(path.read_text())
+        for record in data if isinstance(data, list) else [data]:
+            record["d"] = d
+        path.write_text(json.dumps(data))
+        if d == 2.0:  # a float with an integral value is a whole number
+            assert loader(path) is not None
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*whole number"):
+                loader(path)
 
 
 LOADERS = (load_ensemble, load_hamiltonians, load_state, load_povm, load_dataset)

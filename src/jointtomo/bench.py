@@ -244,7 +244,6 @@ class MseRow:
 class MseTable:
     rows: tuple
     scenario: str
-    config_label: str = ""
     failures: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -426,8 +425,8 @@ def run_method_comparison(
             "process_indices": None if indices is None else list(map(int, indices)),
             "failures": failures,
         }
-        out[label] = MseTable(rows=rows, scenario=sc.name, config_label=label,
-                              failures=failures, metadata=metadata)
+        out[label] = MseTable(rows=rows, scenario=sc.name, failures=failures,
+                              metadata=metadata)
     return out
 
 

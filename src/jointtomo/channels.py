@@ -102,10 +102,6 @@ class ProcessEnsemble:
     def __len__(self) -> int:
         return len(self.channels)
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(ch.label for ch in self.channels)
-
     @cached_property
     def kraus_stack(self) -> np.ndarray:
         """Every channel's Kraus matrices in one read-only ``(L, k_max, d, d)``
@@ -404,16 +400,16 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
     return tuple(KrausChannel(d, k, label=l) for k, l in zip(channels, labels))
 
 
-def numerical_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank by counting singular values above ``rtol * sigma_max``."""
-    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), rtol)
+def numerical_rank(m: np.ndarray) -> int:
+    """Rank by counting singular values above ``RANK_RTOL * sigma_max``."""
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False))
 
 
-def _rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """How many of the descending singular values ``s`` exceed ``rtol * s[0]``."""
+def _rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` exceed ``RANK_RTOL * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -502,11 +498,20 @@ class RegressionMatrices:
     factorizations: a basis is informationally complete when its matrix has
     full column rank, (d^2-1)^2 for ``b`` and d^4 for ``b_natural``.  These
     designs hold ``b`` and ``b_natural`` themselves, neither copied nor kept
-    in ``factor_design``'s memo.
+    in ``factor_design``'s memo.  A writable matrix is kept as a read-only
+    copy, so the factors cannot go stale (a read-only view is not guarded).
     """
 
     b: np.ndarray
     b_natural: np.ndarray
+
+    def __post_init__(self):
+        for name in ("b", "b_natural"):
+            m = np.asarray(getattr(self, name))
+            if m.flags.writeable:
+                m = m.copy()
+                m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @cached_property
     def design(self) -> FactoredDesign:

@@ -23,7 +23,8 @@ stack); a single estimate is the stack T = 1.  It has four steps:
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
    with one stacked eigendecomposition for the T states and one for the
-   ``T M`` detector elements, and one stacked check of each.
+   ``T M`` detector elements, and one stacked check of each
+   (``correct_state``/``correct_povm`` are this step on one estimate).
 
 The result is a ``StackEstimates`` record of arrays: the ``(T, d, d)`` states,
 the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
@@ -57,12 +58,17 @@ from .measurement import (
     MeasurementDataset,
     Povm,
     _new,
+    _skewed,
 )
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
 # degenerate anchor rather than producing a huge rescale.
 ANCHOR_RTOL = 1e-6
+# A state estimate's trace may differ from 1 by this much before correction.
+STATE_TRACE_TOL = 1e-6
+# Added, times ||S|| * I, to a clipped detector's element sum S that is singular.
+POVM_EPS_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,8 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     """Solve ``min || y - B z ||`` by the configured method.
 
     ``b`` is a FactoredDesign or a raw matrix, which ``factor_design``
-    factors once per process.
+    factors once per process; a raw matrix that cannot be factored is
+    refused as the estimators refuse it, with a ``[stage1]`` error.
     ``y`` may be a vector or a matrix of stacked targets (one column per
     outcome); the solution has matching shape.  Each method is a filter on
     the singular values: ``plain_ls`` inverts them all and refuses a
@@ -225,11 +232,11 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     refusing ``reg_scale = 0`` on a rank-deficient B.
     """
     y = np.asarray(y)
-    if y.shape[0] != np.shape(b)[0]:
-        raise ValidationError(f"target length {y.shape[0]} does not match {np.shape(b)[0]} rows")
+    design = _stage("stage1", factor_design, b)
+    if y.shape[0] != design.shape[0]:
+        raise ValidationError(f"target length {y.shape[0]} does not match {design.shape[0]} rows")
     if config.method == "tikhonov" and config.reg_scale is None:
         raise ValidationError("tikhonov needs a concrete reg_scale (or resolve via dataset)")
-    design = factor_design(b)
     s, full_rank = design.s, design.full_column_rank
     if config.method == "plain_ls":
         if not full_rank:
@@ -291,19 +298,20 @@ def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactoriza
     )
 
 
-def fix_scale_v1(fac: KroneckerFactorization, x01_bar, tol: float = ANCHOR_RTOL,
-                 anchor: int = 0):
+def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
     """Resolve the Kronecker scale ambiguity with the measured anchor coordinate.
 
     Returns the rescaled pair ``(x_bar, c_bar)`` with
     ``x_bar[anchor] == x01_bar`` and ``x_bar kron c_bar`` unchanged.  A
-    stacked factorization is rescaled factor by factor, with ``x01_bar``
-    broadcast against its leading axes; the stack is refused if any factor
-    is (the error's ``refused`` mask says which).
+    factor whose anchor coordinate is at most ``ANCHOR_RTOL`` times its norm
+    is refused, as is a zero ``x01_bar``.  A stacked factorization is
+    rescaled factor by factor, with ``x01_bar`` broadcast against its leading
+    axes; the stack is refused if any factor is (the error's ``refused``
+    mask says which).
     """
     left = np.asarray(fac.left, float)
     pivot = left[..., anchor]
-    small = np.abs(pivot) <= tol * np.linalg.norm(left, axis=-1)
+    small = np.abs(pivot) <= ANCHOR_RTOL * np.linalg.norm(left, axis=-1)
     x01_bar = np.broadcast_to(x01_bar, pivot.shape)
     zero = x01_bar == 0.0
     if np.any(small):
@@ -368,69 +376,32 @@ def _clip_negative(elements: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def correct_state(rho_bar: np.ndarray, trace_tol: float = 1e-6):
-    """Nearest density matrix to a Hermitian unit-trace estimate.
-
-    Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
-    projection onto the probability simplex, which is the global Frobenius
-    projection onto the set of density matrices.  A stack ``(T, d, d)`` of
-    estimates is corrected with one stacked eigendecomposition and gives a
-    list of T states, checked as states by one stacked pass
-    (``DensityMatrix.stack``), not T constructor calls; it is refused if any
-    of its estimates is, and if any has a non-finite entry.
-    """
-    rho = _nearest_states(np.asarray(rho_bar, dtype=complex), trace_tol)
-    d = rho.shape[-1]
-    return DensityMatrix(d, rho) if rho.ndim == 2 else DensityMatrix.stack(d, rho)
-
-
-def _nearest_states(rho_bar: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
-    """``correct_state``'s projection of finite, Hermitian, unit-trace
-    estimates ``(..., d, d)``, with its input checks but not the output's."""
+def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
+    """A stack ``(T, d, d)`` of finite, Hermitian, unit-trace (to
+    ``STATE_TRACE_TOL``) rough states, each moved to its nearest density
+    matrix and all checked by one stacked pass."""
     if not np.isfinite(rho_bar).all():
         raise ValidationError("state estimate has a non-finite entry")
-    defect = np.linalg.norm(rho_bar - rho_bar.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if np.any(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(rho_bar, axis=(-2, -1)))):
+    if _skewed(rho_bar, rho_bar.conj().swapaxes(-1, -2)).any():
         raise ValidationError("state estimate must be Hermitian before correction")
     tr = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
-    off = np.abs(tr - 1.0) > trace_tol
+    off = np.abs(tr - 1.0) > STATE_TRACE_TOL
     if np.any(off):
         raise ValidationError(f"state estimate has trace {tr[off][0]:.6g}, expected 1")
-    return _nearest_density(rho_bar)
+    return DensityMatrix.checked(rho_bar.shape[-1], _nearest_density(rho_bar))
 
 
-def correct_povm(elements, eps_scale: float = 1e-8, info: dict = None):
-    """Map rough detector estimates onto a valid POVM.
-
-    Each element is symmetrized and its negative eigenvalues are clipped to
-    zero; the clipped set is then renormalized as
-    ``S^{-1/2} P_j S^{-1/2}`` with ``S`` the element sum.  If clipping leaves
-    ``S`` singular, ``eps_scale * ||S|| * I`` is added first (recorded in
-    ``info`` when a dict is supplied).  A stack ``(T, M, d, d)`` of detectors
-    is corrected with stacked eigendecompositions and gives a list of T
-    POVMs, checked as detectors by one stacked pass (``Povm.stack``), not T
-    constructor calls, with one ``povm_epsilon`` per detector in ``info``;
-    it is refused if any of its detectors is (the error's ``refused`` mask
-    says which), and if any has a non-finite entry.
-    """
-    out, eps_used = _nearest_povms(np.asarray(elements, dtype=complex), eps_scale)
-    if info is not None:
-        info["povm_epsilon"] = eps_used if eps_used.ndim else float(eps_used)
-    d = out.shape[-1]
-    return Povm(d, out) if out.ndim == 3 else Povm.stack(d, out)
-
-
-def _nearest_povms(elements: np.ndarray, eps_scale: float = 1e-8) -> tuple:
-    """``correct_povm``'s map of finite detector estimates ``(..., M, d, d)``,
-    without the output's check: the elements and the epsilon added per
-    detector."""
-    if not np.isfinite(elements).all():
+def _physical_povms(povm_bar: np.ndarray) -> tuple:
+    """A stack ``(T, M, d, d)`` of finite rough detectors corrected as
+    ``correct_povm`` says and checked in one pass, with each one's epsilon;
+    refused if any stays singular (the error's ``refused`` mask says which)."""
+    if not np.isfinite(povm_bar).all():
         raise ValidationError("detector estimate has a non-finite entry")
-    d = elements.shape[-1]
+    d = povm_bar.shape[-1]
     eye = np.eye(d)
-    clipped = _clip_negative(elements)
+    clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)
-    floor = eps_scale * np.linalg.norm(s, axis=(-2, -1))
+    floor = POVM_EPS_SCALE * np.linalg.norm(s, axis=(-2, -1))
     eps_used = np.where(np.linalg.eigvalsh(s)[..., 0] <= floor, floor, 0.0)
     w, v = np.linalg.eigh(s + eps_used[..., None, None] * eye)
     singular = w[..., 0] <= 0.0
@@ -444,19 +415,37 @@ def _nearest_povms(elements: np.ndarray, eps_scale: float = 1e-8) -> tuple:
     if np.any(singular):
         raise DegeneracyError("element sum is singular beyond the epsilon repair",
                               refused=singular)
-    return out, eps_used
+    return Povm.checked(d, out), eps_used
 
 
-def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
-    """A stack ``(T, d, d)`` of rough states corrected and checked as states."""
-    return DensityMatrix.checked(rho_bar.shape[-1], _nearest_states(rho_bar))
+def correct_state(rho_bar: np.ndarray) -> DensityMatrix:
+    """Nearest density matrix to one Hermitian ``d x d`` estimate of trace 1
+    (to ``STATE_TRACE_TOL``); a stack of estimates is refused.
+
+    Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
+    projection onto the probability simplex, which is the global Frobenius
+    projection onto the set of density matrices.
+    """
+    rho_bar = np.asarray(rho_bar, dtype=complex)
+    if rho_bar.ndim != 2 or rho_bar.shape[0] != rho_bar.shape[1]:
+        raise ValidationError(f"need one d x d state estimate, got shape {rho_bar.shape}")
+    return _new(DensityMatrix, d=len(rho_bar), rho=_physical_states(rho_bar[None])[0])
 
 
-def _physical_povms(povm_bar: np.ndarray) -> tuple:
-    """A stack ``(T, M, d, d)`` of rough detectors corrected and checked as
-    detectors, with the epsilon repair of each."""
-    out, eps_used = _nearest_povms(povm_bar)
-    return Povm.checked(out.shape[-1], out), eps_used
+def correct_povm(elements) -> Povm:
+    """Map one rough detector estimate ``(M, d, d)`` onto a valid POVM; a
+    stack of detectors is refused.
+
+    Each element is symmetrized and its negative eigenvalues are clipped to
+    zero; the clipped set is then renormalized as ``S^{-1/2} P_j S^{-1/2}``
+    with ``S`` the element sum.  If clipping leaves ``S`` singular,
+    ``POVM_EPS_SCALE * ||S|| * I`` is added first (an estimate reports it
+    as ``povm_epsilon``).
+    """
+    elements = np.asarray(elements, dtype=complex)
+    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+        raise ValidationError(f"need one (M, d, d) detector estimate, got shape {elements.shape}")
+    return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0][0])
 
 
 def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
@@ -634,24 +623,16 @@ def estimate_joint_v2(
     return result
 
 
-def project_pure(state, info: dict = None):
+def project_pure(state):
     """Rank-1 projection onto the dominant eigenvector.
 
     Degenerate top eigenvalues are resolved deterministically by the
-    eigendecomposition order; the tie is reported through ``info``.
-    ``state`` may also be an array stack ``(..., d, d)`` of density
-    matrices: it is projected by one stacked eigendecomposition, the
-    projectors come back as an array, and ``info`` gets one tie flag per
-    matrix.
+    eigendecomposition order.  ``state`` may also be an array stack
+    ``(..., d, d)`` of density matrices: it is projected by one stacked
+    eigendecomposition, and the projectors come back as an array.
     """
     single = isinstance(state, DensityMatrix)
-    vals, vecs = np.linalg.eigh(state.rho if single else np.asarray(state))
-    if info is not None:
-        if vals.shape[-1] > 1:
-            tie = vals[..., -1] - vals[..., -2] <= 1e-12 * np.maximum(np.abs(vals[..., -1]), 1.0)
-        else:
-            tie = np.zeros(vals.shape[:-1], dtype=bool)
-        info["eigenvalue_tie"] = bool(tie) if single else tie
+    _, vecs = np.linalg.eigh(state.rho if single else np.asarray(state))
     v = vecs[..., :, -1]
     projectors = v[..., :, None] * v[..., None, :].conj()
     return DensityMatrix(state.d, projectors) if single else projectors

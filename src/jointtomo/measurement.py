@@ -37,7 +37,7 @@ over ``(T, d, d)`` and ``(T, M, d, d)`` stacks (``DensityMatrix.checked``,
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,21 +55,34 @@ def _new(cls, **fields):
     return obj
 
 
+def _skewed(x: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack ``(..., d, d)`` are not Hermitian, given
+    their adjoints: ``||x - x^dag|| > 1e-9 max(1, ||x||)``."""
+    return (np.linalg.norm(x - adjoint, axis=(-2, -1))
+            > 1e-9 * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1))))
+
+
+def _hermitian_psd(x: np.ndarray) -> tuple:
+    """The tests states and detector elements share, over ``(..., d, d)``:
+    the Hermitian parts, and the finite, skewed and negative-eigenvalue
+    flags.  A non-finite matrix is read as zeros, so it warns nowhere."""
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    if not finite.all():
+        x = np.where(finite[..., None, None], x, 0.0)
+    adjoint = x.conj().swapaxes(-1, -2)
+    skewed = _skewed(x, adjoint)
+    x = (x + adjoint) / 2.0
+    negative = np.linalg.eigvalsh(x)[..., 0] < -PSD_TOL
+    return x, finite, skewed, negative
+
+
 def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
     """The state check on a stack ``(T, d, d)``: the Hermitian parts of the T
     matrices, refused with the message ``DensityMatrix`` raises for the first
-    member that fails.  A member with a non-finite entry fails first, and
-    the other tests read it as zeros, so it raises no warning."""
+    member that fails.  A member with a non-finite entry fails first."""
     if rho.ndim != 3 or rho.shape[1:] != (d, d):
         raise ValidationError(f"state must be {d}x{d}, got {rho.shape[1:]}")
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    if not finite.all():
-        rho = np.where(finite[:, None, None], rho, 0.0)
-    adjoint = rho.conj().swapaxes(-1, -2)
-    skewed = (np.linalg.norm(rho - adjoint, axis=(-2, -1))
-              > 1e-9 * np.maximum(1.0, np.linalg.norm(rho, axis=(-2, -1))))
-    rho = (rho + adjoint) / 2.0
-    negative = np.linalg.eigvalsh(rho)[:, 0] < -PSD_TOL
+    rho, finite, skewed, negative = _hermitian_psd(rho)
     tr = np.trace(rho, axis1=1, axis2=2).real
     off = np.abs(tr - 1.0) > PSD_TOL
     bad = ~finite | skewed | negative | off
@@ -89,17 +102,10 @@ def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
     """The detector check on a stack ``(T, M, d, d)``: the Hermitian parts of
     the T detectors' elements, refused with the message ``Povm`` raises for
     the first member that fails.  An element with a non-finite entry fails
-    first, and the other tests read it as zeros, so it raises no warning."""
+    first."""
     if elements.ndim != 4 or elements.shape[2:] != (d, d):
         raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
-    finite = np.isfinite(elements).all(axis=(-2, -1))
-    if not finite.all():
-        elements = np.where(finite[..., None, None], elements, 0.0)
-    adjoint = elements.conj().swapaxes(-1, -2)
-    skewed = (np.linalg.norm(elements - adjoint, axis=(-2, -1))
-              > 1e-9 * np.maximum(1.0, np.linalg.norm(elements, axis=(-2, -1))))
-    elements = (elements + adjoint) / 2.0
-    negative = np.linalg.eigvalsh(elements)[..., 0] < -PSD_TOL
+    elements, finite, skewed, negative = _hermitian_psd(elements)
     incomplete = np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
     bad = (~finite).any(axis=1) | skewed.any(axis=1) | negative.any(axis=1) | incomplete
     if bad.any():
@@ -138,12 +144,6 @@ class DensityMatrix:
                                   f"got {rho.shape}")
         return _checked_states(d, rho)
 
-    @classmethod
-    def stack(cls, d: int, rho) -> list:
-        """The T states of a stack ``(T, d, d)``, checked as ``checked``
-        checks them."""
-        return [_new(cls, d=d, rho=r) for r in cls.checked(d, rho)]
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -167,12 +167,6 @@ class Povm:
             raise ValidationError(f"a stack of detectors must have shape (T, M, {d}, {d}), "
                                   f"got {elements.shape}")
         return _checked_povms(d, elements)
-
-    @classmethod
-    def stack(cls, d: int, elements) -> list:
-        """The T detectors of a stack ``(T, M, d, d)``, checked as
-        ``checked`` checks them."""
-        return [_new(cls, d=d, elements=e) for e in cls.checked(d, elements)]
 
     @property
     def m(self) -> int:
@@ -335,8 +329,7 @@ class _Datasets:
             raise ValidationError(f"process indices must be a sequence, got shape {idx.shape}")
         return _new(type(self), y_hat=self.y_hat[..., idx, :], x_a0_hat=self.x_a0_hat[..., idx],
                     c_j0_hat=self.c_j0_hat, x01_bar=self.x01_bar, n0=self.n0,
-                    tp_flags=self.tp_flags[idx], anchor_index=self.anchor_index,
-                    exact=self.exact)
+                    tp_flags=self.tp_flags[idx], anchor_index=self.anchor_index)
 
 
 @dataclass(frozen=True)
@@ -353,7 +346,6 @@ class MeasurementDataset(_Datasets):
     n0: int
     tp_flags: np.ndarray
     anchor_index: int = 1
-    exact: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         y, x_a0, c_j0, _, n0, tp_flags, anchor = _checked_datasets(
@@ -369,8 +361,7 @@ class MeasurementDataset(_Datasets):
         not checked again."""
         return _new(DatasetStack, y_hat=self.y_hat[None], x_a0_hat=self.x_a0_hat[None],
                     c_j0_hat=self.c_j0_hat[None], x01_bar=np.array([float(self.x01_bar)]),
-                    n0=self.n0, tp_flags=self.tp_flags, anchor_index=self.anchor_index,
-                    exact=self.exact)
+                    n0=self.n0, tp_flags=self.tp_flags, anchor_index=self.anchor_index)
 
 
 @dataclass(frozen=True)
@@ -390,7 +381,6 @@ class DatasetStack(_Datasets):
     n0: int
     tp_flags: np.ndarray
     anchor_index: int = 1
-    exact: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         checked = _checked_datasets(self.y_hat, self.x_a0_hat, self.c_j0_hat, self.x01_bar,
@@ -425,7 +415,6 @@ class DatasetStack(_Datasets):
             c_j0_hat=np.stack([ds.c_j0_hat for ds in datasets]),
             x01_bar=np.array([ds.x01_bar for ds in datasets], dtype=float),
             n0=first.n0, tp_flags=first.tp_flags, anchor_index=first.anchor_index,
-            exact=all(ds.exact for ds in datasets),
         )
 
 
@@ -561,7 +550,7 @@ def simulate_dataset(
 
     # Drawn from checked tables, the dataset is valid as it is: not checked again.
     return _new(MeasurementDataset, y_hat=y_hat, x_a0_hat=x_a0, c_j0_hat=c_j0, x01_bar=x01,
-                n0=n0, tp_flags=ens.tp_flags, anchor_index=ideal.anchor_index, exact=exact)
+                n0=n0, tp_flags=ens.tp_flags, anchor_index=ideal.anchor_index)
 
 
 def random_density_matrix(d: int, rng) -> DensityMatrix:

@@ -33,10 +33,6 @@ class SemialgebraicCert:
 
     k: np.ndarray
 
-    @property
-    def is_psd(self) -> bool:
-        return bool(np.all(self.k[1:] >= -1e-12))
-
 
 def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
     """Coefficients from the trace-power recursion, k_0 = 1.

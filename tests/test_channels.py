@@ -460,6 +460,23 @@ def test_regression_record_is_two_matrices_factored_on_first_use(monkeypatch):
         reg.rank_b = 3
 
 
+def test_a_regression_record_holds_read_only_matrices():
+    reg = channels.RegressionMatrices(b=np.eye(4), b_natural=np.eye(4, dtype=complex))
+    assert reg.rank_b == 4
+    with pytest.raises(ValueError):
+        reg.b[3, 3] = 0  # once a stale factorization, now refused
+    assert reg.rank_b == 4 and np.array_equal((reg.design.u * reg.design.s) @ reg.design.vh, reg.b)
+    # a writable matrix is copied once, so writing to it leaves the record as it was
+    b = np.eye(4)
+    reg = channels.RegressionMatrices(b=b, b_natural=np.eye(4, dtype=complex))
+    b[3, 3] = 0
+    assert reg.rank_b == 4 and reg.b[3, 3] == 1.0 and reg.design.b is reg.b
+    # a read-only matrix is kept as it is
+    frozen = np.eye(4)
+    frozen.setflags(write=False)
+    assert channels.RegressionMatrices(b=frozen, b_natural=frozen).b is frozen
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_ranks_and_completeness_read_the_cached_factorizations(name):
     sc = preset(name)

@@ -44,6 +44,7 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
+from jointtomo.estimator import _physical_povms, _physical_states
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -144,6 +145,25 @@ def test_stage1_rank_deficient_paths():
     assert np.allclose(z, z_oracle, atol=1e-12)
     with pytest.raises(ValidationError):
         stage1_solve(b, y, Stage1Config(method="tikhonov"))  # unresolved auto scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stage1_refuses_an_unfactorable_matrix_as_the_estimators_do(bad):
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
+                          basis=sc.basis)
+    b = np.array(sc.regression.b)
+    b[0, 0] = bad
+    raised = []
+    for call in (lambda: stage1_solve(b, build_targets_v1(ds, sc.basis), Stage1Config()),
+                 lambda: estimate_joint_v1(ds, b, sc.basis)):
+        with pytest.raises(DegeneracyError) as err:
+            call()
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1] == (DegeneracyError,
+                                      "[stage1] regression matrix has a non-finite entry")
+    with pytest.raises(ValidationError, match=r"^\[stage1\] regression matrix must be 2-D"):
+        stage1_solve(np.float64(2.0), np.ones(3), Stage1Config())
 
 
 def test_rearrange_identities():
@@ -255,11 +275,31 @@ def test_correct_povm_cases():
     assert np.allclose(out.elements[0], KET0, atol=1e-12)
     assert np.allclose(out.elements[1], np.eye(2) - KET0, atol=1e-12)
     elems = np.stack([np.diag([1.05, -0.05]), np.diag([-0.05, 1.05]).astype(complex)])
-    info = {}
-    out = correct_povm(elems, info=info)
+    out = correct_povm(elems)
     assert np.linalg.norm(out.elements.sum(axis=0) - np.eye(2)) < 1e-12
     assert min(np.linalg.eigvalsh(p)[0] for p in out.elements) > -1e-12
-    assert info["povm_epsilon"] == 0.0
+    stacked, eps = _physical_povms(elems[None])
+    assert np.array_equal(stacked[0], out.elements) and eps.tolist() == [0.0]
+
+
+def test_single_corrections_refuse_stacks_and_are_the_stacked_ones():
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    h = g + g.conj().swapaxes(-1, -2)
+    h -= np.trace(h, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+    rho_bar = np.eye(3) / 3 + 0.2 * h  # unit trace; some members not PSD
+    assert (np.linalg.eigvalsh(rho_bar)[:, 0] < 0).any()
+    povm_bar = np.stack([np.eye(3) / 2 + 0.3 * h[:3], np.eye(3) / 2 + 0.3 * h[3:]], axis=1)
+    states = _physical_states(rho_bar)
+    povms, _ = _physical_povms(povm_bar)
+    for k in range(6):
+        assert np.array_equal(correct_state(rho_bar[k]).rho, states[k])
+    for k in range(3):
+        assert np.array_equal(correct_povm(povm_bar[k]).elements, povms[k])
+    with pytest.raises(ValidationError, match=r"got shape \(6, 3, 3\)$"):
+        correct_state(rho_bar)
+    with pytest.raises(ValidationError, match=r"got shape \(3, 2, 3, 3\)$"):
+        correct_povm(povm_bar)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -269,10 +309,11 @@ def test_corrections_refuse_non_finite_estimates(value):
     stack = np.stack([np.stack([KET0, np.eye(2) - KET0]), elements])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for call in (lambda: correct_state(rho), lambda: correct_state(np.stack([KET0, rho]))):
+        for call in (lambda: correct_state(rho),
+                     lambda: _physical_states(np.stack([KET0, rho]))):
             with pytest.raises(ValidationError, match="^state estimate has a non-finite entry$"):
                 call()
-        for call in (lambda: correct_povm(elements), lambda: correct_povm(stack)):
+        for call in (lambda: correct_povm(elements), lambda: _physical_povms(stack)):
             with pytest.raises(ValidationError,
                                match="^detector estimate has a non-finite entry$"):
                 call()
@@ -371,9 +412,7 @@ def test_project_pure():
     assert np.linalg.norm(out.rho - rho) < 1e-12
     out = project_pure(DensityMatrix(2, np.diag([0.9, 0.1])))
     assert np.allclose(out.rho, np.diag([1.0, 0.0]), atol=1e-12)
-    info = {}
-    out = project_pure(DensityMatrix(2, np.eye(2) / 2), info=info)
-    assert info["eigenvalue_tie"]
+    out = project_pure(DensityMatrix(2, np.eye(2) / 2))
     assert np.linalg.matrix_rank(out.rho) == 1
     out2 = project_pure(DensityMatrix(2, np.eye(2) / 2))
     assert np.array_equal(out.rho, out2.rho)
@@ -706,11 +745,11 @@ def test_stacked_simplex_projection_matches_the_rows(v):
 def test_correct_state_is_idempotent_and_stacks(case):
     d, values = case
     rho_bar = _hermitian_unit_trace(values, d)
-    once = correct_state(rho_bar)
-    twice = correct_state(np.stack([s.rho for s in once]))
+    once = _physical_states(rho_bar)
+    twice = _physical_states(once)
     for first, second, rough in zip(once, twice, rho_bar):
-        assert np.allclose(second.rho, first.rho, rtol=0.0, atol=1e-12)
-        assert np.allclose(first.rho, correct_state(rough).rho, rtol=0.0, atol=1e-13)
+        assert np.allclose(second, first, rtol=0.0, atol=1e-12)
+        assert np.allclose(first, correct_state(rough).rho, rtol=0.0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -728,12 +767,11 @@ def test_correct_povm_gives_valid_povms_or_refuses(case):
         except DegeneracyError:
             alone.append(None)
     try:
-        povms = correct_povm(stack)
+        povms, _ = _physical_povms(stack)
     except DegeneracyError:
         assert any(p is None for p in alone)  # refused only with a refused detector in it
         return
     for povm, single in zip(povms, alone):
-        assert isinstance(povm, Povm)
-        assert np.linalg.norm(povm.elements.sum(axis=0) - np.eye(d)) <= 1e-10 * d
-        assert min(np.linalg.eigvalsh(p)[0] for p in povm.elements) >= -1e-10
-        assert np.allclose(povm.elements, single.elements, rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(povm.sum(axis=0) - np.eye(d)) <= 1e-10 * d
+        assert min(np.linalg.eigvalsh(p)[0] for p in povm) >= -1e-10
+        assert np.allclose(povm, single.elements, rtol=0.0, atol=1e-12)

@@ -496,13 +496,12 @@ def test_stacked_state_check_is_the_constructor_on_every_member(case):
     failing = [msg for msg in messages if msg is not None]
     if failing:
         # the stack raises what the constructor raises for its first failing member
-        assert _stack_error(DensityMatrix.stack, d, rho) == failing[0]
+        assert _stack_error(DensityMatrix.checked, d, rho) == failing[0]
         return
-    stacked = DensityMatrix.stack(d, rho)
-    assert len(stacked) == t
+    stacked = DensityMatrix.checked(d, rho)
+    assert stacked.shape == (t, d, d)
     for state, r in zip(stacked, rho):
-        single = DensityMatrix(d, r)
-        assert state.d == single.d and np.array_equal(state.rho, single.rho)
+        assert np.array_equal(state, DensityMatrix(d, r).rho)
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,13 +515,12 @@ def test_stacked_povm_check_is_the_constructor_on_every_member(case):
     messages = [_stack_error(lambda d, e: Povm(d, e), d, e) for e in elements]
     failing = [msg for msg in messages if msg is not None]
     if failing:
-        assert _stack_error(Povm.stack, d, elements) == failing[0]
+        assert _stack_error(Povm.checked, d, elements) == failing[0]
         return
-    stacked = Povm.stack(d, elements)
-    assert len(stacked) == t
+    stacked = Povm.checked(d, elements)
+    assert stacked.shape == (t, m, d, d)
     for povm, e in zip(stacked, elements):
-        single = Povm(d, e)
-        assert povm.d == single.d and np.array_equal(povm.elements, single.elements)
+        assert np.array_equal(povm, Povm(d, e).elements)
 
 
 def test_stacked_checks_name_the_first_failing_member():
@@ -531,12 +529,12 @@ def test_stacked_checks_name_the_first_failing_member():
     rho[1] = _corrupt_state(rho[1], "trace")
     rho[2] = _corrupt_state(rho[2], "skew")
     with pytest.raises(ValidationError, match=r"^state trace is 1\.2, not 1$"):
-        DensityMatrix.stack(2, rho)
+        DensityMatrix.checked(2, rho)
     elements = _valid_povms(rng, 3, 3, 2)
     elements[2] = _corrupt_povm(elements[2], "skew", 0)
     elements[1] = _corrupt_povm(elements[1], "negative", 2)
     with pytest.raises(ValidationError, match="^element 2 has a negative eigenvalue"):
-        Povm.stack(2, elements)
+        Povm.checked(2, elements)
     # within the first failing detector, the first failing element
     two_negative = np.stack([np.eye(2) / 2, np.diag([0.8, -0.3]), np.diag([-0.3, 0.8])])
     skew = 0.1 * (np.eye(2, k=1) - np.eye(2, k=-1))
@@ -544,14 +542,14 @@ def test_stacked_checks_name_the_first_failing_member():
     for member, message in ((two_negative, "^element 1 has a negative eigenvalue"),
                             (two_skewed, "^element 1 is not Hermitian")):
         with pytest.raises(ValidationError, match=message):
-            Povm.stack(2, np.stack([elements[0], member]))
+            Povm.checked(2, np.stack([elements[0], member]))
         with pytest.raises(ValidationError, match=message):
             Povm(2, member)
     with pytest.raises(ValidationError, match="stack of states"):
-        DensityMatrix.stack(2, rho[0])
+        DensityMatrix.checked(2, rho[0])
     with pytest.raises(ValidationError, match="stack of detectors"):
-        Povm.stack(2, elements[0])
-    assert DensityMatrix.stack(2, np.zeros((0, 2, 2))) == []
+        Povm.checked(2, elements[0])
+    assert DensityMatrix.checked(2, np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -573,9 +571,9 @@ def test_states_and_detectors_refuse_non_finite_entries(value):
         # a non-finite member after a failing one: the first failing member is named
         stack = np.stack([np.diag([0.6, 0.6]), np.full((2, 2), value)])
         with pytest.raises(ValidationError, match="^state trace is 1.2, not 1$"):
-            DensityMatrix.stack(2, stack)
+            DensityMatrix.checked(2, stack)
         with pytest.raises(ValidationError, match="^state has a non-finite entry$"):
-            DensityMatrix.stack(2, stack[::-1])
+            DensityMatrix.checked(2, stack[::-1])
 
 
 @pytest.mark.parametrize("call", [

@@ -29,6 +29,8 @@ KRAUS_TOL = 1e-8
 RANK_RTOL = 1e-8
 # Imaginary residue allowed when casting a superoperator to its real transfer form.
 TRANSFER_IMAG_TOL = 1e-10
+# Kraus sums (sum A^dag A) closer than this in Frobenius norm count as equal in rank_bound.
+KRAUS_GRAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -572,19 +574,19 @@ def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> Reg
     return RegressionMatrices(b=b, b_natural=b_nat)
 
 
-def rank_bound(ens: ProcessEnsemble, tol: float = 1e-8) -> int:
+def rank_bound(ens: ProcessEnsemble) -> int:
     """Upper bound on the natural-basis regression rank.
 
-    Channels are grouped by equal Kraus sums ``sum A^dag A``; each group of
-    size L_j contributes at most ``min(L_j, d^4 - d^2 + 1)`` and the total is
-    capped at d^4.
+    Channels are grouped by equal Kraus sums ``sum A^dag A`` (to
+    ``KRAUS_GRAM_TOL``); each group of size L_j contributes at most
+    ``min(L_j, d^4 - d^2 + 1)`` and the total is capped at d^4.
     """
     d = ens.d
     groups = []
     for ch in ens.channels:
         gram = ch.kraus_gram()
         for rep, count in groups:
-            if np.linalg.norm(gram - rep) < tol:
+            if np.linalg.norm(gram - rep) < KRAUS_GRAM_TOL:
                 count[0] += 1
                 break
         else:

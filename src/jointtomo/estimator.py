@@ -527,6 +527,8 @@ def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
                   config: Stage1Config) -> StackEstimates:
     """Coherence-vector reconstruction of a stack of datasets."""
     n = basis.n_traceless
+    if np.iscomplexobj(b.b if isinstance(b, FactoredDesign) else b):
+        raise ValidationError("the coherence-vector regression matrix must be real")
     design = _stage("stage1", factor_design, b)
     l = stack.n_processes
     if design.shape != (l, n * n):
@@ -557,9 +559,9 @@ def estimate_joint_v1(
     """Full coherence-vector reconstruction from one dataset.
 
     ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
-    processes, one vectorized block per row, as any array-like matrix or as
-    its ``factor_design`` record, which a raw matrix is turned into here
-    (factored once per process).
+    processes, one vectorized block per row, as any real array-like matrix
+    (a complex one is refused) or as its ``factor_design`` record, which a
+    raw matrix is turned into here (factored once per process).
     Each outcome's scale is fixed by the measured anchor coordinate; its
     anchor value is that coordinate of the unscaled state factor.
     """

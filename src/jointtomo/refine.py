@@ -7,18 +7,28 @@ detector element's coordinates per column of ``C``.  Under completeness,
 ``sum_j c_j = 0``, the detector block's stationarity conditions
 ``G^T (G c_j - y_j) + lam = 0`` sum over the M outcomes to ``lam = G^T ybar``
 (``ybar`` the mean target), hence ``c_j = G^+ (y_j - ybar)``: one
-least-squares solve on the centred targets for all outcomes.  The state
-block stacks ``B3 . c_j`` over the outcomes with one matrix product.
+least-squares solve on the centred targets for all outcomes.
+
+The state block is solved from the design's moments, formed once per call:
+``B^T B`` rearranged as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']``
+and ``B^T Y``.  The state system stacks ``B3 . c_j`` over the M outcomes,
+(M L) x n; its Gram is ``K vec(C C^T)`` and its right-hand side
+``sum_kj (B^T Y)[(i, k), j] C[k, j]``, so no sweep forms the stacked matrix.
 
 Both blocks are solved from their n x n normal equations, ``G^T G`` for the
-detector and ``A^T A`` of the stacked state matrix ``A`` (the free rows and
-columns, the pinned anchor moved to the right-hand side), by one eigen-solve
-each: the tall design itself is never factored.  The minimum-norm solution
-keeps the eigenvalues above ``max(rows, n) eps lam_max``.  In singular-value
-terms that drops every direction whose singular value lies below
+detector and the state Gram above (the free rows and columns, the pinned
+anchor moved to the right-hand side), by one eigen-solve each: the tall
+design itself is never factored.  The minimum-norm solution keeps the
+eigenvalues above ``max(rows, n) eps lam_max``.  In singular-value terms that
+drops every direction whose singular value lies below
 ``sqrt(max(rows, n) eps) s_max``, where a least-squares solve on the tall
 design would have kept it: squaring the design squares its condition number,
 so such a direction is not resolved by the Gram matrix.
+
+Each block is then projected onto its physical set only if it has left it:
+one ``eigvalsh`` of the block's matrices decides, and a block with no
+negative eigenvalue is kept as solved.  Projecting a point of a convex set
+returns that point, so this is the same map as projecting every time.
 
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
@@ -58,6 +68,23 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     return (kept / vals[keep]) @ (kept.T @ rhs)
 
 
+def _state_moments(b: np.ndarray, y: np.ndarray) -> tuple:
+    """The state block's moments of a design ``b`` (L x n^2) and targets
+    ``y`` (L x M): ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]`` as an
+    n^2 x n^2 matrix, and ``B^T Y`` laid out as ``[i, (k, j)]`` (n x n M)."""
+    n = int(round(np.sqrt(b.shape[1])))
+    moments = (b.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return moments, (b.T @ y).reshape(n, -1)
+
+
+def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray) -> tuple:
+    """The Gram ``A^T A`` and right-hand side ``A^T vec(Y)`` of the stacked
+    state matrix ``A`` (the ``B3 . c_j`` of the M outcomes, (M L) x n), from
+    ``_state_moments`` and the detector coordinates ``c`` (n x M)."""
+    n = len(c)
+    return (moments @ (c @ c.T).ravel()).reshape(n, n), b_y @ c.ravel()
+
+
 def refine_alternating(
     ds: MeasurementDataset,
     b,
@@ -71,36 +98,46 @@ def refine_alternating(
     Alternates least squares for the detector coordinates (under the exact
     completeness constraint) and for the state coordinates (with the anchor
     coordinate pinned to its measured value), projecting each block onto its
-    physical set afterwards.  ``b`` is the coherence-vector regression matrix,
-    raw or as its ``factor_design`` record.  A sweep is accepted only if it
-    does not increase the objective, so the recorded objective sequence is
-    non-increasing; the loop stops at ``iters`` sweeps (a whole number >= 0)
-    or when the relative improvement of an accepted sweep falls below
-    ``rel_tol``.  ``diagnostics["stop_reason"]`` says which: ``"converged"``,
-    ``"max_iters"``, or ``"rejected"`` when a sweep's projections undid its
-    gain and the previous point was kept.  ``final_objective`` is the
-    objective at the rough pair ``rho_bar``/``povm_bar``;
-    ``corrected_objective`` is the objective at the returned corrected pair
-    ``rho_hat``/``povm_hat``.
+    physical set afterwards.  ``ds`` is one MeasurementDataset and ``init``
+    the EstimateResult to start from.  ``b`` is the real coherence-vector
+    regression matrix, raw or as its ``factor_design`` record.  A sweep is
+    accepted only if it does not increase the objective, so the recorded
+    objective sequence is non-increasing; the loop stops at ``iters`` sweeps
+    (a whole number >= 0) or when the relative improvement of an accepted
+    sweep falls below ``rel_tol``.  ``diagnostics["stop_reason"]`` says
+    which: ``"converged"``, ``"max_iters"``, or ``"rejected"`` when a sweep's
+    projections undid its gain and the previous point was kept.
+    ``final_objective`` is the objective at the rough pair
+    ``rho_bar``/``povm_bar``; ``corrected_objective`` is the objective at the
+    returned corrected pair ``rho_hat``/``povm_hat``.
 
     Both blocks work on the design tensor, as the module docstring derives:
     the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
-    outcomes.  Each block is solved from its n x n normal equations by one
-    eigen-solve, which drops the directions whose singular value lies below
+    outcomes, and the state block takes its Gram and right-hand side from
+    the moments ``B^T B`` and ``B^T Y``, formed once per call.  Each block is
+    solved from its n x n normal equations by one eigen-solve, which drops
+    the directions whose singular value lies below
     ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
     matrix would keep them); the objective stays in residual form.  The
-    projections are the correction kernels of the estimator: one stacked
+    projections are the correction kernels of the estimator, run only on a
+    block that one ``eigvalsh`` finds with a negative eigenvalue: one stacked
     ``eigh`` clips the negative eigenvalues of every detector element
     (``correct_povm``'s clip, without its renormalization), and the state
     goes to the nearest density matrix (``correct_state``'s projection,
     without re-validating a matrix it has just built).
     """
+    if not isinstance(ds, MeasurementDataset):
+        raise ValidationError(f"need a MeasurementDataset, got {type(ds).__name__}")
+    if not isinstance(init, EstimateResult):
+        raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
     if isinstance(b, FactoredDesign):
         b = b.b
     b = np.asarray(b)
     if b.shape != (ds.n_processes, n * n):
         raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
+    if np.iscomplexobj(b):
+        raise ValidationError("the coherence-vector regression matrix must be real")
     if init.rho_hat.rho.shape != (d, d) or init.povm_hat.elements.shape != (m, d, d):
         raise ValidationError(
             f"init must be a dimension-{d} state and a {m}-outcome detector, got a state of "
@@ -122,13 +159,11 @@ def refine_alternating(
     c0s = ds.c_j0_hat
     trace_part = [1.0 / np.sqrt(d)]
 
-    # The tensor laid out once as B3[a, i, k] -> b_t[k, a, i]: G^T is then
-    # one matrix-vector product, and the state block's stacked matrix one
-    # GEMM whose rows already come outcome by outcome.
-    b_t = np.ascontiguousarray(b.reshape(l, n, n).transpose(2, 0, 1))
-    b_rows, b_cols = b_t.reshape(n * l, n), b_t.reshape(n, l * n)
+    # The tensor laid out once as B3[a, i, k] -> b_rows[(k, a), i]: G^T is
+    # then one matrix-vector product.
+    b_rows = np.ascontiguousarray(b.reshape(l, n, n).transpose(2, 0, 1)).reshape(n * l, n)
     y_centred = y - y.mean(axis=1, keepdims=True)
-    rhs_all = y.T.ravel()
+    moments, b_y = _state_moments(b, y)
 
     def residual(x, c):
         """``G = x . B3`` and the objective at ``(x, C)``."""
@@ -143,21 +178,23 @@ def refine_alternating(
     stop_reason = "max_iters"
 
     for _ in range(iters):
-        # Detector block: every c_j from one solve on the centred targets,
-        # then every element's negative eigenvalues clipped at once.
+        # Detector block: every c_j from one solve on the centred targets;
+        # if an element has a negative eigenvalue, every element's are clipped.
         c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
-        c_new = _to_coords(_clip_negative(_from_coords(np.vstack([c0s, c_new]).T, basis)),
-                           basis)[:, 1:].T
+        povm = _from_coords(np.vstack([c0s, c_new]).T, basis)
+        if np.linalg.eigvalsh(povm)[:, 0].min() < 0.0:
+            c_new = _to_coords(_clip_negative(povm), basis)[:, 1:].T
 
-        # State block: the (M L) x n system of all outcomes, anchor pinned.
-        a_x = (c_new.T @ b_cols).reshape(m * l, n)
-        gram, rhs = a_x.T @ a_x, a_x.T @ rhs_all
+        # State block: the (M L) x n system of all outcomes from the moments,
+        # anchor pinned; projected if the state is not a density matrix.
+        gram, rhs = _state_normal_equations(moments, b_y, c_new)
         x_new = np.empty(n)
         x_new[anchor] = ds.x01_bar
         x_new[free] = _min_norm_solve(gram[free_block],
                                       rhs[free] - gram[free, anchor] * ds.x01_bar, m * l)
-        rho = _nearest_density(_from_coords(np.concatenate((trace_part, x_new)), basis))
-        x_new = _to_coords(rho, basis)[1:]
+        rho = _from_coords(np.concatenate((trace_part, x_new)), basis)
+        if np.linalg.eigvalsh(rho)[0] < 0.0:
+            x_new = _to_coords(_nearest_density(rho), basis)[1:]
 
         g_new, new_obj = residual(x_new, c_new)
         if not np.isfinite(new_obj):

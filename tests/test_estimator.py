@@ -526,6 +526,18 @@ def test_estimators_accept_a_factored_design():
         estimate_joint_v1(ds, factor_design(reg.b[:-1]), sc.basis)
 
 
+def test_estimate_v1_refuses_a_complex_design():
+    sc = preset("one_qubit_closed_complete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=4,
+                          basis=sc.basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before the refusal
+        for b in (reg.b * 1j, factor_design(reg.b * 1j), reg.b.astype(complex)):
+            with pytest.raises(ValidationError, match="must be real"):
+                estimate_joint_v1(ds, b, sc.basis)
+
+
 def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
     # NaN in the design makes its SVD fail
     b = np.eye(16)

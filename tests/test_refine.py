@@ -33,7 +33,7 @@ from jointtomo import (
     to_coords,
     vectorize,
 )
-from jointtomo.refine import _min_norm_solve
+from jointtomo.refine import _min_norm_solve, _state_moments, _state_normal_equations
 from jointtomo.sos import poly_eval
 
 
@@ -317,6 +317,59 @@ def test_min_norm_solve_matches_lstsq():
     assert got.shape == (n, m) and not np.any(got)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("rank", [None, 5], ids=["full-rank", "rank-deficient"])
+def test_state_moments_give_the_stacked_normal_equations(m, rank):
+    rng = np.random.default_rng(19 + m)
+    l, n = 40, 4
+    b = (rng.normal(size=(l, n * n)) if rank is None
+         else rng.normal(size=(l, rank)) @ rng.normal(size=(rank, n * n)))
+    y = rng.normal(size=(l, m))
+    c = rng.normal(size=(n, m))
+    # The stacked state matrix: one b @ kron(I, c_j) block per outcome.
+    a_x = np.vstack([b @ np.kron(np.eye(n), c[:, [j]]) for j in range(m)])
+    gram, rhs = _state_normal_equations(*_state_moments(b, y), c)
+    for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel())):
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
+    """Each sweep's detector and state matrices are recorded as they are
+    assembled from coordinates; the clip and the density projection must see
+    exactly those with a negative eigenvalue."""
+    import jointtomo.refine as refine
+    sc = preset("two_qubit_mixed_unitary_incomplete")
+    b = build_regression_matrices(sc.ensemble, sc.basis).b
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
+                          scale_observable=sc.anchor_index, basis=sc.basis)
+    init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
+    built, clipped, projected = [], [], []
+
+    def recorded(fn, record, output=False):
+        def wrapper(*args):
+            out = fn(*args)
+            record.append(out if output else args[0])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(refine, "_from_coords", recorded(refine._from_coords, built, True))
+    monkeypatch.setattr(refine, "_clip_negative", recorded(refine._clip_negative, clipped))
+    monkeypatch.setattr(refine, "_nearest_density", recorded(refine._nearest_density, projected))
+    refine_alternating(ds, b, sc.basis, init)
+    sweeps = built[:-2]  # the last two are the returned rough pair
+    detectors = [p for p in sweeps if p.ndim == 3]
+    states = [p for p in sweeps if p.ndim == 2]
+    outside_d = [p for p in detectors if np.linalg.eigvalsh(p)[:, 0].min() < 0.0]
+    outside_s = [p for p in states if np.linalg.eigvalsh(p)[0] < 0.0]
+    # This draw has sweeps of every kind, so a gate that always or never
+    # projects, or projects the wrong blocks, is caught.
+    assert 0 < len(outside_d) < len(detectors) and 0 < len(outside_s) < len(states)
+    assert len(clipped) == len(outside_d) and all(
+        a is e for a, e in zip(clipped, outside_d))
+    assert len(projected) == len(outside_s) and all(
+        a is e for a, e in zip(projected, outside_s))
+
+
 def test_refine_makes_no_least_squares_call(monkeypatch):
     sc = preset("two_qubit_mixed_unitary_incomplete")
     b = build_regression_matrices(sc.ensemble, sc.basis).b
@@ -389,9 +442,12 @@ def test_refine_validates_its_inputs():
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=15,
                           basis=sc.basis)
     init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
-    for b in (reg.b[:-1], reg.b[:, :-1]):
-        with pytest.raises(ValidationError):
-            refine_alternating(ds, b, sc.basis, init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex design raises no ComplexWarning first
+        for b in (reg.b[:-1], reg.b[:, :-1], reg.b * 1j, factor_design(reg.b * 1j),
+                  reg.b.astype(complex)):
+            with pytest.raises(ValidationError):
+                refine_alternating(ds, b, sc.basis, init)
     for kwargs in ({"iters": -1}, {"rel_tol": float("nan")}, {"rel_tol": -1e-10}):
         with pytest.raises(ValidationError):
             refine_alternating(ds, reg.b, sc.basis, init, **kwargs)
@@ -402,12 +458,14 @@ def test_refine_validates_its_inputs():
 
 
 @pytest.mark.parametrize("bad", [
-    pytest.param(lambda init: {"init": replace(init, povm_hat=Povm(2, np.stack(
+    pytest.param(lambda ds, init: {"init": replace(init, povm_hat=Povm(2, np.stack(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)))}, id="two-outcome init"),
-    pytest.param(lambda init: {"iters": 2.5}, id="fractional iters"),
-    pytest.param(lambda init: {"iters": float("inf")}, id="infinite iters"),
-    pytest.param(lambda init: {"iters": True}, id="bool iters"),
-    pytest.param(lambda init: {"rel_tol": "a"}, id="non-numeric rel_tol"),
+    pytest.param(lambda ds, init: {"iters": 2.5}, id="fractional iters"),
+    pytest.param(lambda ds, init: {"iters": float("inf")}, id="infinite iters"),
+    pytest.param(lambda ds, init: {"iters": True}, id="bool iters"),
+    pytest.param(lambda ds, init: {"rel_tol": "a"}, id="non-numeric rel_tol"),
+    pytest.param(lambda ds, init: {"ds": ds.as_stack()}, id="dataset stack"),
+    pytest.param(lambda ds, init: {"init": None}, id="missing init"),
 ])
 def test_refine_refuses_malformed_arguments(bad):
     sc, reg = _incomplete_setup()
@@ -415,7 +473,8 @@ def test_refine_refuses_malformed_arguments(bad):
                           basis=sc.basis)
     init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
     with pytest.raises(ValidationError):
-        refine_alternating(ds, reg.b, sc.basis, **{"init": init, **bad(init)})
+        refine_alternating(**{"ds": ds, "b": reg.b, "basis": sc.basis, "init": init,
+                              **bad(ds, init)})
 
 
 def _truth_values(sc):

@@ -14,6 +14,7 @@ A process maps the identity to a multiple of itself exactly when ``h = 0``
 regression applies.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -420,8 +421,8 @@ class FactoredDesign:
     its numerical rank (singular values above ``RANK_RTOL * s[0]``).
 
     The records this package makes hold a read-only ``b``, so their factors
-    cannot go stale: the matrix of a ``build_regression_matrices`` record, or
-    the copy ``factor_design`` made of a raw matrix.
+    and moments cannot go stale: the matrix of a ``build_regression_matrices``
+    record, or the copy ``factor_design`` made of a raw matrix.
     """
 
     b: np.ndarray
@@ -437,6 +438,17 @@ class FactoredDesign:
     @property
     def full_column_rank(self) -> bool:
         return self.rank == self.shape[1]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """``B^T B`` of a real design with n^2 columns ``(i, k)``, rearranged
+        as ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]`` (n^2 x n^2):
+        the refinement's state-block moments.  Formed on first use, read-only."""
+        n = math.isqrt(self.shape[1])
+        gram = (self.b.T @ self.b).reshape(n, n, n, n)
+        moments = gram.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        moments.setflags(write=False)
+        return moments
 
 
 def _factor(b: np.ndarray) -> FactoredDesign:

@@ -9,21 +9,26 @@ detector element's coordinates per column of ``C``.  Under completeness,
 (``ybar`` the mean target), hence ``c_j = G^+ (y_j - ybar)``: one
 least-squares solve on the centred targets for all outcomes.
 
-The state block is solved from the design's moments, formed once per call:
-``B^T B`` rearranged as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']``
-and ``B^T Y``.  The state system stacks ``B3 . c_j`` over the M outcomes,
-(M L) x n; its Gram is ``K vec(C C^T)`` and its right-hand side
+The state block is solved from the design's moments: ``B^T B`` rearranged
+as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']``, formed once per
+design record (``FactoredDesign.moments``), and ``B^T Y``, formed once per
+call.  The state system stacks ``B3 . c_j`` over the M outcomes, (M L) x n;
+its Gram is ``K vec(C C^T)`` and its right-hand side
 ``sum_kj (B^T Y)[(i, k), j] C[k, j]``, so no sweep forms the stacked matrix.
 
 Both blocks are solved from their n x n normal equations, ``G^T G`` for the
 detector and the state Gram above (the free rows and columns, the pinned
-anchor moved to the right-hand side), by one eigen-solve each: the tall
-design itself is never factored.  The minimum-norm solution keeps the
-eigenvalues above ``max(rows, n) eps lam_max``.  In singular-value terms that
-drops every direction whose singular value lies below
-``sqrt(max(rows, n) eps) s_max``, where a least-squares solve on the tall
-design would have kept it: squaring the design squares its condition number,
-so such a direction is not resolved by the Gram matrix.
+anchor moved to the right-hand side): the tall design itself is never
+factored.  The minimum-norm solution keeps the eigenvalues above
+``max(rows, n) eps lam_max``.  In singular-value terms that drops every
+direction whose singular value lies below ``sqrt(max(rows, n) eps) s_max``,
+where a least-squares solve on the tall design would have kept it: squaring
+the design squares its condition number, so such a direction is not resolved
+by the Gram matrix.  A Gram that LAPACK's condition estimate finds well
+conditioned has every eigenvalue above that cutoff, so its minimum-norm
+solution is its unique solution, taken from a Cholesky factorization; any
+other Gram (rank-deficient, ill-conditioned, zero or non-finite) goes to an
+eigen-solve.
 
 Each block is then projected onto its physical set only if it has left it:
 one ``eigvalsh`` of the block's matrices decides, and a block with no
@@ -39,48 +44,63 @@ add noise of about ``1e-16 ||y||^2``.
 import numbers
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .basis import OperatorBasis, _from_coords, _to_coords
-from .channels import FactoredDesign
+from .channels import FactoredDesign, factor_design
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
     _clip_negative,
     _corrected,
     _nearest_density,
+    _stage,
     build_targets_v1,
     correct_state,
 )
 from .measurement import MeasurementDataset, _whole
 
 
+# The reciprocal condition estimate above which a Gram's Cholesky solution
+# is kept.  Each solve's relative error is about eps / rcond, so above it the
+# Cholesky solve and the eigen-solve agree to about 1e-12.
+_CHOLESKY_RCOND = 1e-4
+
+
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     """The minimum-norm least-squares solution of ``A sol = t``, from
     ``gram = A^T A`` (n x n) and ``rhs = A^T t`` (one column per target).
 
-    One ``eigh`` of the Gram matrix; eigenvalues at or below
-    ``max(rows, n) eps lam_max`` count as zero, with ``rows`` the row count of
-    ``A``.  An all-zero Gram gives zeros.
+    Eigenvalues at or below ``max(rows, n) eps lam_max`` count as zero, with
+    ``rows`` the row count of ``A``.  The Gram is first factored by Cholesky
+    (``potrf``), and LAPACK estimates its reciprocal condition ``rcond``
+    (``pocon``).  Since ``lam_min / lam_max >= 1 / (||gram||_1 ||gram^-1||_1)``
+    and the estimate may overstate that bound by a small factor, an ``rcond``
+    above ``n`` times the cutoff ratio ``max(rows, n) eps`` leaves no
+    eigenvalue to cut: the minimum-norm solution is the unique one, taken from
+    the factor (``potrs``) when ``rcond`` also exceeds ``_CHOLESKY_RCOND``.
+    Any other Gram (rank-deficient, ill-conditioned, zero, non-finite, or one
+    whose factorization fails) takes one ``eigh``; an all-zero Gram gives
+    zeros.
     """
+    n = len(gram)
+    cutoff = max(rows, n) * np.finfo(float).eps
+    factor, info = lapack.dpotrf(gram, clean=0)
+    if info == 0:
+        rcond, _ = lapack.dpocon(factor, lapack.dlange("1", gram))
+        if rcond > max(_CHOLESKY_RCOND, n * cutoff):
+            return lapack.dpotrs(factor, rhs)[0]
     vals, vecs = np.linalg.eigh(gram)
-    keep = vals > max(rows, len(vals)) * np.finfo(float).eps * max(vals[-1], 0.0)
+    keep = vals > cutoff * max(vals[-1], 0.0)
     kept = vecs[:, keep]
     return (kept / vals[keep]) @ (kept.T @ rhs)
-
-
-def _state_moments(b: np.ndarray, y: np.ndarray) -> tuple:
-    """The state block's moments of a design ``b`` (L x n^2) and targets
-    ``y`` (L x M): ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]`` as an
-    n^2 x n^2 matrix, and ``B^T Y`` laid out as ``[i, (k, j)]`` (n x n M)."""
-    n = int(round(np.sqrt(b.shape[1])))
-    moments = (b.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return moments, (b.T @ y).reshape(n, -1)
 
 
 def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray) -> tuple:
     """The Gram ``A^T A`` and right-hand side ``A^T vec(Y)`` of the stacked
     state matrix ``A`` (the ``B3 . c_j`` of the M outcomes, (M L) x n), from
-    ``_state_moments`` and the detector coordinates ``c`` (n x M)."""
+    the design's ``moments`` (``FactoredDesign.moments``), ``B^T Y`` laid out
+    as ``[i, (k, j)]`` (n x n M) and the detector coordinates ``c`` (n x M)."""
     n = len(c)
     return (moments @ (c @ c.T).ravel()).reshape(n, n), b_y @ c.ravel()
 
@@ -100,7 +120,9 @@ def refine_alternating(
     coordinate pinned to its measured value), projecting each block onto its
     physical set afterwards.  ``ds`` is one MeasurementDataset and ``init``
     the EstimateResult to start from.  ``b`` is the real coherence-vector
-    regression matrix, raw or as its ``factor_design`` record.  A sweep is
+    regression matrix, raw or as its ``factor_design`` record; a raw matrix
+    is reached through that record (``factor_design``'s memo), and a design
+    with a non-finite entry is refused with DegeneracyError.  A sweep is
     accepted only if it does not increase the objective, so the recorded
     objective sequence is non-increasing; the loop stops at ``iters`` sweeps
     (a whole number >= 0) or when the relative improvement of an accepted
@@ -114,11 +136,13 @@ def refine_alternating(
     Both blocks work on the design tensor, as the module docstring derives:
     the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
     outcomes, and the state block takes its Gram and right-hand side from
-    the moments ``B^T B`` and ``B^T Y``, formed once per call.  Each block is
-    solved from its n x n normal equations by one eigen-solve, which drops
-    the directions whose singular value lies below
-    ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
-    matrix would keep them); the objective stays in residual form.  The
+    the moments ``B^T B``, formed once per design record, and ``B^T Y``,
+    formed once per call.  Each block is solved from its n x n normal
+    equations: by a Cholesky solve when LAPACK's condition estimate finds the
+    Gram well conditioned, and otherwise by an eigen-solve, which drops the
+    directions whose singular value lies below ``sqrt(max(rows, n) eps) s_max``
+    (a least-squares solve on the tall matrix would keep them); both give the
+    minimum-norm solution, and the objective stays in residual form.  The
     projections are the correction kernels of the estimator, run only on a
     block that one ``eigvalsh`` finds with a negative eigenvalue: one stacked
     ``eigh`` clips the negative eigenvalues of every detector element
@@ -131,12 +155,11 @@ def refine_alternating(
     if not isinstance(init, EstimateResult):
         raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
-    if isinstance(b, FactoredDesign):
-        b = b.b
-    b = np.asarray(b)
-    if b.shape != (ds.n_processes, n * n):
-        raise ValidationError(f"regression matrix must be {ds.n_processes}x{n * n}, got {b.shape}")
-    if np.iscomplexobj(b):
+    raw = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
+    if raw.shape != (ds.n_processes, n * n):
+        raise ValidationError(
+            f"regression matrix must be {ds.n_processes}x{n * n}, got {raw.shape}")
+    if np.iscomplexobj(raw):
         raise ValidationError("the coherence-vector regression matrix must be real")
     if init.rho_hat.rho.shape != (d, d) or init.povm_hat.elements.shape != (m, d, d):
         raise ValidationError(
@@ -149,6 +172,8 @@ def refine_alternating(
     if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
             or not rel_tol >= 0.0):
         raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
+    design = _stage("refine", factor_design, b)
+    b = design.b
     y = build_targets_v1(ds, basis)
     x = _to_coords(init.rho_hat.rho, basis)[1:]
     c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome
@@ -163,7 +188,7 @@ def refine_alternating(
     # then one matrix-vector product.
     b_rows = np.ascontiguousarray(b.reshape(l, n, n).transpose(2, 0, 1)).reshape(n * l, n)
     y_centred = y - y.mean(axis=1, keepdims=True)
-    moments, b_y = _state_moments(b, y)
+    moments, b_y = design.moments, (b.T @ y).reshape(n, -1)
 
     def residual(x, c):
         """``G = x . B3`` and the objective at ``(x, C)``."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import OperatorBasis, coherence_to_state
+from .channels import FactoredDesign
 from .errors import ValidationError
 from .estimator import build_targets_v1
 from .measurement import MeasurementDataset
@@ -321,8 +322,10 @@ def export_sos_problem(
 ) -> SosProblem:
     """Write the reconstruction program for external SOS/SDP solvers.
 
-    ``b`` is the design of the program written, checked against the dataset.
-    By default it is the coherence-vector matrix, and the program expands the
+    ``b`` is the design of the program written, raw or as its
+    ``factor_design`` record, checked against the dataset and refused if it
+    has a non-finite entry.  By default it is the real coherence-vector
+    matrix (a complex one is refused), and the program expands the
     objective over the state and detector coordinates with completeness and
     anchor equalities plus the semialgebraic positivity inequalities.  With
     ``pure=True`` it is the natural-basis matrix ``b_natural``, and the
@@ -338,9 +341,13 @@ def export_sos_problem(
     if d > 3:
         raise ValidationError(f"polynomial export supports d <= 3, got d={d}")
     k = d ** 4 if pure else basis.n_traceless ** 2
-    b = np.asarray(b)
+    b = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
     if b.shape != (ds.n_processes, k):
         raise ValidationError(f"regression matrix must be {ds.n_processes}x{k}, got {b.shape}")
+    if not pure and np.iscomplexobj(b):
+        raise ValidationError("the coherence-vector regression matrix must be real")
+    if not np.isfinite(b).all():
+        raise ValidationError("regression matrix has a non-finite entry")
     problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, basis)
     problem.write(path)
     return problem

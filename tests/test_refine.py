@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtomo import (
+    DegeneracyError,
     KrausChannel,
     MeasurementDataset,
     Povm,
@@ -33,7 +36,8 @@ from jointtomo import (
     to_coords,
     vectorize,
 )
-from jointtomo.refine import _min_norm_solve, _state_moments, _state_normal_equations
+from jointtomo.channels import FactoredDesign
+from jointtomo.refine import _min_norm_solve, _state_normal_equations
 from jointtomo.sos import poly_eval
 
 
@@ -328,9 +332,109 @@ def test_state_moments_give_the_stacked_normal_equations(m, rank):
     c = rng.normal(size=(n, m))
     # The stacked state matrix: one b @ kron(I, c_j) block per outcome.
     a_x = np.vstack([b @ np.kron(np.eye(n), c[:, [j]]) for j in range(m)])
-    gram, rhs = _state_normal_equations(*_state_moments(b, y), c)
+    gram, rhs = _state_normal_equations(factor_design(b).moments, (b.T @ y).reshape(n, -1), c)
     for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel())):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _eigen_min_norm_solve(gram, rhs, rows):
+    """The eigen-solve that ``_min_norm_solve`` falls back to: eigenvalues at
+    or below ``max(rows, n) eps lam_max`` count as zero."""
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > max(rows, len(vals)) * np.finfo(float).eps * max(vals[-1], 0.0)
+    kept = vecs[:, keep]
+    return (kept / vals[keep]) @ (kept.T @ rhs)
+
+
+@st.composite
+def _tall_matrices(draw):
+    """``(kind, A)``: ``A`` (rows x n) with singular values spread over a
+    drawn condition number, from 1 to 10 (well-conditioned) or from 10 to
+    1e14, or rank-deficient, zero, or with its Gram's smallest eigenvalue
+    within a factor of 4 of the solve's cutoff."""
+    kind = draw(st.sampled_from(["well-conditioned", "conditioned", "rank-deficient", "zero",
+                                 "near-cutoff"]))
+    n = draw(st.integers(2 if kind == "near-cutoff" else 1, 8))
+    rows = draw(st.integers(n, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    if kind.endswith("conditioned"):
+        well = kind == "well-conditioned"
+        log_cond = draw(st.floats(0.0, 1.0) if well else st.floats(1.0, 14.0))
+        s = np.logspace(0.0, -log_cond, n)
+    elif kind == "rank-deficient":
+        s = np.concatenate((np.ones(draw(st.integers(0, n - 1))), np.zeros(n)))[:n]
+    elif kind == "zero":
+        s = np.zeros(n)
+    else:
+        s = np.ones(n)
+        s[-1] = np.sqrt(max(rows, n) * np.finfo(float).eps * draw(st.floats(0.25, 4.0)))
+    return kind, (u * s) @ v.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tall_matrices(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_min_norm_solve_matches_the_eigen_solve(case, m, seed):
+    """Over drawn Grams, the solve matches the eigen-solve's minimum-norm
+    solution; a well-conditioned Gram takes the Cholesky path and a singular,
+    zero or near-cutoff one the eigen-solve."""
+    kind, a = case
+    t = np.random.default_rng(seed).normal(size=(len(a), m))
+    gram, rhs = a.T @ a, a.T @ t
+    expected = _eigen_min_norm_solve(gram, rhs, len(a))
+    eigen_calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eigen_calls.append(1)
+        return eigh(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(np.linalg, "eigh", counted)
+        got = _min_norm_solve(gram, rhs, len(a))
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-10 * np.max(np.abs(expected),
+                                                                          initial=0.0)
+    if kind == "well-conditioned":
+        assert eigen_calls == []
+    elif kind != "conditioned":
+        assert eigen_calls == [1]
+
+
+def test_moments_are_formed_once_per_design_record(monkeypatch):
+    import jointtomo.channels as channels
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=16,
+                          basis=sc.basis)
+    config = Stage1Config(method="mp_inverse")
+    moments = FactoredDesign.__dict__["moments"]
+    formed = []
+
+    def counted(design, form=moments.func):
+        formed.append(design)
+        return form(design)
+
+    monkeypatch.setattr(moments, "func", counted)
+    monkeypatch.setattr(channels, "_memo", [])
+    # Two refinements on one record.
+    design = reg.design
+    init = estimate_joint_v1(ds, design, sc.basis, config)
+    first = refine_alternating(ds, design, sc.basis, init)
+    second = refine_alternating(ds, design, sc.basis, init)
+    assert formed == [design]
+    assert first.diagnostics == second.diagnostics
+    # Two on a raw matrix: both reach the memo entry the estimate made.
+    b = np.array(reg.b)
+    init = estimate_joint_v1(ds, b, sc.basis, config)
+    for _ in range(2):
+        refine_alternating(ds, b, sc.basis, init)
+    (entry,) = channels._memo
+    assert len(formed) == 2 and formed[1] is entry
+    assert not entry.moments.flags.writeable
+    with pytest.raises(ValueError):
+        entry.moments[0, 0] = 0.0
 
 
 def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
@@ -447,6 +551,12 @@ def test_refine_validates_its_inputs():
         for b in (reg.b[:-1], reg.b[:, :-1], reg.b * 1j, factor_design(reg.b * 1j),
                   reg.b.astype(complex)):
             with pytest.raises(ValidationError):
+                refine_alternating(ds, b, sc.basis, init)
+        # A non-finite design cannot be factored: a degeneracy, not a LinAlgError.
+        for bad in (np.inf, np.nan):
+            b = np.array(reg.b)
+            b[0, 0] = bad
+            with pytest.raises(DegeneracyError, match=r"^\[refine\]"):
                 refine_alternating(ds, b, sc.basis, init)
     for kwargs in ({"iters": -1}, {"rel_tol": float("nan")}, {"rel_tol": -1e-10}):
         with pytest.raises(ValidationError):
@@ -585,6 +695,45 @@ def test_export_dimension_guard(tmp_path):
                           basis=sc.basis)
     with pytest.raises(ValidationError):
         export_sos_problem(ds, reg.b, sc.basis, tmp_path / "big.sos")
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["coordinate", "pure"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_export_refuses_a_non_finite_design(tmp_path, pure, bad):
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 3, seed=12,
+                          basis=sc.basis)
+    b = np.array(reg.b_natural if pure else reg.b)
+    b[0, 0] = bad
+    path = tmp_path / "bad.sos"
+    with pytest.raises(ValidationError, match="non-finite"):
+        export_sos_problem(ds, b, sc.basis, path, pure=pure)
+    assert not path.exists()
+
+
+def test_export_refuses_a_complex_coordinate_design(tmp_path):
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 3, seed=12,
+                          basis=sc.basis)
+    path = tmp_path / "complex.sos"
+    for b in (reg.b * 1j, reg.b.astype(complex)):
+        with pytest.raises(ValidationError, match="must be real"):
+            export_sos_problem(ds, b, sc.basis, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["coordinate", "pure"])
+def test_export_takes_a_factored_design(tmp_path, pure):
+    sc = preset("one_qubit_random_pure" if pure else "one_qubit_closed_incomplete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 3, seed=12,
+                          basis=sc.basis)
+    raw = export_sos_problem(ds, reg.b_natural if pure else reg.b, sc.basis,
+                             tmp_path / "raw.sos", pure=pure)
+    factored = export_sos_problem(ds, reg.design_natural if pure else reg.design, sc.basis,
+                                  tmp_path / "factored.sos", pure=pure)
+    assert factored == raw
+    assert (tmp_path / "factored.sos").read_text() == (tmp_path / "raw.sos").read_text()
 
 
 def _qutrit_setup(seed=5, n_channels=12):

@@ -45,6 +45,7 @@ from .measurement import (
     DensityMatrix,
     IdealStatistics,
     Povm,
+    _process_indices,
     _whole,
     ideal_statistics,
     shot_count,
@@ -312,7 +313,8 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     """Simulate, estimate and score every case on shared datasets.
 
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
-    other than None restrict both the datasets and the regression matrix.
+    other than None (int arrays checked by ``_process_indices``) restrict
+    both the datasets and the regression matrix.
     The full design is the scenario's cached record (``sc.regression``), a
     process subset is factored once per case, and the truth's ideal
     statistics are the scenario's cached ``sc.ideal``; a second call on the
@@ -331,7 +333,7 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     if trials < 2:
         raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     full = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
-    designs = [full if idx is None else factor_design(full.b[np.asarray(idx, dtype=int)])
+    designs = [full if idx is None else factor_design(full.b[idx])
                for _, idx in cases]
     rows, failures = [[] for _ in cases], [0] * len(cases)
     for i, n0 in enumerate(n0_grid):
@@ -407,22 +409,25 @@ def run_method_comparison(
     ``process_indices=None`` uses the full ensemble, anything else restricts
     both the dataset and the regression matrix to those processes so that
     informationally complete and incomplete variants can share one draw.
-    Labels must be unique, since they key the returned tables.
+    Process indices must be distinct whole numbers in ``0..L-1``, at least
+    one; others are refused before any design is indexed.  Labels must be
+    unique, since they key the returned tables.
     """
     n0_grid = _shot_grid(n0_grid)
     trials = _whole(trials, "trials")
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")
-    results = _run_trials(sc, n0_grid, trials, seed, False,
-                          [(config, indices) for _, config, indices in configs])
+    cases = [(config, None if indices is None else _process_indices(indices, len(sc.ensemble)))
+             for _, config, indices in configs]
+    results = _run_trials(sc, n0_grid, trials, seed, False, cases)
     out = {}
-    for (label, config, indices), (rows, failures) in zip(configs, results):
+    for label, (config, indices), (rows, failures) in zip(labels, cases, results):
         metadata = {
             "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": int(seed),
             "n0_grid": n0_grid, "trials": trials, "label": label,
             "method": config.method, "reg_scale": config.reg_scale,
-            "process_indices": None if indices is None else list(map(int, indices)),
+            "process_indices": None if indices is None else indices.tolist(),
             "failures": failures,
         }
         out[label] = MseTable(rows=rows, scenario=sc.name, failures=failures,

@@ -208,11 +208,14 @@ def _cmd_bench(args) -> int:
     table.to_csv(args.out)
     table.write_metadata(args.out + ".meta.json")
     if not args.quiet:
-        slope_s, _, r2_s = bench_mod.fit_loglog_slope(table, "mse_state")
-        slope_p, _, r2_p = bench_mod.fit_loglog_slope(table, "mse_povm")
-        print(f"state slope {slope_s:+.3f} (r2 {r2_s:.3f}), "
-              f"detector slope {slope_p:+.3f} (r2 {r2_p:.3f}); "
-              f"{table.failures} failed trials; wrote {args.out}")
+        fits = []
+        for column, name in (("mse_state", "state"), ("mse_povm", "detector")):
+            try:
+                slope, _, r2 = bench_mod.fit_loglog_slope(table, column)
+                fits.append(f"{name} slope {slope:+.3f} (r2 {r2:.3f})")
+            except ValidationError as exc:  # the table is written; only the fit is missing
+                fits.append(f"no {name} slope: {exc}")
+        print(f"{', '.join(fits)}; {table.failures} failed trials; wrote {args.out}")
     return 0
 
 

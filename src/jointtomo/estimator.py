@@ -38,6 +38,14 @@ scale with the separately measured anchor coordinate; the natural-basis
 version regresses raw frequencies on the stacked superoperators of arbitrary
 processes and fixes the scale by unit trace.
 
+The coherence-vector program is stated here once for every solver of it:
+its input contract (``_targets_v1``: a real ``L x n^2`` design and the
+``[targets]``-labelled targets) and its coordinate maps
+(``coherence_to_state`` for states, ``_elements_from_coords`` for detector
+elements).  The closed form below and ``refine.refine_alternating`` call
+all three; the coordinate program of ``sos.export_sos_problem`` calls the
+contract.
+
 A step that refuses some datasets of a stack says which (the ``refused``
 mask of its DegeneracyError); they leave the stack there, and the step runs
 again on the rest, so one degenerate dataset never costs the others their
@@ -209,8 +217,6 @@ def build_targets_v1(ds, basis: OperatorBasis) -> np.ndarray:
     ``ds`` is a MeasurementDataset, whose targets are an L x M matrix, or a
     DatasetStack, whose targets are one ``(T, L, M)`` expression.
     """
-    if ds.y_hat.shape[-1] != ds.c_j0_hat.shape[-1]:
-        raise ValidationError("dataset is missing detector trace estimates")
     if ds.anchor_index > basis.n_traceless:
         raise ValidationError(
             f"anchor index must be in 1..{basis.n_traceless}, got {ds.anchor_index}")
@@ -523,31 +529,42 @@ def _one_stack(ds) -> DatasetStack:
     return ds.as_stack()
 
 
+def _targets_v1(stack: DatasetStack, b, basis: OperatorBasis) -> np.ndarray:
+    """The coherence-vector program's input contract: the ``(T, L, M)``
+    targets of ``stack`` for the design ``b`` (raw or a FactoredDesign),
+    which must be a real ``L x n^2`` matrix."""
+    raw = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
+    n, l = basis.n_traceless, stack.n_processes
+    if raw.shape != (l, n * n):
+        raise ValidationError(f"regression matrix must be {l}x{n * n}, got {raw.shape}")
+    if np.iscomplexobj(raw):
+        raise ValidationError("the coherence-vector regression matrix must be real")
+    return _stage("targets", build_targets_v1, stack, basis)
+
+
+def _elements_from_coords(c0: np.ndarray, c: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Detector elements ``(..., M, d, d)`` from their trace coordinates
+    ``c0`` ``(..., M)`` and coherence vectors ``c`` ``(..., M, n)``."""
+    return _from_coords(np.concatenate([c0[..., None], c], axis=-1), basis)
+
+
 def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
                   config: Stage1Config) -> StackEstimates:
     """Coherence-vector reconstruction of a stack of datasets."""
-    n = basis.n_traceless
-    if np.iscomplexobj(b.b if isinstance(b, FactoredDesign) else b):
-        raise ValidationError("the coherence-vector regression matrix must be real")
+    y = _targets_v1(stack, b, basis)
     design = _stage("stage1", factor_design, b)
-    l = stack.n_processes
-    if design.shape != (l, n * n):
-        raise ValidationError(f"regression matrix must be {l}x{n * n}, got {design.shape}")
     config = config.resolved(stack.total_copies)
     anchor = stack.anchor_index - 1
     x01_bar = stack.x01_bar[:, None].copy()  # a refused dataset's entry is overwritten
-    c0 = stack.c_j0_hat
 
     def rescale(facs):
         x_bar, c_bar = fix_scale_v1(facs, x01_bar, anchor=anchor)
         return x_bar, c_bar, facs.left[..., anchor]
 
     def assemble(x0, c_bars):
-        return (coherence_to_state(x0, basis),
-                _from_coords(np.concatenate([c0[..., None], c_bars], axis=-1), basis))
+        return coherence_to_state(x0, basis), _elements_from_coords(stack.c_j0_hat, c_bars, basis)
 
-    y = _stage("targets", build_targets_v1, stack, basis)
-    return _reconstruct(y, design, config, n, rescale, assemble, [x01_bar])
+    return _reconstruct(y, design, config, basis.n_traceless, rescale, assemble, [x01_bar])
 
 
 def estimate_joint_v1(

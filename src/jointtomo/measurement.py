@@ -201,6 +201,25 @@ def _whole(value, what: str) -> int:
     return n
 
 
+def _process_indices(indices, n_processes: int) -> np.ndarray:
+    """``indices`` as an int array, refused unless it is a non-empty sequence
+    of distinct whole numbers in ``0..n_processes - 1``."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValidationError(
+            f"process indices must be a non-empty sequence, got shape {idx.shape}")
+    if not (idx.dtype.kind in "iu" or (idx.dtype.kind == "f" and np.isfinite(idx).all()
+                                       and np.all(idx == np.round(idx)))):
+        raise ValidationError(f"process indices must be whole numbers, got {idx.tolist()}")
+    if idx.min() < 0 or idx.max() >= n_processes:
+        raise ValidationError(
+            f"process indices must lie in 0..{n_processes - 1}, got {idx.tolist()}")
+    idx = idx.astype(int)
+    if len(np.unique(idx)) != len(idx):
+        raise ValidationError(f"process indices must not repeat, got {idx.tolist()}")
+    return idx
+
+
 def shot_count(n0) -> int:
     """``n0`` as an int, refused unless it is a whole number of shots >= 1."""
     n = _whole(n0, "shot count")
@@ -322,11 +341,9 @@ class _Datasets:
 
     def subset(self, indices):
         """Restrict to a subset of processes (used for paired comparisons):
-        an index on the process axis.  Rows of checked data are not checked
-        again."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1:
-            raise ValidationError(f"process indices must be a sequence, got shape {idx.shape}")
+        an index on the process axis, checked by ``_process_indices``.  Rows
+        of checked data are not checked again."""
+        idx = _process_indices(indices, self.n_processes)
         return _new(type(self), y_hat=self.y_hat[..., idx, :], x_a0_hat=self.x_a0_hat[..., idx],
                     c_j0_hat=self.c_j0_hat, x01_bar=self.x01_bar, n0=self.n0,
                     tp_flags=self.tp_flags[idx], anchor_index=self.anchor_index)

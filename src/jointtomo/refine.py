@@ -46,16 +46,18 @@ import numbers
 import numpy as np
 from scipy.linalg import lapack
 
-from .basis import OperatorBasis, _from_coords, _to_coords
-from .channels import FactoredDesign, factor_design
+from .basis import OperatorBasis, _to_coords, coherence_to_state
+from .channels import factor_design
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
     _clip_negative,
     _corrected,
+    _elements_from_coords,
     _nearest_density,
+    _one_stack,
     _stage,
-    build_targets_v1,
+    _targets_v1,
     correct_state,
 )
 from .measurement import MeasurementDataset, _whole
@@ -119,10 +121,11 @@ def refine_alternating(
     completeness constraint) and for the state coordinates (with the anchor
     coordinate pinned to its measured value), projecting each block onto its
     physical set afterwards.  ``ds`` is one MeasurementDataset and ``init``
-    the EstimateResult to start from.  ``b`` is the real coherence-vector
-    regression matrix, raw or as its ``factor_design`` record; a raw matrix
-    is reached through that record (``factor_design``'s memo), and a design
-    with a non-finite entry is refused with DegeneracyError.  A sweep is
+    the EstimateResult to start from.  ``ds``, ``b`` and the targets pass
+    the estimator's one contract (``_targets_v1``); ``b`` is raw or its
+    ``factor_design`` record, a raw matrix reaches that record through
+    ``factor_design``'s memo, and a design with a non-finite entry is
+    refused with DegeneracyError.  A sweep is
     accepted only if it does not increase the objective, so the recorded
     objective sequence is non-increasing; the loop stops at ``iters`` sweeps
     (a whole number >= 0) or when the relative improvement of an accepted
@@ -133,7 +136,9 @@ def refine_alternating(
     ``rho_bar``/``povm_bar``; ``corrected_objective`` is the objective at the
     returned corrected pair ``rho_hat``/``povm_hat``.
 
-    Both blocks work on the design tensor, as the module docstring derives:
+    Coordinates become matrices through the estimator's maps
+    (``coherence_to_state``, ``_elements_from_coords``).  Both blocks work
+    on the design tensor, as the module docstring derives:
     the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
     outcomes, and the state block takes its Gram and right-hand side from
     the moments ``B^T B``, formed once per design record, and ``B^T Y``,
@@ -150,17 +155,10 @@ def refine_alternating(
     goes to the nearest density matrix (``correct_state``'s projection,
     without re-validating a matrix it has just built).
     """
-    if not isinstance(ds, MeasurementDataset):
-        raise ValidationError(f"need a MeasurementDataset, got {type(ds).__name__}")
+    (y,) = _targets_v1(_one_stack(ds), b, basis)
     if not isinstance(init, EstimateResult):
         raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
-    raw = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
-    if raw.shape != (ds.n_processes, n * n):
-        raise ValidationError(
-            f"regression matrix must be {ds.n_processes}x{n * n}, got {raw.shape}")
-    if np.iscomplexobj(raw):
-        raise ValidationError("the coherence-vector regression matrix must be real")
     if init.rho_hat.rho.shape != (d, d) or init.povm_hat.elements.shape != (m, d, d):
         raise ValidationError(
             f"init must be a dimension-{d} state and a {m}-outcome detector, got a state of "
@@ -174,15 +172,12 @@ def refine_alternating(
         raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     design = _stage("refine", factor_design, b)
     b = design.b
-    y = build_targets_v1(ds, basis)
     x = _to_coords(init.rho_hat.rho, basis)[1:]
     c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome
     l = len(y)
     anchor = ds.anchor_index - 1
     free = [i for i in range(n) if i != anchor]
     free_block = np.ix_(free, free)
-    c0s = ds.c_j0_hat
-    trace_part = [1.0 / np.sqrt(d)]
 
     # The tensor laid out once as B3[a, i, k] -> b_rows[(k, a), i]: G^T is
     # then one matrix-vector product.
@@ -206,7 +201,7 @@ def refine_alternating(
         # Detector block: every c_j from one solve on the centred targets;
         # if an element has a negative eigenvalue, every element's are clipped.
         c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
-        povm = _from_coords(np.vstack([c0s, c_new]).T, basis)
+        povm = _elements_from_coords(ds.c_j0_hat, c_new.T, basis)
         if np.linalg.eigvalsh(povm)[:, 0].min() < 0.0:
             c_new = _to_coords(_clip_negative(povm), basis)[:, 1:].T
 
@@ -217,7 +212,7 @@ def refine_alternating(
         x_new[anchor] = ds.x01_bar
         x_new[free] = _min_norm_solve(gram[free_block],
                                       rhs[free] - gram[free, anchor] * ds.x01_bar, m * l)
-        rho = _from_coords(np.concatenate((trace_part, x_new)), basis)
+        rho = coherence_to_state(x_new, basis)
         if np.linalg.eigvalsh(rho)[0] < 0.0:
             x_new = _to_coords(_nearest_density(rho), basis)[1:]
 
@@ -236,9 +231,8 @@ def refine_alternating(
             stop_reason = "converged"
             break
 
-    rho_bar = _from_coords(np.concatenate((trace_part, x)), basis)
-    povm_bar = _from_coords(np.vstack([c0s, c]).T, basis)
-    est = _corrected(rho_bar[None], povm_bar[None], {
+    est = _corrected(coherence_to_state(x, basis)[None],
+                     _elements_from_coords(ds.c_j0_hat, c.T, basis)[None], {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
         "stop_reason": stop_reason,

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import OperatorBasis, coherence_to_state
 from .channels import FactoredDesign
 from .errors import ValidationError
-from .estimator import build_targets_v1
+from .estimator import _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
 
@@ -322,17 +322,18 @@ def export_sos_problem(
 ) -> SosProblem:
     """Write the reconstruction program for external SOS/SDP solvers.
 
-    ``b`` is the design of the program written, raw or as its
-    ``factor_design`` record, checked against the dataset and refused if it
-    has a non-finite entry.  By default it is the real coherence-vector
-    matrix (a complex one is refused), and the program expands the
-    objective over the state and detector coordinates with completeness and
-    anchor equalities plus the semialgebraic positivity inequalities.  With
-    ``pure=True`` it is the natural-basis matrix ``b_natural``, and the
-    program is written over the real and imaginary amplitudes of a unit
-    state vector plus full detector coordinates, regressing the raw
-    frequencies; the state positivity constraints disappear in favor of the
-    unit-norm equality.
+    ``ds`` must be one MeasurementDataset; anything else is refused before
+    a file is written.  ``b`` is the design of the program written, raw or
+    as its ``factor_design`` record, and is refused if it has a non-finite
+    entry.  By default it is the coherence-vector matrix, checked with its
+    targets by the estimator's one contract (``_targets_v1``), and the
+    program expands the objective over the state and detector coordinates
+    with completeness and anchor equalities plus the semialgebraic
+    positivity inequalities.  With ``pure=True`` it is the ``L x d^4``
+    natural-basis matrix ``b_natural``, and the program is written over the
+    real and imaginary amplitudes of a unit state vector plus full detector
+    coordinates, regressing the raw frequencies; the state positivity
+    constraints disappear in favor of the unit-norm equality.
 
     The expansion is guarded to ``d <= 3``; beyond that the monomial count is
     impractical for this exporter.
@@ -340,15 +341,14 @@ def export_sos_problem(
     d = basis.d
     if d > 3:
         raise ValidationError(f"polynomial export supports d <= 3, got d={d}")
-    k = d ** 4 if pure else basis.n_traceless ** 2
+    stack = _one_stack(ds)
     b = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
-    if b.shape != (ds.n_processes, k):
-        raise ValidationError(f"regression matrix must be {ds.n_processes}x{k}, got {b.shape}")
-    if not pure and np.iscomplexobj(b):
-        raise ValidationError("the coherence-vector regression matrix must be real")
+    y = ds.y_hat if pure else _targets_v1(stack, b, basis)[0]
+    if pure and b.shape != (ds.n_processes, d ** 4):
+        raise ValidationError(f"regression matrix must be {ds.n_processes}x{d ** 4}, got {b.shape}")
     if not np.isfinite(b).all():
         raise ValidationError("regression matrix has a non-finite entry")
-    problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, basis)
+    problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, y, basis)
     problem.write(path)
     return problem
 
@@ -359,7 +359,7 @@ def _ball_inequalities(name, ks, d):
             for p in range(2, d + 1)]
 
 
-def _build_coordinate_program(ds, b, basis) -> SosProblem:
+def _build_coordinate_program(ds, b, y, basis) -> SosProblem:
     d = basis.d
     n = basis.n_traceless
     m = ds.n_outcomes
@@ -369,7 +369,7 @@ def _build_coordinate_program(ds, b, basis) -> SosProblem:
     )
     features = [[{_mono(nv, i, n + j * n + k): 1.0} for i in range(n) for k in range(n)]
                 for j in range(m)]
-    objective = _gram_objective(b, build_targets_v1(ds, basis), features, nv)
+    objective = _gram_objective(b, y, features, nv)
 
     equalities = []
     for k in range(n):
@@ -389,7 +389,7 @@ def _build_coordinate_program(ds, b, basis) -> SosProblem:
                       equalities=tuple(equalities), inequalities=tuple(inequalities))
 
 
-def _build_pure_program(ds, b_natural, basis) -> SosProblem:
+def _build_pure_program(ds, b_natural, y, basis) -> SosProblem:
     d = basis.d
     n_full = d * d
     m = ds.n_outcomes
@@ -409,7 +409,7 @@ def _build_pure_program(ds, b_natural, basis) -> SosProblem:
                 for j in range(m)]
     features = [[_pmul(vr, vp) for vr in vec_rho for row in elem for vp in row]
                 for elem in elements]
-    objective = _gram_objective(b_natural, ds.y_hat, features, nv)
+    objective = _gram_objective(b_natural, y, features, nv)
 
     norm_poly = {_mono(nv): -1.0}
     norm_poly.update({_mono(nv, u, u): 1.0 for u in range(2 * d)})

@@ -377,6 +377,34 @@ def test_stacked_comparison_matches_a_per_trial_loop(monkeypatch):
                               _reference_table(sc, [1000, 100000], 10, 8, config, indices))
 
 
+@pytest.mark.parametrize("indices", [
+    pytest.param([-1] + list(range(14)), id="negative"),
+    pytest.param([0.5, 1.7] + list(range(2, 15)), id="fractional"),
+    pytest.param([0, 0] + list(range(1, 15)), id="repeated"),
+    pytest.param([], id="empty"),
+    pytest.param(list(range(14)) + [15], id="beyond-L"),
+    pytest.param(list(range(1, 15)), id="valid"),
+])
+def test_process_subsets_refuse_bad_indices(indices):
+    sc = preset("one_qubit_closed_complete")  # L = 15
+    cfg = Stage1Config("mp_inverse")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=3,
+                          basis=sc.basis)
+
+    def compare():
+        return run_method_comparison(sc, [1000], trials=3, configs=[("s", cfg, indices)],
+                                     seed=2)["s"]
+
+    if indices == list(range(1, 15)):  # the valid subset runs as before
+        table = compare()
+        assert table.metadata["process_indices"] == indices
+        _assert_table_matches(table, _reference_table(sc, [1000], 3, 2, cfg, indices))
+        return
+    for call in (lambda: ds.subset(indices), lambda: ds.as_stack().subset(indices), compare):
+        with pytest.raises(ValidationError, match="process indices"):
+            call()
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_block_draws_are_the_single_dataset_draws(monkeypatch, name):
     from jointtomo.measurement import MeasurementDataset

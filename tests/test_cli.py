@@ -277,6 +277,19 @@ def test_bench_command(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_bench_exits_0_once_its_outputs_are_written(tmp_path, capsys):
+    written = []
+    for flags in ([], ["--quiet"]):
+        out = tmp_path / f"mse{len(flags)}.csv"
+        rc = run_cli("bench", "--preset", "one_qubit_closed_complete", "--n0-grid", "1e3,1e4",
+                     "--trials", "3", "--out", str(out), *flags)
+        assert rc == 0
+        written.append((out.read_bytes(), (tmp_path / f"{out.name}.meta.json").read_bytes()))
+        if not flags:
+            assert "no state slope: need at least 3 rows" in capsys.readouterr().out
+    assert written[0] == written[1]
+
+
 def test_preset_excludes_truth_files(tmp_path, capsys):
     rc = run_cli("simulate", "--preset", "one_qubit_closed_complete",
                  "--state", str(tmp_path / "nonexistent.json"),

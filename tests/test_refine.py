@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtomo import (
+    DatasetStack,
     DegeneracyError,
     KrausChannel,
     MeasurementDataset,
@@ -456,7 +457,8 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(refine, "_from_coords", recorded(refine._from_coords, built, True))
+    for name in ("coherence_to_state", "_elements_from_coords"):
+        monkeypatch.setattr(refine, name, recorded(getattr(refine, name), built, True))
     monkeypatch.setattr(refine, "_clip_negative", recorded(refine._clip_negative, clipped))
     monkeypatch.setattr(refine, "_nearest_density", recorded(refine._nearest_density, projected))
     refine_alternating(ds, b, sc.basis, init)
@@ -719,6 +721,19 @@ def test_export_refuses_a_complex_coordinate_design(tmp_path):
     for b in (reg.b * 1j, reg.b.astype(complex)):
         with pytest.raises(ValidationError, match="must be real"):
             export_sos_problem(ds, b, sc.basis, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["coordinate", "pure"])
+def test_export_takes_a_measurement_dataset_only(tmp_path, pure):
+    sc = preset("one_qubit_random_pure" if pure else "one_qubit_closed_incomplete")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 3, seed=12,
+                          basis=sc.basis)
+    path = tmp_path / "stack.sos"
+    for bad in (ds.as_stack(), DatasetStack.of([ds, ds]), {"y_hat": ds.y_hat}):
+        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+            export_sos_problem(bad, reg.b_natural if pure else reg.b, sc.basis, path, pure=pure)
     assert not path.exists()
 
 

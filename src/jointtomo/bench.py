@@ -46,6 +46,7 @@ from .measurement import (
     IdealStatistics,
     Povm,
     _process_indices,
+    _seed_number,
     _whole,
     ideal_statistics,
     shot_count,
@@ -168,11 +169,14 @@ def preset(name: str, seed: int = 0) -> Scenario:
       (0.1, 0.2, 0.3, 0.4); detector spectra (0.1, 0.1, 0.1, 0.3) and
       (0.1, 0.1, 0.1, 0.5).
     * ``two_qubit_mixed_unitary_incomplete``: first 10 of those pairs.
+
+    ``seed`` must be a whole number >= 0.
     """
     if name not in _DRAW_KEYS:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    seed = _seed_number(seed)
     base, *salt = _DRAW_KEYS[name]
-    rng = np.random.default_rng(np.random.SeedSequence([base, int(seed), *salt]))
+    rng = np.random.default_rng(np.random.SeedSequence([base, seed, *salt]))
 
     if name in ("one_qubit_closed_complete", "one_qubit_closed_incomplete"):
         basis = build_basis(2)
@@ -191,7 +195,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
         state = _draw_state(rng, basis, (0.1, 0.9), need_anchor=True, anchor_index=1)
         povm = _draw_povm(rng, 2, [(0.4, 0.1), (0.5, 0.1)])
         return Scenario(
-            name=name, seed=int(seed), basis=basis,
+            name=name, seed=seed, basis=basis,
             ensemble=ProcessEnsemble(tuple(channels)),
             truth_state=state, truth_povm=povm,
             stage1=Stage1Config() if complete else Stage1Config(method="mp_inverse"),
@@ -208,7 +212,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
         state = _draw_state(rng, basis, (1.0, 0.0), need_anchor=False, anchor_index=1)
         povm = _draw_povm(rng, 2, [(0.4, 0.1), (0.5, 0.1)])
         return Scenario(
-            name=name, seed=int(seed), basis=basis, ensemble=ProcessEnsemble(channels),
+            name=name, seed=seed, basis=basis, ensemble=ProcessEnsemble(channels),
             truth_state=state, truth_povm=povm, estimator="v2", pure=True,
         )
 
@@ -224,7 +228,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
     povm = _draw_povm(rng, 4, [(0.1, 0.1, 0.1, 0.3), (0.1, 0.1, 0.1, 0.5)])
     complete = name == "two_qubit_mixed_unitary"
     return Scenario(
-        name=name, seed=int(seed), basis=basis, ensemble=ProcessEnsemble(tuple(channels)),
+        name=name, seed=seed, basis=basis, ensemble=ProcessEnsemble(tuple(channels)),
         truth_state=state, truth_povm=povm,
         stage1=Stage1Config() if complete else Stage1Config(method="mp_inverse"),
         expect_complete=complete,
@@ -342,7 +346,7 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
             block = DatasetStack.of(
                 simulate_dataset(
                     sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                    seed=np.random.SeedSequence([sc.seed, int(seed), i, t]),
+                    seed=np.random.SeedSequence([sc.seed, seed, i, t]),
                     scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
                     ideal=sc.ideal,
                 )
@@ -379,15 +383,17 @@ def run_mse_experiment(
 
     Per grid point, runs ``trials`` independent simulate-and-estimate cycles
     with seeds derived from (scenario seed, run seed, grid index, trial
-    index).  Estimator degeneracies are counted as failures, not dropped
-    silently; the per-row trial count reports the successes.
+    index); ``seed`` must be a whole number >= 0.  Estimator degeneracies
+    are counted as failures, not dropped silently; the per-row trial count
+    reports the successes.
     """
     n0_grid = _shot_grid(n0_grid)
     trials = _whole(trials, "trials")
+    seed = _seed_number(seed)
     config = config or sc.stage1
     ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
     metadata = {
-        "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": int(seed),
+        "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": seed,
         "n0_grid": n0_grid, "trials": trials, "exact": exact,
         "estimator": sc.estimator, "method": config.method,
         "reg_scale": config.reg_scale, "failures": failures,
@@ -411,10 +417,12 @@ def run_method_comparison(
     informationally complete and incomplete variants can share one draw.
     Process indices must be distinct whole numbers in ``0..L-1``, at least
     one; others are refused before any design is indexed.  Labels must be
-    unique, since they key the returned tables.
+    unique, since they key the returned tables.  ``seed`` is read as
+    ``run_mse_experiment`` reads it.
     """
     n0_grid = _shot_grid(n0_grid)
     trials = _whole(trials, "trials")
+    seed = _seed_number(seed)
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")
@@ -424,7 +432,7 @@ def run_method_comparison(
     out = {}
     for label, (config, indices), (rows, failures) in zip(labels, cases, results):
         metadata = {
-            "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": int(seed),
+            "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": seed,
             "n0_grid": n0_grid, "trials": trials, "label": label,
             "method": config.method, "reg_scale": config.reg_scale,
             "process_indices": None if indices is None else indices.tolist(),

@@ -420,9 +420,13 @@ class FactoredDesign:
     """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
     its numerical rank (singular values above ``RANK_RTOL * s[0]``).
 
-    The records this package makes hold a read-only ``b``, so their factors
-    and moments cannot go stale: the matrix of a ``build_regression_matrices``
-    record, or the copy ``factor_design`` made of a raw matrix.
+    The record also caches two read-only arrays of a real design with n^2
+    columns ``(i, k)``, each formed from ``b`` on first read: ``moments``, the
+    state-block moments of the refinement, and ``_tensor``, the design tensor
+    laid out for its state products.  The records this package makes hold a
+    read-only ``b``, so their factors and cached arrays cannot go stale: the
+    matrix of a ``build_regression_matrices`` record, or the copy
+    ``factor_design`` made of a raw matrix.
     """
 
     b: np.ndarray
@@ -441,14 +445,30 @@ class FactoredDesign:
 
     @cached_property
     def moments(self) -> np.ndarray:
-        """``B^T B`` of a real design with n^2 columns ``(i, k)``, rearranged
-        as ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]`` (n^2 x n^2):
-        the refinement's state-block moments.  Formed on first use, read-only."""
+        """``B^T B`` rearranged as ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]``
+        and packed to the upper triangles ``i <= i'`` and ``k <= k'``, each in
+        ``np.triu_indices(n)`` order (n(n+1)/2 square): an off-diagonal column
+        ``k < k'`` holds ``K[., (k, k')] + K[., (k', k)]``.  For a symmetric
+        ``S`` the upper triangle of ``K vec(S)``, the refinement's state Gram,
+        is then ``moments @ S[triu]``."""
         n = math.isqrt(self.shape[1])
-        gram = (self.b.T @ self.b).reshape(n, n, n, n)
-        moments = gram.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        k = (self.b.T @ self.b).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        rows, cols = np.triu_indices(n)
+        moments = (k + k.swapaxes(2, 3))[rows, cols][:, rows, cols]
+        moments[:, rows == cols] /= 2.0
         moments.setflags(write=False)
         return moments
+
+    @cached_property
+    def _tensor(self) -> np.ndarray:
+        """The design tensor ``B3[a, i, k] = b[a, (i, k)]`` laid out as
+        ``[i, (a, k)]`` (n x L n), so that ``G = x . B3`` is the one product
+        ``(x @ _tensor).reshape(L, n)``."""
+        l, n2 = self.shape
+        n = math.isqrt(n2)
+        tensor = np.ascontiguousarray(self.b.reshape(l, n, n).transpose(1, 0, 2)).reshape(n, -1)
+        tensor.setflags(write=False)
+        return tensor
 
 
 def _factor(b: np.ndarray) -> FactoredDesign:

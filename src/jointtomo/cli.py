@@ -151,8 +151,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    if args.iters < 0:
-        raise ValidationError(f"--iters must be >= 0, got {args.iters}")
+    refine_mod._sweep_count(args.iters)  # refused before any file is read
     ens, state, povm, basis, _ = _load_inputs(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)

@@ -529,14 +529,25 @@ def _one_stack(ds) -> DatasetStack:
     return ds.as_stack()
 
 
+def _check_design_shape(shape: tuple, n_processes: int, columns: int) -> None:
+    """Refuse a design of shape ``shape`` unless it is ``n_processes x
+    columns``; a matrix with those columns but another row count was made
+    for another ensemble, and the refusal names both counts."""
+    if len(shape) == 2 and shape[1] == columns and shape[0] != n_processes:
+        raise ValidationError(
+            f"the dataset has {n_processes} processes but the design has {shape[0]} rows")
+    if tuple(shape) != (n_processes, columns):
+        raise ValidationError(
+            f"regression matrix must be {n_processes}x{columns}, got {tuple(shape)}")
+
+
 def _targets_v1(stack: DatasetStack, b, basis: OperatorBasis) -> np.ndarray:
     """The coherence-vector program's input contract: the ``(T, L, M)``
     targets of ``stack`` for the design ``b`` (raw or a FactoredDesign),
     which must be a real ``L x n^2`` matrix."""
     raw = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
-    n, l = basis.n_traceless, stack.n_processes
-    if raw.shape != (l, n * n):
-        raise ValidationError(f"regression matrix must be {l}x{n * n}, got {raw.shape}")
+    n = basis.n_traceless
+    _check_design_shape(raw.shape, stack.n_processes, n * n)
     if np.iscomplexobj(raw):
         raise ValidationError("the coherence-vector regression matrix must be real")
     return _stage("targets", build_targets_v1, stack, basis)
@@ -594,6 +605,7 @@ def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> Stack
     d = int(round(d4 ** 0.25))
     if d ** 4 != d4:
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
+    _check_design_shape(design.shape, stack.n_processes, d4)
     config = config.resolved(stack.total_copies)
 
     def rescale(facs):

@@ -201,6 +201,15 @@ def _whole(value, what: str) -> int:
     return n
 
 
+def _seed_number(seed) -> int:
+    """A seed given as a number, as an int: refused unless it is a whole
+    number (as ``_whole`` reads one) >= 0."""
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _process_indices(indices, n_processes: int) -> np.ndarray:
     """``indices`` as an int array, refused unless it is a non-empty sequence
     of distinct whole numbers in ``0..n_processes - 1``."""
@@ -527,6 +536,9 @@ def simulate_dataset(
 ) -> MeasurementDataset:
     """Simulate the full data-collection protocol with ``n0`` shots per setup.
 
+    ``seed`` is None, a whole number >= 0, a SeedSequence, a BitGenerator or
+    a Generator; any other seed is refused.
+
     ``scale_observable`` selects which basis operator Omega_k is measured on
     the input state to pin the reconstruction scale; its eigenbasis statistics
     are sampled with ``n0`` shots like every other configuration.  ``exact``
@@ -546,6 +558,9 @@ def simulate_dataset(
     else:
         _check_basis(basis, ens.d)
     n0 = shot_count(n0)
+    if not (seed is None or isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
+                                              np.random.Generator))):
+        seed = _seed_number(seed)
     rng = np.random.default_rng(seed)
     sqd = math.sqrt(ens.d)
 

@@ -10,11 +10,15 @@ detector element's coordinates per column of ``C``.  Under completeness,
 least-squares solve on the centred targets for all outcomes.
 
 The state block is solved from the design's moments: ``B^T B`` rearranged
-as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']``, formed once per
-design record (``FactoredDesign.moments``), and ``B^T Y``, formed once per
-call.  The state system stacks ``B3 . c_j`` over the M outcomes, (M L) x n;
-its Gram is ``K vec(C C^T)`` and its right-hand side
+as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']`` and packed to
+the upper triangles ``i <= i'`` and ``k <= k'`` (``FactoredDesign.moments``,
+n(n+1)/2 square, formed once per design record), and ``B^T Y``, formed once
+per call.  The state system stacks ``B3 . c_j`` over the M outcomes, (M L) x
+n; its Gram is ``K vec(C C^T)``, whose upper triangle is one product of the
+packed moments with the packed ``C C^T``, and its right-hand side is
 ``sum_kj (B^T Y)[(i, k), j] C[k, j]``, so no sweep forms the stacked matrix.
+``G`` itself is one vector-matrix product with the record's other layout of
+the tensor, ``[i, (a, k)]`` (``FactoredDesign._tensor``).
 
 Both blocks are solved from their n x n normal equations, ``G^T G`` for the
 detector and the state Gram above (the free rows and columns, the pinned
@@ -30,10 +34,18 @@ solution is its unique solution, taken from a Cholesky factorization; any
 other Gram (rank-deficient, ill-conditioned, zero or non-finite) goes to an
 eigen-solve.
 
-Each block is then projected onto its physical set only if it has left it:
-one ``eigvalsh`` of the block's matrices decides, and a block with no
-negative eigenvalue is kept as solved.  Projecting a point of a convex set
-returns that point, so this is the same map as projecting every time.
+Each block is then projected onto its physical set only if it fails a
+positivity gate, run on coordinates: a Hermitian ``A`` is positive
+semidefinite exactly when its real embedding ``[[Re A, -Im A], [Im A, Re A]]``
+is, and that embedding is the block's coordinate row times the basis's
+embedded elements (``OperatorBasis._real_embedding``).  One ``dpotrf`` per
+matrix decides, so complex matrices are built only for a block that is
+projected.  Cholesky succeeds on a matrix whose smallest eigenvalue is above
+roundoff and fails on one with an eigenvalue below minus roundoff; a block
+that is positive semidefinite but singular to roundoff may go either way.
+Either way is the same map up to roundoff: projecting a point of a convex
+set returns that point, so a block kept as solved and the projection of a
+block that was already inside differ only by the projection's roundoff.
 
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
@@ -41,12 +53,14 @@ objectives near 0 on exact data, where the Gram form's cancellation would
 add noise of about ``1e-16 ||y||^2``.
 """
 
+import math
 import numbers
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .basis import OperatorBasis, _to_coords, coherence_to_state
+from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
 from .channels import factor_design
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
@@ -67,6 +81,7 @@ from .measurement import MeasurementDataset, _whole
 # is kept.  Each solve's relative error is about eps / rcond, so above it the
 # Cholesky solve and the eigen-solve agree to about 1e-12.
 _CHOLESKY_RCOND = 1e-4
+_EPS = np.finfo(float).eps
 
 
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
@@ -86,11 +101,12 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     zeros.
     """
     n = len(gram)
-    cutoff = max(rows, n) * np.finfo(float).eps
+    cutoff = max(rows, n) * _EPS
+    rcond_floor = max(_CHOLESKY_RCOND, n * cutoff)
     factor, info = lapack.dpotrf(gram, clean=0)
     if info == 0:
         rcond, _ = lapack.dpocon(factor, lapack.dlange("1", gram))
-        if rcond > max(_CHOLESKY_RCOND, n * cutoff):
+        if rcond > rcond_floor:
             return lapack.dpotrs(factor, rhs)[0]
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > cutoff * max(vals[-1], 0.0)
@@ -98,13 +114,65 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     return (kept / vals[keep]) @ (kept.T @ rhs)
 
 
+@lru_cache(maxsize=8)
+def _packing(n: int) -> tuple:
+    """How a symmetric n x n matrix is packed to its upper triangle, in the
+    ``np.triu_indices`` order of ``FactoredDesign.moments``'s axes: the flat
+    indices of that triangle in the matrix, and the ``(n, n)`` positions of
+    every entry in the packed vector (read-only).  ``s.take(upper)`` packs a
+    matrix ``s``, and ``packed[positions]`` unpacks it."""
+    rows, cols = np.triu_indices(n)
+    positions = np.empty((n, n), dtype=np.intp)
+    positions[rows, cols] = positions[cols, rows] = np.arange(len(rows))
+    upper = rows * n + cols
+    upper.setflags(write=False)
+    positions.setflags(write=False)
+    return upper, positions
+
+
 def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray) -> tuple:
-    """The Gram ``A^T A`` and right-hand side ``A^T vec(Y)`` of the stacked
-    state matrix ``A`` (the ``B3 . c_j`` of the M outcomes, (M L) x n), from
-    the design's ``moments`` (``FactoredDesign.moments``), ``B^T Y`` laid out
-    as ``[i, (k, j)]`` (n x n M) and the detector coordinates ``c`` (n x M)."""
-    n = len(c)
-    return (moments @ (c @ c.T).ravel()).reshape(n, n), b_y @ c.ravel()
+    """The Gram ``A^T A``, packed to its upper triangle as ``_packing`` says,
+    and the right-hand side ``A^T vec(Y)`` of the stacked state matrix ``A``
+    (the ``B3 . c_j`` of the M outcomes, (M L) x n), from the design's packed
+    ``moments`` (``FactoredDesign.moments``), ``B^T Y`` laid out as
+    ``[i, (k, j)]`` (n x n M) and the detector coordinates ``c`` (n x M).
+    The packed Gram is one product with the packed ``C C^T``."""
+    upper, _ = _packing(len(c))
+    return moments @ (c @ c.T).take(upper), b_y @ c.ravel()
+
+
+def _inside(coords: np.ndarray, basis: OperatorBasis) -> bool:
+    """Whether the Hermitian matrices with coordinates ``coords`` (one row of
+    ``d^2`` per matrix) are all finite and positive definite to roundoff: the
+    gate a projected block must fail.
+
+    Each matrix's real embedding (``OperatorBasis._real_embedding``) comes
+    from one product for all of them, and one ``dpotrf`` per matrix decides.
+    Cholesky is backward stable: it succeeds on a matrix whose smallest
+    eigenvalue lies above roundoff, a small multiple of ``eps`` times its
+    norm, and fails on one whose smallest eigenvalue lies below minus that.
+    Between, on a matrix that is positive semidefinite and singular to
+    roundoff, it may go either way.  Matrices that all factor are checked
+    for a non-finite entry last, since OpenBLAS's ``dpotrf`` factors through
+    a NaN.
+    """
+    embedding = basis._real_embedding
+    k = embedding.shape[-1]
+    mats = coords.reshape(-1, len(embedding)) @ embedding.reshape(len(embedding), -1)
+    for a in mats.reshape(-1, k, k):
+        if lapack.dpotrf(a, clean=0)[1]:
+            return False
+    return bool(np.isfinite(mats).all())
+
+
+def _sweep_count(iters) -> int:
+    """``iters`` as an int, refused unless it is a whole number >= 0: the
+    one check of ``refine_alternating``'s sweep cap, which ``jointtomo
+    refine`` also makes before it reads a file."""
+    iters = _whole(iters, "iters")
+    if iters < 0:
+        raise ValidationError(f"iters must be >= 0, got {iters}")
+    return iters
 
 
 def refine_alternating(
@@ -136,24 +204,28 @@ def refine_alternating(
     ``rho_bar``/``povm_bar``; ``corrected_objective`` is the objective at the
     returned corrected pair ``rho_hat``/``povm_hat``.
 
-    Coordinates become matrices through the estimator's maps
-    (``coherence_to_state``, ``_elements_from_coords``).  Both blocks work
-    on the design tensor, as the module docstring derives:
-    the detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
+    Both blocks work on the design tensor, as the module docstring derives:
+    ``G = x . B3`` is one product with the record's tensor layout, the
+    detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
     outcomes, and the state block takes its Gram and right-hand side from
-    the moments ``B^T B``, formed once per design record, and ``B^T Y``,
-    formed once per call.  Each block is solved from its n x n normal
-    equations: by a Cholesky solve when LAPACK's condition estimate finds the
-    Gram well conditioned, and otherwise by an eigen-solve, which drops the
-    directions whose singular value lies below ``sqrt(max(rows, n) eps) s_max``
-    (a least-squares solve on the tall matrix would keep them); both give the
-    minimum-norm solution, and the objective stays in residual form.  The
-    projections are the correction kernels of the estimator, run only on a
-    block that one ``eigvalsh`` finds with a negative eigenvalue: one stacked
-    ``eigh`` clips the negative eigenvalues of every detector element
-    (``correct_povm``'s clip, without its renormalization), and the state
-    goes to the nearest density matrix (``correct_state``'s projection,
-    without re-validating a matrix it has just built).
+    the packed moments of ``B^T B``, formed once per design record, and
+    ``B^T Y``, formed once per call.  Each block is solved from its n x n
+    normal equations: by a Cholesky solve when LAPACK's condition estimate
+    finds the Gram well conditioned, and otherwise by an eigen-solve, which
+    drops the directions whose singular value lies below
+    ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
+    matrix would keep them); both give the minimum-norm solution, and the
+    objective stays in residual form.  Each block then passes a positivity
+    gate, one Cholesky factorization of each matrix's real embedding, formed
+    from its coordinates; a block that is singular to roundoff may fail it,
+    and its projection then returns it up to roundoff.  The projections are
+    the correction kernels of the estimator, run only on a block that fails
+    the gate: one stacked ``eigh`` clips the negative eigenvalues of every
+    detector element (``correct_povm``'s clip, without its renormalization),
+    and the state goes to the nearest density matrix (``correct_state``'s
+    projection, without re-validating a matrix it has just built).  The
+    returned rough pair is built by the estimator's maps
+    (``coherence_to_state``, ``_elements_from_coords``).
     """
     (y,) = _targets_v1(_one_stack(ds), b, basis)
     if not isinstance(init, EstimateResult):
@@ -164,30 +236,33 @@ def refine_alternating(
             f"init must be a dimension-{d} state and a {m}-outcome detector, got a state of "
             f"shape {init.rho_hat.rho.shape} and detector elements of shape "
             f"{init.povm_hat.elements.shape}")
-    iters = _whole(iters, "iters")
-    if iters < 0:
-        raise ValidationError(f"iters must be >= 0, got {iters}")
+    iters = _sweep_count(iters)
     if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
             or not rel_tol >= 0.0):
         raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     design = _stage("refine", factor_design, b)
-    b = design.b
     x = _to_coords(init.rho_hat.rho, basis)[1:]
     c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome
     l = len(y)
     anchor = ds.anchor_index - 1
-    free = [i for i in range(n) if i != anchor]
-    free_block = np.ix_(free, free)
+    free = np.array([i for i in range(n) if i != anchor])
+    # Where the state Gram's free block and anchor column sit in its packed form.
+    _, positions = _packing(n)
+    free_positions, anchor_positions = positions[np.ix_(free, free)], positions[free, anchor]
 
-    # The tensor laid out once as B3[a, i, k] -> b_rows[(k, a), i]: G^T is
-    # then one matrix-vector product.
-    b_rows = np.ascontiguousarray(b.reshape(l, n, n).transpose(2, 0, 1)).reshape(n * l, n)
+    tensor, moments = design._tensor, design.moments
     y_centred = y - y.mean(axis=1, keepdims=True)
-    moments, b_y = design.moments, (b.T @ y).reshape(n, -1)
+    b_y = (design.b.T @ y).reshape(n, -1)
+    # Each block's coordinate rows for its positivity gate, with the trace
+    # column filled in once: the state's 1/sqrt(d), the detector's c_j0.
+    x_row = np.empty(n + 1)
+    x_row[0] = 1.0 / math.sqrt(d)
+    c_rows = np.empty((m, n + 1))
+    c_rows[:, 0] = ds.c_j0_hat
 
     def residual(x, c):
         """``G = x . B3`` and the objective at ``(x, C)``."""
-        g = (b_rows @ x).reshape(n, l).T
+        g = (x @ tensor).reshape(l, n)
         return g, float(np.linalg.norm(y - g @ c) ** 2)
 
     g, obj = residual(x, c)
@@ -199,22 +274,22 @@ def refine_alternating(
 
     for _ in range(iters):
         # Detector block: every c_j from one solve on the centred targets;
-        # if an element has a negative eigenvalue, every element's are clipped.
+        # if an element fails the gate, every element's eigenvalues are clipped.
         c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
-        povm = _elements_from_coords(ds.c_j0_hat, c_new.T, basis)
-        if np.linalg.eigvalsh(povm)[:, 0].min() < 0.0:
-            c_new = _to_coords(_clip_negative(povm), basis)[:, 1:].T
+        c_rows[:, 1:] = c_new.T
+        if not _inside(c_rows, basis):
+            c_new = _to_coords(_clip_negative(_from_coords(c_rows, basis)), basis)[:, 1:].T
 
         # State block: the (M L) x n system of all outcomes from the moments,
-        # anchor pinned; projected if the state is not a density matrix.
-        gram, rhs = _state_normal_equations(moments, b_y, c_new)
+        # anchor pinned; projected if the state fails the gate.
+        packed, rhs = _state_normal_equations(moments, b_y, c_new)
         x_new = np.empty(n)
         x_new[anchor] = ds.x01_bar
-        x_new[free] = _min_norm_solve(gram[free_block],
-                                      rhs[free] - gram[free, anchor] * ds.x01_bar, m * l)
-        rho = coherence_to_state(x_new, basis)
-        if np.linalg.eigvalsh(rho)[0] < 0.0:
-            x_new = _to_coords(_nearest_density(rho), basis)[1:]
+        x_new[free] = _min_norm_solve(packed[free_positions],
+                                      rhs[free] - packed[anchor_positions] * ds.x01_bar, m * l)
+        x_row[1:] = x_new
+        if not _inside(x_row, basis):
+            x_new = _to_coords(_nearest_density(_from_coords(x_row, basis)), basis)[1:]
 
         g_new, new_obj = residual(x_new, c_new)
         if not np.isfinite(new_obj):

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import OperatorBasis, coherence_to_state
 from .channels import FactoredDesign
 from .errors import ValidationError
-from .estimator import _one_stack, _targets_v1
+from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
 
@@ -344,8 +344,8 @@ def export_sos_problem(
     stack = _one_stack(ds)
     b = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
     y = ds.y_hat if pure else _targets_v1(stack, b, basis)[0]
-    if pure and b.shape != (ds.n_processes, d ** 4):
-        raise ValidationError(f"regression matrix must be {ds.n_processes}x{d ** 4}, got {b.shape}")
+    if pure:
+        _check_design_shape(b.shape, ds.n_processes, d ** 4)
     if not np.isfinite(b).all():
         raise ValidationError("regression matrix has a non-finite entry")
     problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, y, basis)

@@ -68,6 +68,52 @@ def test_preset_reproducible_from_name_and_seed():
     assert not np.allclose(a.truth_state.rho, c.truth_state.rho)
 
 
+def _seeded_calls():
+    """Each public function that takes a seed, as ``name -> call(seed)``, on
+    the smallest inputs that reach the seed."""
+    sc = preset("one_qubit_closed_complete")
+    configs = [("ls", Stage1Config(), None)]
+    return {
+        "preset": lambda seed: preset("one_qubit_closed_complete", seed=seed),
+        "simulate_dataset": lambda seed: simulate_dataset(
+            sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=seed, basis=sc.basis),
+        "run_mse_experiment": lambda seed: run_mse_experiment(sc, [100], 2, seed=seed),
+        "run_method_comparison": lambda seed: run_method_comparison(sc, [100], 2, configs,
+                                                                    seed=seed),
+    }
+
+
+@pytest.mark.parametrize("name", ["preset", "simulate_dataset", "run_mse_experiment",
+                                  "run_method_comparison"])
+@pytest.mark.parametrize("seed, message", [
+    pytest.param(-1, "seed must be >= 0, got -1", id="negative"),
+    pytest.param(2.5, "seed must be a whole number, got 2.5", id="fraction"),
+    pytest.param(True, "seed must be a whole number, got True", id="bool"),
+    pytest.param("3", "seed must be a whole number, got '3'", id="string"),
+])
+def test_seeds_are_refused_unless_whole_and_non_negative(name, seed, message):
+    call = _seeded_calls()[name]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(seed)
+
+
+def test_seeds_that_are_whole_numbers_or_generators_are_read_as_before():
+    calls = _seeded_calls()
+    # A whole number given as a float or a numpy integer is that number.
+    for name in ("run_mse_experiment", "run_method_comparison"):
+        assert calls[name](3.0) == calls[name](np.int64(3)) == calls[name](3)
+    a, b = calls["preset"](3.0), calls["preset"](3)
+    assert a.seed == 3 and np.array_equal(a.truth_state.rho, b.truth_state.rho)
+    # simulate_dataset also takes None, a SeedSequence, a BitGenerator or a Generator.
+    simulate = calls["simulate_dataset"]
+    assert np.array_equal(simulate(3.0).y_hat, simulate(3).y_hat)
+    sequence = np.random.SeedSequence(4)
+    expected = simulate(sequence).y_hat
+    for seed in (np.random.PCG64(sequence), np.random.default_rng(sequence)):
+        assert np.array_equal(simulate(seed).y_hat, expected)
+    assert simulate(None).y_hat.shape == expected.shape
+
+
 def test_preset_completeness_expectations():
     for name in PRESET_NAMES:
         sc = preset(name)

@@ -146,8 +146,8 @@ def test_export_sos_command(tmp_path):
     assert "OBJECTIVE" in text and "INEQ state_ball_p2" in text
 
 
-@pytest.mark.parametrize("command", [["estimate"], ["refine"], ["export-sos"],
-                                     ["export-sos", "--pure"]])
+@pytest.mark.parametrize("command", [["estimate"], ["estimate", "--version", "v2"], ["refine"],
+                                     ["export-sos"], ["export-sos", "--pure"]])
 @pytest.mark.parametrize("preset_name, data_preset", [
     ("one_qubit_closed_complete", "one_qubit_closed_incomplete"),
     ("one_qubit_closed_incomplete", "one_qubit_closed_complete"),
@@ -162,7 +162,9 @@ def test_dataset_of_another_ensemble_is_refused(tmp_path, capsys, command, prese
     rc = run_cli(*command, "--preset", preset_name, "--dataset", str(ds_path),
                  "--out", str(out), "--quiet")
     assert rc == 2
-    assert "regression matrix must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    rows, processes = len(preset(preset_name).ensemble), len(preset(data_preset).ensemble)
+    assert f"error: the dataset has {processes} processes but the design has {rows} rows" in err
     assert not out.exists()
 
 
@@ -328,6 +330,24 @@ def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "mse.csv")) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench", "rank-check"])
+def test_negative_seed_is_refused_without_a_traceback(tmp_path, capsys, command):
+    rc = run_cli(command, "--preset", "one_qubit_closed_complete", "--seed", "-1",
+                 "--out", str(tmp_path / "out"), "--quiet")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: seed must be >= 0, got -1"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_iters_is_refused_by_the_library_check(tmp_path, capsys):
+    # No dataset file exists: the count is refused before any file is read.
+    rc = run_cli("refine", *FIT, "--iters", "-1", "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: iters must be >= 0, got -1"
 
 
 def _edited_dataset(tmp_path, **fields) -> str:

@@ -37,8 +37,9 @@ from jointtomo import (
     to_coords,
     vectorize,
 )
+from jointtomo.basis import _from_coords, _to_coords
 from jointtomo.channels import FactoredDesign
-from jointtomo.refine import _min_norm_solve, _state_normal_equations
+from jointtomo.refine import _inside, _min_norm_solve, _packing, _state_normal_equations
 from jointtomo.sos import poly_eval
 
 
@@ -333,7 +334,8 @@ def test_state_moments_give_the_stacked_normal_equations(m, rank):
     c = rng.normal(size=(n, m))
     # The stacked state matrix: one b @ kron(I, c_j) block per outcome.
     a_x = np.vstack([b @ np.kron(np.eye(n), c[:, [j]]) for j in range(m)])
-    gram, rhs = _state_normal_equations(factor_design(b).moments, (b.T @ y).reshape(n, -1), c)
+    packed, rhs = _state_normal_equations(factor_design(b).moments, (b.T @ y).reshape(n, -1), c)
+    gram = packed[_packing(n)[1]]
     for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel())):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -405,26 +407,29 @@ def test_min_norm_solve_matches_the_eigen_solve(case, m, seed):
 
 
 def test_moments_are_formed_once_per_design_record(monkeypatch):
+    """The record's packed moments and its tensor layout are each formed once
+    per design record, on the first refinement, and are read-only."""
     import jointtomo.channels as channels
     sc, reg = _incomplete_setup()
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=16,
                           basis=sc.basis)
     config = Stage1Config(method="mp_inverse")
-    moments = FactoredDesign.__dict__["moments"]
-    formed = []
+    formed = {"moments": [], "_tensor": []}
+    for name, record in formed.items():
+        cached = FactoredDesign.__dict__[name]
 
-    def counted(design, form=moments.func):
-        formed.append(design)
-        return form(design)
+        def counted(design, form=cached.func, record=record):
+            record.append(design)
+            return form(design)
 
-    monkeypatch.setattr(moments, "func", counted)
+        monkeypatch.setattr(cached, "func", counted)
     monkeypatch.setattr(channels, "_memo", [])
     # Two refinements on one record.
     design = reg.design
     init = estimate_joint_v1(ds, design, sc.basis, config)
     first = refine_alternating(ds, design, sc.basis, init)
     second = refine_alternating(ds, design, sc.basis, init)
-    assert formed == [design]
+    assert formed == {"moments": [design], "_tensor": [design]}
     assert first.diagnostics == second.diagnostics
     # Two on a raw matrix: both reach the memo entry the estimate made.
     b = np.array(reg.b)
@@ -432,48 +437,123 @@ def test_moments_are_formed_once_per_design_record(monkeypatch):
     for _ in range(2):
         refine_alternating(ds, b, sc.basis, init)
     (entry,) = channels._memo
-    assert len(formed) == 2 and formed[1] is entry
-    assert not entry.moments.flags.writeable
-    with pytest.raises(ValueError):
-        entry.moments[0, 0] = 0.0
+    for name, record in formed.items():
+        assert len(record) == 2 and record[1] is entry
+        array = getattr(entry, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    # The layouts hold the design: G = x . B3 from the tensor, and the packed
+    # moments' sizes (n(n+1)/2 square, 120 x 120 at d = 4).
+    n = sc.basis.n_traceless
+    x = np.random.default_rng(3).normal(size=n)
+    b3 = entry.b.reshape(-1, n, n)
+    assert np.allclose((x @ entry._tensor).reshape(-1, n), np.einsum("i,aik->ak", x, b3),
+                       rtol=0.0, atol=1e-13)
+    assert entry.moments.shape == (n * (n + 1) // 2,) * 2
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """``(kind, A)``: one d x d Hermitian matrix or an ``(M, d, d)`` stack, d
+    in {2, 3, 4}, each with a drawn spectrum on a drawn scale: positive
+    definite, indefinite, with its smallest eigenvalue within 1e-9 of zero
+    on either side, exactly singular positive semidefinite (a positive block
+    padded with zero rows and columns, or zero), or with one NaN entry."""
+    kind = draw(st.sampled_from(["definite", "indefinite", "near-zero", "singular", "nan"]))
+    d = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(m or 1):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        vals = scale * rng.uniform(0.1, 1.0, d)
+        if kind == "indefinite" and (not mats or rng.random() < 0.5):
+            vals[0] = -scale * 10.0 ** rng.uniform(-10.0, 0.0)
+        elif kind == "near-zero":
+            vals[0] = scale * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -9.0)
+        k = d
+        if kind == "singular":
+            k = int(rng.integers(0, d))  # the rank
+        q = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        a = np.zeros((d, d), dtype=complex)
+        a[:k, :k] = (q * vals[:k]) @ q.conj().T
+        mats.append((a + a.conj().T) / 2.0)
+    a = np.stack(mats) if m else mats[0]
+    if kind == "nan":
+        i, j = rng.integers(0, d, size=2)
+        a[..., i, j] = a[..., j, i] = np.nan
+    return kind, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermitian_stacks())
+def test_positivity_gate_matches_the_smallest_eigenvalue(case):
+    """The gate turns away every stack with an eigenvalue below -1e-12 of its
+    matrix's norm (or a NaN entry) and lets through every stack whose
+    eigenvalues all lie above +1e-12 of their matrix's norm; on a matrix
+    that is singular to roundoff it may say either, but must answer."""
+    kind, a = case
+    basis = build_basis(a.shape[-1])
+    inside = _inside(_to_coords(a, basis), basis)
+    assert isinstance(inside, bool)
+    if kind == "nan":
+        assert not inside
+        return
+    mats = a.reshape(-1, *a.shape[-2:])
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    smallest = np.linalg.eigvalsh(mats)[:, 0]
+    if np.any(smallest < -1e-12 * norms):
+        assert not inside
+    elif np.all(smallest > 1e-12 * norms):
+        assert inside
 
 
 def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
-    """Each sweep's detector and state matrices are recorded as they are
-    assembled from coordinates; the clip and the density projection must see
-    exactly those with a negative eigenvalue."""
+    """Each sweep's detector and state blocks are recorded as the positivity
+    gate sees them; the clip and the density projection must see exactly the
+    blocks the gate turns away, which include every block with a negative
+    eigenvalue and no block whose smallest eigenvalue lies above roundoff."""
     import jointtomo.refine as refine
     sc = preset("two_qubit_mixed_unitary_incomplete")
     b = build_regression_matrices(sc.ensemble, sc.basis).b
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
                           scale_observable=sc.anchor_index, basis=sc.basis)
     init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
-    built, clipped, projected = [], [], []
+    gated, clipped, projected = [], [], []
 
-    def recorded(fn, record, output=False):
-        def wrapper(*args):
-            out = fn(*args)
-            record.append(out if output else args[0])
-            return out
+    def recorded_gate(coords, basis, gate=refine._inside):
+        inside = gate(coords, basis)
+        # the sweep rewrites its coordinate rows in place: keep a copy
+        gated.append((_from_coords(coords.copy(), sc.basis), inside))
+        return inside
+
+    def recorded(fn, record):
+        def wrapper(mats):
+            record.append(mats)
+            return fn(mats)
         return wrapper
 
-    for name in ("coherence_to_state", "_elements_from_coords"):
-        monkeypatch.setattr(refine, name, recorded(getattr(refine, name), built, True))
+    monkeypatch.setattr(refine, "_inside", recorded_gate)
     monkeypatch.setattr(refine, "_clip_negative", recorded(refine._clip_negative, clipped))
     monkeypatch.setattr(refine, "_nearest_density", recorded(refine._nearest_density, projected))
     refine_alternating(ds, b, sc.basis, init)
-    sweeps = built[:-2]  # the last two are the returned rough pair
-    detectors = [p for p in sweeps if p.ndim == 3]
-    states = [p for p in sweeps if p.ndim == 2]
-    outside_d = [p for p in detectors if np.linalg.eigvalsh(p)[:, 0].min() < 0.0]
-    outside_s = [p for p in states if np.linalg.eigvalsh(p)[0] < 0.0]
-    # This draw has sweeps of every kind, so a gate that always or never
-    # projects, or projects the wrong blocks, is caught.
-    assert 0 < len(outside_d) < len(detectors) and 0 < len(outside_s) < len(states)
-    assert len(clipped) == len(outside_d) and all(
-        a is e for a, e in zip(clipped, outside_d))
-    assert len(projected) == len(outside_s) and all(
-        a is e for a, e in zip(projected, outside_s))
+    for ndim, seen in ((3, clipped), (2, projected)):
+        blocks = [(p, inside) for p, inside in gated if p.ndim == ndim]
+        outside = [p for p, inside in blocks if not inside]
+        # This draw has sweeps of every kind, so a gate that always or never
+        # projects, or projects the wrong blocks, is caught.
+        assert 0 < len(outside) < len(blocks)
+        assert len(seen) == len(outside) and all(
+            np.array_equal(a, e) for a, e in zip(seen, outside))
+        for p, inside in blocks:
+            mats = p.reshape(-1, *p.shape[-2:])
+            smallest = (np.linalg.eigvalsh(mats)[:, 0]
+                        / np.linalg.norm(mats, axis=(-2, -1))).min()
+            if smallest < 0.0:
+                assert not inside
+            elif smallest > 1e-12:
+                assert inside
 
 
 def test_refine_makes_no_least_squares_call(monkeypatch):

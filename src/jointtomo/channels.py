@@ -16,10 +16,10 @@ regression applies.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, svd
 
 from .basis import OperatorBasis, build_basis, change_of_basis
 from .errors import ValidationError
@@ -446,16 +446,18 @@ class FactoredDesign:
     @cached_property
     def moments(self) -> np.ndarray:
         """``B^T B`` rearranged as ``K[(i, i'), (k, k')] = (B^T B)[(i, k), (i', k')]``
-        and packed to the upper triangles ``i <= i'`` and ``k <= k'``, each in
-        ``np.triu_indices(n)`` order (n(n+1)/2 square): an off-diagonal column
+        and packed to the upper triangles ``i <= i'`` and ``k <= k'``, each as
+        ``_packing(n)`` packs a matrix (n(n+1)/2 square): an off-diagonal column
         ``k < k'`` holds ``K[., (k, k')] + K[., (k', k)]``.  For a symmetric
         ``S`` the upper triangle of ``K vec(S)``, the refinement's state Gram,
-        is then ``moments @ S[triu]``."""
+        is then ``moments @ S.take(upper)``."""
         n = math.isqrt(self.shape[1])
         k = (self.b.T @ self.b).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        rows, cols = np.triu_indices(n)
-        moments = (k + k.swapaxes(2, 3))[rows, cols][:, rows, cols]
-        moments[:, rows == cols] /= 2.0
+        upper, positions = _packing(n)
+        # rows, then columns, which leaves the result column-major; a row-major
+        # copy (np.ix_) moves the last bits of the refinement's products
+        moments = (k + k.swapaxes(2, 3)).reshape(n * n, n * n)[upper][:, upper]
+        moments[:, positions.diagonal()] /= 2.0
         moments.setflags(write=False)
         return moments
 
@@ -471,14 +473,41 @@ class FactoredDesign:
         return tensor
 
 
+@lru_cache(maxsize=8)
+def _packing(n: int) -> tuple:
+    """How a symmetric n x n matrix is packed to its upper triangle, in
+    ``np.triu_indices(n)`` order: the flat indices of that triangle in the
+    matrix, and the ``(n, n)`` positions of every entry in the packed vector
+    (read-only).  ``s.take(upper)`` packs a matrix ``s``, and
+    ``packed[positions]`` unpacks it."""
+    rows, cols = np.triu_indices(n)
+    positions = np.empty((n, n), dtype=np.intp)
+    positions[rows, cols] = positions[cols, rows] = np.arange(len(rows))
+    upper = rows * n + cols
+    upper.setflags(write=False)
+    positions.setflags(write=False)
+    return upper, positions
+
+
+def _check_numeric(b: np.ndarray) -> None:
+    """Refuse a regression matrix whose dtype is not bool, int, float or complex."""
+    if b.dtype.kind not in "biufc":
+        raise ValidationError(f"regression matrix must be numeric, got dtype {b.dtype}")
+
+
 def _factor(b: np.ndarray) -> FactoredDesign:
-    """The economy SVD and rank of the 2-D matrix ``b``, kept as ``b``."""
+    """The economy SVD and rank of the 2-D numeric matrix ``b``, kept as ``b``."""
     if b.ndim != 2:
         raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
+    _check_numeric(b)
     if not np.isfinite(b).all():
         # LAPACK's SVD may never return on an infinite entry
         raise np.linalg.LinAlgError("regression matrix has a non-finite entry")
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # the divide-and-conquer SVD (gesdd) may not converge where QR iteration does
+        u, s, vh = svd(b, full_matrices=False, lapack_driver="gesvd")
     return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
 
 

@@ -32,11 +32,14 @@ the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
 dataset's result (``StackEstimates.results``; ``estimate_joint_v1``/``v2``
 are the stack T = 1 of a ``MeasurementDataset``).
 
-Steps 2-4 are shared by two bases.  The coherence-vector version regresses
-background-subtracted targets for generalized-unital processes and fixes the
-scale with the separately measured anchor coordinate; the natural-basis
-version regresses raw frequencies on the stacked superoperators of arbitrary
-processes and fixes the scale by unit trace.
+Each basis writes steps 2-4 straight through from the steps they share:
+``_factors`` (stage 1 and the Kronecker factors), its own scale fix, the
+outcome mean (``_mean_state``) and ``_corrected``.  The coherence-vector
+version regresses background-subtracted targets for generalized-unital
+processes and fixes the scale with the measured anchor coordinate
+(``fix_scale_v1``); the natural-basis version regresses raw frequencies on
+the stacked superoperators of arbitrary processes and fixes the scale by
+unit trace (``_fix_scale_v2``), so its mean state has unit trace already.
 
 The coherence-vector program is stated here once for every solver of it:
 its input contract (``_targets_v1``: a real ``L x n^2`` design and the
@@ -53,6 +56,7 @@ estimates.  The stacked pass reports a refused dataset in its mask only;
 estimating that dataset alone raises the step's error.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +71,7 @@ from .measurement import (
     Povm,
     _new,
     _skewed,
+    _whole,
 )
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
@@ -83,8 +88,9 @@ POVM_EPS_SCALE = 1e-8
 class Stage1Config:
     """Linear-solve settings for step 2.
 
-    ``reg_scale`` is the Tikhonov matrix scale (D = reg_scale * I); None means
-    "resolve to 100 / N from the dataset's copy count" at estimation time.
+    ``reg_scale`` is the Tikhonov matrix scale (D = reg_scale * I), a real
+    number (not a bool) kept as given; None means "resolve to 100 / N from
+    the dataset's copy count" at estimation time.
     """
 
     method: str = "plain_ls"
@@ -93,6 +99,10 @@ class Stage1Config:
     def __post_init__(self):
         if self.method not in STAGE1_METHODS:
             raise ValidationError(f"method must be one of {STAGE1_METHODS}, got {self.method!r}")
+        if self.reg_scale is not None and (isinstance(self.reg_scale, bool)
+                                           or not isinstance(self.reg_scale, numbers.Real)):
+            raise ValidationError(
+                f"regularization scale must be a real number, got {self.reg_scale!r}")
         if self.reg_scale is not None and not (np.isfinite(self.reg_scale)
                                                and self.reg_scale >= 0):
             raise ValidationError(
@@ -238,6 +248,9 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     refusing ``reg_scale = 0`` on a rank-deficient B.
     """
     y = np.asarray(y)
+    if y.ndim not in (1, 2) or y.dtype.kind not in "biufc":
+        raise ValidationError(
+            f"targets must be a numeric vector or matrix, got {y.dtype} of shape {y.shape}")
     design = _stage("stage1", factor_design, b)
     if y.shape[0] != design.shape[0]:
         raise ValidationError(f"target length {y.shape[0]} does not match {design.shape[0]} rows")
@@ -310,12 +323,16 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
     Returns the rescaled pair ``(x_bar, c_bar)`` with
     ``x_bar[anchor] == x01_bar`` and ``x_bar kron c_bar`` unchanged.  A
     factor whose anchor coordinate is at most ``ANCHOR_RTOL`` times its norm
-    is refused, as is a zero ``x01_bar``.  A stacked factorization is
-    rescaled factor by factor, with ``x01_bar`` broadcast against its leading
-    axes; the stack is refused if any factor is (the error's ``refused``
-    mask says which).
+    is refused, as is a zero ``x01_bar``; ``anchor`` must index the factor's
+    coordinates.  A stacked factorization is rescaled factor by factor, with
+    ``x01_bar`` broadcast against its leading axes; the stack is refused if
+    any factor is (the error's ``refused`` mask says which).
     """
     left = np.asarray(fac.left, float)
+    anchor = _whole(anchor, "anchor")
+    if not 0 <= anchor < left.shape[-1]:
+        raise ValidationError(
+            f"anchor must index the factor's {left.shape[-1]} coordinates, got {anchor}")
     pivot = left[..., anchor]
     small = np.abs(pivot) <= ANCHOR_RTOL * np.linalg.norm(left, axis=-1)
     x01_bar = np.broadcast_to(x01_bar, pivot.shape)
@@ -330,6 +347,25 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
                               refused=zero)
     ratio = (x01_bar / pivot)[..., None]
     return left * ratio, np.asarray(fac.right, float) / ratio
+
+
+def _fix_scale_v2(fac: KroneckerFactorization, d: int) -> tuple:
+    """Resolve the complex Kronecker scale of a ``(T, M)`` stack of factors
+    ``vec(rho) kron vec(P_j^T)`` by unit trace: the unit-trace state
+    candidates ``(T, M, d, d)``, the Hermitian parts of the detector
+    candidates (which absorb the trace) and the traces' moduli.  A trace at
+    most ``1e-6`` times its factor's norm is refused (the error's mask)."""
+    # devectorize is column-major: vec(A) reshaped row-major is A^T
+    rho_tilde = fac.left.reshape(*fac.left.shape[:-1], d, d).swapaxes(-1, -2)
+    tr = np.trace(rho_tilde, axis1=-2, axis2=-1)
+    small = np.abs(tr) <= 1e-6 * np.maximum(np.linalg.norm(fac.left, axis=-1), 1e-30)
+    if np.any(small):
+        t, j = np.argwhere(small)[0]
+        raise DegeneracyError(f"state candidate {j} has near-zero trace {complex(tr[t, j]):.3e}",
+                              refused=small)
+    p_tilde = fac.right.reshape(*fac.right.shape[:-1], d, d) * tr[..., None, None]
+    return (rho_tilde / tr[..., None, None],
+            (p_tilde + p_tilde.conj().swapaxes(-1, -2)) / 2.0, np.abs(tr))
 
 
 def combine_state_estimates(candidates) -> np.ndarray:
@@ -477,25 +513,13 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
     })
 
 
-def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int,
-                 rescale, assemble, lane_inputs=()) -> StackEstimates:
-    """The pipeline shared by both bases, after the targets are formed.
+def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int) -> tuple:
+    """Stage 1 and the stacked Kronecker factors, the steps both bases share.
 
-    ``y`` stacks the ``(L, M)`` targets of T datasets as ``(T, L, M)``.
-    Solves stage 1 for all ``T M`` columns with the factored design, factors
-    every column as a ``side x side`` Kronecker pair by one stacked SVD,
-    averages each dataset's state candidates and corrects the results.  The
-    representation supplies the rest: ``rescale(facs)`` fixes the scales of
-    the ``(T, M)`` stack of factorizations and returns ``(state candidates,
-    detector candidates, anchor values)``, each with leading axes ``(T, M)``,
-    and ``assemble(states, detector candidates)`` returns the rough matrices
-    ``(rho_bar, povm_bar)`` of the T datasets from their mean states.
-    ``lane_inputs`` are the per-dataset arrays (led by the dataset axis)
-    that ``rescale`` reads besides the factorizations; refused datasets'
-    entries are overwritten in them.
-    Returns the stack's estimates, with the datasets a step refused marked
-    (see ``_lanewise``); a step that refuses every dataset raises its
-    stage-labelled error.
+    Solves all ``T M`` columns of the ``(T, L, M)`` targets ``y`` with the
+    factored design and factors each as a ``side x side`` pair by one stacked
+    SVD.  Returns the ``(T, M)`` factorizations, the refused mask (see
+    ``_lanewise``; later steps grow it) and both steps' diagnostics.
     """
     t, l, m = y.shape
     cols = y.transpose(1, 0, 2).reshape(l, t * m)
@@ -504,22 +528,21 @@ def _reconstruct(y: np.ndarray, design: FactoredDesign, config: Stage1Config, si
     z = z.T.reshape(t, m, -1)
     refused = np.zeros(t, dtype=bool)
     facs = _lanewise("kronecker", refused, [z], nearest_kronecker, z, side, side)
-    candidates, detectors, anchors = _lanewise(
-        "scale", refused, [facs.left, facs.right, *lane_inputs], rescale, facs)
-    mean = combine_state_estimates(candidates.swapaxes(0, 1))
-    rho_bar, povm_bar = _lanewise("scale", refused, [mean], assemble, mean, detectors)
+    return facs, refused, {
+        "method": config.method, "reg_scale": config.reg_scale, "rank_b": design.rank,
+        "stage1_residuals": residuals, "kron_residuals": facs.residual,
+        "kron_ties": facs.degenerate_tie}
 
+
+def _mean_state(candidates: np.ndarray, anchors: np.ndarray) -> tuple:
+    """The mean of each dataset's ``(T, M, ...)`` state candidates over its
+    outcomes, with the diagnostics of the scale step: the outcomes' anchor
+    values and the largest distance of a candidate from its mean."""
+    t, m = candidates.shape[:2]
+    mean = combine_state_estimates(candidates.swapaxes(0, 1))
     spread = np.linalg.norm((candidates - mean[:, None]).reshape(t, m, -1), axis=-1).max(axis=1)
-    return _corrected(rho_bar, povm_bar, {
-        "method": config.method,
-        "reg_scale": config.reg_scale,
-        "rank_b": design.rank,
-        "stage1_residuals": residuals,
-        "kron_residuals": facs.residual,
-        "kron_ties": facs.degenerate_tie,
-        "anchor_values": anchors,
-        "state_candidate_spread": spread if m > 1 else np.zeros(t),
-    }, refused)
+    return mean, {"anchor_values": anchors,
+                  "state_candidate_spread": spread if m > 1 else np.zeros(t)}
 
 
 def _one_stack(ds) -> DatasetStack:
@@ -561,21 +584,22 @@ def _elements_from_coords(c0: np.ndarray, c: np.ndarray, basis: OperatorBasis) -
 
 def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
                   config: Stage1Config) -> StackEstimates:
-    """Coherence-vector reconstruction of a stack of datasets."""
+    """Coherence-vector reconstruction of a stack of datasets: stage 1 and
+    the factors (``_factors``), each outcome's scale fixed by the measured
+    anchor coordinate (``fix_scale_v1``), the mean state coordinates, and
+    the rough pair from the coordinate maps, corrected (``_corrected``)."""
     y = _targets_v1(stack, b, basis)
     design = _stage("stage1", factor_design, b)
     config = config.resolved(stack.total_copies)
+    facs, refused, diagnostics = _factors(y, design, config, basis.n_traceless)
     anchor = stack.anchor_index - 1
     x01_bar = stack.x01_bar[:, None].copy()  # a refused dataset's entry is overwritten
-
-    def rescale(facs):
-        x_bar, c_bar = fix_scale_v1(facs, x01_bar, anchor=anchor)
-        return x_bar, c_bar, facs.left[..., anchor]
-
-    def assemble(x0, c_bars):
-        return coherence_to_state(x0, basis), _elements_from_coords(stack.c_j0_hat, c_bars, basis)
-
-    return _reconstruct(y, design, config, basis.n_traceless, rescale, assemble, [x01_bar])
+    x_bar, c_bar = _lanewise("scale", refused, [facs.left, facs.right, x01_bar],
+                             fix_scale_v1, facs, x01_bar, anchor=anchor)
+    x0, scale = _mean_state(x_bar, facs.left[..., anchor])
+    return _corrected(coherence_to_state(x0, basis),
+                      _elements_from_coords(stack.c_j0_hat, c_bar, basis),
+                      {**diagnostics, **scale}, refused)
 
 
 def estimate_joint_v1(
@@ -599,7 +623,12 @@ def estimate_joint_v1(
 
 def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> StackEstimates:
     """Natural-basis reconstruction of a stack of datasets, from their raw
-    frequencies."""
+    frequencies: stage 1 and the factors (``_factors``), each outcome's scale
+    fixed by unit trace (``_fix_scale_v2``), and the Hermitian part of the
+    mean state over its trace, corrected with the detector candidates.  Each
+    candidate passed the scale fix with ``|tr| > 1e-6 ||left||`` and was
+    divided by that trace, so the mean's real trace is 1 to roundoff, never
+    near zero; the division only removes the roundoff."""
     design = _stage("stage1", factor_design, b_natural)
     d4 = design.shape[1]
     d = int(round(d4 ** 0.25))
@@ -607,31 +636,13 @@ def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> Stack
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
     _check_design_shape(design.shape, stack.n_processes, d4)
     config = config.resolved(stack.total_copies)
-
-    def rescale(facs):
-        # devectorize is column-major: vec(A) reshaped row-major is A^T
-        rho_tilde = facs.left.reshape(*facs.left.shape[:-1], d, d).swapaxes(-1, -2)
-        tr = np.trace(rho_tilde, axis1=-2, axis2=-1)
-        small = np.abs(tr) <= 1e-6 * np.maximum(np.linalg.norm(facs.left, axis=-1), 1e-30)
-        if np.any(small):
-            t, j = np.argwhere(small)[0]
-            raise DegeneracyError(
-                f"state candidate {j} has near-zero trace {complex(tr[t, j]):.3e}",
-                refused=small)
-        p_tilde = facs.right.reshape(*facs.right.shape[:-1], d, d) * tr[..., None, None]
-        return (rho_tilde / tr[..., None, None],
-                (p_tilde + p_tilde.conj().swapaxes(-1, -2)) / 2.0, np.abs(tr))
-
-    def assemble(rho_tilde, povm_parts):
-        rho_sym = (rho_tilde + rho_tilde.conj().swapaxes(-1, -2)) / 2.0
-        tr = np.real(np.trace(rho_sym, axis1=-2, axis2=-1))
-        small = np.abs(tr) < 1e-6
-        if np.any(small):
-            raise DegeneracyError(f"symmetrized state has near-zero trace {tr[small][0]:.3e}",
-                                  refused=small)
-        return rho_sym / tr[..., None, None], povm_parts
-
-    return _reconstruct(stack.y_hat.astype(complex), design, config, d * d, rescale, assemble)
+    facs, refused, diagnostics = _factors(stack.y_hat.astype(complex), design, config, d * d)
+    candidates, povm_bar, anchors = _lanewise("scale", refused, [facs.left, facs.right],
+                                              _fix_scale_v2, facs, d)
+    mean, scale = _mean_state(candidates, anchors)
+    rho_sym = (mean + mean.conj().swapaxes(-1, -2)) / 2.0
+    rho_bar = rho_sym / np.real(np.trace(rho_sym, axis1=-2, axis2=-1))[..., None, None]
+    return _corrected(rho_bar, povm_bar, {**diagnostics, **scale}, refused)
 
 
 def estimate_joint_v2(

@@ -22,7 +22,8 @@ and the scale observable's outcomes) are fixed by the ensemble and the truth:
 ``ideal_statistics`` checks them, pads them with the loss outcome and
 normalizes them into read-only tables, and each simulated trial only draws
 from those tables, so its dataset is valid as drawn and is not checked
-again.  Shot counts must be whole numbers >= 1 (``shot_count``).
+again.  Shot counts must be whole numbers >= 1 (``shot_count``), and a
+sampled draw takes at most 2**63 - 1 of them.
 
 Datasets, states and detectors are each checked by one stacked pass, of
 which the constructors are the case T = 1, and a failing stack raises the
@@ -46,6 +47,8 @@ from .channels import ProcessEnsemble
 from .errors import ValidationError
 
 PSD_TOL = 1e-10
+# The most shots one sampled draw takes: numpy's samplers read n as a C long.
+_MAX_DRAWN_SHOTS = 2 ** 63 - 1
 
 
 def _new(cls, **fields):
@@ -263,7 +266,11 @@ def sampling_table(p) -> np.ndarray:
 
 def _draw(table: np.ndarray, n0: int, rng) -> np.ndarray:
     """Frequencies of ``n0`` multinomial shots from a ``sampling_table``,
-    with the loss outcome dropped; one independent draw per row."""
+    with the loss outcome dropped; one independent draw per row.  More than
+    ``_MAX_DRAWN_SHOTS`` shots are refused."""
+    if n0 > _MAX_DRAWN_SHOTS:
+        raise ValidationError(
+            f"a sampled draw takes at most {_MAX_DRAWN_SHOTS} shots, got n0={n0}")
     return rng.multinomial(n0, table)[..., :-1] / float(n0)
 
 
@@ -496,13 +503,15 @@ def ideal_statistics(
     the checked tables its draws read.
 
     ``scale_observable`` selects which basis operator Omega_k is measured on
-    the input state to pin the reconstruction scale.
+    the input state to pin the reconstruction scale: a whole number k in
+    ``1..d^2-1``.
     """
     if ens.d != truth_state.d or ens.d != truth_povm.d:
         raise ValidationError("ensemble, state and detector dimensions must agree")
     _check_basis(basis, ens.d)
     if basis is None:
         basis = build_basis(ens.d)
+    scale_observable = _whole(scale_observable, "scale observable index")
     if not 1 <= scale_observable <= basis.n_traceless:
         raise ValidationError(
             f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
@@ -520,7 +529,7 @@ def ideal_statistics(
               sampling_table(p), sampling_table(q), sampling_table(probs))
     for a in arrays:
         a.setflags(write=False)
-    return IdealStatistics(ens, truth_state, truth_povm, int(scale_observable), *arrays)
+    return IdealStatistics(ens, truth_state, truth_povm, scale_observable, *arrays)
 
 
 def simulate_dataset(

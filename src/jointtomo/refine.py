@@ -55,13 +55,12 @@ add noise of about ``1e-16 ||y||^2``.
 
 import math
 import numbers
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
-from .channels import factor_design
+from .channels import _packing, factor_design
 from .errors import DegeneracyError, ValidationError
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
@@ -112,22 +111,6 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     keep = vals > cutoff * max(vals[-1], 0.0)
     kept = vecs[:, keep]
     return (kept / vals[keep]) @ (kept.T @ rhs)
-
-
-@lru_cache(maxsize=8)
-def _packing(n: int) -> tuple:
-    """How a symmetric n x n matrix is packed to its upper triangle, in the
-    ``np.triu_indices`` order of ``FactoredDesign.moments``'s axes: the flat
-    indices of that triangle in the matrix, and the ``(n, n)`` positions of
-    every entry in the packed vector (read-only).  ``s.take(upper)`` packs a
-    matrix ``s``, and ``packed[positions]`` unpacks it."""
-    rows, cols = np.triu_indices(n)
-    positions = np.empty((n, n), dtype=np.intp)
-    positions[rows, cols] = positions[cols, rows] = np.arange(len(rows))
-    upper = rows * n + cols
-    upper.setflags(write=False)
-    positions.setflags(write=False)
-    return upper, positions
 
 
 def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray) -> tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import OperatorBasis, coherence_to_state
-from .channels import FactoredDesign
+from .channels import FactoredDesign, _check_numeric
 from .errors import ValidationError
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
@@ -346,6 +346,7 @@ def export_sos_problem(
     y = ds.y_hat if pure else _targets_v1(stack, b, basis)[0]
     if pure:
         _check_design_shape(b.shape, ds.n_processes, d ** 4)
+    _check_numeric(b)
     if not np.isfinite(b).all():
         raise ValidationError("regression matrix has a non-finite entry")
     problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, y, basis)

@@ -513,19 +513,19 @@ def test_trial_loop_makes_no_per_trial_objects(monkeypatch, name):
     for owner, attr in ((MeasurementDataset, "__post_init__"), (MeasurementDataset, "subset"),
                         (MeasurementDataset, "as_stack"), (estimator, "estimate_joint_v1"),
                         (estimator, "estimate_joint_v2"), (measurement, "_checked_datasets"),
-                        (estimator, "_reconstruct")):
+                        (estimator, "_factors")):
         _count_calls(monkeypatch, owner, attr, counts)
 
     table = run_mse_experiment(sc, [2, 1000], trials=10, seed=7)
-    # one dataset check and one reconstruction per block of trials: no dataset
-    # is built, checked or estimated on its own, and none is estimated twice
-    assert counts == {"_checked_datasets": 6, "_reconstruct": 6}
+    # one dataset check and one stage-1 and factor pass per block of trials: no
+    # dataset is built, checked or estimated on its own, and none twice
+    assert counts == {"_checked_datasets": 6, "_factors": 6}
     _assert_table_matches(table, reference)
     if name == "one_qubit_closed_complete":
         assert table.failures > 0
 
     counts.clear()
     tables = run_method_comparison(sc, [2, 1000], trials=10, configs=configs, seed=8)
-    assert counts == {"_checked_datasets": 6, "_reconstruct": 12}  # one per block and case
+    assert counts == {"_checked_datasets": 6, "_factors": 12}  # one per block and case
     for label, _, _ in configs:
         _assert_table_matches(tables[label], references[label])

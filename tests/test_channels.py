@@ -570,6 +570,18 @@ def test_failures_are_never_kept(svds, bad):
     assert svds == [] and channels._memo == []
 
 
+def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored():
+    # numpy's gesdd does not converge on this row order of a preset's natural
+    # design (900 x 256, complex); QR iteration factors it
+    reg = preset("two_qubit_mixed_unitary").regression
+    b = reg.b_natural[np.random.default_rng(5).permutation(len(reg.b_natural))]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(b, full_matrices=False)
+    design = factor_design(b)
+    assert design.rank == reg.rank_b_natural
+    assert np.abs(design.u * design.s @ design.vh - b).max() < 1e-12
+
+
 def test_the_memo_keeps_the_most_recently_used_designs(svds):
     size = channels._MEMO_SIZE
     mats = [np.full((3, 2), float(k + 1)) for k in range(size + 2)]

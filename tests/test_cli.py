@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtomo import make_named_channel, preset, simulate_dataset
 from jointtomo.channels import ProcessEnsemble
@@ -399,3 +403,20 @@ def test_fits_refuse_an_anchor_beyond_the_basis(tmp_path, capsys, command):
     assert rc == 2
     assert "anchor index" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SHOT_TEXTS = ["0", "-3", "2.5", str(2 ** 63 - 1), str(2 ** 63), str(2 ** 63 + 1), "1e300",
+               "inf", "-inf", "nan", "10000000000000000000000"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["simulate", "bench"]),
+       st.one_of(st.sampled_from(_SHOT_TEXTS), st.integers(-5, 10 ** 4).map(str),
+                 st.floats(allow_nan=True, allow_infinity=True).map(repr)))
+def test_shot_counts_exit_0_or_2_without_a_traceback(command, n0):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        flags = ([f"--n0={n0}"] if command == "simulate"
+                 else [f"--n0-grid={n0}", "--trials", "2"])
+        assert main([command, "--preset", "one_qubit_closed_incomplete", *flags,
+                     "--out", out, "--quiet"]) in (0, 2)

@@ -14,10 +14,12 @@ from jointtomo import (
     DegeneracyError,
     DensityMatrix,
     FactoredDesign,
+    KroneckerFactorization,
     MeasurementDataset,
     Povm,
     ProcessEnsemble,
     Stage1Config,
+    TomographyError,
     ValidationError,
     build_basis,
     build_regression_matrices,
@@ -28,15 +30,18 @@ from jointtomo import (
     devectorize,
     estimate_joint_v1,
     estimate_joint_v2,
+    export_sos_problem,
     factor_design,
     fix_scale_v1,
     haar_unitary,
+    ideal_statistics,
     make_named_channel,
     nearest_kronecker,
     preset,
     project_pure,
     random_density_matrix,
     rearrange,
+    refine_alternating,
     simulate_dataset,
     stage1_solve,
     to_coords,
@@ -787,3 +792,171 @@ def test_correct_povm_gives_valid_povms_or_refuses(case):
         assert np.linalg.norm(povm.sum(axis=0) - np.eye(d)) <= 1e-10 * d
         assert min(np.linalg.eigvalsh(p)[0] for p in povm) >= -1e-10
         assert np.allclose(povm, single.elements, rtol=0.0, atol=1e-12)
+
+
+def _estimate_or_stage(estimate):
+    """An estimate's result, or the stage label of the error refusing it."""
+    try:
+        return estimate()
+    except TomographyError as exc:
+        return str(exc).split("]")[0] + "]"
+
+
+def _assert_moved_alike(moved, base, tol, outcomes=None):
+    """``moved`` is ``base`` with its detector elements in the order
+    ``outcomes`` (unchanged if None), to ``tol`` relative to the larger of 1
+    and each matrix's largest entry; or both are refused by the same stage."""
+    if isinstance(base, str) or isinstance(moved, str):
+        assert moved == base
+        return
+    order = slice(None) if outcomes is None else outcomes
+    for got, want in ((moved.rho_hat.rho, base.rho_hat.rho), (moved.rho_bar, base.rho_bar),
+                      (moved.povm_hat.elements, base.povm_hat.elements[order]),
+                      (moved.povm_bar, base.povm_bar[order])):
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_permuting_processes_or_outcomes_moves_the_estimates_alike(name):
+    sc = preset(name)
+    reg, config = sc.regression, Stage1Config("mp_inverse")
+    processes = np.random.default_rng(5).permutation(len(sc.ensemble))
+    outcomes = np.roll(np.arange(sc.truth_povm.m), 1)
+    estimators = {
+        "v1": (lambda ds, b: estimate_joint_v1(ds, b, sc.basis, config), reg.design),
+        "v2": (lambda ds, b: estimate_joint_v2(ds, b, config), reg.design_natural),
+    }
+    for version, (estimate, design) in estimators.items():
+        permuted = factor_design(design.b[processes])
+        # Moore-Penrose on this preset's rank-deficient B amplifies roundoff:
+        # reordering its rows moves the v1 estimate by up to about 1e-9 of its
+        # largest entry (every other case stays within 1e-13).
+        tol = 1e-8 if (name, version) == ("two_qubit_mixed_unitary_incomplete", "v1") else 1e-12
+        for seed in range(1, 6):
+            ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=seed,
+                                  basis=sc.basis, ideal=sc.ideal)
+            relabelled = replace(ds, y_hat=ds.y_hat[:, outcomes], c_j0_hat=ds.c_j0_hat[outcomes])
+            base = _estimate_or_stage(lambda: estimate(ds, design))
+            _assert_moved_alike(_estimate_or_stage(lambda: estimate(ds.subset(processes), permuted)),
+                                base, tol)
+            _assert_moved_alike(_estimate_or_stage(lambda: estimate(relabelled, design)),
+                                base, tol, outcomes)
+
+
+_MARGIN = st.floats(1.0 + 1e-6, 10.0)  # a trace's multiple of the refusal threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.lists(_MARGIN, min_size=12, max_size=12))
+def test_v2_scale_fix_gives_unit_traces_just_above_its_refusal(d, t, m, seed, margins):
+    """Every candidate the natural basis's scale fix passes has unit trace, and
+    so has the Hermitian part of their mean: that is why the mean state needs
+    no near-zero-trace refusal of its own."""
+    from jointtomo.estimator import _fix_scale_v2
+    rng = np.random.default_rng(seed)
+    shape = (t, m, d * d)
+
+    def draw():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    # the state factor's traceless part, plus a trace of 1e-6 * margin times its norm
+    eye = np.eye(d).ravel()
+    w = draw()
+    w -= (w @ eye / d)[..., None] * eye
+    r = 1e-6 * np.resize(margins, (t, m))
+    size = r * np.linalg.norm(w, axis=-1) / np.sqrt(1.0 - r * r / d)
+    phase = np.exp(2j * np.pi * rng.random((t, m)))
+    left = (w + (size * phase / d)[..., None] * eye) * rng.uniform(1e-3, 1e3, (t, m, 1))
+    fac = KroneckerFactorization(left, draw(), np.zeros((t, m)), np.zeros((t, m, d * d)))
+    candidates, _, anchors = _fix_scale_v2(fac, d)
+    assert np.abs(np.trace(candidates, axis1=-2, axis2=-1) - 1.0).max() <= 1e-9
+    mean = candidates.mean(axis=1)
+    hermitian = (mean + mean.conj().swapaxes(-1, -2)) / 2.0
+    assert np.abs(np.trace(hermitian, axis1=-2, axis2=-1) - 1.0).max() <= 1e-9
+    assert np.all(anchors > 1e-6 * np.linalg.norm(left, axis=-1))
+
+
+def _raw_error_inputs():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
+                          basis=sc.basis, ideal=sc.ideal)
+    return sc, sc.regression, ds
+
+
+def _simulate(scale_observable):
+    sc = preset("one_qubit_closed_complete")
+    return simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=1,
+                            scale_observable=scale_observable, basis=sc.basis)
+
+
+def _estimate_object_design(version):
+    sc, reg, ds = _raw_error_inputs()
+    if version == "v2":
+        return estimate_joint_v2(ds, reg.b_natural.astype(object))
+    if version == "v1":
+        return estimate_joint_v1(ds, reg.b.astype(object), sc.basis)
+    init = estimate_joint_v1(ds, reg.design, sc.basis)
+    return refine_alternating(ds, reg.b.astype(object), sc.basis, init)
+
+
+def _export_object_design(pure, path):
+    sc, reg, ds = _raw_error_inputs()
+    b = reg.b_natural if pure else reg.b
+    return export_sos_problem(ds, b.astype(object), sc.basis, path, pure=pure)
+
+
+def _ideal(scale_observable):
+    sc = preset("one_qubit_closed_complete")
+    return ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, scale_observable)
+
+
+def _factors_of_a_stack():
+    sc, reg, ds = _raw_error_inputs()
+    z = stage1_solve(reg.design, build_targets_v1(ds, sc.basis), Stage1Config())
+    return nearest_kronecker(z.T, 3, 3)
+
+
+_OBJECT = "regression matrix must be numeric, got dtype object"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: _simulate(1.5), "scale observable index must be a whole number, got 1.5"),
+    (lambda tmp: _simulate(True), "scale observable index must be a whole number, got True"),
+    (lambda tmp: _simulate("1"), "scale observable index must be a whole number, got '1'"),
+    (lambda tmp: _ideal(2.5), "scale observable index must be a whole number, got 2.5"),
+    (lambda tmp: Stage1Config("tikhonov", reg_scale="1"),
+     "regularization scale must be a real number, got '1'"),
+    (lambda tmp: Stage1Config("tikhonov", reg_scale=1j),
+     "regularization scale must be a real number, got 1j"),
+    (lambda tmp: Stage1Config("tikhonov", reg_scale=True),
+     "regularization scale must be a real number, got True"),
+    (lambda tmp: _estimate_object_design("v1"), f"[stage1] {_OBJECT}"),
+    (lambda tmp: _estimate_object_design("v2"), f"[stage1] {_OBJECT}"),
+    (lambda tmp: _estimate_object_design("refine"), f"[refine] {_OBJECT}"),
+    (lambda tmp: factor_design(np.eye(3).astype(object)), _OBJECT),
+    (lambda tmp: _export_object_design(False, tmp / "p.sos"), _OBJECT),
+    (lambda tmp: _export_object_design(True, tmp / "p.sos"), _OBJECT),
+    (lambda tmp: stage1_solve(np.eye(3), "abc", Stage1Config()),
+     "targets must be a numeric vector or matrix, got <U3 of shape ()"),
+    (lambda tmp: stage1_solve(np.eye(3), np.ones((3, 2, 2)), Stage1Config()),
+     "targets must be a numeric vector or matrix, got float64 of shape (3, 2, 2)"),
+    (lambda tmp: fix_scale_v1(_factors_of_a_stack(), 0.5, anchor=3),
+     "anchor must index the factor's 3 coordinates, got 3"),
+], ids=["scale-fraction", "scale-bool", "scale-string", "ideal-scale-fraction",
+        "reg-scale-string", "reg-scale-complex", "reg-scale-bool", "v1-object-design",
+        "v2-object-design", "refine-object-design", "factor-object-design",
+        "export-object-design", "export-pure-object-design", "stage1-string-targets",
+        "stage1-3d-targets", "scale-fix-anchor-outside"])
+def test_library_inputs_are_refused_with_validation_errors(tmp_path, call, message):
+    with pytest.raises(ValidationError) as err:
+        call(tmp_path)
+    assert str(err.value) == message
+
+
+def test_numeric_inputs_of_every_kind_stay_accepted():
+    for dtype in (bool, int, float, complex):
+        assert factor_design(np.eye(3, dtype=dtype)).rank == 3
+    for value in (1, 0.5, np.float64(2.0), 0):
+        assert Stage1Config("tikhonov", reg_scale=value).reg_scale is value
+    assert _simulate(1.0).anchor_index == 1

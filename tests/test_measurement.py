@@ -668,3 +668,30 @@ def test_a_subset_and_a_single_stack_are_views_that_are_not_checked_again(monkey
     assert checks == []
     with pytest.raises(ValidationError, match="process indices"):
         stack.subset([[0, 1]])
+
+
+@pytest.mark.parametrize("n0", [2 ** 63, 2 ** 63 + 1, 10 ** 22, 1e300])
+def test_sampled_draws_refuse_more_shots_than_the_sampler_takes(n0):
+    sc = preset("one_qubit_random_pure")  # lossy processes: a binomial draw as well
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    message = "a sampled draw takes at most 9223372036854775807 shots"
+    with pytest.raises(ValidationError, match=message):
+        simulate_dataset(*truth, n0, basis=sc.basis)
+    with pytest.raises(ValidationError, match=message):
+        simulate_dataset(*truth, n0, basis=sc.basis, ideal=sc.ideal)
+    with pytest.raises(ValidationError, match=message):
+        sample_frequencies([0.3, 0.7], n0, 0)
+    # exact simulations, and datasets, keep any whole count
+    exact = simulate_dataset(*truth, n0, exact=True, basis=sc.basis)
+    assert exact.n0 == n0
+    assert DatasetStack.of([exact, exact]).n0 == n0
+
+
+def test_the_largest_sampled_shot_count_still_draws():
+    sc = preset("one_qubit_random_pure")
+    n0 = 2 ** 63 - 1
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=1,
+                          basis=sc.basis)
+    assert ds.n0 == n0 and np.isfinite(ds.y_hat).all()
+    assert np.abs(ds.y_hat - sc.ideal.probabilities).max() < 1e-6
+    assert sample_frequencies([0.3, 0.7], n0, 0).shape == (2,)

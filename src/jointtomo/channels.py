@@ -12,6 +12,14 @@ representations drive the estimation pipeline:
 A process maps the identity to a multiple of itself exactly when ``h = 0``
 ("generalized-unital"), which is the regime where the coherence-vector
 regression applies.
+
+The module runs on numpy alone, so importing the package does not load
+``scipy.linalg`` (whose import costs about as much as numpy's).  The three
+calls numpy has no counterpart for import it where they are made: ``expm``
+of a general real generator in ``discretize_hamiltonian`` and
+``mixed_unitary_transfer``, and the QR-iteration SVD that ``_factor`` falls
+back on.  ``sampled_unitaries``, the one exponential of every preset, takes
+its Hermitian ``h`` apart with ``eigh`` instead.
 """
 
 import math
@@ -19,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm, svd
 
 from .basis import OperatorBasis, build_basis, change_of_basis
 from .errors import ValidationError
@@ -207,6 +214,8 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
         raise ValidationError(f"need at least one sampling point, got n={n}")
     if dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
+    from scipy.linalg import expm
+
     q = expm(np.asarray(r, dtype=float) * dt)
     out = []
     acc = np.eye(q.shape[0])
@@ -225,6 +234,8 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
         raise ValidationError("mixture weights must be positive")
     if weights.sum() > 1.0 + 1e-12:
         raise ValidationError(f"mixture weights sum to {weights.sum():.6g} > 1")
+    from scipy.linalg import expm
+
     n = basis.n_traceless
     out = np.zeros((n, n))
     for w, h in zip(weights, hamiltonians):
@@ -308,8 +319,23 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
 
 
 def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
-    """The evolutions ``exp(-i h k dt)`` for k = 1..n, as powers of one step."""
-    step = expm(-1j * np.asarray(h, complex) * dt)
+    """The evolutions ``exp(-i h k dt)`` for k = 1..n, as powers of one step.
+
+    The step is ``v diag(exp(-i lam dt)) v^dag`` from the eigendecomposition
+    ``h = v diag(lam) v^dag``.  ``eigh`` reads one triangle of ``h`` only, so
+    ``h`` is first refused unless it is a finite, square, 2-D matrix that is
+    Hermitian to the tolerance states and detector elements are held to,
+    ``||h - h^dag|| <= 1e-9 max(1, ||h||)``.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValidationError("Hamiltonian has a non-finite entry")
+    if np.linalg.norm(h - h.conj().T) > 1e-9 * max(1.0, np.linalg.norm(h)):
+        raise ValidationError("Hamiltonian must be Hermitian")
+    lam, v = np.linalg.eigh(h)
+    step = (v * np.exp(-1j * lam * dt)) @ v.conj().T
     u = np.eye(step.shape[0], dtype=complex)
     out = []
     for _ in range(n):
@@ -507,6 +533,8 @@ def _factor(b: np.ndarray) -> FactoredDesign:
         u, s, vh = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError:
         # the divide-and-conquer SVD (gesdd) may not converge where QR iteration does
+        from scipy.linalg import svd
+
         u, s, vh = svd(b, full_matrices=False, lapack_driver="gesvd")
     return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
 

@@ -94,11 +94,20 @@ def _stage1_config(args):
     return Stage1Config(method=_METHOD_NAMES[args.method], reg_scale=reg_scale)
 
 
+def _number(token: str):
+    """A token as an int when it is an integer literal, so a count above
+    2**53 keeps its value, and as a float otherwise."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
 def _parse_grid(text: str) -> list:
     """The ``--n0-grid`` numbers, which the experiment checks as shot counts
     (so ``1e3`` is 1000 and ``2.5`` is refused, not truncated)."""
     try:
-        return [float(tok) for tok in text.split(",")]
+        return [_number(tok) for tok in text.split(",")]
     except ValueError:
         raise ValidationError(
             f"--n0-grid must be comma-separated shot counts, got {text!r}") from None

@@ -559,6 +559,7 @@ def simulate_dataset(
     when it was made, and a binomial for the lossy processes' survival.  So
     the dataset is valid as drawn, and it is not checked again.
     """
+    scale_observable = _whole(scale_observable, "scale observable index")
     if ideal is None:
         ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
     elif not (ideal.ensemble is ens and ideal.truth_state is truth_state

@@ -51,13 +51,20 @@ The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
 objectives near 0 on exact data, where the Gram form's cancellation would
 add noise of about ``1e-16 ||y||^2``.
+
+The LAPACK kernels above (``dpotrf``, ``dpocon``, ``dpotrs``, ``dlange``)
+come from ``scipy.linalg``, which numpy does not expose them through.
+Importing ``scipy.linalg.lapack`` runs the whole ``scipy.linalg`` package
+initialization, about as costly as numpy's own import, so ``_lapack``
+imports it on the first refinement and keeps it: importing the package, and
+every closed-form path, does not load it.
 """
 
+import functools
 import math
 import numbers
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
@@ -83,6 +90,14 @@ _CHOLESKY_RCOND = 1e-4
 _EPS = np.finfo(float).eps
 
 
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on first use."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     """The minimum-norm least-squares solution of ``A sol = t``, from
     ``gram = A^T A`` (n x n) and ``rhs = A^T t`` (one column per target).
@@ -102,6 +117,7 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     n = len(gram)
     cutoff = max(rows, n) * _EPS
     rcond_floor = max(_CHOLESKY_RCOND, n * cutoff)
+    lapack = _lapack()
     factor, info = lapack.dpotrf(gram, clean=0)
     if info == 0:
         rcond, _ = lapack.dpocon(factor, lapack.dlange("1", gram))
@@ -142,8 +158,9 @@ def _inside(coords: np.ndarray, basis: OperatorBasis) -> bool:
     embedding = basis._real_embedding
     k = embedding.shape[-1]
     mats = coords.reshape(-1, len(embedding)) @ embedding.reshape(len(embedding), -1)
+    dpotrf = _lapack().dpotrf
     for a in mats.reshape(-1, k, k):
-        if lapack.dpotrf(a, clean=0)[1]:
+        if dpotrf(a, clean=0)[1]:
             return False
     return bool(np.isfinite(mats).all())
 

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from jointtomo import (
@@ -38,6 +41,7 @@ from jointtomo import (
 )
 from jointtomo import channels
 from jointtomo.bench import PRESET_NAMES
+from jointtomo.channels import closed_system_channels, sampled_unitaries
 
 
 def random_density(rng, d):
@@ -570,16 +574,61 @@ def test_failures_are_never_kept(svds, bad):
     assert svds == [] and channels._memo == []
 
 
-def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored():
-    # numpy's gesdd does not converge on this row order of a preset's natural
-    # design (900 x 256, complex); QR iteration factors it
+def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored(monkeypatch):
+    # numpy's gesdd is made to fail on a preset's natural design (900 x 256,
+    # complex), as it may fail to converge; QR iteration factors it
     reg = preset("two_qubit_mixed_unitary").regression
-    b = reg.b_natural[np.random.default_rng(5).permutation(len(reg.b_natural))]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.svd(b, full_matrices=False)
+    b, rank = reg.b_natural, reg.rank_b_natural
+    calls = []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(channels, "_memo", [])
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
     design = factor_design(b)
-    assert design.rank == reg.rank_b_natural
+    assert calls == [b.shape]
+    assert design.rank == rank
     assert np.abs(design.u * design.s @ design.vh - b).max() < 1e-12
+
+
+_HERMITIAN_ENTRIES = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    g = draw(arrays(float, (2, d, d), elements=_HERMITIAN_ENTRIES))
+    h = g[0] + 1j * g[1]
+    return (h + h.conj().T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_matrices(), st.floats(-3.0, 3.0), st.integers(1, 5))
+def test_sampled_unitaries_are_the_exponentials_of_their_hamiltonian(h, dt, n):
+    evolutions = sampled_unitaries(h, dt, n)
+    assert len(evolutions) == n
+    tol = 1e-12 * max(1.0, np.linalg.norm(h) * abs(dt) * n)
+    eye = np.eye(len(h))
+    for k, u in enumerate(evolutions, start=1):
+        assert np.abs(u - expm(-1j * h * k * dt)).max() <= tol
+        assert np.abs(u @ u.conj().T - eye).max() <= 1e-13
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(np.zeros((2, 3)), id="non-square"),
+    pytest.param(np.zeros((2, 2, 2)), id="3-D"),
+    pytest.param(np.array([[0.0, np.nan], [np.nan, 0.0]]), id="nan"),
+    pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), id="inf"),
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), id="non-Hermitian"),
+    pytest.param(np.array([[1.0, 1e-6j], [1e-6j, -1.0]]), id="skew-Hermitian part"),
+])
+def test_sampled_unitaries_refuse_a_hamiltonian_that_is_not_a_finite_hermitian_matrix(h):
+    with pytest.raises(ValidationError, match="Hamiltonian"):
+        sampled_unitaries(h, 0.5, 2)
+    with pytest.raises(ValidationError, match="Hamiltonian"):
+        closed_system_channels([(h, 0.5)], 2)
 
 
 def test_the_memo_keeps_the_most_recently_used_designs(svds):

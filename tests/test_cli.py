@@ -296,6 +296,16 @@ def test_bench_exits_0_once_its_outputs_are_written(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+def test_bench_runs_at_a_whole_shot_count_above_2_to_the_53(tmp_path):
+    # a float reads 2**53 + 1 as 2**53; the grid keeps the integer as given
+    n0 = 2 ** 53 + 1
+    out = tmp_path / "mse.csv"
+    assert run_cli("bench", "--preset", "one_qubit_closed_complete", "--n0-grid",
+                   f"1e3,{n0}", "--trials", "2", "--out", str(out), "--quiet") == 0
+    meta = json.loads((tmp_path / "mse.csv.meta.json").read_text())
+    assert meta["n0_grid"] == [1000, n0]
+
+
 def test_preset_excludes_truth_files(tmp_path, capsys):
     rc = run_cli("simulate", "--preset", "one_qubit_closed_complete",
                  "--state", str(tmp_path / "nonexistent.json"),

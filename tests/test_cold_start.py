@@ -1,0 +1,56 @@
+"""Which calls load scipy.linalg: only the refinement among the package's
+everyday paths.  Run in a fresh interpreter, since this one has scipy loaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+
+import jointtomo as jt
+from jointtomo.cli import main
+
+
+def linalg():
+    return sorted(m for m in sys.modules
+                  if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+
+
+assert linalg() == [], ("import", linalg())
+sc = jt.preset("two_qubit_mixed_unitary")
+jt.run_mse_experiment(sc, [1000], trials=2, seed=0)
+ds = jt.simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
+                         basis=sc.basis, ideal=sc.ideal)
+est = jt.estimate_joint_v1(ds, sc.regression.b, sc.basis, sc.stage1)
+jt.estimate_joint_v2(ds, sc.regression.b_natural, jt.Stage1Config(method="mp_inverse"))
+qubit = jt.preset("one_qubit_closed_complete")  # the exporter takes d <= 3
+jt.export_sos_problem(
+    jt.simulate_dataset(qubit.ensemble, qubit.truth_state, qubit.truth_povm, 1000, seed=1,
+                        basis=qubit.basis),
+    qubit.regression.b, qubit.basis, "problem.sos")
+cli = ("--preset", "one_qubit_closed_incomplete", "--quiet")
+for argv in (["simulate", *cli, "--n0", "1000", "--out", "ds.json"],
+             ["estimate", *cli, "--dataset", "ds.json", "--method", "mp", "--out", "est.json"],
+             ["export-sos", *cli, "--dataset", "ds.json", "--out", "cli.sos"],
+             ["rank-check", *cli],
+             ["bench", *cli, "--n0-grid", "1e3,1e4", "--trials", "2", "--out", "mse.csv"]):
+    assert main(argv) == 0, argv
+    assert linalg() == [], (argv[0], linalg())
+jt.refine_alternating(ds, sc.regression.b, sc.basis, est, iters=2)
+assert "scipy.linalg" in linalg(), ("refine", linalg())
+print("ok")
+"""
+
+
+def test_only_the_refinement_loads_scipy_linalg(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

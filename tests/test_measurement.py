@@ -347,6 +347,22 @@ def test_ideal_statistics_are_shared_safely():
                              ideal=given)
 
 
+@pytest.mark.parametrize("index,accepted", [(True, False), ("1", False), (1.5, False),
+                                             (1.0, True)])
+@pytest.mark.parametrize("with_ideal", [False, True])
+def test_the_scale_observable_index_is_read_as_a_whole_number_with_or_without_ideal(
+        index, accepted, with_ideal):
+    sc = preset("one_qubit_random_pure")
+    ideal = sc.ideal if with_ideal else None
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    if accepted:
+        ds = simulate_dataset(*truth, 10, scale_observable=index, basis=sc.basis, ideal=ideal)
+        assert ds.anchor_index == 1 and type(ds.anchor_index) is int
+    else:
+        with pytest.raises(ValidationError, match="must be a whole number"):
+            simulate_dataset(*truth, 10, scale_observable=index, basis=sc.basis, ideal=ideal)
+
+
 @pytest.mark.parametrize("field,value", [
     ("n0", 0), ("n0", -5), ("anchor_index", 0), ("anchor_index", -2),
     ("n0", 2.5), ("anchor_index", 1.5),

@@ -191,13 +191,16 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     matrix of the unitary channel ``exp(-i h t)``.
     """
     h = np.asarray(h, dtype=complex)
+    if h.shape != (basis.d, basis.d):
+        raise ValidationError(f"Hamiltonian must be a {basis.d} x {basis.d} matrix for this "
+                              f"basis, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValidationError("Hamiltonian has a non-finite entry")
     scale = max(np.linalg.norm(h), 1e-30)
     if np.linalg.norm(h - h.conj().T) > 1e-9 * scale:
         raise ValidationError("Hamiltonian must be Hermitian")
     if abs(np.trace(h)) > 1e-9 * scale:
         raise ValidationError("Hamiltonian must be traceless")
-    if h.shape != (basis.d, basis.d):
-        raise ValidationError(f"dimension mismatch: H {h.shape}, basis {basis.d}")
     n = basis.n_traceless
     omegas = basis.omegas[1:]
     comms = np.einsum("ij,ajk->aik", h, omegas) - np.einsum("aij,jk->aik", omegas, h)
@@ -209,14 +212,29 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 
 
 def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
-    """Powers ``Q^1 .. Q^n`` of the one-step map ``Q = exp(r dt)``."""
+    """Powers ``Q^1 .. Q^n`` of the one-step map ``Q = exp(r dt)``.
+
+    ``r`` must be a finite, real, square matrix, ``dt`` finite and positive,
+    and ``n`` a whole number of at least 1.
+    """
+    from .measurement import _whole  # measurement imports this module
+
+    r = np.asarray(r)
+    if r.dtype.kind not in "iufc" or r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValidationError(f"generator must be a square numeric matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValidationError("generator has a non-finite entry")
+    if np.iscomplexobj(r) and np.any(r.imag != 0):
+        raise ValidationError("generator must be real")
+    n = _whole(n, "sampling point count")
     if n < 1:
         raise ValidationError(f"need at least one sampling point, got n={n}")
+    dt = _finite(dt, "sampling interval")
     if dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
     from scipy.linalg import expm
 
-    q = expm(np.asarray(r, dtype=float) * dt)
+    q = expm(r.real.astype(float) * dt)
     out = []
     acc = np.eye(q.shape[0])
     for _ in range(n):
@@ -230,6 +248,9 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) != len(hamiltonians):
         raise ValidationError("need one weight per Hamiltonian")
+    if not np.isfinite(weights).all():
+        raise ValidationError("mixture weights must be finite")
+    t = _finite(t, "evolution time")
     if np.any(weights <= 0):
         raise ValidationError("mixture weights must be positive")
     if weights.sum() > 1.0 + 1e-12:
@@ -241,6 +262,14 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
     for w, h in zip(weights, hamiltonians):
         out += w * expm(hamiltonian_generator(h, basis) * t)
     return out
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float, refused unless it is one finite real number."""
+    x = np.asarray(value)
+    if x.ndim != 0 or x.dtype.kind not in "iuf" or not np.isfinite(x):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(x)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -50,27 +50,31 @@ def _print_config(args, quiet: bool) -> None:
     print("config: " + json.dumps(resolved, default=str), file=stream)
 
 
-def _load_inputs(args):
-    """Ensemble, truth (may be None), basis, and scenario from the flags."""
+def _processes(args):
+    """The ensemble, its basis, and the preset's scenario (None for a file)."""
+    if args.samples is not None and not args.hamiltonians:
+        raise ValidationError("--samples needs --hamiltonians")
     if args.preset:
+        sc = bench_mod.preset(args.preset, seed=args.seed)
+        return sc.ensemble, sc.basis, sc
+    if args.channels:
+        ens = serialize.load_ensemble(args.channels)
+    else:
+        records = serialize.load_hamiltonians(args.hamiltonians)
+        samples = 3 if args.samples is None else args.samples
+        ens = ProcessEnsemble(tuple(closed_system_channels(records, samples)))
+    return ens, build_basis(ens.d), None
+
+
+def _truth(args, sc):
+    """The truth state and detector: the preset's, or the --state/--povm files."""
+    if sc is not None:
         if args.state or args.povm:
             raise ValidationError("--state/--povm cannot be combined with --preset, "
                                   "which supplies its own truth")
-        if args.channels or args.hamiltonians:
-            raise ValidationError("--channels/--hamiltonians cannot be combined with --preset, "
-                                  "which supplies its own processes")
-        sc = bench_mod.preset(args.preset, seed=args.seed)
-        return sc.ensemble, sc.truth_state, sc.truth_povm, sc.basis, sc
-    if args.channels:
-        ens = serialize.load_ensemble(args.channels)
-    elif args.hamiltonians:
-        records = serialize.load_hamiltonians(args.hamiltonians)
-        ens = ProcessEnsemble(tuple(closed_system_channels(records, args.samples)))
-    else:
-        raise ValidationError("provide --preset, --channels, or --hamiltonians")
-    state = serialize.load_state(args.state) if args.state else None
-    povm = serialize.load_povm(args.povm) if args.povm else None
-    return ens, state, povm, build_basis(ens.d), None
+        return sc.truth_state, sc.truth_povm
+    return (serialize.load_state(args.state) if args.state else None,
+            serialize.load_povm(args.povm) if args.povm else None)
 
 
 def _stage1_config(args):
@@ -114,7 +118,8 @@ def _parse_grid(text: str) -> list:
 
 
 def _cmd_simulate(args) -> int:
-    ens, state, povm, basis, _ = _load_inputs(args)
+    ens, basis, sc = _processes(args)
+    state, povm = _truth(args, sc)
     if state is None or povm is None:
         raise ValidationError("simulate needs a preset or explicit --state and --povm files")
     ds = simulate_dataset(ens, state, povm, args.n0, seed=args.seed,
@@ -129,6 +134,10 @@ def _cmd_simulate(args) -> int:
 def _report_errors(result, state, povm, quiet: bool) -> None:
     if state is None or quiet:
         return
+    if state.rho.shape != result.rho_bar.shape or (
+            povm is not None and povm.elements.shape != result.povm_bar.shape):
+        raise ValidationError("--state/--povm do not match the estimate's dimension or "
+                              "outcome count")
     pre_s = np.linalg.norm(result.rho_bar - state.rho)
     post_s = np.linalg.norm(result.rho_hat.rho - state.rho)
     print(f"state error (Frobenius): pre-correction {pre_s:.6e}, post-correction {post_s:.6e}")
@@ -140,7 +149,8 @@ def _report_errors(result, state, povm, quiet: bool) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    ens, state, povm, basis, sc = _load_inputs(args)
+    ens, basis, sc = _processes(args)
+    state, povm = _truth(args, sc)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     config = _stage1_config(args)
@@ -152,8 +162,8 @@ def _cmd_estimate(args) -> int:
     if args.pure:
         from dataclasses import replace
         result = replace(result, rho_hat=project_pure(result.rho_hat))
+    _report_errors(result, state, povm, args.quiet)  # refuses a mismatch before writing
     serialize.save_result(result, args.out)
-    _report_errors(result, state, povm, args.quiet)
     if not args.quiet:
         print(f"wrote estimate to {args.out}")
     return 0
@@ -161,13 +171,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_refine(args) -> int:
     refine_mod._sweep_count(args.iters)  # refused before any file is read
-    ens, state, povm, basis, _ = _load_inputs(args)
+    ens, basis, sc = _processes(args)
+    state, povm = _truth(args, sc)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     init = estimate_joint_v1(ds, reg.design, basis, _stage1_config(args))
     result = refine_mod.refine_alternating(ds, reg.design, basis, init, iters=args.iters)
-    serialize.save_result(result, args.out)
     _report_errors(result, state, povm, args.quiet)
+    serialize.save_result(result, args.out)
     if not args.quiet:
         diag = result.diagnostics
         tr = diag["objective_trajectory"]
@@ -178,7 +189,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_export_sos(args) -> int:
-    ens, _, _, basis, _ = _load_inputs(args)
+    ens, basis, _ = _processes(args)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     problem = export_sos_problem(ds, reg.b_natural if args.pure else reg.b, basis, args.out,
@@ -191,7 +202,7 @@ def _cmd_export_sos(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
-    ens, _, _, basis, _ = _load_inputs(args)
+    ens, basis, _ = _processes(args)
     reg = build_regression_matrices(ens, basis)
     d = basis.d
     n2 = basis.n_traceless ** 2
@@ -207,9 +218,7 @@ def _cmd_rank_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if not args.preset:
-        raise ValidationError("bench needs --preset")
-    sc = _load_inputs(args)[-1]
+    sc = bench_mod.preset(args.preset, seed=args.seed)
     table = bench_mod.run_mse_experiment(sc, _parse_grid(args.n0_grid), trials=args.trials,
                                          seed=args.seed, exact=args.exact,
                                          config=_stage1_config(args))
@@ -227,65 +236,66 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p, out_default=None):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n0", type=int, default=10000, help="shots per configuration")
-    p.add_argument("--out", default=out_default)
-    p.add_argument("--exact", action="store_true", help="noiseless simulation")
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--preset", choices=bench_mod.PRESET_NAMES, default=None)
-    p.add_argument("--channels", default=None, help="ensemble JSON file")
-    p.add_argument("--hamiltonians", default=None, help="Hamiltonian JSON file")
-    p.add_argument("--samples", type=int, default=3,
-                   help="sampling points per Hamiltonian")
-    p.add_argument("--state", default=None, help="truth state JSON file")
-    p.add_argument("--povm", default=None, help="truth detector JSON file")
+def _stage1_flags(method) -> argparse.ArgumentParser:
+    """A parent parser of ``--method`` (default ``method``) and ``--reg-scale``.
+    One per default: its children share its actions, defaults included."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--method", choices=sorted(_METHOD_NAMES), default=method)
+    p.add_argument("--reg-scale", default="auto", help="Tikhonov scale, or 'auto' for 100/N")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, with only the flags it reads, none abbreviated."""
     parser = _Parser(
-        prog="jointtomo",
+        prog="jointtomo", allow_abbrev=False,
         description="Joint quantum state and detector reconstruction toolkit",
     )
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--preset", choices=bench_mod.PRESET_NAMES)
+    group.add_argument("--channels", help="ensemble JSON file")
+    group.add_argument("--hamiltonians", help="Hamiltonian JSON file")
+    source.add_argument("--samples", type=int, help="points per Hamiltonian (default 3)")
+    source.add_argument("--seed", type=int, default=0)
+    truth = argparse.ArgumentParser(add_help=False)
+    truth.add_argument("--state", help="truth state JSON file")
+    truth.add_argument("--povm", help="truth detector JSON file")
+    fit = [source, truth, _stage1_flags("ls")]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate a measurement dataset")
-    _add_common(p, out_default="dataset.json")
-    p.add_argument("--anchor", type=int, default=1, help="scale observable index")
-    p.set_defaults(func=_cmd_simulate)
-
-    for name, fn in (("estimate", _cmd_estimate), ("refine", _cmd_refine)):
-        p = sub.add_parser(name, help=f"{name} from a dataset")
-        _add_common(p, out_default=f"{name}.json")
-        p.add_argument("--dataset", required=True)
-        p.add_argument("--method", choices=sorted(_METHOD_NAMES), default="ls")
-        p.add_argument("--reg-scale", default="auto",
-                       help="Tikhonov scale, or 'auto' for 100/N")
-        if name == "estimate":
-            p.add_argument("--version", choices=("v1", "v2"), default=None)
-            p.add_argument("--pure", action="store_true",
-                           help="project the state estimate to rank 1")
-        else:
-            p.add_argument("--iters", type=int, default=100)
+    def command(name, fn, help, parents, out=None):
+        p = sub.add_parser(name, help=help, parents=parents, allow_abbrev=False)
+        if out:
+            p.add_argument("--out", default=out)
+        p.add_argument("--quiet", action="store_true")
         p.set_defaults(func=fn)
+        return p
 
-    p = sub.add_parser("export-sos", help="write the polynomial program to a file")
-    _add_common(p, out_default="problem.sos")
+    p = command("simulate", _cmd_simulate, "simulate a measurement dataset", [source, truth],
+                "dataset.json")
+    p.add_argument("--n0", type=int, default=10000, help="shots per configuration")
+    p.add_argument("--exact", action="store_true", help="noiseless simulation")
+    p.add_argument("--anchor", type=int, default=1, help="scale observable index")
+    p = command("estimate", _cmd_estimate, "estimate from a dataset", fit, "estimate.json")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--version", choices=("v1", "v2"), default=None)
+    p.add_argument("--pure", action="store_true", help="project the state estimate to rank 1")
+    p = command("refine", _cmd_refine, "refine from a dataset", fit, "refine.json")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--iters", type=int, default=100)
+    p = command("export-sos", _cmd_export_sos, "write the polynomial program to a file",
+                [source], "problem.sos")
     p.add_argument("--dataset", required=True)
     p.add_argument("--pure", action="store_true")
-    p.set_defaults(func=_cmd_export_sos)
-
-    p = sub.add_parser("rank-check", help="informational-completeness diagnostics")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rank_check)
-
-    p = sub.add_parser("bench", help="MSE scaling experiment over a shot grid")
-    _add_common(p, out_default="mse.csv")
+    command("rank-check", _cmd_rank_check, "informational-completeness diagnostics", [source])
+    p = command("bench", _cmd_bench, "MSE scaling experiment over a shot grid",
+                [_stage1_flags(None)], "mse.csv")
+    p.add_argument("--preset", choices=bench_mod.PRESET_NAMES, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--exact", action="store_true", help="noiseless simulation")
     p.add_argument("--n0-grid", default="1000,10000,100000,1000000")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--method", choices=sorted(_METHOD_NAMES), default=None)
-    p.add_argument("--reg-scale", default="auto")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -629,6 +629,35 @@ def test_sampled_unitaries_refuse_a_hamiltonian_that_is_not_a_finite_hermitian_m
         sampled_unitaries(h, 0.5, 2)
     with pytest.raises(ValidationError, match="Hamiltonian"):
         closed_system_channels([(h, 0.5)], 2)
+    with pytest.raises(ValidationError, match="Hamiltonian"):
+        hamiltonian_generator(h, build_basis(2))
+
+
+_R = hamiltonian_generator(pauli("z") / 2, build_basis(2))
+_H1 = pauli("x") / 2
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: discretize_hamiltonian(np.full((3, 3), np.nan), 0.1, 2), id="nan-r"),
+    pytest.param(lambda: discretize_hamiltonian(_R + 1j * np.eye(3), 0.1, 2), id="complex-r"),
+    pytest.param(lambda: discretize_hamiltonian(np.zeros((3, 2)), 0.1, 2), id="3x2-r"),
+    pytest.param(lambda: discretize_hamiltonian(np.zeros((2, 2, 2)), 0.1, 2), id="3-D-r"),
+    pytest.param(lambda: discretize_hamiltonian(_R, np.nan, 2), id="nan-dt"),
+    pytest.param(lambda: discretize_hamiltonian(_R, np.inf, 2), id="inf-dt"),
+    pytest.param(lambda: discretize_hamiltonian(_R, 0.1, 2.5), id="fractional-n"),
+    pytest.param(lambda: discretize_hamiltonian(_R, 0.1, "2"), id="string-n"),
+    pytest.param(lambda: mixed_unitary_transfer([np.nan], [_H1], 0.8, build_basis(2)),
+                 id="nan-weight"),
+    pytest.param(lambda: mixed_unitary_transfer([1.0], [_H1], np.nan, build_basis(2)),
+                 id="nan-t"),
+    pytest.param(lambda: mixed_unitary_transfer([1.0], [_H1], np.inf, build_basis(2)),
+                 id="inf-t"),
+    pytest.param(lambda: mixed_unitary_transfer([1.0], [np.zeros((2, 3))], 0.8, build_basis(2)),
+                 id="2x3-hamiltonian"),
+])
+def test_generator_maps_refuse_input_that_is_not_finite_and_well_shaped(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_the_memo_keeps_the_most_recently_used_designs(svds):

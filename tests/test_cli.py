@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -348,8 +350,9 @@ def test_bad_arguments_exit_with_validation_code(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["simulate", "bench", "rank-check"])
 def test_negative_seed_is_refused_without_a_traceback(tmp_path, capsys, command):
-    rc = run_cli(command, "--preset", "one_qubit_closed_complete", "--seed", "-1",
-                 "--out", str(tmp_path / "out"), "--quiet")
+    out = [] if command == "rank-check" else ["--out", str(tmp_path / "out")]
+    rc = run_cli(command, "--preset", "one_qubit_closed_complete", "--seed", "-1", *out,
+                 "--quiet")
     assert rc == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error: seed must be >= 0, got -1"
@@ -430,3 +433,217 @@ def test_shot_counts_exit_0_or_2_without_a_traceback(command, n0):
                  else [f"--n0-grid={n0}", "--trials", "2"])
         assert main([command, "--preset", "one_qubit_closed_incomplete", *flags,
                      "--out", out, "--quiet"]) in (0, 2)
+
+
+# Each command's flags, by the names they take in its ``config:`` line.
+_SOURCE = {"preset", "channels", "hamiltonians", "samples", "seed"}
+_FLAGS = {
+    "simulate": _SOURCE | {"state", "povm", "n0", "exact", "anchor", "out", "quiet"},
+    "estimate": _SOURCE | {"state", "povm", "dataset", "method", "reg_scale", "version", "pure",
+                           "out", "quiet"},
+    "refine": _SOURCE | {"state", "povm", "dataset", "method", "reg_scale", "iters", "out",
+                         "quiet"},
+    "export-sos": _SOURCE | {"dataset", "pure", "out", "quiet"},
+    "rank-check": _SOURCE | {"quiet"},
+    "bench": {"preset", "seed", "exact", "n0_grid", "trials", "method", "reg_scale", "out",
+              "quiet"},
+}
+_ALL_FLAGS = set().union(*_FLAGS.values())
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Valid d = 2 input files of every kind, a d = 4 state and detector, a
+    file that is not JSON, and a path where no file is."""
+    from jointtomo.serialize import save_povm, save_state
+    root = tmp_path_factory.mktemp("inputs")
+    sc = preset("one_qubit_closed_complete")
+    paths = {kind: str(root / f"{kind}.json") for kind in
+             ("state", "povm", "channels", "hamiltonians", "dataset")}
+    save_state(sc.truth_state, paths["state"])
+    save_povm(sc.truth_povm, paths["povm"])
+    save_ensemble(sc.ensemble, paths["channels"])
+    sc4 = preset("two_qubit_mixed_unitary")
+    paths["state4"], paths["povm4"] = str(root / "state4.json"), str(root / "povm4.json")
+    save_state(sc4.truth_state, paths["state4"])
+    save_povm(sc4.truth_povm, paths["povm4"])
+    with open(paths["hamiltonians"], "w") as fh:  # 5 Hamiltonians x 3 samples, as the dataset
+        json.dump([{"d": 2, "h": _H, "dt_us": dt} for dt in (0.3, 0.5, 0.7, 1.1, 1.3)], fh)
+    assert main(["simulate", "--preset", "one_qubit_closed_complete", "--n0", "1000",
+                 "--out", paths["dataset"], "--quiet"]) == 0
+    paths["garbage"] = str(root / "garbage.json")
+    with open(paths["garbage"], "wb") as fh:
+        fh.write(b"\xff{not json")
+    paths["missing"] = str(root / "missing.json")
+    return paths
+
+
+# A run that reaches the command and then stops early (or, for rank-check,
+# finishes), so that only its config line matters.
+_CONFIG_RUNS = {
+    "simulate": ["--preset", "one_qubit_closed_complete", "--n0", "0"],
+    "estimate": ["--preset", "one_qubit_closed_complete", "--dataset", "{missing}"],
+    "refine": ["--preset", "one_qubit_closed_complete", "--dataset", "{missing}"],
+    "export-sos": ["--preset", "one_qubit_closed_complete", "--dataset", "{missing}"],
+    "rank-check": ["--preset", "one_qubit_closed_complete"],
+    "bench": ["--preset", "one_qubit_closed_complete", "--n0-grid", "abc"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(inputs, capsys, command):
+    main([command, *(arg.format(**inputs) for arg in _CONFIG_RUNS[command]), "--quiet"])
+    line = next(l for l in capsys.readouterr().err.splitlines() if l.startswith("config: "))
+    assert set(json.loads(line[len("config: "):])) == _FLAGS[command] | {"command"}
+
+
+_PRESET = ("--preset", "one_qubit_closed_complete")
+
+
+@pytest.mark.parametrize("argv", [
+    *[pytest.param((command, *_PRESET, "--dataset", "{dataset}", flag, *value),
+                   id=f"{command}{flag}")
+      for command in ("estimate", "refine", "export-sos")
+      for flag, value in (("--n0", ["7"]), ("--exact", []))],
+    pytest.param(("export-sos", "--channels", "{channels}", "--dataset", "{dataset}",
+                  "--state", "{missing}"), id="export-sos--state"),
+    pytest.param(("export-sos", "--channels", "{channels}", "--dataset", "{dataset}",
+                  "--povm", "{missing}"), id="export-sos--povm"),
+    pytest.param(("rank-check", *_PRESET, "--n0", "7"), id="rank-check--n0"),
+    pytest.param(("rank-check", *_PRESET, "--exact"), id="rank-check--exact"),
+    pytest.param(("rank-check", *_PRESET, "--out", "{out}"), id="rank-check--out"),
+    pytest.param(("rank-check", "--channels", "{channels}", "--state", "{missing}"),
+                 id="rank-check--state"),
+    pytest.param(("rank-check", "--channels", "{channels}", "--povm", "{missing}"),
+                 id="rank-check--povm"),
+    *[pytest.param(("bench", *_PRESET, "--n0-grid", "1e3,1e4", "--trials", "2", flag, value),
+                   id=f"bench{flag}")
+      for flag, value in (("--n0", "5000"), ("--samples", "4"),
+                          ("--hamiltonians", "{hamiltonians}"), ("--state", "{state}"))],
+    pytest.param(("rank-check", "--pres", "one_qubit_closed_complete"), id="abbreviated-preset"),
+    pytest.param(("simulate", *_PRESET, "--n", "100"), id="abbreviated-n0"),
+    pytest.param(("bench", *_PRESET, "--n0-grid", "1e3,1e4", "--tri", "2"),
+                 id="abbreviated-trials"),
+    pytest.param(("rank-check", *_PRESET, "--samples", "4"), id="samples-with-preset"),
+    pytest.param(("simulate", *_PRESET, "--samples", "4"), id="simulate-samples-with-preset"),
+    pytest.param(("rank-check", "--channels", "{channels}", "--samples", "4"),
+                 id="samples-with-channels"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, inputs, argv):
+    out = str(tmp_path / "out")
+    argv = [arg.format(out=out, **inputs) for arg in argv]
+    if "--out" not in argv and argv[0] != "rank-check":
+        argv += ["--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["estimate", "refine"])
+@pytest.mark.parametrize("truth", [("--state", "{state4}"),
+                                   ("--state", "{state}", "--povm", "{povm4}")],
+                         ids=["state-d4", "povm-d4"])
+def test_truth_files_of_another_dimension_are_refused_before_writing(tmp_path, capsys, inputs,
+                                                                     command, truth):
+    out = tmp_path / "out"
+    rc = main([command, "--channels", inputs["channels"], "--dataset", inputs["dataset"],
+               *(arg.format(**inputs) for arg in truth), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: --state/--povm do not")
+    assert not out.exists()
+
+
+# Value tokens per flag, valid ones and bad ones: negative, fractional, nan,
+# words, huge.  The valid ones keep a run small.
+_GOOD = {
+    "preset": ["one_qubit_closed_complete", "one_qubit_closed_incomplete",
+               "one_qubit_random_pure"],
+    "samples": ["1", "3", "4"],
+    "seed": ["0", "7"],
+    "n0": ["100", "1000", str(2 ** 40)],
+    "anchor": ["1", "3"],
+    "method": ["ls", "plain_ls", "mp", "mp_inverse", "tikhonov"],
+    "reg_scale": ["auto", "0.1"],
+    "version": ["v1", "v2"],
+    "iters": ["0", "3", "20"],
+    "trials": ["1", "3"],
+    "n0_grid": ["1e3", "1e3,1e4", "1e3,2000,1e5"],
+}
+_BAD = {
+    "preset": ["nope", ""],
+    "samples": ["0", "-1", "2.5", "nan", "abc"],
+    "seed": ["-1", "1.5", "nan", "abc"],
+    "n0": ["0", "-3", "2.5", "nan", "abc", "10000000000000000000000"],
+    "anchor": ["0", "-1", "4", "99", "2.5", "abc"],
+    "method": ["nope", ""],
+    "reg_scale": ["0", "-1", "nan", "inf", "abc"],
+    "version": ["v3"],
+    "iters": ["-1", "2.5", "abc"],
+    "trials": ["0", "-1", "2.5", "abc"],
+    "n0_grid": ["0", "-5", "2.5", "nan", "abc", "", "1e3,", "1e3,abc,1e4"],
+}
+_SWITCHES = {"exact", "quiet", "pure"}
+_FILE_FLAGS = ["state", "povm", "channels", "hamiltonians", "dataset"]
+_FILE_KINDS = _FILE_FLAGS + ["state4", "povm4", "garbage", "missing"]
+# Flags drawn always: the required ones, and those whose defaults (50
+# trials, 4 grid points up to 1e6, 100 sweeps) would make a run slow.
+_ALWAYS = {"bench": ["preset", "trials", "n0_grid"], "estimate": ["dataset"],
+           "refine": ["dataset", "iters"], "export-sos": ["dataset"]}
+
+
+@st.composite
+def _command_lines(draw, inputs, out):
+    """A command with a process source, some more of its own flags and at
+    most one fault: one bad value or file, or one flag the command does not
+    take."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    names = list(_ALWAYS.get(command, []))
+    if command != "bench":
+        names.append(draw(st.sampled_from(["preset", "channels", "hamiltonians"])))
+    rest = sorted(flags - {"preset", "channels", "hamiltonians", "out"} - set(names))
+    names += draw(st.lists(st.sampled_from(rest), unique=True, max_size=4))
+    fault = draw(st.sampled_from([None, "value", "foreign"]))
+    if fault == "foreign":
+        names.append(draw(st.sampled_from(sorted(_ALL_FLAGS - flags))))
+    bad = draw(st.sampled_from(names)) if fault == "value" else None
+    argv = [command, "--out", out] if "out" in flags else [command]
+    for name in names:
+        if name in _SWITCHES:
+            argv.append(_flag(name))
+        elif name == "out":  # rank-check's one foreign flag that writes
+            argv += ["--out", out]
+        elif name in _FILE_FLAGS:
+            kind = draw(st.sampled_from(_FILE_KINDS)) if name == bad else name
+            argv += [_flag(name), inputs[kind]]
+        else:
+            value = draw(st.sampled_from((_BAD if name == bad else _GOOD)[name]))
+            argv.append(f"{_flag(name)}={value}")
+    return argv
+
+
+def test_cli_fuzz_over_whole_flag_sets(inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+
+        @settings(max_examples=150, deadline=None)
+        @given(_command_lines(inputs, out))
+        def run(argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            assert rc in (0, 2, 3, 4), argv
+            assert "Traceback" not in err.getvalue()
+            if rc:
+                assert not os.path.exists(out), argv
+                assert lines[-1].startswith(("error:", "numerical degeneracy:", "i/o error:"))
+            for written in (out, out + ".meta.json"):
+                if os.path.exists(written):
+                    os.remove(written)
+
+        run()

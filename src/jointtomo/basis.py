@@ -30,11 +30,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _whole
 
 # Relative Frobenius defect accepted before an input is rejected as
 # non-Hermitian instead of being silently symmetrized.
 HERMITICITY_RTOL = 1e-9
+
+
+def _skewed(x: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack ``(..., d, d)`` are not Hermitian, given
+    their adjoints: ``||x - x^dag|| > 1e-9 max(1, ||x||)``."""
+    return (np.linalg.norm(x - adjoint, axis=(-2, -1))
+            > 1e-9 * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1))))
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
@@ -93,9 +100,7 @@ def build_basis(d: int) -> OperatorBasis:
     pairs, then the diagonal elements.  For d=2 this reproduces the Pauli
     ordering (x, y, z) up to the 1/sqrt(2) normalization.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValidationError(f"basis dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = _whole(d, "basis dimension", 2)
     mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

@@ -32,7 +32,7 @@ from .channels import (
     pauli,
     sampled_unitaries,
 )
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, _whole
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -46,10 +46,7 @@ from .measurement import (
     IdealStatistics,
     Povm,
     _process_indices,
-    _seed_number,
-    _whole,
     ideal_statistics,
-    shot_count,
     simulate_dataset,
 )
 
@@ -174,7 +171,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
     """
     if name not in _DRAW_KEYS:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    seed = _seed_number(seed)
+    seed = _whole(seed, "seed", 0)
     base, *salt = _DRAW_KEYS[name]
     rng = np.random.default_rng(np.random.SeedSequence([base, seed, *salt]))
 
@@ -305,7 +302,7 @@ def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
 def _shot_grid(n0_grid) -> list:
     """The shot grid as a list of ints, refused unless it is non-empty,
     strictly increasing and made of whole shot counts >= 1."""
-    grid = [shot_count(v) for v in n0_grid]
+    grid = [_whole(v, "shot count", 1) for v in n0_grid]
     if not grid:
         raise ValidationError("the shot grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -334,8 +331,6 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     the whole stack fails every trial of the block.  Returns
     ``(rows, failures)`` per case.
     """
-    if trials < 2:
-        raise ValidationError(f"need at least 2 trials for error bars, got {trials}")
     full = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
     designs = [full if idx is None else factor_design(full.b[idx])
                for _, idx in cases]
@@ -381,15 +376,15 @@ def run_mse_experiment(
 ) -> MseTable:
     """Monte-Carlo MSE of the reconstruction over a shot-count grid.
 
-    Per grid point, runs ``trials`` independent simulate-and-estimate cycles
-    with seeds derived from (scenario seed, run seed, grid index, trial
-    index); ``seed`` must be a whole number >= 0.  Estimator degeneracies
-    are counted as failures, not dropped silently; the per-row trial count
-    reports the successes.
+    Per grid point, runs ``trials`` (a whole number >= 2) independent
+    simulate-and-estimate cycles with seeds derived from (scenario seed, run
+    seed, grid index, trial index); ``seed`` must be a whole number >= 0.
+    Estimator degeneracies are counted as failures, not dropped silently;
+    the per-row trial count reports the successes.
     """
     n0_grid = _shot_grid(n0_grid)
-    trials = _whole(trials, "trials")
-    seed = _seed_number(seed)
+    trials = _whole(trials, "trials", 2)
+    seed = _whole(seed, "seed", 0)
     config = config or sc.stage1
     ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
     metadata = {
@@ -421,8 +416,8 @@ def run_method_comparison(
     ``run_mse_experiment`` reads it.
     """
     n0_grid = _shot_grid(n0_grid)
-    trials = _whole(trials, "trials")
-    seed = _seed_number(seed)
+    trials = _whole(trials, "trials", 2)
+    seed = _whole(seed, "seed", 0)
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")

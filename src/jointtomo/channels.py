@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis import OperatorBasis, build_basis, change_of_basis
-from .errors import ValidationError
+from .basis import OperatorBasis, _skewed, build_basis, change_of_basis
+from .errors import ValidationError, _real, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -39,6 +39,8 @@ RANK_RTOL = 1e-8
 TRANSFER_IMAG_TOL = 1e-10
 # Kraus sums (sum A^dag A) closer than this in Frobenius norm count as equal in rank_bound.
 KRAUS_GRAM_TOL = 1e-8
+# Largest norm of the column block h for which a channel counts as generalized-unital.
+GENERALIZED_UNITAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,15 @@ def transfer_matrix(channel: KrausChannel, basis: OperatorBasis) -> TransferMatr
     )
 
 
-def is_generalized_unital(channel: KrausChannel, tol: float = 1e-8):
+def is_generalized_unital(channel: KrausChannel):
     """Whether the channel maps I to alpha*I, and that alpha when it does.
 
     Decided through the transfer-matrix column block: the map is
-    generalized-unital exactly when ``h = 0``, in which case alpha equals the
-    scalar block ``r``.
+    generalized-unital exactly when ``h = 0`` (to ``GENERALIZED_UNITAL_TOL``),
+    in which case alpha equals the scalar block ``r``.
     """
     tm = transfer_matrix(channel, build_basis(channel.d))
-    if np.linalg.norm(tm.h) <= tol:
+    if np.linalg.norm(tm.h) <= GENERALIZED_UNITAL_TOL:
         return True, tm.r
     return False, None
 
@@ -217,8 +219,6 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
     ``r`` must be a finite, real, square matrix, ``dt`` finite and positive,
     and ``n`` a whole number of at least 1.
     """
-    from .measurement import _whole  # measurement imports this module
-
     r = np.asarray(r)
     if r.dtype.kind not in "iufc" or r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError(f"generator must be a square numeric matrix, got shape {r.shape}")
@@ -226,10 +226,8 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
         raise ValidationError("generator has a non-finite entry")
     if np.iscomplexobj(r) and np.any(r.imag != 0):
         raise ValidationError("generator must be real")
-    n = _whole(n, "sampling point count")
-    if n < 1:
-        raise ValidationError(f"need at least one sampling point, got n={n}")
-    dt = _finite(dt, "sampling interval")
+    n = _whole(n, "sampling point count", 1)
+    dt = _real(dt, "sampling interval")
     if dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
     from scipy.linalg import expm
@@ -250,7 +248,7 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
         raise ValidationError("need one weight per Hamiltonian")
     if not np.isfinite(weights).all():
         raise ValidationError("mixture weights must be finite")
-    t = _finite(t, "evolution time")
+    t = _real(t, "evolution time")
     if np.any(weights <= 0):
         raise ValidationError("mixture weights must be positive")
     if weights.sum() > 1.0 + 1e-12:
@@ -262,14 +260,6 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
     for w, h in zip(weights, hamiltonians):
         out += w * expm(hamiltonian_generator(h, basis) * t)
     return out
-
-
-def _finite(value, what: str) -> float:
-    """``value`` as a float, refused unless it is one finite real number."""
-    x = np.asarray(value)
-    if x.ndim != 0 or x.dtype.kind not in "iuf" or not np.isfinite(x):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return float(x)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -303,35 +293,35 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
     ``scaled(alpha, channel)``, ``random_cp(d, rank, seed, tp=False)``.
     ``random_cp`` draws Ginibre Kraus matrices and rescales them so the Kraus
     sum is I (tp=True) or strictly below I with a seed-dependent margin.
+    A missing parameter is refused by name; ``p`` and ``alpha`` must be
+    finite real numbers, ``d`` and ``rank`` whole numbers >= 1.
     """
-    if kind == "bit_flip":
-        p = params["p"]
-        if not 0.0 <= p <= 1.0:
+    def param(name):
+        if name not in params:
+            raise ValidationError(f"a {kind} channel needs the parameter {name!r}")
+        return params[name]
+
+    if kind in ("bit_flip", "phase_flip"):
+        p = param("p")
+        if not 0.0 <= _real(p, "flip probability") <= 1.0:
             raise ValidationError(f"flip probability must be in [0, 1], got {p}")
-        kraus = np.stack([np.sqrt(p) * _PAULI["i"], np.sqrt(1.0 - p) * _PAULI["x"]])
-        return KrausChannel(2, kraus, label=params.get("label", f"bit_flip({p})"))
-    if kind == "phase_flip":
-        p = params["p"]
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"flip probability must be in [0, 1], got {p}")
-        kraus = np.stack([np.sqrt(p) * _PAULI["i"], np.sqrt(1.0 - p) * _PAULI["z"]])
-        return KrausChannel(2, kraus, label=params.get("label", f"phase_flip({p})"))
+        flip = _PAULI["x" if kind == "bit_flip" else "z"]
+        kraus = np.stack([np.sqrt(p) * _PAULI["i"], np.sqrt(1.0 - p) * flip])
+        return KrausChannel(2, kraus, label=params.get("label", f"{kind}({p})"))
     if kind == "unitary":
-        u = np.asarray(params["u"], dtype=complex)
+        u = np.asarray(param("u"), dtype=complex)
         if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-9 * u.shape[0]:
             raise ValidationError("matrix is not unitary")
         return KrausChannel(u.shape[0], u[None, :, :], label=params.get("label", "unitary"))
     if kind == "scaled":
-        alpha = params["alpha"]
-        ch = params["channel"]
-        if not 0.0 < alpha <= 1.0:
+        alpha, ch = param("alpha"), param("channel")
+        if not 0.0 < _real(alpha, "scale") <= 1.0:
             raise ValidationError(f"scale must be in (0, 1], got {alpha}")
         return KrausChannel(ch.d, np.sqrt(alpha) * ch.kraus,
                             label=params.get("label", f"scaled({alpha},{ch.label})"))
     if kind == "random_cp":
-        d, rank, seed = params["d"], params["rank"], params["seed"]
-        if rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {rank}")
+        d, rank = _whole(param("d"), "dimension", 1), _whole(param("rank"), "rank", 1)
+        seed = param("seed")
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
         gram = np.einsum("kij,kil->jl", g.conj(), g)
@@ -354,15 +344,17 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
     ``h = v diag(lam) v^dag``.  ``eigh`` reads one triangle of ``h`` only, so
     ``h`` is first refused unless it is a finite, square, 2-D matrix that is
     Hermitian to the tolerance states and detector elements are held to,
-    ``||h - h^dag|| <= 1e-9 max(1, ||h||)``.
+    ``||h - h^dag|| <= 1e-9 max(1, ||h||)``.  ``dt`` may be any finite real
+    number, and ``n`` must be a whole number >= 1.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValidationError("Hamiltonian has a non-finite entry")
-    if np.linalg.norm(h - h.conj().T) > 1e-9 * max(1.0, np.linalg.norm(h)):
+    if _skewed(h, h.conj().T):
         raise ValidationError("Hamiltonian must be Hermitian")
+    dt, n = _real(dt, "sampling interval"), _whole(n, "sampling point count", 1)
     lam, v = np.linalg.eigh(h)
     step = (v * np.exp(-1j * lam * dt)) @ v.conj().T
     u = np.eye(step.shape[0], dtype=complex)
@@ -382,7 +374,7 @@ def closed_system_channels(records, n: int) -> list:
 
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Qubit amplitude damping; non-unital for gamma > 0."""
-    if not 0.0 <= gamma <= 1.0:
+    if not 0.0 <= _real(gamma, "damping rate") <= 1.0:
         raise ValidationError(f"damping rate must be in [0, 1], got {gamma}")
     kraus = np.stack([
         np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
@@ -435,7 +427,7 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
             raise ValidationError(f"{name} must be Hermitian")
         if np.linalg.norm(v @ v.conj().T - np.eye(d)) > 1e-9 * d:
             raise ValidationError(f"{name} must be unitary")
-    if g <= 0:
+    if _real(g, "coupling") <= 0:
         raise ValidationError(f"coupling must be positive, got {g}")
     v2c = v2.conj()
     # Hermitian-preserving halves of rho -> V1 rho V2*, each divided by g.
@@ -717,8 +709,7 @@ def rank_bound(ens: ProcessEnsemble) -> int:
 def min_hamiltonian_count(d: int):
     """Minimum number of distinct Hamiltonians (and sampling points each)
     required for a complete closed-system probe family in dimension d."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _whole(d, "dimension", 2)
     n_min = d * d - d + 1
     count = int(np.ceil((d * d - 1) ** 2 / n_min))
     return count, n_min

@@ -21,7 +21,7 @@ from .channels import (
     min_hamiltonian_count,
     rank_bound,
 )
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, _whole
 from .estimator import (
     Stage1Config,
     estimate_joint_v1,
@@ -170,7 +170,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    refine_mod._sweep_count(args.iters)  # refused before any file is read
+    _whole(args.iters, "iters", 0)  # refine_alternating's check, before any file is read
     ens, basis, sc = _processes(args)
     state, povm = _truth(args, sc)
     ds = serialize.load_dataset(args.dataset)

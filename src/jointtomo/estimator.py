@@ -56,23 +56,14 @@ estimates.  The stacked pass reports a refused dataset in its mask only;
 estimating that dataset alone raises the step's error.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OperatorBasis, _from_coords, coherence_to_state
+from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
-from .errors import DegeneracyError, TomographyError, ValidationError
-from .measurement import (
-    DatasetStack,
-    DensityMatrix,
-    MeasurementDataset,
-    Povm,
-    _new,
-    _skewed,
-    _whole,
-)
+from .errors import DegeneracyError, TomographyError, ValidationError, _real, _whole
+from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm, _new
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
@@ -99,14 +90,8 @@ class Stage1Config:
     def __post_init__(self):
         if self.method not in STAGE1_METHODS:
             raise ValidationError(f"method must be one of {STAGE1_METHODS}, got {self.method!r}")
-        if self.reg_scale is not None and (isinstance(self.reg_scale, bool)
-                                           or not isinstance(self.reg_scale, numbers.Real)):
-            raise ValidationError(
-                f"regularization scale must be a real number, got {self.reg_scale!r}")
-        if self.reg_scale is not None and not (np.isfinite(self.reg_scale)
-                                               and self.reg_scale >= 0):
-            raise ValidationError(
-                f"regularization scale must be finite and >= 0, got {self.reg_scale}")
+        if self.reg_scale is not None and _real(self.reg_scale, "regularization scale") < 0:
+            raise ValidationError(f"regularization scale must be >= 0, got {self.reg_scale}")
 
     def resolved(self, total_copies: int) -> "Stage1Config":
         if self.method != "tikhonov" or self.reg_scale is not None:

@@ -22,8 +22,8 @@ and the scale observable's outcomes) are fixed by the ensemble and the truth:
 ``ideal_statistics`` checks them, pads them with the loss outcome and
 normalizes them into read-only tables, and each simulated trial only draws
 from those tables, so its dataset is valid as drawn and is not checked
-again.  Shot counts must be whole numbers >= 1 (``shot_count``), and a
-sampled draw takes at most 2**63 - 1 of them.
+again.  Shot counts must be whole numbers >= 1, and a sampled draw takes
+at most 2**63 - 1 of them.
 
 Datasets, states and detectors are each checked by one stacked pass, of
 which the constructors are the case T = 1, and a failing stack raises the
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, build_basis
+from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import ValidationError
+from .errors import ValidationError, _whole
 
 PSD_TOL = 1e-10
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
@@ -56,13 +56,6 @@ def _new(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def _skewed(x: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack ``(..., d, d)`` are not Hermitian, given
-    their adjoints: ``||x - x^dag|| > 1e-9 max(1, ||x||)``."""
-    return (np.linalg.norm(x - adjoint, axis=(-2, -1))
-            > 1e-9 * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1))))
 
 
 def _hermitian_psd(x: np.ndarray) -> tuple:
@@ -192,27 +185,6 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int, refused unless it is a whole number: an int, a
-    numpy integer or a float with an integral value (``1e3``), not a bool."""
-    try:
-        n = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ValidationError(f"{what} must be a whole number, got {value!r}")
-    return n
-
-
-def _seed_number(seed) -> int:
-    """A seed given as a number, as an int: refused unless it is a whole
-    number (as ``_whole`` reads one) >= 0."""
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _process_indices(indices, n_processes: int) -> np.ndarray:
     """``indices`` as an int array, refused unless it is a non-empty sequence
     of distinct whole numbers in ``0..n_processes - 1``."""
@@ -230,14 +202,6 @@ def _process_indices(indices, n_processes: int) -> np.ndarray:
     if len(np.unique(idx)) != len(idx):
         raise ValidationError(f"process indices must not repeat, got {idx.tolist()}")
     return idx
-
-
-def shot_count(n0) -> int:
-    """``n0`` as an int, refused unless it is a whole number of shots >= 1."""
-    n = _whole(n0, "shot count")
-    if n < 1:
-        raise ValidationError(f"need at least one shot per configuration, got n0={n0}")
-    return n
 
 
 def sampling_table(p) -> np.ndarray:
@@ -284,7 +248,7 @@ def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     ``sampling_table`` then one draw; a caller that draws from the same
     probabilities many times keeps the table instead (``ideal_statistics``).
     """
-    n0 = shot_count(n0)
+    n0 = _whole(n0, "shot count", 1)
     return _draw(sampling_table(p), n0, np.random.default_rng(rng))
 
 
@@ -327,10 +291,8 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     _check_frequencies("c_j0_hat", c_j0)
     if not np.isfinite(x01).all():
         raise ValidationError(f"x01_bar must be finite, got {x01[~np.isfinite(x01)][0]}")
-    n0 = shot_count(n0)
-    anchor = _whole(anchor_index, "anchor index")
-    if anchor < 1:
-        raise ValidationError(f"anchor index must be >= 1, got {anchor_index}")
+    n0 = _whole(n0, "shot count", 1)
+    anchor = _whole(anchor_index, "anchor index", 1)
     return y, x_a0, c_j0, x01, n0, tp_flags, anchor
 
 
@@ -567,10 +529,10 @@ def simulate_dataset(
         raise ValidationError("ideal statistics were computed for other inputs")
     else:
         _check_basis(basis, ens.d)
-    n0 = shot_count(n0)
+    n0 = _whole(n0, "shot count", 1)
     if not (seed is None or isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
                                               np.random.Generator))):
-        seed = _seed_number(seed)
+        seed = _whole(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     sqd = math.sqrt(ens.d)
 

@@ -62,13 +62,12 @@ every closed-form path, does not load it.
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, _real, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
     _clip_negative,
@@ -80,7 +79,7 @@ from .estimator import (  # noqa: F401  (perfbench traces correct_state as an al
     _targets_v1,
     correct_state,
 )
-from .measurement import MeasurementDataset, _whole
+from .measurement import MeasurementDataset
 
 
 # The reciprocal condition estimate above which a Gram's Cholesky solution
@@ -165,16 +164,6 @@ def _inside(coords: np.ndarray, basis: OperatorBasis) -> bool:
     return bool(np.isfinite(mats).all())
 
 
-def _sweep_count(iters) -> int:
-    """``iters`` as an int, refused unless it is a whole number >= 0: the
-    one check of ``refine_alternating``'s sweep cap, which ``jointtomo
-    refine`` also makes before it reads a file."""
-    iters = _whole(iters, "iters")
-    if iters < 0:
-        raise ValidationError(f"iters must be >= 0, got {iters}")
-    return iters
-
-
 def refine_alternating(
     ds: MeasurementDataset,
     b,
@@ -236,10 +225,9 @@ def refine_alternating(
             f"init must be a dimension-{d} state and a {m}-outcome detector, got a state of "
             f"shape {init.rho_hat.rho.shape} and detector elements of shape "
             f"{init.povm_hat.elements.shape}")
-    iters = _sweep_count(iters)
-    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
-            or not rel_tol >= 0.0):
-        raise ValidationError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
+    iters = _whole(iters, "iters", 0)
+    if _real(rel_tol, "rel_tol") < 0:
+        raise ValidationError(f"rel_tol must be >= 0, got {rel_tol!r}")
     design = _stage("refine", factor_design, b)
     x = _to_coords(init.rho_hat.rho, basis)[1:]
     c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome

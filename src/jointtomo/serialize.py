@@ -11,9 +11,9 @@ import json
 import numpy as np
 
 from .channels import KrausChannel, ProcessEnsemble
-from .errors import ValidationError
+from .errors import ValidationError, _real, _whole
 from .estimator import EstimateResult
-from .measurement import DensityMatrix, MeasurementDataset, Povm, _whole
+from .measurement import DensityMatrix, MeasurementDataset, Povm
 
 
 # Largest entry of ``|h - h^dag|``, relative to ``max(1, max |h|)``, that a
@@ -99,7 +99,7 @@ def _hamiltonians_from_json(data) -> list:
             if key not in item:
                 raise ValidationError(f"Hamiltonian record is missing field {key!r}")
         d = _whole(item["d"], "Hamiltonian dimension d")
-        h, dt = matrix_from_json(item["h"]), float(item["dt_us"])
+        h, dt = matrix_from_json(item["h"]), _real(item["dt_us"], "dt_us")
         if h.shape != (d, d):
             raise ValidationError(f"Hamiltonian h must be {d}x{d}, got shape {h.shape}")
         if not np.isfinite(h).all():
@@ -110,8 +110,8 @@ def _hamiltonians_from_json(data) -> list:
         if skew > _HERMITIAN_TOL * scale:
             raise ValidationError(
                 f"Hamiltonian H{i} is not Hermitian: max |h - h^dag| = {skew:.3g}")
-        if not (np.isfinite(dt) and dt > 0.0):
-            raise ValidationError(f"dt_us must be finite and > 0, got {dt}")
+        if dt <= 0.0:
+            raise ValidationError(f"dt_us must be > 0, got {dt}")
         out.append((h, dt))
     return out
 
@@ -157,7 +157,7 @@ def dataset_from_json(data) -> MeasurementDataset:
         y_hat=np.asarray(data["y_hat"], dtype=float),
         x_a0_hat=np.asarray(data["x_a0_hat"], dtype=float),
         c_j0_hat=np.asarray(data["c_j0_hat"], dtype=float),
-        x01_bar=float(data["x01_bar"]),
+        x01_bar=_real(data["x01_bar"], "x01_bar"),
         n0=data["n0"],
         tp_flags=np.asarray(data["tp_flags"], dtype=bool),
         anchor_index=data.get("anchor_index", 1),

@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OperatorBasis, coherence_to_state
+from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign, _check_numeric
 from .errors import ValidationError
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
+
+# Slack on the tests k_p >= 0 of the physical sets, and on the zero detector
+# element of ``povm_membership``.
+PHYSICAL_SET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho)):
+    if _skewed(rho, rho.conj().T):
         raise ValidationError("matrix must be Hermitian")
     d = rho.shape[0]
     traces = []
@@ -62,13 +66,13 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
     return SemialgebraicCert(k=np.array(k))
 
 
-def in_physical_set(x: np.ndarray, basis: OperatorBasis, tol: float = 1e-9) -> bool:
+def in_physical_set(x: np.ndarray, basis: OperatorBasis) -> bool:
     """Whether coherence coordinates x describe a positive unit-trace matrix."""
     cert = k_coefficients(coherence_to_state(np.asarray(x, float), basis))
-    return bool(np.all(cert.k[2:] >= -tol))
+    return bool(np.all(cert.k[2:] >= -PHYSICAL_SET_TOL))
 
 
-def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis, tol: float = 1e-9) -> bool:
+def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis) -> bool:
     """Whether detector-element coordinates (c0, c) describe a PSD matrix.
 
     The element is PSD iff its normalization to unit trace lies in the
@@ -76,9 +80,9 @@ def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis, tol: float =
     boundary case.
     """
     c = np.asarray(c, dtype=float)
-    if c0 <= tol:
-        return bool(np.linalg.norm(c) <= tol)
-    return in_physical_set(c / (np.sqrt(basis.d) * c0), basis, tol=tol)
+    if c0 <= PHYSICAL_SET_TOL:
+        return bool(np.linalg.norm(c) <= PHYSICAL_SET_TOL)
+    return in_physical_set(c / (np.sqrt(basis.d) * c0), basis)
 
 
 # --------------------------------------------------------------------------

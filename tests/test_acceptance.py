@@ -175,7 +175,7 @@ def test_criterion_07_generalized_unital_equivalence():
     for d in (2, 3):
         for _ in range(200):
             ch = _random_channel_mix(rng, d)
-            flag, _ = is_generalized_unital(ch, tol=1e-8)
+            flag, _ = is_generalized_unital(ch)
             image = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())
             alpha = np.trace(image).real / d
             direct = bool(np.linalg.norm(image - alpha * np.eye(d)) <= 1e-8)
@@ -228,7 +228,7 @@ def test_criterion_09_semialgebraic_correctness():
         basis = build_basis(d)
         for _ in range(1000):
             x = rng.normal(size=d * d - 1) * rng.uniform(0.05, 0.8)
-            member = in_physical_set(x, basis, tol=1e-9)
+            member = in_physical_set(x, basis)
             eig_ok = bool(np.linalg.eigvalsh(coherence_to_state(x, basis))[0] >= -1e-9)
             agree += member == eig_ok
             total += 1

@@ -529,3 +529,27 @@ def test_trial_loop_makes_no_per_trial_objects(monkeypatch, name):
     assert counts == {"_checked_datasets": 6, "_factors": 12}  # one per block and case
     for label, _, _ in configs:
         _assert_table_matches(tables[label], references[label])
+
+
+def test_a_v2_scenario_that_is_not_pure_scores_its_estimates_unprojected():
+    from jointtomo.estimator import _estimates_v2
+    from jointtomo.measurement import DatasetStack
+    pure = preset("one_qubit_random_pure")
+    sc = replace(pure, pure=False)
+    stack = DatasetStack.of(simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000,
+                                             seed=t, basis=sc.basis, ideal=sc.ideal)
+                            for t in range(6))
+    design = sc.regression.design_natural
+    block = bench._estimate_block(sc, stack, design, sc.stage1)
+    direct = _estimates_v2(stack, design, sc.stage1)
+    for name in ("rho_hat", "povm_hat", "refused"):
+        np.testing.assert_array_equal(getattr(block, name), getattr(direct, name))
+    # The pure scenario projects the same estimates to rank one; this one keeps them mixed.
+    assert np.linalg.eigvalsh(block.rho_hat)[:, 0].max() > 1e-3
+    projected = bench._estimate_block(pure, stack, design, sc.stage1).rho_hat
+    assert np.abs(np.linalg.eigvalsh(projected)[:, 0]).max() < 1e-12
+    grid, trials = [2, 1000], 20
+    table = run_mse_experiment(sc, grid, trials=trials, seed=2)
+    assert sum(row.trials for row in table.rows) + table.failures == trials * len(grid)
+    for column in ("mse_state", "se_state", "mse_povm", "se_povm"):
+        assert np.isfinite(table.column(column)).all()

@@ -42,6 +42,7 @@ from jointtomo import (
 from jointtomo import channels
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.channels import closed_system_channels, sampled_unitaries
+from jointtomo.serialize import dataset_from_json
 
 
 def random_density(rng, d):
@@ -144,7 +145,7 @@ def test_generalized_unital_matches_direct_definition(d):
     rng = np.random.default_rng(4 + d)
     for _ in range(200):
         ch = random_mixed_channel(rng, d)
-        flag, _ = is_generalized_unital(ch, tol=1e-8)
+        flag, _ = is_generalized_unital(ch)
         image = np.einsum("kij,klj->il", ch.kraus, ch.kraus.conj())
         alpha = np.trace(image).real / d
         direct = np.linalg.norm(image - alpha * np.eye(d)) <= 1e-8
@@ -654,6 +655,11 @@ _H1 = pauli("x") / 2
                  id="inf-t"),
     pytest.param(lambda: mixed_unitary_transfer([1.0], [np.zeros((2, 3))], 0.8, build_basis(2)),
                  id="2x3-hamiltonian"),
+    pytest.param(lambda: sampled_unitaries(_H1, 1.0, 2.5), id="fractional-n-unitaries"),
+    pytest.param(lambda: sampled_unitaries(_H1, 1.0, 0), id="zero-n-unitaries"),
+    pytest.param(lambda: sampled_unitaries(_H1, np.nan, 2), id="nan-dt-unitaries"),
+    pytest.param(lambda: sampled_unitaries(_H1, "1", 2), id="string-dt-unitaries"),
+    pytest.param(lambda: closed_system_channels([(_H1, 1.0)], 2.5), id="fractional-n-channels"),
 ])
 def test_generator_maps_refuse_input_that_is_not_finite_and_well_shaped(call):
     with pytest.raises(ValidationError):
@@ -692,3 +698,55 @@ def test_a_factored_design_passes_through_unchanged(svds):
     # a record's design holds the record's own matrix and stays out of the memo
     assert factor_design(reg.design) is reg.design and reg.design.b is reg.b
     assert len(channels._memo) == 1 and channels._memo[0] is design
+
+
+_BIT_FLIP = make_named_channel("bit_flip", p=0.2)
+_DATASET_RECORD = {"y_hat": [[0.4, 0.5], [0.3, 0.6]], "x_a0_hat": [0.7, 0.7],
+                   "c_j0_hat": [0.7, 0.7], "x01_bar": 0.1, "n0": 10, "tp_flags": [True, True]}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: make_named_channel("bit_flip"), "needs the parameter 'p'",
+                 id="bit-flip-without-p"),
+    pytest.param(lambda: make_named_channel("bit_flip", p="0.5"),
+                 "flip probability must be a real number", id="bit-flip-string-p"),
+    pytest.param(lambda: make_named_channel("phase_flip", p="0.5"),
+                 "flip probability must be a real number", id="phase-flip-string-p"),
+    pytest.param(lambda: make_named_channel("unitary"), "needs the parameter 'u'",
+                 id="unitary-without-u"),
+    pytest.param(lambda: make_named_channel("scaled", channel=_BIT_FLIP),
+                 "needs the parameter 'alpha'", id="scaled-without-alpha"),
+    pytest.param(lambda: make_named_channel("scaled", alpha="0.5", channel=_BIT_FLIP),
+                 "scale must be a real number", id="scaled-string-alpha"),
+    pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2.5, seed=0),
+                 "rank must be a whole number", id="random-cp-fractional-rank"),
+    pytest.param(lambda: make_named_channel("random_cp", d=0, rank=2, seed=0),
+                 "dimension must be >= 1", id="random-cp-zero-d"),
+    pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2),
+                 "needs the parameter 'seed'", id="random-cp-without-seed"),
+    pytest.param(lambda: amplitude_damping("0.1"), "damping rate must be a real number",
+                 id="damping-string"),
+    pytest.param(lambda: pauli_sandwich_processes(pauli("x"), pauli("z"), np.inf),
+                 "coupling must be finite", id="sandwich-inf-g"),
+    pytest.param(lambda: pauli_sandwich_processes(pauli("x"), pauli("z"), "1"),
+                 "coupling must be a real number", id="sandwich-string-g"),
+    pytest.param(lambda: min_hamiltonian_count("3"), "dimension must be a whole number",
+                 id="min-count-string"),
+    pytest.param(lambda: min_hamiltonian_count(2.5), "dimension must be a whole number",
+                 id="min-count-fraction"),
+    pytest.param(lambda: dataset_from_json({**_DATASET_RECORD, "x01_bar": "0.5"}),
+                 "x01_bar must be a real number", id="dataset-string-x01"),
+    pytest.param(lambda: dataset_from_json({**_DATASET_RECORD, "x01_bar": True}),
+                 "x01_bar must be a real number", id="dataset-bool-x01"),
+])
+def test_probe_constructors_and_loaded_scalars_refuse_bad_scalars_by_name(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_whole_floats_are_read_as_dimensions_and_ranks():
+    whole = make_named_channel("random_cp", d=2.0, rank=np.int64(3), seed=4)
+    exact = make_named_channel("random_cp", d=2, rank=3, seed=4)
+    assert whole.d == 2 and type(whole.d) is int
+    np.testing.assert_array_equal(whole.kraus, exact.kraus)
+    np.testing.assert_array_equal(build_basis(2.0).omegas, build_basis(2).omegas)

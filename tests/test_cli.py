@@ -230,6 +230,8 @@ _H = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
     pytest.param("--hamiltonians", [{"d": 2, "h": [row + [[0.0, 0.0]] for row in _H],
                                      "dt_us": 1.0}], id="hamiltonian-2x3"),
     pytest.param("--hamiltonians", [{"d": 2, "h": _H, "dt_us": float("nan")}], id="dt-nan"),
+    pytest.param("--hamiltonians", [{"d": 2, "h": _H, "dt_us": "0.5"}], id="dt-string"),
+    pytest.param("--hamiltonians", [{"d": 2, "h": _H, "dt_us": True}], id="dt-bool"),
 ])
 def test_rank_check_refuses_non_finite_or_misshapen_processes(tmp_path, capsys, flag,
                                                                records):

@@ -93,7 +93,7 @@ def test_in_physical_set_cases():
     u = haar_unitary(3, rng)
     rho = (u * np.array([0.6, 0.4, 0.0])) @ u.conj().T
     x = to_coords(rho, basis3)[1:]
-    assert in_physical_set(x, basis3, tol=1e-9)
+    assert in_physical_set(x, basis3)
     assert abs(k_coefficients(coherence_to_state(x, basis3)).k[3]) < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_membership_agrees_with_eigenvalue_test(d):
     agree = 0
     for _ in range(1000):
         x = rng.normal(size=d * d - 1) * rng.uniform(0.05, 0.8)
-        member = in_physical_set(x, basis, tol=1e-9)
+        member = in_physical_set(x, basis)
         eig_ok = np.linalg.eigvalsh(coherence_to_state(x, basis))[0] >= -1e-9
         agree += member == eig_ok
     assert agree == 1000
@@ -656,6 +656,7 @@ def test_refine_validates_its_inputs():
     pytest.param(lambda ds, init: {"iters": float("inf")}, id="infinite iters"),
     pytest.param(lambda ds, init: {"iters": True}, id="bool iters"),
     pytest.param(lambda ds, init: {"rel_tol": "a"}, id="non-numeric rel_tol"),
+    pytest.param(lambda ds, init: {"rel_tol": float("inf")}, id="infinite rel_tol"),
     pytest.param(lambda ds, init: {"ds": ds.as_stack()}, id="dataset stack"),
     pytest.param(lambda ds, init: {"init": None}, id="missing init"),
 ])

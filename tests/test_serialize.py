@@ -105,6 +105,8 @@ def test_hamiltonian_file(tmp_path):
                             ({"d": 2, "h": nan_h, "dt_us": 1.0}, "non-finite"),
                             ({"d": 2, "h": h, "dt_us": 0.0}, "dt_us"),
                             ({"d": 2, "h": h, "dt_us": -1.0}, "dt_us"),
+                            ({"d": 2, "h": h, "dt_us": "0.5"}, "dt_us must be a real"),
+                            ({"d": 2, "h": h, "dt_us": True}, "dt_us must be a real"),
                             ({"d": 2, "h": h, "dt_us": float("inf")}, "dt_us")):
         path.write_text(json.dumps([{"d": 2, "h": h, "dt_us": 1.0}, record]))
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{message}"):

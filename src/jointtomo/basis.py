@@ -30,33 +30,32 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, _whole
-
-# Relative Frobenius defect accepted before an input is rejected as
-# non-Hermitian instead of being silently symmetrized.
-HERMITICITY_RTOL = 1e-9
+from .errors import ValidationError, _array, _whole
 
 
-def _skewed(x: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack ``(..., d, d)`` are not Hermitian, given
-    their adjoints: ``||x - x^dag|| > 1e-9 max(1, ||x||)``."""
-    return (np.linalg.norm(x - adjoint, axis=(-2, -1))
-            > 1e-9 * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1))))
+def _skewed(x: np.ndarray) -> np.ndarray:
+    """Which finite matrices of a stack ``(..., d, d)`` are not Hermitian:
+    ``||x - x^dag|| > 1e-9 max(1, ||x||)`` (Frobenius norms), the package's
+    one Hermitian rule.  A stack with a real or imaginary part beyond 1 is
+    first divided, matrix by matrix, by ``max(1, its largest part)``, which
+    scales both sides alike and keeps every norm finite, so a huge finite
+    matrix is judged as its scaled copy would be."""
+    floor = 1.0
+    if max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0)) > 1.0:
+        s = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1), initial=1.0)
+        x, floor = x / s[..., None, None], 1.0 / s
+    return (np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+            > 1e-9 * np.maximum(floor, np.linalg.norm(x, axis=(-2, -1))))
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into a single vector."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValidationError(f"vectorize expects a matrix, got ndim={a.ndim}")
-    return a.reshape(-1, order="F")
+    return _array(a, "matrix", 2).reshape(-1, order="F")
 
 
 def devectorize(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vectorize` for square matrices."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValidationError(f"devectorize expects a vector, got ndim={v.ndim}")
+    v = _array(v, "vector", 1)
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size:
         raise ValidationError(f"devectorize needs a perfect-square length, got {v.size}")
@@ -154,25 +153,20 @@ def to_coords(mats, basis: OperatorBasis) -> np.ndarray:
     ``mats`` is a stack ``(..., d, d)``; the result is ``(..., d^2)``, with
     index 0 the trace component and 1.. the traceless (coherence) vector.
     The stack is refused if it has the wrong dimension, or if any member
-    has a non-finite entry or is not Hermitian to ``HERMITICITY_RTOL``.
+    has a non-finite entry or is not Hermitian (``_skewed``).
     """
-    a = np.asarray(mats, dtype=complex)
-    if a.ndim < 2 or a.shape[-2:] != (basis.d, basis.d):
+    a = _array(mats, "matrix", dtype=complex, square=True)
+    if a.shape[-1] != basis.d:
         raise ValidationError(f"need {basis.d}x{basis.d} matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix has a non-finite entry")
-    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-30)
-    if np.any(defect > HERMITICITY_RTOL * scale):
-        raise ValidationError(
-            f"matrix is not Hermitian: relative defect {np.max(defect / scale):.3e}")
+    if _skewed(a).any():
+        raise ValidationError("matrix is not Hermitian")
     return _to_coords(a, basis)
 
 
 def from_coords(coords, basis: OperatorBasis) -> np.ndarray:
     """The matrices ``sum_k f_k Omega_k``, one per vector ``f`` along the last
     axis of ``coords`` ``(..., d^2)``: the inverse of ``to_coords``."""
-    f = np.asarray(coords, dtype=float)
+    f = _array(coords, "coordinate vector", dtype=float)
     if f.ndim < 1 or f.shape[-1] != basis.d * basis.d:
         raise ValidationError(
             f"coordinate vectors must have length {basis.d * basis.d}, got shape {f.shape}")
@@ -182,7 +176,7 @@ def from_coords(coords, basis: OperatorBasis) -> np.ndarray:
 def coherence_to_state(x, basis: OperatorBasis) -> np.ndarray:
     """Unit-trace matrices with the given traceless coordinates (the map h),
     one per vector along the last axis of ``x`` ``(..., d^2 - 1)``."""
-    x = np.asarray(x, dtype=float)
+    x = _array(x, "coherence vector", dtype=float)
     if x.ndim < 1 or x.shape[-1] != basis.n_traceless:
         raise ValidationError(
             f"coherence vectors must have length {basis.n_traceless}, got shape {x.shape}")

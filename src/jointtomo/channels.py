@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis, change_of_basis
-from .errors import ValidationError, _real, _whole
+from .errors import ValidationError, _array, _real, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -52,13 +52,12 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self):
-        kraus = np.asarray(self.kraus, dtype=complex)
-        if kraus.ndim != 3 or kraus.shape[0] < 1 or kraus.shape[1:] != (self.d, self.d):
+        d = _whole(self.d, "channel dimension", 1)
+        kraus = _array(self.kraus, "kraus", 3, complex)
+        if kraus.shape[0] < 1 or kraus.shape[1:] != (d, d):
             raise ValidationError(
-                f"kraus must have shape (k, {self.d}, {self.d}) with k >= 1, got {kraus.shape}"
-            )
-        if not np.isfinite(kraus).all():
-            raise ValidationError("Kraus matrices have a non-finite entry")
+                f"kraus must have shape (k, {d}, {d}) with k >= 1, got {kraus.shape}")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "kraus", kraus)
         gram = self.kraus_gram()
         top = float(np.linalg.eigvalsh(gram)[-1])
@@ -77,7 +76,7 @@ class KrausChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve a matrix through the channel by direct Kraus application."""
-        rho = np.asarray(rho, dtype=complex)
+        rho = _array(rho, "matrix", 2, complex)
         return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
 
 
@@ -136,7 +135,7 @@ class ProcessEnsemble:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve one matrix through every channel: the ``(L, d, d)`` outputs."""
         k = self.kraus_stack
-        return np.einsum("akij,jl,akml->aim", k, np.asarray(rho, dtype=complex), k.conj())
+        return np.einsum("akij,jl,akml->aim", k, _array(rho, "matrix", 2, complex), k.conj())
 
 
 def superoperator(channel: KrausChannel) -> np.ndarray:
@@ -185,6 +184,26 @@ def is_generalized_unital(channel: KrausChannel):
     return False, None
 
 
+def _hamiltonian(h) -> np.ndarray:
+    """``h`` as a complex matrix, refused unless it is a finite, square and
+    Hermitian (``_skewed``) 2-D matrix."""
+    h = _array(h, "Hamiltonian", 2, complex, square=True)
+    if _skewed(h):
+        raise ValidationError("Hamiltonian must be Hermitian")
+    return h
+
+
+def _unitary(u, what: str) -> np.ndarray:
+    """``u`` as a complex matrix, refused unless it is a finite, square 2-D
+    matrix with ``||u u^dag - I|| <= 1e-9 d``.  An entry with a part beyond 2
+    is refused before the product, which it could overflow."""
+    u = _array(u, what, 2, complex, square=True)
+    if (max(np.abs(u.real).max(initial=0.0), np.abs(u.imag).max(initial=0.0)) > 2.0
+            or np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > 1e-9 * len(u)):
+        raise ValidationError(f"{what} is not unitary")
+    return u
+
+
 def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Antisymmetric generator of coherence-vector dynamics for Hamiltonian h.
 
@@ -192,16 +211,11 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     part of the basis, so that ``exp(R t)`` equals the e-block of the transfer
     matrix of the unitary channel ``exp(-i h t)``.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _hamiltonian(h)
     if h.shape != (basis.d, basis.d):
         raise ValidationError(f"Hamiltonian must be a {basis.d} x {basis.d} matrix for this "
                               f"basis, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValidationError("Hamiltonian has a non-finite entry")
-    scale = max(np.linalg.norm(h), 1e-30)
-    if np.linalg.norm(h - h.conj().T) > 1e-9 * scale:
-        raise ValidationError("Hamiltonian must be Hermitian")
-    if abs(np.trace(h)) > 1e-9 * scale:
+    if abs(np.trace(h)) > 1e-9 * max(np.linalg.norm(h), 1e-30):
         raise ValidationError("Hamiltonian must be traceless")
     n = basis.n_traceless
     omegas = basis.omegas[1:]
@@ -219,20 +233,14 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
     ``r`` must be a finite, real, square matrix, ``dt`` finite and positive,
     and ``n`` a whole number of at least 1.
     """
-    r = np.asarray(r)
-    if r.dtype.kind not in "iufc" or r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError(f"generator must be a square numeric matrix, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValidationError("generator has a non-finite entry")
-    if np.iscomplexobj(r) and np.any(r.imag != 0):
-        raise ValidationError("generator must be real")
+    r = _array(r, "generator", 2, float, square=True)
     n = _whole(n, "sampling point count", 1)
     dt = _real(dt, "sampling interval")
     if dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
     from scipy.linalg import expm
 
-    q = expm(r.real.astype(float) * dt)
+    q = expm(r * dt)
     out = []
     acc = np.eye(q.shape[0])
     for _ in range(n):
@@ -243,11 +251,9 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
 
 def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis) -> np.ndarray:
     """Coherence-vector map ``sum_i w_i exp(R_i t)`` of a mixed-unitary process."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) != len(hamiltonians):
+    weights = _array(weights, "mixture weights", 1, float)
+    if len(weights) != len(hamiltonians):
         raise ValidationError("need one weight per Hamiltonian")
-    if not np.isfinite(weights).all():
-        raise ValidationError("mixture weights must be finite")
     t = _real(t, "evolution time")
     if np.any(weights <= 0):
         raise ValidationError("mixture weights must be positive")
@@ -264,6 +270,7 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
+    d, rng = _whole(d, "dimension", 1), _rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -278,7 +285,10 @@ _PAULI = {
 
 
 def pauli(name: str) -> np.ndarray:
-    """Pauli matrix or Pauli-string unitary, e.g. ``"x"`` or ``"xz"``."""
+    """Pauli matrix or Pauli-string unitary, e.g. ``"x"`` or ``"xz"``: a
+    non-empty string of the letters i, x, y and z, in either case."""
+    if not isinstance(name, str) or not name or not set(name.lower()) <= _PAULI.keys():
+        raise ValidationError(f"a Pauli string is a non-empty string of i, x, y, z, got {name!r}")
     mats = [_PAULI[c] for c in name.lower()]
     out = mats[0]
     for m in mats[1:]:
@@ -294,7 +304,9 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
     ``random_cp`` draws Ginibre Kraus matrices and rescales them so the Kraus
     sum is I (tp=True) or strictly below I with a seed-dependent margin.
     A missing parameter is refused by name; ``p`` and ``alpha`` must be
-    finite real numbers, ``d`` and ``rank`` whole numbers >= 1.
+    finite real numbers, ``d`` and ``rank`` whole numbers >= 1, ``u`` a
+    unitary matrix, ``channel`` a KrausChannel, and ``seed`` None, a whole
+    number >= 0, a SeedSequence, a BitGenerator or a Generator.
     """
     def param(name):
         if name not in params:
@@ -309,20 +321,21 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
         kraus = np.stack([np.sqrt(p) * _PAULI["i"], np.sqrt(1.0 - p) * flip])
         return KrausChannel(2, kraus, label=params.get("label", f"{kind}({p})"))
     if kind == "unitary":
-        u = np.asarray(param("u"), dtype=complex)
-        if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-9 * u.shape[0]:
-            raise ValidationError("matrix is not unitary")
-        return KrausChannel(u.shape[0], u[None, :, :], label=params.get("label", "unitary"))
+        u = _unitary(param("u"), "matrix")
+        return KrausChannel(len(u), u[None, :, :], label=params.get("label", "unitary"))
     if kind == "scaled":
         alpha, ch = param("alpha"), param("channel")
         if not 0.0 < _real(alpha, "scale") <= 1.0:
             raise ValidationError(f"scale must be in (0, 1], got {alpha}")
+        if not isinstance(ch, KrausChannel):
+            raise ValidationError(
+                f"a scaled channel needs a KrausChannel, got {type(ch).__name__}")
         return KrausChannel(ch.d, np.sqrt(alpha) * ch.kraus,
                             label=params.get("label", f"scaled({alpha},{ch.label})"))
     if kind == "random_cp":
         d, rank = _whole(param("d"), "dimension", 1), _whole(param("rank"), "rank", 1)
         seed = param("seed")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         g = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
         gram = np.einsum("kij,kil->jl", g.conj(), g)
         if params.get("tp", False):
@@ -343,17 +356,11 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
     The step is ``v diag(exp(-i lam dt)) v^dag`` from the eigendecomposition
     ``h = v diag(lam) v^dag``.  ``eigh`` reads one triangle of ``h`` only, so
     ``h`` is first refused unless it is a finite, square, 2-D matrix that is
-    Hermitian to the tolerance states and detector elements are held to,
-    ``||h - h^dag|| <= 1e-9 max(1, ||h||)``.  ``dt`` may be any finite real
-    number, and ``n`` must be a whole number >= 1.
+    Hermitian by the rule states and detector elements are held to
+    (``_skewed``).  ``dt`` may be any finite real number, and ``n`` must be
+    a whole number >= 1.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValidationError("Hamiltonian has a non-finite entry")
-    if _skewed(h, h.conj().T):
-        raise ValidationError("Hamiltonian must be Hermitian")
+    h = _hamiltonian(h)
     dt, n = _real(dt, "sampling interval"), _whole(n, "sampling point count", 1)
     lam, v = np.linalg.eigh(h)
     step = (v * np.exp(-1j * lam * dt)) @ v.conj().T
@@ -419,14 +426,13 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
     Hermitian-preserving half, scaled by g; if g is too large for all four to
     stay trace-non-increasing, the maximal admissible g is reported.
     """
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
-    d = v1.shape[0]
+    v1, v2 = _unitary(v1, "V1"), _unitary(v2, "V2")
     for name, v in (("V1", v1), ("V2", v2)):
-        if np.linalg.norm(v - v.conj().T) > 1e-9 * d:
+        if _skewed(v):
             raise ValidationError(f"{name} must be Hermitian")
-        if np.linalg.norm(v @ v.conj().T - np.eye(d)) > 1e-9 * d:
-            raise ValidationError(f"{name} must be unitary")
+    if v1.shape != v2.shape:
+        raise ValidationError(f"V1 and V2 must have one shape, got {v1.shape} and {v2.shape}")
+    d = len(v1)
     if _real(g, "coupling") <= 0:
         raise ValidationError(f"coupling must be positive, got {g}")
     v2c = v2.conj()
@@ -452,7 +458,7 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
 
 def numerical_rank(m: np.ndarray) -> int:
     """Rank by counting singular values above ``RANK_RTOL * sigma_max``."""
-    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False))
+    return _rank(np.linalg.svd(_array(m, "matrix", 2), compute_uv=False))
 
 
 def _rank(s: np.ndarray) -> int:
@@ -536,20 +542,11 @@ def _packing(n: int) -> tuple:
     return upper, positions
 
 
-def _check_numeric(b: np.ndarray) -> None:
-    """Refuse a regression matrix whose dtype is not bool, int, float or complex."""
-    if b.dtype.kind not in "biufc":
-        raise ValidationError(f"regression matrix must be numeric, got dtype {b.dtype}")
-
-
 def _factor(b: np.ndarray) -> FactoredDesign:
-    """The economy SVD and rank of the 2-D numeric matrix ``b``, kept as ``b``."""
-    if b.ndim != 2:
-        raise ValidationError(f"regression matrix must be 2-D, got shape {b.shape}")
-    _check_numeric(b)
-    if not np.isfinite(b).all():
-        # LAPACK's SVD may never return on an infinite entry
-        raise np.linalg.LinAlgError("regression matrix has a non-finite entry")
+    """The economy SVD and rank of the 2-D numeric matrix ``b``, kept as
+    ``b``.  A non-finite entry, on which LAPACK's SVD may never return, is
+    refused as a LinAlgError: a degeneracy of the stage that factors."""
+    _array(b, "regression matrix", 2, nonfinite=np.linalg.LinAlgError)
     try:
         u, s, vh = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -585,7 +582,7 @@ def factor_design(b) -> FactoredDesign:
     """
     if isinstance(b, FactoredDesign):
         return b
-    b = np.asarray(b)
+    b = _array(b, "regression matrix", nonfinite=None)
     for i, design in enumerate(_memo):
         key = design.b
         if key.shape == b.shape and key.dtype == b.dtype and np.array_equal(key, b):
@@ -619,7 +616,7 @@ class RegressionMatrices:
 
     def __post_init__(self):
         for name in ("b", "b_natural"):
-            m = np.asarray(getattr(self, name))
+            m = _array(getattr(self, name), name, nonfinite=None)
             if m.flags.writeable:
                 m = m.copy()
                 m.setflags(write=False)

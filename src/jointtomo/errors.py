@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the two scalar checks.
+"""Exception types shared across the package, and the input readers.
 
 Every whole-number or real-number input of the package is read by
-``_whole`` or ``_real``, so one place decides what a valid scalar is and
-how its refusal reads.
+``_whole`` or ``_real``, every seed by ``_rng`` and every array by
+``_array``, so one place decides what a valid scalar, seed or array is and
+how its refusal reads.  Whether a matrix is Hermitian is decided by one
+rule too, ``basis._skewed``, next to the coordinate map that needs it.
 """
 
 import numpy as np
@@ -53,3 +55,41 @@ def _real(value, what: str) -> float:
     if not np.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return float(x)
+
+
+_SEED_OBJECTS = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)
+
+
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, refused unless ``seed`` is None, a
+    whole number >= 0, a SeedSequence, a BitGenerator or a Generator."""
+    if not (seed is None or isinstance(seed, _SEED_OBJECTS)):
+        seed = _whole(seed, "seed", 0)
+    return np.random.default_rng(seed)
+
+
+def _array(value, what: str, ndim=None, dtype=None, square: bool = False,
+           nonfinite=ValidationError) -> np.ndarray:
+    """``np.asarray(value)``, read without forcing a dtype and refused by
+    name unless it holds numbers: bools, ints, floats, and complex numbers
+    unless ``dtype`` is float.  ``ndim`` is the number of axes it must have
+    (or a tuple of those allowed), and with ``square`` its last two axes
+    must be equal.  A non-finite entry raises ``nonfinite``, or is left to
+    the caller when that is None.  The array is returned as ``dtype`` if one
+    is given, as it was read otherwise."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged nesting
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    if a.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+        kind = "real" if a.dtype.kind == "c" else "numeric"
+        raise ValidationError(f"{what} must be {kind}, got dtype {a.dtype}")
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if ndim is not None and a.ndim not in ndims:
+        axes = " or ".join(f"{n}-D" for n in ndims)
+        raise ValidationError(f"{what} must be {axes}, got shape {a.shape}")
+    if square and (a.ndim < 2 or a.shape[-1] != a.shape[-2]):
+        raise ValidationError(f"{what} must be square, got shape {a.shape}")
+    if nonfinite is not None and not np.isfinite(a).all():
+        raise nonfinite(f"{what} has a non-finite entry")
+    return a if dtype is None else a.astype(dtype, copy=False)

@@ -62,7 +62,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
-from .errors import DegeneracyError, TomographyError, ValidationError, _real, _whole
+from .errors import DegeneracyError, TomographyError, ValidationError, _array, _real, _whole
 from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm, _new
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
@@ -232,10 +232,7 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     and drops the rest, and ``tikhonov`` applies ``s / (s^2 + reg_scale)``,
     refusing ``reg_scale = 0`` on a rank-deficient B.
     """
-    y = np.asarray(y)
-    if y.ndim not in (1, 2) or y.dtype.kind not in "biufc":
-        raise ValidationError(
-            f"targets must be a numeric vector or matrix, got {y.dtype} of shape {y.shape}")
+    y = _array(y, "targets", (1, 2))
     design = _stage("stage1", factor_design, b)
     if y.shape[0] != design.shape[0]:
         raise ValidationError(f"target length {y.shape[0]} does not match {design.shape[0]} rows")
@@ -265,7 +262,8 @@ def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
     Leading axes of ``z`` are a stack of vectors, each rearranged alike.
     """
-    z = np.atleast_1d(np.asarray(z))
+    z = np.atleast_1d(_array(z, "vector"))
+    rows, cols = _whole(rows, "rows", 1), _whole(cols, "columns", 1)
     if z.shape[-1] != rows * cols:
         raise ValidationError(f"cannot rearrange length {z.shape[-1]} into {rows}x{cols}")
     return z.reshape(*z.shape[:-1], rows, cols)
@@ -313,14 +311,16 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
     ``x01_bar`` broadcast against its leading axes; the stack is refused if
     any factor is (the error's ``refused`` mask says which).
     """
-    left = np.asarray(fac.left, float)
+    if not isinstance(fac, KroneckerFactorization):
+        raise ValidationError(f"need a KroneckerFactorization, got {type(fac).__name__}")
+    left = _array(fac.left, "state factor", dtype=float)
     anchor = _whole(anchor, "anchor")
     if not 0 <= anchor < left.shape[-1]:
         raise ValidationError(
             f"anchor must index the factor's {left.shape[-1]} coordinates, got {anchor}")
     pivot = left[..., anchor]
     small = np.abs(pivot) <= ANCHOR_RTOL * np.linalg.norm(left, axis=-1)
-    x01_bar = np.broadcast_to(x01_bar, pivot.shape)
+    x01_bar = np.broadcast_to(_array(x01_bar, "x01_bar", dtype=float), pivot.shape)
     zero = x01_bar == 0.0
     if np.any(small):
         raise DegeneracyError(
@@ -331,7 +331,7 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
         raise DegeneracyError("measured anchor value is zero; the scale cannot be fixed",
                               refused=zero)
     ratio = (x01_bar / pivot)[..., None]
-    return left * ratio, np.asarray(fac.right, float) / ratio
+    return left * ratio, _array(fac.right, "detector factor", dtype=float) / ratio
 
 
 def _fix_scale_v2(fac: KroneckerFactorization, d: int) -> tuple:
@@ -359,7 +359,10 @@ def combine_state_estimates(candidates) -> np.ndarray:
     The mean runs over the first axis, the outcomes; any further axes (a
     stack of datasets, then the candidates' own) are kept.
     """
-    return np.asarray(candidates).mean(axis=0)
+    candidates = _array(candidates, "state estimate")
+    if candidates.ndim == 0 or len(candidates) == 0:
+        raise ValidationError(f"need at least one state estimate, got shape {candidates.shape}")
+    return candidates.mean(axis=0)
 
 
 def _project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
@@ -409,7 +412,7 @@ def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
     matrix and all checked by one stacked pass."""
     if not np.isfinite(rho_bar).all():
         raise ValidationError("state estimate has a non-finite entry")
-    if _skewed(rho_bar, rho_bar.conj().swapaxes(-1, -2)).any():
+    if _skewed(rho_bar).any():
         raise ValidationError("state estimate must be Hermitian before correction")
     tr = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
     off = np.abs(tr - 1.0) > STATE_TRACE_TOL
@@ -453,9 +456,7 @@ def correct_state(rho_bar: np.ndarray) -> DensityMatrix:
     projection onto the probability simplex, which is the global Frobenius
     projection onto the set of density matrices.
     """
-    rho_bar = np.asarray(rho_bar, dtype=complex)
-    if rho_bar.ndim != 2 or rho_bar.shape[0] != rho_bar.shape[1]:
-        raise ValidationError(f"need one d x d state estimate, got shape {rho_bar.shape}")
+    rho_bar = _array(rho_bar, "state estimate", 2, complex, square=True)
     return _new(DensityMatrix, d=len(rho_bar), rho=_physical_states(rho_bar[None])[0])
 
 
@@ -469,9 +470,7 @@ def correct_povm(elements) -> Povm:
     ``POVM_EPS_SCALE * ||S|| * I`` is added first (an estimate reports it
     as ``povm_epsilon``).
     """
-    elements = np.asarray(elements, dtype=complex)
-    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-        raise ValidationError(f"need one (M, d, d) detector estimate, got shape {elements.shape}")
+    elements = _array(elements, "detector estimate", 3, complex, square=True)
     return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0][0])
 
 
@@ -551,13 +550,12 @@ def _check_design_shape(shape: tuple, n_processes: int, columns: int) -> None:
 
 def _targets_v1(stack: DatasetStack, b, basis: OperatorBasis) -> np.ndarray:
     """The coherence-vector program's input contract: the ``(T, L, M)``
-    targets of ``stack`` for the design ``b`` (raw or a FactoredDesign),
-    which must be a real ``L x n^2`` matrix."""
-    raw = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
+    targets of ``stack`` for the design ``b`` (a FactoredDesign or an array
+    read by ``_array``), which must be a real ``L x n^2`` matrix."""
+    raw = b.b if isinstance(b, FactoredDesign) else b
     n = basis.n_traceless
     _check_design_shape(raw.shape, stack.n_processes, n * n)
-    if np.iscomplexobj(raw):
-        raise ValidationError("the coherence-vector regression matrix must be real")
+    _array(raw, "the coherence-vector regression matrix", dtype=float, nonfinite=None)
     return _stage("targets", build_targets_v1, stack, basis)
 
 
@@ -573,8 +571,8 @@ def _estimates_v1(stack: DatasetStack, b, basis: OperatorBasis,
     the factors (``_factors``), each outcome's scale fixed by the measured
     anchor coordinate (``fix_scale_v1``), the mean state coordinates, and
     the rough pair from the coordinate maps, corrected (``_corrected``)."""
-    y = _targets_v1(stack, b, basis)
     design = _stage("stage1", factor_design, b)
+    y = _targets_v1(stack, design, basis)
     config = config.resolved(stack.total_copies)
     facs, refused, diagnostics = _factors(y, design, config, basis.n_traceless)
     anchor = stack.anchor_index - 1
@@ -659,7 +657,7 @@ def project_pure(state):
     eigendecomposition, and the projectors come back as an array.
     """
     single = isinstance(state, DensityMatrix)
-    _, vecs = np.linalg.eigh(state.rho if single else np.asarray(state))
+    _, vecs = np.linalg.eigh(state.rho if single else _array(state, "state", square=True))
     v = vecs[..., :, -1]
     projectors = v[..., :, None] * v[..., None, :].conj()
     return DensityMatrix(state.d, projectors) if single else projectors

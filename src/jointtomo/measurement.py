@@ -44,7 +44,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import ValidationError, _whole
+from .errors import ValidationError, _array, _rng, _whole
 
 PSD_TOL = 1e-10
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
@@ -65,9 +65,8 @@ def _hermitian_psd(x: np.ndarray) -> tuple:
     finite = np.isfinite(x).all(axis=(-2, -1))
     if not finite.all():
         x = np.where(finite[..., None, None], x, 0.0)
-    adjoint = x.conj().swapaxes(-1, -2)
-    skewed = _skewed(x, adjoint)
-    x = (x + adjoint) / 2.0
+    skewed = _skewed(x)
+    x = (x + x.conj().swapaxes(-1, -2)) / 2.0
     negative = np.linalg.eigvalsh(x)[..., 0] < -PSD_TOL
     return x, finite, skewed, negative
 
@@ -125,8 +124,10 @@ class DensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        object.__setattr__(self, "rho", _checked_states(self.d, rho[None])[0])
+        d = _whole(self.d, "state dimension", 1)
+        rho = _array(self.rho, "state", dtype=complex, nonfinite=None)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rho", _checked_states(d, rho[None])[0])
 
     @classmethod
     def checked(cls, d: int, rho) -> np.ndarray:
@@ -134,10 +135,7 @@ class DensityMatrix:
         one stacked pass that applies the constructor's tests and tolerances
         to every member and raises the constructor's message for the first
         that fails."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim != 3:
-            raise ValidationError(f"a stack of states must have shape (T, {d}, {d}), "
-                                  f"got {rho.shape}")
+        rho = _array(rho, "a stack of states", 3, complex, nonfinite=None)
         return _checked_states(d, rho)
 
 
@@ -149,8 +147,10 @@ class Povm:
     elements: np.ndarray
 
     def __post_init__(self):
-        elements = np.asarray(self.elements, dtype=complex)
-        object.__setattr__(self, "elements", _checked_povms(self.d, elements[None])[0])
+        d = _whole(self.d, "detector dimension", 1)
+        elements = _array(self.elements, "elements", dtype=complex, nonfinite=None)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "elements", _checked_povms(d, elements[None])[0])
 
     @classmethod
     def checked(cls, d: int, elements) -> np.ndarray:
@@ -158,10 +158,7 @@ class Povm:
         elements, checked by one stacked pass that applies the constructor's
         tests and tolerances to every member and raises the constructor's
         message for the first that fails."""
-        elements = np.asarray(elements, dtype=complex)
-        if elements.ndim != 4:
-            raise ValidationError(f"a stack of detectors must have shape (T, M, {d}, {d}), "
-                                  f"got {elements.shape}")
+        elements = _array(elements, "a stack of detectors", 4, complex, nonfinite=None)
         return _checked_povms(d, elements)
 
     @property
@@ -176,8 +173,9 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     also serves for outputs of trace-decreasing processes.  A stack of raw
     matrices, shape ``(L, d, d)``, gives one row of probabilities per matrix.
     """
-    rho = state.rho if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (povm.d, povm.d):
+    rho = (state.rho if isinstance(state, DensityMatrix)
+           else _array(state, "state", (2, 3), complex))
+    if rho.shape[-2:] != (povm.d, povm.d):
         raise ValidationError(f"dimension mismatch: state {rho.shape}, detector d={povm.d}")
     p = np.real(np.einsum("jik,...ki->...j", povm.elements, rho))
     if np.min(p) < -1e-12:
@@ -188,12 +186,10 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
 def _process_indices(indices, n_processes: int) -> np.ndarray:
     """``indices`` as an int array, refused unless it is a non-empty sequence
     of distinct whole numbers in ``0..n_processes - 1``."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValidationError(
-            f"process indices must be a non-empty sequence, got shape {idx.shape}")
-    if not (idx.dtype.kind in "iu" or (idx.dtype.kind == "f" and np.isfinite(idx).all()
-                                       and np.all(idx == np.round(idx)))):
+    idx = _array(indices, "process indices", 1)
+    if idx.size == 0:
+        raise ValidationError("process indices must be a non-empty sequence")
+    if idx.dtype.kind not in "iuf" or np.any(idx != np.round(idx)):
         raise ValidationError(f"process indices must be whole numbers, got {idx.tolist()}")
     if idx.min() < 0 or idx.max() >= n_processes:
         raise ValidationError(
@@ -213,11 +209,9 @@ def sampling_table(p) -> np.ndarray:
     normalized, so the table can be passed to ``Generator.multinomial`` as
     it is, draw after draw.
     """
-    p = np.asarray(p, dtype=float)
+    p = _array(p, "probabilities", dtype=float)
     if p.size == 0 or p.ndim == 0:
         raise ValidationError(f"need at least one outcome to sample, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValidationError("probabilities must be finite")
     if p.min() < -1e-12:
         raise ValidationError(f"negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)
@@ -249,14 +243,7 @@ def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     probabilities many times keeps the table instead (``ideal_statistics``).
     """
     n0 = _whole(n0, "shot count", 1)
-    return _draw(sampling_table(p), n0, np.random.default_rng(rng))
-
-
-def _check_frequencies(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{name} has a non-finite entry")
-    if values.size and values.min() < 0.0:
-        raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
+    return _draw(sampling_table(p), n0, _rng(rng))
 
 
 def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
@@ -267,17 +254,17 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     they share.  Returns the fields as arrays and ints, refused with the
     message ``MeasurementDataset`` raises.  Frequencies must be finite and
     non-negative, and no row of ``y_hat`` may sum above 1."""
-    y = np.asarray(y_hat, dtype=float)
+    y, x_a0, c_j0, x01 = (_array(v, name, dtype=float) for v, name in (
+        (y_hat, "y_hat"), (x_a0_hat, "x_a0_hat"), (c_j0_hat, "c_j0_hat"), (x01_bar, "x01_bar")))
+    tp_flags = _array(tp_flags, "tp_flags").astype(bool, copy=False)
     if y.ndim != 3:
         raise ValidationError(f"y_hat must be an L x M matrix, got shape {y.shape[1:]}")
-    _check_frequencies("y_hat", y)
+    for name, values in (("y_hat", y), ("x_a0_hat", x_a0), ("c_j0_hat", c_j0)):
+        if values.size and values.min() < 0.0:
+            raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
     if (y.sum(axis=-1) > 1.0 + 1e-9).any():
         raise ValidationError("a frequency row sums above 1")
     t, l, m = y.shape
-    x_a0 = np.asarray(x_a0_hat, dtype=float)
-    c_j0 = np.asarray(c_j0_hat, dtype=float)
-    x01 = np.asarray(x01_bar, dtype=float)
-    tp_flags = np.asarray(tp_flags, dtype=bool)
     if x_a0.shape[:1] != (t,) or c_j0.shape[:1] != (t,) or x01.shape != (t,):
         raise ValidationError(f"every field of a stack of {t} datasets needs {t} entries")
     if x_a0.shape[1:] != (l,) or tp_flags.shape != (l,):
@@ -287,10 +274,6 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     if c_j0.shape[1:] != (m,):
         raise ValidationError(f"c_j0_hat must have length M: need shape ({m},), "
                               f"got {c_j0.shape[1:]}")
-    _check_frequencies("x_a0_hat", x_a0)
-    _check_frequencies("c_j0_hat", c_j0)
-    if not np.isfinite(x01).all():
-        raise ValidationError(f"x01_bar must be finite, got {x01[~np.isfinite(x01)][0]}")
     n0 = _whole(n0, "shot count", 1)
     anchor = _whole(anchor_index, "anchor index", 1)
     return y, x_a0, c_j0, x01, n0, tp_flags, anchor
@@ -343,12 +326,12 @@ class MeasurementDataset(_Datasets):
     anchor_index: int = 1
 
     def __post_init__(self):
-        y, x_a0, c_j0, _, n0, tp_flags, anchor = _checked_datasets(
-            np.asarray(self.y_hat)[None], np.asarray(self.x_a0_hat)[None],
-            np.asarray(self.c_j0_hat)[None], [self.x01_bar], self.n0, self.tp_flags,
-            self.anchor_index)
+        y, x_a0, c_j0, x01, n0, tp_flags, anchor = _checked_datasets(
+            [self.y_hat], [self.x_a0_hat], [self.c_j0_hat], [self.x01_bar], self.n0,
+            self.tp_flags, self.anchor_index)
         for name, value in (("y_hat", y[0]), ("x_a0_hat", x_a0[0]), ("c_j0_hat", c_j0[0]),
-                            ("tp_flags", tp_flags), ("n0", n0), ("anchor_index", anchor)):
+                            ("x01_bar", float(x01[0])), ("tp_flags", tp_flags), ("n0", n0),
+                            ("anchor_index", anchor)):
             object.__setattr__(self, name, value)
 
     def as_stack(self) -> "DatasetStack":
@@ -530,10 +513,7 @@ def simulate_dataset(
     else:
         _check_basis(basis, ens.d)
     n0 = _whole(n0, "shot count", 1)
-    if not (seed is None or isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
-                                              np.random.Generator))):
-        seed = _whole(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     sqd = math.sqrt(ens.d)
 
     # One draw per process row, then the lossy processes' survival counts.
@@ -559,7 +539,7 @@ def simulate_dataset(
 
 def random_density_matrix(d: int, rng) -> DensityMatrix:
     """Full-rank random state from a Ginibre matrix."""
-    rng = np.random.default_rng(rng)
+    d, rng = _whole(d, "dimension", 1), _rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return DensityMatrix(d, rho / np.real(np.trace(rho)))

@@ -216,7 +216,8 @@ def refine_alternating(
     returned rough pair is built by the estimator's maps
     (``coherence_to_state``, ``_elements_from_coords``).
     """
-    (y,) = _targets_v1(_one_stack(ds), b, basis)
+    design = _stage("refine", factor_design, b)
+    (y,) = _targets_v1(_one_stack(ds), design, basis)
     if not isinstance(init, EstimateResult):
         raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
@@ -228,7 +229,6 @@ def refine_alternating(
     iters = _whole(iters, "iters", 0)
     if _real(rel_tol, "rel_tol") < 0:
         raise ValidationError(f"rel_tol must be >= 0, got {rel_tol!r}")
-    design = _stage("refine", factor_design, b)
     x = _to_coords(init.rho_hat.rho, basis)[1:]
     c = _to_coords(init.povm_hat.elements, basis)[:, 1:].T  # one column per outcome
     l = len(y)

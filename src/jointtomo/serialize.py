@@ -10,15 +10,11 @@ import json
 
 import numpy as np
 
+from .basis import _skewed
 from .channels import KrausChannel, ProcessEnsemble
-from .errors import ValidationError, _real, _whole
+from .errors import ValidationError, _array, _real, _whole
 from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm
-
-
-# Largest entry of ``|h - h^dag|``, relative to ``max(1, max |h|)``, that a
-# Hamiltonian read from a file may have.
-_HERMITIAN_TOL = 1e-12
 
 # What a malformed record raises while it is parsed: a missing key, a wrong
 # type or shape, an infinite integer.
@@ -46,10 +42,7 @@ def matrix_to_json(a) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix entry: {exc}") from exc
+    arr = _array(data, "matrix", dtype=float)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ValidationError(f"matrix must be nested [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -64,8 +57,7 @@ def channel_from_json(data) -> KrausChannel:
         if key not in data:
             raise ValidationError(f"channel record is missing field {key!r}")
     kraus = np.stack([matrix_from_json(a) for a in data["kraus"]])
-    return KrausChannel(_whole(data["d"], "channel dimension d"), kraus,
-                        label=str(data.get("label", "")))
+    return KrausChannel(data["d"], kraus, label=str(data.get("label", "")))
 
 
 def save_ensemble(ens: ProcessEnsemble, path) -> None:
@@ -102,14 +94,8 @@ def _hamiltonians_from_json(data) -> list:
         h, dt = matrix_from_json(item["h"]), _real(item["dt_us"], "dt_us")
         if h.shape != (d, d):
             raise ValidationError(f"Hamiltonian h must be {d}x{d}, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValidationError("Hamiltonian h has a non-finite entry")
-        with np.errstate(over="ignore"):  # an overflowing skew is refused as infinite
-            skew = np.max(np.abs(h - h.conj().T))
-            scale = max(1.0, np.max(np.abs(h)))
-        if skew > _HERMITIAN_TOL * scale:
-            raise ValidationError(
-                f"Hamiltonian H{i} is not Hermitian: max |h - h^dag| = {skew:.3g}")
+        if _skewed(h):
+            raise ValidationError(f"Hamiltonian H{i} is not Hermitian")
         if dt <= 0.0:
             raise ValidationError(f"dt_us must be > 0, got {dt}")
         out.append((h, dt))
@@ -122,8 +108,7 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    return _load(path, lambda data: DensityMatrix(_whole(data["d"], "state dimension d"),
-                                                  matrix_from_json(data["rho"])))
+    return _load(path, lambda data: DensityMatrix(data["d"], matrix_from_json(data["rho"])))
 
 
 def save_povm(povm: Povm, path) -> None:
@@ -133,8 +118,7 @@ def save_povm(povm: Povm, path) -> None:
 
 def load_povm(path) -> Povm:
     return _load(path, lambda data: Povm(
-        _whole(data["d"], "detector dimension d"),
-        np.stack([matrix_from_json(p) for p in data["elements"]])))
+        data["d"], np.stack([matrix_from_json(p) for p in data["elements"]])))
 
 
 def dataset_to_json(ds: MeasurementDataset) -> dict:
@@ -154,12 +138,12 @@ def dataset_from_json(data) -> MeasurementDataset:
         if key not in data:
             raise ValidationError(f"dataset record is missing field {key!r}")
     return MeasurementDataset(
-        y_hat=np.asarray(data["y_hat"], dtype=float),
-        x_a0_hat=np.asarray(data["x_a0_hat"], dtype=float),
-        c_j0_hat=np.asarray(data["c_j0_hat"], dtype=float),
+        y_hat=data["y_hat"],
+        x_a0_hat=data["x_a0_hat"],
+        c_j0_hat=data["c_j0_hat"],
         x01_bar=_real(data["x01_bar"], "x01_bar"),
         n0=data["n0"],
-        tp_flags=np.asarray(data["tp_flags"], dtype=bool),
+        tp_flags=data["tp_flags"],
         anchor_index=data.get("anchor_index", 1),
     )
 

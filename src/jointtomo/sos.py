@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
-from .channels import FactoredDesign, _check_numeric
-from .errors import ValidationError
+from .channels import FactoredDesign
+from .errors import ValidationError, _array, _real
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -46,10 +46,8 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
     k_1 = Tr(rho) so that the k_p always match the characteristic polynomial
     det(lambda I - rho) = sum_p (-1)^p k_p lambda^{d-p}.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {rho.shape}")
-    if _skewed(rho, rho.conj().T):
+    rho = _array(rho, "matrix", 2, complex, square=True)
+    if _skewed(rho):
         raise ValidationError("matrix must be Hermitian")
     d = rho.shape[0]
     traces = []
@@ -68,7 +66,7 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
 
 def in_physical_set(x: np.ndarray, basis: OperatorBasis) -> bool:
     """Whether coherence coordinates x describe a positive unit-trace matrix."""
-    cert = k_coefficients(coherence_to_state(np.asarray(x, float), basis))
+    cert = k_coefficients(coherence_to_state(x, basis))
     return bool(np.all(cert.k[2:] >= -PHYSICAL_SET_TOL))
 
 
@@ -79,7 +77,7 @@ def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis) -> bool:
     physical state set; the zero element (c0 and c both ~ 0) is accepted as a
     boundary case.
     """
-    c = np.asarray(c, dtype=float)
+    c0, c = _real(c0, "c0"), _array(c, "coherence vector", dtype=float)
     if c0 <= PHYSICAL_SET_TOL:
         return bool(np.linalg.norm(c) <= PHYSICAL_SET_TOL)
     return in_physical_set(c / (np.sqrt(basis.d) * c0), basis)
@@ -135,7 +133,7 @@ def _prealify(p, tol=1e-9):
 
 
 def poly_eval(p, values) -> float:
-    values = np.asarray(values, dtype=float)
+    values = _array(values, "values", 1, float)
     total = 0.0
     for exps, coeff in p.items():
         term = coeff
@@ -346,13 +344,10 @@ def export_sos_problem(
     if d > 3:
         raise ValidationError(f"polynomial export supports d <= 3, got d={d}")
     stack = _one_stack(ds)
-    b = np.asarray(b.b if isinstance(b, FactoredDesign) else b)
+    b = _array(b.b if isinstance(b, FactoredDesign) else b, "regression matrix", 2)
     y = ds.y_hat if pure else _targets_v1(stack, b, basis)[0]
     if pure:
         _check_design_shape(b.shape, ds.n_processes, d ** 4)
-    _check_numeric(b)
-    if not np.isfinite(b).all():
-        raise ValidationError("regression matrix has a non-finite entry")
     problem = (_build_pure_program if pure else _build_coordinate_program)(ds, b, y, basis)
     problem.write(path)
     return problem

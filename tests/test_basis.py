@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,9 @@ from jointtomo import (
     to_coords,
     vectorize,
 )
+from jointtomo.basis import _skewed
+from jointtomo.channels import sampled_unitaries
+from jointtomo.serialize import load_hamiltonians, matrix_to_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -222,3 +228,38 @@ def test_to_coords_refuses_a_non_hermitian_member_or_a_wrong_dimension(case, dat
         to_coords(skewed, build_basis(d))
     with pytest.raises(ValidationError):
         to_coords(a, build_basis(d % 4 + 2))
+
+
+_HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_stacks(), st.floats(1.0, 1e300), st.floats(1e-3, 1.0), st.data())
+def test_the_hermitian_rule_gives_one_verdict_at_every_scale(tmp_path_factory, case, scale,
+                                                             skew, data):
+    """A Hermitian stack is accepted and a clearly skewed member refused by
+    ``_skewed``, as they are and scaled by up to 1e300, with no norm
+    overflowing (warnings are errors here).  The huge skewed matrix of
+    finite entries whose ``h - h^dag`` overflows is refused by the readers
+    of Hermitian matrices and Hamiltonians, a Hamiltonian file included."""
+    d, a = case
+    member = data.draw(st.tuples(*(st.integers(0, n - 1) for n in a.shape[:-2])))
+    skewed = a.copy()
+    skewed[member + (0, d - 1)] += skew
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, scale):
+            assert not _skewed(c * a).any()
+            verdict = _skewed(c * skewed)
+            assert verdict[member] and verdict.sum() == 1
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                to_coords(c * skewed, build_basis(d))
+            with pytest.raises(ValidationError, match="Hamiltonian must be Hermitian"):
+                sampled_unitaries(c * skewed[member], 0.5, 2)
+        path = tmp_path_factory.mktemp("hamiltonians") / "h.json"
+        path.write_text(json.dumps([{"d": 2, "h": matrix_to_json(_HUGE_SKEW), "dt_us": 1.0}]))
+        for call in (lambda: to_coords(_HUGE_SKEW, build_basis(2)),
+                     lambda: sampled_unitaries(_HUGE_SKEW, 0.5, 2),
+                     lambda: load_hamiltonians(path)):
+            with pytest.raises(ValidationError, match="not Hermitian|must be Hermitian"):
+                call()

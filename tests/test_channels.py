@@ -8,8 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from jointtomo import (
+    DensityMatrix,
     FactoredDesign,
     KrausChannel,
+    Povm,
     ProcessEnsemble,
     Stage1Config,
     ValidationError,
@@ -30,6 +32,7 @@ from jointtomo import (
     numerical_rank,
     pauli,
     pauli_sandwich_processes,
+    povm_membership,
     preset,
     rank_bound,
     run_method_comparison,
@@ -624,6 +627,9 @@ def test_sampled_unitaries_are_the_exponentials_of_their_hamiltonian(h, dt, n):
     pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), id="inf"),
     pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), id="non-Hermitian"),
     pytest.param(np.array([[1.0, 1e-6j], [1e-6j, -1.0]]), id="skew-Hermitian part"),
+    pytest.param(np.array([[1e308, 1e308], [-1e308, 0.0]]), id="huge skew"),
+    pytest.param([["0", "1"], ["1", "0"]], id="strings"),
+    pytest.param([[0.0, 1.0], [1.0]], id="ragged"),
 ])
 def test_sampled_unitaries_refuse_a_hamiltonian_that_is_not_a_finite_hermitian_matrix(h):
     with pytest.raises(ValidationError, match="Hamiltonian"):
@@ -660,6 +666,17 @@ _H1 = pauli("x") / 2
     pytest.param(lambda: sampled_unitaries(_H1, np.nan, 2), id="nan-dt-unitaries"),
     pytest.param(lambda: sampled_unitaries(_H1, "1", 2), id="string-dt-unitaries"),
     pytest.param(lambda: closed_system_channels([(_H1, 1.0)], 2.5), id="fractional-n-channels"),
+    pytest.param(lambda: discretize_hamiltonian([["0", "1"], ["-1", "0"]], 0.1, 2),
+                 id="string-r"),
+    pytest.param(lambda: mixed_unitary_transfer([[1.0]], [_H1], 0.8, build_basis(2)),
+                 id="2-D-weights"),
+    pytest.param(lambda: make_named_channel("unitary", u=np.full((2, 2), 1e300)),
+                 id="huge-u"),
+    pytest.param(lambda: make_named_channel("unitary", u=np.ones(2)), id="1-D-u"),
+    pytest.param(lambda: pauli_sandwich_processes(pauli("x"), pauli("xz"), 0.1),
+                 id="sandwich-mismatched-dimensions"),
+    pytest.param(lambda: KrausChannel(2, [[["1", "0"], ["0", "1"]]]), id="string-kraus"),
+    pytest.param(lambda: numerical_rank([[1.0, 2.0], [3.0]]), id="ragged-rank"),
 ])
 def test_generator_maps_refuse_input_that_is_not_finite_and_well_shaped(call):
     with pytest.raises(ValidationError):
@@ -738,6 +755,25 @@ _DATASET_RECORD = {"y_hat": [[0.4, 0.5], [0.3, 0.6]], "x_a0_hat": [0.7, 0.7],
                  "x01_bar must be a real number", id="dataset-string-x01"),
     pytest.param(lambda: dataset_from_json({**_DATASET_RECORD, "x01_bar": True}),
                  "x01_bar must be a real number", id="dataset-bool-x01"),
+    pytest.param(lambda: pauli("q"), "a Pauli string is a non-empty string", id="pauli-q"),
+    pytest.param(lambda: pauli(""), "a Pauli string is a non-empty string", id="pauli-empty"),
+    pytest.param(lambda: pauli(3), "a Pauli string is a non-empty string", id="pauli-int"),
+    pytest.param(lambda: make_named_channel("scaled", alpha=0.5, channel=3),
+                 "a scaled channel needs a KrausChannel, got int", id="scaled-int-channel"),
+    pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2, seed="x"),
+                 "seed must be a whole number", id="random-cp-string-seed"),
+    pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2, seed=-1),
+                 "seed must be >= 0", id="random-cp-negative-seed"),
+    pytest.param(lambda: DensityMatrix("2", np.eye(2) / 2),
+                 "state dimension must be a whole number", id="state-string-d"),
+    pytest.param(lambda: DensityMatrix(2.5, np.eye(2) / 2),
+                 "state dimension must be a whole number", id="state-fractional-d"),
+    pytest.param(lambda: Povm("2", np.eye(2)[None]),
+                 "detector dimension must be a whole number", id="povm-string-d"),
+    pytest.param(lambda: KrausChannel(2.5, np.eye(2)[None]),
+                 "channel dimension must be a whole number", id="kraus-fractional-d"),
+    pytest.param(lambda: povm_membership("0.5", np.zeros(3), build_basis(2)),
+                 "c0 must be a real number", id="membership-string-c0"),
 ])
 def test_probe_constructors_and_loaded_scalars_refuse_bad_scalars_by_name(call, message):
     with pytest.raises(ValidationError, match=message):

@@ -33,15 +33,22 @@ from jointtomo import (
     export_sos_problem,
     factor_design,
     fix_scale_v1,
+    from_coords,
     haar_unitary,
     ideal_statistics,
+    in_physical_set,
+    k_coefficients,
     make_named_channel,
     nearest_kronecker,
+    numerical_rank,
+    pauli,
+    pauli_sandwich_processes,
     preset,
     project_pure,
     random_density_matrix,
     rearrange,
     refine_alternating,
+    sample_frequencies,
     simulate_dataset,
     stage1_solve,
     to_coords,
@@ -918,6 +925,14 @@ def _factors_of_a_stack():
 
 
 _OBJECT = "regression matrix must be numeric, got dtype object"
+_HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
+_RECORD = dict(y_hat=[[0.4, 0.5], [0.3, 0.6]], x_a0_hat=[0.7, 0.7], c_j0_hat=[0.7, 0.7],
+               x01_bar=0.1, n0=10, tp_flags=[True, True])
+
+
+def _complex_factors():
+    fac = _factors_of_a_stack()
+    return replace(fac, left=fac.left * 1j)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -938,16 +953,57 @@ _OBJECT = "regression matrix must be numeric, got dtype object"
     (lambda tmp: _export_object_design(False, tmp / "p.sos"), _OBJECT),
     (lambda tmp: _export_object_design(True, tmp / "p.sos"), _OBJECT),
     (lambda tmp: stage1_solve(np.eye(3), "abc", Stage1Config()),
-     "targets must be a numeric vector or matrix, got <U3 of shape ()"),
+     "targets must be numeric, got dtype <U3"),
     (lambda tmp: stage1_solve(np.eye(3), np.ones((3, 2, 2)), Stage1Config()),
-     "targets must be a numeric vector or matrix, got float64 of shape (3, 2, 2)"),
+     "targets must be 1-D or 2-D, got shape (3, 2, 2)"),
     (lambda tmp: fix_scale_v1(_factors_of_a_stack(), 0.5, anchor=3),
      "anchor must index the factor's 3 coordinates, got 3"),
+    (lambda tmp: stage1_solve(np.eye(3), [1.0, np.nan, 0.0], Stage1Config()),
+     "targets has a non-finite entry"),
+    (lambda tmp: factor_design([[1.0, 2.0], [3.0]]),
+     "regression matrix must be a rectangular array of numbers"),
+    (lambda tmp: to_coords(_HUGE_SKEW, build_basis(2)), "matrix is not Hermitian"),
+    (lambda tmp: from_coords([1j, 0, 0, 0], build_basis(2)),
+     "coordinate vector must be real, got dtype complex128"),
+    (lambda tmp: in_physical_set(np.array([1j, 0, 0]), build_basis(2)),
+     "coherence vector must be real, got dtype complex128"),
+    (lambda tmp: DensityMatrix(2, [["0.5", "0"], ["0", "0.5"]]),
+     "state must be numeric, got dtype <U3"),
+    (lambda tmp: Povm(2, [[[1, 0], [0, 1]], [[0, None], [0, 0]]]),
+     "elements must be numeric, got dtype object"),
+    (lambda tmp: MeasurementDataset(**{**_RECORD, "y_hat": [["0.4", "0.5"], ["0.3", "0.6"]]}),
+     "y_hat must be numeric, got dtype <U3"),
+    (lambda tmp: MeasurementDataset(**{**_RECORD, "x01_bar": "0.1"}),
+     "x01_bar must be numeric, got dtype <U3"),
+    (lambda tmp: DatasetStack(np.array([_RECORD["y_hat"]]) * 1j, [[0.7, 0.7]], [[0.7, 0.7]],
+                              [0.1], 10, [True, True]),
+     "y_hat must be real, got dtype complex128"),
+    (lambda tmp: sample_frequencies(["0.5", "0.5"], 10, 0),
+     "probabilities must be numeric, got dtype <U3"),
+    (lambda tmp: sample_frequencies([0.5, 0.5], 10, "x"), "seed must be a whole number, got 'x'"),
+    (lambda tmp: k_coefficients([[np.nan, 0.0], [0.0, 1.0]]), "matrix has a non-finite entry"),
+    (lambda tmp: nearest_kronecker(np.full(4, np.nan), 2, 2), "vector has a non-finite entry"),
+    (lambda tmp: rearrange(np.ones(4), "2", 2), "rows must be a whole number, got '2'"),
+    (lambda tmp: fix_scale_v1(_complex_factors(), 0.5),
+     "state factor must be real, got dtype complex128"),
+    (lambda tmp: fix_scale_v1(np.ones(3), 0.5), "need a KroneckerFactorization, got ndarray"),
+    (lambda tmp: combine_state_estimates([]), "need at least one state estimate, got shape (0,)"),
+    (lambda tmp: correct_state(np.ones((2, 3))), "state estimate must be square, got shape (2, 3)"),
+    (lambda tmp: project_pure(np.ones(3)), "state must be square, got shape (3,)"),
+    (lambda tmp: numerical_rank(np.full((2, 2), np.inf)), "matrix has a non-finite entry"),
+    (lambda tmp: pauli_sandwich_processes(np.zeros((2, 3)), pauli("x"), 0.1),
+     "V1 must be square, got shape (2, 3)"),
 ], ids=["scale-fraction", "scale-bool", "scale-string", "ideal-scale-fraction",
         "reg-scale-string", "reg-scale-complex", "reg-scale-bool", "v1-object-design",
         "v2-object-design", "refine-object-design", "factor-object-design",
         "export-object-design", "export-pure-object-design", "stage1-string-targets",
-        "stage1-3d-targets", "scale-fix-anchor-outside"])
+        "stage1-3d-targets", "scale-fix-anchor-outside", "stage1-nan-targets",
+        "factor-ragged-design", "to-coords-huge-skew", "from-coords-complex",
+        "physical-set-complex", "state-strings", "povm-object", "dataset-string-frequencies",
+        "dataset-string-x01", "stack-complex-frequencies", "sample-string-probabilities",
+        "sample-string-seed", "k-coefficients-nan", "kronecker-nan", "rearrange-string-rows",
+        "scale-fix-complex-factor", "scale-fix-not-a-factorization", "combine-empty",
+        "correct-state-not-square", "project-pure-vector", "rank-inf", "sandwich-2x3"])
 def test_library_inputs_are_refused_with_validation_errors(tmp_path, call, message):
     with pytest.raises(ValidationError) as err:
         call(tmp_path)

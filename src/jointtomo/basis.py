@@ -90,16 +90,22 @@ class OperatorBasis:
         return embedding
 
 
-@lru_cache(maxsize=16)
 def build_basis(d: int) -> OperatorBasis:
     """Construct the generalized Gell-Mann basis for dimension ``d``.
 
     Ordering is fixed: identity component first, then all symmetric
     off-diagonal pairs in lexicographic (j, k) order, then all antisymmetric
     pairs, then the diagonal elements.  For d=2 this reproduces the Pauli
-    ordering (x, y, z) up to the 1/sqrt(2) normalization.
+    ordering (x, y, z) up to the 1/sqrt(2) normalization.  ``d`` is read as
+    a whole number >= 2 before the cache of built bases is consulted, so an
+    unhashable ``d`` is refused like any other.
     """
-    d = _whole(d, "basis dimension", 2)
+    return _build_basis(_whole(d, "basis dimension", 2))
+
+
+@lru_cache(maxsize=16)
+def _build_basis(d: int) -> OperatorBasis:
+    """``build_basis`` for a checked whole ``d``, each basis built once."""
     mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

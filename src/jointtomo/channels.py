@@ -33,6 +33,8 @@ from .errors import ValidationError, _array, _real, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
+# The phase lam dt from which doubles are spaced a radian or more apart.
+_PHASE_LIMIT = 2.0 ** 52
 # Singular values below RANK_RTOL * sigma_max count as zero in rank claims.
 RANK_RTOL = 1e-8
 # Imaginary residue allowed when casting a superoperator to its real transfer form.
@@ -101,6 +103,10 @@ class ProcessEnsemble:
         channels = tuple(self.channels)
         if not channels:
             raise ValidationError("ensemble must contain at least one channel")
+        for i, ch in enumerate(channels):
+            if not isinstance(ch, KrausChannel):
+                raise ValidationError(
+                    f"ensemble member {i} must be a KrausChannel, got {type(ch).__name__}")
         d = channels[0].d
         if any(ch.d != d for ch in channels):
             raise ValidationError("all channels in an ensemble must share the dimension")
@@ -209,12 +215,19 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 
     Entries are ``R[a, b] = i Tr([h, Omega_a] Omega_b)`` over the traceless
     part of the basis, so that ``exp(R t)`` equals the e-block of the transfer
-    matrix of the unitary channel ``exp(-i h t)``.
+    matrix of the unitary channel ``exp(-i h t)``.  ``R`` is linear in ``h``,
+    so an ``h`` with a part beyond 1 is first divided by the power of 2 that
+    brings its largest part into [1, 2), which is exact and keeps every step
+    finite, and ``R`` is scaled back; an ``h`` whose generator overflows is
+    refused.
     """
     h = _hamiltonian(h)
     if h.shape != (basis.d, basis.d):
         raise ValidationError(f"Hamiltonian must be a {basis.d} x {basis.d} matrix for this "
                               f"basis, got shape {h.shape}")
+    largest = max(np.abs(h.real).max(), np.abs(h.imag).max())
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 1.0 else 1.0
+    h = h / scale
     if abs(np.trace(h)) > 1e-9 * max(np.linalg.norm(h), 1e-30):
         raise ValidationError("Hamiltonian must be traceless")
     n = basis.n_traceless
@@ -224,7 +237,9 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     if np.max(np.abs(r.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(r.real)))):
         raise ValidationError("generator has unexpected imaginary part")
     r = r.real
-    return (r - r.T) / 2.0  # kill roundoff asymmetry; exact antisymmetry by construction
+    if float(np.abs(r).max()) * scale == math.inf:  # Python floats overflow without a warning
+        raise ValidationError("Hamiltonian is too large: its generator overflows")
+    return (r - r.T) / 2.0 * scale  # kill roundoff asymmetry; exact antisymmetry by construction
 
 
 def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
@@ -358,11 +373,17 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
     ``h`` is first refused unless it is a finite, square, 2-D matrix that is
     Hermitian by the rule states and detector elements are held to
     (``_skewed``).  ``dt`` may be any finite real number, and ``n`` must be
-    a whole number >= 1.
+    a whole number >= 1.  A step whose phase ``lam dt`` reaches ``2^52`` in
+    magnitude, where doubles are spaced a radian or more apart, carries no
+    phase and is refused.
     """
     h = _hamiltonian(h)
     dt, n = _real(dt, "sampling interval"), _whole(n, "sampling point count", 1)
     lam, v = np.linalg.eigh(h)
+    phase = float(np.abs(lam).max(initial=0.0)) * abs(dt)
+    if phase >= _PHASE_LIMIT:
+        raise ValidationError(f"Hamiltonian and sampling interval give a phase of {phase:.3g} "
+                              "rad per step, which doubles do not resolve")
     step = (v * np.exp(-1j * lam * dt)) @ v.conj().T
     u = np.eye(step.shape[0], dtype=complex)
     out = []
@@ -474,12 +495,12 @@ class FactoredDesign:
     its numerical rank (singular values above ``RANK_RTOL * s[0]``).
 
     The record also caches two read-only arrays of a real design with n^2
-    columns ``(i, k)``, each formed from ``b`` on first read: ``moments``, the
-    state-block moments of the refinement, and ``_tensor``, the design tensor
-    laid out for its state products.  The records this package makes hold a
-    read-only ``b``, so their factors and cached arrays cannot go stale: the
-    matrix of a ``build_regression_matrices`` record, or the copy
-    ``factor_design`` made of a raw matrix.
+    columns ``(i, k)``, each formed on first read: ``moments``, the block
+    moments of the refinement, and ``_rotated``, the design tensor rotated by
+    ``u^T`` and laid out for its state products.  The records this package
+    makes hold a read-only ``b``, so their factors and cached arrays cannot
+    go stale: the matrix of a ``build_regression_matrices`` record, or the
+    copy ``factor_design`` made of a raw matrix.
     """
 
     b: np.ndarray
@@ -503,7 +524,8 @@ class FactoredDesign:
         ``_packing(n)`` packs a matrix (n(n+1)/2 square): an off-diagonal column
         ``k < k'`` holds ``K[., (k, k')] + K[., (k', k)]``.  For a symmetric
         ``S`` the upper triangle of ``K vec(S)``, the refinement's state Gram,
-        is then ``moments @ S.take(upper)``."""
+        is then ``moments @ S.take(upper)``; weighted, they also give its
+        detector Gram (``refine._detector_moments``)."""
         n = math.isqrt(self.shape[1])
         k = (self.b.T @ self.b).reshape(n, n, n, n).transpose(0, 2, 1, 3)
         upper, positions = _packing(n)
@@ -515,15 +537,17 @@ class FactoredDesign:
         return moments
 
     @cached_property
-    def _tensor(self) -> np.ndarray:
-        """The design tensor ``B3[a, i, k] = b[a, (i, k)]`` laid out as
-        ``[i, (a, k)]`` (n x L n), so that ``G = x . B3`` is the one product
-        ``(x @ _tensor).reshape(L, n)``."""
-        l, n2 = self.shape
-        n = math.isqrt(n2)
-        tensor = np.ascontiguousarray(self.b.reshape(l, n, n).transpose(1, 0, 2)).reshape(n, -1)
-        tensor.setflags(write=False)
-        return tensor
+    def _rotated(self) -> np.ndarray:
+        """The design's rows rotated onto its left singular vectors,
+        ``W = diag(s) vh = u^T b`` (min(L, n^2) x n^2), as the tensor
+        ``W3[p, i, k] = W[p, (i, k)]`` laid out ``[i, (p, k)]``, so that
+        ``u^T G`` for ``G = x . B3`` is the one product
+        ``(x @ _rotated).reshape(-1, n)``."""
+        n = math.isqrt(self.shape[1])
+        w = (self.s[:, None] * self.vh).reshape(-1, n, n)
+        rotated = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(n, -1)
+        rotated.setflags(write=False)
+        return rotated
 
 
 @lru_cache(maxsize=8)

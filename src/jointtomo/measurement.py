@@ -135,6 +135,7 @@ class DensityMatrix:
         one stacked pass that applies the constructor's tests and tolerances
         to every member and raises the constructor's message for the first
         that fails."""
+        d = _whole(d, "state dimension", 1)
         rho = _array(rho, "a stack of states", 3, complex, nonfinite=None)
         return _checked_states(d, rho)
 
@@ -158,6 +159,7 @@ class Povm:
         elements, checked by one stacked pass that applies the constructor's
         tests and tolerances to every member and raises the constructor's
         message for the first that fails."""
+        d = _whole(d, "detector dimension", 1)
         elements = _array(elements, "a stack of detectors", 4, complex, nonfinite=None)
         return _checked_povms(d, elements)
 

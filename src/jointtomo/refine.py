@@ -9,55 +9,64 @@ detector element's coordinates per column of ``C``.  Under completeness,
 (``ybar`` the mean target), hence ``c_j = G^+ (y_j - ybar)``: one
 least-squares solve on the centred targets for all outcomes.
 
-The state block is solved from the design's moments: ``B^T B`` rearranged
-as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i', k']`` and packed to
-the upper triangles ``i <= i'`` and ``k <= k'`` (``FactoredDesign.moments``,
-n(n+1)/2 square, formed once per design record), and ``B^T Y``, formed once
-per call.  The state system stacks ``B3 . c_j`` over the M outcomes, (M L) x
-n; its Gram is ``K vec(C C^T)``, whose upper triangle is one product of the
-packed moments with the packed ``C C^T``, and its right-hand side is
-``sum_kj (B^T Y)[(i, k), j] C[k, j]``, so no sweep forms the stacked matrix.
-``G`` itself is one vector-matrix product with the record's other layout of
-the tensor, ``[i, (a, k)]`` (``FactoredDesign._tensor``).
+Every sweep quantity comes from the design's records of size n^2 or less,
+so no sweep forms ``G`` or any other matrix with L rows.  The moments are
+``B^T B`` rearranged as ``K[(i, i'), (k, k')] = sum_a B3[a, i, k] B3[a, i',
+k']`` and packed to the upper triangles ``i <= i'`` and ``k <= k'``
+(``FactoredDesign.moments``, n(n+1)/2 square, formed once per design
+record).  The detector block's Gram is ``G^T G = sum_ii' x_i x_i' K[(i, i'),
+.]``, one product of the packed ``x x^T`` with the weighted moments, and its
+right-hand side ``G^T (Y - ybar)`` is ``x`` times ``B^T (Y - ybar)``, formed
+once per call.  The state system stacks ``B3 . c_j`` over the M outcomes,
+(M L) x n; its Gram is ``K vec(C C^T)``, one product of the packed moments
+with the packed ``C C^T``, and its right-hand side is
+``sum_kj (B^T Y)[(i, k), j] C[k, j]``.
 
-Both blocks are solved from their n x n normal equations, ``G^T G`` for the
-detector and the state Gram above (the free rows and columns, the pinned
-anchor moved to the right-hand side): the tall design itself is never
-factored.  The minimum-norm solution keeps the eigenvalues above
-``max(rows, n) eps lam_max``.  In singular-value terms that drops every
-direction whose singular value lies below ``sqrt(max(rows, n) eps) s_max``,
-where a least-squares solve on the tall design would have kept it: squaring
-the design squares its condition number, so such a direction is not resolved
-by the Gram matrix.  A Gram that LAPACK's condition estimate finds well
-conditioned has every eigenvalue above that cutoff, so its minimum-norm
-solution is its unique solution, taken from a Cholesky factorization; any
-other Gram (rank-deficient, ill-conditioned, zero or non-finite) goes to an
-eigen-solve.
+Both blocks are solved from their n x n normal equations (for the state,
+the free rows and columns, the pinned anchor moved to the right-hand side):
+the tall design itself is never factored.  The minimum-norm solution keeps
+the eigenvalues above ``max(rows, n) eps lam_max``.  In singular-value terms
+that drops every direction whose singular value lies below
+``sqrt(max(rows, n) eps) s_max``, where a least-squares solve on the tall
+design would have kept it: squaring the design squares its condition number,
+so such a direction is not resolved by the Gram matrix.  A Gram certified
+well conditioned has every eigenvalue above that cutoff, so its minimum-norm
+solution is its unique solution, taken directly; any other Gram goes to an
+eigen-solve.  The certificate is one numpy Cholesky factorization of
+``[[G, I], [I, s I]]``, with ``s = 1 / (floor tr(G))``: it succeeds exactly
+when ``G`` is positive definite with ``lam_min > floor tr(G) >= floor
+lam_max``, and its lower-left block is ``L^-T`` for ``G = L L^T``, which
+gives the solution by two products (``_min_norm_solve``).
 
 Each block is then projected onto its physical set only if it fails a
-positivity gate, run on coordinates: a Hermitian ``A`` is positive
-semidefinite exactly when its real embedding ``[[Re A, -Im A], [Im A, Re A]]``
-is, and that embedding is the block's coordinate row times the basis's
-embedded elements (``OperatorBasis._real_embedding``).  One ``dpotrf`` per
-matrix decides, so complex matrices are built only for a block that is
-projected.  Cholesky succeeds on a matrix whose smallest eigenvalue is above
-roundoff and fails on one with an eigenvalue below minus roundoff; a block
-that is positive semidefinite but singular to roundoff may go either way.
-Either way is the same map up to roundoff: projecting a point of a convex
-set returns that point, so a block kept as solved and the projection of a
-block that was already inside differ only by the projection's roundoff.
+positivity gate, run on coordinates.  First an inscribed ball: a Hermitian
+d x d matrix with trace coordinate ``r_0 > 0`` and coordinate row ``r`` is
+positive semidefinite when ``||r||^2 <= r_0^2 d / (d - 1)``; a block whose
+rows all lie in their balls passes.  Otherwise a Hermitian ``A`` is
+positive semidefinite exactly when its real embedding
+``[[Re A, -Im A], [Im A, Re A]]`` is, and that embedding is the block's
+coordinate row times the basis's embedded elements
+(``OperatorBasis._real_embedding``); one stacked Cholesky of the block's
+embeddings decides.  Cholesky succeeds on a matrix whose smallest eigenvalue
+is above roundoff and fails on one with an eigenvalue below minus roundoff;
+a block that is positive semidefinite but singular to roundoff may go either
+way.  Either way is the same map up to roundoff: projecting a point of a
+convex set returns that point, so a block kept as solved and the projection
+of a block that was already inside differ only by the projection's
+roundoff.  The projection works on the embeddings the gate formed: one real
+``eigh``, whose eigenvalues come in pairs, the estimator's spectral map
+(clip, or simplex), and one product back to coordinates.
 
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
 objectives near 0 on exact data, where the Gram form's cancellation would
-add noise of about ``1e-16 ||y||^2``.
+add noise of about ``1e-16 ||y||^2``.  With ``b = u W`` (``W = diag(s) vh``,
+min(L, n^2) rows), ``||Y - G C||^2 = ||Y - u u^T Y||^2 + ||u^T Y - (x . W3)
+C||^2``; the first term is computed once per call, in residual form, and
+each sweep computes the second on the rotated rows
+(``FactoredDesign._rotated``).
 
-The LAPACK kernels above (``dpotrf``, ``dpocon``, ``dpotrs``, ``dlange``)
-come from ``scipy.linalg``, which numpy does not expose them through.
-Importing ``scipy.linalg.lapack`` runs the whole ``scipy.linalg`` package
-initialization, about as costly as numpy's own import, so ``_lapack``
-imports it on the first refinement and keeps it: importing the package, and
-every closed-form path, does not load it.
+Every kernel is numpy's, so a refinement does not load ``scipy.linalg``.
 """
 
 import functools
@@ -65,16 +74,15 @@ import math
 
 import numpy as np
 
-from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
+from .basis import OperatorBasis, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
 from .errors import DegeneracyError, ValidationError, _real, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
-    _clip_negative,
     _corrected,
     _elements_from_coords,
-    _nearest_density,
     _one_stack,
+    _project_simplex,
     _stage,
     _targets_v1,
     correct_state,
@@ -82,19 +90,11 @@ from .estimator import (  # noqa: F401  (perfbench traces correct_state as an al
 from .measurement import MeasurementDataset
 
 
-# The reciprocal condition estimate above which a Gram's Cholesky solution
-# is kept.  Each solve's relative error is about eps / rcond, so above it the
-# Cholesky solve and the eigen-solve agree to about 1e-12.
+# The smallest ratio lam_min / tr(gram) at which a Gram's direct solution is
+# kept.  Each solve's relative error is about eps lam_max / lam_min, so above
+# it the direct solve and the eigen-solve agree to about 1e-12.
 _CHOLESKY_RCOND = 1e-4
 _EPS = np.finfo(float).eps
-
-
-@functools.cache
-def _lapack():
-    """``scipy.linalg.lapack``, imported on first use."""
-    from scipy.linalg import lapack
-
-    return lapack
 
 
 def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
@@ -102,30 +102,52 @@ def _min_norm_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray:
     ``gram = A^T A`` (n x n) and ``rhs = A^T t`` (one column per target).
 
     Eigenvalues at or below ``max(rows, n) eps lam_max`` count as zero, with
-    ``rows`` the row count of ``A``.  The Gram is first factored by Cholesky
-    (``potrf``), and LAPACK estimates its reciprocal condition ``rcond``
-    (``pocon``).  Since ``lam_min / lam_max >= 1 / (||gram||_1 ||gram^-1||_1)``
-    and the estimate may overstate that bound by a small factor, an ``rcond``
-    above ``n`` times the cutoff ratio ``max(rows, n) eps`` leaves no
-    eigenvalue to cut: the minimum-norm solution is the unique one, taken from
-    the factor (``potrs``) when ``rcond`` also exceeds ``_CHOLESKY_RCOND``.
-    Any other Gram (rank-deficient, ill-conditioned, zero, non-finite, or one
-    whose factorization fails) takes one ``eigh``; an all-zero Gram gives
-    zeros.
+    ``rows`` the row count of ``A``.  The direct solution ``gram^-1 rhs`` is
+    kept when one Cholesky factorization of ``[[gram, I], [I, s I]]``, with
+    ``s = 1 / (floor tr(gram))`` and ``floor = max(_CHOLESKY_RCOND, n max(rows,
+    n) eps)``, succeeds.  It succeeds exactly when ``gram`` and the Schur
+    complement ``s I - gram^-1`` are positive definite, that is when
+    ``lam_min > floor tr(gram) >= floor lam_max``: no eigenvalue is cut, so
+    the minimum-norm solution is the unique one.  The factor's lower-left
+    block is ``L^-T`` for ``gram = L L^T``, so that solution is
+    ``L^-T (L^-1 rhs)``.  Any other Gram (rank-deficient, ill-conditioned,
+    zero, indefinite, or with a non-finite or non-positive trace) takes one
+    ``eigh``; an all-zero Gram gives zeros.
     """
     n = len(gram)
     cutoff = max(rows, n) * _EPS
-    rcond_floor = max(_CHOLESKY_RCOND, n * cutoff)
-    lapack = _lapack()
-    factor, info = lapack.dpotrf(gram, clean=0)
-    if info == 0:
-        rcond, _ = lapack.dpocon(factor, lapack.dlange("1", gram))
-        if rcond > rcond_floor:
-            return lapack.dpotrs(factor, rhs)[0]
+    # Python floats: a huge or tiny finite Gram overflows to inf, not to a warning
+    trace = sum(gram.diagonal().tolist())
+    scale = 1.0 / max(_CHOLESKY_RCOND, n * cutoff) / trace if trace > 0.0 else 0.0
+    if 0.0 < scale < math.inf:
+        template, corner = _augmented(n)
+        augmented = template.copy()
+        augmented[:n, :n] = gram
+        augmented.ravel()[corner] = scale
+        try:
+            factor = np.linalg.cholesky(augmented)
+        except np.linalg.LinAlgError:
+            factor = None
+        # LAPACK may factor through a NaN; one anywhere in the Gram reaches
+        # the last diagonal entry of the factor
+        if factor is not None and math.isfinite(factor[-1, -1]):
+            inverse_factor = factor[n:, :n]
+            return inverse_factor @ (inverse_factor.T @ rhs)
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > cutoff * max(vals[-1], 0.0)
     kept = vecs[:, keep]
     return (kept / vals[keep]) @ (kept.T @ rhs)
+
+
+@functools.lru_cache(maxsize=8)
+def _augmented(n: int) -> tuple:
+    """The template ``[[0, I], [I, 0]]`` (2n x 2n, read-only) that
+    ``_min_norm_solve`` copies and fills in, and the flat indices of its
+    lower-right block's diagonal."""
+    eye = np.eye(n)
+    template = np.block([[np.zeros((n, n)), eye], [eye, np.zeros((n, n))]])
+    template.setflags(write=False)
+    return template, np.arange(n, 2 * n) * (2 * n + 1)
 
 
 def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray) -> tuple:
@@ -139,29 +161,112 @@ def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray)
     return moments @ (c @ c.T).take(upper), b_y @ c.ravel()
 
 
-def _inside(coords: np.ndarray, basis: OperatorBasis) -> bool:
-    """Whether the Hermitian matrices with coordinates ``coords`` (one row of
-    ``d^2`` per matrix) are all finite and positive definite to roundoff: the
-    gate a projected block must fail.
+def _detector_moments(moments: np.ndarray) -> np.ndarray:
+    """The packed moments weighted for the detector block: the packed
+    ``x x^T`` (``_packing``'s upper triangle) times them is the packed
+    detector Gram ``G^T G`` of ``G = x . B3``.
 
-    Each matrix's real embedding (``OperatorBasis._real_embedding``) comes
-    from one product for all of them, and one ``dpotrf`` per matrix decides.
-    Cholesky is backward stable: it succeeds on a matrix whose smallest
-    eigenvalue lies above roundoff, a small multiple of ``eps`` times its
-    norm, and fails on one whose smallest eigenvalue lies below minus that.
-    Between, on a matrix that is positive semidefinite and singular to
-    roundoff, it may go either way.  Matrices that all factor are checked
-    for a non-finite entry last, since OpenBLAS's ``dpotrf`` factors through
-    a NaN.
+    ``(G^T G)[k, k'] = sum_ii' x_i x_i' K[(i, i'), (k, k')]``, and
+    ``K[(i', i), (k, k')] = K[(i, i'), (k', k)]``; so a row ``i < i'``
+    weighs twice, and an off-diagonal column ``k < k'``, which holds both
+    orders of ``(k, k')``, half."""
+    n = math.isqrt(2 * len(moments))
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    return moments * weights[:, None] / weights
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple:
+    """The row and column of each entry of ``_packing(n)``'s upper triangle,
+    and its ``positions``: the packed ``x x^T`` is ``x[rows] * x[cols]``."""
+    upper, positions = _packing(n)
+    return (*np.divmod(upper, n), positions)
+
+
+def _detector_normal_equations(detector_moments: np.ndarray, b_centred: np.ndarray,
+                               x: np.ndarray) -> tuple:
+    """The detector block's Gram ``G^T G`` (n x n) and right-hand side
+    ``G^T (Y - ybar)`` (n x M) for ``G = x . B3``, from the weighted moments
+    (``_detector_moments``) and ``B^T (Y - ybar)`` laid out as
+    ``[i, (k, j)]`` (n x n M): the Gram is one product with the packed
+    ``x x^T``, and the right-hand side is ``x`` times that layout."""
+    rows, cols, positions = _pairs(len(x))
+    gram = ((x[rows] * x[cols]) @ detector_moments)[positions]
+    return gram, (x @ b_centred).reshape(len(x), -1)
+
+
+def _outside(rows: np.ndarray, ball: list, embedding: np.ndarray):
+    """The positivity gate a projected block must fail: ``None`` if the
+    Hermitian matrices with coordinate rows ``rows`` (``d^2`` each, the
+    trace coordinate first) are all finite and positive definite to
+    roundoff, otherwise their real embeddings, ``(k, 2d, 2d)``.
+
+    A block whose rows all lie in their inscribed balls (``_in_ball``)
+    passes at once.  Otherwise the embeddings, one product with the basis's
+    flattened ``_real_embedding`` (``d^2 x 4d^2``), take one stacked
+    Cholesky.  Cholesky is backward stable: it succeeds on a matrix whose
+    smallest eigenvalue lies above roundoff, a small multiple of ``eps``
+    times its norm, and fails on one whose smallest eigenvalue lies below
+    minus that; on a matrix that is positive semidefinite and singular to
+    roundoff it may go either way.  Matrices that all factor are checked
+    for a non-finite entry last, since LAPACK may factor through a NaN.
     """
-    embedding = basis._real_embedding
-    k = embedding.shape[-1]
-    mats = coords.reshape(-1, len(embedding)) @ embedding.reshape(len(embedding), -1)
-    dpotrf = _lapack().dpotrf
-    for a in mats.reshape(-1, k, k):
-        if dpotrf(a, clean=0)[1]:
-            return False
-    return bool(np.isfinite(mats).all())
+    if _in_ball(rows, ball):
+        return None
+    k = math.isqrt(embedding.shape[1])
+    mats = (rows @ embedding).reshape(len(rows), k, k)
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return mats
+    return None if np.isfinite(mats).all() else mats
+
+
+def _in_ball(rows: np.ndarray, ball: list) -> bool:
+    """Whether each coordinate row's squared norm is at most its ``ball``
+    entry (``_ball``); a NaN row is not."""
+    return all(map(float.__le__, (rows @ rows.T).diagonal().tolist(), ball))
+
+
+def _ball(trace_coords, d: int) -> list:
+    """The squared radii of the balls inscribed in the positive cone, one
+    per trace coordinate ``r_0`` of a Hermitian d x d matrix: with
+    ``r_0 > 0``, a coordinate row ``r`` with ``||r||^2 <= r_0^2 d / (d - 1)``
+    is positive semidefinite, being ``r_0 / sqrt(d) I`` plus a traceless
+    ``T`` whose smallest eigenvalue is at least ``-||T|| sqrt((d - 1) / d)``.
+    A non-positive ``r_0`` gets ``-1``, which no row meets."""
+    return [r0 * r0 * d / (d - 1) if r0 > 0.0 else -1.0
+            for r0 in np.asarray(trace_coords).tolist()]
+
+
+def _projected(mats: np.ndarray, embedding: np.ndarray, spectrum) -> np.ndarray:
+    """The coordinates (``d^2`` per matrix) of the Hermitian matrices whose
+    real embeddings are ``mats`` (``(k, 2d, 2d)``), after ``spectrum`` maps
+    each one's eigenvalues.
+
+    One real ``eigh`` of the embeddings: each eigenvalue of a matrix appears
+    twice in its embedding, and any function of the eigenvalues, taken on the
+    embedding, is the embedding of that function of the matrix.  A
+    coordinate ``Tr(Omega_k A)`` is half the entrywise product of the
+    embeddings of ``Omega_k`` and ``A``, so the coordinates are one product
+    with ``embedding`` (the basis's flattened ``_real_embedding``), halved.
+    """
+    vals, vecs = np.linalg.eigh(mats)
+    mapped = (vecs * spectrum(vals)[:, None, :]) @ vecs.swapaxes(-1, -2)
+    return mapped.reshape(len(mats), -1) @ embedding.T / 2.0
+
+
+def _clipped(vals: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues clipped to zero: ``_clip_negative``'s spectrum."""
+    return np.maximum(vals, 0.0)
+
+
+def _on_simplex(vals: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a unit-trace embedding (each doubled, summing to 2)
+    projected onto their simplex: ``_nearest_density``'s spectrum.  Doubling
+    every value and the total leaves the simplex threshold unchanged."""
+    return _project_simplex(vals, 2.0)
 
 
 def refine_alternating(
@@ -193,28 +298,29 @@ def refine_alternating(
     ``rho_bar``/``povm_bar``; ``corrected_objective`` is the objective at the
     returned corrected pair ``rho_hat``/``povm_hat``.
 
-    Both blocks work on the design tensor, as the module docstring derives:
-    ``G = x . B3`` is one product with the record's tensor layout, the
-    detector block is one least-squares solve ``G^+ (Y - ybar)`` for all
-    outcomes, and the state block takes its Gram and right-hand side from
-    the packed moments of ``B^T B``, formed once per design record, and
-    ``B^T Y``, formed once per call.  Each block is solved from its n x n
-    normal equations: by a Cholesky solve when LAPACK's condition estimate
-    finds the Gram well conditioned, and otherwise by an eigen-solve, which
-    drops the directions whose singular value lies below
+    Both blocks work on the design's records, as the module docstring
+    derives: the detector block is one least-squares solve
+    ``G^+ (Y - ybar)`` for all outcomes, and both blocks take their Grams
+    from the packed moments of ``B^T B``, formed once per design record, and
+    their right-hand sides from ``B^T Y``, formed once per call.  Each block
+    is solved from its n x n normal equations: directly when one Cholesky
+    factorization certifies the Gram well conditioned, and otherwise by an
+    eigen-solve, which drops the directions whose singular value lies below
     ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
-    matrix would keep them); both give the minimum-norm solution, and the
-    objective stays in residual form.  Each block then passes a positivity
-    gate, one Cholesky factorization of each matrix's real embedding, formed
-    from its coordinates; a block that is singular to roundoff may fail it,
-    and its projection then returns it up to roundoff.  The projections are
-    the correction kernels of the estimator, run only on a block that fails
-    the gate: one stacked ``eigh`` clips the negative eigenvalues of every
-    detector element (``correct_povm``'s clip, without its renormalization),
-    and the state goes to the nearest density matrix (``correct_state``'s
-    projection, without re-validating a matrix it has just built).  The
-    returned rough pair is built by the estimator's maps
-    (``coherence_to_state``, ``_elements_from_coords``).
+    matrix would keep them); both give the minimum-norm solution.  The
+    objective stays in residual form, on the design's rows rotated by its
+    left singular vectors.  Each block then passes a positivity gate: the
+    ball inscribed in the positive cone, then one stacked Cholesky
+    factorization of its matrices' real embeddings, formed from its
+    coordinates; a block that is singular to roundoff may fail it, and its
+    projection then returns it up to roundoff.  The projections run only on
+    a block that fails the gate, on the embeddings the gate formed: every
+    detector element's negative eigenvalues are clipped
+    (``correct_povm``'s clip, without its renormalization), and the state
+    goes to the nearest density matrix (``correct_state``'s projection,
+    without re-validating a matrix it has just built).  The returned rough
+    pair is built by the estimator's maps (``coherence_to_state``,
+    ``_elements_from_coords``).
     """
     design = _stage("refine", factor_design, b)
     (y,) = _targets_v1(_one_stack(ds), design, basis)
@@ -238,22 +344,32 @@ def refine_alternating(
     _, positions = _packing(n)
     free_positions, anchor_positions = positions[np.ix_(free, free)], positions[free, anchor]
 
-    tensor, moments = design._tensor, design.moments
-    y_centred = y - y.mean(axis=1, keepdims=True)
-    b_y = (design.b.T @ y).reshape(n, -1)
+    moments, rotated = design.moments, design._rotated
+    detector_moments = _detector_moments(moments)
+    b_y = design.b.T @ y
+    # B^T (Y - ybar): the detector block's right-hand side is x times it
+    b_centred = (b_y - (design.b.T @ y.mean(axis=1))[:, None]).reshape(n, -1)
+    b_y = b_y.reshape(n, -1)
+    # ||Y - G C||^2 = ||Y - u u^T Y||^2 + ||u^T Y - (u^T G) C||^2, the first
+    # term in residual form once per call.
+    y_rotated = design.u.T @ y
+    y_off = float(np.linalg.norm(y - design.u @ y_rotated) ** 2)
     # Each block's coordinate rows for its positivity gate, with the trace
-    # column filled in once: the state's 1/sqrt(d), the detector's c_j0.
-    x_row = np.empty(n + 1)
-    x_row[0] = 1.0 / math.sqrt(d)
+    # column filled in once (the state's 1/sqrt(d), the detector's c_j0), the
+    # inscribed ball's squared radii, and the basis's flattened embeddings.
+    x_row = np.empty((1, n + 1))
+    x_row[0, 0] = 1.0 / math.sqrt(d)
     c_rows = np.empty((m, n + 1))
     c_rows[:, 0] = ds.c_j0_hat
+    x_ball, c_ball = _ball(x_row[:, 0], d), _ball(c_rows[:, 0], d)
+    embedding = basis._real_embedding.reshape(d * d, -1)
 
-    def residual(x, c):
-        """``G = x . B3`` and the objective at ``(x, C)``."""
-        g = (x @ tensor).reshape(l, n)
-        return g, float(np.linalg.norm(y - g @ c) ** 2)
+    def objective(x, c):
+        """The objective at ``(x, C)``, from the rotated rows."""
+        residual = (y_rotated - (x @ rotated).reshape(-1, n) @ c).ravel()
+        return y_off + float(residual @ residual)
 
-    g, obj = residual(x, c)
+    obj = objective(x, c)
     if not np.isfinite(obj):
         raise DegeneracyError(f"objective is not finite at the initial point: {obj}")
     trajectory = [obj]
@@ -261,12 +377,14 @@ def refine_alternating(
     stop_reason = "max_iters"
 
     for _ in range(iters):
-        # Detector block: every c_j from one solve on the centred targets;
-        # if an element fails the gate, every element's eigenvalues are clipped.
-        c_new = _min_norm_solve(g.T @ g, g.T @ y_centred, l)
+        # Detector block: every c_j from one solve on the centred targets,
+        # G^T G and G^T (Y - ybar) from the moments; if an element fails the
+        # gate, every element's eigenvalues are clipped.
+        c_new = _min_norm_solve(*_detector_normal_equations(detector_moments, b_centred, x), l)
         c_rows[:, 1:] = c_new.T
-        if not _inside(c_rows, basis):
-            c_new = _to_coords(_clip_negative(_from_coords(c_rows, basis)), basis)[:, 1:].T
+        mats = _outside(c_rows, c_ball, embedding)
+        if mats is not None:
+            c_new = _projected(mats, embedding, _clipped)[:, 1:].T
 
         # State block: the (M L) x n system of all outcomes from the moments,
         # anchor pinned; projected if the state fails the gate.
@@ -275,17 +393,18 @@ def refine_alternating(
         x_new[anchor] = ds.x01_bar
         x_new[free] = _min_norm_solve(packed[free_positions],
                                       rhs[free] - packed[anchor_positions] * ds.x01_bar, m * l)
-        x_row[1:] = x_new
-        if not _inside(x_row, basis):
-            x_new = _to_coords(_nearest_density(_from_coords(x_row, basis)), basis)[1:]
+        x_row[0, 1:] = x_new
+        mats = _outside(x_row, x_ball, embedding)
+        if mats is not None:
+            x_new = _projected(mats, embedding, _on_simplex)[0, 1:]
 
-        g_new, new_obj = residual(x_new, c_new)
+        new_obj = objective(x_new, c_new)
         if not np.isfinite(new_obj):
             raise DegeneracyError(f"objective became non-finite: {new_obj}")
         if new_obj > obj * (1.0 + 1e-12) + 1e-15:
             stop_reason = "rejected"  # projection undid the gain; keep the previous point
             break
-        x, c, g = x_new, c_new, g_new
+        x, c = x_new, c_new
         accepted += 1
         improved = obj - new_obj
         obj = new_obj
@@ -302,7 +421,7 @@ def refine_alternating(
         "initial_objective": trajectory[0],
         "final_objective": obj,
     })
-    est.diagnostics["corrected_objective"] = residual(
-        _to_coords(est.rho_hat[0], basis)[1:], _to_coords(est.povm_hat[0], basis)[:, 1:].T)[1]
+    est.diagnostics["corrected_objective"] = objective(
+        _to_coords(est.rho_hat[0], basis)[1:], _to_coords(est.povm_hat[0], basis)[:, 1:].T)
     (result,) = est.results()
     return result

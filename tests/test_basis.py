@@ -63,6 +63,15 @@ def test_basis_rejects_small_dimension():
         build_basis(1)
 
 
+@pytest.mark.parametrize("d", [[], {}, np.array([2]), "2", 2.5, None])
+def test_basis_reads_its_dimension_before_its_cache(d):
+    """An unhashable or non-whole dimension is refused as a ValidationError,
+    not a TypeError from the cache; a whole float shares the int's basis."""
+    with pytest.raises(ValidationError, match="basis dimension"):
+        build_basis(d)
+    assert build_basis(3.0) is build_basis(np.int64(3)) is build_basis(3)
+
+
 def test_vectorize_is_column_major():
     a = np.array([[1, 2], [3, 4]])
     assert np.array_equal(vectorize(a), [1, 3, 2, 4])

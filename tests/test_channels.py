@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -638,6 +639,40 @@ def test_sampled_unitaries_refuse_a_hamiltonian_that_is_not_a_finite_hermitian_m
         closed_system_channels([(h, 0.5)], 2)
     with pytest.raises(ValidationError, match="Hamiltonian"):
         hamiltonian_generator(h, build_basis(2))
+
+
+def test_a_hamiltonian_too_large_for_its_maps_is_refused_without_a_warning():
+    """``h = diag(1e308, -1e308)`` overflows the generator and gives phases
+    that doubles do not resolve: both maps refuse it, under warnings as
+    errors.  A large ``h`` that fits is scaled by a power of 2, so its
+    generator is exactly the scaled generator."""
+    huge = np.diag([1e308, -1e308])
+    big = 2.0 ** 900
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too large"):
+            hamiltonian_generator(huge, build_basis(2))
+        with pytest.raises(ValidationError, match="phase"):
+            sampled_unitaries(huge, 0.5, 2)
+        with pytest.raises(ValidationError, match="phase"):
+            closed_system_channels([(huge, 0.5)], 2)
+        for d in (2, 3):
+            rng = np.random.default_rng(d)
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) / 2.0
+            h -= np.trace(h) / d * np.eye(d)
+            assert np.array_equal(hamiltonian_generator(big * h, build_basis(d)),
+                                  big * hamiltonian_generator(h, build_basis(d)))
+        slow = sampled_unitaries(big * pauli("z") / 2, 1.0 / big, 3)
+    for k, u in enumerate(slow, start=1):
+        assert np.abs(u - expm(-1j * pauli("z") / 2 * k)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("members, index", [((3,), 0), ((None,), 0),
+                                            ((KrausChannel(2, np.eye(2)[None]), "x"), 1)])
+def test_ensemble_refuses_a_member_that_is_not_a_channel(members, index):
+    with pytest.raises(ValidationError, match=f"^ensemble member {index} must be a KrausChannel"):
+        ProcessEnsemble(members)
 
 
 _R = hamiltonian_generator(pauli("z") / 2, build_basis(2))

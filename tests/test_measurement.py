@@ -566,6 +566,14 @@ def test_stacked_checks_name_the_first_failing_member():
     with pytest.raises(ValidationError, match="stack of detectors"):
         Povm.checked(2, elements[0])
     assert DensityMatrix.checked(2, np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    # The dimension is read as the constructors read it.
+    with pytest.raises(ValidationError, match="^state dimension must be a whole number"):
+        DensityMatrix.checked("2", np.eye(2)[None] / 2)
+    with pytest.raises(ValidationError, match="^detector dimension must be a whole number"):
+        Povm.checked("2", np.eye(2)[None, None])
+    with pytest.raises(ValidationError, match="^state dimension must be >= 1"):
+        DensityMatrix.checked(0, np.zeros((1, 0, 0)))
+    assert np.array_equal(DensityMatrix.checked(2.0, rho[:1]), DensityMatrix.checked(2, rho[:1]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -39,7 +39,20 @@ from jointtomo import (
 )
 from jointtomo.basis import _from_coords, _to_coords
 from jointtomo.channels import FactoredDesign
-from jointtomo.refine import _inside, _min_norm_solve, _packing, _state_normal_equations
+from jointtomo.estimator import _clip_negative, _nearest_density
+from jointtomo.refine import (
+    _ball,
+    _clipped,
+    _detector_moments,
+    _detector_normal_equations,
+    _in_ball,
+    _min_norm_solve,
+    _on_simplex,
+    _outside,
+    _packing,
+    _projected,
+    _state_normal_equations,
+)
 from jointtomo.sos import poly_eval
 
 
@@ -325,18 +338,29 @@ def test_min_norm_solve_matches_lstsq():
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("rank", [None, 5], ids=["full-rank", "rank-deficient"])
-def test_state_moments_give_the_stacked_normal_equations(m, rank):
+def test_moments_give_the_blocks_normal_equations(m, rank):
+    """The state block's stacked normal equations, and the detector block's
+    ``G^T G`` and ``G^T (Y - ybar)`` for ``G = x . B3``, from the design's
+    packed moments."""
     rng = np.random.default_rng(19 + m)
     l, n = 40, 4
     b = (rng.normal(size=(l, n * n)) if rank is None
          else rng.normal(size=(l, rank)) @ rng.normal(size=(rank, n * n)))
     y = rng.normal(size=(l, m))
     c = rng.normal(size=(n, m))
+    moments = factor_design(b).moments
     # The stacked state matrix: one b @ kron(I, c_j) block per outcome.
     a_x = np.vstack([b @ np.kron(np.eye(n), c[:, [j]]) for j in range(m)])
-    packed, rhs = _state_normal_equations(factor_design(b).moments, (b.T @ y).reshape(n, -1), c)
+    packed, rhs = _state_normal_equations(moments, (b.T @ y).reshape(n, -1), c)
     gram = packed[_packing(n)[1]]
-    for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel())):
+    x = rng.normal(size=n)
+    g = np.einsum("i,aik->ak", x, b.reshape(l, n, n))
+    y_centred = y - y.mean(axis=1, keepdims=True)
+    detector = _detector_normal_equations(_detector_moments(moments),
+                                          (b.T @ y_centred).reshape(n, -1), x)
+    for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel()),
+                          (detector[0], g.T @ g), (detector[1], g.T @ y_centred)):
+        assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -376,45 +400,105 @@ def _tall_matrices(draw):
     return kind, (u * s) @ v.T
 
 
-@settings(max_examples=150, deadline=None)
-@given(_tall_matrices(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_min_norm_solve_matches_the_eigen_solve(case, m, seed):
-    """Over drawn Grams, the solve matches the eigen-solve's minimum-norm
-    solution; a well-conditioned Gram takes the Cholesky path and a singular,
-    zero or near-cutoff one the eigen-solve."""
-    kind, a = case
-    t = np.random.default_rng(seed).normal(size=(len(a), m))
-    gram, rhs = a.T @ a, a.T @ t
-    expected = _eigen_min_norm_solve(gram, rhs, len(a))
-    eigen_calls = []
+def _solve_and_path(gram, rhs, rows):
+    """``_min_norm_solve``'s solution, with RuntimeWarnings as errors, and
+    whether it took the eigen-solve (one ``eigh``) rather than the direct
+    solve.  The solution is None when that ``eigh`` does not converge, as on
+    a Gram with an infinite entry."""
+    calls = []
     eigh = np.linalg.eigh
 
     def counted(*args, **kwargs):
-        eigen_calls.append(1)
+        calls.append(1)
         return eigh(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         patch.setattr(np.linalg, "eigh", counted)
-        got = _min_norm_solve(gram, rhs, len(a))
+        try:
+            got = _min_norm_solve(gram, rhs, rows)
+        except np.linalg.LinAlgError:
+            assert calls == [1]
+            return None, True
+    assert calls in ([], [1])
+    return got, bool(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tall_matrices(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_min_norm_solve_matches_the_eigen_solve(case, m, seed):
+    """Over drawn Grams, the solve matches the eigen-solve's minimum-norm
+    solution; a well-conditioned Gram takes the direct path and a singular,
+    zero or near-cutoff one the eigen-solve."""
+    kind, a = case
+    t = np.random.default_rng(seed).normal(size=(len(a), m))
+    gram, rhs = a.T @ a, a.T @ t
+    expected = _eigen_min_norm_solve(gram, rhs, len(a))
+    got, eigen = _solve_and_path(gram, rhs, len(a))
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-10 * np.max(np.abs(expected),
                                                                           initial=0.0)
     if kind == "well-conditioned":
-        assert eigen_calls == []
+        assert not eigen
     elif kind != "conditioned":
-        assert eigen_calls == [1]
+        assert eigen
+
+
+def test_min_norm_solve_certifies_only_well_conditioned_positive_grams():
+    """The direct solve is kept only for a Gram that its certificate proves
+    positive definite with no eigenvalue to cut; there it matches ``lstsq``
+    to 1e-13, also on a Gram scaled to 1e300 (without an overflow warning).
+    Every other Gram takes the eigen-solve: rank-deficient, near-singular
+    (condition number 1e10), zero, non-finite, and symmetric indefinite,
+    including one whose trace and inverse's trace are both positive."""
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(60, 8))
+    t = rng.normal(size=(60, 3))
+    expected, *_ = np.linalg.lstsq(a, t, rcond=None)
+    for scale in (1.0, 1e300):
+        got, eigen = _solve_and_path(scale * (a.T @ a), scale * (a.T @ t), len(a))
+        assert not eigen
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    rank_deficient = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 8))
+    near_singular = (q * np.logspace(0.0, -5.0, 8)) @ q.T  # the Gram's condition is 1e10
+    grams = {"rank-deficient": rank_deficient.T @ rank_deficient,
+             "near-singular": near_singular.T @ near_singular,
+             "zero": np.zeros((8, 8))}
+    for name, gram in grams.items():
+        got, eigen = _solve_and_path(gram, a.T @ t, len(a))
+        assert eigen, name
+        expected = _eigen_min_norm_solve(gram, a.T @ t, len(a))
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-10 * np.max(
+            np.abs(expected), initial=0.0), name
+    for bad in (np.nan, np.inf):
+        for i, j in ((2, 5), (3, 3)):
+            gram = a.T @ a
+            gram[i, j] = gram[j, i] = bad
+            assert _solve_and_path(gram, a.T @ t, len(a))[1], (bad, i, j)
+    # Indefinite: eigenvalues (10, 10, 10, -20) give tr = 10 and
+    # tr(inverse) = 0.25, a product of 2.5; and drawn spectra with one or
+    # more negative eigenvalues.
+    q4 = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    spectra = [np.array([10.0, 10.0, 10.0, -20.0])] + [
+        np.concatenate((-10.0 ** rng.uniform(-6.0, 1.0, k), 10.0 ** rng.uniform(-1.0, 1.0, 4 - k)))
+        for k in (1, 1, 2, 3)]
+    for vals in spectra:
+        gram = (q4 * vals) @ q4.T
+        got, eigen = _solve_and_path(gram, rng.normal(size=(4, 2)), 60)
+        assert eigen, vals
 
 
 def test_moments_are_formed_once_per_design_record(monkeypatch):
-    """The record's packed moments and its tensor layout are each formed once
-    per design record, on the first refinement, and are read-only."""
+    """The record's packed moments and its rotated tensor layout are each
+    formed once per design record, on the first refinement, and are
+    read-only."""
     import jointtomo.channels as channels
     sc, reg = _incomplete_setup()
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=16,
                           basis=sc.basis)
     config = Stage1Config(method="mp_inverse")
-    formed = {"moments": [], "_tensor": []}
+    formed = {"moments": [], "_rotated": []}
     for name, record in formed.items():
         cached = FactoredDesign.__dict__[name]
 
@@ -429,7 +513,7 @@ def test_moments_are_formed_once_per_design_record(monkeypatch):
     init = estimate_joint_v1(ds, design, sc.basis, config)
     first = refine_alternating(ds, design, sc.basis, init)
     second = refine_alternating(ds, design, sc.basis, init)
-    assert formed == {"moments": [design], "_tensor": [design]}
+    assert formed == {"moments": [design], "_rotated": [design]}
     assert first.diagnostics == second.diagnostics
     # Two on a raw matrix: both reach the memo entry the estimate made.
     b = np.array(reg.b)
@@ -443,13 +527,15 @@ def test_moments_are_formed_once_per_design_record(monkeypatch):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
-    # The layouts hold the design: G = x . B3 from the tensor, and the packed
-    # moments' sizes (n(n+1)/2 square, 120 x 120 at d = 4).
+    # The layouts hold the design: u^T G for G = x . B3 from the rotated
+    # tensor, min(L, n^2) rows, and the packed moments' sizes (n(n+1)/2
+    # square, 120 x 120 at d = 4).
     n = sc.basis.n_traceless
     x = np.random.default_rng(3).normal(size=n)
     b3 = entry.b.reshape(-1, n, n)
-    assert np.allclose((x @ entry._tensor).reshape(-1, n), np.einsum("i,aik->ak", x, b3),
-                       rtol=0.0, atol=1e-13)
+    rotated = (x @ entry._rotated).reshape(-1, n)
+    assert rotated.shape == (min(entry.shape), n)
+    assert np.allclose(rotated, entry.u.T @ np.einsum("i,aik->ak", x, b3), rtol=0.0, atol=1e-13)
     assert entry.moments.shape == (n * (n + 1) // 2,) * 2
 
 
@@ -486,16 +572,25 @@ def _hermitian_stacks(draw):
     return kind, a
 
 
+def _gate(a, basis, ball):
+    """Whether the stack ``a`` passes ``_outside``, with the inscribed-ball
+    pre-gate or without it (every ball radius negative)."""
+    rows = _to_coords(a, basis).reshape(-1, basis.d ** 2)
+    radii = _ball(rows[:, 0], basis.d) if ball else [-1.0] * len(rows)
+    return _outside(rows, radii, basis._real_embedding.reshape(len(basis.omegas), -1)) is None
+
+
 @settings(max_examples=300, deadline=None)
-@given(_hermitian_stacks())
-def test_positivity_gate_matches_the_smallest_eigenvalue(case):
+@given(_hermitian_stacks(), st.booleans())
+def test_positivity_gate_matches_the_smallest_eigenvalue(case, ball):
     """The gate turns away every stack with an eigenvalue below -1e-12 of its
     matrix's norm (or a NaN entry) and lets through every stack whose
     eigenvalues all lie above +1e-12 of their matrix's norm; on a matrix
-    that is singular to roundoff it may say either, but must answer."""
+    that is singular to roundoff it may say either, but must answer.  The
+    same holds with the inscribed-ball pre-gate in front."""
     kind, a = case
     basis = build_basis(a.shape[-1])
-    inside = _inside(_to_coords(a, basis), basis)
+    inside = _gate(a, basis, ball)
     assert isinstance(inside, bool)
     if kind == "nan":
         assert not inside
@@ -509,6 +604,98 @@ def test_positivity_gate_matches_the_smallest_eigenvalue(case):
         assert inside
 
 
+@st.composite
+def _near_the_ball(draw):
+    """``(d, A)``: a stack of Hermitian matrices ``r_0 / sqrt(d) I + T``
+    with ``T`` traceless, its spectrum drawn or the extreme one
+    ``(-(d - 1), 1, .., 1)`` (for which the ball is tight), its norm within
+    a factor of 1.1 of the ball's radius on either side, ``r_0`` of either
+    sign, on a drawn scale; or with one NaN entry."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        r0 = 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([1.0, 1.0, 1.0, -1.0])
+        vals = (np.concatenate(([-(d - 1.0)], np.ones(d - 1))) if rng.random() < 0.5
+                else rng.normal(size=d))
+        vals -= vals.mean()
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        t = (q * vals) @ q.conj().T
+        radius = abs(r0) * np.sqrt(d / (d - 1.0) - 1.0)  # ||r||^2 - r0^2 at the ball's edge
+        t *= radius * rng.uniform(0.9, 1.1) / max(np.linalg.norm(t), 1e-300)
+        mats.append(r0 / np.sqrt(d) * np.eye(d) + (t + t.conj().T) / 2.0)
+    a = np.stack(mats)
+    if draw(st.booleans()) and draw(st.booleans()):
+        a[0, 0, 0] = np.nan
+    return d, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_the_ball())
+def test_ball_pre_gate_admits_only_positive_blocks(case):
+    """The inscribed-ball test admits no stack with an eigenvalue below
+    roundoff (-1e-12 of the matrix's norm), and no stack with a NaN entry."""
+    d, a = case
+    basis = build_basis(d)
+    rows = _to_coords(a, basis)
+    if not _in_ball(rows, _ball(rows[:, 0], d)):
+        return
+    assert np.isfinite(a).all()
+    norms = np.linalg.norm(a, axis=(-2, -1))
+    assert np.all(np.linalg.eigvalsh(a)[:, 0] >= -1e-12 * norms)
+
+
+def test_ball_pre_gate_admits_the_inscribed_ball():
+    """The maximally mixed state, the scaled identity and a state just inside
+    the ball pass the pre-gate; a trace coordinate that is not positive
+    never does."""
+    for d in (2, 3, 4):
+        basis = build_basis(d)
+        state = np.eye(d) / d
+        state[0, 1] = state[1, 0] = 0.999 / (d * np.sqrt(2.0 * (d - 1)))
+        rows = _to_coords(np.stack([np.eye(d) / d, 3.0 * np.eye(d), state]), basis)
+        assert _in_ball(rows, _ball(rows[:, 0], d))
+        assert not _in_ball(-rows, _ball(-rows[:, 0], d))
+        assert not _in_ball(0.0 * rows, _ball(0.0 * rows[:, 0], d))
+
+
+@st.composite
+def _hermitian_spectra(draw):
+    """``(d, A)``: a stack of 1 to 3 Hermitian d x d matrices of norm about 1,
+    d in {2, 3, 4}, each with eigenvalues drawn from a set of two values
+    (so that some are degenerate) or drawn freely, of either sign."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        vals = (rng.choice(rng.normal(size=2), size=d) if rng.random() < 0.5
+                else rng.normal(size=d))
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        a = (q * vals) @ q.conj().T
+        mats.append((a + a.conj().T) / 2.0)
+    return d, np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hermitian_spectra())
+def test_embedding_projections_are_the_estimators_projections(case):
+    """The projections taken on the real embedding give the coordinates of
+    the estimator's complex kernels to 1e-13: the eigenvalue clip of
+    ``_clip_negative``, and, on unit-trace matrices, ``_nearest_density``."""
+    d, a = case
+    basis = build_basis(d)
+    embedding = basis._real_embedding.reshape(d * d, -1)
+
+    def embedded(mats):
+        return (_to_coords(mats, basis) @ embedding).reshape(len(mats), 2 * d, 2 * d)
+
+    clipped = _projected(embedded(a), embedding, _clipped)
+    assert np.max(np.abs(clipped - _to_coords(_clip_negative(a), basis))) <= 1e-13
+    unit = a + ((1.0 - np.trace(a, axis1=-2, axis2=-1).real) / d)[:, None, None] * np.eye(d)
+    nearest = _projected(embedded(unit), embedding, _on_simplex)
+    assert np.max(np.abs(nearest - _to_coords(_nearest_density(unit), basis))) <= 1e-13
+
+
 def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
     """Each sweep's detector and state blocks are recorded as the positivity
     gate sees them; the clip and the density projection must see exactly the
@@ -520,36 +707,38 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
                           scale_observable=sc.anchor_index, basis=sc.basis)
     init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
-    gated, clipped, projected = [], [], []
+    gated, seen = [], {_clipped: [], _on_simplex: []}
 
-    def recorded_gate(coords, basis, gate=refine._inside):
-        inside = gate(coords, basis)
+    def recorded_gate(rows, ball, embedding, gate=refine._outside):
+        outside = gate(rows, ball, embedding)
         # the sweep rewrites its coordinate rows in place: keep a copy
-        gated.append((_from_coords(coords.copy(), sc.basis), inside))
-        return inside
+        gated.append((_from_coords(rows.copy(), sc.basis), outside))
+        return outside
 
-    def recorded(fn, record):
-        def wrapper(mats):
-            record.append(mats)
-            return fn(mats)
-        return wrapper
+    def recorded_projection(mats, embedding, spectrum, project=refine._projected):
+        seen[spectrum].append(mats)
+        return project(mats, embedding, spectrum)
 
-    monkeypatch.setattr(refine, "_inside", recorded_gate)
-    monkeypatch.setattr(refine, "_clip_negative", recorded(refine._clip_negative, clipped))
-    monkeypatch.setattr(refine, "_nearest_density", recorded(refine._nearest_density, projected))
+    monkeypatch.setattr(refine, "_outside", recorded_gate)
+    monkeypatch.setattr(refine, "_projected", recorded_projection)
     refine_alternating(ds, b, sc.basis, init)
-    for ndim, seen in ((3, clipped), (2, projected)):
-        blocks = [(p, inside) for p, inside in gated if p.ndim == ndim]
-        outside = [p for p, inside in blocks if not inside]
+    # The detector's blocks are its M = 3 elements, the state's one matrix.
+    for count, spectrum in ((3, _clipped), (1, _on_simplex)):
+        blocks = [(p, outside) for p, outside in gated if len(p) == count]
+        outside = [mats for _, mats in blocks if mats is not None]
         # This draw has sweeps of every kind, so a gate that always or never
         # projects, or projects the wrong blocks, is caught.
         assert 0 < len(outside) < len(blocks)
-        assert len(seen) == len(outside) and all(
-            np.array_equal(a, e) for a, e in zip(seen, outside))
-        for p, inside in blocks:
-            mats = p.reshape(-1, *p.shape[-2:])
-            smallest = (np.linalg.eigvalsh(mats)[:, 0]
-                        / np.linalg.norm(mats, axis=(-2, -1))).min()
+        assert len(seen[spectrum]) == len(outside) and all(
+            a is e for a, e in zip(seen[spectrum], outside))
+        for p, mats in blocks:
+            inside = mats is None
+            if not inside:
+                # the gate hands the projection the block's real embeddings
+                embedding = sc.basis._real_embedding.reshape(len(sc.basis.omegas), -1)
+                expected = (_to_coords(p, sc.basis) @ embedding).reshape(mats.shape)
+                assert np.allclose(mats, expected, rtol=0.0, atol=1e-12)
+            smallest = (np.linalg.eigvalsh(p)[:, 0] / np.linalg.norm(p, axis=(-2, -1))).min()
             if smallest < 0.0:
                 assert not inside
             elif smallest > 1e-12:

@@ -134,14 +134,10 @@ def _draw_state(rng, basis, eigenvalues, need_anchor: bool, anchor_index: int) -
 
 def _draw_povm(rng, d: int, spectra) -> Povm:
     elements = []
-    total = np.zeros((d, d), dtype=complex)
     for spectrum in spectra:
         u = haar_unitary(d, rng)
-        p = (u * np.asarray(spectrum)) @ u.conj().T
-        elements.append(p)
-        total += p
-    elements.append(np.eye(d) - total)
-    return Povm(d, np.stack(elements))
+        elements.append((u * np.asarray(spectrum)) @ u.conj().T)
+    return Povm(d, np.stack(elements + [np.eye(d) - sum(elements)]))
 
 
 def _random_traceless_hermitian(rng, d: int) -> np.ndarray:
@@ -174,9 +170,10 @@ def preset(name: str, seed: int = 0) -> Scenario:
     seed = _whole(seed, "seed", 0)
     base, *salt = _DRAW_KEYS[name]
     rng = np.random.default_rng(np.random.SeedSequence([base, seed, *salt]))
+    complete = not name.endswith("_incomplete")
+    pure = name == "one_qubit_random_pure"
 
-    if name in ("one_qubit_closed_complete", "one_qubit_closed_incomplete"):
-        basis = build_basis(2)
+    if name.startswith("one_qubit_closed"):
         hams = [
             (pauli("x") + pauli("y")) / 2.0,
             (pauli("x") - pauli("y")) / 2.0,
@@ -184,49 +181,28 @@ def preset(name: str, seed: int = 0) -> Scenario:
             (pauli("y") - pauli("z")) / 2.0,
             (pauli("z") + pauli("x")) / 2.0,
         ]
-        complete = name == "one_qubit_closed_complete"
-        if not complete:
-            hams = hams[:3]
-        n = 3 if complete else 2
-        channels = closed_system_channels([(h, 1.0) for h in hams], n=n)
-        state = _draw_state(rng, basis, (0.1, 0.9), need_anchor=True, anchor_index=1)
-        povm = _draw_povm(rng, 2, [(0.4, 0.1), (0.5, 0.1)])
-        return Scenario(
-            name=name, seed=seed, basis=basis,
-            ensemble=ProcessEnsemble(tuple(channels)),
-            truth_state=state, truth_povm=povm,
-            stage1=Stage1Config() if complete else Stage1Config(method="mp_inverse"),
-            expect_complete=complete,
-        )
-
-    if name == "one_qubit_random_pure":
-        basis = build_basis(2)
-        channels = tuple(
-            make_named_channel("random_cp", d=2, rank=4,
-                               seed=int(rng.integers(2 ** 62)), label=f"cp{i + 1}")
-            for i in range(17)
-        )
-        state = _draw_state(rng, basis, (1.0, 0.0), need_anchor=False, anchor_index=1)
-        povm = _draw_povm(rng, 2, [(0.4, 0.1), (0.5, 0.1)])
-        return Scenario(
-            name=name, seed=seed, basis=basis, ensemble=ProcessEnsemble(channels),
-            truth_state=state, truth_povm=povm, estimator="v2", pure=True,
-        )
-
-    basis = build_basis(4)
-    pairs = [
-        (_random_traceless_hermitian(rng, 4), _random_traceless_hermitian(rng, 4))
-        for _ in range(30)
-    ]
-    if name == "two_qubit_mixed_unitary_incomplete":
-        pairs = pairs[:10]
-    channels = _mixed_unitary_channels(pairs, weights=(0.3, 0.7), dt=1.0, n=30)
-    state = _draw_state(rng, basis, (0.1, 0.2, 0.3, 0.4), need_anchor=True, anchor_index=1)
-    povm = _draw_povm(rng, 4, [(0.1, 0.1, 0.1, 0.3), (0.1, 0.1, 0.1, 0.5)])
-    complete = name == "two_qubit_mixed_unitary"
+        channels = closed_system_channels([(h, 1.0) for h in (hams if complete else hams[:3])],
+                                          n=3 if complete else 2)
+        spectrum, detector = (0.1, 0.9), [(0.4, 0.1), (0.5, 0.1)]
+    elif pure:
+        channels = [make_named_channel("random_cp", d=2, rank=4,
+                                       seed=int(rng.integers(2 ** 62)), label=f"cp{i + 1}")
+                    for i in range(17)]
+        spectrum, detector = (1.0, 0.0), [(0.4, 0.1), (0.5, 0.1)]
+    else:
+        pairs = [
+            (_random_traceless_hermitian(rng, 4), _random_traceless_hermitian(rng, 4))
+            for _ in range(30)
+        ]
+        channels = _mixed_unitary_channels(pairs if complete else pairs[:10],
+                                           weights=(0.3, 0.7), dt=1.0, n=30)
+        spectrum, detector = (0.1, 0.2, 0.3, 0.4), [(0.1, 0.1, 0.1, 0.3), (0.1, 0.1, 0.1, 0.5)]
+    basis = build_basis(len(spectrum))
     return Scenario(
         name=name, seed=seed, basis=basis, ensemble=ProcessEnsemble(tuple(channels)),
-        truth_state=state, truth_povm=povm,
+        truth_state=_draw_state(rng, basis, spectrum, need_anchor=not pure, anchor_index=1),
+        truth_povm=_draw_povm(rng, basis.d, detector),
+        estimator="v2" if pure else "v1", pure=pure,
         stage1=Stage1Config() if complete else Stage1Config(method="mp_inverse"),
         expect_complete=complete,
     )
@@ -287,16 +263,13 @@ def _sq_errors(sc: Scenario, rho: np.ndarray, povm: np.ndarray) -> tuple:
             (povm.real ** 2 + povm.imag ** 2).sum(axis=(1, 2, 3)))
 
 
-def _mse_row(n_total: int, errs_s, errs_p) -> MseRow:
-    k = len(errs_s)
-    return MseRow(
-        n=n_total,
-        mse_state=float(np.mean(errs_s)) if k else float("nan"),
-        se_state=float(np.std(errs_s, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan"),
-        mse_povm=float(np.mean(errs_p)) if k else float("nan"),
-        se_povm=float(np.std(errs_p, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan"),
-        trials=k,
-    )
+def _mse_row(n_total: int, *errs) -> MseRow:
+    """The row of the state and detector error lists: each list's mean and
+    the standard error of that mean, NaN where too few trials survived."""
+    k = len(errs[0])
+    stats = [(float(np.mean(e)) if k else float("nan"),
+              float(np.std(e, ddof=1) / np.sqrt(k)) if k >= 2 else float("nan")) for e in errs]
+    return MseRow(n_total, *stats[0], *stats[1], trials=k)
 
 
 def _shot_grid(n0_grid) -> list:
@@ -310,9 +283,11 @@ def _shot_grid(n0_grid) -> list:
     return grid
 
 
-def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, cases) -> list:
+def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list:
     """Simulate, estimate and score every case on shared datasets.
 
+    Reads what both runners take alike: ``n0_grid`` (``_shot_grid``), and
+    ``trials`` and ``seed`` as whole numbers >= 2 and >= 0, once per call.
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None (int arrays checked by ``_process_indices``) restrict
     both the datasets and the regression matrix.
@@ -328,9 +303,13 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
     estimates directly.  A dataset a step refuses is one failure of its own
     case, counted from the stack's ``refused`` mask and not estimated again,
     and leaves the other trials' estimates as they are; a step that refuses
-    the whole stack fails every trial of the block.  Returns
-    ``(rows, failures)`` per case.
+    the whole stack fails every trial of the block.  Returns one
+    ``MseTable`` per case, its metadata holding the keys every table
+    records; a runner adds its own.
     """
+    n0_grid = _shot_grid(n0_grid)
+    trials = _whole(trials, "trials", 2)
+    seed = _whole(seed, "seed", 0)
     full = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
     designs = [full if idx is None else factor_design(full.b[idx])
                for _, idx in cases]
@@ -363,7 +342,10 @@ def _run_trials(sc: Scenario, n0_grid, trials: int, seed: int, exact: bool, case
                         err.extend(block_err.tolist())
         for c in range(len(cases)):
             rows[c].append(_mse_row(copies[c], *errs[c]))
-    return [(tuple(r), f) for r, f in zip(rows, failures)]
+    return [MseTable(rows=tuple(r), scenario=sc.name, failures=f, metadata={
+        "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": seed, "n0_grid": n0_grid,
+        "trials": trials, "method": config.method, "reg_scale": config.reg_scale, "failures": f,
+    }) for r, f, (config, _) in zip(rows, failures, cases)]
 
 
 def run_mse_experiment(
@@ -382,19 +364,10 @@ def run_mse_experiment(
     Estimator degeneracies are counted as failures, not dropped silently;
     the per-row trial count reports the successes.
     """
-    n0_grid = _shot_grid(n0_grid)
-    trials = _whole(trials, "trials", 2)
-    seed = _whole(seed, "seed", 0)
-    config = config or sc.stage1
-    ((rows, failures),) = _run_trials(sc, n0_grid, trials, seed, exact, [(config, None)])
-    metadata = {
-        "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": seed,
-        "n0_grid": n0_grid, "trials": trials, "exact": exact,
-        "estimator": sc.estimator, "method": config.method,
-        "reg_scale": config.reg_scale, "failures": failures,
-        "n_processes": len(sc.ensemble), "d": sc.d,
-    }
-    return MseTable(rows=rows, scenario=sc.name, failures=failures, metadata=metadata)
+    (table,) = _run_trials(sc, n0_grid, trials, seed, exact, [(config or sc.stage1, None)])
+    table.metadata.update(exact=exact, estimator=sc.estimator, n_processes=len(sc.ensemble),
+                          d=sc.d)
+    return table
 
 
 def run_method_comparison(
@@ -415,27 +388,16 @@ def run_method_comparison(
     unique, since they key the returned tables.  ``seed`` is read as
     ``run_mse_experiment`` reads it.
     """
-    n0_grid = _shot_grid(n0_grid)
-    trials = _whole(trials, "trials", 2)
-    seed = _whole(seed, "seed", 0)
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")
     cases = [(config, None if indices is None else _process_indices(indices, len(sc.ensemble)))
              for _, config, indices in configs]
-    results = _run_trials(sc, n0_grid, trials, seed, False, cases)
-    out = {}
-    for label, (config, indices), (rows, failures) in zip(labels, cases, results):
-        metadata = {
-            "scenario": sc.name, "scenario_seed": sc.seed, "run_seed": seed,
-            "n0_grid": n0_grid, "trials": trials, "label": label,
-            "method": config.method, "reg_scale": config.reg_scale,
-            "process_indices": None if indices is None else indices.tolist(),
-            "failures": failures,
-        }
-        out[label] = MseTable(rows=rows, scenario=sc.name, failures=failures,
-                              metadata=metadata)
-    return out
+    tables = _run_trials(sc, n0_grid, trials, seed, False, cases)
+    for label, (_, indices), table in zip(labels, cases, tables):
+        table.metadata.update(label=label,
+                              process_indices=None if indices is None else indices.tolist())
+    return dict(zip(labels, tables))
 
 
 def fit_loglog_slope(table: MseTable, column: str = "mse_state"):

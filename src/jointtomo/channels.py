@@ -191,12 +191,13 @@ def is_generalized_unital(channel: KrausChannel):
 
 
 def _hamiltonian(h) -> np.ndarray:
-    """``h`` as a complex matrix, refused unless it is a finite, square and
-    Hermitian (``_skewed``) 2-D matrix."""
+    """The Hermitian part of ``h``, refused unless ``h`` is a finite, square
+    and Hermitian (``_skewed``) 2-D matrix.  Halved before the sum, so no
+    finite entry overflows; an exactly Hermitian ``h`` comes back as it is."""
     h = _array(h, "Hamiltonian", 2, complex, square=True)
     if _skewed(h):
         raise ValidationError("Hamiltonian must be Hermitian")
-    return h
+    return h / 2.0 + h.conj().T / 2.0
 
 
 def _unitary(u, what: str) -> np.ndarray:
@@ -214,8 +215,9 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Antisymmetric generator of coherence-vector dynamics for Hamiltonian h.
 
     Entries are ``R[a, b] = i Tr([h, Omega_a] Omega_b)`` over the traceless
-    part of the basis, so that ``exp(R t)`` equals the e-block of the transfer
-    matrix of the unitary channel ``exp(-i h t)``.  ``R`` is linear in ``h``,
+    part of the basis, for the Hermitian part of ``h`` (``_hamiltonian``),
+    so that ``exp(R t)`` equals the e-block of the transfer matrix of the
+    unitary channel ``exp(-i h t)``.  ``R`` is linear in ``h``,
     so an ``h`` with a part beyond 1 is first divided by the power of 2 that
     brings its largest part into [1, 2), which is exact and keeps every step
     finite, and ``R`` is scaled back; an ``h`` whose generator overflows is
@@ -230,13 +232,9 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     h = h / scale
     if abs(np.trace(h)) > 1e-9 * max(np.linalg.norm(h), 1e-30):
         raise ValidationError("Hamiltonian must be traceless")
-    n = basis.n_traceless
     omegas = basis.omegas[1:]
     comms = np.einsum("ij,ajk->aik", h, omegas) - np.einsum("aij,jk->aik", omegas, h)
-    r = 1j * np.einsum("aij,bji->ab", comms, omegas)
-    if np.max(np.abs(r.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(r.real)))):
-        raise ValidationError("generator has unexpected imaginary part")
-    r = r.real
+    r = (1j * np.einsum("aij,bji->ab", comms, omegas)).real
     if float(np.abs(r).max()) * scale == math.inf:  # Python floats overflow without a warning
         raise ValidationError("Hamiltonian is too large: its generator overflows")
     return (r - r.T) / 2.0 * scale  # kill roundoff asymmetry; exact antisymmetry by construction
@@ -372,10 +370,10 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
     ``h = v diag(lam) v^dag``.  ``eigh`` reads one triangle of ``h`` only, so
     ``h`` is first refused unless it is a finite, square, 2-D matrix that is
     Hermitian by the rule states and detector elements are held to
-    (``_skewed``).  ``dt`` may be any finite real number, and ``n`` must be
-    a whole number >= 1.  A step whose phase ``lam dt`` reaches ``2^52`` in
-    magnitude, where doubles are spaced a radian or more apart, carries no
-    phase and is refused.
+    (``_skewed``), and then replaced by its Hermitian part.  ``dt`` may be
+    any finite real number, and ``n`` must be a whole number >= 1.  A step
+    whose phase ``lam dt`` reaches ``2^52`` in magnitude, where doubles are
+    spaced a radian or more apart, carries no phase and is refused.
     """
     h = _hamiltonian(h)
     dt, n = _real(dt, "sampling interval"), _whole(n, "sampling point count", 1)

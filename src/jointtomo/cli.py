@@ -18,6 +18,7 @@ from .channels import (
     ProcessEnsemble,
     build_regression_matrices,
     closed_system_channels,
+    is_generalized_unital,
     min_hamiltonian_count,
     rank_bound,
 )
@@ -64,6 +65,27 @@ def _processes(args):
         samples = 3 if args.samples is None else args.samples
         ens = ProcessEnsemble(tuple(closed_system_channels(records, samples)))
     return ens, build_basis(ens.d), None
+
+
+def _v1_misfit(ens, sc):
+    """Index of the first process the coherence-vector (v1) model does not
+    describe (one not generalized-unital), or None.  A preset's ``estimator``
+    is "v1" exactly when all its processes fit, as a test holds."""
+    if sc is not None and sc.estimator == "v1":
+        return None
+    return next((a for a, ch in enumerate(ens.channels) if not is_generalized_unital(ch)[0]),
+                None)
+
+
+def _require_v1(ens, sc) -> None:
+    """Refuses, before the dataset is read, an ensemble with a ``_v1_misfit``."""
+    a = _v1_misfit(ens, sc)
+    if a is not None:
+        label = ens.channels[a].label
+        raise ValidationError(
+            f"process {a + 1}{f' ({label})' if label else ''} is not generalized-unital, so "
+            "the coherence-vector (v1) model does not describe it; use estimate --version v2 "
+            "or export-sos --pure")
 
 
 def _truth(args, sc):
@@ -151,10 +173,12 @@ def _report_errors(result, state, povm, quiet: bool) -> None:
 def _cmd_estimate(args) -> int:
     ens, basis, sc = _processes(args)
     state, povm = _truth(args, sc)
+    version = args.version or (sc.estimator if sc else "v1")
+    if version == "v1":
+        _require_v1(ens, sc)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     config = _stage1_config(args)
-    version = args.version or (sc.estimator if sc else "v1")
     if version == "v2":
         result = estimate_joint_v2(ds, reg.design_natural, config)
     else:
@@ -173,6 +197,7 @@ def _cmd_refine(args) -> int:
     _whole(args.iters, "iters", 0)  # refine_alternating's check, before any file is read
     ens, basis, sc = _processes(args)
     state, povm = _truth(args, sc)
+    _require_v1(ens, sc)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     init = estimate_joint_v1(ds, reg.design, basis, _stage1_config(args))
@@ -189,7 +214,9 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_export_sos(args) -> int:
-    ens, basis, _ = _processes(args)
+    ens, basis, sc = _processes(args)
+    if not args.pure:
+        _require_v1(ens, sc)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     problem = export_sos_problem(ds, reg.b_natural if args.pure else reg.b, basis, args.out,
@@ -202,7 +229,7 @@ def _cmd_export_sos(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
-    ens, basis, _ = _processes(args)
+    ens, basis, sc = _processes(args)
     reg = build_regression_matrices(ens, basis)
     d = basis.d
     n2 = basis.n_traceless ** 2
@@ -211,6 +238,9 @@ def _cmd_rank_check(args) -> int:
     print(f"L = {len(ens)} processes, d = {d}")
     print(f"rank(B) = {reg.rank_b} of {n2}")
     print(f"rank(B_natural) = {reg.rank_b_natural} <= bound {bound} (cap {d ** 4})")
+    misfit = _v1_misfit(ens, sc)
+    print("v1 model applies: " + ("yes" if misfit is None else
+                                  f"no (process {misfit + 1} is not generalized-unital)"))
     print(f"complete (v1): {'yes' if reg.complete_v1 else 'no'}")
     print(f"complete (v2): {'yes' if reg.complete_v2 else 'no'}")
     print(f"minimum Hamiltonians for d={d}: {count} (n_min = {n_min})")

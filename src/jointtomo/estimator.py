@@ -593,12 +593,14 @@ def estimate_joint_v1(
 ) -> EstimateResult:
     """Full coherence-vector reconstruction from one dataset.
 
-    ``b`` stacks the transfer e-blocks of the (generalized-unital) probe
-    processes, one vectorized block per row, as any real array-like matrix
+    ``b`` stacks the transfer e-blocks of the probe processes, one
+    vectorized block per row, as any real array-like matrix
     (a complex one is refused) or as its ``factor_design`` record, which a
     raw matrix is turned into here (factored once per process).
     Each outcome's scale is fixed by the measured anchor coordinate; its
-    anchor value is that coordinate of the unscaled state factor.
+    anchor value is that coordinate of the unscaled state factor.  The model
+    holds only for generalized-unital processes (``is_generalized_unital``),
+    which a raw design cannot show; otherwise use ``estimate_joint_v2``.
     """
     (result,) = _estimates_v1(_one_stack(ds), b, basis, config).results()
     return result

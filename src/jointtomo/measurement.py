@@ -216,6 +216,8 @@ def sampling_table(p) -> np.ndarray:
         raise ValidationError(f"need at least one outcome to sample, got shape {p.shape}")
     if p.min() < -1e-12:
         raise ValidationError(f"negative probability {p.min():.3e}")
+    if p.max() > 1.0 + 1e-9:  # before the sum, which a huge entry would overflow
+        raise ValidationError(f"probability {p.max():.12g} > 1")
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=-1, keepdims=True)
     if (total > 1.0 + 1e-9).any():
@@ -264,6 +266,8 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     for name, values in (("y_hat", y), ("x_a0_hat", x_a0), ("c_j0_hat", c_j0)):
         if values.size and values.min() < 0.0:
             raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
+    if y.size and y.max() > 1.0 + 1e-9:  # before the sum, which a huge entry would overflow
+        raise ValidationError(f"y_hat has a frequency {y.max():.12g} above 1")
     if (y.sum(axis=-1) > 1.0 + 1e-9).any():
         raise ValidationError("a frequency row sums above 1")
     t, l, m = y.shape

@@ -283,8 +283,10 @@ def refine_alternating(
     completeness constraint) and for the state coordinates (with the anchor
     coordinate pinned to its measured value), projecting each block onto its
     physical set afterwards.  ``ds`` is one MeasurementDataset and ``init``
-    the EstimateResult to start from.  ``ds``, ``b`` and the targets pass
-    the estimator's one contract (``_targets_v1``); ``b`` is raw or its
+    the EstimateResult to start from.  Like ``estimate_joint_v1``, it needs
+    generalized-unital processes, which a raw design cannot show.  ``ds``,
+    ``b`` and the targets pass the estimator's one contract
+    (``_targets_v1``); ``b`` is raw or its
     ``factor_design`` record, a raw matrix reaches that record through
     ``factor_design``'s memo, and a design with a non-finite entry is
     refused with DegeneracyError.  A sweep is

@@ -328,10 +328,11 @@ def export_sos_problem(
     a file is written.  ``b`` is the design of the program written, raw or
     as its ``factor_design`` record, and is refused if it has a non-finite
     entry.  By default it is the coherence-vector matrix, checked with its
-    targets by the estimator's one contract (``_targets_v1``), and the
-    program expands the objective over the state and detector coordinates
-    with completeness and anchor equalities plus the semialgebraic
-    positivity inequalities.  With ``pure=True`` it is the ``L x d^4``
+    targets by the estimator's one contract (``_targets_v1``) but not for
+    the generalized-unital processes its model needs, and the program
+    expands the objective over the state and detector coordinates with
+    completeness and anchor equalities plus the semialgebraic positivity
+    inequalities.  With ``pure=True`` it is the ``L x d^4``
     natural-basis matrix ``b_natural``, and the program is written over the
     real and imaginary amplitudes of a unit state vector plus full detector
     coordinates, regressing the raw frequencies; the state positivity

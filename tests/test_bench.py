@@ -13,6 +13,7 @@ from jointtomo import (
     estimate_joint_v2,
     factor_design,
     fit_loglog_slope,
+    is_generalized_unital,
     preset,
     project_pure,
     run_method_comparison,
@@ -122,6 +123,29 @@ def test_preset_completeness_expectations():
             assert reg.complete_v1 == sc.expect_complete
         else:
             assert reg.complete_v2 == sc.expect_complete
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_is_v1_exactly_when_its_processes_are_generalized_unital(name):
+    """The CLI reads a preset's estimator as this verdict (``cli._v1_misfit``)."""
+    sc = preset(name)
+    fits = all(is_generalized_unital(ch)[0] for ch in sc.ensemble.channels)
+    assert (sc.estimator == "v1") == fits
+
+
+def test_each_runner_records_the_shared_metadata_and_its_own():
+    sc = preset("one_qubit_closed_incomplete")
+    shared = {"scenario": sc.name, "scenario_seed": 0, "run_seed": 2, "n0_grid": [100, 1000],
+              "trials": 2, "method": "mp_inverse", "reg_scale": None}
+    table = run_mse_experiment(sc, [100, 1e3], trials=2, seed=2)
+    assert table.metadata == {**shared, "failures": table.failures, "exact": False,
+                              "estimator": "v1", "n_processes": 6, "d": 2}
+    tables = run_method_comparison(sc, [100, 1e3], 2, seed=2, configs=[
+        ("all", sc.stage1, None), ("some", sc.stage1, [5, 0, 1, 2])])
+    for label, indices in (("all", None), ("some", [5, 0, 1, 2])):
+        assert tables[label].metadata == {**shared, "failures": tables[label].failures,
+                                          "label": label, "process_indices": indices}
+    assert tables["all"].rows == table.rows
 
 
 def test_exact_mode_mse_is_zero():

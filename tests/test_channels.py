@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
@@ -602,8 +602,8 @@ _HERMITIAN_ENTRIES = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _hermitian_matrices(draw):
-    d = draw(st.sampled_from([2, 3, 4]))
+def _hermitian_matrices(draw, d=None):
+    d = d or draw(st.sampled_from([2, 3, 4]))
     g = draw(arrays(float, (2, d, d), elements=_HERMITIAN_ENTRIES))
     h = g[0] + 1j * g[1]
     return (h + h.conj().T) / 2.0
@@ -619,6 +619,31 @@ def test_sampled_unitaries_are_the_exponentials_of_their_hamiltonian(h, dt, n):
     for k, u in enumerate(evolutions, start=1):
         assert np.abs(u - expm(-1j * h * k * dt)).max() <= tol
         assert np.abs(u @ u.conj().T - eye).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(
+    lambda d: st.tuples(_hermitian_matrices(d), _hermitian_matrices(d))), st.floats(0.0, 0.4))
+def test_the_hamiltonian_maps_read_the_hermitian_part_of_what_they_accept(pair, size):
+    """A traceless Hermitian ``h`` plus an anti-Hermitian ``i s`` small
+    enough for ``_skewed`` gives the generator and the evolutions of its
+    Hermitian part, with no second, stricter rule on the generator's
+    imaginary part."""
+    d = len(pair[0])
+    h, s = (m - np.trace(m) / d * np.eye(d) for m in pair)
+    norm = np.linalg.norm(s)
+    assume(norm > 1e-3)
+    m = h + 1j * s * (size * 1e-9 * max(1.0, np.linalg.norm(h)) / (2.0 * norm))
+    part = m / 2.0 + m.conj().T / 2.0
+    basis = build_basis(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generator = hamiltonian_generator(m, basis)
+        assert np.array_equal(generator, hamiltonian_generator(part, basis))
+        assert np.abs(generator - hamiltonian_generator(h, basis)).max() <= 1e-8 * max(
+            1.0, np.linalg.norm(h))
+        for u, v in zip(sampled_unitaries(m, 0.7, 3), sampled_unitaries(part, 0.7, 3)):
+            assert np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("h", [

@@ -179,7 +179,7 @@ def test_rank_check_preset(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "rank(B) = 9 of 9" in out
-    assert "complete (v1): yes" in out
+    assert "v1 model applies: yes" in out and "complete (v1): yes" in out
     assert "minimum Hamiltonians for d=2: 3 (n_min = 3)" in out
 
 
@@ -191,7 +191,7 @@ def test_rank_check_channel_files(tmp_path, capsys):
     rc = run_cli("rank-check", "--channels", str(path))
     assert rc == 0
     out = capsys.readouterr().out
-    assert "rank(B) = 2 of 9" in out
+    assert "rank(B) = 2 of 9" in out and "v1 model applies: yes" in out
     rng = np.random.default_rng(0)
     tp = ProcessEnsemble(tuple(
         make_named_channel("random_cp", d=2, rank=4, seed=int(rng.integers(2 ** 32)), tp=True)
@@ -200,6 +200,7 @@ def test_rank_check_channel_files(tmp_path, capsys):
     rc = run_cli("rank-check", "--channels", str(path))
     out = capsys.readouterr().out
     assert "rank(B_natural) = 13 <= bound 13" in out
+    assert "v1 model applies: no (process 1 is not generalized-unital)" in out
     assert "complete (v2): no" in out
 
 
@@ -481,6 +482,18 @@ def inputs(tmp_path_factory):
     with open(paths["garbage"], "wb") as fh:
         fh.write(b"\xff{not json")
     paths["missing"] = str(root / "missing.json")
+    # Processes the coherence-vector (v1) model does not describe: the pure
+    # preset's, and 16 trace-preserving random channels, with exact data.
+    paths["pure_dataset"], paths["tp"] = str(root / "pure.json"), str(root / "tp.json")
+    paths["tp_dataset"] = str(root / "tp_ds.json")
+    assert main(["simulate", "--preset", "one_qubit_random_pure", "--n0", "1000",
+                 "--out", paths["pure_dataset"], "--quiet"]) == 0
+    save_ensemble(ProcessEnsemble(tuple(
+        make_named_channel("random_cp", d=2, rank=4, seed=seed, tp=True)
+        for seed in range(16))), paths["tp"])
+    assert main(["simulate", "--channels", paths["tp"], "--state", paths["state"],
+                 "--povm", paths["povm"], "--exact", "--out", paths["tp_dataset"],
+                 "--quiet"]) == 0
     return paths
 
 
@@ -557,6 +570,38 @@ def test_truth_files_of_another_dimension_are_refused_before_writing(tmp_path, c
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: --state/--povm do not")
     assert not out.exists()
+
+
+_PURE = ("--preset", "one_qubit_random_pure", "--dataset", "{pure_dataset}")
+_TP = ("--channels", "{tp}", "--dataset", "{tp_dataset}")
+
+
+@pytest.mark.parametrize("argv, process", [
+    pytest.param(("refine", *_PURE), "process 1 (cp1)", id="refine-preset"),
+    pytest.param(("estimate", *_PURE, "--version", "v1"), "process 1 (cp1)",
+                 id="estimate-v1-preset"),
+    pytest.param(("estimate", *_PURE, "--version", "v1", "--pure"), "process 1 (cp1)",
+                 id="estimate-v1-pure-preset"),
+    pytest.param(("export-sos", *_PURE), "process 1 (cp1)", id="export-sos-preset"),
+    pytest.param(("estimate", *_TP), "process 1 (random_cp(2,4,0))", id="estimate-file"),
+    pytest.param(("refine", *_TP), "process 1 (random_cp(2,4,0))", id="refine-file"),
+    pytest.param(("export-sos", *_TP), "process 1 (random_cp(2,4,0))", id="export-sos-file"),
+])
+def test_processes_the_v1_model_does_not_describe_are_refused_before_writing(
+        tmp_path, capsys, inputs, argv, process):
+    out = tmp_path / "out"
+    assert main([arg.format(**inputs) for arg in argv] + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"error: {process} is not generalized-unital, so the "
+                          "coherence-vector (v1) model does not describe it")
+    assert err.endswith("; use estimate --version v2 or export-sos --pure")
+    assert not out.exists()
+    # the natural-basis path the message points to takes the same processes
+    fix = {"estimate": ["--version", "v2", "--method", "mp"], "export-sos": ["--pure"]}
+    if argv[0] in fix:
+        argv = [arg.format(**inputs) for arg in argv] + fix[argv[0]]
+        assert main(argv + ["--out", str(out), "--quiet"]) == 0
+        assert out.exists()
 
 
 # Value tokens per flag, valid ones and bad ones: negative, fractional, nan,

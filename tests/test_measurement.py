@@ -250,6 +250,8 @@ def test_batched_sampling_matches_a_per_row_loop_on_tp_ensembles():
     ("x01_bar", np.nan),
     # right length, wrong shape: a column where a vector belongs
     ("x_a0_hat", "column"), ("tp_flags", "column"), ("c_j0_hat", "column"),
+    # every entry 1e308: the row sums would overflow
+    ("y_hat", "huge"),
 ])
 def test_dataset_rejects_bad_frequencies(field, value):
     good = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(2, 0.7),
@@ -260,11 +262,13 @@ def test_dataset_rejects_bad_frequencies(field, value):
     if field == "x01_bar":
         bad[field] = value
     elif isinstance(value, str):
-        bad[field] = bad[field][:, None]
+        bad[field] = np.full_like(bad[field], 1e308) if value == "huge" else bad[field][:, None]
     else:
         bad[field].flat[0] = value
-    with pytest.raises(ValidationError):
-        MeasurementDataset(**bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError):
+            MeasurementDataset(**bad)
 
 
 def test_dataset_refuses_frequencies_that_are_not_a_matrix():
@@ -611,6 +615,18 @@ def test_sampling_refuses_an_empty_probability_array(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sampling_table(np.full((2, 2), 1e308)),
+    lambda: sample_frequencies(np.full(3, 1e308), 10, 0),
+    lambda: sampling_table([[0.2, 0.3], [1.5, 0.0]]),
+], ids=["table-huge", "sample-huge", "table-entry-above-one"])
+def test_sampling_refuses_a_probability_above_one_before_summing(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match=r"^probability .* > 1$"):
+            call()
+
+
 def _dataset_error(build, **fields):
     """The message ``build(**fields)`` raises, or None."""
     try:
@@ -621,7 +637,7 @@ def _dataset_error(build, **fields):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("y_hat", np.nan), ("y_hat", np.inf), ("y_hat", -0.3), ("y_hat", 0.9),
+    ("y_hat", np.nan), ("y_hat", np.inf), ("y_hat", -0.3), ("y_hat", 0.9), ("y_hat", 1e308),
     ("x_a0_hat", np.nan), ("x_a0_hat", -0.1),
     ("c_j0_hat", np.inf), ("c_j0_hat", -0.2),
     ("x01_bar", np.nan), ("x01_bar", -np.inf),

@@ -1,5 +1,10 @@
 """Joint reconstruction of an unknown quantum state and detector from the
-statistics of multiple known quantum processes."""
+statistics of multiple known quantum processes.
+
+The exporter's names (``_SOS_NAMES``) are resolved on first use through the
+module's ``__getattr__``, so importing the package does not load
+``jointtomo.sos`` or the file formats it writes (``jointtomo.serialize``).
+"""
 
 from .basis import (
     OperatorBasis,
@@ -74,14 +79,29 @@ from .measurement import (
     simulate_dataset,
 )
 from .refine import refine_alternating
-from .sos import (
-    SemialgebraicCert,
-    SosProblem,
-    export_sos_problem,
-    in_physical_set,
-    k_coefficients,
-    load_sos_problem,
-    povm_membership,
-)
 
 __version__ = "0.1.0"
+
+_SOS_NAMES = (
+    "SemialgebraicCert",
+    "SosProblem",
+    "export_sos_problem",
+    "in_physical_set",
+    "k_coefficients",
+    "load_sos_problem",
+    "povm_membership",
+)
+
+
+def __getattr__(name):
+    if name not in _SOS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sos
+
+    value = getattr(sos, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOS_NAMES})

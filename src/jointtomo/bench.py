@@ -109,14 +109,17 @@ class Scenario:
                                 scale_observable=self.anchor_index, basis=self.basis)
 
 
-def _mixed_unitary_channels(ham_pairs, weights, dt: float, n: int) -> list:
-    channels = []
+def _mixed_unitary_channels(ham_pairs, weights, dt: float, n: int) -> tuple:
+    """The channels ``sum_i w_i U_i rho U_i^dag`` of each pair sampled at n
+    times, checked by one stacked pass (``KrausChannel.stacked``)."""
+    kraus, labels = [], []
     for a, pair in enumerate(ham_pairs):
         evolutions = zip(*(sampled_unitaries(h, dt, n) for h in pair))
         for k, powers in enumerate(evolutions, start=1):
-            kraus = np.stack([np.sqrt(w) * p for w, p in zip(weights, powers)])
-            channels.append(KrausChannel(kraus.shape[1], kraus, label=f"pair{a + 1}_k{k}"))
-    return channels
+            kraus.append([np.sqrt(w) * p for w, p in zip(weights, powers)])
+            labels.append(f"pair{a + 1}_k{k}")
+    kraus = np.array(kraus)
+    return KrausChannel.stacked(kraus.shape[-1], kraus, labels)
 
 
 def _draw_state(rng, basis, eigenvalues, need_anchor: bool, anchor_index: int) -> DensityMatrix:

@@ -13,6 +13,16 @@ A process maps the identity to a multiple of itself exactly when ``h = 0``
 ("generalized-unital"), which is the regime where the coherence-vector
 regression applies.
 
+Channels are checked by one stacked pass over a Kraus stack ``(L, k, d, d)``
+(``KrausChannel.stacked``), of which the constructor is the case L = 1: the
+largest eigenvalue of every Kraus sum ``sum_i A_i^dag A_i`` must be at most
+``1 + KRAUS_TOL``, and a failing stack raises the message the constructor
+raises for its first failing channel.  The preset builders make their
+channels this way, checked once.  The per-channel flags an ensemble derives
+come from its zero-padded ``kraus_stack`` by the same stacked sums: which
+channels preserve the trace (``tp_flags``) and which are generalized-unital
+(``unital_flags``).
+
 The module runs on numpy alone, so importing the package does not load
 ``scipy.linalg`` (whose import costs about as much as numpy's).  The three
 calls numpy has no counterpart for import it where they are made: ``expm``
@@ -29,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis, change_of_basis
-from .errors import ValidationError, _array, _real, _rng, _whole
+from .errors import ValidationError, _array, _new, _real, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -45,6 +55,34 @@ KRAUS_GRAM_TOL = 1e-8
 GENERALIZED_UNITAL_TOL = 1e-8
 
 
+def _kraus_grams(kraus: np.ndarray) -> np.ndarray:
+    """The Kraus sums ``sum_i A_i^dag A_i`` of a stack ``(..., k, d, d)``."""
+    return np.einsum("...kij,...kil->...jl", kraus.conj(), kraus)
+
+
+def _trace_preserving(kraus: np.ndarray) -> np.ndarray:
+    """Which channels of a Kraus stack ``(..., k, d, d)`` preserve the trace:
+    ``||sum_i A_i^dag A_i - I|| <= KRAUS_TOL d`` (Frobenius norm)."""
+    d = kraus.shape[-1]
+    return np.linalg.norm(_kraus_grams(kraus) - np.eye(d), axis=(-2, -1)) <= KRAUS_TOL * d
+
+
+def _checked_kraus(d: int, kraus: np.ndarray) -> np.ndarray:
+    """The channel check on a stack ``(L, k, d, d)`` of finite Kraus
+    matrices: ``kraus`` itself, refused with the message ``KrausChannel``
+    raises for the first channel whose Kraus sum has an eigenvalue above
+    ``1 + KRAUS_TOL``."""
+    if kraus.ndim != 4 or kraus.shape[1] < 1 or kraus.shape[2:] != (d, d):
+        raise ValidationError(
+            f"kraus must have shape (k, {d}, {d}) with k >= 1, got {kraus.shape[1:]}")
+    top = np.linalg.eigvalsh(_kraus_grams(kraus))[:, -1]
+    bad = top > 1.0 + KRAUS_TOL
+    if bad.any():
+        raise ValidationError(
+            f"Kraus inequality violated: max eig(sum A^dag A) = {top[bad.argmax()]:.6g} > 1")
+    return kraus
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive, trace-non-increasing map given by Kraus matrices."""
@@ -56,25 +94,31 @@ class KrausChannel:
     def __post_init__(self):
         d = _whole(self.d, "channel dimension", 1)
         kraus = _array(self.kraus, "kraus", 3, complex)
-        if kraus.shape[0] < 1 or kraus.shape[1:] != (d, d):
-            raise ValidationError(
-                f"kraus must have shape (k, {d}, {d}) with k >= 1, got {kraus.shape}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "kraus", kraus)
-        gram = self.kraus_gram()
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        if top > 1.0 + KRAUS_TOL:
-            raise ValidationError(
-                f"Kraus inequality violated: max eig(sum A^dag A) = {top:.6g} > 1"
-            )
+        object.__setattr__(self, "kraus", _checked_kraus(d, kraus[None])[0])
+
+    @classmethod
+    def stacked(cls, d: int, kraus, labels) -> tuple:
+        """The channels of a stack ``(L, k, d, d)`` of Kraus matrices, one per
+        label, checked by one stacked pass that applies the constructor's
+        test and tolerance to every channel and raises the constructor's
+        message for the first that fails.  Each channel's ``kraus`` is a view
+        of the checked stack."""
+        d = _whole(d, "channel dimension", 1)
+        kraus = _checked_kraus(d, _array(kraus, "a stack of Kraus matrices", 4, complex))
+        labels = tuple(labels)
+        if len(labels) != len(kraus):
+            raise ValidationError(f"need one label per channel: {len(kraus)} channels, "
+                                  f"{len(labels)} labels")
+        return tuple(_new(cls, d=d, kraus=k, label=label) for k, label in zip(kraus, labels))
 
     def kraus_gram(self) -> np.ndarray:
         """``sum_i A_i^dag A_i``; equals I exactly for trace-preserving maps."""
-        return np.einsum("kij,kil->jl", self.kraus.conj(), self.kraus)
+        return _kraus_grams(self.kraus)
 
     @property
     def is_trace_preserving(self) -> bool:
-        return bool(np.linalg.norm(self.kraus_gram() - np.eye(self.d)) <= KRAUS_TOL * self.d)
+        return bool(_trace_preserving(self.kraus))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve a matrix through the channel by direct Kraus application."""
@@ -133,8 +177,24 @@ class ProcessEnsemble:
 
     @cached_property
     def tp_flags(self) -> np.ndarray:
-        """Read-only flags: which channels are trace-preserving."""
-        flags = np.array([ch.is_trace_preserving for ch in self.channels])
+        """Read-only flags: which channels are trace-preserving, read off the
+        Kraus stack by one stacked sum (``KrausChannel.is_trace_preserving``
+        is the one-channel case)."""
+        flags = _trace_preserving(self.kraus_stack)
+        flags.setflags(write=False)
+        return flags
+
+    @cached_property
+    def unital_flags(self) -> np.ndarray:
+        """Read-only flags: which channels are generalized-unital, each
+        decided as ``is_generalized_unital`` decides it, ``||h|| <=
+        GENERALIZED_UNITAL_TOL``, with every ``h`` read in one pass: ``h_a``
+        holds the traceless coordinates of ``Phi_a(I / sqrt(d))``, so its norm
+        is the Frobenius norm of that output's traceless part."""
+        out = self.apply(np.eye(self.d) / math.sqrt(self.d))
+        trace = np.trace(out, axis1=1, axis2=2) / self.d
+        traceless = out - trace[:, None, None] * np.eye(self.d)
+        flags = np.linalg.norm(traceless, axis=(-2, -1)) <= GENERALIZED_UNITAL_TOL
         flags.setflags(write=False)
         return flags
 
@@ -193,11 +253,18 @@ def is_generalized_unital(channel: KrausChannel):
 def _hamiltonian(h) -> np.ndarray:
     """The Hermitian part of ``h``, refused unless ``h`` is a finite, square
     and Hermitian (``_skewed``) 2-D matrix.  Halved before the sum, so no
-    finite entry overflows; an exactly Hermitian ``h`` comes back as it is."""
+    finite entry overflows; an exactly Hermitian ``h`` with no subnormal
+    entry comes back as it is.  Halving rounds an odd multiple of the
+    smallest subnormal to an even one, which the next halving keeps, so the
+    part is taken twice, and a zero's sign is dropped (``eigh`` reads it):
+    that makes the map idempotent, so an ``h`` and its Hermitian part give
+    the same maps bit for bit."""
     h = _array(h, "Hamiltonian", 2, complex, square=True)
     if _skewed(h):
         raise ValidationError("Hamiltonian must be Hermitian")
-    return h / 2.0 + h.conj().T / 2.0
+    for _ in range(2):
+        h = h / 2.0 + h.conj().T / 2.0
+    return h + 0.0
 
 
 def _unitary(u, what: str) -> np.ndarray:
@@ -392,10 +459,16 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
 
 
 def closed_system_channels(records, n: int) -> list:
-    """Unitary channels ``H{i}_k{k}`` sampled at n times from each ``(h, dt)``."""
-    return [make_named_channel("unitary", u=u, label=f"H{i + 1}_k{k}")
-            for i, (h, dt) in enumerate(records)
-            for k, u in enumerate(sampled_unitaries(h, dt, n), start=1)]
+    """Unitary channels ``H{i}_k{k}`` sampled at n times from each ``(h, dt)``,
+    checked by one stacked pass (``KrausChannel.stacked``)."""
+    sampled = [(u, f"H{i + 1}_k{k}") for i, (h, dt) in enumerate(records)
+               for k, u in enumerate(sampled_unitaries(h, dt, n), start=1)]
+    if not sampled:
+        return []
+    unitaries, labels = zip(*sampled)
+    if len({len(u) for u in unitaries}) > 1:
+        raise ValidationError("all channels in an ensemble must share the dimension")
+    return list(KrausChannel.stacked(len(unitaries[0]), np.stack(unitaries)[:, None], labels))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:

@@ -18,7 +18,6 @@ from .channels import (
     ProcessEnsemble,
     build_regression_matrices,
     closed_system_channels,
-    is_generalized_unital,
     min_hamiltonian_count,
     rank_bound,
 )
@@ -30,7 +29,6 @@ from .estimator import (
     project_pure,
 )
 from .measurement import simulate_dataset
-from .sos import export_sos_problem
 
 _METHOD_NAMES = {"ls": "plain_ls", "plain_ls": "plain_ls", "mp": "mp_inverse",
                  "mp_inverse": "mp_inverse", "tikhonov": "tikhonov"}
@@ -69,12 +67,13 @@ def _processes(args):
 
 def _v1_misfit(ens, sc):
     """Index of the first process the coherence-vector (v1) model does not
-    describe (one not generalized-unital), or None.  A preset's ``estimator``
-    is "v1" exactly when all its processes fit, as a test holds."""
+    describe (one not generalized-unital), or None, read off the stacked
+    ``ProcessEnsemble.unital_flags``.  A preset's ``estimator`` is "v1"
+    exactly when all its processes fit, as a test holds."""
     if sc is not None and sc.estimator == "v1":
         return None
-    return next((a for a, ch in enumerate(ens.channels) if not is_generalized_unital(ch)[0]),
-                None)
+    flags = ens.unital_flags
+    return None if flags.all() else int(flags.argmin())
 
 
 def _require_v1(ens, sc) -> None:
@@ -214,6 +213,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_export_sos(args) -> int:
+    from .sos import export_sos_problem  # the one command that needs the exporter
+
     ens, basis, sc = _processes(args)
     if not args.pure:
         _require_v1(ens, sc)

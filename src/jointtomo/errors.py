@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the input readers.
 
 Every whole-number or real-number input of the package is read by
-``_whole`` or ``_real``, every seed by ``_rng`` and every array by
-``_array``, so one place decides what a valid scalar, seed or array is and
-how its refusal reads.  Whether a matrix is Hermitian is decided by one
+``_whole`` or ``_real``, every seed by ``_rng``, every array by ``_array``
+and every record argument by ``_record``, so one place decides what a valid
+scalar, seed, array or record is and how its refusal reads.  A record whose
+fields were checked already is made by ``_new``, without checking them
+again.  Whether a matrix is Hermitian is decided by one
 rule too, ``basis._skewed``, next to the coordinate map that needs it.
 """
 
@@ -55,6 +57,22 @@ def _real(value, what: str) -> float:
     if not np.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return float(x)
+
+
+def _record(value, cls: type, what: str):
+    """``value`` itself, refused by name unless it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(
+            f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _new(cls, **fields):
+    """An instance of a frozen dataclass whose fields were checked already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 _SEED_OBJECTS = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)

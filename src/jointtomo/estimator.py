@@ -62,8 +62,8 @@ import numpy as np
 
 from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
-from .errors import DegeneracyError, TomographyError, ValidationError, _array, _real, _whole
-from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm, _new
+from .errors import DegeneracyError, TomographyError, ValidationError, _array, _new, _real, _whole
+from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a

@@ -22,8 +22,12 @@ and the scale observable's outcomes) are fixed by the ensemble and the truth:
 ``ideal_statistics`` checks them, pads them with the loss outcome and
 normalizes them into read-only tables, and each simulated trial only draws
 from those tables, so its dataset is valid as drawn and is not checked
-again.  Shot counts must be whole numbers >= 1, and a sampled draw takes
-at most 2**63 - 1 of them.
+again.  The statistics are computed once per process for each (ensemble,
+truth, anchor, basis), as ``factor_design`` factors each design once: the
+last few records are kept and returned while the truth's arrays still equal
+the copies taken when the record was made, so writing into a truth array in
+place makes a new record.  Shot counts must be whole numbers >= 1, and a
+sampled draw takes at most 2**63 - 1 of them.
 
 Datasets, states and detectors are each checked by one stacked pass, of
 which the constructors are the case T = 1, and a failing stack raises the
@@ -44,18 +48,11 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import ValidationError, _array, _rng, _whole
+from .errors import ValidationError, _array, _new, _record, _rng, _whole
 
 PSD_TOL = 1e-10
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
 _MAX_DRAWN_SHOTS = 2 ** 63 - 1
-
-
-def _new(cls, **fields):
-    """An instance of a frozen dataclass whose fields were checked already."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _hermitian_psd(x: np.ndarray) -> tuple:
@@ -443,6 +440,20 @@ def _check_basis(basis: OperatorBasis, d: int) -> None:
         raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
 
 
+def _truth_records(ens, truth_state, truth_povm) -> None:
+    """Refuses, by name, an ensemble, state or detector of the wrong type."""
+    _record(ens, ProcessEnsemble, "ensemble")
+    _record(truth_state, DensityMatrix, "truth state")
+    _record(truth_povm, Povm, "truth detector")
+
+
+# How many truths ``ideal_statistics`` keeps the statistics of, and the
+# records it keeps, most recently used first, each as ``(record, basis, rho,
+# elements)``: the basis it was made for and copies of the truth's arrays.
+_MEMO_SIZE = 4
+_memo = []
+
+
 def ideal_statistics(
     ens: ProcessEnsemble,
     truth_state: DensityMatrix,
@@ -451,12 +462,23 @@ def ideal_statistics(
     basis: OperatorBasis = None,
 ) -> IdealStatistics:
     """Every probability the data-collection protocol samples from, with
-    the checked tables its draws read.
+    the checked tables its draws read, computed once per process for each
+    (ensemble, truth, anchor, basis).
 
     ``scale_observable`` selects which basis operator Omega_k is measured on
     the input state to pin the reconstruction scale: a whole number k in
-    ``1..d^2-1``.
+    ``1..d^2-1``.  ``basis`` None means ``build_basis(d)``.
+
+    The last ``_MEMO_SIZE`` records made here are kept.  A call with the
+    same ensemble, state, detector and basis objects and the same anchor
+    returns its record as it is, as long as the state's ``rho`` and the
+    detector's ``elements`` still equal the copies taken when the record was
+    made.  Otherwise the statistics are computed anew, and the record
+    replaces the least recently used one: after writing into either array
+    in place, or for another anchor, basis object or truth object.  Inputs
+    that are refused are refused on every call and never kept.
     """
+    _truth_records(ens, truth_state, truth_povm)
     if ens.d != truth_state.d or ens.d != truth_povm.d:
         raise ValidationError("ensemble, state and detector dimensions must agree")
     _check_basis(basis, ens.d)
@@ -467,6 +489,14 @@ def ideal_statistics(
         raise ValidationError(
             f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
         )
+    for i, (ideal, kept_basis, rho, elements) in enumerate(_memo):
+        if (ideal.ensemble is ens and ideal.truth_state is truth_state
+                and ideal.truth_povm is truth_povm and kept_basis is basis
+                and ideal.anchor_index == scale_observable
+                and np.array_equal(rho, truth_state.rho)
+                and np.array_equal(elements, truth_povm.elements)):
+            _memo.insert(0, _memo.pop(i))
+            return ideal
     # All processes in one stacked pass: outputs, then their probabilities.
     rho_out = ens.apply(truth_state.rho)
     p = born_probabilities(rho_out, truth_povm)
@@ -480,7 +510,10 @@ def ideal_statistics(
               sampling_table(p), sampling_table(q), sampling_table(probs))
     for a in arrays:
         a.setflags(write=False)
-    return IdealStatistics(ens, truth_state, truth_povm, scale_observable, *arrays)
+    ideal = IdealStatistics(ens, truth_state, truth_povm, scale_observable, *arrays)
+    _memo.insert(0, (ideal, basis, truth_state.rho.copy(), truth_povm.elements.copy()))
+    del _memo[_MEMO_SIZE:]
+    return ideal
 
 
 def simulate_dataset(
@@ -505,20 +538,24 @@ def simulate_dataset(
     bypasses all sampling and records the ideal values (a simulation switch
     for pipeline-exactness checks, not a physical claim).  ``ideal`` is the
     ``ideal_statistics`` of these same inputs, computed once for many calls;
-    without it they are computed here.  Either way the draws are the same:
-    one multinomial per table of ``ideal``, whose probabilities were checked
-    when it was made, and a binomial for the lossy processes' survival.  So
-    the dataset is valid as drawn, and it is not checked again.
+    without it they are read from ``ideal_statistics`` here, which computes
+    them once per process for the same ensemble, truth, anchor and basis.
+    Either way the draws are the same: one multinomial per table of
+    ``ideal``, whose probabilities were checked when it was made, and a
+    binomial for the lossy processes' survival.  So the dataset is valid as
+    drawn, and it is not checked again.
     """
+    _truth_records(ens, truth_state, truth_povm)
     scale_observable = _whole(scale_observable, "scale observable index")
+    n0 = _whole(n0, "shot count", 1)
     if ideal is None:
         ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
-    elif not (ideal.ensemble is ens and ideal.truth_state is truth_state
-              and ideal.truth_povm is truth_povm and ideal.anchor_index == scale_observable):
+    elif not (_record(ideal, IdealStatistics, "ideal").ensemble is ens
+              and ideal.truth_state is truth_state and ideal.truth_povm is truth_povm
+              and ideal.anchor_index == scale_observable):
         raise ValidationError("ideal statistics were computed for other inputs")
     else:
         _check_basis(basis, ens.d)
-    n0 = _whole(n0, "shot count", 1)
     rng = _rng(seed)
     sqd = math.sqrt(ens.d)
 

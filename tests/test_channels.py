@@ -274,6 +274,61 @@ def test_kraus_matrices_must_be_finite(bad):
         KrausChannel(2, kraus)
 
 
+def test_a_stack_is_refused_with_the_message_of_its_first_failing_channel():
+    kraus = np.stack([make_named_channel("random_cp", d=2, rank=2, seed=s).kraus
+                      for s in range(10)])
+    labels = [f"cp{a}" for a in range(10)]
+    good = KrausChannel.stacked(2, kraus, labels)
+    assert [ch.label for ch in good] == labels
+    for ch, k in zip(good, kraus):
+        assert ch.d == 2 and np.array_equal(ch.kraus, k)
+        assert np.array_equal(KrausChannel(2, k).kraus, ch.kraus)
+    kraus[6] *= 1.5  # beyond the Kraus inequality, as is channel 8
+    kraus[8] *= 2.0
+    with pytest.raises(ValidationError) as single:
+        KrausChannel(2, kraus[6])
+    assert str(single.value).startswith("Kraus inequality violated")
+    with pytest.raises(ValidationError) as stacked:
+        KrausChannel.stacked(2, kraus, labels)
+    assert str(stacked.value) == str(single.value)
+    for bad, message in [((2, kraus[:, :, :1], labels), r"shape \(k, 2, 2\)"),
+                         ((2, kraus[:, :0], labels), "k >= 1"),
+                         ((2, kraus[0], labels), "must be 4-D"),
+                         ((2, kraus[:6], labels), "one label per channel")]:
+        with pytest.raises(ValidationError, match=message):
+            KrausChannel.stacked(*bad)
+
+
+def _flags_agree(ens):
+    assert ens.tp_flags.tolist() == [ch.is_trace_preserving for ch in ens.channels]
+    assert ens.unital_flags.tolist() == [is_generalized_unital(ch)[0] for ch in ens.channels]
+    assert not ens.tp_flags.flags.writeable and not ens.unital_flags.flags.writeable
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_stacked_flags_are_the_per_channel_verdicts_on_every_preset(name):
+    _flags_agree(preset(name).ensemble)
+
+
+def test_the_stacked_flags_read_through_the_zero_padding():
+    """Channels with 1, 2, 3 and 4 Kraus matrices, some trace-preserving,
+    some unital, some neither."""
+    unitary = make_named_channel("unitary", u=pauli("x"))
+    ens = ProcessEnsemble((
+        amplitude_damping(0.3),
+        make_named_channel("random_cp", d=2, rank=3, seed=1),
+        make_named_channel("scaled", alpha=0.5, channel=make_named_channel("bit_flip", p=0.2)),
+        make_named_channel("random_cp", d=2, rank=4, seed=2, tp=True),
+        unitary,
+        make_named_channel("scaled", alpha=0.8, channel=unitary),
+        amplitude_damping(0.0),
+    ))
+    assert ens.kraus_stack.shape[1] == 4
+    _flags_agree(ens)
+    assert ens.tp_flags.tolist() == [True, False, False, True, True, False, True]
+    assert ens.unital_flags.tolist() == [False, False, True, False, True, True, True]
+
+
 def test_generalized_unital_coherence_pathway():
     # for generalized-unital processes the e-block alone propagates x.
     rng = np.random.default_rng(8)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtomo import make_named_channel, preset, simulate_dataset
+from jointtomo import amplitude_damping, make_named_channel, preset, simulate_dataset
 from jointtomo.channels import ProcessEnsemble
 from jointtomo.cli import main
 from jointtomo.serialize import load_dataset, save_ensemble
@@ -602,6 +602,27 @@ def test_processes_the_v1_model_does_not_describe_are_refused_before_writing(
         argv = [arg.format(**inputs) for arg in argv] + fix[argv[0]]
         assert main(argv + ["--out", str(out), "--quiet"]) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_the_stacked_unital_scan_names_the_first_process_that_is_not_unital(
+        tmp_path, capsys, inputs, k):
+    """Unital channels with one amplitude damping at position k: the scan
+    reads every channel's h-block in one pass and names process k + 1."""
+    channels = [make_named_channel("bit_flip", p=p) for p in (0.1, 0.3, 0.6, 0.9)]
+    channels += [make_named_channel("phase_flip", p=p) for p in (0.2, 0.7, 0.4, 0.5)]
+    channels.insert(k, amplitude_damping(0.3))
+    path, out = tmp_path / "channels.json", tmp_path / "out"
+    save_ensemble(ProcessEnsemble(tuple(channels)), path)
+    capsys.readouterr()
+    assert main(["refine", "--channels", str(path), "--dataset", inputs["dataset"],
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: process {k + 1} (amplitude_damping(0.3)) is not generalized-unital")
+    assert not out.exists()
+    assert main(["rank-check", "--channels", str(path)]) == 0
+    assert (f"v1 model applies: no (process {k + 1} is not generalized-unital)"
+            in capsys.readouterr().out)
 
 
 # Value tokens per flag, valid ones and bad ones: negative, fractional, nan,

@@ -1,6 +1,7 @@
 """No everyday path of the package loads scipy.linalg: not the closed form,
-the exporter, the refinement or any CLI command.  Run in a fresh
-interpreter, since this one has scipy loaded."""
+the exporter, the refinement or any CLI command; and importing the package
+loads neither the exporter nor the file formats.  Run in a fresh
+interpreter, since this one has scipy and the exporter loaded."""
 
 import os
 import subprocess
@@ -53,6 +54,40 @@ def test_no_everyday_path_loads_scipy_linalg(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+LAZY_EXPORTER = """
+import sys
+
+import jointtomo as jt
+
+names = ("SemialgebraicCert", "SosProblem", "export_sos_problem", "in_physical_set",
+         "k_coefficients", "load_sos_problem", "povm_membership")
+loaded = sorted(m for m in ("jointtomo.sos", "jointtomo.serialize") if m in sys.modules)
+assert loaded == [], loaded
+listed = dir(jt)
+assert all(name in listed for name in names), sorted(set(names) - set(listed))
+assert "jointtomo.sos" not in sys.modules
+from jointtomo import sos
+
+assert all(getattr(jt, name) is getattr(sos, name) for name in names)
+try:
+    jt.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_the_exporter_loads_on_first_use(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_EXPORTER], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"

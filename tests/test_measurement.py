@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jointtomo import (
     DensityMatrix,
     MeasurementDataset,
+    OperatorBasis,
     Povm,
     ProcessEnsemble,
     ValidationError,
@@ -22,7 +23,7 @@ from jointtomo import (
     sample_frequencies,
     simulate_dataset,
 )
-from jointtomo import bench
+from jointtomo import bench, measurement
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.measurement import DatasetStack, sampling_table
 
@@ -735,3 +736,119 @@ def test_the_largest_sampled_shot_count_still_draws():
     assert ds.n0 == n0 and np.isfinite(ds.y_hat).all()
     assert np.abs(ds.y_hat - sc.ideal.probabilities).max() < 1e-6
     assert sample_frequencies([0.3, 0.7], n0, 0).shape == (2,)
+
+
+def _counted_apply(monkeypatch) -> list:
+    """Counts the stacked evolutions ``ideal_statistics`` computes from."""
+    calls, apply = [], ProcessEnsemble.apply
+
+    def counted(self, rho):
+        calls.append(self)
+        return apply(self, rho)
+
+    monkeypatch.setattr(ProcessEnsemble, "apply", counted)
+    return calls
+
+
+def test_a_truths_statistics_are_computed_once_for_many_datasets(monkeypatch):
+    """The 72 simulations of a fit workload's pool, none given ``ideal=``."""
+    sc = preset("two_qubit_mixed_unitary_incomplete")
+    calls = _counted_apply(monkeypatch)
+    for k in range(36):
+        for i, n0 in enumerate((1000, 100000)):
+            simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                             seed=np.random.SeedSequence([1, i, k]),
+                             scale_observable=sc.anchor_index, basis=sc.basis)
+    assert calls == [sc.ensemble]
+    assert sc.ideal is ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
+                                        basis=sc.basis)
+
+
+def test_a_changed_truth_anchor_or_basis_makes_a_new_record(monkeypatch):
+    sc = preset("one_qubit_random_pure")
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    first = ideal_statistics(*truth, basis=sc.basis)
+    calls = _counted_apply(monkeypatch)
+    assert ideal_statistics(*truth, basis=sc.basis) is first
+    assert ideal_statistics(*truth) is first  # no basis is build_basis(d), the same object
+    assert calls == []
+    # a truth array written in place is compared by value: a new record,
+    # and the first one again once the array is restored
+    for array, changed in ((sc.truth_state.rho, np.eye(2) / 2.0),
+                           (sc.truth_povm.elements, sc.truth_povm.elements[::-1].copy())):
+        kept = array.copy()
+        array[...] = changed
+        record = ideal_statistics(*truth, basis=sc.basis)
+        assert record is not first
+        fresh = ideal_statistics(sc.ensemble, DensityMatrix(2, sc.truth_state.rho.copy()),
+                                 Povm(2, sc.truth_povm.elements.copy()), basis=sc.basis)
+        assert np.array_equal(record.probabilities, fresh.probabilities)
+        assert not np.array_equal(record.probabilities, first.probabilities)
+        array[...] = kept
+        assert ideal_statistics(*truth, basis=sc.basis) is first
+    other_anchor = ideal_statistics(*truth, scale_observable=2, basis=sc.basis)
+    assert other_anchor is not first and other_anchor.anchor_index == 2
+    other_basis = ideal_statistics(*truth, basis=OperatorBasis(2, sc.basis.omegas.copy()))
+    assert other_basis is not first
+    assert np.array_equal(other_basis.probabilities, first.probabilities)
+    assert len(calls) == 6
+
+
+def test_a_fifth_truth_evicts_the_least_recently_used_record():
+    sc = preset("one_qubit_random_pure")
+    states = [random_density_matrix(2, seed) for seed in range(measurement._MEMO_SIZE + 1)]
+
+    def stats(state):
+        return ideal_statistics(sc.ensemble, state, sc.truth_povm, basis=sc.basis)
+
+    records = [stats(state) for state in states[:-1]]
+    assert stats(states[0]) is records[0]  # now the most recently used
+    stats(states[-1])  # evicts states[1]'s record
+    assert stats(states[0]) is records[0]
+    assert stats(states[2]) is records[2]
+    assert stats(states[1]) is not records[1]
+
+
+def test_a_refused_input_is_never_kept():
+    sc = preset("one_qubit_random_pure")
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    first = ideal_statistics(*truth, basis=sc.basis)
+    kept = [id(entry[0]) for entry in measurement._memo]
+    elements = sc.truth_povm.elements.copy()
+    sc.truth_povm.elements[0] *= -1.0
+    for call, message in [
+        (lambda: ideal_statistics(*truth, basis=sc.basis), "negative Born probability"),
+        (lambda: simulate_dataset(*truth, 10, basis=sc.basis), "negative Born probability"),
+        (lambda: ideal_statistics(*truth, scale_observable=4), "scale observable index"),
+        (lambda: ideal_statistics(*truth, basis=build_basis(3)), "basis is for d=3"),
+        (lambda: ideal_statistics(sc.ensemble, random_density_matrix(3, 0), sc.truth_povm),
+         "dimensions must agree"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=message):
+                call()
+    assert [id(entry[0]) for entry in measurement._memo] == kept
+    sc.truth_povm.elements[...] = elements
+    assert ideal_statistics(*truth, basis=sc.basis) is first
+
+
+@pytest.mark.parametrize("position, what", [(0, "ensemble must be a ProcessEnsemble"),
+                                            (1, "truth state must be a DensityMatrix"),
+                                            (2, "truth detector must be a Povm")])
+@pytest.mark.parametrize("bare", [False, True], ids=["None", "array"])
+def test_a_record_argument_of_the_wrong_type_is_refused_by_name(position, what, bare):
+    sc = preset("one_qubit_random_pure")
+    truth = [sc.ensemble, sc.truth_state, sc.truth_povm]
+    ideal = sc.ideal
+    kept = [id(entry[0]) for entry in measurement._memo]
+    truth[position] = (sc.ensemble.kraus_stack, sc.truth_state.rho,
+                       sc.truth_povm.elements)[position] if bare else None
+    for call in (lambda: ideal_statistics(*truth, basis=sc.basis),
+                 lambda: simulate_dataset(*truth, 10, basis=sc.basis),
+                 lambda: simulate_dataset(*truth, 10, basis=sc.basis, ideal=ideal)):
+        with pytest.raises(ValidationError, match=what):
+            call()
+    assert [id(entry[0]) for entry in measurement._memo] == kept
+    with pytest.raises(ValidationError, match="ideal must be an IdealStatistics, got ndarray"):
+        simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10,
+                         ideal=ideal.probabilities)

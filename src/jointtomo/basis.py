@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, _array, _whole
+from .errors import ValidationError, _array, _record, _whole
 
 
 def _skewed(x: np.ndarray) -> np.ndarray:
@@ -159,8 +159,10 @@ def to_coords(mats, basis: OperatorBasis) -> np.ndarray:
     ``mats`` is a stack ``(..., d, d)``; the result is ``(..., d^2)``, with
     index 0 the trace component and 1.. the traceless (coherence) vector.
     The stack is refused if it has the wrong dimension, or if any member
-    has a non-finite entry or is not Hermitian (``_skewed``).
+    has a non-finite entry or is not Hermitian (``_skewed``), and a
+    ``basis`` that is not an OperatorBasis is refused by name.
     """
+    _record(basis, OperatorBasis, "basis")
     a = _array(mats, "matrix", dtype=complex, square=True)
     if a.shape[-1] != basis.d:
         raise ValidationError(f"need {basis.d}x{basis.d} matrices, got shape {a.shape}")
@@ -172,6 +174,7 @@ def to_coords(mats, basis: OperatorBasis) -> np.ndarray:
 def from_coords(coords, basis: OperatorBasis) -> np.ndarray:
     """The matrices ``sum_k f_k Omega_k``, one per vector ``f`` along the last
     axis of ``coords`` ``(..., d^2)``: the inverse of ``to_coords``."""
+    _record(basis, OperatorBasis, "basis")
     f = _array(coords, "coordinate vector", dtype=float)
     if f.ndim < 1 or f.shape[-1] != basis.d * basis.d:
         raise ValidationError(
@@ -182,6 +185,7 @@ def from_coords(coords, basis: OperatorBasis) -> np.ndarray:
 def coherence_to_state(x, basis: OperatorBasis) -> np.ndarray:
     """Unit-trace matrices with the given traceless coordinates (the map h),
     one per vector along the last axis of ``x`` ``(..., d^2 - 1)``."""
+    _record(basis, OperatorBasis, "basis")
     x = _array(x, "coherence vector", dtype=float)
     if x.ndim < 1 or x.shape[-1] != basis.n_traceless:
         raise ValidationError(

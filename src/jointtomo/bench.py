@@ -32,7 +32,7 @@ from .channels import (
     pauli,
     sampled_unitaries,
 )
-from .errors import DegeneracyError, ValidationError, _whole
+from .errors import DegeneracyError, ValidationError, _record, _whole
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -286,11 +286,23 @@ def _shot_grid(n0_grid) -> list:
     return grid
 
 
+def _words(n: int) -> list:
+    """The words numpy's ``SeedSequence`` reads from the entropy entry ``n``,
+    a whole number >= 0: its little-endian 32-bit words, at least one."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list:
     """Simulate, estimate and score every case on shared datasets.
 
     Reads what both runners take alike: ``n0_grid`` (``_shot_grid``), and
-    ``trials`` and ``seed`` as whole numbers >= 2 and >= 0, once per call.
+    ``trials``, ``seed`` and the scenario's seed as whole numbers >= 2, >= 0
+    and >= 0, once per call.
     ``cases`` is a sequence of ``(Stage1Config, process_indices)``; indices
     other than None (int arrays checked by ``_process_indices``) restrict
     both the datasets and the regression matrix.
@@ -299,7 +311,10 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
     statistics are the scenario's cached ``sc.ideal``; a second call on the
     same scenario builds and factors nothing.
     Trial ``t`` at grid index ``i`` draws from the stream
-    ``(scenario seed, seed, i, t)``, one simulation per trial.  The trials
+    ``(scenario seed, seed, i, t)``, one simulation per trial.  Its
+    ``SeedSequence`` is given those four numbers as the uint32 words numpy
+    reads from the list ``[sc.seed, seed, i, t]`` (``_words``; the first
+    three once per grid point), so the stream is that list's.  The trials
     are drawn in blocks of ``TRIAL_BLOCK`` into one ``DatasetStack`` per
     block, checked once; a process subset is an index on its process axis.
     Each case estimates the block as one stack and scores the stacked
@@ -313,17 +328,19 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
     n0_grid = _shot_grid(n0_grid)
     trials = _whole(trials, "trials", 2)
     seed = _whole(seed, "seed", 0)
+    scenario_seed = _whole(sc.seed, "scenario seed", 0)
     full = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
     designs = [full if idx is None else factor_design(full.b[idx])
                for _, idx in cases]
     rows, failures = [[] for _ in cases], [0] * len(cases)
     for i, n0 in enumerate(n0_grid):
         errs, copies = [([], []) for _ in cases], [0] * len(cases)
+        stream = _words(scenario_seed) + _words(seed) + _words(i)
         for start in range(0, trials, TRIAL_BLOCK):
             block = DatasetStack.of(
                 simulate_dataset(
                     sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                    seed=np.random.SeedSequence([sc.seed, seed, i, t]),
+                    seed=np.random.SeedSequence(np.array(stream + _words(t), dtype=np.uint32)),
                     scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
                     ideal=sc.ideal,
                 )
@@ -365,8 +382,13 @@ def run_mse_experiment(
     simulate-and-estimate cycles with seeds derived from (scenario seed, run
     seed, grid index, trial index); ``seed`` must be a whole number >= 0.
     Estimator degeneracies are counted as failures, not dropped silently;
-    the per-row trial count reports the successes.
+    the per-row trial count reports the successes.  A ``sc`` that is not a
+    Scenario, or a ``config`` other than None that is not a Stage1Config, is
+    refused by name.
     """
+    _record(sc, Scenario, "scenario")
+    if config is not None:
+        _record(config, Stage1Config, "config")
     (table,) = _run_trials(sc, n0_grid, trials, seed, exact, [(config or sc.stage1, None)])
     table.metadata.update(exact=exact, estimator=sc.estimator, n_processes=len(sc.ensemble),
                           d=sc.d)
@@ -389,8 +411,12 @@ def run_method_comparison(
     Process indices must be distinct whole numbers in ``0..L-1``, at least
     one; others are refused before any design is indexed.  Labels must be
     unique, since they key the returned tables.  ``seed`` is read as
-    ``run_mse_experiment`` reads it.
+    ``run_mse_experiment`` reads it.  A ``sc`` that is not a Scenario, or a
+    config that is not a Stage1Config, is refused by name.
     """
+    _record(sc, Scenario, "scenario")
+    for _, config, _ in configs:
+        _record(config, Stage1Config, "config")
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")
@@ -404,7 +430,9 @@ def run_method_comparison(
 
 
 def fit_loglog_slope(table: MseTable, column: str = "mse_state"):
-    """Ordinary least squares of log(mse) on log(N); returns (slope, intercept, r2)."""
+    """Ordinary least squares of log(mse) on log(N); returns (slope, intercept, r2).
+    A ``table`` that is not an MseTable is refused by name."""
+    _record(table, MseTable, "table")
     if column not in ("mse_state", "mse_povm"):
         raise ValidationError(f"column must be mse_state or mse_povm, got {column!r}")
     if len(table.rows) < 3:

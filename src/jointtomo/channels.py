@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis, change_of_basis
-from .errors import ValidationError, _array, _new, _real, _rng, _whole
+from .errors import ValidationError, _array, _new, _real, _record, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -348,7 +348,7 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
     return out
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(d: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
     d, rng = _whole(d, "dimension", 1), _rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -768,6 +768,8 @@ def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> Reg
     (see ``_stacked_rows``) and kept read-only, so that the record's cached
     factorizations always describe them.  No matrix is factored here.
     """
+    _record(ens, ProcessEnsemble, "ensemble")
+    _record(basis, OperatorBasis, "basis")
     if ens.d != basis.d:
         raise ValidationError(f"dimension mismatch: ensemble {ens.d}, basis {basis.d}")
     b, b_nat = _stacked_rows(ens, basis)

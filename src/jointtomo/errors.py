@@ -75,15 +75,15 @@ def _new(cls, **fields):
     return obj
 
 
-_SEED_OBJECTS = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)
-
-
-def _rng(seed) -> np.random.Generator:
+def _rng(seed) -> "np.random.Generator":
     """``np.random.default_rng(seed)``, refused unless ``seed`` is None, a
-    whole number >= 0, a SeedSequence, a BitGenerator or a Generator."""
-    if not (seed is None or isinstance(seed, _SEED_OBJECTS)):
+    whole number >= 0, a SeedSequence, a BitGenerator or a Generator.
+    ``numpy.random`` is loaded here, on the first draw, not on import."""
+    random = np.random
+    if not (seed is None or isinstance(
+            seed, (random.SeedSequence, random.BitGenerator, random.Generator))):
         seed = _whole(seed, "seed", 0)
-    return np.random.default_rng(seed)
+    return random.default_rng(seed)
 
 
 def _array(value, what: str, ndim=None, dtype=None, square: bool = False,

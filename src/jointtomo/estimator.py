@@ -17,9 +17,10 @@ stack); a single estimate is the stack T = 1.  It has four steps:
    factors ``f``, one pair of matrix products for the ``T M`` target columns
    of every outcome of every dataset,
 3. factor each column of ``z`` as a Kronecker product of a state vector and
-   a detector vector through the rank-1 SVD of its rearrangement (one
-   stacked SVD for all ``T M`` columns), fix the scales (vectorized), and
-   average each dataset's state candidates,
+   a detector vector through the top singular triplet of its rearrangement
+   (one stacked ``eigh`` of the rearrangements' Gram matrices for all
+   ``T M`` columns), fix the scales (vectorized), and average each dataset's
+   state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
    with one stacked eigendecomposition for the T states and one for the
@@ -62,7 +63,8 @@ import numpy as np
 
 from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
-from .errors import DegeneracyError, TomographyError, ValidationError, _array, _new, _real, _whole
+from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _new, _real,
+                     _record, _whole)
 from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
@@ -105,6 +107,13 @@ class KroneckerFactorization:
 
     For a stack of vectors ``z`` every field carries the stack's leading
     axes, ``residual`` and ``degenerate_tie`` as arrays.
+
+    ``singular_values`` are the square roots of the Gram matrix's
+    eigenvalues, clipped at zero, in descending order (``nearest_kronecker``
+    takes no SVD).  The top one and the gap to the second, which the
+    tie test reads, are as accurate as an SVD's; a value far below the top
+    one carries an absolute error of about ``sqrt(eps)`` times it, so the
+    residual is computed directly rather than from the trailing values.
     """
 
     left: np.ndarray
@@ -232,6 +241,7 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     and drops the rest, and ``tikhonov`` applies ``s / (s^2 + reg_scale)``,
     refusing ``reg_scale = 0`` on a rank-deficient B.
     """
+    _record(config, Stage1Config, "config")
     y = _array(y, "targets", (1, 2))
     design = _stage("stage1", factor_design, b)
     if y.shape[0] != design.shape[0]:
@@ -272,32 +282,49 @@ def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactorization:
     """Best approximation of ``z`` by ``left kron right`` (top SVD triplet).
 
-    The factorization is unique only up to ``(q left, right / q)``; ties in
-    the top singular value are resolved by taking the first triplet and
-    flagged in the result.  Leading axes of ``z`` are a stack of vectors,
-    factored by one stacked SVD: every field of the result then carries
-    those axes, and the stack is refused if any of its matrices is zero
-    (the error's ``refused`` mask says which).
+    The top triplet comes from one stacked ``eigh`` of the Gram matrix
+    ``A A^H`` on the smaller side of the rearrangement ``A`` (``A^T``
+    is factored when ``A`` has more rows than columns): its top eigenvector
+    ``u0`` is the left singular vector, ``u0^H A`` is ``s0`` times the right
+    one, and the residual is formed directly as ``||A - u0 (u0^H A)||``, so
+    it stays exact on exact data.  A tie is read from the second eigenvalue.
+
+    The factorization is unique only up to ``(q left, right / q)``, a sign
+    or phase included; ties in the top singular value are resolved by the
+    eigendecomposition's order and flagged in the result.  Leading axes of
+    ``z`` are a stack of vectors, factored by one stacked ``eigh``: every
+    field of the result then carries those axes, and the stack is refused if
+    any of its matrices is zero (the error's ``refused`` mask says which).
     """
     mat = rearrange(z, rows, cols)
-    u, s, vh = np.linalg.svd(mat)
+    if mat.dtype.kind not in "fc":
+        mat = mat.astype(float)
+    a = mat if rows <= cols else mat.swapaxes(-1, -2)
+    a_h = a.swapaxes(-1, -2)
+    if np.iscomplexobj(a):
+        a_h = a_h.conj()
+    w, vecs = np.linalg.eigh(a @ a_h)
+    s = np.sqrt(np.maximum(w[..., ::-1], 0.0))
     top = s[..., 0]
     zero = top <= 1e-12 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
     if np.any(zero):
         raise DegeneracyError("rearranged matrix is numerically zero; no rank-1 factor",
                               refused=zero)
-    root = np.sqrt(top)[..., None]
-    residual = np.sqrt(np.sum(s[..., 1:] ** 2, axis=-1))
+    u0 = vecs[..., :, -1]
+    row = (u0.conj()[..., None, :] @ a)[..., 0, :]
+    residual = np.linalg.norm(a - u0[..., :, None] * row[..., None, :], axis=(-2, -1))
     if s.shape[-1] > 1:
         tie = top - s[..., 1] <= 1e-12 * top
     else:
         tie = np.zeros(top.shape, dtype=bool)
     if mat.ndim == 2:
         residual, tie = float(residual), bool(tie)
-    return KroneckerFactorization(
-        left=root * u[..., :, 0], right=root * vh[..., 0, :], residual=residual,
-        singular_values=s, degenerate_tie=tie,
-    )
+    root = np.sqrt(top)[..., None]
+    left, right = root * u0, row / root
+    if rows > cols:
+        left, right = right, left
+    return KroneckerFactorization(left=left, right=right, residual=residual,
+                                  singular_values=s, degenerate_tie=tie)
 
 
 def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
@@ -424,7 +451,11 @@ def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
 def _physical_povms(povm_bar: np.ndarray) -> tuple:
     """A stack ``(T, M, d, d)`` of finite rough detectors corrected as
     ``correct_povm`` says and checked in one pass, with each one's epsilon;
-    refused if any stays singular (the error's ``refused`` mask says which)."""
+    refused if any stays singular (the error's ``refused`` mask says which).
+
+    One stacked ``eigh`` of the element sums serves both the epsilon test
+    and ``S^{-1/2}``; the sums plus their epsilons are decomposed again, as
+    one stack, only when some detector needs the repair."""
     if not np.isfinite(povm_bar).all():
         raise ValidationError("detector estimate has a non-finite entry")
     d = povm_bar.shape[-1]
@@ -432,8 +463,10 @@ def _physical_povms(povm_bar: np.ndarray) -> tuple:
     clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)
     floor = POVM_EPS_SCALE * np.linalg.norm(s, axis=(-2, -1))
-    eps_used = np.where(np.linalg.eigvalsh(s)[..., 0] <= floor, floor, 0.0)
-    w, v = np.linalg.eigh(s + eps_used[..., None, None] * eye)
+    w, v = np.linalg.eigh(s)
+    eps_used = np.where(w[..., 0] <= floor, floor, 0.0)
+    if eps_used.any():
+        w, v = np.linalg.eigh(s + eps_used[..., None, None] * eye)
     singular = w[..., 0] <= 0.0
     if np.any(singular):
         raise DegeneracyError("element sum is singular beyond the epsilon repair",
@@ -502,8 +535,9 @@ def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: 
 
     Solves all ``T M`` columns of the ``(T, L, M)`` targets ``y`` with the
     factored design and factors each as a ``side x side`` pair by one stacked
-    SVD.  Returns the ``(T, M)`` factorizations, the refused mask (see
-    ``_lanewise``; later steps grow it) and both steps' diagnostics.
+    ``eigh`` (``nearest_kronecker``).  Returns the ``(T, M)`` factorizations,
+    the refused mask (see ``_lanewise``; later steps grow it) and both
+    steps' diagnostics.
     """
     t, l, m = y.shape
     cols = y.transpose(1, 0, 2).reshape(l, t * m)
@@ -601,8 +635,12 @@ def estimate_joint_v1(
     anchor value is that coordinate of the unscaled state factor.  The model
     holds only for generalized-unital processes (``is_generalized_unital``),
     which a raw design cannot show; otherwise use ``estimate_joint_v2``.
+    A ``basis`` or ``config`` of the wrong type is refused by name.
     """
-    (result,) = _estimates_v1(_one_stack(ds), b, basis, config).results()
+    stack = _one_stack(ds)
+    _record(basis, OperatorBasis, "basis")
+    _record(config, Stage1Config, "config")
+    (result,) = _estimates_v1(stack, b, basis, config).results()
     return result
 
 
@@ -644,9 +682,12 @@ def estimate_joint_v2(
     factorization yields a candidate pair ``(vec(rho), vec(P_j^T))`` whose
     joint complex scale is fixed by normalizing the state candidate to unit
     trace; the detector candidate absorbs the inverse factor.  The anchor
-    value of an outcome is the modulus of that trace.
+    value of an outcome is the modulus of that trace.  A ``config`` of the
+    wrong type is refused by name.
     """
-    (result,) = _estimates_v2(_one_stack(ds), b_natural, config).results()
+    stack = _one_stack(ds)
+    _record(config, Stage1Config, "config")
+    (result,) = _estimates_v2(stack, b_natural, config).results()
     return result
 
 

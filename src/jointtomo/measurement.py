@@ -447,11 +447,16 @@ def _truth_records(ens, truth_state, truth_povm) -> None:
     _record(truth_povm, Povm, "truth detector")
 
 
-# How many truths ``ideal_statistics`` keeps the statistics of, and the
-# records it keeps, most recently used first, each as ``(record, basis, rho,
-# elements)``: the basis it was made for and copies of the truth's arrays.
+# How many truths ``ideal_statistics`` keeps the statistics of per ensemble.
 _MEMO_SIZE = 4
-_memo = []
+
+
+def _memo(ens: ProcessEnsemble) -> list:
+    """The records ``ideal_statistics`` keeps for ``ens``, most recently used
+    first, each as ``(record, basis, rho, elements)``: the basis it was made
+    for and copies of the truth's arrays.  The list is kept on the ensemble
+    itself, so it lives exactly as long as the ensemble does."""
+    return ens.__dict__.setdefault("_ideal_statistics", [])
 
 
 def ideal_statistics(
@@ -469,7 +474,8 @@ def ideal_statistics(
     the input state to pin the reconstruction scale: a whole number k in
     ``1..d^2-1``.  ``basis`` None means ``build_basis(d)``.
 
-    The last ``_MEMO_SIZE`` records made here are kept.  A call with the
+    The last ``_MEMO_SIZE`` records made here for each ensemble are kept, on
+    that ensemble, so they are freed with it.  A call with the
     same ensemble, state, detector and basis objects and the same anchor
     returns its record as it is, as long as the state's ``rho`` and the
     detector's ``elements`` still equal the copies taken when the record was
@@ -489,13 +495,14 @@ def ideal_statistics(
         raise ValidationError(
             f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
         )
-    for i, (ideal, kept_basis, rho, elements) in enumerate(_memo):
-        if (ideal.ensemble is ens and ideal.truth_state is truth_state
+    memo = _memo(ens)
+    for i, (ideal, kept_basis, rho, elements) in enumerate(memo):
+        if (ideal.truth_state is truth_state
                 and ideal.truth_povm is truth_povm and kept_basis is basis
                 and ideal.anchor_index == scale_observable
                 and np.array_equal(rho, truth_state.rho)
                 and np.array_equal(elements, truth_povm.elements)):
-            _memo.insert(0, _memo.pop(i))
+            memo.insert(0, memo.pop(i))
             return ideal
     # All processes in one stacked pass: outputs, then their probabilities.
     rho_out = ens.apply(truth_state.rho)
@@ -511,8 +518,8 @@ def ideal_statistics(
     for a in arrays:
         a.setflags(write=False)
     ideal = IdealStatistics(ens, truth_state, truth_povm, scale_observable, *arrays)
-    _memo.insert(0, (ideal, basis, truth_state.rho.copy(), truth_povm.elements.copy()))
-    del _memo[_MEMO_SIZE:]
+    memo.insert(0, (ideal, basis, truth_state.rho.copy(), truth_povm.elements.copy()))
+    del memo[_MEMO_SIZE:]
     return ideal
 
 

@@ -20,7 +20,7 @@ from jointtomo import (
     run_mse_experiment,
     simulate_dataset,
 )
-from jointtomo import bench
+from jointtomo import bench, coherence_to_state, stage1_solve, to_coords
 from jointtomo.bench import MseRow, PRESET_NAMES
 
 
@@ -232,6 +232,71 @@ def test_method_comparison_is_paired():
                                     configs=[("full", cfg, None),
                                              ("subset", cfg, list(range(6)))], seed=4)
     assert tables2["full"].rows == tables2["subset"].rows
+
+
+def test_trial_streams_are_the_streams_of_the_seed_lists(monkeypatch):
+    """A trial's SeedSequence, given uint32 words, draws what the list
+    ``[scenario seed, seed, i, t]`` draws, for entries of 2^32 and beyond."""
+    entropy = [0, 2 ** 32, 2 ** 64 + 5, 7]
+    words = np.array([w for n in entropy for w in bench._words(n)], dtype=np.uint32)
+    assert words.tolist() == [0, 0, 1, 5, 0, 1, 7]
+    draws = [np.random.default_rng(np.random.SeedSequence(e)).random(8) for e in (words, entropy)]
+    assert np.array_equal(*draws)
+    seeds, simulate = [], bench.simulate_dataset
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return simulate(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(bench, "simulate_dataset", recording)
+    sc = preset("one_qubit_closed_complete", seed=2 ** 32)
+    run_mse_experiment(sc, [100, 1000], trials=3, seed=2 ** 64 + 5)
+    assert len(seeds) == 6
+    for k, seq in enumerate(seeds):
+        listed = np.random.SeedSequence([2 ** 32, 2 ** 64 + 5, k // 3, k % 3])
+        assert np.array_equal(np.random.default_rng(seq).random(4),
+                              np.random.default_rng(listed).random(4))
+
+
+def test_a_scenario_seed_is_read_as_a_whole_number():
+    sc = preset("one_qubit_closed_complete")
+    with pytest.raises(ValidationError, match="scenario seed must be >= 0, got -1"):
+        run_mse_experiment(replace(sc, seed=-1), [1000], trials=2)
+
+
+def _record_calls():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, basis=sc.basis)
+    return {
+        "to_coords": lambda: to_coords(np.eye(2) / 2.0, None),
+        "coherence_to_state": lambda: coherence_to_state(np.zeros(3), None),
+        "build_regression_matrices": lambda: build_regression_matrices(None, sc.basis),
+        "stage1_solve": lambda: stage1_solve(sc.regression.design, np.zeros(15), np.zeros(2)),
+        "estimate_joint_v1": lambda: estimate_joint_v1(ds, sc.regression.b, None),
+        "run_mse_experiment": lambda: run_mse_experiment(None, [100], trials=2),
+        "run_mse_experiment config": lambda: run_mse_experiment(sc, [100], trials=2, config="mp"),
+        "run_method_comparison": lambda: run_method_comparison(
+            sc, [100], trials=2, configs=[("a", Stage1Config(), None), ("b", None, None)]),
+        "estimate_joint_v2": lambda: estimate_joint_v2(ds, sc.regression.b_natural, "mp"),
+        "fit_loglog_slope": lambda: fit_loglog_slope(None),
+    }
+
+
+@pytest.mark.parametrize("name, message", [
+    ("to_coords", "basis must be an OperatorBasis, got NoneType"),
+    ("coherence_to_state", "basis must be an OperatorBasis, got NoneType"),
+    ("build_regression_matrices", "ensemble must be a ProcessEnsemble, got NoneType"),
+    ("stage1_solve", "config must be a Stage1Config, got ndarray"),
+    ("estimate_joint_v1", "basis must be an OperatorBasis, got NoneType"),
+    ("run_mse_experiment", "scenario must be a Scenario, got NoneType"),
+    ("run_mse_experiment config", "config must be a Stage1Config, got str"),
+    ("run_method_comparison", "config must be a Stage1Config, got NoneType"),
+    ("estimate_joint_v2", "config must be a Stage1Config, got str"),
+    ("fit_loglog_slope", "table must be a MseTable, got NoneType"),
+])
+def test_a_record_of_the_wrong_type_is_refused_by_name(name, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        _record_calls()[name]()
 
 
 def test_experiment_input_validation():

@@ -1,7 +1,7 @@
 """No everyday path of the package loads scipy.linalg: not the closed form,
 the exporter, the refinement or any CLI command; and importing the package
-loads neither the exporter nor the file formats.  Run in a fresh
-interpreter, since this one has scipy and the exporter loaded."""
+loads neither the exporter, the file formats nor numpy.random.  Run in a
+fresh interpreter, since this one has scipy and the exporter loaded."""
 
 import os
 import subprocess
@@ -88,6 +88,33 @@ def test_the_exporter_loads_on_first_use(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", LAZY_EXPORTER], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+LAZY_RANDOM = """
+import sys
+
+import jointtomo as jt
+from jointtomo.cli import main
+
+assert "numpy.random" not in sys.modules, "import"
+with open("h.json", "w") as fh:
+    fh.write('[{"d": 2, "h": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]], "dt_us": 0.5}]')
+assert main(["rank-check", "--hamiltonians", "h.json", "--samples", "3", "--quiet"]) == 0
+assert "numpy.random" not in sys.modules, "rank-check"
+jt.simulate_dataset(*(lambda sc: (sc.ensemble, sc.truth_state, sc.truth_povm))(
+    jt.preset("one_qubit_closed_complete")), 10, seed=1)
+assert "numpy.random" in sys.modules, "a draw"
+print("ok")
+"""
+
+
+def test_numpy_random_loads_on_the_first_draw(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_RANDOM], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"

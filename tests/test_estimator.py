@@ -56,7 +56,7 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.estimator import _physical_povms, _physical_states
+from jointtomo.estimator import POVM_EPS_SCALE, _clip_negative, _physical_povms, _physical_states
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -211,6 +211,122 @@ def test_nearest_kronecker_degenerate_cases():
     fac2 = nearest_kronecker(vectorize(np.eye(2)).astype(float), 2, 2)
     assert fac1.degenerate_tie
     assert np.array_equal(fac1.left, fac2.left)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 5), st.integers(1, 5),
+                 st.booleans()).flatmap(lambda case: st.tuples(st.just(case), arrays(
+                     float, (*case[0], case[1] * case[2], 2), elements=_FINITE))))
+def test_nearest_kronecker_matches_the_svd(case):
+    """The Gram route against ``np.linalg.svd``: real and complex, square and
+    not, one matrix or a stack of them."""
+    (lead, rows, cols, cplx), values = case
+    z = values[..., 0] + 1j * values[..., 1] if cplx else values[..., 0]
+    mat = z.reshape(*lead, rows, cols)
+    u, s, vh = np.linalg.svd(mat)
+    top = s[..., 0]
+    norm = np.linalg.norm(mat, axis=(-2, -1))
+    zero = top <= 1e-12 * np.maximum(1.0, norm)
+    if zero.any():
+        with pytest.raises(DegeneracyError, match="numerically zero") as err:
+            nearest_kronecker(z, rows, cols)
+        assert np.array_equal(err.value.refused, zero)
+        return
+    fac = nearest_kronecker(z, rows, cols)
+    assert fac.left.shape == (*lead, rows) and fac.right.shape == (*lead, cols)
+    assert fac.singular_values.shape == s.shape
+    # squares of the singular values, as accurate as the Gram's eigenvalues
+    assert np.all(np.abs(fac.singular_values ** 2 - s ** 2) <= 1e-12 * top[..., None] ** 2)
+    residual = np.sqrt(np.sum(s[..., 1:] ** 2, axis=-1))
+    assert np.all(np.abs(fac.residual - residual) <= 1e-12 * np.maximum(1.0, norm))
+    rank1 = fac.left[..., :, None] * fac.right[..., None, :]
+    assert np.all(np.abs(np.linalg.norm(mat - rank1, axis=(-2, -1)) - fac.residual)
+                  <= 1e-12 * np.maximum(1.0, norm))
+    # where the top value stands apart, its rank-1 term is unique
+    second = s[..., 1] if s.shape[-1] > 1 else np.zeros_like(top)
+    apart = top ** 2 - second ** 2 >= 1e-3 * top ** 2
+    svd_rank1 = top[..., None, None] * u[..., :, :1] * vh[..., :1, :]
+    gap = np.linalg.norm(rank1 - svd_rank1, axis=(-2, -1))
+    assert np.all(gap[apart] <= 1e-10 * top[apart])
+    assert not np.any(fac.degenerate_tie & (top - second > 1e-10 * top))
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_nearest_kronecker_is_exact_on_exact_data(cplx):
+    """An exact Kronecker product leaves a residual of roundoff, at every
+    scale; ``sqrt(||Z||^2 - s0^2)`` would leave about ``sqrt(eps) ||Z||``."""
+    rng = np.random.default_rng(29)
+    for scale in (1e-6, 1.0, 1e6):
+        x, c = rng.normal(size=(2, 20, 5)), rng.normal(size=(2, 20, 7))
+        x, c = (x[0] + 1j * x[1], c[0] + 1j * c[1]) if cplx else (x[0], c[0])
+        z = scale * (x[:, :, None] * c[:, None, :]).reshape(20, -1)
+        for rows, cols in ((5, 7), (7, 5)):
+            zz = z if rows == 5 else z.reshape(20, 5, 7).swapaxes(1, 2).reshape(20, -1)
+            fac = nearest_kronecker(zz, rows, cols)
+            norm = np.linalg.norm(zz, axis=-1)
+            assert np.all(fac.residual <= 1e-14 * norm)
+            product = (fac.left[:, :, None] * fac.right[:, None, :]).reshape(20, -1)
+            assert np.all(np.linalg.norm(product - zz, axis=-1) <= 1e-14 * norm)
+            assert not fac.degenerate_tie.any()
+
+
+def test_nearest_kronecker_flags_a_tie_and_refuses_a_zero_member_by_its_mask():
+    rng = np.random.default_rng(30)
+    spread = np.kron(rng.normal(size=3), rng.normal(size=3)) + 0.1 * rng.normal(size=9)
+    tied = vectorize(np.eye(3)).astype(float)
+    fac = nearest_kronecker(np.stack([spread, tied, 1j * tied]), 3, 3)
+    assert fac.degenerate_tie.tolist() == [False, True, True]
+    with pytest.raises(DegeneracyError, match="numerically zero") as err:
+        nearest_kronecker(np.stack([[spread, np.zeros(9)], [tied, spread]]), 3, 3)
+    assert err.value.refused.tolist() == [[False, True], [False, False]]
+
+
+def _povm_reference(povm_bar):
+    """``_physical_povms``'s epsilon step as it was written with two
+    decompositions: the test on ``eigvalsh(S)``, then ``eigh(S + eps I)``;
+    returns the renormalized elements (before the final check) and eps."""
+    clipped = _clip_negative(povm_bar)
+    s = clipped.sum(axis=-3)
+    floor = POVM_EPS_SCALE * np.linalg.norm(s, axis=(-2, -1))
+    eps = np.where(np.linalg.eigvalsh(s)[..., 0] <= floor, floor, 0.0)
+    w, v = np.linalg.eigh(s + eps[..., None, None] * np.eye(s.shape[-1]))
+    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
+    return inv_sqrt @ clipped @ inv_sqrt, eps, s
+
+
+def test_one_decomposition_of_each_detector_sum_keeps_the_epsilon_step(monkeypatch):
+    rng = np.random.default_rng(31)
+    rough = rng.normal(size=(3, 3, 2, 2, 2)) @ np.array([1.0, 1j])
+    rough = np.eye(2) / 3.0 + 0.05 * (rough + rough.conj().swapaxes(-1, -2))
+    # clipped, this detector's sum is diag(1, 0): singular
+    singular = np.array([np.diag([0.6, -0.2]), np.diag([0.4, -0.1]), np.zeros((2, 2))])
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    out, eps = _physical_povms(rough)
+    assert len(calls) == 2  # the elements' clip and the sums
+    expected, expected_eps, _ = _povm_reference(rough)
+    assert np.array_equal(out, Povm.checked(2, expected))
+    assert np.array_equal(eps, expected_eps)
+    assert not eps.any()
+
+    stack = rough.copy()
+    stack[1] = singular
+    calls.clear()
+    with pytest.raises(DegeneracyError, match="singular beyond the epsilon repair") as err:
+        _physical_povms(stack)
+    # the sums plus their epsilons are decomposed once more, as one stack
+    assert len(calls) == 3
+    expected, expected_eps, sums = _povm_reference(stack)
+    assert err.value.refused.tolist() == [False, True, False]
+    assert expected_eps[1] > 0.0 and not expected_eps[[0, 2]].any()
+    assert np.array_equal(calls[2], sums + expected_eps[:, None, None] * np.eye(2))
+    # the renormalized singular detector misses the identity, as it did
+    assert np.linalg.norm(expected[1].sum(axis=0) - np.eye(2)) > 1e-10 * 2
 
 
 def test_fix_scale_gauge_invariance():
@@ -558,13 +674,14 @@ def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
         estimate_joint_v2(_frequencies_only(np.full((16, 2), 0.25)), b,
                           Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[stage1]")
-    # valid inputs reach the Kronecker stage, whose SVD is made to fail there
+    # valid inputs reach the Kronecker stage, whose eigendecomposition is
+    # made to fail there
     design = factor_design(np.eye(16))
 
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DegeneracyError) as err:
         estimate_joint_v2(_frequencies_only(np.full((16, 2), 0.25)), design,
                           Stage1Config(method="mp_inverse"))

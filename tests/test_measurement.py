@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -809,11 +811,28 @@ def test_a_fifth_truth_evicts_the_least_recently_used_record():
     assert stats(states[1]) is not records[1]
 
 
+def test_the_records_are_kept_per_ensemble_and_freed_with_it():
+    sc = preset("one_qubit_random_pure")
+    first = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis)
+    # another ensemble's records never evict this ensemble's
+    for seed in range(measurement._MEMO_SIZE + 1):
+        other = preset("one_qubit_random_pure", seed=seed + 1)
+        ideal_statistics(other.ensemble, other.truth_state, other.truth_povm, basis=other.basis)
+    assert ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis) is first
+    # nothing outside the ensemble holds its records
+    ens = ProcessEnsemble(sc.ensemble.channels)
+    record = weakref.ref(ideal_statistics(ens, sc.truth_state, sc.truth_povm, basis=sc.basis))
+    ensemble = weakref.ref(ens)
+    del ens
+    gc.collect()
+    assert ensemble() is None and record() is None
+
+
 def test_a_refused_input_is_never_kept():
     sc = preset("one_qubit_random_pure")
     truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
     first = ideal_statistics(*truth, basis=sc.basis)
-    kept = [id(entry[0]) for entry in measurement._memo]
+    kept = [id(entry[0]) for entry in measurement._memo(sc.ensemble)]
     elements = sc.truth_povm.elements.copy()
     sc.truth_povm.elements[0] *= -1.0
     for call, message in [
@@ -827,7 +846,7 @@ def test_a_refused_input_is_never_kept():
         for _ in range(2):
             with pytest.raises(ValidationError, match=message):
                 call()
-    assert [id(entry[0]) for entry in measurement._memo] == kept
+    assert [id(entry[0]) for entry in measurement._memo(sc.ensemble)] == kept
     sc.truth_povm.elements[...] = elements
     assert ideal_statistics(*truth, basis=sc.basis) is first
 
@@ -840,7 +859,7 @@ def test_a_record_argument_of_the_wrong_type_is_refused_by_name(position, what, 
     sc = preset("one_qubit_random_pure")
     truth = [sc.ensemble, sc.truth_state, sc.truth_povm]
     ideal = sc.ideal
-    kept = [id(entry[0]) for entry in measurement._memo]
+    kept = [id(entry[0]) for entry in measurement._memo(sc.ensemble)]
     truth[position] = (sc.ensemble.kraus_stack, sc.truth_state.rho,
                        sc.truth_povm.elements)[position] if bare else None
     for call in (lambda: ideal_statistics(*truth, basis=sc.basis),
@@ -848,7 +867,7 @@ def test_a_record_argument_of_the_wrong_type_is_refused_by_name(position, what, 
                  lambda: simulate_dataset(*truth, 10, basis=sc.basis, ideal=ideal)):
         with pytest.raises(ValidationError, match=what):
             call()
-    assert [id(entry[0]) for entry in measurement._memo] == kept
+    assert [id(entry[0]) for entry in measurement._memo(sc.ensemble)] == kept
     with pytest.raises(ValidationError, match="ideal must be an IdealStatistics, got ndarray"):
         simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10,
                          ideal=ideal.probabilities)

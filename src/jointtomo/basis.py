@@ -134,6 +134,7 @@ def change_of_basis(basis: OperatorBasis) -> np.ndarray:
     Multiplying ``vec(A)`` by this matrix yields the coordinates of ``A`` in
     the operator basis; for Hermitian ``A`` those coordinates are real.
     """
+    _record(basis, OperatorBasis, "basis")
     return np.stack([vectorize(om).conj() for om in basis.omegas])
 
 

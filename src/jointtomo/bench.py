@@ -21,16 +21,15 @@ import numpy as np
 
 from .basis import OperatorBasis, build_basis, to_coords
 from .channels import (
-    KrausChannel,
     ProcessEnsemble,
     RegressionMatrices,
+    _sampled_unitary_channels,
     build_regression_matrices,
     closed_system_channels,
     factor_design,
     haar_unitary,
     make_named_channel,
     pauli,
-    sampled_unitaries,
 )
 from .errors import DegeneracyError, ValidationError, _record, _whole
 from .estimator import (
@@ -109,19 +108,6 @@ class Scenario:
                                 scale_observable=self.anchor_index, basis=self.basis)
 
 
-def _mixed_unitary_channels(ham_pairs, weights, dt: float, n: int) -> tuple:
-    """The channels ``sum_i w_i U_i rho U_i^dag`` of each pair sampled at n
-    times, checked by one stacked pass (``KrausChannel.stacked``)."""
-    kraus, labels = [], []
-    for a, pair in enumerate(ham_pairs):
-        evolutions = zip(*(sampled_unitaries(h, dt, n) for h in pair))
-        for k, powers in enumerate(evolutions, start=1):
-            kraus.append([np.sqrt(w) * p for w, p in zip(weights, powers)])
-            labels.append(f"pair{a + 1}_k{k}")
-    kraus = np.array(kraus)
-    return KrausChannel.stacked(kraus.shape[-1], kraus, labels)
-
-
 def _draw_state(rng, basis, eigenvalues, need_anchor: bool, anchor_index: int) -> DensityMatrix:
     d = basis.d
     for _ in range(256):
@@ -197,8 +183,8 @@ def preset(name: str, seed: int = 0) -> Scenario:
             (_random_traceless_hermitian(rng, 4), _random_traceless_hermitian(rng, 4))
             for _ in range(30)
         ]
-        channels = _mixed_unitary_channels(pairs if complete else pairs[:10],
-                                           weights=(0.3, 0.7), dt=1.0, n=30)
+        groups = [(pair, 1.0) for pair in (pairs if complete else pairs[:10])]
+        channels = _sampled_unitary_channels(groups, (0.3, 0.7), n=30, prefix="pair")
         spectrum, detector = (0.1, 0.2, 0.3, 0.4), [(0.1, 0.1, 0.1, 0.3), (0.1, 0.1, 0.1, 0.5)]
     basis = build_basis(len(spectrum))
     return Scenario(

@@ -18,8 +18,9 @@ Channels are checked by one stacked pass over a Kraus stack ``(L, k, d, d)``
 largest eigenvalue of every Kraus sum ``sum_i A_i^dag A_i`` must be at most
 ``1 + KRAUS_TOL``, and a failing stack raises the message the constructor
 raises for its first failing channel.  The preset builders make their
-channels this way, checked once.  The per-channel flags an ensemble derives
-come from its zero-padded ``kraus_stack`` by the same stacked sums: which
+channels this way, checked once, the sampled-unitary families through one
+builder (``_sampled_unitary_channels``).  The per-channel flags an ensemble
+derives come from its zero-padded ``kraus_stack`` by stacked sums: which
 channels preserve the trace (``tp_flags``) and which are generalized-unital
 (``unital_flags``).
 
@@ -38,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis import OperatorBasis, _skewed, build_basis, change_of_basis
+from .basis import OperatorBasis, _skewed, change_of_basis
 from .errors import ValidationError, _array, _new, _real, _record, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
@@ -186,15 +187,9 @@ class ProcessEnsemble:
 
     @cached_property
     def unital_flags(self) -> np.ndarray:
-        """Read-only flags: which channels are generalized-unital, each
-        decided as ``is_generalized_unital`` decides it, ``||h|| <=
-        GENERALIZED_UNITAL_TOL``, with every ``h`` read in one pass: ``h_a``
-        holds the traceless coordinates of ``Phi_a(I / sqrt(d))``, so its norm
-        is the Frobenius norm of that output's traceless part."""
-        out = self.apply(np.eye(self.d) / math.sqrt(self.d))
-        trace = np.trace(out, axis1=1, axis2=2) / self.d
-        traceless = out - trace[:, None, None] * np.eye(self.d)
-        flags = np.linalg.norm(traceless, axis=(-2, -1)) <= GENERALIZED_UNITAL_TOL
+        """Read-only flags: which channels are generalized-unital
+        (``_unital_split``, of which ``is_generalized_unital`` is L = 1)."""
+        flags = _unital_split(self.kraus_stack)[0]
         flags.setflags(write=False)
         return flags
 
@@ -206,6 +201,7 @@ class ProcessEnsemble:
 
 def superoperator(channel: KrausChannel) -> np.ndarray:
     """Natural-basis superoperator ``sum_i conj(A_i) kron A_i``."""
+    _record(channel, KrausChannel, "channel")
     b = np.zeros((channel.d ** 2, channel.d ** 2), dtype=complex)
     for a in channel.kraus:
         b += np.kron(a.conj(), a)
@@ -224,7 +220,8 @@ def _real_transfer(full_c: np.ndarray) -> np.ndarray:
 
 def transfer_matrix(channel: KrausChannel, basis: OperatorBasis) -> TransferMatrix:
     """Transfer matrix ``U B U^dag`` with its (r, t, h, e) partition."""
-    if channel.d != basis.d:
+    _record(channel, KrausChannel, "channel")
+    if channel.d != _record(basis, OperatorBasis, "basis").d:
         raise ValidationError(f"dimension mismatch: channel {channel.d}, basis {basis.d}")
     u = change_of_basis(basis)
     full = _real_transfer(u @ superoperator(channel) @ u.conj().T)
@@ -237,17 +234,24 @@ def transfer_matrix(channel: KrausChannel, basis: OperatorBasis) -> TransferMatr
     )
 
 
-def is_generalized_unital(channel: KrausChannel):
-    """Whether the channel maps I to alpha*I, and that alpha when it does.
+def _unital_split(kraus: np.ndarray) -> tuple:
+    """Which channels of a Kraus stack ``(L, k, d, d)`` are generalized-unital,
+    ``||traceless part of Phi(I / sqrt(d))|| = ||h|| <= GENERALIZED_UNITAL_TOL``,
+    and their ``alpha = Re tr Phi(I / sqrt(d)) / sqrt(d)``, the scalar block r."""
+    d = kraus.shape[-1]
+    out = np.einsum("akij,jl,akml->aim", kraus, np.eye(d) / math.sqrt(d), kraus.conj())
+    trace = np.trace(out, axis1=1, axis2=2) / d
+    traceless = out - trace[:, None, None] * np.eye(d)
+    return (np.linalg.norm(traceless, axis=(-2, -1)) <= GENERALIZED_UNITAL_TOL,
+            trace.real * math.sqrt(d))
 
-    Decided through the transfer-matrix column block: the map is
-    generalized-unital exactly when ``h = 0`` (to ``GENERALIZED_UNITAL_TOL``),
-    in which case alpha equals the scalar block ``r``.
-    """
-    tm = transfer_matrix(channel, build_basis(channel.d))
-    if np.linalg.norm(tm.h) <= GENERALIZED_UNITAL_TOL:
-        return True, tm.r
-    return False, None
+
+def is_generalized_unital(channel: KrausChannel):
+    """Whether the channel maps I to alpha*I, and that alpha when it does
+    (``_unital_split`` of one channel)."""
+    _record(channel, KrausChannel, "channel")
+    (flag,), (alpha,) = _unital_split(channel.kraus[None])
+    return (True, float(alpha)) if flag else (False, None)
 
 
 def _hamiltonian(h) -> np.ndarray:
@@ -290,6 +294,7 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     finite, and ``R`` is scaled back; an ``h`` whose generator overflows is
     refused.
     """
+    _record(basis, OperatorBasis, "basis")
     h = _hamiltonian(h)
     if h.shape != (basis.d, basis.d):
         raise ValidationError(f"Hamiltonian must be a {basis.d} x {basis.d} matrix for this "
@@ -331,6 +336,7 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
 
 def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis) -> np.ndarray:
     """Coherence-vector map ``sum_i w_i exp(R_i t)`` of a mixed-unitary process."""
+    _record(basis, OperatorBasis, "basis")
     weights = _array(weights, "mixture weights", 1, float)
     if len(weights) != len(hamiltonians):
         raise ValidationError("need one weight per Hamiltonian")
@@ -458,17 +464,31 @@ def sampled_unitaries(h: np.ndarray, dt: float, n: int) -> list:
     return out
 
 
+def _sampled_unitary_channels(groups, weights, n: int, prefix: str) -> tuple:
+    """The channels ``rho -> sum_i w_i U_i rho U_i^dag`` of each group of
+    Hamiltonians ``(hams, dt)`` sampled at n times, labelled
+    ``{prefix}{g}_k{k}`` and checked by one stacked pass.  ``sqrt(w_i) U_i``
+    is scaled part by part, so a weight of 1.0 keeps ``U_i`` bit for bit."""
+    kraus, labels = [], []
+    for g, (hams, dt) in enumerate(groups, start=1):
+        for k, powers in enumerate(zip(*(sampled_unitaries(h, dt, n) for h in hams)), start=1):
+            kraus.append(powers)
+            labels.append(f"{prefix}{g}_k{k}")
+    if not kraus:
+        return ()
+    if len({u.shape for powers in kraus for u in powers}) > 1:
+        raise ValidationError("all channels in an ensemble must share the dimension")
+    kraus = np.array(kraus)
+    roots = np.sqrt(np.asarray(weights, dtype=float))[:, None, None]
+    kraus.real *= roots
+    kraus.imag *= roots
+    return KrausChannel.stacked(kraus.shape[-1], kraus, labels)
+
+
 def closed_system_channels(records, n: int) -> list:
     """Unitary channels ``H{i}_k{k}`` sampled at n times from each ``(h, dt)``,
     checked by one stacked pass (``KrausChannel.stacked``)."""
-    sampled = [(u, f"H{i + 1}_k{k}") for i, (h, dt) in enumerate(records)
-               for k, u in enumerate(sampled_unitaries(h, dt, n), start=1)]
-    if not sampled:
-        return []
-    unitaries, labels = zip(*sampled)
-    if len({len(u) for u in unitaries}) > 1:
-        raise ValidationError("all channels in an ensemble must share the dimension")
-    return list(KrausChannel.stacked(len(unitaries[0]), np.stack(unitaries)[:, None], labels))
+    return list(_sampled_unitary_channels([((h,), dt) for h, dt in records], (1.0,), n, "H"))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -785,7 +805,7 @@ def rank_bound(ens: ProcessEnsemble) -> int:
     ``KRAUS_GRAM_TOL``); each group of size L_j contributes at most
     ``min(L_j, d^4 - d^2 + 1)`` and the total is capped at d^4.
     """
-    d = ens.d
+    d = _record(ens, ProcessEnsemble, "ensemble").d
     groups = []
     for ch in ens.channels:
         gram = ch.kraus_gram()

@@ -59,12 +59,13 @@ def _real(value, what: str) -> float:
     return float(x)
 
 
-def _record(value, cls: type, what: str):
-    """``value`` itself, refused by name unless it is an instance of ``cls``."""
+def _record(value, cls, what: str):
+    """``value`` itself, refused by name unless it is an instance of ``cls``,
+    a class or a tuple of classes."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise ValidationError(
-            f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
+        names = [("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__
+                 for c in (cls if isinstance(cls, tuple) else (cls,))]
+        raise ValidationError(f"{what} must be {' or '.join(names)}, got {type(value).__name__}")
     return value
 
 

@@ -23,9 +23,9 @@ stack); a single estimate is the stack T = 1.  It has four steps:
    state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
-   with one stacked eigendecomposition for the T states and one for the
-   ``T M`` detector elements, and one stacked check of each
-   (``correct_state``/``correct_povm`` are this step on one estimate).
+   with one stacked eigendecomposition for the T states, one for the
+   ``T M`` detector elements and one for their T sums, and one stacked check
+   of each (``correct_state``/``correct_povm`` are this step on one estimate).
 
 The result is a ``StackEstimates`` record of arrays: the ``(T, d, d)`` states,
 the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
@@ -73,8 +73,8 @@ STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 ANCHOR_RTOL = 1e-6
 # A state estimate's trace may differ from 1 by this much before correction.
 STATE_TRACE_TOL = 1e-6
-# Added, times ||S|| * I, to a clipped detector's element sum S that is singular.
-POVM_EPS_SCALE = 1e-8
+# A clipped detector's element sum S with an eigenvalue <= this * ||S|| is singular.
+POVM_SINGULAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,11 @@ def build_targets_v1(ds, basis: OperatorBasis) -> np.ndarray:
     For trace-preserving processes the background is ``c_j0 / sqrt(d)``;
     otherwise the measured ``x_a0`` replaces the exact ``1/sqrt(d)``.
     ``ds`` is a MeasurementDataset, whose targets are an L x M matrix, or a
-    DatasetStack, whose targets are one ``(T, L, M)`` expression.
+    DatasetStack, whose targets are one ``(T, L, M)`` expression; any other
+    ``ds``, or a ``basis`` that is not an OperatorBasis, is refused by name.
     """
+    _record(ds, (MeasurementDataset, DatasetStack), "dataset")
+    _record(basis, OperatorBasis, "basis")
     if ds.anchor_index > basis.n_traceless:
         raise ValidationError(
             f"anchor index must be in 1..{basis.n_traceless}, got {ds.anchor_index}")
@@ -448,37 +451,26 @@ def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
     return DensityMatrix.checked(rho_bar.shape[-1], _nearest_density(rho_bar))
 
 
-def _physical_povms(povm_bar: np.ndarray) -> tuple:
+def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
     """A stack ``(T, M, d, d)`` of finite rough detectors corrected as
-    ``correct_povm`` says and checked in one pass, with each one's epsilon;
-    refused if any stays singular (the error's ``refused`` mask says which).
-
-    One stacked ``eigh`` of the element sums serves both the epsilon test
-    and ``S^{-1/2}``; the sums plus their epsilons are decomposed again, as
-    one stack, only when some detector needs the repair."""
+    ``correct_povm`` says and checked in one pass; refused if any element
+    sum is singular (the error's ``refused`` mask says which).  One stacked
+    ``eigh`` of the sums serves both the singularity test and ``S^{-1/2}``."""
     if not np.isfinite(povm_bar).all():
         raise ValidationError("detector estimate has a non-finite entry")
     d = povm_bar.shape[-1]
-    eye = np.eye(d)
     clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)
-    floor = POVM_EPS_SCALE * np.linalg.norm(s, axis=(-2, -1))
     w, v = np.linalg.eigh(s)
-    eps_used = np.where(w[..., 0] <= floor, floor, 0.0)
-    if eps_used.any():
-        w, v = np.linalg.eigh(s + eps_used[..., None, None] * eye)
-    singular = w[..., 0] <= 0.0
+    singular = w[..., 0] <= POVM_SINGULAR_RTOL * np.linalg.norm(s, axis=(-2, -1))
+    if not np.any(singular):
+        inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
+        out = inv_sqrt @ clipped @ inv_sqrt
+        # a direction with (numerically) little clipped mass cannot be renormalized
+        singular = np.linalg.norm(out.sum(axis=-3) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
     if np.any(singular):
-        raise DegeneracyError("element sum is singular beyond the epsilon repair",
-                              refused=singular)
-    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
-    out = inv_sqrt @ clipped @ inv_sqrt
-    # a direction with (numerically) no clipped mass cannot be renormalized
-    singular = np.linalg.norm(out.sum(axis=-3) - eye, axis=(-2, -1)) > 1e-10 * d
-    if np.any(singular):
-        raise DegeneracyError("element sum is singular beyond the epsilon repair",
-                              refused=singular)
-    return Povm.checked(d, out), eps_used
+        raise DegeneracyError("element sum is singular", refused=singular)
+    return Povm.checked(d, out)
 
 
 def correct_state(rho_bar: np.ndarray) -> DensityMatrix:
@@ -499,12 +491,12 @@ def correct_povm(elements) -> Povm:
 
     Each element is symmetrized and its negative eigenvalues are clipped to
     zero; the clipped set is then renormalized as ``S^{-1/2} P_j S^{-1/2}``
-    with ``S`` the element sum.  If clipping leaves ``S`` singular,
-    ``POVM_EPS_SCALE * ||S|| * I`` is added first (an estimate reports it
-    as ``povm_epsilon``).
+    with ``S`` the element sum.  A detector whose ``S`` has an eigenvalue at
+    most ``POVM_SINGULAR_RTOL * ||S||``, or whose renormalized sum misses
+    ``I`` by more than ``1e-10 d``, is refused as singular.
     """
     elements = _array(elements, "detector estimate", 3, complex, square=True)
-    return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0][0])
+    return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0])
 
 
 def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
@@ -514,19 +506,17 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
     ``rho_bar`` is ``(T, d, d)`` and ``povm_bar`` is ``(T, M, d, d)``;
     ``refused`` marks the pairs refused before (none if omitted) and gains
     those refused here.  ``diagnostics`` (see ``StackEstimates``) gains the
-    correction distances (two stacked norms) and the POVM epsilon repair,
-    one per pair.
+    correction distances, two stacked norms with one entry per pair.
     """
     t = len(rho_bar)
     if refused is None:
         refused = np.zeros(t, dtype=bool)
     rho = _stage("correct", _physical_states, rho_bar)
-    povm, eps = _lanewise("correct", refused, [povm_bar], _physical_povms, povm_bar)
+    povm = _lanewise("correct", refused, [povm_bar], _physical_povms, povm_bar)
     return StackEstimates(rho, povm, rho_bar, povm_bar, refused, {
         **diagnostics,
         "state_correction_distance": np.linalg.norm((rho - rho_bar).reshape(t, -1), axis=1),
         "povm_correction_distance": np.linalg.norm((povm - povm_bar).reshape(t, -1), axis=1),
-        "povm_epsilon": eps,
     })
 
 

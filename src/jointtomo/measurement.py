@@ -172,6 +172,7 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     also serves for outputs of trace-decreasing processes.  A stack of raw
     matrices, shape ``(L, d, d)``, gives one row of probabilities per matrix.
     """
+    _record(povm, Povm, "povm")
     rho = (state.rho if isinstance(state, DensityMatrix)
            else _array(state, "state", (2, 3), complex))
     if rho.shape[-2:] != (povm.d, povm.d):
@@ -377,8 +378,9 @@ class DatasetStack(_Datasets):
     def of(cls, datasets) -> "DatasetStack":
         """The stack of MeasurementDatasets that share their shape, copy
         count, trace flags and anchor index, checked once; a list that mixes
-        them is refused."""
-        datasets = list(datasets)
+        them is refused, as is a member of another type."""
+        datasets = [_record(ds, MeasurementDataset, f"stack member {i}")
+                    for i, ds in enumerate(datasets)]
         if not datasets:
             raise ValidationError("a stack needs at least one dataset")
         first = datasets[0]
@@ -436,7 +438,8 @@ class IdealStatistics:
 
 
 def _check_basis(basis: OperatorBasis, d: int) -> None:
-    if basis is not None and basis.d != d:
+    """Refuses a basis that is neither None nor an OperatorBasis for dimension d."""
+    if basis is not None and _record(basis, OperatorBasis, "basis").d != d:
         raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
 
 

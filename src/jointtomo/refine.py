@@ -76,7 +76,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
-from .errors import DegeneracyError, ValidationError, _real, _whole
+from .errors import DegeneracyError, ValidationError, _real, _record, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
     _corrected,
@@ -324,6 +324,7 @@ def refine_alternating(
     pair is built by the estimator's maps (``coherence_to_state``,
     ``_elements_from_coords``).
     """
+    _record(basis, OperatorBasis, "basis")
     design = _stage("refine", factor_design, b)
     (y,) = _targets_v1(_one_stack(ds), design, basis)
     if not isinstance(init, EstimateResult):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign
-from .errors import ValidationError, _array, _real
+from .errors import ValidationError, _array, _real, _record
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -77,6 +77,7 @@ def povm_membership(c0: float, c: np.ndarray, basis: OperatorBasis) -> bool:
     physical state set; the zero element (c0 and c both ~ 0) is accepted as a
     boundary case.
     """
+    _record(basis, OperatorBasis, "basis")
     c0, c = _real(c0, "c0"), _array(c, "coherence vector", dtype=float)
     if c0 <= PHYSICAL_SET_TOL:
         return bool(np.linalg.norm(c) <= PHYSICAL_SET_TOL)
@@ -341,7 +342,7 @@ def export_sos_problem(
     The expansion is guarded to ``d <= 3``; beyond that the monomial count is
     impractical for this exporter.
     """
-    d = basis.d
+    d = _record(basis, OperatorBasis, "basis").d
     if d > 3:
         raise ValidationError(f"polynomial export supports d <= 3, got d={d}")
     stack = _one_stack(ds)

@@ -20,6 +20,7 @@ from jointtomo import (
     run_mse_experiment,
     simulate_dataset,
 )
+import jointtomo as jt
 from jointtomo import bench, coherence_to_state, stage1_solve, to_coords
 from jointtomo.bench import MseRow, PRESET_NAMES
 
@@ -297,6 +298,59 @@ def _record_calls():
 def test_a_record_of_the_wrong_type_is_refused_by_name(name, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         _record_calls()[name]()
+
+
+_BASIS = "basis must be an OperatorBasis, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda sc, ds, est, tmp: jt.refine_alternating(ds, sc.regression.b, None, est),
+                 _BASIS + "NoneType", id="refine_alternating"),
+    pytest.param(lambda sc, ds, est, tmp: jt.export_sos_problem(
+        ds, sc.regression.b, "basis", tmp / "p.sos"), _BASIS + "str", id="export_sos_problem"),
+    pytest.param(lambda sc, ds, est, tmp: jt.hamiltonian_generator(np.eye(2), 2),
+                 _BASIS + "int", id="hamiltonian_generator"),
+    pytest.param(lambda sc, ds, est, tmp: jt.mixed_unitary_transfer([], [], 0.5, None),
+                 _BASIS + "NoneType", id="mixed_unitary_transfer"),
+    pytest.param(lambda sc, ds, est, tmp: jt.change_of_basis(np.eye(2)),
+                 _BASIS + "ndarray", id="change_of_basis"),
+    pytest.param(lambda sc, ds, est, tmp: jt.povm_membership(0.0, np.zeros(3), None),
+                 _BASIS + "NoneType", id="povm_membership"),
+    pytest.param(lambda sc, ds, est, tmp: jt.in_physical_set(np.zeros(3), sc),
+                 _BASIS + "Scenario", id="in_physical_set"),
+    pytest.param(lambda sc, ds, est, tmp: jt.build_targets_v1(ds, None),
+                 _BASIS + "NoneType", id="build_targets_v1 basis"),
+    pytest.param(lambda sc, ds, est, tmp: jt.build_targets_v1(ds.y_hat, sc.basis),
+                 "dataset must be a MeasurementDataset or a DatasetStack, got ndarray",
+                 id="build_targets_v1 dataset"),
+    pytest.param(lambda sc, ds, est, tmp: jt.ideal_statistics(
+        sc.ensemble, sc.truth_state, sc.truth_povm, basis=2), _BASIS + "int",
+                 id="ideal_statistics"),
+    pytest.param(lambda sc, ds, est, tmp: jt.simulate_dataset(
+        sc.ensemble, sc.truth_state, sc.truth_povm, 100, basis="2"), _BASIS + "str",
+                 id="simulate_dataset"),
+    pytest.param(lambda sc, ds, est, tmp: jt.born_probabilities(
+        sc.truth_state, sc.truth_povm.elements), "povm must be a Povm, got ndarray",
+                 id="born_probabilities"),
+    pytest.param(lambda sc, ds, est, tmp: jt.rank_bound(sc.ensemble.channels),
+                 "ensemble must be a ProcessEnsemble, got tuple", id="rank_bound"),
+    pytest.param(lambda sc, ds, est, tmp: jt.superoperator(None),
+                 "channel must be a KrausChannel, got NoneType", id="superoperator"),
+    pytest.param(lambda sc, ds, est, tmp: jt.transfer_matrix(sc.ensemble, sc.basis),
+                 "channel must be a KrausChannel, got ProcessEnsemble", id="transfer_matrix"),
+    pytest.param(lambda sc, ds, est, tmp: jt.is_generalized_unital(np.eye(2)),
+                 "channel must be a KrausChannel, got ndarray", id="is_generalized_unital"),
+    pytest.param(lambda sc, ds, est, tmp: jt.DatasetStack.of([ds, est]),
+                 "stack member 1 must be a MeasurementDataset, got EstimateResult",
+                 id="DatasetStack.of"),
+])
+def test_every_entry_refuses_a_record_of_the_wrong_type_by_name(call, message, tmp_path):
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, basis=sc.basis)
+    est = estimate_joint_v1(ds, sc.regression.b, sc.basis)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(sc, ds, est, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_experiment_input_validation():

@@ -45,7 +45,7 @@ from jointtomo import (
 )
 from jointtomo import channels
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.channels import closed_system_channels, sampled_unitaries
+from jointtomo.channels import _sampled_unitary_channels, closed_system_channels, sampled_unitaries
 from jointtomo.serialize import dataset_from_json
 
 
@@ -719,6 +719,27 @@ def test_sampled_unitaries_refuse_a_hamiltonian_that_is_not_a_finite_hermitian_m
         closed_system_channels([(h, 0.5)], 2)
     with pytest.raises(ValidationError, match="Hamiltonian"):
         hamiltonian_generator(h, build_basis(2))
+
+
+def test_one_builder_makes_the_closed_and_the_mixed_unitary_families():
+    """A closed system keeps its sampled unitaries bit for bit, the signs of
+    zeros included; a mixture's Kraus matrices are ``sqrt(w_i) U_i``, part
+    by part; a family of two dimensions is refused."""
+    h = np.diag([0.5, -0.5])
+    chans = closed_system_channels([(h, 0.5), (pauli("x") / 2, 1.0)], 3)
+    assert [ch.label for ch in chans] == [f"H{i}_k{k}" for i in (1, 2) for k in (1, 2, 3)]
+    unitaries = sampled_unitaries(h, 0.5, 3) + sampled_unitaries(pauli("x") / 2, 1.0, 3)
+    for ch, u in zip(chans, unitaries):
+        assert ch.kraus.shape == (1, 2, 2) and ch.kraus[0].tobytes() == u.tobytes()
+    pair = (pauli("xz") / 2, pauli("yy") / 2)
+    chans = _sampled_unitary_channels([(pair, 1.0)], (0.3, 0.7), 2, "pair")
+    assert [ch.label for ch in chans] == ["pair1_k1", "pair1_k2"]
+    for i, (w, g) in enumerate(zip((0.3, 0.7), pair)):
+        for ch, u in zip(chans, sampled_unitaries(g, 1.0, 2)):
+            assert np.array_equal(ch.kraus[i].real, np.sqrt(w) * u.real)
+            assert np.array_equal(ch.kraus[i].imag, np.sqrt(w) * u.imag)
+    with pytest.raises(ValidationError, match="^all channels in an ensemble must share the dim"):
+        closed_system_channels([(h, 0.5), (np.zeros((3, 3)), 0.5)], 2)
 
 
 def test_a_hamiltonian_too_large_for_its_maps_is_refused_without_a_warning():

@@ -56,7 +56,8 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.estimator import POVM_EPS_SCALE, _clip_negative, _physical_povms, _physical_states
+from jointtomo.estimator import (POVM_SINGULAR_RTOL, _clip_negative, _physical_povms,
+                                 _physical_states)
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -282,19 +283,21 @@ def test_nearest_kronecker_flags_a_tie_and_refuses_a_zero_member_by_its_mask():
 
 
 def _povm_reference(povm_bar):
-    """``_physical_povms``'s epsilon step as it was written with two
-    decompositions: the test on ``eigvalsh(S)``, then ``eigh(S + eps I)``;
-    returns the renormalized elements (before the final check) and eps."""
+    """The detector correction of a stack written out: ``S^{-1/2}`` from
+    ``eigh(S)`` of each clipped element sum ``S``, applied to the clipped
+    elements.  Returns the renormalized elements (before the final check;
+    placeholders where ``S`` is singular) and which sums are not singular,
+    an eigenvalue above ``POVM_SINGULAR_RTOL * ||S||``."""
     clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)
-    floor = POVM_EPS_SCALE * np.linalg.norm(s, axis=(-2, -1))
-    eps = np.where(np.linalg.eigvalsh(s)[..., 0] <= floor, floor, 0.0)
-    w, v = np.linalg.eigh(s + eps[..., None, None] * np.eye(s.shape[-1]))
+    w, v = np.linalg.eigh(s)
+    standing = w[..., 0] > POVM_SINGULAR_RTOL * np.linalg.norm(s, axis=(-2, -1))
+    w = np.where(standing[..., None], w, 1.0)
     inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
-    return inv_sqrt @ clipped @ inv_sqrt, eps, s
+    return inv_sqrt @ clipped @ inv_sqrt, standing
 
 
-def test_one_decomposition_of_each_detector_sum_keeps_the_epsilon_step(monkeypatch):
+def test_a_singular_detector_is_refused_by_its_mask_after_two_decompositions(monkeypatch):
     rng = np.random.default_rng(31)
     rough = rng.normal(size=(3, 3, 2, 2, 2)) @ np.array([1.0, 1j])
     rough = np.eye(2) / 3.0 + 0.05 * (rough + rough.conj().swapaxes(-1, -2))
@@ -307,26 +310,50 @@ def test_one_decomposition_of_each_detector_sum_keeps_the_epsilon_step(monkeypat
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    out, eps = _physical_povms(rough)
+    out = _physical_povms(rough)
     assert len(calls) == 2  # the elements' clip and the sums
-    expected, expected_eps, _ = _povm_reference(rough)
-    assert np.array_equal(out, Povm.checked(2, expected))
-    assert np.array_equal(eps, expected_eps)
-    assert not eps.any()
+    expected, standing = _povm_reference(rough)
+    assert standing.all() and np.array_equal(out, Povm.checked(2, expected))
 
     stack = rough.copy()
     stack[1] = singular
     calls.clear()
-    with pytest.raises(DegeneracyError, match="singular beyond the epsilon repair") as err:
+    with pytest.raises(DegeneracyError, match="^element sum is singular$") as err:
         _physical_povms(stack)
-    # the sums plus their epsilons are decomposed once more, as one stack
-    assert len(calls) == 3
-    expected, expected_eps, sums = _povm_reference(stack)
+    assert len(calls) == 2  # nothing is decomposed again
     assert err.value.refused.tolist() == [False, True, False]
-    assert expected_eps[1] > 0.0 and not expected_eps[[0, 2]].any()
-    assert np.array_equal(calls[2], sums + expected_eps[:, None, None] * np.eye(2))
-    # the renormalized singular detector misses the identity, as it did
-    assert np.linalg.norm(expected[1].sum(axis=0) - np.eye(2)) > 1e-10 * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    arrays(float, st.tuples(st.integers(2, 4), st.just(d), st.just(d), st.just(2)),
+           elements=st.floats(-1.0, 1.0, allow_nan=False, width=64)),
+    arrays(float, (d, 2), elements=st.floats(-1.0, 1.0, allow_nan=False, width=64)),
+    st.integers(0, 18))))
+def test_a_detector_is_refused_exactly_when_its_sum_is_singular_and_kept_bit_for_bit(case):
+    d, values, direction, tilt = case
+    rough = values[..., 0] + 1j * values[..., 1]
+    v = direction[:, 0] + 1j * direction[:, 1]
+    if np.linalg.norm(v) > 0.1:
+        # fold the elements into the complement of v, then tilt them back by
+        # 10^-tilt, which puts the least eigenvalue of S near the threshold
+        q = np.eye(d) - np.outer(v, v.conj()) / np.vdot(v, v).real
+        rough = q @ rough @ q + 10.0 ** -tilt * rough
+    expected, standing = _povm_reference(rough[None])
+    if not standing[0]:
+        with pytest.raises(DegeneracyError, match="^element sum is singular$") as err:
+            _physical_povms(rough[None])
+        assert err.value.refused.tolist() == [True]
+        return
+    complete = np.linalg.norm(expected[0].sum(axis=0) - np.eye(d)) <= 1e-10 * d
+    try:
+        out = _physical_povms(rough[None])
+    except DegeneracyError as exc:
+        assert not complete and exc.refused.tolist() == [True]
+        return
+    assert complete
+    assert np.array_equal(out, Povm.checked(d, expected))
 
 
 def test_fix_scale_gauge_invariance():
@@ -406,8 +433,7 @@ def test_correct_povm_cases():
     out = correct_povm(elems)
     assert np.linalg.norm(out.elements.sum(axis=0) - np.eye(2)) < 1e-12
     assert min(np.linalg.eigvalsh(p)[0] for p in out.elements) > -1e-12
-    stacked, eps = _physical_povms(elems[None])
-    assert np.array_equal(stacked[0], out.elements) and eps.tolist() == [0.0]
+    assert np.array_equal(_physical_povms(elems[None])[0], out.elements)
 
 
 def test_single_corrections_refuse_stacks_and_are_the_stacked_ones():
@@ -419,7 +445,7 @@ def test_single_corrections_refuse_stacks_and_are_the_stacked_ones():
     assert (np.linalg.eigvalsh(rho_bar)[:, 0] < 0).any()
     povm_bar = np.stack([np.eye(3) / 2 + 0.3 * h[:3], np.eye(3) / 2 + 0.3 * h[3:]], axis=1)
     states = _physical_states(rho_bar)
-    povms, _ = _physical_povms(povm_bar)
+    povms = _physical_povms(povm_bar)
     for k in range(6):
         assert np.array_equal(correct_state(rho_bar[k]).rho, states[k])
     for k in range(3):
@@ -475,9 +501,10 @@ def test_stage1_singular_regularized_system():
         stage1_solve(b, np.array([1.0, 1.0]), Stage1Config(method="tikhonov", reg_scale=0.0))
 
 
-def test_correct_povm_singular_beyond_repair():
-    with pytest.raises(DegeneracyError):
+def test_correct_povm_refuses_a_singular_element_sum():
+    with pytest.raises(DegeneracyError, match="^element sum is singular$") as err:
         correct_povm(np.zeros((2, 2, 2), dtype=complex))
+    assert err.value.refused.tolist() == [True]
 
 
 def test_estimate_v2_degenerate_scale_error():
@@ -908,7 +935,7 @@ def test_correct_povm_gives_valid_povms_or_refuses(case):
         except DegeneracyError:
             alone.append(None)
     try:
-        povms, _ = _physical_povms(stack)
+        povms = _physical_povms(stack)
     except DegeneracyError:
         assert any(p is None for p in alone)  # refused only with a refused detector in it
         return

@@ -154,7 +154,7 @@ def preset(name: str, seed: int = 0) -> Scenario:
 
     ``seed`` must be a whole number >= 0.
     """
-    if name not in _DRAW_KEYS:
+    if _record(name, str, "preset name") not in _DRAW_KEYS:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     seed = _whole(seed, "seed", 0)
     base, *salt = _DRAW_KEYS[name]
@@ -397,12 +397,17 @@ def run_method_comparison(
     Process indices must be distinct whole numbers in ``0..L-1``, at least
     one; others are refused before any design is indexed.  Labels must be
     unique, since they key the returned tables.  ``seed`` is read as
-    ``run_mse_experiment`` reads it.  A ``sc`` that is not a Scenario, or a
-    config that is not a Stage1Config, is refused by name.
+    ``run_mse_experiment`` reads it.  A ``sc`` that is not a Scenario,
+    ``configs`` that are not such triples, or a config that is not a
+    Stage1Config, is refused by name.
     """
     _record(sc, Scenario, "scenario")
-    for _, config, _ in configs:
-        _record(config, Stage1Config, "config")
+    try:
+        configs = [(label, _record(config, Stage1Config, "config"), indices)
+                   for label, config, indices in configs]
+    except (TypeError, ValueError):
+        raise ValidationError("configs must be a sequence of (label, Stage1Config, "
+                              "process_indices) triples") from None
     labels = [label for label, _, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"config labels must be unique, got {labels}")

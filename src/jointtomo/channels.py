@@ -23,14 +23,6 @@ builder (``_sampled_unitary_channels``).  The per-channel flags an ensemble
 derives come from its zero-padded ``kraus_stack`` by stacked sums: which
 channels preserve the trace (``tp_flags``) and which are generalized-unital
 (``unital_flags``).
-
-The module runs on numpy alone, so importing the package does not load
-``scipy.linalg`` (whose import costs about as much as numpy's).  The three
-calls numpy has no counterpart for import it where they are made: ``expm``
-of a general real generator in ``discretize_hamiltonian`` and
-``mixed_unitary_transfer``, and the QR-iteration SVD that ``_factor`` falls
-back on.  ``sampled_unitaries``, the one exponential of every preset, takes
-its Hermitian ``h`` apart with ``eigh`` instead.
 """
 
 import math
@@ -145,7 +137,7 @@ class ProcessEnsemble:
     channels: tuple
 
     def __post_init__(self):
-        channels = tuple(self.channels)
+        channels = tuple(_record(self.channels, (tuple, list), "ensemble channels"))
         if not channels:
             raise ValidationError("ensemble must contain at least one channel")
         for i, ch in enumerate(channels):
@@ -315,23 +307,16 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
 def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
     """Powers ``Q^1 .. Q^n`` of the one-step map ``Q = exp(r dt)``.
 
-    ``r`` must be a finite, real, square matrix, ``dt`` finite and positive,
-    and ``n`` a whole number of at least 1.
+    ``r`` must be a finite, real generator, antisymmetric as those of
+    ``hamiltonian_generator`` (``_skewed(1j * r)`` false), and ``dt > 0``;
+    ``Q^k`` is the real part of ``sampled_unitaries(1j * r, dt, n)[k - 1]``.
     """
     r = _array(r, "generator", 2, float, square=True)
-    n = _whole(n, "sampling point count", 1)
-    dt = _real(dt, "sampling interval")
-    if dt <= 0:
+    if _skewed(1j * r):
+        raise ValidationError("generator must be antisymmetric")
+    if _real(dt, "sampling interval") <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
-    from scipy.linalg import expm
-
-    q = expm(r * dt)
-    out = []
-    acc = np.eye(q.shape[0])
-    for _ in range(n):
-        acc = acc @ q
-        out.append(acc.copy())
-    return out
+    return [q.real for q in sampled_unitaries(1j * r, dt, n)]
 
 
 def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis) -> np.ndarray:
@@ -345,12 +330,10 @@ def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis
         raise ValidationError("mixture weights must be positive")
     if weights.sum() > 1.0 + 1e-12:
         raise ValidationError(f"mixture weights sum to {weights.sum():.6g} > 1")
-    from scipy.linalg import expm
-
     n = basis.n_traceless
     out = np.zeros((n, n))
     for w, h in zip(weights, hamiltonians):
-        out += w * expm(hamiltonian_generator(h, basis) * t)
+        out += w * sampled_unitaries(1j * hamiltonian_generator(h, basis), t, 1)[0].real
     return out
 
 
@@ -394,6 +377,8 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
     unitary matrix, ``channel`` a KrausChannel, and ``seed`` None, a whole
     number >= 0, a SeedSequence, a BitGenerator or a Generator.
     """
+    _record(kind, str, "channel kind")
+
     def param(name):
         if name not in params:
             raise ValidationError(f"a {kind} channel needs the parameter {name!r}")
@@ -660,15 +645,20 @@ def _packing(n: int) -> tuple:
 def _factor(b: np.ndarray) -> FactoredDesign:
     """The economy SVD and rank of the 2-D numeric matrix ``b``, kept as
     ``b``.  A non-finite entry, on which LAPACK's SVD may never return, is
-    refused as a LinAlgError: a degeneracy of the stage that factors."""
+    refused as a LinAlgError: a degeneracy of the stage that factors.
+    Should numpy's SVD (gesdd) fail, a fallback takes the top min(L, n)
+    eigenpairs ``s_i``, ``[u_i; v_i] / sqrt(2)`` of ``[[0, b], [b^H, 0]]`` (Golub
+    & Van Loan, 8.6): ``s`` and ``b`` are kept to roundoff in ``||b||``, but
+    vectors of clustered singular values may be orthogonal only to ~1e-10."""
     _array(b, "regression matrix", 2, nonfinite=np.linalg.LinAlgError)
     try:
         u, s, vh = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError:
-        # the divide-and-conquer SVD (gesdd) may not converge where QR iteration does
-        from scipy.linalg import svd
-
-        u, s, vh = svd(b, full_matrices=False, lapack_driver="gesvd")
+        (rows, cols), k = b.shape, min(b.shape)
+        w, v = np.linalg.eigh(np.block([[np.zeros((rows, rows)), b],
+                                        [b.conj().T, np.zeros((cols, cols))]]))
+        s, v = w[:-k - 1:-1], v[:, :-k - 1:-1] * math.sqrt(2.0)
+        u, vh = v[:rows], v[rows:].conj().T
     return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
 
 

@@ -65,8 +65,6 @@ min(L, n^2) rows), ``||Y - G C||^2 = ||Y - u u^T Y||^2 + ||u^T Y - (x . W3)
 C||^2``; the first term is computed once per call, in residual form, and
 each sweep computes the second on the rotated rows
 (``FactoredDesign._rotated``).
-
-Every kernel is numpy's, so a refinement does not load ``scipy.linalg``.
 """
 
 import functools

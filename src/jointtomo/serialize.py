@@ -12,7 +12,7 @@ import numpy as np
 
 from .basis import _skewed
 from .channels import KrausChannel, ProcessEnsemble
-from .errors import ValidationError, _array, _real, _whole
+from .errors import ValidationError, _array, _real, _record, _whole
 from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm
 
@@ -34,6 +34,13 @@ def _load(path, parse):
         raise ValidationError(f"{path}: {exc}") from exc
     except _MALFORMED as exc:
         raise ValidationError(f"{path}: malformed record: {exc!r}") from exc
+
+
+def _save(path, data) -> None:
+    """Write ``data`` as JSON text, which is formed before ``path`` is opened."""
+    text = json.dumps(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def matrix_to_json(a) -> list:
@@ -61,8 +68,8 @@ def channel_from_json(data) -> KrausChannel:
 
 
 def save_ensemble(ens: ProcessEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([channel_to_json(ch) for ch in ens.channels], fh)
+    _record(ens, ProcessEnsemble, "ensemble")
+    _save(path, [channel_to_json(ch) for ch in ens.channels])
 
 
 def _ensemble_from_json(data) -> ProcessEnsemble:
@@ -103,8 +110,8 @@ def _hamiltonians_from_json(data) -> list:
 
 
 def save_state(state: DensityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"d": state.d, "rho": matrix_to_json(state.rho)}, fh)
+    _record(state, DensityMatrix, "state")
+    _save(path, {"d": state.d, "rho": matrix_to_json(state.rho)})
 
 
 def load_state(path) -> DensityMatrix:
@@ -112,8 +119,8 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_povm(povm: Povm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"d": povm.d, "elements": [matrix_to_json(p) for p in povm.elements]}, fh)
+    _record(povm, Povm, "povm")
+    _save(path, {"d": povm.d, "elements": [matrix_to_json(p) for p in povm.elements]})
 
 
 def load_povm(path) -> Povm:
@@ -122,6 +129,7 @@ def load_povm(path) -> Povm:
 
 
 def dataset_to_json(ds: MeasurementDataset) -> dict:
+    _record(ds, MeasurementDataset, "dataset")
     return {
         "y_hat": ds.y_hat.tolist(),
         "x_a0_hat": ds.x_a0_hat.tolist(),
@@ -149,8 +157,7 @@ def dataset_from_json(data) -> MeasurementDataset:
 
 
 def save_dataset(ds: MeasurementDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_json(ds), fh)
+    _save(path, dataset_to_json(ds))
 
 
 def load_dataset(path) -> MeasurementDataset:
@@ -170,6 +177,7 @@ def _plain(value):
 
 
 def result_to_json(result: EstimateResult) -> dict:
+    _record(result, EstimateResult, "result")
     return {
         "rho_hat": matrix_to_json(result.rho_hat.rho),
         "povm_hat": [matrix_to_json(p) for p in result.povm_hat.elements],
@@ -180,5 +188,4 @@ def result_to_json(result: EstimateResult) -> dict:
 
 
 def save_result(result: EstimateResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json(result), fh)
+    _save(path, result_to_json(result))

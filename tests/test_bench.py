@@ -343,6 +343,13 @@ _BASIS = "basis must be an OperatorBasis, got "
     pytest.param(lambda sc, ds, est, tmp: jt.DatasetStack.of([ds, est]),
                  "stack member 1 must be a MeasurementDataset, got EstimateResult",
                  id="DatasetStack.of"),
+    pytest.param(lambda sc, ds, est, tmp: jt.ProcessEnsemble(None),
+                 "ensemble channels must be a tuple or a list, got NoneType",
+                 id="ProcessEnsemble"),
+    pytest.param(lambda sc, ds, est, tmp: jt.make_named_channel(np.eye(2)),
+                 "channel kind must be a str, got ndarray", id="make_named_channel"),
+    pytest.param(lambda sc, ds, est, tmp: jt.preset(np.eye(2)),
+                 "preset name must be a str, got ndarray", id="preset"),
 ])
 def test_every_entry_refuses_a_record_of_the_wrong_type_by_name(call, message, tmp_path):
     sc = preset("one_qubit_closed_complete")
@@ -388,6 +395,15 @@ def test_method_comparison_refuses_the_grids_the_experiment_refuses(grid):
     sc = preset("one_qubit_closed_complete")
     with pytest.raises(ValidationError, match="shot grid"):
         run_method_comparison(sc, grid, trials=2, configs=[("a", Stage1Config(), None)])
+
+
+@pytest.mark.parametrize("configs", [None, 3, [1], [("a",)]],
+                         ids=["none", "int", "bare-member", "short-member"])
+def test_method_comparison_refuses_configs_that_are_not_triples(configs):
+    sc = preset("one_qubit_closed_complete")
+    with pytest.raises(ValidationError, match="^configs must be a sequence of "
+                                              r"\(label, Stage1Config, process_indices\) triples$"):
+        run_method_comparison(sc, [1000], trials=2, configs=configs)
 
 
 def test_method_comparison_refuses_duplicate_labels():

@@ -38,6 +38,7 @@ from jointtomo import (
     rank_bound,
     run_method_comparison,
     simulate_dataset,
+    stage1_solve,
     superoperator,
     to_coords,
     transfer_matrix,
@@ -634,11 +635,14 @@ def test_failures_are_never_kept(svds, bad):
     assert svds == [] and channels._memo == []
 
 
-def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored(monkeypatch):
-    # numpy's gesdd is made to fail on a preset's natural design (900 x 256,
-    # complex), as it may fail to converge; QR iteration factors it
-    reg = preset("two_qubit_mixed_unitary").regression
-    b, rank = reg.b_natural, reg.rank_b_natural
+@pytest.mark.parametrize("name", ["two_qubit_mixed_unitary", "two_qubit_mixed_unitary_incomplete"])
+@pytest.mark.parametrize("natural", [False, True], ids=["coherence", "natural"])
+def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored(monkeypatch, name,
+                                                                         natural):
+    # numpy's gesdd is made to fail on a preset's design (up to 900 x 256,
+    # complex), as it may fail to converge; the Jordan-Wielandt eigh factors it
+    reg = preset(name).regression
+    b, expected = (reg.b_natural, reg.design_natural) if natural else (reg.b, reg.design)
     calls = []
 
     def failing_svd(*args, **kwargs):
@@ -649,8 +653,33 @@ def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored(monkeypat
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     design = factor_design(b)
     assert calls == [b.shape]
-    assert design.rank == rank
+    assert design.rank == expected.rank
     assert np.abs(design.u * design.s @ design.vh - b).max() < 1e-12
+    y = np.random.default_rng(3).normal(size=(len(b), 2))
+    for config in (Stage1Config("mp_inverse"), Stage1Config("tikhonov", reg_scale=1e-3)):
+        want = stage1_solve(expected, y, config)
+        assert np.linalg.norm(stage1_solve(design, y, config) - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_generator_maps_are_the_exponentials_of_their_generator(d):
+    # discretize_hamiltonian and mixed_unitary_transfer take exp(r dt) through
+    # sampled_unitaries; scipy's expm is the oracle
+    rng = np.random.default_rng(40 + d)
+    basis = build_basis(d)
+    for _ in range(10):
+        hams = []
+        for scale in rng.uniform(0.1, 5.0, size=2):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) / 2.0
+            hams.append(scale * (h - np.trace(h) / d * np.eye(d)))
+        r, dt = hamiltonian_generator(hams[0], basis), rng.uniform(0.1, 2.0)
+        for k, q in enumerate(discretize_hamiltonian(r, dt, 5), start=1):
+            assert q.dtype == float and np.abs(q - expm(r * dt * k)).max() <= 1e-11
+        weights = (0.3, 0.6)
+        mixed = mixed_unitary_transfer(weights, hams, dt, basis)
+        oracle = sum(w * expm(hamiltonian_generator(h, basis) * dt) for w, h in zip(weights, hams))
+        assert mixed.dtype == float and np.abs(mixed - oracle).max() <= 1e-11
 
 
 _HERMITIAN_ENTRIES = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -817,6 +846,14 @@ _H1 = pauli("x") / 2
 def test_generator_maps_refuse_input_that_is_not_finite_and_well_shaped(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("r", [np.eye(3), np.triu(np.ones((3, 3)), 1), _R + 1e-6 * np.eye(3),
+                               np.ones((1, 1))],
+                         ids=["identity", "upper-triangle", "nearly-antisymmetric", "1x1"])
+def test_a_generator_that_is_not_antisymmetric_is_refused(r):
+    with pytest.raises(ValidationError, match="^generator must be antisymmetric$"):
+        discretize_hamiltonian(r, 0.5, 3)
 
 
 def test_the_memo_keeps_the_most_recently_used_designs(svds):

@@ -1,9 +1,11 @@
-"""No everyday path of the package loads scipy.linalg: not the closed form,
-the exporter, the refinement or any CLI command; and importing the package
-loads neither the exporter, the file formats nor numpy.random.  Run in a
-fresh interpreter, since this one has scipy and the exporter loaded."""
+"""The package runs on numpy alone: no path of it, everyday or not, loads
+any scipy module, and numpy is its one runtime requirement; and importing
+the package loads neither the exporter, the file formats nor numpy.random.
+Run in a fresh interpreter, since this one has scipy and the exporter
+loaded."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +15,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import sys
 
+import numpy as np
+
 import jointtomo as jt
 from jointtomo.cli import main
 
 
-def linalg():
-    return sorted(m for m in sys.modules
-                  if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+def scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
-assert linalg() == [], ("import", linalg())
+assert scipy() == [], ("import", scipy())
 sc = jt.preset("two_qubit_mixed_unitary")
 jt.run_mse_experiment(sc, [1000], trials=2, seed=0)
 ds = jt.simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
@@ -42,14 +45,33 @@ for argv in (["simulate", *cli, "--n0", "1000", "--out", "ds.json"],
              ["rank-check", *cli],
              ["bench", *cli, "--n0-grid", "1e3,1e4", "--trials", "2", "--out", "mse.csv"]):
     assert main(argv) == 0, argv
-    assert linalg() == [], (argv[0], linalg())
+    assert scipy() == [], (argv[0], scipy())
 jt.refine_alternating(ds, sc.regression.b, sc.basis, est, iters=2)
-assert linalg() == [], ("refine", linalg())
+assert scipy() == [], ("refine", scipy())
+# the three calls that used scipy.linalg: both exponentials and the SVD fallback
+h = jt.pauli("xz") / 2
+jt.discretize_hamiltonian(jt.hamiltonian_generator(h, sc.basis), 0.5, 3)
+jt.mixed_unitary_transfer([0.4, 0.6], [h, jt.pauli("zi") / 2], 0.5, sc.basis)
+
+
+def failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+b = np.random.default_rng(0).normal(size=(12, 9))
+svd, np.linalg.svd = np.linalg.svd, failing_svd
+design = jt.factor_design(b)
+np.linalg.svd = svd
+assert design.rank == 9 and np.abs(design.u * design.s @ design.vh - b).max() < 1e-12
+assert scipy() == [], ("exponentials and SVD fallback", scipy())
 print("ok")
 """
 
 
-def test_no_everyday_path_loads_scipy_linalg(tmp_path):
+def test_the_package_runs_on_numpy_alone(tmp_path):
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]*)"', listed) == ["numpy>=1.24"]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))

@@ -22,6 +22,7 @@ from jointtomo.serialize import (
     save_dataset,
     save_ensemble,
     save_povm,
+    save_result,
     save_state,
 )
 
@@ -177,3 +178,16 @@ def test_loaders_raise_only_validation_errors_on_fuzzed_json(tmp_path_factory, d
             loader(path)
         except ValidationError:
             pass
+
+
+@pytest.mark.parametrize("save, what", [
+    (save_ensemble, "ensemble must be a ProcessEnsemble"),
+    (save_state, "state must be a DensityMatrix"),
+    (save_povm, "povm must be a Povm"),
+    (save_dataset, "dataset must be a MeasurementDataset"),
+    (save_result, "result must be an EstimateResult"),
+], ids=["ensemble", "state", "povm", "dataset", "result"])
+def test_writers_refuse_a_wrong_record_before_opening_the_file(tmp_path, save, what):
+    with pytest.raises(ValidationError, match=f"^{what}, got NoneType$"):
+        save(None, tmp_path / "out.json")
+    assert not list(tmp_path.iterdir())

@@ -46,6 +46,8 @@ TRANSFER_IMAG_TOL = 1e-10
 KRAUS_GRAM_TOL = 1e-8
 # Largest norm of the column block h for which a channel counts as generalized-unital.
 GENERALIZED_UNITAL_TOL = 1e-8
+# Processes whose coherence rows ``RegressionMatrices.b`` builds at once.
+_ROW_BLOCK = 128
 
 
 def _kraus_grams(kraus: np.ndarray) -> np.ndarray:
@@ -320,9 +322,11 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
 
 
 def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis) -> np.ndarray:
-    """Coherence-vector map ``sum_i w_i exp(R_i t)`` of a mixed-unitary process."""
+    """Coherence-vector map ``sum_i w_i exp(R_i t)`` of a mixed-unitary process.
+    ``hamiltonians`` is a tuple or a list of matrices, one per weight."""
     _record(basis, OperatorBasis, "basis")
     weights = _array(weights, "mixture weights", 1, float)
+    _record(hamiltonians, (tuple, list), "Hamiltonians")
     if len(weights) != len(hamiltonians):
         raise ValidationError("need one weight per Hamiltonian")
     t = _real(t, "evolution time")
@@ -472,8 +476,17 @@ def _sampled_unitary_channels(groups, weights, n: int, prefix: str) -> tuple:
 
 def closed_system_channels(records, n: int) -> list:
     """Unitary channels ``H{i}_k{k}`` sampled at n times from each ``(h, dt)``,
-    checked by one stacked pass (``KrausChannel.stacked``)."""
-    return list(_sampled_unitary_channels([((h,), dt) for h, dt in records], (1.0,), n, "H"))
+    checked by one stacked pass (``KrausChannel.stacked``).  ``records`` is a
+    tuple or a list of such pairs; a record that is not a pair is refused by
+    its label ``H{i}``."""
+    groups = []
+    for i, record in enumerate(_record(records, (tuple, list), "Hamiltonian records"), start=1):
+        if not isinstance(record, (tuple, list)) or len(record) != 2:
+            got = (f"a {type(record).__name__} of length {len(record)}"
+                   if isinstance(record, (tuple, list)) else type(record).__name__)
+            raise ValidationError(f"Hamiltonian record H{i} must be an (h, dt) pair, got {got}")
+        groups.append(((record[0],), record[1]))
+    return list(_sampled_unitary_channels(groups, (1.0,), n, "H"))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -703,29 +716,54 @@ def factor_design(b) -> FactoredDesign:
 
 @dataclass(frozen=True)
 class RegressionMatrices:
-    """The design of an ensemble in both bases, factored on first use.
+    """The design of an ensemble in both bases, each built and factored on
+    first use.
 
-    ``b`` stacks the rows ``vec(E_a)`` (real, coherence-vector basis) and
-    ``b_natural`` the rows ``vec(B_a)`` (complex, natural basis).  Each is
+    The record holds the ensemble and the basis it describes.  ``b`` stacks
+    the rows ``vec(E_a)`` (real, coherence-vector basis) and ``b_natural``
+    the rows ``vec(B_a)`` (complex, natural basis); each is built from the
+    ensemble's Kraus stack when it is first read (``_natural_rows``, and for
+    ``b`` ``_coherence_rows`` in process blocks) and kept read-only.  Each is
     factored at most once, when ``design``/``design_natural`` is first read,
     and the ranks and completeness verdicts are read off those
     factorizations: a basis is informationally complete when its matrix has
     full column rank, (d^2-1)^2 for ``b`` and d^4 for ``b_natural``.  These
     designs hold ``b`` and ``b_natural`` themselves, neither copied nor kept
-    in ``factor_design``'s memo.  A writable matrix is kept as a read-only
-    copy, so the factors cannot go stale (a read-only view is not guarded).
+    in ``factor_design``'s memo.  A run that reads one basis never builds
+    the other's matrix.
     """
 
-    b: np.ndarray
-    b_natural: np.ndarray
+    ensemble: ProcessEnsemble
+    basis: OperatorBasis
 
     def __post_init__(self):
-        for name in ("b", "b_natural"):
-            m = _array(getattr(self, name), name, nonfinite=None)
-            if m.flags.writeable:
-                m = m.copy()
-                m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        _record(self.ensemble, ProcessEnsemble, "ensemble")
+        _record(self.basis, OperatorBasis, "basis")
+        if self.ensemble.d != self.basis.d:
+            raise ValidationError(
+                f"dimension mismatch: ensemble {self.ensemble.d}, basis {self.basis.d}")
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The real ``L x (d^2-1)^2`` rows ``vec(E_a)``, written block by block
+        of ``_ROW_BLOCK`` processes into one array, so that the build holds
+        one block's natural rows at a time."""
+        kraus, n = self.ensemble.kraus_stack, self.basis.n_traceless
+        u = change_of_basis(self.basis)
+        b = np.empty((len(kraus), n * n))
+        blocks = b.reshape(len(kraus), n, n)
+        for start in range(0, len(kraus), _ROW_BLOCK):
+            block = _natural_rows(kraus[start:start + _ROW_BLOCK])
+            blocks[start:start + len(block)] = _coherence_rows(block, u).swapaxes(1, 2)
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def b_natural(self) -> np.ndarray:
+        """The complex ``L x d^4`` rows ``vec(B_a)``."""
+        b = _natural_rows(self.ensemble.kraus_stack).reshape(len(self.ensemble), -1)
+        b.setflags(write=False)
+        return b
 
     @cached_property
     def design(self) -> FactoredDesign:
@@ -752,40 +790,34 @@ class RegressionMatrices:
         return self.design_natural.full_column_rank
 
 
-def _stacked_rows(ens: ProcessEnsemble, basis: OperatorBasis) -> tuple:
-    """The rows ``vec(E_a)`` (real) and ``vec(B_a)`` (complex) of every channel.
+def _natural_rows(kraus: np.ndarray) -> np.ndarray:
+    """The rows ``vec(B_a)`` of a Kraus stack ``(L, k, d, d)``, as ``(L, d, d, d, d)``.
 
-    ``vec(B_a)`` is accumulated from the Kraus stack one Kraus index at a
-    time, straight into column-major order: entry ``[m, n, i, j]`` is
-    ``B_a[(i, j), (m, n)] = sum_k conj(A_k)[i, m] A_k[j, n]``.  The transfer
-    matrices ``U B_a U^dag`` of all channels are then one batched product.
+    They are accumulated one Kraus index at a time, straight into
+    column-major order: entry ``[m, n, i, j]`` is
+    ``B_a[(i, j), (m, n)] = sum_k conj(A_k)[i, m] A_k[j, n]``.
     """
-    l, d = len(ens), basis.d
-    b_nat = np.zeros((l, d, d, d, d), dtype=complex)
-    for a in np.moveaxis(ens.kraus_stack, 1, 0):
-        b_nat += np.einsum("aim,ajn->amnij", a.conj(), a)
-    b_nat = b_nat.reshape(l, -1)
-    sup = b_nat.reshape(l, d * d, d * d).transpose(0, 2, 1)
-    u = change_of_basis(basis)
-    e = _real_transfer(u @ sup @ u.conj().T)[:, 1:, 1:]
-    return e.transpose(0, 2, 1).reshape(l, -1), b_nat
+    l, _, d, _ = kraus.shape
+    rows = np.zeros((l, d, d, d, d), dtype=complex)
+    for a in np.moveaxis(kraus, 1, 0):
+        rows += np.einsum("aim,ajn->amnij", a.conj(), a)
+    return rows
+
+
+def _coherence_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The e-blocks ``(L, n, n)`` of the transfer matrices ``U B_a U^dag`` of
+    natural rows ``(L, d, d, d, d)`` (``_natural_rows``), by one batched
+    product, for the change of basis ``u``."""
+    l, d2 = len(rows), len(u)
+    sup = rows.reshape(l, d2, d2).transpose(0, 2, 1)
+    return _real_transfer(u @ sup @ u.conj().T)[:, 1:, 1:]
 
 
 def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> RegressionMatrices:
-    """Rows ``vec(E_a)^T`` (real) and ``vec(B_a)^T`` (complex) for every channel.
-
-    Both are built for all channels at once from the ensemble's Kraus stack
-    (see ``_stacked_rows``) and kept read-only, so that the record's cached
-    factorizations always describe them.  No matrix is factored here.
-    """
-    _record(ens, ProcessEnsemble, "ensemble")
-    _record(basis, OperatorBasis, "basis")
-    if ens.d != basis.d:
-        raise ValidationError(f"dimension mismatch: ensemble {ens.d}, basis {basis.d}")
-    b, b_nat = _stacked_rows(ens, basis)
-    b.setflags(write=False)
-    b_nat.setflags(write=False)
-    return RegressionMatrices(b=b, b_natural=b_nat)
+    """The design record of ``ens`` in ``basis``, refused unless both are
+    records of one dimension.  Nothing is built or factored here: each
+    basis's rows are built when first read (see ``RegressionMatrices``)."""
+    return RegressionMatrices(ens, basis)
 
 
 def rank_bound(ens: ProcessEnsemble) -> int:

@@ -15,7 +15,9 @@ stack); a single estimate is the stack T = 1.  It has four steps:
    completeness verdicts are read off that same factorization) and every
    solve applies it: ``z = V diag(f(s)) U^dag Y`` with the method's filter
    factors ``f``, one pair of matrix products for the ``T M`` target columns
-   of every outcome of every dataset,
+   of every outcome of every dataset, read in place from targets laid out
+   ``(L, T, M)``.  The residuals ``||Y - B z||`` come from the coefficients
+   ``U^dag Y`` of that same solve (``_solved``), not from a product with B,
 3. factor each column of ``z`` as a Kronecker product of a state vector and
    a detector vector through the top singular triplet of its rearrangement
    (one stacked ``eigh`` of the rearrangements' Gram matrices for all
@@ -219,16 +221,22 @@ def build_targets_v1(ds, basis: OperatorBasis) -> np.ndarray:
     For trace-preserving processes the background is ``c_j0 / sqrt(d)``;
     otherwise the measured ``x_a0`` replaces the exact ``1/sqrt(d)``.
     ``ds`` is a MeasurementDataset, whose targets are an L x M matrix, or a
-    DatasetStack, whose targets are one ``(T, L, M)`` expression; any other
-    ``ds``, or a ``basis`` that is not an OperatorBasis, is refused by name.
+    DatasetStack, whose targets are one ``(T, L, M)`` expression, written in
+    stage 1's ``(L, T, M)`` memory order and returned as its transposed view;
+    any other ``ds``, or a ``basis`` that is not an OperatorBasis, is refused
+    by name.
     """
     _record(ds, (MeasurementDataset, DatasetStack), "dataset")
     _record(basis, OperatorBasis, "basis")
     if ds.anchor_index > basis.n_traceless:
         raise ValidationError(
             f"anchor index must be in 1..{basis.n_traceless}, got {ds.anchor_index}")
-    x_a0 = np.where(ds.tp_flags, 1.0 / np.sqrt(basis.d), ds.x_a0_hat)
-    return ds.y_hat - x_a0[..., :, None] * ds.c_j0_hat[..., None, :]
+    x_a0 = np.where(ds.tp_flags, 1.0 / np.sqrt(basis.d), ds.x_a0_hat).swapaxes(0, -1)
+    y = ds.y_hat.swapaxes(0, -2)
+    out = np.empty(y.shape)
+    for j in range(y.shape[-1]):  # by outcome: a broadcast over the short M axis runs slower
+        np.subtract(y[..., j], x_a0 * ds.c_j0_hat[..., j], out=out[..., j])
+    return out.swapaxes(0, -2)
 
 
 def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
@@ -242,7 +250,8 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
     the singular values: ``plain_ls`` inverts them all and refuses a
     rank-deficient B, ``mp_inverse`` inverts those above ``RANK_RTOL * s[0]``
     and drops the rest, and ``tikhonov`` applies ``s / (s^2 + reg_scale)``,
-    refusing ``reg_scale = 0`` on a rank-deficient B.
+    refusing ``reg_scale = 0`` on a rank-deficient B.  This is the checked
+    form of ``_solved``, whose ``z`` it returns.
     """
     _record(config, Stage1Config, "config")
     y = _array(y, "targets", (1, 2))
@@ -251,6 +260,26 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
         raise ValidationError(f"target length {y.shape[0]} does not match {design.shape[0]} rows")
     if config.method == "tikhonov" and config.reg_scale is None:
         raise ValidationError("tikhonov needs a concrete reg_scale (or resolve via dataset)")
+    return _solved(design, y, config)[0]
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """The squared norms of the columns of ``a`` (of ``a`` itself if 1-D)."""
+    return (a.real ** 2 + a.imag ** 2).sum(axis=0) if np.iscomplexobj(a) else (a * a).sum(axis=0)
+
+
+def _solved(design: FactoredDesign, y: np.ndarray, config: Stage1Config) -> tuple:
+    """Stage 1 on checked inputs: the solution ``z`` of ``stage1_solve`` and
+    the residual norms ``||y - B z||`` of its columns.
+
+    With ``c = U^H y`` and the filter factors ``f``, ``z = V (f c)``, and
+    the residual comes from the same coefficients:
+    ``||y - B z||^2 = ||y||^2 - ||c||^2 + ||(1 - s f) c||^2``, since ``U``
+    has orthonormal columns.  That is one formula for every method, real or
+    complex, and no second product with B.  A column whose squared form
+    falls below ``1e-8 ||y||^2`` has lost its digits to cancellation, so its
+    residual is formed directly, which keeps exact data exact.
+    """
     s, full_rank = design.s, design.full_column_rank
     if config.method == "plain_ls":
         if not full_rank:
@@ -265,9 +294,21 @@ def stage1_solve(b, y: np.ndarray, config: Stage1Config) -> np.ndarray:
         if config.reg_scale == 0.0 and not full_rank:
             raise DegeneracyError("regularized normal matrix is singular: B is rank deficient")
         f = s / (s * s + config.reg_scale)
-    coef = design.u.conj().T @ y
-    coef = coef * (f if y.ndim == 1 else f[:, None])
-    return design.vh.conj().T @ coef
+    rest = 1.0 - s * f  # the share of each coefficient the solve leaves in the residual
+    if y.ndim == 2:
+        f, rest = f[:, None], rest[:, None]
+    c = design.u.conj().T @ y
+    z = design.vh.conj().T @ (c * f)
+    y_sq = _sq_norms(y)
+    res_sq = y_sq - _sq_norms(c) + _sq_norms(rest * c)
+    residuals = np.sqrt(np.maximum(res_sq, 0.0))
+    near = res_sq < 1e-8 * y_sq
+    if np.any(near):
+        if y.ndim == 1:
+            residuals = np.linalg.norm(y - design.b @ z)
+        else:
+            residuals[near] = np.linalg.norm(y[:, near] - design.b @ z[:, near], axis=0)
+    return z, residuals
 
 
 def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -524,15 +565,17 @@ def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: 
     """Stage 1 and the stacked Kronecker factors, the steps both bases share.
 
     Solves all ``T M`` columns of the ``(T, L, M)`` targets ``y`` with the
-    factored design and factors each as a ``side x side`` pair by one stacked
-    ``eigh`` (``nearest_kronecker``).  Returns the ``(T, M)`` factorizations,
+    factored design (``_solved``, which also gives their residuals; targets
+    laid out ``(L, T, M)`` in memory are read without a copy) and factors
+    each as a ``side x side`` pair by one stacked ``eigh``
+    (``nearest_kronecker``).  Returns the ``(T, M)`` factorizations,
     the refused mask (see ``_lanewise``; later steps grow it) and both
     steps' diagnostics.
     """
     t, l, m = y.shape
     cols = y.transpose(1, 0, 2).reshape(l, t * m)
-    z = _stage("stage1", stage1_solve, design, cols, config)
-    residuals = np.linalg.norm(cols - design.b @ z, axis=0).reshape(t, m)
+    z, residuals = _stage("stage1", _solved, design, cols, config)
+    residuals = residuals.reshape(t, m)
     z = z.T.reshape(t, m, -1)
     refused = np.zeros(t, dtype=bool)
     facs = _lanewise("kronecker", refused, [z], nearest_kronecker, z, side, side)
@@ -649,7 +692,8 @@ def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> Stack
         raise ValidationError(f"superoperator matrix has {d4} columns, not a fourth power")
     _check_design_shape(design.shape, stack.n_processes, d4)
     config = config.resolved(stack.total_copies)
-    facs, refused, diagnostics = _factors(stack.y_hat.astype(complex), design, config, d * d)
+    y = stack.y_hat.swapaxes(0, 1).astype(complex, order="C").swapaxes(0, 1)
+    facs, refused, diagnostics = _factors(y, design, config, d * d)
     candidates, povm_bar, anchors = _lanewise("scale", refused, [facs.left, facs.right],
                                               _fix_scale_v2, facs, d)
     mean, scale = _mean_state(candidates, anchors)

@@ -1,6 +1,8 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from jointtomo import (
     DegeneracyError,
@@ -496,6 +498,46 @@ def test_experiment_factors_its_design_once(monkeypatch, name):
         monkeypatch, len(sc.ensemble),
         lambda: run_mse_experiment(sc, [1000, 10000], trials=2, seed=2))
     assert count == 0 and len(builds) == 1
+
+
+@pytest.mark.parametrize("name, built", [
+    ("two_qubit_mixed_unitary", {"b", "design"}),
+    ("one_qubit_random_pure", {"b_natural", "design_natural"}),
+])
+def test_an_experiment_builds_the_design_of_its_basis_alone(name, built):
+    sc = preset(name)
+    run_mse_experiment(sc, [1000], trials=2, seed=1)
+    assert set(vars(sc.regression)) == {"ensemble", "basis"} | built
+
+
+def _peak_above_start(call) -> int:
+    """The most bytes ``tracemalloc`` saw held during ``call()`` above what
+    was held when it began."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_set_up_and_a_trial_block_stay_inside_their_working_set():
+    """Bounds from the array shapes: building and factoring the design and
+    computing the ideal statistics hold little beyond ``b`` and its factors,
+    and a block of trials little beyond a few ``(T, L, M)`` arrays."""
+    sc = preset("two_qubit_mixed_unitary")
+    setup = _peak_above_start(lambda: (sc.regression.design, sc.ideal))
+    design = sc.regression.design
+    assert setup < 1.5 * (design.b.nbytes + design.u.nbytes + design.vh.nbytes)
+    run_mse_experiment(sc, [1000], trials=bench.TRIAL_BLOCK, seed=1)
+    block = _peak_above_start(
+        lambda: run_mse_experiment(sc, [1000], trials=bench.TRIAL_BLOCK, seed=2))
+    assert block < 4.5 * bench.TRIAL_BLOCK * len(sc.ensemble) * sc.truth_povm.m * 8
 
 
 def test_a_replaced_scenario_gets_its_own_statistics():

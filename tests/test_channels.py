@@ -502,6 +502,9 @@ def test_ensemble_apply_matches_per_channel_apply():
 
 
 def test_regression_record_is_two_matrices_factored_on_first_use(monkeypatch):
+    """A record holds its ensemble and basis and builds nothing; each basis's
+    matrix is built when first read, and factored by one SVD when its
+    design is first read."""
     sc = preset("one_qubit_closed_complete")
     svds = []
     svd = np.linalg.svd
@@ -512,34 +515,72 @@ def test_regression_record_is_two_matrices_factored_on_first_use(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     reg = build_regression_matrices(sc.ensemble, sc.basis)
-    assert [f.name for f in dataclasses.fields(reg)] == ["b", "b_natural"]
-    assert svds == []
-    assert not reg.b.flags.writeable and not reg.b_natural.flags.writeable
+    assert [f.name for f in dataclasses.fields(reg)] == ["ensemble", "basis"]
+    assert reg.ensemble is sc.ensemble and reg.basis is sc.basis
+    assert set(vars(reg)) == {"ensemble", "basis"} and svds == []
     assert reg.rank_b == 9 and reg.complete_v1
-    assert svds == [reg.b.shape]
+    assert set(vars(reg)) == {"ensemble", "basis", "b", "design"}
+    assert svds == [reg.b.shape] == [(15, 9)]
     assert reg.design is reg.design and reg.design.b is reg.b
     assert svds == [reg.b.shape]
+    assert reg.b_natural is reg.b_natural and reg.b_natural.shape == (15, 16)
+    assert "design_natural" not in vars(reg) and len(svds) == 1
     assert reg.rank_b_natural == reg.design_natural.rank
     assert svds == [reg.b.shape, reg.b_natural.shape]
+    assert reg.design_natural.b is reg.b_natural
     with pytest.raises(AttributeError):
         reg.rank_b = 3
 
 
 def test_a_regression_record_holds_read_only_matrices():
-    reg = channels.RegressionMatrices(b=np.eye(4), b_natural=np.eye(4, dtype=complex))
-    assert reg.rank_b == 4
-    with pytest.raises(ValueError):
-        reg.b[3, 3] = 0  # once a stale factorization, now refused
-    assert reg.rank_b == 4 and np.array_equal((reg.design.u * reg.design.s) @ reg.design.vh, reg.b)
-    # a writable matrix is copied once, so writing to it leaves the record as it was
-    b = np.eye(4)
-    reg = channels.RegressionMatrices(b=b, b_natural=np.eye(4, dtype=complex))
-    b[3, 3] = 0
-    assert reg.rank_b == 4 and reg.b[3, 3] == 1.0 and reg.design.b is reg.b
-    # a read-only matrix is kept as it is
-    frozen = np.eye(4)
-    frozen.setflags(write=False)
-    assert channels.RegressionMatrices(b=frozen, b_natural=frozen).b is frozen
+    """Both matrices are read-only arrays that cannot be replaced, so the
+    cached factorizations always describe them."""
+    sc = preset("one_qubit_random_pure")
+    reg = build_regression_matrices(sc.ensemble, sc.basis)
+    for name in ("b", "b_natural"):
+        matrix = getattr(reg, name)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0  # once a stale factorization, now refused
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(reg, name, np.zeros_like(matrix))
+        assert getattr(reg, name) is matrix
+    for design in (reg.design, reg.design_natural):
+        assert np.allclose((design.u * design.s) @ design.vh, design.b, atol=1e-13)
+    assert reg.design.b is reg.b and reg.design_natural.b is reg.b_natural
+    with pytest.raises(TypeError):
+        channels.RegressionMatrices(b=np.eye(4), b_natural=np.eye(4, dtype=complex))
+
+
+def _d3_ensemble(size: int) -> ProcessEnsemble:
+    """``size`` channels at d = 3 with one to three Kraus matrices each."""
+    return ProcessEnsemble(tuple(
+        make_named_channel("random_cp", d=3, rank=1 + a % 3, seed=a, tp=a % 2 == 0)
+        for a in range(size)))
+
+
+def test_the_coherence_rows_built_in_blocks_are_those_of_one_block(monkeypatch):
+    ens, basis = _d3_ensemble(20), build_basis(3)
+    whole = build_regression_matrices(ens, basis).b  # one block of 20 processes
+    monkeypatch.setattr(channels, "_ROW_BLOCK", 7)  # blocks of 7, 7 and 6 processes
+    blocked = build_regression_matrices(ens, basis).b
+    assert blocked.shape == whole.shape == (20, 64) and blocked.dtype == float
+    assert blocked.tobytes() == whole.tobytes()
+    per_b = np.stack([vectorize(transfer_matrix(ch, basis).e) for ch in ens.channels])
+    assert np.max(np.abs(blocked - per_b)) < 1e-14
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_regression_matrices(None, build_basis(2)),
+     "^ensemble must be a ProcessEnsemble, got NoneType$"),
+    (lambda: build_regression_matrices(_d3_ensemble(2), None),
+     "^basis must be an OperatorBasis, got NoneType$"),
+    (lambda: channels.RegressionMatrices(_d3_ensemble(2), build_basis(2)),
+     "^dimension mismatch: ensemble 3, basis 2$"),
+])
+def test_a_regression_record_refuses_what_it_cannot_describe(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -854,6 +895,29 @@ def test_generator_maps_refuse_input_that_is_not_finite_and_well_shaped(call):
 def test_a_generator_that_is_not_antisymmetric_is_refused(r):
     with pytest.raises(ValidationError, match="^generator must be antisymmetric$"):
         discretize_hamiltonian(r, 0.5, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: mixed_unitary_transfer([1.0], None, 0.8, build_basis(2)),
+                 "^Hamiltonians must be a tuple or a list, got NoneType$", id="none-hamiltonians"),
+    pytest.param(lambda: mixed_unitary_transfer([1.0], 3, 0.8, build_basis(2)),
+                 "^Hamiltonians must be a tuple or a list, got int$", id="int-hamiltonians"),
+    pytest.param(lambda: mixed_unitary_transfer([1.0], (h for h in [_H1]), 0.8, build_basis(2)),
+                 "^Hamiltonians must be a tuple or a list, got generator$",
+                 id="generator-hamiltonians"),
+    pytest.param(lambda: closed_system_channels(None, 2),
+                 "^Hamiltonian records must be a tuple or a list, got NoneType$",
+                 id="none-records"),
+    pytest.param(lambda: closed_system_channels([(_H1, 1.0), (pauli("x"),)], 2),
+                 r"^Hamiltonian record H2 must be an \(h, dt\) pair, got a tuple of length 1$",
+                 id="short-record"),
+    pytest.param(lambda: closed_system_channels([_H1], 2),
+                 r"^Hamiltonian record H1 must be an \(h, dt\) pair, got ndarray$",
+                 id="bare-matrix-record"),
+])
+def test_probe_families_refuse_hamiltonian_lists_they_cannot_read(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_the_memo_keeps_the_most_recently_used_designs(svds):

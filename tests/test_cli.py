@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtomo import amplitude_damping, make_named_channel, preset, simulate_dataset
+from jointtomo import amplitude_damping, cli, make_named_channel, preset, simulate_dataset
 from jointtomo.channels import ProcessEnsemble
 from jointtomo.cli import main
 from jointtomo.serialize import load_dataset, save_ensemble
@@ -83,6 +83,23 @@ def test_estimate_exact_roundtrip(tmp_path, capsys):
     assert float(line.split()[-1]) < 1e-8
     saved = json.loads(out.read_text())
     assert saved["diagnostics"]["method"] == "plain_ls"
+
+
+@pytest.mark.parametrize("command, built", [
+    (("estimate",), {"b", "design"}), (("refine",), {"b", "design"}),
+    (("estimate", "--version", "v2"), {"b_natural", "design_natural"}),
+])
+def test_a_fit_builds_the_design_of_its_basis_alone(tmp_path, monkeypatch, command, built):
+    build, records = cli.build_regression_matrices, []
+    monkeypatch.setattr(cli, "build_regression_matrices",
+                        lambda ens, basis: records.append(build(ens, basis)) or records[-1])
+    ds = tmp_path / "ds.json"
+    run_cli("simulate", "--preset", "one_qubit_closed_complete", "--n0", "1000",
+            "--out", str(ds), "--quiet")
+    rc = run_cli(*command, "--preset", "one_qubit_closed_complete", "--dataset", str(ds),
+                 "--method", "mp", "--out", str(tmp_path / "fit.json"), "--quiet")
+    assert rc == 0 and len(records) == 1
+    assert set(vars(records[0])) == {"ensemble", "basis"} | built
 
 
 def test_estimate_tikhonov_auto_scale(tmp_path):

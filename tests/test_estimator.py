@@ -57,7 +57,7 @@ from jointtomo import (
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.estimator import (POVM_SINGULAR_RTOL, _clip_negative, _physical_povms,
-                                 _physical_states)
+                                 _physical_states, _solved)
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -659,6 +659,55 @@ def test_factored_stage1_matches_direct_solves(kind, shape):
                 stage1_solve(design, target, Stage1Config(method="tikhonov", reg_scale=0.0))
         # a raw matrix is factored on the spot and gives the same solution
         assert np.array_equal(stage1_solve(b, target, Stage1Config(method="mp_inverse")), z_mp)
+
+
+@pytest.fixture(scope="module")
+def factored_presets():
+    """Every preset's scenario, with the designs of both bases factored once."""
+    scenarios = {name: preset(name) for name in PRESET_NAMES}
+    return {name: (sc, sc.regression.design, sc.regression.design_natural)
+            for name, sc in scenarios.items()}
+
+
+def _target_columns(stack: DatasetStack, basis, natural: bool) -> np.ndarray:
+    """A stack's ``(L, T M)`` stage-1 columns in one basis."""
+    y = stack.y_hat.astype(complex) if natural else build_targets_v1(stack, basis)
+    return y.transpose(1, 0, 2).reshape(stack.n_processes, -1)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_stage1_residual_from_the_coefficients_is_the_direct_one(name, factored_presets):
+    """The residual ``_solved`` takes from ``U^H y`` matches ``||y - B z||``
+    to 1e-10 ||y|| per column, for every method in both bases, on noisy
+    and exact data and a rank-deficient design with a tiny Tikhonov scale;
+    ``stage1_solve`` returns ``_solved``'s ``z`` bit for bit."""
+    sc, design, natural = factored_presets[name]
+    stacks = [DatasetStack.of(
+        simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=int(n0) + t,
+                         scale_observable=sc.anchor_index, basis=sc.basis) for t in range(3))
+        for n0 in (2, 1000, 100000)]
+    stacks.append(simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, exact=True,
+                                   scale_observable=sc.anchor_index, basis=sc.basis).as_stack())
+    solved = 0
+    for stack in stacks:
+        configs = [Stage1Config(), Stage1Config("mp_inverse"),
+                   Stage1Config("tikhonov").resolved(stack.total_copies),
+                   Stage1Config("tikhonov", reg_scale=1e-12)]
+        for basis_design, is_natural in ((design, False), (natural, True)):
+            cols = _target_columns(stack, sc.basis, is_natural)
+            for config in configs:
+                if config.method == "plain_ls" and not basis_design.full_column_rank:
+                    with pytest.raises(DegeneracyError):
+                        _solved(basis_design, cols, config)
+                    continue
+                for y in (cols, cols[:, 0]):
+                    z, residuals = _solved(basis_design, y, config)
+                    direct = np.linalg.norm(y - basis_design.b @ z, axis=0)
+                    assert np.all(np.abs(residuals - direct)
+                                  <= 1e-10 * np.linalg.norm(y, axis=0))
+                    assert np.array_equal(stage1_solve(basis_design, y, config), z)
+                    solved += 1
+    assert solved >= 4 * 2 * 3 * 2
 
 
 def test_estimators_accept_a_factored_design():

@@ -67,11 +67,31 @@ class OperatorBasis:
     """Orthonormal Hermitian basis for d x d matrices.
 
     ``omegas`` has shape ``(d^2, d, d)``; ``omegas[0]`` is ``I/sqrt(d)`` and
-    the remaining elements are traceless.
+    the remaining elements are traceless.  A set that is not Hermitian
+    (``_skewed``), not orthonormal (``||Gram - I|| > 1e-10``) or not led by
+    ``I/sqrt(d)`` (to 1e-10) is refused; a read-only copy is kept.
     """
 
     d: int
     omegas: np.ndarray
+
+    def __post_init__(self):
+        d = _whole(self.d, "basis dimension", 2)
+        omegas = np.array(_array(self.omegas, "basis elements", 3), dtype=complex)
+        if omegas.shape != (d * d, d, d):
+            raise ValidationError(
+                f"basis elements must have shape {(d * d, d, d)}, got {omegas.shape}")
+        skewed = _skewed(omegas)
+        if skewed.any():
+            raise ValidationError(f"basis element {skewed.argmax()} is not Hermitian")
+        flat = omegas.reshape(d * d, d * d)
+        if np.linalg.norm(flat.conj() @ flat.T - np.eye(d * d)) > 1e-10:
+            raise ValidationError("basis elements are not orthonormal")
+        if np.linalg.norm(omegas[0] - np.eye(d) / np.sqrt(d)) > 1e-10:
+            raise ValidationError("the first basis element is not I/sqrt(d)")
+        omegas.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "omegas", omegas)
 
     @property
     def n_traceless(self) -> int:
@@ -123,9 +143,7 @@ def _build_basis(d: int) -> OperatorBasis:
         diag[:l] = 1.0
         diag[l] = -l
         mats.append(np.diag(diag) / np.sqrt(l * (l + 1)))
-    omegas = np.stack(mats)
-    omegas.setflags(write=False)
-    return OperatorBasis(d=d, omegas=omegas)
+    return OperatorBasis(d=d, omegas=np.stack(mats))
 
 
 def change_of_basis(basis: OperatorBasis) -> np.ndarray:

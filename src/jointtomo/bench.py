@@ -42,10 +42,8 @@ from .estimator import (
 from .measurement import (
     DatasetStack,
     DensityMatrix,
-    IdealStatistics,
     Povm,
     _process_indices,
-    ideal_statistics,
     simulate_dataset,
 )
 
@@ -77,7 +75,8 @@ TRIAL_BLOCK = 50
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified experiment, reproducible from (name, seed)."""
+    """A fully specified experiment, reproducible from (name, seed).  The
+    truth's statistics are kept on the ensemble, by ``ideal_statistics``."""
 
     name: str
     seed: int
@@ -100,12 +99,6 @@ class Scenario:
         """The ensemble's design record, built on first use and kept, so its
         factorizations are also computed at most once per scenario."""
         return build_regression_matrices(self.ensemble, self.basis)
-
-    @cached_property
-    def ideal(self) -> IdealStatistics:
-        """The truth's noiseless statistics, computed on first use and kept."""
-        return ideal_statistics(self.ensemble, self.truth_state, self.truth_povm,
-                                scale_observable=self.anchor_index, basis=self.basis)
 
 
 def _draw_state(rng, basis, eigenvalues, need_anchor: bool, anchor_index: int) -> DensityMatrix:
@@ -293,9 +286,9 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
     other than None (int arrays checked by ``_process_indices``) restrict
     both the datasets and the regression matrix.
     The full design is the scenario's cached record (``sc.regression``), a
-    process subset is factored once per case, and the truth's ideal
-    statistics are the scenario's cached ``sc.ideal``; a second call on the
-    same scenario builds and factors nothing.
+    process subset is factored once per case, and every trial reads the
+    truth's statistics kept on the ensemble (``ideal_statistics``); a second
+    call on the same scenario builds, factors and computes nothing.
     Trial ``t`` at grid index ``i`` draws from the stream
     ``(scenario seed, seed, i, t)``, one simulation per trial.  Its
     ``SeedSequence`` is given those four numbers as the uint32 words numpy
@@ -328,7 +321,6 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
                     sc.ensemble, sc.truth_state, sc.truth_povm, n0,
                     seed=np.random.SeedSequence(np.array(stream + _words(t), dtype=np.uint32)),
                     scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
-                    ideal=sc.ideal,
                 )
                 for t in range(start, min(start + TRIAL_BLOCK, trials))
             )

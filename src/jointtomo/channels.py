@@ -412,7 +412,7 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
         seed = param("seed")
         rng = _rng(seed)
         g = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
-        gram = np.einsum("kij,kil->jl", g.conj(), g)
+        gram = _kraus_grams(g)
         if params.get("tp", False):
             w, v = np.linalg.eigh(gram)
             inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
@@ -555,7 +555,7 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
         j = _choi_matrix(pair)
         for sign in (1.0, -1.0):
             kraus = _kraus_from_choi(j, d, g, sign)
-            gram = np.einsum("kij,kil->jl", kraus.conj(), kraus)
+            gram = _kraus_grams(kraus)
             worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
             channels.append(kraus)
     if worst > 1.0 + KRAUS_TOL:
@@ -824,21 +824,19 @@ def rank_bound(ens: ProcessEnsemble) -> int:
     """Upper bound on the natural-basis regression rank.
 
     Channels are grouped by equal Kraus sums ``sum A^dag A`` (to
-    ``KRAUS_GRAM_TOL``); each group of size L_j contributes at most
+    ``KRAUS_GRAM_TOL``): the first channel not yet grouped takes every other
+    within the tolerance of it.  Each group of size L_j contributes at most
     ``min(L_j, d^4 - d^2 + 1)`` and the total is capped at d^4.
     """
     d = _record(ens, ProcessEnsemble, "ensemble").d
-    groups = []
-    for ch in ens.channels:
-        gram = ch.kraus_gram()
-        for rep, count in groups:
-            if np.linalg.norm(gram - rep) < KRAUS_GRAM_TOL:
-                count[0] += 1
-                break
-        else:
-            groups.append((gram, [1]))
-    per_group = d ** 4 - d ** 2 + 1
-    total = sum(min(count[0], per_group) for _, count in groups)
+    grams = _kraus_grams(ens.kraus_stack)
+    ungrouped = np.ones(len(grams), dtype=bool)
+    per_group, total = d ** 4 - d ** 2 + 1, 0
+    while ungrouped.any():
+        group = ungrouped & (np.linalg.norm(grams - grams[ungrouped.argmax()], axis=(-2, -1))
+                             < KRAUS_GRAM_TOL)
+        total += min(int(group.sum()), per_group)
+        ungrouped &= ~group
     return int(min(total, d ** 4))
 
 

@@ -3,13 +3,19 @@
 Every whole-number or real-number input of the package is read by
 ``_whole`` or ``_real``, every seed by ``_rng``, every array by ``_array``
 and every record argument by ``_record``, so one place decides what a valid
-scalar, seed, array or record is and how its refusal reads.  A record whose
+scalar, seed, array or record is and how its refusal reads.  A matrix whose
+sums, squares or powers are formed from unchecked magnitudes is also read
+by ``_bounded``, the one magnitude rule.  A record whose
 fields were checked already is made by ``_new``, without checking them
 again.  Whether a matrix is Hermitian is decided by one
 rule too, ``basis._skewed``, next to the coordinate map that needs it.
 """
 
 import numpy as np
+
+# The largest real or imaginary part ``_bounded`` accepts: far above any estimate
+# the package makes, far below where a matrix's sums, squares or 9th power overflow.
+MAX_ENTRY = 1e30
 
 
 class TomographyError(Exception):
@@ -74,6 +80,16 @@ def _new(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _bounded(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself, refused by name unless every real and imaginary part is
+    finite and at most ``MAX_ENTRY`` in magnitude (one max per part)."""
+    m = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    if not m <= MAX_ENTRY:
+        raise ValidationError(f"{what} has a non-finite entry" if not np.isfinite(m)
+                              else f"{what} has an entry beyond {MAX_ENTRY:g} in magnitude")
+    return a
 
 
 def _rng(seed) -> "np.random.Generator":

@@ -65,8 +65,8 @@ import numpy as np
 
 from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
-from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _new, _real,
-                     _record, _whole)
+from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _bounded, _new,
+                     _real, _record, _whole)
 from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
@@ -428,9 +428,9 @@ def combine_state_estimates(candidates) -> np.ndarray:
     """Merge the per-outcome state estimates by their arithmetic mean.
 
     The mean runs over the first axis, the outcomes; any further axes (a
-    stack of datasets, then the candidates' own) are kept.
+    stack of datasets, then the candidates' own) are kept (``_bounded``).
     """
-    candidates = _array(candidates, "state estimate")
+    candidates = _bounded(_array(candidates, "state estimate"), "state estimate")
     if candidates.ndim == 0 or len(candidates) == 0:
         raise ValidationError(f"need at least one state estimate, got shape {candidates.shape}")
     return candidates.mean(axis=0)
@@ -481,8 +481,7 @@ def _physical_states(rho_bar: np.ndarray) -> np.ndarray:
     """A stack ``(T, d, d)`` of finite, Hermitian, unit-trace (to
     ``STATE_TRACE_TOL``) rough states, each moved to its nearest density
     matrix and all checked by one stacked pass."""
-    if not np.isfinite(rho_bar).all():
-        raise ValidationError("state estimate has a non-finite entry")
+    _bounded(rho_bar, "state estimate")
     if _skewed(rho_bar).any():
         raise ValidationError("state estimate must be Hermitian before correction")
     tr = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
@@ -497,8 +496,7 @@ def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
     ``correct_povm`` says and checked in one pass; refused if any element
     sum is singular (the error's ``refused`` mask says which).  One stacked
     ``eigh`` of the sums serves both the singularity test and ``S^{-1/2}``."""
-    if not np.isfinite(povm_bar).all():
-        raise ValidationError("detector estimate has a non-finite entry")
+    _bounded(povm_bar, "detector estimate")
     d = povm_bar.shape[-1]
     clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)

@@ -23,11 +23,10 @@ and the scale observable's outcomes) are fixed by the ensemble and the truth:
 normalizes them into read-only tables, and each simulated trial only draws
 from those tables, so its dataset is valid as drawn and is not checked
 again.  The statistics are computed once per process for each (ensemble,
-truth, anchor, basis), as ``factor_design`` factors each design once: the
-last few records are kept and returned while the truth's arrays still equal
-the copies taken when the record was made, so writing into a truth array in
-place makes a new record.  Shot counts must be whole numbers >= 1, and a
-sampled draw takes at most 2**63 - 1 of them.
+truth, anchor, basis): the last few records are kept on the ensemble, and
+every ``simulate_dataset`` call reads its record there, while the truth's
+arrays hold the bytes they held when it was made.  Shot counts must be
+whole numbers >= 1, and a sampled draw takes at most 2**63 - 1 of them.
 
 Datasets, states and detectors are each checked by one stacked pass, of
 which the constructors are the case T = 1, and a failing stack raises the
@@ -405,27 +404,23 @@ class DatasetStack(_Datasets):
 class IdealStatistics:
     """The noiseless statistics of one (ensemble, truth, scale observable).
 
-    They depend on neither the shot count nor the random stream, so a
-    Monte-Carlo study computes them once (``ideal_statistics``) and passes
-    them to every ``simulate_dataset`` call.  ``probabilities`` are the Born
-    probabilities after each process, ``survival`` the output traces (read on
-    lossy processes only), ``trace_probabilities`` the detector's outcomes on
-    the maximally mixed state, and ``scale_eigenvalues``/``scale_probabilities``
-    the spectrum of the scale observable and its outcome probabilities on the
-    truth.
+    They depend on neither the shot count nor the random stream, so they are
+    computed once (``ideal_statistics``) and read by every
+    ``simulate_dataset`` call.  ``anchor_index`` is the scale observable's
+    index, ``probabilities`` the Born probabilities after each process,
+    ``survival`` the output traces (read on lossy processes only),
+    ``trace_probabilities`` the detector's outcomes on the maximally mixed
+    state, and ``scale_eigenvalues``/``scale_probabilities`` the spectrum of
+    the scale observable and its outcome probabilities on the truth.
 
     The three probability sets the protocol samples are also kept as the
     tables its multinomial draws read (``sampling_table``: checked, padded
     with the loss outcome and normalized here, once): ``outcome_table`` has
     one row per process, ``trace_table`` and ``scale_table`` one row each.
     So a trial only draws.  Every array is read-only, since every trial
-    shares it.  The inputs they were computed from are kept, so a
-    mismatched pair is refused.
+    shares it.
     """
 
-    ensemble: ProcessEnsemble
-    truth_state: DensityMatrix
-    truth_povm: Povm
     anchor_index: int
     probabilities: np.ndarray
     survival: np.ndarray
@@ -437,28 +432,16 @@ class IdealStatistics:
     scale_table: np.ndarray
 
 
-def _check_basis(basis: OperatorBasis, d: int) -> None:
-    """Refuses a basis that is neither None nor an OperatorBasis for dimension d."""
-    if basis is not None and _record(basis, OperatorBasis, "basis").d != d:
-        raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
-
-
-def _truth_records(ens, truth_state, truth_povm) -> None:
-    """Refuses, by name, an ensemble, state or detector of the wrong type."""
-    _record(ens, ProcessEnsemble, "ensemble")
-    _record(truth_state, DensityMatrix, "truth state")
-    _record(truth_povm, Povm, "truth detector")
-
-
 # How many truths ``ideal_statistics`` keeps the statistics of per ensemble.
 _MEMO_SIZE = 4
 
 
 def _memo(ens: ProcessEnsemble) -> list:
     """The records ``ideal_statistics`` keeps for ``ens``, most recently used
-    first, each as ``(record, basis, rho, elements)``: the basis it was made
-    for and copies of the truth's arrays.  The list is kept on the ensemble
-    itself, so it lives exactly as long as the ensemble does."""
+    first, each as ``(record, objects, key)``: the state, detector and basis
+    it was made for, held so that their ids in ``key`` stay theirs, and
+    ``key``, those ids, the anchor and the bytes of the truth's arrays.  The
+    list is kept on the ensemble itself, so it lives as long as the ensemble."""
     return ens.__dict__.setdefault("_ideal_statistics", [])
 
 
@@ -478,50 +461,52 @@ def ideal_statistics(
     ``1..d^2-1``.  ``basis`` None means ``build_basis(d)``.
 
     The last ``_MEMO_SIZE`` records made here for each ensemble are kept, on
-    that ensemble, so they are freed with it.  A call with the
-    same ensemble, state, detector and basis objects and the same anchor
-    returns its record as it is, as long as the state's ``rho`` and the
-    detector's ``elements`` still equal the copies taken when the record was
-    made.  Otherwise the statistics are computed anew, and the record
-    replaces the least recently used one: after writing into either array
-    in place, or for another anchor, basis object or truth object.  Inputs
-    that are refused are refused on every call and never kept.
+    that ensemble, so they are freed with it.  A call with the same
+    ensemble, state, detector and basis objects and the same anchor returns
+    its record as it is while the state's ``rho`` and the detector's
+    ``elements`` hold the bytes they held when it was made (for the finite
+    arrays of a checked truth, equal bytes are equal values).  Otherwise the
+    statistics are computed anew, and the record replaces the least recently
+    used one: after writing into either array in place, or for another
+    anchor, basis object or truth object.  Refused inputs are never kept.
     """
-    _truth_records(ens, truth_state, truth_povm)
-    if ens.d != truth_state.d or ens.d != truth_povm.d:
+    _record(ens, ProcessEnsemble, "ensemble")
+    _record(truth_state, DensityMatrix, "truth state")
+    _record(truth_povm, Povm, "truth detector")
+    d = ens.d
+    if d != truth_state.d or d != truth_povm.d:
         raise ValidationError("ensemble, state and detector dimensions must agree")
-    _check_basis(basis, ens.d)
     if basis is None:
-        basis = build_basis(ens.d)
-    scale_observable = _whole(scale_observable, "scale observable index")
-    if not 1 <= scale_observable <= basis.n_traceless:
-        raise ValidationError(
-            f"scale observable index must be in 1..{basis.n_traceless}, got {scale_observable}"
-        )
+        basis = build_basis(d)
+    elif _record(basis, OperatorBasis, "basis").d != d:
+        raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
+    anchor = _whole(scale_observable, "scale observable index")
     memo = _memo(ens)
-    for i, (ideal, kept_basis, rho, elements) in enumerate(memo):
-        if (ideal.truth_state is truth_state
-                and ideal.truth_povm is truth_povm and kept_basis is basis
-                and ideal.anchor_index == scale_observable
-                and np.array_equal(rho, truth_state.rho)
-                and np.array_equal(elements, truth_povm.elements)):
-            memo.insert(0, memo.pop(i))
+    key = (id(truth_state), id(truth_povm), id(basis), anchor, truth_state.rho.tobytes(),
+           truth_povm.elements.tobytes())
+    for i, (ideal, _, kept) in enumerate(memo):
+        if kept == key:
+            if i:
+                memo.insert(0, memo.pop(i))
             return ideal
+    # Read only on a miss: an index out of range is never kept.
+    if not 1 <= anchor <= basis.n_traceless:
+        raise ValidationError(
+            f"scale observable index must be in 1..{basis.n_traceless}, got {anchor}")
     # All processes in one stacked pass: outputs, then their probabilities.
     rho_out = ens.apply(truth_state.rho)
     p = born_probabilities(rho_out, truth_povm)
     survival = np.clip(np.real(np.trace(rho_out, axis1=1, axis2=2)), 0.0, 1.0)
-    q = np.real(np.einsum("jii->j", truth_povm.elements)) / ens.d
-    omega = basis.omegas[scale_observable]
-    lam, vecs = np.linalg.eigh(omega)
+    q = np.real(np.einsum("jii->j", truth_povm.elements)) / d
+    lam, vecs = np.linalg.eigh(basis.omegas[anchor])
     probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), truth_state.rho, vecs)), 0.0, None)
     probs = probs / probs.sum()
     arrays = (p, survival, q, lam, probs,
               sampling_table(p), sampling_table(q), sampling_table(probs))
     for a in arrays:
         a.setflags(write=False)
-    ideal = IdealStatistics(ens, truth_state, truth_povm, scale_observable, *arrays)
-    memo.insert(0, (ideal, basis, truth_state.rho.copy(), truth_povm.elements.copy()))
+    ideal = IdealStatistics(anchor, *arrays)
+    memo.insert(0, (ideal, (truth_state, truth_povm, basis), key))
     del memo[_MEMO_SIZE:]
     return ideal
 
@@ -535,7 +520,6 @@ def simulate_dataset(
     scale_observable: int = 1,
     exact: bool = False,
     basis: OperatorBasis = None,
-    ideal: IdealStatistics = None,
 ) -> MeasurementDataset:
     """Simulate the full data-collection protocol with ``n0`` shots per setup.
 
@@ -546,26 +530,15 @@ def simulate_dataset(
     the input state to pin the reconstruction scale; its eigenbasis statistics
     are sampled with ``n0`` shots like every other configuration.  ``exact``
     bypasses all sampling and records the ideal values (a simulation switch
-    for pipeline-exactness checks, not a physical claim).  ``ideal`` is the
-    ``ideal_statistics`` of these same inputs, computed once for many calls;
-    without it they are read from ``ideal_statistics`` here, which computes
-    them once per process for the same ensemble, truth, anchor and basis.
-    Either way the draws are the same: one multinomial per table of
-    ``ideal``, whose probabilities were checked when it was made, and a
-    binomial for the lossy processes' survival.  So the dataset is valid as
-    drawn, and it is not checked again.
+    for pipeline-exactness checks, not a physical claim).  The statistics
+    are the record ``ideal_statistics`` keeps for these inputs, computed on
+    the first call.  Each draw is one multinomial per table of that record,
+    whose probabilities were checked when it was made, and a binomial for
+    the lossy processes' survival, so the dataset is valid as drawn and is
+    not checked again.
     """
-    _truth_records(ens, truth_state, truth_povm)
-    scale_observable = _whole(scale_observable, "scale observable index")
     n0 = _whole(n0, "shot count", 1)
-    if ideal is None:
-        ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
-    elif not (_record(ideal, IdealStatistics, "ideal").ensemble is ens
-              and ideal.truth_state is truth_state and ideal.truth_povm is truth_povm
-              and ideal.anchor_index == scale_observable):
-        raise ValidationError("ideal statistics were computed for other inputs")
-    else:
-        _check_basis(basis, ens.d)
+    ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
     rng = _rng(seed)
     sqd = math.sqrt(ens.d)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign
-from .errors import ValidationError, _array, _real, _record
+from .errors import ValidationError, _array, _bounded, _real, _record
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -44,9 +44,10 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
 
     For a unit-trace matrix the recursion reproduces k_1 = 1; in general
     k_1 = Tr(rho) so that the k_p always match the characteristic polynomial
-    det(lambda I - rho) = sum_p (-1)^p k_p lambda^{d-p}.
+    det(lambda I - rho) = sum_p (-1)^p k_p lambda^{d-p}.  ``_bounded`` keeps
+    every power finite for d <= 9.
     """
-    rho = _array(rho, "matrix", 2, complex, square=True)
+    rho = _bounded(_array(rho, "matrix", 2, complex, square=True), "matrix")
     if _skewed(rho):
         raise ValidationError("matrix must be Hermitian")
     d = rho.shape[0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointtomo import (
+    OperatorBasis,
     ValidationError,
     build_basis,
     change_of_basis,
@@ -272,3 +273,38 @@ def test_the_hermitian_rule_gives_one_verdict_at_every_scale(tmp_path_factory, c
                      lambda: load_hamiltonians(path)):
             with pytest.raises(ValidationError, match="not Hermitian|must be Hermitian"):
                 call()
+
+
+def _swapped(omegas, i, j):
+    out = omegas.copy()
+    out[[i, j]] = out[[j, i]]
+    return out
+
+
+@pytest.mark.parametrize("d, omegas, message", [
+    (2, 2 * build_basis(2).omegas, "basis elements are not orthonormal"),
+    (2, np.zeros((4, 2, 2)), "basis elements are not orthonormal"),
+    (2, np.zeros((3, 2, 2)), r"basis elements must have shape \(4, 2, 2\), got \(3, 2, 2\)"),
+    (2, build_basis(2).omegas * np.array([1, 1, 1j, 1])[:, None, None],
+     "basis element 2 is not Hermitian"),
+    (2, _swapped(build_basis(2).omegas, 0, 3), r"the first basis element is not I/sqrt\(d\)"),
+    (2, build_basis(2).omegas[..., 0], "basis elements must be 3-D"),
+    (2, np.full((4, 2, 2), np.nan), "basis elements has a non-finite entry"),
+    (1, np.ones((1, 1, 1)), "basis dimension must be >= 2"),
+    (2.5, build_basis(2).omegas, "basis dimension must be a whole number"),
+], ids=["scaled", "zero", "wrong-shape", "not-hermitian", "first-not-identity", "2-d",
+        "nan", "d-1", "d-fraction"])
+def test_a_basis_that_is_not_an_orthonormal_hermitian_set_is_refused(d, omegas, message):
+    with pytest.raises(ValidationError, match=message):
+        OperatorBasis(d, omegas)
+
+
+def test_a_valid_basis_is_kept_as_a_read_only_copy():
+    given = build_basis(3).omegas.copy()
+    basis = OperatorBasis(3.0, given)
+    assert basis.d == 3 and type(basis.d) is int
+    assert np.array_equal(basis.omegas, given) and not np.shares_memory(basis.omegas, given)
+    assert not basis.omegas.flags.writeable and given.flags.writeable
+    assert not build_basis(2).omegas.flags.writeable
+    np.testing.assert_allclose(to_coords(np.eye(3) / 3, basis), to_coords(np.eye(3) / 3,
+                                                                          build_basis(3)))

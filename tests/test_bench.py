@@ -431,7 +431,7 @@ def test_trial_loop_computes_the_ideal_statistics_once(monkeypatch):
     assert calls == [len(sc.ensemble)]  # one evolution of the truth for six trials
     assert table.failures == 0 and [r.trials for r in table.rows] == [3, 3]
     run_mse_experiment(sc, [1000], trials=2, seed=5)
-    assert calls == [len(sc.ensemble)]  # kept on the scenario for the next call
+    assert calls == [len(sc.ensemble)]  # kept on the ensemble for the next call
 
 
 def _counting(monkeypatch, module, name) -> list:
@@ -531,7 +531,8 @@ def test_set_up_and_a_trial_block_stay_inside_their_working_set():
     computing the ideal statistics hold little beyond ``b`` and its factors,
     and a block of trials little beyond a few ``(T, L, M)`` arrays."""
     sc = preset("two_qubit_mixed_unitary")
-    setup = _peak_above_start(lambda: (sc.regression.design, sc.ideal))
+    setup = _peak_above_start(lambda: (sc.regression.design, jt.ideal_statistics(
+        sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis)))
     design = sc.regression.design
     assert setup < 1.5 * (design.b.nbytes + design.u.nbytes + design.vh.nbytes)
     run_mse_experiment(sc, [1000], trials=bench.TRIAL_BLOCK, seed=1)
@@ -542,12 +543,13 @@ def test_set_up_and_a_trial_block_stay_inside_their_working_set():
 
 def test_a_replaced_scenario_gets_its_own_statistics():
     sc = preset("one_qubit_closed_complete")
-    ideal, reg = sc.ideal, sc.regression
-    assert sc.ideal is ideal and sc.regression is reg
+    reg = sc.regression
+    assert sc.regression is reg
     other = replace(sc, truth_state=DensityMatrix(2, np.eye(2) / 2))
-    assert other.ideal is not ideal and other.ideal.truth_state is other.truth_state
-    assert not np.allclose(other.ideal.probabilities, ideal.probabilities)
     assert other.regression is not reg
+    exact = [simulate_dataset(s.ensemble, s.truth_state, s.truth_povm, 10, exact=True,
+                              basis=s.basis) for s in (sc, other)]
+    assert not np.allclose(exact[0].y_hat, exact[1].y_hat)
 
 
 def test_cli_estimate_factors_its_design_once(monkeypatch, tmp_path):
@@ -738,7 +740,7 @@ def test_a_v2_scenario_that_is_not_pure_scores_its_estimates_unprojected():
     pure = preset("one_qubit_random_pure")
     sc = replace(pure, pure=False)
     stack = DatasetStack.of(simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000,
-                                             seed=t, basis=sc.basis, ideal=sc.ideal)
+                                             seed=t, basis=sc.basis)
                             for t in range(6))
     design = sc.regression.design_natural
     block = bench._estimate_block(sc, stack, design, sc.stage1)

@@ -390,6 +390,38 @@ def test_rank_bound_grouping():
     assert rank_bound(ProcessEnsemble((unitaries[0],))) == 1
 
 
+def _rank_bound_one_channel_at_a_time(ens) -> int:
+    """``rank_bound``'s greedy grouping written per channel: each channel
+    joins the first group whose founder's Kraus sum is within the tolerance."""
+    d, groups = ens.d, []
+    for ch in ens.channels:
+        gram = ch.kraus_gram()
+        for group in groups:
+            if np.linalg.norm(gram - group[0]) < channels.KRAUS_GRAM_TOL:
+                group[1] += 1
+                break
+        else:
+            groups.append([gram, 1])
+    return int(min(sum(min(n, d ** 4 - d ** 2 + 1) for _, n in groups), d ** 4))
+
+
+def test_rank_bound_groups_as_one_channel_at_a_time():
+    expected = {"one_qubit_closed_complete": 13, "one_qubit_closed_incomplete": 6,
+                "one_qubit_random_pure": 16, "two_qubit_mixed_unitary": 241,
+                "two_qubit_mixed_unitary_incomplete": 241}
+    for name, value in expected.items():
+        ens = preset(name).ensemble
+        assert rank_bound(ens) == _rank_bound_one_channel_at_a_time(ens) == value
+    # interleaved groups, one larger than d^4 - d^2 + 1, and Kraus sums that
+    # differ by less than the tolerance grouped together
+    rng = np.random.default_rng(12)
+    unitaries = [make_named_channel("unitary", u=haar_unitary(2, rng)) for _ in range(14)]
+    scaled = [make_named_channel("scaled", alpha=0.8 * (1 + k * 1e-10), channel=unitaries[k])
+              for k in range(2)]
+    ens = ProcessEnsemble(tuple(unitaries[:1] + scaled[:1] + unitaries[1:] + scaled[1:]))
+    assert rank_bound(ens) == _rank_bound_one_channel_at_a_time(ens) == 13 + 2
+
+
 def test_min_hamiltonian_count_values():
     assert min_hamiltonian_count(2) == (3, 3)
     assert min_hamiltonian_count(3) == (10, 7)

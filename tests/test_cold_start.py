@@ -29,7 +29,7 @@ assert scipy() == [], ("import", scipy())
 sc = jt.preset("two_qubit_mixed_unitary")
 jt.run_mse_experiment(sc, [1000], trials=2, seed=0)
 ds = jt.simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
-                         basis=sc.basis, ideal=sc.ideal)
+                         basis=sc.basis)
 est = jt.estimate_joint_v1(ds, sc.regression.b, sc.basis, sc.stage1)
 jt.estimate_joint_v2(ds, sc.regression.b_natural, jt.Stage1Config(method="mp_inverse"))
 qubit = jt.preset("one_qubit_closed_complete")  # the exporter takes d <= 3

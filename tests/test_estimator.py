@@ -857,8 +857,7 @@ def test_stack_matches_the_single_dataset_estimators(name, n0):
     sc = preset(name)
     design = sc.regression.design_natural if sc.estimator == "v2" else sc.regression.design
     datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                                 seed=np.random.SeedSequence([21, n0, t]), basis=sc.basis,
-                                 ideal=sc.ideal)
+                                 seed=np.random.SeedSequence([21, n0, t]), basis=sc.basis)
                 for t in range(5)]
     for config in (sc.stage1, Stage1Config("mp_inverse"), Stage1Config("tikhonov")):
         for ds, result in zip(datasets, _stack_results(sc, datasets, design, config)):
@@ -872,7 +871,7 @@ def test_stack_matches_the_single_dataset_estimators(name, n0):
 def test_a_degenerate_dataset_in_a_stack_is_one_failure():
     sc = preset("one_qubit_closed_complete")
     datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=t,
-                                 basis=sc.basis, ideal=sc.ideal) for t in range(5)]
+                                 basis=sc.basis) for t in range(5)]
     datasets[2] = replace(datasets[2], x01_bar=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -887,7 +886,7 @@ def test_a_degenerate_dataset_in_a_stack_is_one_failure():
 
     scp = preset("one_qubit_random_pure")
     datasets = [simulate_dataset(scp.ensemble, scp.truth_state, scp.truth_povm, 1000, seed=t,
-                                 basis=scp.basis, ideal=scp.ideal) for t in range(4)]
+                                 basis=scp.basis) for t in range(4)]
     datasets[0] = replace(datasets[0], y_hat=np.zeros_like(datasets[0].y_hat))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -905,7 +904,7 @@ def test_datasets_refused_at_two_stages_leave_their_neighbours_unchanged():
     sc = preset("one_qubit_closed_complete")
     design = sc.regression.design
     datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=t,
-                                 basis=sc.basis, ideal=sc.ideal) for t in range(8)]
+                                 basis=sc.basis) for t in range(8)]
     clean = _stack_results(sc, datasets, design)
     # refused at the scale fix, and (targets exactly zero) at the Kronecker factor
     datasets[1] = replace(datasets[1], x01_bar=0.0)
@@ -1034,7 +1033,7 @@ def test_permuting_processes_or_outcomes_moves_the_estimates_alike(name):
         tol = 1e-8 if (name, version) == ("two_qubit_mixed_unitary_incomplete", "v1") else 1e-12
         for seed in range(1, 6):
             ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=seed,
-                                  basis=sc.basis, ideal=sc.ideal)
+                                  basis=sc.basis)
             relabelled = replace(ds, y_hat=ds.y_hat[:, outcomes], c_j0_hat=ds.c_j0_hat[outcomes])
             base = _estimate_or_stage(lambda: estimate(ds, design))
             _assert_moved_alike(_estimate_or_stage(lambda: estimate(ds.subset(processes), permuted)),
@@ -1080,7 +1079,7 @@ def test_v2_scale_fix_gives_unit_traces_just_above_its_refusal(d, t, m, seed, ma
 def _raw_error_inputs():
     sc = preset("one_qubit_closed_complete")
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=1,
-                          basis=sc.basis, ideal=sc.ideal)
+                          basis=sc.basis)
     return sc, sc.regression, ds
 
 
@@ -1119,6 +1118,8 @@ def _factors_of_a_stack():
 
 _OBJECT = "regression matrix must be numeric, got dtype object"
 _HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
+_HUGE_FULL, _HUGE_DIAGONAL = np.full((2, 2), 1e308), np.diag([1e308, -1e308])
+_BEYOND = "has an entry beyond 1e+30 in magnitude"
 _RECORD = dict(y_hat=[[0.4, 0.5], [0.3, 0.6]], x_a0_hat=[0.7, 0.7], c_j0_hat=[0.7, 0.7],
                x01_bar=0.1, n0=10, tp_flags=[True, True])
 
@@ -1186,6 +1187,12 @@ def _complex_factors():
     (lambda tmp: numerical_rank(np.full((2, 2), np.inf)), "matrix has a non-finite entry"),
     (lambda tmp: pauli_sandwich_processes(np.zeros((2, 3)), pauli("x"), 0.1),
      "V1 must be square, got shape (2, 3)"),
+    (lambda tmp: correct_state(_HUGE_FULL), f"state estimate {_BEYOND}"),
+    (lambda tmp: correct_state(_HUGE_DIAGONAL), f"state estimate {_BEYOND}"),
+    (lambda tmp: k_coefficients(_HUGE_FULL), f"matrix {_BEYOND}"),
+    (lambda tmp: k_coefficients(_HUGE_DIAGONAL), f"matrix {_BEYOND}"),
+    (lambda tmp: combine_state_estimates([_HUGE_FULL] * 2), f"state estimate {_BEYOND}"),
+    (lambda tmp: combine_state_estimates([_HUGE_DIAGONAL] * 2), f"state estimate {_BEYOND}"),
 ], ids=["scale-fraction", "scale-bool", "scale-string", "ideal-scale-fraction",
         "reg-scale-string", "reg-scale-complex", "reg-scale-bool", "v1-object-design",
         "v2-object-design", "refine-object-design", "factor-object-design",
@@ -1196,7 +1203,9 @@ def _complex_factors():
         "dataset-string-x01", "stack-complex-frequencies", "sample-string-probabilities",
         "sample-string-seed", "k-coefficients-nan", "kronecker-nan", "rearrange-string-rows",
         "scale-fix-complex-factor", "scale-fix-not-a-factorization", "combine-empty",
-        "correct-state-not-square", "project-pure-vector", "rank-inf", "sandwich-2x3"])
+        "correct-state-not-square", "project-pure-vector", "rank-inf", "sandwich-2x3",
+        "correct-state-huge", "correct-state-huge-diagonal", "k-coefficients-huge",
+        "k-coefficients-huge-diagonal", "combine-huge", "combine-huge-diagonal"])
 def test_library_inputs_are_refused_with_validation_errors(tmp_path, call, message):
     with pytest.raises(ValidationError) as err:
         call(tmp_path)

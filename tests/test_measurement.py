@@ -308,20 +308,16 @@ def _one_pass_simulation(sc, n0, seed, exact):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_split_simulation_matches_the_one_pass_protocol(name):
     sc = preset(name)
-    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
-                             scale_observable=sc.anchor_index, basis=sc.basis)
     for exact in (False, True):
         for n0 in (1000, 100000):
             seed = np.random.SeedSequence([sc.seed, 3, n0])
             y, x_a0, c_j0, x01 = _one_pass_simulation(sc, n0, seed, exact)
-            for given in (None, ideal):
-                ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                                      seed=seed, scale_observable=sc.anchor_index,
-                                      exact=exact, basis=sc.basis, ideal=given)
-                assert np.array_equal(ds.y_hat, y)
-                assert np.array_equal(ds.x_a0_hat, x_a0)
-                assert np.array_equal(ds.c_j0_hat, c_j0)
-                assert ds.x01_bar == x01
+            ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=seed,
+                                  scale_observable=sc.anchor_index, exact=exact, basis=sc.basis)
+            assert np.array_equal(ds.y_hat, y)
+            assert np.array_equal(ds.x_a0_hat, x_a0)
+            assert np.array_equal(ds.c_j0_hat, c_j0)
+            assert ds.x01_bar == x01
 
 
 def test_ideal_statistics_are_shared_safely():
@@ -330,9 +326,10 @@ def test_ideal_statistics_are_shared_safely():
     with pytest.raises(ValueError):
         ideal.probabilities[0, 0] = 0.5  # read-only, shared by every trial
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10, exact=True,
-                          basis=sc.basis, ideal=ideal)
+                          basis=sc.basis)
     ds.y_hat[0, 0] = 0.0  # an exact dataset owns its copy
     assert ideal.probabilities[0, 0] != 0.0
+    # other inputs read their own record, never this one
     other = preset("one_qubit_closed_complete")
     for args, kwargs in [
         ((other.ensemble, sc.truth_state, sc.truth_povm), {}),
@@ -340,34 +337,35 @@ def test_ideal_statistics_are_shared_safely():
         ((sc.ensemble, sc.truth_state, other.truth_povm), {}),
         ((sc.ensemble, sc.truth_state, sc.truth_povm), {"scale_observable": 2}),
     ]:
-        with pytest.raises(ValidationError):
-            simulate_dataset(*args, 10, basis=sc.basis, ideal=ideal, **kwargs)
+        record = ideal_statistics(*args, basis=sc.basis, **kwargs)
+        assert record is not ideal
+        ds = simulate_dataset(*args, 10, exact=True, basis=sc.basis, **kwargs)
+        assert np.array_equal(ds.y_hat, record.probabilities)
+        assert ds.x01_bar == np.dot(record.scale_eigenvalues, record.scale_probabilities)
     with pytest.raises(ValidationError):
         ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, scale_observable=4)
-    # a basis of another dimension, with or without the statistics given
+    # a basis of another dimension
     qutrit = build_basis(3)
     with pytest.raises(ValidationError, match="basis is for d=3"):
         ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=qutrit)
-    for given in (None, ideal):
-        with pytest.raises(ValidationError, match="basis is for d=3"):
-            simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10, basis=qutrit,
-                             ideal=given)
+    with pytest.raises(ValidationError, match="basis is for d=3"):
+        simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10, basis=qutrit)
 
 
 @pytest.mark.parametrize("index,accepted", [(True, False), ("1", False), (1.5, False),
                                              (1.0, True)])
-@pytest.mark.parametrize("with_ideal", [False, True])
-def test_the_scale_observable_index_is_read_as_a_whole_number_with_or_without_ideal(
-        index, accepted, with_ideal):
+@pytest.mark.parametrize("simulated", [False, True])
+def test_the_scale_observable_index_is_read_as_a_whole_number(index, accepted, simulated):
     sc = preset("one_qubit_random_pure")
-    ideal = sc.ideal if with_ideal else None
     truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    read = ((lambda: simulate_dataset(*truth, 10, scale_observable=index, basis=sc.basis))
+            if simulated else
+            (lambda: ideal_statistics(*truth, scale_observable=index, basis=sc.basis)))
     if accepted:
-        ds = simulate_dataset(*truth, 10, scale_observable=index, basis=sc.basis, ideal=ideal)
-        assert ds.anchor_index == 1 and type(ds.anchor_index) is int
+        assert read().anchor_index == 1 and type(read().anchor_index) is int
     else:
         with pytest.raises(ValidationError, match="must be a whole number"):
-            simulate_dataset(*truth, 10, scale_observable=index, basis=sc.basis, ideal=ideal)
+            read()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -691,7 +689,7 @@ def test_a_subset_and_a_single_stack_are_views_that_are_not_checked_again(monkey
     from jointtomo import measurement
     sc = preset("one_qubit_random_pure")  # lossy: a subset keeps the trace flags aligned
     datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=t,
-                                 basis=sc.basis, ideal=sc.ideal) for t in range(3)]
+                                 basis=sc.basis) for t in range(3)]
     stack = DatasetStack.of(datasets)
     checks = []
     original = measurement._checked_datasets
@@ -721,8 +719,6 @@ def test_sampled_draws_refuse_more_shots_than_the_sampler_takes(n0):
     with pytest.raises(ValidationError, match=message):
         simulate_dataset(*truth, n0, basis=sc.basis)
     with pytest.raises(ValidationError, match=message):
-        simulate_dataset(*truth, n0, basis=sc.basis, ideal=sc.ideal)
-    with pytest.raises(ValidationError, match=message):
         sample_frequencies([0.3, 0.7], n0, 0)
     # exact simulations, and datasets, keep any whole count
     exact = simulate_dataset(*truth, n0, exact=True, basis=sc.basis)
@@ -736,7 +732,8 @@ def test_the_largest_sampled_shot_count_still_draws():
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=1,
                           basis=sc.basis)
     assert ds.n0 == n0 and np.isfinite(ds.y_hat).all()
-    assert np.abs(ds.y_hat - sc.ideal.probabilities).max() < 1e-6
+    ideal = ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm, basis=sc.basis)
+    assert np.abs(ds.y_hat - ideal.probabilities).max() < 1e-6
     assert sample_frequencies([0.3, 0.7], n0, 0).shape == (2,)
 
 
@@ -753,7 +750,7 @@ def _counted_apply(monkeypatch) -> list:
 
 
 def test_a_truths_statistics_are_computed_once_for_many_datasets(monkeypatch):
-    """The 72 simulations of a fit workload's pool, none given ``ideal=``."""
+    """The 72 simulations of a fit workload's pool."""
     sc = preset("two_qubit_mixed_unitary_incomplete")
     calls = _counted_apply(monkeypatch)
     for k in range(36):
@@ -762,8 +759,10 @@ def test_a_truths_statistics_are_computed_once_for_many_datasets(monkeypatch):
                              seed=np.random.SeedSequence([1, i, k]),
                              scale_observable=sc.anchor_index, basis=sc.basis)
     assert calls == [sc.ensemble]
-    assert sc.ideal is ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
-                                        basis=sc.basis)
+    (kept,) = measurement._memo(sc.ensemble)
+    assert kept[0] is ideal_statistics(sc.ensemble, sc.truth_state, sc.truth_povm,
+                                       basis=sc.basis)
+    assert calls == [sc.ensemble]
 
 
 def test_a_changed_truth_anchor_or_basis_makes_a_new_record(monkeypatch):
@@ -858,16 +857,12 @@ def test_a_refused_input_is_never_kept():
 def test_a_record_argument_of_the_wrong_type_is_refused_by_name(position, what, bare):
     sc = preset("one_qubit_random_pure")
     truth = [sc.ensemble, sc.truth_state, sc.truth_povm]
-    ideal = sc.ideal
+    ideal_statistics(*truth, basis=sc.basis)
     kept = [id(entry[0]) for entry in measurement._memo(sc.ensemble)]
     truth[position] = (sc.ensemble.kraus_stack, sc.truth_state.rho,
                        sc.truth_povm.elements)[position] if bare else None
     for call in (lambda: ideal_statistics(*truth, basis=sc.basis),
-                 lambda: simulate_dataset(*truth, 10, basis=sc.basis),
-                 lambda: simulate_dataset(*truth, 10, basis=sc.basis, ideal=ideal)):
+                 lambda: simulate_dataset(*truth, 10, basis=sc.basis)):
         with pytest.raises(ValidationError, match=what):
             call()
     assert [id(entry[0]) for entry in measurement._memo(sc.ensemble)] == kept
-    with pytest.raises(ValidationError, match="ideal must be an IdealStatistics, got ndarray"):
-        simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10,
-                         ideal=ideal.probabilities)

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, change_of_basis
-from .errors import ValidationError, _array, _new, _real, _record, _rng, _whole
+from .errors import ValidationError, _array, _bounded, _new, _real, _record, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -583,9 +583,10 @@ class FactoredDesign:
     """A regression matrix ``b`` with its economy SVD ``b = u diag(s) vh`` and
     its numerical rank (singular values above ``RANK_RTOL * s[0]``).
 
-    The record also caches two read-only arrays of a real design with n^2
+    The record also caches three read-only arrays of a real design with n^2
     columns ``(i, k)``, each formed on first read: ``moments``, the block
-    moments of the refinement, and ``_rotated``, the design tensor rotated by
+    moments of the refinement, ``_detector_moments``, the same weighted for
+    its detector block, and ``_rotated``, the design tensor rotated by
     ``u^T`` and laid out for its state products.  The records this package
     makes hold a read-only ``b``, so their factors and cached arrays cannot
     go stale: the matrix of a ``build_regression_matrices`` record, or the
@@ -614,9 +615,11 @@ class FactoredDesign:
         ``k < k'`` holds ``K[., (k, k')] + K[., (k', k)]``.  For a symmetric
         ``S`` the upper triangle of ``K vec(S)``, the refinement's state Gram,
         is then ``moments @ S.take(upper)``; weighted, they also give its
-        detector Gram (``refine._detector_moments``)."""
+        detector Gram (``_detector_moments``).  A design with an entry beyond
+        ``errors.MAX_ENTRY`` is refused, before its Gram could overflow."""
         n = math.isqrt(self.shape[1])
-        k = (self.b.T @ self.b).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        b = _bounded(self.b, "regression matrix")
+        k = (b.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3)
         upper, positions = _packing(n)
         # rows, then columns, which leaves the result column-major; a row-major
         # copy (np.ix_) moves the last bits of the refinement's products
@@ -624,6 +627,22 @@ class FactoredDesign:
         moments[:, positions.diagonal()] /= 2.0
         moments.setflags(write=False)
         return moments
+
+    @cached_property
+    def _detector_moments(self) -> np.ndarray:
+        """``moments`` weighted for the refinement's detector block: the
+        packed ``x x^T`` (``_packing``'s upper triangle) times them is the
+        packed detector Gram ``G^T G`` of ``G = x . B3``.
+
+        ``(G^T G)[k, k'] = sum_ii' x_i x_i' K[(i, i'), (k, k')]``, and
+        ``K[(i', i), (k, k')] = K[(i, i'), (k', k)]``; so a row ``i < i'``
+        weighs twice, and an off-diagonal column ``k < k'``, which holds both
+        orders of ``(k, k')``, half."""
+        rows, cols = np.triu_indices(math.isqrt(self.shape[1]))
+        weights = np.where(rows == cols, 1.0, 2.0)
+        weighted = self.moments * weights[:, None] / weights
+        weighted.setflags(write=False)
+        return weighted
 
     @cached_property
     def _rotated(self) -> np.ndarray:

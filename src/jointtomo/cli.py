@@ -207,8 +207,8 @@ def _cmd_refine(args) -> int:
         diag = result.diagnostics
         tr = diag["objective_trajectory"]
         print(f"objective {tr[0]:.6e} -> {tr[-1]:.6e} in {diag['sweeps_accepted']} accepted "
-              f"sweeps (stopped: {diag['stop_reason']}); corrected objective "
-              f"{diag['corrected_objective']:.6e}; wrote {args.out}")
+              f"sweeps of {diag['sweeps_run']} run (stopped: {diag['stop_reason']}); "
+              f"corrected objective {diag['corrected_objective']:.6e}; wrote {args.out}")
     return 0
 
 

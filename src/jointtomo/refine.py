@@ -65,6 +65,27 @@ min(L, n^2) rows), ``||Y - G C||^2 = ||Y - u u^T Y||^2 + ||u^T Y - (x . W3)
 C||^2``; the first term is computed once per call, in residual form, and
 each sweep computes the second on the rotated rows
 (``FactoredDesign._rotated``).
+
+A sweep is a fixed-point map ``T`` of the state coordinates alone: the
+detector block reads only ``x``, and the state block only the detector
+block's output.  It converges linearly, and slowly on incomplete data, so
+the refinement accelerates it by Anderson's type-II mixing (Anderson, J. ACM
+12, 547, 1965; Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011).  With the
+residual ``g = T(u) - u`` of each state ``u`` a sweep started from, the next
+sweep starts from ``T(u_k) - sum_i gamma_i dT_i``, where ``dT_i`` and
+``dg_i`` are the last ``_ANDERSON_DEPTH`` differences of consecutive outputs
+and residuals and ``gamma`` minimizes ``||g_k - sum_i gamma_i dg_i||``
+(``_min_norm_solve`` on the Gram of the ``dg_i``); that state has its anchor
+pinned and passes the state gate and projection.  Every accepted point is
+still a sweep's output, taken only if its objective is not above the
+current one.  An extrapolated sweep that raises it is discarded with the
+history, and the plain sweep from the current point runs in its place.  A
+step needs two residuals, so the first two sweeps, and the two after a
+discarded one, are plain.
+
+With a physical starting pair, targets, design entries and anchor
+coordinate at most ``errors.MAX_ENTRY`` (each refused beyond it) keep every
+objective finite, and no block overflows.
 """
 
 import functools
@@ -74,7 +95,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
-from .errors import DegeneracyError, ValidationError, _real, _record, _whole
+from .errors import ValidationError, _bounded, _real, _record, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
     _corrected,
@@ -92,6 +113,8 @@ from .measurement import MeasurementDataset
 # kept.  Each solve's relative error is about eps lam_max / lam_min, so above
 # it the direct solve and the eigen-solve agree to about 1e-12.
 _CHOLESKY_RCOND = 1e-4
+# The number of state and residual differences an Anderson step mixes.
+_ANDERSON_DEPTH = 3
 _EPS = np.finfo(float).eps
 
 
@@ -159,21 +182,6 @@ def _state_normal_equations(moments: np.ndarray, b_y: np.ndarray, c: np.ndarray)
     return moments @ (c @ c.T).take(upper), b_y @ c.ravel()
 
 
-def _detector_moments(moments: np.ndarray) -> np.ndarray:
-    """The packed moments weighted for the detector block: the packed
-    ``x x^T`` (``_packing``'s upper triangle) times them is the packed
-    detector Gram ``G^T G`` of ``G = x . B3``.
-
-    ``(G^T G)[k, k'] = sum_ii' x_i x_i' K[(i, i'), (k, k')]``, and
-    ``K[(i', i), (k, k')] = K[(i, i'), (k', k)]``; so a row ``i < i'``
-    weighs twice, and an off-diagonal column ``k < k'``, which holds both
-    orders of ``(k, k')``, half."""
-    n = math.isqrt(2 * len(moments))
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, 2.0)
-    return moments * weights[:, None] / weights
-
-
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple:
     """The row and column of each entry of ``_packing(n)``'s upper triangle,
@@ -186,7 +194,7 @@ def _detector_normal_equations(detector_moments: np.ndarray, b_centred: np.ndarr
                                x: np.ndarray) -> tuple:
     """The detector block's Gram ``G^T G`` (n x n) and right-hand side
     ``G^T (Y - ybar)`` (n x M) for ``G = x . B3``, from the weighted moments
-    (``_detector_moments``) and ``B^T (Y - ybar)`` laid out as
+    (``FactoredDesign._detector_moments``) and ``B^T (Y - ybar)`` laid out as
     ``[i, (k, j)]`` (n x n M): the Gram is one product with the packed
     ``x x^T``, and the right-hand side is ``x`` times that layout."""
     rows, cols, positions = _pairs(len(x))
@@ -286,14 +294,22 @@ def refine_alternating(
     ``b`` and the targets pass the estimator's one contract
     (``_targets_v1``); ``b`` is raw or its
     ``factor_design`` record, a raw matrix reaches that record through
-    ``factor_design``'s memo, and a design with a non-finite entry is
-    refused with DegeneracyError.  A sweep is
-    accepted only if it does not increase the objective, so the recorded
-    objective sequence is non-increasing; the loop stops at ``iters`` sweeps
-    (a whole number >= 0) or when the relative improvement of an accepted
-    sweep falls below ``rel_tol``.  ``diagnostics["stop_reason"]`` says
-    which: ``"converged"``, ``"max_iters"``, or ``"rejected"`` when a sweep's
+    ``factor_design``'s memo.  A design with a non-finite entry is refused
+    with DegeneracyError, and a design, targets or anchor coordinate beyond
+    ``errors.MAX_ENTRY`` with ValidationError.
+
+    From the third sweep on, sweeps start from Anderson-extrapolated states
+    (module docstring).  A sweep is accepted only if it does not increase
+    the objective, so the recorded objective sequence is non-increasing; an
+    extrapolated sweep that would increase it is discarded, and the plain
+    sweep from the current point runs instead.  The loop stops after
+    ``iters`` accepted sweeps (a whole number >= 0; up to two are the plain
+    sweeps exactly) or when the relative improvement of an accepted sweep
+    falls below ``rel_tol``.  ``diagnostics["stop_reason"]`` says which:
+    ``"converged"``, ``"max_iters"``, or ``"rejected"`` when a plain sweep's
     projections undid its gain and the previous point was kept.
+    ``sweeps_accepted`` counts the accepted sweeps, and ``sweeps_run`` every
+    sweep evaluated, discarded ones included.
     ``final_objective`` is the objective at the rough pair
     ``rho_bar``/``povm_bar``; ``corrected_objective`` is the objective at the
     returned corrected pair ``rho_hat``/``povm_hat``.
@@ -325,6 +341,8 @@ def refine_alternating(
     _record(basis, OperatorBasis, "basis")
     design = _stage("refine", factor_design, b)
     (y,) = _targets_v1(_one_stack(ds), design, basis)
+    _bounded(y, "targets")
+    _bounded(np.array(ds.x01_bar), "anchor coordinate x01_bar")
     if not isinstance(init, EstimateResult):
         raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
@@ -345,8 +363,8 @@ def refine_alternating(
     _, positions = _packing(n)
     free_positions, anchor_positions = positions[np.ix_(free, free)], positions[free, anchor]
 
-    moments, rotated = design.moments, design._rotated
-    detector_moments = _detector_moments(moments)
+    moments, detector_moments = design.moments, design._detector_moments
+    rotated = design._rotated
     b_y = design.b.T @ y
     # B^T (Y - ybar): the detector block's right-hand side is x times it
     b_centred = (b_y - (design.b.T @ y.mean(axis=1))[:, None]).reshape(n, -1)
@@ -370,14 +388,15 @@ def refine_alternating(
         residual = (y_rotated - (x @ rotated).reshape(-1, n) @ c).ravel()
         return y_off + float(residual @ residual)
 
-    obj = objective(x, c)
-    if not np.isfinite(obj):
-        raise DegeneracyError(f"objective is not finite at the initial point: {obj}")
-    trajectory = [obj]
-    accepted = 0
-    stop_reason = "max_iters"
+    def physical_state(x):
+        """``x``, its anchor pinned in place, projected if it fails the gate."""
+        x[anchor] = ds.x01_bar
+        x_row[0, 1:] = x
+        mats = _outside(x_row, x_ball, embedding)
+        return x if mats is None else _projected(mats, embedding, _on_simplex)[0, 1:]
 
-    for _ in range(iters):
+    def sweep(x):
+        """One sweep from the state ``x``: the new pair and its objective."""
         # Detector block: every c_j from one solve on the centred targets,
         # G^T G and G^T (Y - ybar) from the moments; if an element fails the
         # gate, every element's eigenvalues are clipped.
@@ -391,20 +410,38 @@ def refine_alternating(
         # anchor pinned; projected if the state fails the gate.
         packed, rhs = _state_normal_equations(moments, b_y, c_new)
         x_new = np.empty(n)
-        x_new[anchor] = ds.x01_bar
         x_new[free] = _min_norm_solve(packed[free_positions],
                                       rhs[free] - packed[anchor_positions] * ds.x01_bar, m * l)
-        x_row[0, 1:] = x_new
-        mats = _outside(x_row, x_ball, embedding)
-        if mats is not None:
-            x_new = _projected(mats, embedding, _on_simplex)[0, 1:]
+        x_new = physical_state(x_new)
+        return x_new, c_new, objective(x_new, c_new)
 
-        new_obj = objective(x_new, c_new)
-        if not np.isfinite(new_obj):
-            raise DegeneracyError(f"objective became non-finite: {new_obj}")
-        if new_obj > obj * (1.0 + 1e-12) + 1e-15:
-            stop_reason = "rejected"  # projection undid the gain; keep the previous point
-            break
+    obj = objective(x, c)
+    trajectory = [obj]
+    accepted = run = 0
+    stop_reason = "max_iters"
+    # The Anderson history: a ring of the last _ANDERSON_DEPTH differences of
+    # consecutive sweep outputs T(u) (the accepted points) and of their
+    # residuals g = T(u) - u, and the latest residual; ``pushed`` counts the
+    # differences since the history was cleared, -1 before its first output.
+    outputs, residuals = np.empty((2, _ANDERSON_DEPTH, n))
+    last_residual, pushed = None, -1
+    start = x  # the state the next sweep starts from; x itself for a plain sweep
+
+    while accepted < iters:
+        x_new, c_new, new_obj = sweep(start)
+        run += 1
+        if not new_obj <= obj * (1.0 + 1e-12) + 1e-15:
+            if start is x:
+                stop_reason = "rejected"  # projection undid the gain; keep the previous point
+                break
+            pushed, start = -1, x  # the extrapolation did not pay: sweep from x plainly
+            continue
+        residual = x_new - start
+        if pushed >= 0:
+            slot = pushed % _ANDERSON_DEPTH
+            outputs[slot] = x_new - x
+            residuals[slot] = residual - last_residual
+        last_residual, pushed = residual, pushed + 1
         x, c = x_new, c_new
         accepted += 1
         improved = obj - new_obj
@@ -413,11 +450,20 @@ def refine_alternating(
         if improved <= rel_tol * max(trajectory[0], 1e-300):
             stop_reason = "converged"
             break
+        start = x
+        if pushed:
+            # Type-II Anderson step: the residual's least-squares combination
+            # of the stored differences is taken off the latest output.
+            k = min(pushed, _ANDERSON_DEPTH)
+            diffs = residuals[:k]
+            gamma = _min_norm_solve(diffs @ diffs.T, diffs @ residual, n)
+            start = physical_state(x - gamma @ outputs[:k])
 
     est = _corrected(coherence_to_state(x, basis)[None],
                      _elements_from_coords(ds.c_j0_hat, c.T, basis)[None], {
         "objective_trajectory": trajectory,
         "sweeps_accepted": accepted,
+        "sweeps_run": run,
         "stop_reason": stop_reason,
         "initial_objective": trajectory[0],
         "final_objective": obj,

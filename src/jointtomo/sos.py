@@ -16,6 +16,7 @@ outcome j's feature polynomials, ``x_i C_jk`` in the coordinate program and
 ``vec(rho)_u vec(P_j^T)_v`` in the pure one.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +45,18 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
 
     For a unit-trace matrix the recursion reproduces k_1 = 1; in general
     k_1 = Tr(rho) so that the k_p always match the characteristic polynomial
-    det(lambda I - rho) = sum_p (-1)^p k_p lambda^{d-p}.  ``_bounded`` keeps
-    every power finite for d <= 9.
+    det(lambda I - rho) = sum_p (-1)^p k_p lambda^{d-p}.  The recursion runs
+    on ``rho / s``, with ``s`` the largest entry's magnitude or 1 if that is
+    smaller, so its powers stay finite for any d; each ``k_p`` is then
+    scaled back by ``s^p`` (exactly a no-op for ``s = 1``), and a ``k_p``
+    that overflows there is refused.
     """
     rho = _bounded(_array(rho, "matrix", 2, complex, square=True), "matrix")
     if _skewed(rho):
         raise ValidationError("matrix must be Hermitian")
     d = rho.shape[0]
+    s = max(float(np.abs(rho).max(initial=0.0)), 1.0)
+    rho = rho / s
     traces = []
     power = np.eye(d, dtype=complex)
     for _ in range(d):
@@ -62,6 +68,10 @@ def k_coefficients(rho: np.ndarray) -> SemialgebraicCert:
         for f in range(1, p + 1):
             acc += (-1.0) ** (f - 1) * traces[f - 1] * k[p - f]
         k.append(acc / p)
+    for p in range(1, d + 1):  # k_q takes s^q one factor at a time, so no power overflows alone
+        k[p:] = [k_q * s for k_q in k[p:]]
+    if not all(map(math.isfinite, k)):
+        raise ValidationError("matrix has characteristic coefficients beyond the float range")
     return SemialgebraicCert(k=np.array(k))
 
 
@@ -203,8 +213,10 @@ def _gram_objective(b, y, features, nv):
     ``features[j][p]`` is the polynomial ``(z_j)_p``.  With ``G = B^H B`` and
     ``h_j = B^T y_j`` each outcome adds
     ``||y_j||^2 + sum_p conj(z_jp) (sum_q G_pq z_jq - conj(h_jp)) - h_j . z_j``,
-    whose imaginary parts cancel in the sum.
+    whose imaginary parts cancel in the sum.  A design with an entry beyond
+    ``errors.MAX_ENTRY`` is refused, before its Gram could overflow.
     """
+    b = _bounded(b, "regression matrix")
     gram = b.conj().T @ b
     h = b.T @ y
     out = {_mono(nv): float(np.sum(y * y))}

@@ -15,15 +15,29 @@ seeds in ``SEEDS`` and one exact dataset, in that order along the first axis:
   se_povm, trials);
 * ``numpy_version``: the numpy the datasets were drawn with.
 
-``tests/test_same_results.py`` re-draws the datasets and compares them
-exactly, and recomputes everything else from the stored datasets.  To
-rewrite the reference file, run from the repository root::
+``tests/test_same_results.py`` re-draws the datasets and compares them,
+and recomputes everything else from the stored datasets.  It and ``--diff``
+compare by one rule, ``differences``: datasets to ``DATA_TOL`` absolute (one
+shot more or less moves a frequency by 1/n0 >= 1e-5, so every draw must be
+the same; the exact datasets' probabilities and the scale observable's
+eigenvalues move by up to 2.3e-14 between BLAS kernels), estimates to
+``TOL`` times their largest stored entry, or ``TOL`` absolute below 1, and
+the Monte-Carlo rows to ``MSE_RTOL`` relative.  Over OpenBLAS's Haswell,
+SkylakeX, Sandybridge and Nehalem kernels, with one and two threads, the
+estimates moved by at most 2.1e-9 of their scale (the rough closed-form
+state of the rank-cut preset) and the rows by 7.2e-9 relative.
 
-    PYTHONPATH=src python tests/same_results.py
+From the repository root::
 
-and name in CHANGES.md every array that changed, and why.
+    PYTHONPATH=src python tests/same_results.py --diff
+
+recomputes the reference and prints every stored array that differs by that
+rule, with its largest difference and its scale; it writes nothing, and
+exits 1 if any array differs.  Without ``--diff`` the script rewrites the
+reference file: name in CHANGES.md every array that changed, and why.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +59,9 @@ SEEDS = (1, 2, 3)
 SWEEPS = 20
 MSE_TRIALS = 20
 DATASET_FIELDS = ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar")
+DATA_TOL = 1e-12
+TOL = 1e-7
+MSE_RTOL = 1e-6
 ESTIMATE_FIELDS = ("rho_hat", "povm_hat", "rho_bar", "povm_bar")
 
 
@@ -104,7 +121,45 @@ def reference() -> dict:
     return out
 
 
+def stored() -> dict:
+    """The reference arrays as written."""
+    with np.load(PATH) as z:
+        return dict(z)
+
+
+def differences(computed: dict, want: dict) -> list:
+    """``(key, largest difference, scale)`` for each array of ``computed``
+    that differs from the same key of ``want`` by the rule of its kind (the
+    difference is ``"shape"`` when the shapes differ).  The scale is what the
+    tolerance is relative to: 1 for a dataset, ``max(1, largest stored
+    entry)`` for an estimate, and for the Monte-Carlo rows, which are
+    compared entry by entry, their largest stored entry."""
+    out = []
+    for key, value in computed.items():
+        if key == "numpy_version":
+            continue
+        ref, parts = want[key], key.split(".")
+        if parts[-1] == "mse":
+            scale, bound = np.abs(ref).max(), MSE_RTOL * np.abs(ref)
+        elif len(parts) == 3:  # {preset}.n{n0}.{dataset field}
+            scale, bound = 1.0, DATA_TOL
+        else:
+            scale = max(1.0, np.abs(ref).max())
+            bound = TOL * scale
+        if value.shape != ref.shape:
+            out.append((key, "shape", scale))
+        elif not np.all(np.abs(value - ref) <= bound):
+            out.append((key, np.abs(value - ref).max(), scale))
+    return out
+
+
 if __name__ == "__main__":
     arrays = reference()
+    if sys.argv[1:] == ["--diff"]:
+        changed = differences(arrays, stored())
+        for key, gap, scale in changed:
+            print(f"{key}: largest difference {gap}, scale {scale:.6g}")
+        print(f"{len(changed)} of {len(arrays) - 1} arrays differ from {PATH.name}")
+        sys.exit(1 if changed else 0)
     np.savez_compressed(PATH, **arrays)
     print(f"wrote {len(arrays)} arrays to {PATH}")

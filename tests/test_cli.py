@@ -154,6 +154,8 @@ def test_refine_summary_reports_the_stop_reason(tmp_path, capsys):
     reason = diag["stop_reason"]
     assert reason in ("converged", "max_iters", "rejected")
     assert f"(stopped: {reason}); corrected objective {diag['corrected_objective']:.6e}" in summary
+    assert (f"in {diag['sweeps_accepted']} accepted sweeps of {diag['sweeps_run']} run "
+            in summary)
 
 
 def test_export_sos_command(tmp_path):

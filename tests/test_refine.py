@@ -43,7 +43,6 @@ from jointtomo.estimator import _clip_negative, _nearest_density
 from jointtomo.refine import (
     _ball,
     _clipped,
-    _detector_moments,
     _detector_normal_equations,
     _in_ball,
     _min_norm_solve,
@@ -53,6 +52,7 @@ from jointtomo.refine import (
     _projected,
     _state_normal_equations,
 )
+from jointtomo.serialize import result_to_json
 from jointtomo.sos import poly_eval
 
 
@@ -94,6 +94,28 @@ def test_k_matches_characteristic_polynomial(d):
         coeffs = np.poly(np.linalg.eigvalsh(rho))  # det(tI - rho) coefficients
         expected = np.array([(-1.0) ** p * coeffs[p] for p in range(d + 1)])
         assert np.max(np.abs(cert.k - expected)) < 1e-10
+
+
+def test_k_coefficients_of_large_matrices_are_scaled_not_overflowed():
+    """Past d = 9 the powers of a matrix near the magnitude bound overflow;
+    the recursion runs on the matrix scaled to entries <= 1 instead, and a
+    coefficient beyond the float range is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (np.full((10, 10), 1e30), np.full((12, 12), 1e30), np.diag(np.full(10, 1e30))):
+            k = k_coefficients(big).k
+            assert np.isfinite(k).all() and k[1] == pytest.approx(np.trace(big))
+        assert k[-1] == pytest.approx(1e300)  # the product of the ten eigenvalues
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            k_coefficients(np.diag(np.full(12, 1e30)))  # 1e360
+        # Scaled, the recursion still gives the characteristic polynomial.
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            rho = random_hermitian(rng, 10)
+            rho *= 1e3 / np.abs(rho).max()
+            coeffs = np.poly(np.linalg.eigvalsh(rho))
+            expected = np.array([(-1.0) ** p * coeffs[p] for p in range(11)])
+            assert np.all(np.abs(k_coefficients(rho).k - expected) <= 1e-9 * np.abs(expected))
 
 
 def test_in_physical_set_cases():
@@ -274,6 +296,20 @@ V1_PRESETS = ("one_qubit_closed_complete", "one_qubit_closed_incomplete",
               "two_qubit_mixed_unitary", "two_qubit_mixed_unitary_incomplete")
 
 
+def _assert_matches_the_kronecker_sweep(ds, b, basis, init, iters):
+    """``iters`` <= 2 sweeps, which run before any Anderson step, equal the
+    Kronecker-built sweep: the sweep map itself."""
+    out = refine_alternating(ds, b, basis, init, iters=iters)
+    rho_ref, povm_ref, diag_ref = _kron_refine_reference(ds, b, basis, init, iters=iters)
+    diag = out.diagnostics
+    assert diag["sweeps_accepted"] == diag_ref["sweeps_accepted"]
+    assert diag["stop_reason"] == diag_ref["stop_reason"]
+    assert np.max(np.abs(out.rho_hat.rho - rho_ref.rho)) < 1e-12
+    assert np.max(np.abs(out.povm_hat.elements - povm_ref.elements)) < 1e-12
+    new, ref = np.array(diag["objective_trajectory"]), np.array(diag_ref["objective_trajectory"])
+    assert np.all(np.abs(new - ref) <= 1e-10 * np.abs(ref))
+
+
 @pytest.mark.parametrize("name", V1_PRESETS)
 def test_tensor_form_matches_the_kronecker_sweep(name):
     sc = preset(name)
@@ -283,15 +319,8 @@ def test_tensor_form_matches_the_kronecker_sweep(name):
                               seed=np.random.SeedSequence([12, n0]),
                               scale_observable=sc.anchor_index, basis=sc.basis)
         init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
-        out = refine_alternating(ds, b, sc.basis, init)
-        rho_ref, povm_ref, diag_ref = _kron_refine_reference(ds, b, sc.basis, init)
-        diag = out.diagnostics
-        assert diag["sweeps_accepted"] == diag_ref["sweeps_accepted"]
-        assert diag["stop_reason"] == diag_ref["stop_reason"]
-        assert np.max(np.abs(out.rho_hat.rho - rho_ref.rho)) < 1e-12
-        assert np.max(np.abs(out.povm_hat.elements - povm_ref.elements)) < 1e-12
-        new, ref = np.array(diag["objective_trajectory"]), np.array(diag_ref["objective_trajectory"])
-        assert np.all(np.abs(new - ref) <= 1e-10 * np.abs(ref))
+        for iters in (1, 2):
+            _assert_matches_the_kronecker_sweep(ds, b, sc.basis, init, iters)
 
 
 def test_centred_solve_is_the_minimum_norm_eliminated_solution():
@@ -348,15 +377,15 @@ def test_moments_give_the_blocks_normal_equations(m, rank):
          else rng.normal(size=(l, rank)) @ rng.normal(size=(rank, n * n)))
     y = rng.normal(size=(l, m))
     c = rng.normal(size=(n, m))
-    moments = factor_design(b).moments
+    design = factor_design(b)
     # The stacked state matrix: one b @ kron(I, c_j) block per outcome.
     a_x = np.vstack([b @ np.kron(np.eye(n), c[:, [j]]) for j in range(m)])
-    packed, rhs = _state_normal_equations(moments, (b.T @ y).reshape(n, -1), c)
+    packed, rhs = _state_normal_equations(design.moments, (b.T @ y).reshape(n, -1), c)
     gram = packed[_packing(n)[1]]
     x = rng.normal(size=n)
     g = np.einsum("i,aik->ak", x, b.reshape(l, n, n))
     y_centred = y - y.mean(axis=1, keepdims=True)
-    detector = _detector_normal_equations(_detector_moments(moments),
+    detector = _detector_normal_equations(design._detector_moments,
                                           (b.T @ y_centred).reshape(n, -1), x)
     for got, expected in ((gram, a_x.T @ a_x), (rhs, a_x.T @ y.T.ravel()),
                           (detector[0], g.T @ g), (detector[1], g.T @ y_centred)):
@@ -490,15 +519,15 @@ def test_min_norm_solve_certifies_only_well_conditioned_positive_grams():
 
 
 def test_moments_are_formed_once_per_design_record(monkeypatch):
-    """The record's packed moments and its rotated tensor layout are each
-    formed once per design record, on the first refinement, and are
-    read-only."""
+    """The record's packed moments, their detector weighting and its rotated
+    tensor layout are each formed once per design record, on the first
+    refinement, and are read-only."""
     import jointtomo.channels as channels
     sc, reg = _incomplete_setup()
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=16,
                           basis=sc.basis)
     config = Stage1Config(method="mp_inverse")
-    formed = {"moments": [], "_rotated": []}
+    formed = {"moments": [], "_detector_moments": [], "_rotated": []}
     for name, record in formed.items():
         cached = FactoredDesign.__dict__[name]
 
@@ -513,7 +542,7 @@ def test_moments_are_formed_once_per_design_record(monkeypatch):
     init = estimate_joint_v1(ds, design, sc.basis, config)
     first = refine_alternating(ds, design, sc.basis, init)
     second = refine_alternating(ds, design, sc.basis, init)
-    assert formed == {"moments": [design], "_rotated": [design]}
+    assert formed == {"moments": [design], "_detector_moments": [design], "_rotated": [design]}
     assert first.diagnostics == second.diagnostics
     # Two on a raw matrix: both reach the memo entry the estimate made.
     b = np.array(reg.b)
@@ -810,6 +839,72 @@ def test_refine_reports_why_it_stopped():
     assert undone.diagnostics["stop_reason"] == "rejected"
     assert undone.diagnostics["sweeps_accepted"] == 2
     assert _kron_refine_reference(ds, reg.b, sc.basis, init)[2]["stop_reason"] == "rejected"
+
+
+def test_refine_converges_on_incomplete_data():
+    """The plain sweep needs 1459 sweeps to reach this dataset's optimum
+    (2.82595048e-5; a moment relaxation certifies 2.82595045e-5 as its
+    global optimum).  The accelerated refinement stops converged there
+    within its default 100."""
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 10 ** 5, seed=1,
+                          scale_observable=sc.anchor_index, basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, sc.stage1)
+    diag = refine_alternating(ds, reg.b, sc.basis, init).diagnostics
+    assert diag["stop_reason"] == "converged" and diag["sweeps_accepted"] <= 100
+    *_, plain = _kron_refine_reference(ds, reg.b, sc.basis, init, iters=3000, rel_tol=1e-13)
+    assert plain["stop_reason"] == "converged"
+    optimum = plain["objective_trajectory"][-1]
+    assert abs(diag["final_objective"] - optimum) <= 1e-6 * optimum
+
+
+def test_sweeps_run_counts_every_sweep_evaluated():
+    """``sweeps_run`` counts the accepted sweeps, a rejected last one, and
+    every extrapolated sweep that was discarded; up to two sweeps no
+    extrapolation runs.  It serializes as a plain int."""
+    sc, reg = _incomplete_setup()
+    discarded = 0
+    for seed in range(1, 11):
+        ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=seed,
+                              scale_observable=sc.anchor_index, basis=sc.basis)
+        init = estimate_joint_v1(ds, reg.b, sc.basis, sc.stage1)
+        for iters in (0, 1, 2, 100):
+            result = refine_alternating(ds, reg.b, sc.basis, init, iters=iters)
+            diag = result.diagnostics
+            run, accepted = diag["sweeps_run"], diag["sweeps_accepted"]
+            extra = run - accepted - (diag["stop_reason"] == "rejected")
+            assert type(run) is int and extra >= 0
+            if iters <= 2:
+                assert extra == 0
+            discarded += extra
+    assert discarded > 0
+    assert type(result_to_json(result)["diagnostics"]["sweeps_run"]) is int
+
+
+def test_designs_and_targets_beyond_the_magnitude_bound_are_refused(tmp_path):
+    """A design whose Gram would overflow is refused where the refinement
+    and the exporter form that Gram, and targets or an anchor coordinate
+    beyond the bound are refused by the refinement, so every objective it
+    evaluates is finite."""
+    sc, reg = _incomplete_setup()
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=15,
+                          basis=sc.basis)
+    init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
+    path = tmp_path / "p.sos"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e300):
+            with pytest.raises(ValidationError, match="regression matrix has an entry beyond"):
+                refine_alternating(ds, reg.b * scale, sc.basis, init)
+            with pytest.raises(ValidationError, match="regression matrix has an entry beyond"):
+                export_sos_problem(ds, reg.b * scale, sc.basis, path)
+            assert not path.exists()
+        huge = replace(ds, c_j0_hat=ds.c_j0_hat * 1e160)
+        with pytest.raises(ValidationError, match="targets has an entry beyond"):
+            refine_alternating(huge, reg.b, sc.basis, init)
+        for anchor in (1e160, -1e160):
+            with pytest.raises(ValidationError, match="x01_bar has an entry beyond"):
+                refine_alternating(replace(ds, x01_bar=anchor), reg.b, sc.basis, init)
 
 
 def test_refine_validates_its_inputs():
@@ -1113,8 +1208,5 @@ def test_tensor_form_matches_when_targets_do_not_sum_to_zero():
     ds = replace(ds, y_hat=ds.y_hat * np.linspace(0.9, 0.97, ds.n_processes)[:, None])
     assert np.min(np.abs(build_targets_v1(ds, sc.basis).sum(axis=1))) > 1e-2
     init = estimate_joint_v1(ds, reg.b, sc.basis, Stage1Config(method="mp_inverse"))
-    out = refine_alternating(ds, reg.b, sc.basis, init, iters=30)
-    rho_ref, povm_ref, diag_ref = _kron_refine_reference(ds, reg.b, sc.basis, init, iters=30)
-    assert out.diagnostics["sweeps_accepted"] == diag_ref["sweeps_accepted"]
-    assert np.max(np.abs(out.rho_hat.rho - rho_ref.rho)) < 1e-12
-    assert np.max(np.abs(out.povm_hat.elements - povm_ref.elements)) < 1e-12
+    for iters in (1, 2):
+        _assert_matches_the_kronecker_sweep(ds, reg.b, sc.basis, init, iters)

@@ -1,15 +1,9 @@
 """Every preset reproduces the stored reference results (``same_results.py``).
 
-Datasets are re-drawn and compared to ``DATA_TOL`` absolute.  One shot more
-or less moves a frequency by 1/n0 >= 1e-5, so every draw must be the same;
-the exact datasets' probabilities and the scale observable's eigenvalues
-move by up to 2.3e-14 between BLAS kernels.  Estimates are recomputed from
-the stored datasets, and each array is compared to ``TOL`` times its largest
-stored entry, or ``TOL`` absolute below 1.  The Monte-Carlo rows draw their
-own datasets and are compared to ``MSE_RTOL`` relative.  Over OpenBLAS's
-Haswell, SkylakeX, Sandybridge and Nehalem kernels, with one and two
-threads, the estimates moved by at most 2.1e-9 of their scale (the rough
-closed-form state of the rank-cut preset) and the rows by 7.2e-9 relative.
+Datasets are re-drawn and compared to the reference; estimates are
+recomputed from the stored datasets, and the Monte-Carlo rows draw their own
+datasets.  Each array is compared by ``same_results.differences``, whose
+docstring states the tolerances and why.
 """
 
 import re
@@ -21,15 +15,10 @@ import pytest
 import same_results as ref
 from jointtomo import PRESET_NAMES
 
-DATA_TOL = 1e-12
-TOL = 1e-7
-MSE_RTOL = 1e-6
-
 
 @cache
 def _stored() -> dict:
-    with np.load(ref.PATH) as z:
-        return dict(z)
+    return ref.stored()
 
 
 @cache
@@ -45,16 +34,11 @@ def _releases() -> str:
             "with tests/same_results.py and name the changed arrays in CHANGES.md)")
 
 
-def _differences(prefix: str, computed: dict, compare) -> list:
+def _differences(prefix: str, computed: dict) -> list:
     """The keys of ``computed`` (each under ``prefix``) whose array differs
-    from the stored one by ``compare``, with the largest difference of each."""
-    stored, out = _stored(), []
-    for key, value in computed.items():
-        want = stored[f"{prefix}.{key}"]
-        if value.shape != want.shape or not compare(value, want):
-            gap = np.abs(value - want).max() if value.shape == want.shape else "shape"
-            out.append(f"{prefix}.{key} (largest difference {gap})")
-    return out
+    from the stored one, with the largest difference of each."""
+    changed = ref.differences({f"{prefix}.{key}": v for key, v in computed.items()}, _stored())
+    return [f"{key} (largest difference {gap})" for key, gap, _ in changed]
 
 
 def test_the_reference_covers_every_preset_shot_count_and_stage():
@@ -71,27 +55,24 @@ def test_the_reference_covers_every_preset_shot_count_and_stage():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_the_reference_datasets_are_drawn_again(name):
     sc = _scenarios()[name]
-    close = lambda a, b: np.allclose(a, b, rtol=0.0, atol=DATA_TOL)
     for n0 in ref.SHOTS:
-        changed = _differences(f"{name}.n{n0}", ref.datasets(sc, n0), close)
+        changed = _differences(f"{name}.n{n0}", ref.datasets(sc, n0))
         assert not changed, f"datasets differ from the reference: {changed}{_releases()}"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_estimates_of_the_reference_datasets_are_unchanged(name):
     sc, stored = _scenarios()[name], _stored()
-    close = lambda a, b: np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max())
     for n0 in ref.SHOTS:
         prefix = f"{name}.n{n0}"
         datasets = {f: stored[f"{prefix}.{f}"] for f in ref.DATASET_FIELDS}
-        changed = _differences(prefix, ref.estimates(sc, n0, datasets), close)
-        assert not changed, f"estimates differ from the reference by {TOL} of scale: {changed}"
+        changed = _differences(prefix, ref.estimates(sc, n0, datasets))
+        assert not changed, f"estimates differ from the reference by {ref.TOL} of scale: {changed}"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_a_monte_carlo_run_is_unchanged(name):
-    close = lambda a, b: np.allclose(a, b, rtol=MSE_RTOL, atol=0.0)
-    changed = _differences(name, {"mse": ref.mse(_scenarios()[name])}, close)
+    changed = _differences(name, {"mse": ref.mse(_scenarios()[name])})
     assert not changed, f"Monte-Carlo rows differ from the reference: {changed}{_releases()}"
 
 

@@ -152,8 +152,8 @@ def change_of_basis(basis: OperatorBasis) -> np.ndarray:
     Multiplying ``vec(A)`` by this matrix yields the coordinates of ``A`` in
     the operator basis; for Hermitian ``A`` those coordinates are real.
     """
-    _record(basis, OperatorBasis, "basis")
-    return np.stack([vectorize(om).conj() for om in basis.omegas])
+    d2 = _record(basis, OperatorBasis, "basis").d ** 2
+    return basis.omegas.transpose(0, 2, 1).reshape(d2, d2).conj()
 
 
 def _to_coords(mats: np.ndarray, basis: OperatorBasis) -> np.ndarray:

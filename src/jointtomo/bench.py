@@ -420,10 +420,11 @@ def fit_loglog_slope(table: MseTable, column: str = "mse_state"):
         raise ValidationError(f"column must be mse_state or mse_povm, got {column!r}")
     if len(table.rows) < 3:
         raise ValidationError("need at least 3 rows to fit a slope")
+    mse = table.column(column)
+    if not np.all((mse > 0) & np.isfinite(mse)):  # before the logarithm, which warns on zero
+        raise ValidationError("table contains MSE values that are not positive and finite")
     x = np.log(table.column("n").astype(float))
-    y = np.log(table.column(column))
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("table contains non-finite MSE values")
+    y = np.log(mse)
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     ss_res = float(np.sum((y - fit) ** 2))

@@ -13,6 +13,16 @@ A process maps the identity to a multiple of itself exactly when ``h = 0``
 ("generalized-unital"), which is the regime where the coherence-vector
 regression applies.
 
+Each representation has one kernel over a Kraus stack ``(L, k, d, d)``: the
+Kraus sum applied to a matrix (``_sandwich``), the Kraus sums
+``sum_i A_i^dag A_i`` (``_kraus_grams``), the natural superoperators
+(``_natural_rows``) and the real transfer matrices (``_transfers``), which
+the regression matrices, ``ProcessEnsemble.apply`` and its flags run on all
+L channels at once.  Every per-channel helper (``KrausChannel.apply``,
+``kraus_gram`` and ``is_trace_preserving``, ``superoperator``,
+``transfer_matrix``, ``is_generalized_unital``) is the L = 1 case of its
+kernel.
+
 Channels are checked by one stacked pass over a Kraus stack ``(L, k, d, d)``
 (``KrausChannel.stacked``), of which the constructor is the case L = 1: the
 largest eigenvalue of every Kraus sum ``sum_i A_i^dag A_i`` must be at most
@@ -117,8 +127,7 @@ class KrausChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve a matrix through the channel by direct Kraus application."""
-        rho = _array(rho, "matrix", 2, complex)
-        return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
+        return _sandwich(self.kraus[None], _array(rho, "matrix", 2, complex))[0]
 
 
 @dataclass(frozen=True)
@@ -173,33 +182,33 @@ class ProcessEnsemble:
     @cached_property
     def tp_flags(self) -> np.ndarray:
         """Read-only flags: which channels are trace-preserving, read off the
-        Kraus stack by one stacked sum (``KrausChannel.is_trace_preserving``
-        is the one-channel case)."""
+        Kraus stack by one stacked sum."""
         flags = _trace_preserving(self.kraus_stack)
         flags.setflags(write=False)
         return flags
 
     @cached_property
     def unital_flags(self) -> np.ndarray:
-        """Read-only flags: which channels are generalized-unital
-        (``_unital_split``, of which ``is_generalized_unital`` is L = 1)."""
+        """Read-only flags: which channels are generalized-unital (``_unital_split``)."""
         flags = _unital_split(self.kraus_stack)[0]
         flags.setflags(write=False)
         return flags
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve one matrix through every channel: the ``(L, d, d)`` outputs."""
-        k = self.kraus_stack
-        return np.einsum("akij,jl,akml->aim", k, _array(rho, "matrix", 2, complex), k.conj())
+        return _sandwich(self.kraus_stack, _array(rho, "matrix", 2, complex))
+
+
+def _sandwich(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``sum_i A_i rho A_i^dag`` for every channel of a Kraus stack
+    ``(L, k, d, d)``: the ``(L, d, d)`` outputs."""
+    return np.einsum("akij,jl,akml->aim", kraus, rho, kraus.conj())
 
 
 def superoperator(channel: KrausChannel) -> np.ndarray:
     """Natural-basis superoperator ``sum_i conj(A_i) kron A_i``."""
-    _record(channel, KrausChannel, "channel")
-    b = np.zeros((channel.d ** 2, channel.d ** 2), dtype=complex)
-    for a in channel.kraus:
-        b += np.kron(a.conj(), a)
-    return b
+    d2 = _record(channel, KrausChannel, "channel").d ** 2
+    return _natural_rows(channel.kraus[None]).reshape(d2, d2).T
 
 
 def _real_transfer(full_c: np.ndarray) -> np.ndarray:
@@ -217,8 +226,7 @@ def transfer_matrix(channel: KrausChannel, basis: OperatorBasis) -> TransferMatr
     _record(channel, KrausChannel, "channel")
     if channel.d != _record(basis, OperatorBasis, "basis").d:
         raise ValidationError(f"dimension mismatch: channel {channel.d}, basis {basis.d}")
-    u = change_of_basis(basis)
-    full = _real_transfer(u @ superoperator(channel) @ u.conj().T)
+    full = _transfers(_natural_rows(channel.kraus[None]), change_of_basis(basis))[0]
     return TransferMatrix(
         full=full,
         r=float(full[0, 0]),
@@ -233,7 +241,7 @@ def _unital_split(kraus: np.ndarray) -> tuple:
     ``||traceless part of Phi(I / sqrt(d))|| = ||h|| <= GENERALIZED_UNITAL_TOL``,
     and their ``alpha = Re tr Phi(I / sqrt(d)) / sqrt(d)``, the scalar block r."""
     d = kraus.shape[-1]
-    out = np.einsum("akij,jl,akml->aim", kraus, np.eye(d) / math.sqrt(d), kraus.conj())
+    out = _sandwich(kraus, np.eye(d) / math.sqrt(d))
     trace = np.trace(out, axis1=1, axis2=2) / d
     traceless = out - trace[:, None, None] * np.eye(d)
     return (np.linalg.norm(traceless, axis=(-2, -1)) <= GENERALIZED_UNITAL_TOL,
@@ -241,8 +249,7 @@ def _unital_split(kraus: np.ndarray) -> tuple:
 
 
 def is_generalized_unital(channel: KrausChannel):
-    """Whether the channel maps I to alpha*I, and that alpha when it does
-    (``_unital_split`` of one channel)."""
+    """Whether the channel maps I to alpha*I, and that alpha when it does."""
     _record(channel, KrausChannel, "channel")
     (flag,), (alpha,) = _unital_split(channel.kraus[None])
     return (True, float(alpha)) if flag else (False, None)
@@ -501,29 +508,25 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 
 
 def _choi_matrix(pair_maps) -> np.ndarray:
-    """Choi matrix of ``rho -> sum_k X_k rho Y_k`` given (X_k, Y_k) pairs."""
-    d = pair_maps[0][0].shape[0]
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = 1.0
-            out = sum(x @ e @ y for x, y in pair_maps)
-            j += np.kron(e, out)
-    return j
+    """Choi matrix ``sum_ab E_ab kron Phi(E_ab)`` of ``Phi: rho -> sum_k X_k rho Y_k``
+    given (X_k, Y_k) pairs: entry ``[(a, i), (b, j)] = sum_k X_k[i, a] Y_k[b, j]``."""
+    x, y = (np.stack(m) for m in zip(*pair_maps))
+    d = x.shape[-1]
+    return np.einsum("kia,kbj->aibj", x, y).reshape(d * d, d * d)
 
 
 def _kraus_from_choi(j: np.ndarray, d: int, scale: float, sign: float) -> np.ndarray:
-    """Kraus matrices of the positive (sign=+1) or negative part of a Choi matrix."""
+    """Kraus matrices of the positive (sign=+1) or negative part of a Choi
+    matrix: ``sqrt(sign lam scale)`` times each eigenvector whose ``sign lam``
+    exceeds the tolerance, read column-major as a d x d matrix, in ascending
+    order of ``lam``; one zero matrix when there is none."""
     vals, vecs = np.linalg.eigh(j)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    kraus = []
-    for lam, vec in zip(vals, vecs.T):
-        if sign * lam > tol:
-            kraus.append(np.sqrt(sign * lam * scale) * vec.reshape((d, d), order="F"))
-    if not kraus:
-        kraus = [np.zeros((d, d), dtype=complex)]
-    return np.stack(kraus)
+    keep = sign * vals > tol
+    if not keep.any():
+        return np.zeros((1, d, d), dtype=complex)
+    kraus = np.sqrt(sign * vals[keep] * scale)[:, None] * vecs.T[keep]
+    return kraus.reshape(-1, d, d).swapaxes(1, 2)
 
 
 def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
@@ -547,23 +550,17 @@ def pauli_sandwich_processes(v1: np.ndarray, v2: np.ndarray, g: float):
         raise ValidationError(f"coupling must be positive, got {g}")
     v2c = v2.conj()
     # Hermitian-preserving halves of rho -> V1 rho V2*, each divided by g.
-    map1 = [(v1 / 2.0, v2c), (v2c / 2.0, v1)]
-    map2 = [(1j * v1 / 2.0, v2c), (-1j * v2c / 2.0, v1)]
-    channels = []
-    worst = 0.0
-    for pair in (map1, map2):
-        j = _choi_matrix(pair)
-        for sign in (1.0, -1.0):
-            kraus = _kraus_from_choi(j, d, g, sign)
-            gram = _kraus_grams(kraus)
-            worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
-            channels.append(kraus)
+    halves = ([(v1 / 2.0, v2c), (v2c / 2.0, v1)], [(1j * v1 / 2.0, v2c), (-1j * v2c / 2.0, v1)])
+    kraus = [_kraus_from_choi(j, d, g, sign)
+             for j in map(_choi_matrix, halves) for sign in (1.0, -1.0)]
+    # the Kraus inequality of KrausChannel, tested once for the four channels
+    worst = float(np.linalg.eigvalsh(np.stack([_kraus_grams(k) for k in kraus]))[:, -1].max())
     if worst > 1.0 + KRAUS_TOL:
         raise ValidationError(
             f"coupling g={g} makes a component unphysical; maximal admissible g = {g / worst:.6g}"
         )
     labels = ("sandwich_1p", "sandwich_1m", "sandwich_2p", "sandwich_2m")
-    return tuple(KrausChannel(d, k, label=l) for k, l in zip(channels, labels))
+    return tuple(_new(KrausChannel, d=d, kraus=k, label=l) for k, l in zip(kraus, labels))
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -773,7 +770,7 @@ class RegressionMatrices:
         blocks = b.reshape(len(kraus), n, n)
         for start in range(0, len(kraus), _ROW_BLOCK):
             block = _natural_rows(kraus[start:start + _ROW_BLOCK])
-            blocks[start:start + len(block)] = _coherence_rows(block, u).swapaxes(1, 2)
+            blocks[start:start + len(block)] = _transfers(block, u)[:, 1:, 1:].swapaxes(1, 2)
         b.setflags(write=False)
         return b
 
@@ -823,13 +820,13 @@ def _natural_rows(kraus: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _coherence_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The e-blocks ``(L, n, n)`` of the transfer matrices ``U B_a U^dag`` of
-    natural rows ``(L, d, d, d, d)`` (``_natural_rows``), by one batched
-    product, for the change of basis ``u``."""
+def _transfers(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The real transfer matrices ``U B_a U^dag`` ``(L, d^2, d^2)`` of natural
+    rows ``(L, d, d, d, d)`` (``_natural_rows``), by one batched product, for
+    the change of basis ``u`` (``_real_transfer`` refuses an imaginary residue)."""
     l, d2 = len(rows), len(u)
     sup = rows.reshape(l, d2, d2).transpose(0, 2, 1)
-    return _real_transfer(u @ sup @ u.conj().T)[:, 1:, 1:]
+    return _real_transfer(u @ sup @ u.conj().T)
 
 
 def build_regression_matrices(ens: ProcessEnsemble, basis: OperatorBasis) -> RegressionMatrices:

@@ -65,20 +65,17 @@ def _processes(args):
     return ens, build_basis(ens.d), None
 
 
-def _v1_misfit(ens, sc):
+def _v1_misfit(ens):
     """Index of the first process the coherence-vector (v1) model does not
     describe (one not generalized-unital), or None, read off the stacked
-    ``ProcessEnsemble.unital_flags``.  A preset's ``estimator`` is "v1"
-    exactly when all its processes fit, as a test holds."""
-    if sc is not None and sc.estimator == "v1":
-        return None
+    ``ProcessEnsemble.unital_flags``, for a preset's ensemble as for a file's."""
     flags = ens.unital_flags
     return None if flags.all() else int(flags.argmin())
 
 
-def _require_v1(ens, sc) -> None:
+def _require_v1(ens) -> None:
     """Refuses, before the dataset is read, an ensemble with a ``_v1_misfit``."""
-    a = _v1_misfit(ens, sc)
+    a = _v1_misfit(ens)
     if a is not None:
         label = ens.channels[a].label
         raise ValidationError(
@@ -174,7 +171,7 @@ def _cmd_estimate(args) -> int:
     state, povm = _truth(args, sc)
     version = args.version or (sc.estimator if sc else "v1")
     if version == "v1":
-        _require_v1(ens, sc)
+        _require_v1(ens)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     config = _stage1_config(args)
@@ -196,7 +193,7 @@ def _cmd_refine(args) -> int:
     _whole(args.iters, "iters", 0)  # refine_alternating's check, before any file is read
     ens, basis, sc = _processes(args)
     state, povm = _truth(args, sc)
-    _require_v1(ens, sc)
+    _require_v1(ens)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     init = estimate_joint_v1(ds, reg.design, basis, _stage1_config(args))
@@ -215,9 +212,9 @@ def _cmd_refine(args) -> int:
 def _cmd_export_sos(args) -> int:
     from .sos import export_sos_problem  # the one command that needs the exporter
 
-    ens, basis, sc = _processes(args)
+    ens, basis, _ = _processes(args)
     if not args.pure:
-        _require_v1(ens, sc)
+        _require_v1(ens)
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     problem = export_sos_problem(ds, reg.b_natural if args.pure else reg.b, basis, args.out,
@@ -230,7 +227,7 @@ def _cmd_export_sos(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
-    ens, basis, sc = _processes(args)
+    ens, basis, _ = _processes(args)
     reg = build_regression_matrices(ens, basis)
     d = basis.d
     n2 = basis.n_traceless ** 2
@@ -239,7 +236,7 @@ def _cmd_rank_check(args) -> int:
     print(f"L = {len(ens)} processes, d = {d}")
     print(f"rank(B) = {reg.rank_b} of {n2}")
     print(f"rank(B_natural) = {reg.rank_b_natural} <= bound {bound} (cap {d ** 4})")
-    misfit = _v1_misfit(ens, sc)
+    misfit = _v1_misfit(ens)
     print("v1 model applies: " + ("yes" if misfit is None else
                                   f"no (process {misfit + 1} is not generalized-unital)"))
     print(f"complete (v1): {'yes' if reg.complete_v1 else 'no'}")

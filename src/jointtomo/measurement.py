@@ -47,7 +47,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import ValidationError, _array, _new, _record, _rng, _whole
+from .errors import ValidationError, _array, _bounded, _new, _record, _rng, _whole
 
 PSD_TOL = 1e-10
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
@@ -254,7 +254,9 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     with the copy count, the processes' trace flags and the anchor index
     they share.  Returns the fields as arrays and ints, refused with the
     message ``MeasurementDataset`` raises.  Frequencies must be finite and
-    non-negative, and no row of ``y_hat`` may sum above 1."""
+    non-negative, no row of ``y_hat`` may sum above 1, and ``x_a0_hat``,
+    ``c_j0_hat`` and ``x01_bar`` are held to the magnitude rule
+    (``errors._bounded``), which keeps the estimators' sums finite."""
     y, x_a0, c_j0, x01 = (_array(v, name, dtype=float) for v, name in (
         (y_hat, "y_hat"), (x_a0_hat, "x_a0_hat"), (c_j0_hat, "c_j0_hat"), (x01_bar, "x01_bar")))
     tp_flags = _array(tp_flags, "tp_flags").astype(bool, copy=False)
@@ -267,6 +269,8 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
         raise ValidationError(f"y_hat has a frequency {y.max():.12g} above 1")
     if (y.sum(axis=-1) > 1.0 + 1e-9).any():
         raise ValidationError("a frequency row sums above 1")
+    for name, values in (("x_a0_hat", x_a0), ("c_j0_hat", c_j0), ("x01_bar", x01)):
+        _bounded(values, name)
     t, l, m = y.shape
     if x_a0.shape[:1] != (t,) or c_j0.shape[:1] != (t,) or x01.shape != (t,):
         raise ValidationError(f"every field of a stack of {t} datasets needs {t} entries")

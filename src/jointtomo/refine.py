@@ -295,8 +295,9 @@ def refine_alternating(
     (``_targets_v1``); ``b`` is raw or its
     ``factor_design`` record, a raw matrix reaches that record through
     ``factor_design``'s memo.  A design with a non-finite entry is refused
-    with DegeneracyError, and a design, targets or anchor coordinate beyond
-    ``errors.MAX_ENTRY`` with ValidationError.
+    with DegeneracyError, and a design or targets beyond ``errors.MAX_ENTRY``
+    with ValidationError (the dataset holds its anchor coordinate to that
+    bound).
 
     From the third sweep on, sweeps start from Anderson-extrapolated states
     (module docstring).  A sweep is accepted only if it does not increase
@@ -342,7 +343,6 @@ def refine_alternating(
     design = _stage("refine", factor_design, b)
     (y,) = _targets_v1(_one_stack(ds), design, basis)
     _bounded(y, "targets")
-    _bounded(np.array(ds.x01_bar), "anchor coordinate x01_bar")
     if not isinstance(init, EstimateResult):
         raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes

@@ -105,6 +105,14 @@ def test_change_of_basis_unitary(d):
     assert np.max(np.abs(u @ u.conj().T - np.eye(d * d))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_change_of_basis_rows_are_the_conjugated_vectorized_elements(d):
+    basis = build_basis(d)
+    u = change_of_basis(basis)
+    assert u.dtype == complex
+    assert np.array_equal(u, np.stack([vectorize(om).conj() for om in basis.omegas]))
+
+
 def test_hermitian_coordinates_are_real():
     rng = np.random.default_rng(2)
     u = change_of_basis(build_basis(2))

@@ -130,7 +130,8 @@ def test_preset_completeness_expectations():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_a_preset_is_v1_exactly_when_its_processes_are_generalized_unital(name):
-    """The CLI reads a preset's estimator as this verdict (``cli._v1_misfit``)."""
+    """The CLI's verdict (``cli._v1_misfit``, read off the flags for presets
+    and files alike) therefore agrees with each preset's estimator."""
     sc = preset(name)
     fits = all(is_generalized_unital(ch)[0] for ch in sc.ensemble.channels)
     assert (sc.estimator == "v1") == fits
@@ -188,6 +189,17 @@ def test_monotone_mse_decrease():
     mp = table.column("mse_povm")
     assert np.all(np.diff(ms) < 0)
     assert np.all(np.diff(mp) < 0)
+
+
+def test_a_preset_whose_state_draws_never_give_an_anchor_is_refused(monkeypatch):
+    """The truth state is redrawn until its anchor coordinate is a usable
+    share of its coherence vector.  With every drawn unitary the identity
+    the state stays diagonal, its anchor (the x coordinate) stays zero, and
+    the preset is refused once the redraws run out."""
+    monkeypatch.setattr(bench, "haar_unitary", lambda d, rng: np.eye(d, dtype=complex))
+    with pytest.raises(DegeneracyError,
+                       match="^could not draw a state with a usable anchor coordinate$"):
+        preset("one_qubit_closed_complete")
 
 
 def test_fit_loglog_slope_synthetic():

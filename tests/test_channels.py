@@ -378,6 +378,16 @@ def test_mixed_dimension_ensemble_rejected():
         ProcessEnsemble((KrausChannel(2, np.eye(2)[None]), KrausChannel(3, np.eye(3)[None])))
 
 
+def test_a_zero_matrix_has_rank_zero():
+    assert numerical_rank(np.zeros((2, 3))) == 0
+
+
+def test_no_hamiltonian_records_give_no_channels():
+    assert closed_system_channels([], 3) == []
+    with pytest.raises(ValidationError, match="^ensemble must contain at least one channel$"):
+        ProcessEnsemble(tuple(closed_system_channels((), 3)))
+
+
 def test_rank_bound_grouping():
     rng = np.random.default_rng(10)
     unitaries = [make_named_channel("unitary", u=haar_unitary(2, rng)) for _ in range(10)]
@@ -452,6 +462,51 @@ def choi_matrix(ch):
             e[a, b] = 1.0
             j += np.kron(e, ch.apply(e))
     return j
+
+
+def _choi_loop(pair_maps):
+    """The Choi matrix of ``rho -> sum_k X_k rho Y_k`` one unit matrix at a time."""
+    d = pair_maps[0][0].shape[0]
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[a, b] = 1.0
+            j += np.kron(e, sum(x @ e @ y for x, y in pair_maps))
+    return j
+
+
+def _kraus_from_choi_loop(j, d, scale, sign):
+    """The Kraus matrices of one signed part of a Choi matrix, one eigenpair at a time."""
+    vals, vecs = np.linalg.eigh(j)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    kraus = [np.sqrt(sign * lam * scale) * vec.reshape((d, d), order="F")
+             for lam, vec in zip(vals, vecs.T) if sign * lam > tol]
+    return np.stack(kraus or [np.zeros((d, d), dtype=complex)])
+
+
+@pytest.mark.parametrize("v1, v2", [(pauli("x"), pauli("z")), (np.eye(3), np.eye(3)),
+                                    (pauli("xy"), pauli("zx"))])
+def test_choi_and_its_kraus_parts_match_their_loop_forms(v1, v2):
+    """Equal to the loops on the Pauli-sandwich halves, whose products are
+    exact, and to roundoff on random pairs, whose complex products the loop
+    takes through matmul; the signed parts of one Choi matrix are equal."""
+    d = len(v1)
+    rng = np.random.default_rng(d)
+    halves = ([(v1 / 2.0, v2.conj()), (v2.conj() / 2.0, v1)],
+              [(1j * v1 / 2.0, v2.conj()), (-1j * v2.conj() / 2.0, v1)])
+    for pairs in halves:
+        assert np.array_equal(channels._choi_matrix(pairs), _choi_loop(pairs))
+    pairs = [tuple(rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d)))
+             for _ in range(3)]
+    j = channels._choi_matrix(pairs)
+    assert np.max(np.abs(j - _choi_loop(pairs))) <= 1e-14 * np.abs(j).max()
+    j = j + j.conj().T  # Hermitian, with parts of both signs
+    for sign in (1.0, -1.0):
+        assert np.array_equal(channels._kraus_from_choi(j, d, 0.3, sign),
+                              _kraus_from_choi_loop(j, d, 0.3, sign))
+    psd = j @ j
+    assert np.array_equal(channels._kraus_from_choi(psd, d, 0.3, -1.0), np.zeros((1, d, d)))
 
 
 def test_pauli_sandwich_identity_case():

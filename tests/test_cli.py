@@ -416,6 +416,8 @@ def _edited_dataset(tmp_path, **fields) -> str:
     pytest.param({"anchor_index": 0}, "ls", id="zero-anchor"),
     pytest.param({"anchor_index": -2}, "ls", id="negative-anchor"),
     pytest.param({"anchor_index": 99}, "ls", id="anchor-beyond-basis"),
+    pytest.param({"x01_bar": 1e200}, "ls", id="huge-anchor-value"),
+    pytest.param({"c_j0_hat": [0.3e200, 0.3e200, 0.4e200]}, "ls", id="huge-trace-frequencies"),
 ])
 def test_bad_dataset_file_exits_with_validation_code(tmp_path, capsys, text, method):
     if isinstance(text, dict):

@@ -2,7 +2,9 @@
 any scipy module, and numpy is its one runtime requirement; and importing
 the package loads neither the exporter, the file formats nor numpy.random.
 Run in a fresh interpreter, since this one has scipy and the exporter
-loaded."""
+loaded.  CI's step "Installed package runs on numpy alone" runs the same
+three scripts (``SCRIPT``, ``LAZY_EXPORTER``, ``LAZY_RANDOM``) against the
+installed package, so they are the one copy of these checks."""
 
 import os
 import re

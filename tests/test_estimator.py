@@ -14,13 +14,18 @@ from jointtomo import (
     DegeneracyError,
     DensityMatrix,
     FactoredDesign,
+    KrausChannel,
     KroneckerFactorization,
     MeasurementDataset,
+    MseRow,
+    MseTable,
+    OperatorBasis,
     Povm,
     ProcessEnsemble,
     Stage1Config,
     TomographyError,
     ValidationError,
+    amplitude_damping,
     build_basis,
     build_regression_matrices,
     build_targets_v1,
@@ -32,13 +37,16 @@ from jointtomo import (
     estimate_joint_v2,
     export_sos_problem,
     factor_design,
+    fit_loglog_slope,
     fix_scale_v1,
     from_coords,
     haar_unitary,
+    hamiltonian_generator,
     ideal_statistics,
     in_physical_set,
     k_coefficients,
     make_named_channel,
+    mixed_unitary_transfer,
     nearest_kronecker,
     numerical_rank,
     pauli,
@@ -52,6 +60,7 @@ from jointtomo import (
     simulate_dataset,
     stage1_solve,
     to_coords,
+    transfer_matrix,
     vectorize,
 )
 from jointtomo import bench
@@ -212,6 +221,14 @@ def test_nearest_kronecker_degenerate_cases():
     fac2 = nearest_kronecker(vectorize(np.eye(2)).astype(float), 2, 2)
     assert fac1.degenerate_tie
     assert np.array_equal(fac1.left, fac2.left)
+
+
+def test_nearest_kronecker_reads_integers_as_floats():
+    z = np.kron([1, 2, 0], [3, -1, 2])
+    assert z.dtype.kind == "i"
+    ints, floats = nearest_kronecker(z, 3, 3), nearest_kronecker(z.astype(float), 3, 3)
+    assert ints.left.dtype == ints.right.dtype == float
+    assert np.array_equal(ints.left, floats.left) and np.array_equal(ints.right, floats.right)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1129,6 +1146,24 @@ def _complex_factors():
     return replace(fac, left=fac.left * 1j)
 
 
+def _tilted_basis() -> OperatorBasis:
+    """The qubit basis with its x element times ``exp(4e-10 i)``: orthonormal,
+    and Hermitian within the basis check's 1e-9, yet not Hermitian."""
+    omegas = np.array(build_basis(2).omegas)
+    omegas[1] *= np.exp(4e-10j)
+    return OperatorBasis(2, omegas)
+
+
+# The Hadamard channel, which maps the x coordinate onto z.
+_HADAMARD = make_named_channel("unitary", u=(pauli("x") + pauli("z")) / np.sqrt(2))
+_RESIDUE = "transfer matrix has imaginary residue 4.000e-10"
+
+
+def _mse_table(mse_state):
+    return MseTable(rows=tuple(MseRow(n, mse, 0.0, 1.0, 0.0, 2)
+                               for n, mse in zip((10, 100, 1000), mse_state)), scenario="x")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: _simulate(1.5), "scale observable index must be a whole number, got 1.5"),
     (lambda tmp: _simulate(True), "scale observable index must be a whole number, got True"),
@@ -1172,6 +1207,14 @@ def _complex_factors():
     (lambda tmp: DatasetStack(np.array([_RECORD["y_hat"]]) * 1j, [[0.7, 0.7]], [[0.7, 0.7]],
                               [0.1], 10, [True, True]),
      "y_hat must be real, got dtype complex128"),
+    (lambda tmp: MeasurementDataset(**{**_RECORD, "c_j0_hat": [0.7e200, 0.7e200]}),
+     f"c_j0_hat {_BEYOND}"),
+    (lambda tmp: MeasurementDataset(**{**_RECORD, "x_a0_hat": [0.7, 0.7e200]}),
+     f"x_a0_hat {_BEYOND}"),
+    (lambda tmp: MeasurementDataset(**{**_RECORD, "x01_bar": -1e200}), f"x01_bar {_BEYOND}"),
+    (lambda tmp: DatasetStack(np.array([_RECORD["y_hat"]] * 2), [[0.7, 0.7]] * 2,
+                              [[0.7, 0.7], [0.7, 0.7e200]], [0.1, 0.1], 10, [True, True]),
+     f"c_j0_hat {_BEYOND}"),
     (lambda tmp: sample_frequencies(["0.5", "0.5"], 10, 0),
      "probabilities must be numeric, got dtype <U3"),
     (lambda tmp: sample_frequencies([0.5, 0.5], 10, "x"), "seed must be a whole number, got 'x'"),
@@ -1193,6 +1236,30 @@ def _complex_factors():
     (lambda tmp: k_coefficients(_HUGE_DIAGONAL), f"matrix {_BEYOND}"),
     (lambda tmp: combine_state_estimates([_HUGE_FULL] * 2), f"state estimate {_BEYOND}"),
     (lambda tmp: combine_state_estimates([_HUGE_DIAGONAL] * 2), f"state estimate {_BEYOND}"),
+    (lambda tmp: transfer_matrix(_HADAMARD, _tilted_basis()), _RESIDUE),
+    (lambda tmp: build_regression_matrices(ProcessEnsemble((_HADAMARD,)),
+                                           _tilted_basis()).b, _RESIDUE),
+    (lambda tmp: transfer_matrix(KrausChannel(2, np.eye(2)[None]), build_basis(3)),
+     "dimension mismatch: channel 2, basis 3"),
+    (lambda tmp: hamiltonian_generator(np.diag([1.0, -1.0, 0.0]), build_basis(2)),
+     "Hamiltonian must be a 2 x 2 matrix for this basis, got shape (3, 3)"),
+    (lambda tmp: mixed_unitary_transfer([1.0], [pauli("x"), pauli("z")], 0.5, build_basis(2)),
+     "need one weight per Hamiltonian"),
+    (lambda tmp: amplitude_damping(1.5), "damping rate must be in [0, 1], got 1.5"),
+    (lambda tmp: pauli_sandwich_processes(np.diag([1, 1j]), pauli("x"), 0.1),
+     "V1 must be Hermitian"),
+    (lambda tmp: stage1_solve(np.eye(3), np.ones(2), Stage1Config()),
+     "target length 2 does not match 3 rows"),
+    (lambda tmp: correct_state(np.eye(2)), "state estimate has trace 2, expected 1"),
+    (lambda tmp: estimate_joint_v2(_raw_error_inputs()[2], np.ones((5, 15)), Stage1Config()),
+     "superoperator matrix has 15 columns, not a fourth power"),
+    (lambda tmp: DensityMatrix(2, np.eye(3) / 3), "state must be 2x2, got (3, 3)"),
+    (lambda tmp: Povm(2, np.stack([np.eye(3) / 2] * 2)),
+     "elements must have shape (M, 2, 2), got (2, 3, 3)"),
+    (lambda tmp: fit_loglog_slope(_mse_table([1.0, float("nan"), 0.01])),
+     "table contains MSE values that are not positive and finite"),
+    (lambda tmp: fit_loglog_slope(_mse_table([1.0, 0.0, 0.01])),
+     "table contains MSE values that are not positive and finite"),
 ], ids=["scale-fraction", "scale-bool", "scale-string", "ideal-scale-fraction",
         "reg-scale-string", "reg-scale-complex", "reg-scale-bool", "v1-object-design",
         "v2-object-design", "refine-object-design", "factor-object-design",
@@ -1200,12 +1267,17 @@ def _complex_factors():
         "stage1-3d-targets", "scale-fix-anchor-outside", "stage1-nan-targets",
         "factor-ragged-design", "to-coords-huge-skew", "from-coords-complex",
         "physical-set-complex", "state-strings", "povm-object", "dataset-string-frequencies",
-        "dataset-string-x01", "stack-complex-frequencies", "sample-string-probabilities",
+        "dataset-string-x01", "stack-complex-frequencies", "dataset-huge-c_j0",
+        "dataset-huge-x_a0", "dataset-huge-x01", "stack-huge-c_j0", "sample-string-probabilities",
         "sample-string-seed", "k-coefficients-nan", "kronecker-nan", "rearrange-string-rows",
         "scale-fix-complex-factor", "scale-fix-not-a-factorization", "combine-empty",
         "correct-state-not-square", "project-pure-vector", "rank-inf", "sandwich-2x3",
         "correct-state-huge", "correct-state-huge-diagonal", "k-coefficients-huge",
-        "k-coefficients-huge-diagonal", "combine-huge", "combine-huge-diagonal"])
+        "k-coefficients-huge-diagonal", "combine-huge", "combine-huge-diagonal",
+        "transfer-basis-residue", "regression-basis-residue", "transfer-dimension",
+        "generator-shape", "mixed-weight-count", "damping-range", "sandwich-not-hermitian",
+        "stage1-target-length", "correct-state-trace", "v2-columns", "state-shape",
+        "povm-shape", "fit-nan-mse", "fit-zero-mse"])
 def test_library_inputs_are_refused_with_validation_errors(tmp_path, call, message):
     with pytest.raises(ValidationError) as err:
         call(tmp_path)

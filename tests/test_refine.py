@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from jointtomo import (
     DatasetStack,
     DegeneracyError,
+    DensityMatrix,
     KrausChannel,
     MeasurementDataset,
+    OperatorBasis,
     Povm,
     ProcessEnsemble,
     Stage1Config,
@@ -881,10 +883,31 @@ def test_sweeps_run_counts_every_sweep_evaluated():
     assert type(result_to_json(result)["diagnostics"]["sweeps_run"]) is int
 
 
+def test_a_program_with_a_coefficient_that_is_not_real_is_refused(tmp_path):
+    """A d = 3 basis whose traceless elements carry the phase 4.99e-10
+    passes the basis check (Hermitian to 1e-9), but the state's ball
+    inequality ``k_3`` then has a coefficient of 0.707 whose imaginary part
+    is 1.06e-9, beyond the exporter's 1e-9 test: refused, and not written."""
+    d = 3
+    omegas = np.array(build_basis(d).omegas)
+    omegas[1:] *= np.exp(4.99e-10j)
+    basis = OperatorBasis(d, omegas)
+    ens = ProcessEnsemble((KrausChannel(d, np.eye(d)[None]),))
+    ds = simulate_dataset(ens, DensityMatrix(d, np.eye(d) / d),
+                          Povm(d, np.stack([np.eye(d) / 2] * 2)), 100, seed=1,
+                          basis=build_basis(d))
+    path = tmp_path / "p.sos"
+    with pytest.raises(ValidationError, match=r"^polynomial coefficient \(0\.70710678\d*\+1\.05\d*e-09j\) "
+                                              r"is not real$"):
+        export_sos_problem(ds, np.zeros((1, (d * d - 1) ** 2)), basis, path)
+    assert not path.exists()
+
+
 def test_designs_and_targets_beyond_the_magnitude_bound_are_refused(tmp_path):
     """A design whose Gram would overflow is refused where the refinement
-    and the exporter form that Gram, and targets or an anchor coordinate
-    beyond the bound are refused by the refinement, so every objective it
+    and the exporter form that Gram, targets beyond the bound are refused by
+    the refinement, and a dataset with an anchor coordinate or a trace
+    frequency beyond it by its own check, so every objective the refinement
     evaluates is finite."""
     sc, reg = _incomplete_setup()
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=15,
@@ -899,7 +922,11 @@ def test_designs_and_targets_beyond_the_magnitude_bound_are_refused(tmp_path):
             with pytest.raises(ValidationError, match="regression matrix has an entry beyond"):
                 export_sos_problem(ds, reg.b * scale, sc.basis, path)
             assert not path.exists()
-        huge = replace(ds, c_j0_hat=ds.c_j0_hat * 1e160)
+        with pytest.raises(ValidationError, match="c_j0_hat has an entry beyond"):
+            replace(ds, c_j0_hat=ds.c_j0_hat * 1e160)
+        # in-bound fields whose product, the lossy background, is not
+        huge = replace(ds, x_a0_hat=np.full(ds.n_processes, 1e20), c_j0_hat=ds.c_j0_hat * 1e20,
+                       tp_flags=np.zeros(ds.n_processes, dtype=bool))
         with pytest.raises(ValidationError, match="targets has an entry beyond"):
             refine_alternating(huge, reg.b, sc.basis, init)
         for anchor in (1e160, -1e160):
@@ -1189,6 +1216,7 @@ def test_export_objective_is_the_refined_objective(tmp_path):
     "dim 2\nM 2\nvars a\nOBJECTIVE\nabc 1\n",  # non-numeric coefficient
     "dim two\nM 2\nvars a\nOBJECTIVE\n1.0 0\n",  # non-numeric dim
     "OBJECTIVE\n1.0\n",  # no headers
+    "dim 2\nM 2\nvars a b\nOBJECTIVE\n1.0 1\n",  # one exponent for two variables
 ])
 def test_malformed_program_file_is_refused(tmp_path, text):
     path = tmp_path / "bad.sos"

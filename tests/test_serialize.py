@@ -1,12 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtomo import ValidationError, preset, simulate_dataset
+from jointtomo import ValidationError, estimate_joint_v1, preset, simulate_dataset
 from jointtomo.serialize import (
     channel_from_json,
     channel_to_json,
@@ -19,6 +20,7 @@ from jointtomo.serialize import (
     load_state,
     matrix_from_json,
     matrix_to_json,
+    result_to_json,
     save_dataset,
     save_ensemble,
     save_povm,
@@ -33,6 +35,20 @@ def test_matrix_roundtrip():
     assert np.array_equal(matrix_from_json(matrix_to_json(a)), a)
     with pytest.raises(ValidationError):
         matrix_from_json([[1.0, 2.0]])
+
+
+def test_numpy_diagnostics_are_written_as_plain_json():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=1,
+                          basis=sc.basis)
+    est = replace(estimate_joint_v1(ds, sc.regression.b, sc.basis), diagnostics={
+        "rank": np.int64(9), "cond": np.float64(2.5), "ok": np.bool_(True),
+        "spread": np.array([[1.0, 2.0]]), "nested": {"s": (np.float32(0.5),)}})
+    out = result_to_json(est)["diagnostics"]
+    assert out == {"rank": 9, "cond": 2.5, "ok": True, "spread": [[1.0, 2.0]],
+                   "nested": {"s": [0.5]}}
+    assert [type(out[k]) for k in ("rank", "cond", "ok")] == [int, float, bool]
+    assert json.loads(json.dumps(out)) == out
 
 
 def test_channel_and_ensemble_roundtrip(tmp_path):

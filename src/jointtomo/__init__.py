@@ -41,7 +41,6 @@ from .channels import (
     is_generalized_unital,
     make_named_channel,
     min_hamiltonian_count,
-    mixed_unitary_transfer,
     numerical_rank,
     pauli,
     pauli_sandwich_processes,

@@ -32,10 +32,17 @@ import numpy as np
 
 from .errors import ValidationError, _array, _record, _whole
 
+# A matrix x is Hermitian when ||x - x^dag|| <= HERMITIAN_TOL max(1, ||x||)
+# (Frobenius norms): the package's one Hermitian rule (``_skewed``).
+HERMITIAN_TOL = 1e-9
+# How far (Frobenius norm) a basis's Gram matrix may miss I, and its first
+# element I/sqrt(d), before ``OperatorBasis`` refuses it.
+BASIS_TOL = 1e-10
+
 
 def _skewed(x: np.ndarray) -> np.ndarray:
     """Which finite matrices of a stack ``(..., d, d)`` are not Hermitian:
-    ``||x - x^dag|| > 1e-9 max(1, ||x||)`` (Frobenius norms), the package's
+    ``||x - x^dag|| > HERMITIAN_TOL max(1, ||x||)`` (Frobenius norms), the package's
     one Hermitian rule.  A stack with a real or imaginary part beyond 1 is
     first divided, matrix by matrix, by ``max(1, its largest part)``, which
     scales both sides alike and keeps every norm finite, so a huge finite
@@ -45,7 +52,7 @@ def _skewed(x: np.ndarray) -> np.ndarray:
         s = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1), initial=1.0)
         x, floor = x / s[..., None, None], 1.0 / s
     return (np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
-            > 1e-9 * np.maximum(floor, np.linalg.norm(x, axis=(-2, -1))))
+            > HERMITIAN_TOL * np.maximum(floor, np.linalg.norm(x, axis=(-2, -1))))
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
@@ -68,8 +75,8 @@ class OperatorBasis:
 
     ``omegas`` has shape ``(d^2, d, d)``; ``omegas[0]`` is ``I/sqrt(d)`` and
     the remaining elements are traceless.  A set that is not Hermitian
-    (``_skewed``), not orthonormal (``||Gram - I|| > 1e-10``) or not led by
-    ``I/sqrt(d)`` (to 1e-10) is refused; a read-only copy is kept.
+    (``_skewed``), not orthonormal (``||Gram - I|| > BASIS_TOL``) or not led
+    by ``I/sqrt(d)`` (to ``BASIS_TOL``) is refused; a read-only copy is kept.
     """
 
     d: int
@@ -85,9 +92,9 @@ class OperatorBasis:
         if skewed.any():
             raise ValidationError(f"basis element {skewed.argmax()} is not Hermitian")
         flat = omegas.reshape(d * d, d * d)
-        if np.linalg.norm(flat.conj() @ flat.T - np.eye(d * d)) > 1e-10:
+        if np.linalg.norm(flat.conj() @ flat.T - np.eye(d * d)) > BASIS_TOL:
             raise ValidationError("basis elements are not orthonormal")
-        if np.linalg.norm(omegas[0] - np.eye(d) / np.sqrt(d)) > 1e-10:
+        if np.linalg.norm(omegas[0] - np.eye(d) / np.sqrt(d)) > BASIS_TOL:
             raise ValidationError("the first basis element is not I/sqrt(d)")
         omegas.setflags(write=False)
         object.__setattr__(self, "d", d)

@@ -31,7 +31,7 @@ from .channels import (
     make_named_channel,
     pauli,
 )
-from .errors import DegeneracyError, ValidationError, _record, _whole
+from .errors import DegeneracyError, ValidationError, _path, _record, _whole
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -215,11 +215,11 @@ class MseTable:
         for r in self.rows:
             lines.append(f"{r.n},{r.mse_state:.17g},{r.se_state:.17g},"
                          f"{r.mse_povm:.17g},{r.se_povm:.17g},{r.trials}")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_path(path), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     def write_metadata(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_path(path), "w", encoding="utf-8") as fh:
             json.dump(self.metadata, fh, indent=2)
 
 

@@ -56,6 +56,15 @@ TRANSFER_IMAG_TOL = 1e-10
 KRAUS_GRAM_TOL = 1e-8
 # Largest norm of the column block h for which a channel counts as generalized-unital.
 GENERALIZED_UNITAL_TOL = 1e-8
+# A matrix u is unitary when ||u u^dag - I|| <= UNITARY_TOL d (Frobenius norm).
+UNITARY_TOL = 1e-9
+# A Hamiltonian h is traceless when |tr h| <= TRACELESS_TOL max(||h||, _TRACELESS_FLOOR);
+# the floor makes the test absolute for an h whose norm is below it.
+TRACELESS_TOL = 1e-9
+_TRACELESS_FLOOR = 1e-30
+# Eigenvalues of a Choi matrix at most this times max(1, its largest |eigenvalue|)
+# give no Kraus matrix.
+_CHOI_RTOL = 1e-12
 # Processes whose coherence rows ``RegressionMatrices.b`` builds at once.
 _ROW_BLOCK = 128
 
@@ -274,11 +283,11 @@ def _hamiltonian(h) -> np.ndarray:
 
 def _unitary(u, what: str) -> np.ndarray:
     """``u`` as a complex matrix, refused unless it is a finite, square 2-D
-    matrix with ``||u u^dag - I|| <= 1e-9 d``.  An entry with a part beyond 2
-    is refused before the product, which it could overflow."""
+    matrix with ``||u u^dag - I|| <= UNITARY_TOL d``.  An entry with a part
+    beyond 2 is refused before the product, which it could overflow."""
     u = _array(u, what, 2, complex, square=True)
     if (max(np.abs(u.real).max(initial=0.0), np.abs(u.imag).max(initial=0.0)) > 2.0
-            or np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > 1e-9 * len(u)):
+            or np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > UNITARY_TOL * len(u)):
         raise ValidationError(f"{what} is not unitary")
     return u
 
@@ -303,7 +312,7 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     largest = max(np.abs(h.real).max(), np.abs(h.imag).max())
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 1.0 else 1.0
     h = h / scale
-    if abs(np.trace(h)) > 1e-9 * max(np.linalg.norm(h), 1e-30):
+    if abs(np.trace(h)) > TRACELESS_TOL * max(np.linalg.norm(h), _TRACELESS_FLOOR):
         raise ValidationError("Hamiltonian must be traceless")
     omegas = basis.omegas[1:]
     comms = np.einsum("ij,ajk->aik", h, omegas) - np.einsum("aij,jk->aik", omegas, h)
@@ -326,26 +335,6 @@ def discretize_hamiltonian(r: np.ndarray, dt: float, n: int) -> list:
     if _real(dt, "sampling interval") <= 0:
         raise ValidationError(f"sampling interval must be positive, got {dt}")
     return [q.real for q in sampled_unitaries(1j * r, dt, n)]
-
-
-def mixed_unitary_transfer(weights, hamiltonians, t: float, basis: OperatorBasis) -> np.ndarray:
-    """Coherence-vector map ``sum_i w_i exp(R_i t)`` of a mixed-unitary process.
-    ``hamiltonians`` is a tuple or a list of matrices, one per weight."""
-    _record(basis, OperatorBasis, "basis")
-    weights = _array(weights, "mixture weights", 1, float)
-    _record(hamiltonians, (tuple, list), "Hamiltonians")
-    if len(weights) != len(hamiltonians):
-        raise ValidationError("need one weight per Hamiltonian")
-    t = _real(t, "evolution time")
-    if np.any(weights <= 0):
-        raise ValidationError("mixture weights must be positive")
-    if weights.sum() > 1.0 + 1e-12:
-        raise ValidationError(f"mixture weights sum to {weights.sum():.6g} > 1")
-    n = basis.n_traceless
-    out = np.zeros((n, n))
-    for w, h in zip(weights, hamiltonians):
-        out += w * sampled_unitaries(1j * hamiltonian_generator(h, basis), t, 1)[0].real
-    return out
 
 
 def haar_unitary(d: int, rng: "np.random.Generator") -> np.ndarray:
@@ -521,7 +510,7 @@ def _kraus_from_choi(j: np.ndarray, d: int, scale: float, sign: float) -> np.nda
     exceeds the tolerance, read column-major as a d x d matrix, in ascending
     order of ``lam``; one zero matrix when there is none."""
     vals, vecs = np.linalg.eigh(j)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    tol = _CHOI_RTOL * max(1.0, float(np.max(np.abs(vals))))
     keep = sign * vals > tol
     if not keep.any():
         return np.zeros((1, d, d), dtype=complex)

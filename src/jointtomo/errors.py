@@ -1,15 +1,17 @@
 """Exception types shared across the package, and the input readers.
 
 Every whole-number or real-number input of the package is read by
-``_whole`` or ``_real``, every seed by ``_rng``, every array by ``_array``
-and every record argument by ``_record``, so one place decides what a valid
-scalar, seed, array or record is and how its refusal reads.  A matrix whose
-sums, squares or powers are formed from unchecked magnitudes is also read
-by ``_bounded``, the one magnitude rule.  A record whose
-fields were checked already is made by ``_new``, without checking them
-again.  Whether a matrix is Hermitian is decided by one
-rule too, ``basis._skewed``, next to the coordinate map that needs it.
+``_whole`` or ``_real``, every seed by ``_rng``, every array by ``_array``,
+every record argument by ``_record`` and every file path by ``_path``, so
+one place decides what a valid scalar, seed, array, record or path is and
+how its refusal reads.  A matrix whose sums, squares or powers are formed
+from unchecked magnitudes is also read by ``_bounded``, the one magnitude
+rule.  A record whose fields were checked already is made by ``_new``,
+without checking them again.  Whether a matrix is Hermitian is decided by
+one rule too, ``basis._skewed``, next to the coordinate map that needs it.
 """
+
+import os
 
 import numpy as np
 
@@ -57,7 +59,10 @@ def _real(value, what: str) -> float:
     """``value`` as a float, refused unless it is one finite real number: a
     Python or numpy int or float, or a 0-d array of one; not a bool, a
     string, a complex number or None."""
-    x = np.asarray(value)
+    try:
+        x = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise ValidationError(f"{what} must be a real number, got {value!r}") from None
     if x.ndim != 0 or x.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be a real number, got {value!r}")
     if not np.isfinite(x):
@@ -72,6 +77,15 @@ def _record(value, cls, what: str):
         names = [("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__
                  for c in (cls if isinstance(cls, tuple) else (cls,))]
         raise ValidationError(f"{what} must be {' or '.join(names)}, got {type(value).__name__}")
+    return value
+
+
+def _path(value):
+    """``value`` itself, refused by name unless it is a ``str`` or an
+    ``os.PathLike``: ``open`` would take an int or a bool as a file
+    descriptor, use it and close it."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValidationError(f"path must be a str or an os.PathLike, got {type(value).__name__}")
     return value
 
 

@@ -67,16 +67,28 @@ from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
 from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _bounded, _new,
                      _real, _record, _whole)
-from .measurement import DatasetStack, DensityMatrix, MeasurementDataset, Povm
+from .measurement import COMPLETENESS_TOL, DatasetStack, DensityMatrix, MeasurementDataset, Povm
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
-# degenerate anchor rather than producing a huge rescale.
+# degenerate anchor rather than producing a huge rescale: v1's anchor
+# coordinate, and v2's anchor, the trace of the state factor.
 ANCHOR_RTOL = 1e-6
+# v2's anchor test reads the factor norm as at least this, so that the test
+# is absolute for a factor whose norm is below it.
+_ANCHOR_NORM_FLOOR = 1e-30
 # A state estimate's trace may differ from 1 by this much before correction.
 STATE_TRACE_TOL = 1e-6
 # A clipped detector's element sum S with an eigenvalue <= this * ||S|| is singular.
 POVM_SINGULAR_RTOL = 1e-8
+# A rearranged matrix Z whose top singular value is at most this times
+# max(1, ||Z||) is numerically zero, and has no rank-1 factor.
+KRON_ZERO_RTOL = 1e-12
+# Top two singular values closer than this share of the top one are tied.
+KRON_TIE_RTOL = 1e-12
+# A stage-1 residual whose square is below this share of ||y||^2 lost its
+# digits to cancellation in ||y||^2 - ||c||^2, and is formed from B z directly.
+_CANCELLATION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -277,8 +289,9 @@ def _solved(design: FactoredDesign, y: np.ndarray, config: Stage1Config) -> tupl
     ``||y - B z||^2 = ||y||^2 - ||c||^2 + ||(1 - s f) c||^2``, since ``U``
     has orthonormal columns.  That is one formula for every method, real or
     complex, and no second product with B.  A column whose squared form
-    falls below ``1e-8 ||y||^2`` has lost its digits to cancellation, so its
-    residual is formed directly, which keeps exact data exact.
+    falls below ``_CANCELLATION_RTOL ||y||^2`` has lost its digits to
+    cancellation, so its residual is formed directly, which keeps exact data
+    exact.
     """
     s, full_rank = design.s, design.full_column_rank
     if config.method == "plain_ls":
@@ -302,7 +315,7 @@ def _solved(design: FactoredDesign, y: np.ndarray, config: Stage1Config) -> tupl
     y_sq = _sq_norms(y)
     res_sq = y_sq - _sq_norms(c) + _sq_norms(rest * c)
     residuals = np.sqrt(np.maximum(res_sq, 0.0))
-    near = res_sq < 1e-8 * y_sq
+    near = res_sq < _CANCELLATION_RTOL * y_sq
     if np.any(near):
         if y.ndim == 1:
             residuals = np.linalg.norm(y - design.b @ z)
@@ -350,7 +363,7 @@ def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactoriza
     w, vecs = np.linalg.eigh(a @ a_h)
     s = np.sqrt(np.maximum(w[..., ::-1], 0.0))
     top = s[..., 0]
-    zero = top <= 1e-12 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
+    zero = top <= KRON_ZERO_RTOL * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
     if np.any(zero):
         raise DegeneracyError("rearranged matrix is numerically zero; no rank-1 factor",
                               refused=zero)
@@ -358,7 +371,7 @@ def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactoriza
     row = (u0.conj()[..., None, :] @ a)[..., 0, :]
     residual = np.linalg.norm(a - u0[..., :, None] * row[..., None, :], axis=(-2, -1))
     if s.shape[-1] > 1:
-        tie = top - s[..., 1] <= 1e-12 * top
+        tie = top - s[..., 1] <= KRON_TIE_RTOL * top
     else:
         tie = np.zeros(top.shape, dtype=bool)
     if mat.ndim == 2:
@@ -410,11 +423,12 @@ def _fix_scale_v2(fac: KroneckerFactorization, d: int) -> tuple:
     ``vec(rho) kron vec(P_j^T)`` by unit trace: the unit-trace state
     candidates ``(T, M, d, d)``, the Hermitian parts of the detector
     candidates (which absorb the trace) and the traces' moduli.  A trace at
-    most ``1e-6`` times its factor's norm is refused (the error's mask)."""
+    most ``ANCHOR_RTOL`` times its factor's norm is refused (the error's mask)."""
     # devectorize is column-major: vec(A) reshaped row-major is A^T
     rho_tilde = fac.left.reshape(*fac.left.shape[:-1], d, d).swapaxes(-1, -2)
     tr = np.trace(rho_tilde, axis1=-2, axis2=-1)
-    small = np.abs(tr) <= 1e-6 * np.maximum(np.linalg.norm(fac.left, axis=-1), 1e-30)
+    small = np.abs(tr) <= ANCHOR_RTOL * np.maximum(np.linalg.norm(fac.left, axis=-1),
+                                                   _ANCHOR_NORM_FLOOR)
     if np.any(small):
         t, j = np.argwhere(small)[0]
         raise DegeneracyError(f"state candidate {j} has near-zero trace {complex(tr[t, j]):.3e}",
@@ -506,7 +520,8 @@ def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
         inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
         out = inv_sqrt @ clipped @ inv_sqrt
         # a direction with (numerically) little clipped mass cannot be renormalized
-        singular = np.linalg.norm(out.sum(axis=-3) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
+        singular = (np.linalg.norm(out.sum(axis=-3) - np.eye(d), axis=(-2, -1))
+                    > COMPLETENESS_TOL * d)
     if np.any(singular):
         raise DegeneracyError("element sum is singular", refused=singular)
     return Povm.checked(d, out)
@@ -532,7 +547,7 @@ def correct_povm(elements) -> Povm:
     zero; the clipped set is then renormalized as ``S^{-1/2} P_j S^{-1/2}``
     with ``S`` the element sum.  A detector whose ``S`` has an eigenvalue at
     most ``POVM_SINGULAR_RTOL * ||S||``, or whose renormalized sum misses
-    ``I`` by more than ``1e-10 d``, is refused as singular.
+    ``I`` by more than ``COMPLETENESS_TOL d``, is refused as singular.
     """
     elements = _array(elements, "detector estimate", 3, complex, square=True)
     return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0])
@@ -680,8 +695,8 @@ def _estimates_v2(stack: DatasetStack, b_natural, config: Stage1Config) -> Stack
     frequencies: stage 1 and the factors (``_factors``), each outcome's scale
     fixed by unit trace (``_fix_scale_v2``), and the Hermitian part of the
     mean state over its trace, corrected with the detector candidates.  Each
-    candidate passed the scale fix with ``|tr| > 1e-6 ||left||`` and was
-    divided by that trace, so the mean's real trace is 1 to roundoff, never
+    candidate passed the scale fix with ``|tr| > ANCHOR_RTOL ||left||`` and
+    was divided by that trace, so the mean's real trace is 1 to roundoff, never
     near zero; the division only removes the roundoff."""
     design = _stage("stage1", factor_design, b_natural)
     d4 = design.shape[1]

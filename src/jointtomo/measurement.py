@@ -49,7 +49,16 @@ from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
 from .errors import ValidationError, _array, _bounded, _new, _record, _rng, _whole
 
+# A state or detector element is refused with an eigenvalue below -PSD_TOL,
+# and a state with a trace further than PSD_TOL from 1.
 PSD_TOL = 1e-10
+# A detector is complete when ||sum_j P_j - I|| <= COMPLETENESS_TOL d (Frobenius
+# norm); the corrected detectors of ``estimator`` are held to the same test.
+COMPLETENESS_TOL = 1e-10
+# A probability or frequency, or a row's sum of them, may exceed 1 by this much.
+UNIT_MASS_TOL = 1e-9
+# A probability may be negative by this much (roundoff) and is read as zero.
+NEGATIVE_PROB_TOL = 1e-12
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
 _MAX_DRAWN_SHOTS = 2 ** 63 - 1
 
@@ -97,7 +106,8 @@ def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
     if elements.ndim != 4 or elements.shape[2:] != (d, d):
         raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
     elements, finite, skewed, negative = _hermitian_psd(elements)
-    incomplete = np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1)) > 1e-10 * d
+    incomplete = (np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1))
+                  > COMPLETENESS_TOL * d)
     bad = (~finite).any(axis=1) | skewed.any(axis=1) | negative.any(axis=1) | incomplete
     if bad.any():
         t = bad.argmax()
@@ -177,7 +187,7 @@ def born_probabilities(state, povm: Povm) -> np.ndarray:
     if rho.shape[-2:] != (povm.d, povm.d):
         raise ValidationError(f"dimension mismatch: state {rho.shape}, detector d={povm.d}")
     p = np.real(np.einsum("jik,...ki->...j", povm.elements, rho))
-    if np.min(p) < -1e-12:
+    if np.min(p) < -NEGATIVE_PROB_TOL:
         raise ValidationError(f"negative Born probability {np.min(p):.3e}")
     return np.clip(p, 0.0, None)
 
@@ -202,22 +212,22 @@ def _process_indices(indices, n_processes: int) -> np.ndarray:
 def sampling_table(p) -> np.ndarray:
     """The probabilities one multinomial draw samples from, checked once.
 
-    ``p`` must be non-empty, finite, non-negative (to 1e-12) and sum to at
-    most 1 (to 1e-9) along its last axis.  The mass missing from
-    ``sum(p) < 1`` becomes a trailing loss outcome, and each row is
-    normalized, so the table can be passed to ``Generator.multinomial`` as
-    it is, draw after draw.
+    ``p`` must be non-empty, finite, non-negative (to ``NEGATIVE_PROB_TOL``)
+    and sum to at most 1 (to ``UNIT_MASS_TOL``) along its last axis.  The
+    mass missing from ``sum(p) < 1`` becomes a trailing loss outcome, and
+    each row is normalized, so the table can be passed to
+    ``Generator.multinomial`` as it is, draw after draw.
     """
     p = _array(p, "probabilities", dtype=float)
     if p.size == 0 or p.ndim == 0:
         raise ValidationError(f"need at least one outcome to sample, got shape {p.shape}")
-    if p.min() < -1e-12:
+    if p.min() < -NEGATIVE_PROB_TOL:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if p.max() > 1.0 + 1e-9:  # before the sum, which a huge entry would overflow
+    if p.max() > 1.0 + UNIT_MASS_TOL:  # before the sum, which a huge entry would overflow
         raise ValidationError(f"probability {p.max():.12g} > 1")
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=-1, keepdims=True)
-    if (total > 1.0 + 1e-9).any():
+    if (total > 1.0 + UNIT_MASS_TOL).any():
         raise ValidationError(f"probabilities sum to {total.max():.12g} > 1")
     full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
     return full / full.sum(axis=-1, keepdims=True)
@@ -265,9 +275,10 @@ def _checked_datasets(y_hat, x_a0_hat, c_j0_hat, x01_bar, n0, tp_flags,
     for name, values in (("y_hat", y), ("x_a0_hat", x_a0), ("c_j0_hat", c_j0)):
         if values.size and values.min() < 0.0:
             raise ValidationError(f"{name} has a negative frequency {values.min():.3e}")
-    if y.size and y.max() > 1.0 + 1e-9:  # before the sum, which a huge entry would overflow
+    # before the sum, which a huge entry would overflow
+    if y.size and y.max() > 1.0 + UNIT_MASS_TOL:
         raise ValidationError(f"y_hat has a frequency {y.max():.12g} above 1")
-    if (y.sum(axis=-1) > 1.0 + 1e-9).any():
+    if (y.sum(axis=-1) > 1.0 + UNIT_MASS_TOL).any():
         raise ValidationError("a frequency row sums above 1")
     for name, values in (("x_a0_hat", x_a0), ("c_j0_hat", c_j0), ("x01_bar", x01)):
         _bounded(values, name)

@@ -115,6 +115,13 @@ from .measurement import MeasurementDataset
 _CHOLESKY_RCOND = 1e-4
 # The number of state and residual differences an Anderson step mixes.
 _ANDERSON_DEPTH = 3
+# A sweep is accepted when its objective is at most the previous one times
+# (1 + _ACCEPT_RTOL), plus _ACCEPT_ATOL: roundoff is no reason to stop.
+_ACCEPT_RTOL = 1e-12
+_ACCEPT_ATOL = 1e-15
+# The convergence test reads the first objective as at least this, so that its
+# threshold stays positive when that objective is zero.
+_OBJECTIVE_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 
 
@@ -430,7 +437,7 @@ def refine_alternating(
     while accepted < iters:
         x_new, c_new, new_obj = sweep(start)
         run += 1
-        if not new_obj <= obj * (1.0 + 1e-12) + 1e-15:
+        if not new_obj <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
             if start is x:
                 stop_reason = "rejected"  # projection undid the gain; keep the previous point
                 break
@@ -447,7 +454,7 @@ def refine_alternating(
         improved = obj - new_obj
         obj = new_obj
         trajectory.append(obj)
-        if improved <= rel_tol * max(trajectory[0], 1e-300):
+        if improved <= rel_tol * max(trajectory[0], _OBJECTIVE_FLOOR):
             stop_reason = "converged"
             break
         start = x

@@ -12,7 +12,7 @@ import numpy as np
 
 from .basis import _skewed
 from .channels import KrausChannel, ProcessEnsemble
-from .errors import ValidationError, _array, _real, _record, _whole
+from .errors import ValidationError, _array, _path, _real, _record, _whole
 from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm
 
@@ -23,7 +23,7 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 def _load(path, parse):
     """Parse the JSON file at ``path`` into an object with ``parse``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(_path(path), encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
@@ -39,7 +39,7 @@ def _load(path, parse):
 def _save(path, data) -> None:
     """Write ``data`` as JSON text, which is formed before ``path`` is opened."""
     text = json.dumps(data)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_path(path), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign
-from .errors import ValidationError, _array, _bounded, _real, _record
+from .errors import ValidationError, _array, _bounded, _path, _real, _record
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -31,6 +31,11 @@ from .serialize import _MALFORMED
 # Slack on the tests k_p >= 0 of the physical sets, and on the zero detector
 # element of ``povm_membership``.
 PHYSICAL_SET_TOL = 1e-9
+# A polynomial coefficient at most this times max(1, the largest one) is dropped.
+_COEFF_RTOL = 1e-14
+# A coefficient whose imaginary part is beyond this times max(1, its modulus)
+# is not real, and its polynomial is refused.
+_REAL_COEFF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,16 +134,16 @@ def _pmul(p, q, out=None):
     return out
 
 
-def _pclean(p, tol=1e-14):
+def _pclean(p):
     scale = max((abs(v) for v in p.values()), default=1.0)
-    return {k: v for k, v in p.items() if abs(v) > tol * max(scale, 1.0)}
+    return {k: v for k, v in p.items() if abs(v) > _COEFF_RTOL * max(scale, 1.0)}
 
 
-def _prealify(p, tol=1e-9):
+def _prealify(p):
     out = {}
     for k, v in p.items():
         v = complex(v)
-        if abs(v.imag) > tol * max(1.0, abs(v)):
+        if abs(v.imag) > _REAL_COEFF_TOL * max(1.0, abs(v)):
             raise ValidationError(f"polynomial coefficient {v} is not real")
         out[k] = v.real
     return _pclean(out)
@@ -274,7 +279,7 @@ class SosProblem:
         for name, poly in self.inequalities:
             lines.append(f"INEQ {name}")
             emit(poly)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_path(path), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
@@ -284,6 +289,7 @@ def load_sos_problem(path) -> SosProblem:
     A file that lacks a header or the objective, or has a line that does not
     parse, is refused with a ValidationError naming ``path``.
     """
+    _path(path)
     try:
         with open(path, encoding="utf-8") as fh:
             return _parse_sos_problem(fh)

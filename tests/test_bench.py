@@ -324,8 +324,6 @@ _BASIS = "basis must be an OperatorBasis, got "
         ds, sc.regression.b, "basis", tmp / "p.sos"), _BASIS + "str", id="export_sos_problem"),
     pytest.param(lambda sc, ds, est, tmp: jt.hamiltonian_generator(np.eye(2), 2),
                  _BASIS + "int", id="hamiltonian_generator"),
-    pytest.param(lambda sc, ds, est, tmp: jt.mixed_unitary_transfer([], [], 0.5, None),
-                 _BASIS + "NoneType", id="mixed_unitary_transfer"),
     pytest.param(lambda sc, ds, est, tmp: jt.change_of_basis(np.eye(2)),
                  _BASIS + "ndarray", id="change_of_basis"),
     pytest.param(lambda sc, ds, est, tmp: jt.povm_membership(0.0, np.zeros(3), None),

@@ -29,7 +29,6 @@ from jointtomo import (
     is_generalized_unital,
     make_named_channel,
     min_hamiltonian_count,
-    mixed_unitary_transfer,
     numerical_rank,
     pauli,
     pauli_sandwich_processes,
@@ -45,6 +44,7 @@ from jointtomo import (
     vectorize,
 )
 from jointtomo import channels
+from jointtomo.basis import HERMITIAN_TOL
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.channels import _sampled_unitary_channels, closed_system_channels, sampled_unitaries
 from jointtomo.serialize import dataset_from_json
@@ -212,39 +212,6 @@ def test_discretize_powers():
         discretize_hamiltonian(r, 0.5, 0)
     with pytest.raises(ValidationError):
         discretize_hamiltonian(r, -1.0, 2)
-
-
-def test_mixed_unitary_transfer_cases():
-    rng = np.random.default_rng(6)
-    basis = build_basis(2)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h1 = (g + g.conj().T) / 2
-    h1 -= np.trace(h1) / 2 * np.eye(2)
-    r1 = hamiltonian_generator(h1, basis)
-    assert np.allclose(mixed_unitary_transfer([1.0], [h1], 0.8, basis), expm(r1 * 0.8))
-    assert np.allclose(mixed_unitary_transfer([0.5, 0.5], [h1, h1], 0.8, basis), expm(r1 * 0.8))
-    with pytest.raises(ValidationError):
-        mixed_unitary_transfer([0.5, -0.1], [h1, h1], 0.8, basis)
-    with pytest.raises(ValidationError):
-        mixed_unitary_transfer([0.8, 0.4], [h1, h1], 0.8, basis)
-
-
-def test_mixed_unitary_transfer_matches_kraus_dynamics():
-    # E(t) x0 must agree with the coherence vector of the mixed-unitary output.
-    rng = np.random.default_rng(7)
-    basis = build_basis(4)
-    hams = []
-    for _ in range(2):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (g + g.conj().T) / 2
-        hams.append(h - np.trace(h) / 4 * np.eye(4))
-    t = 0.6
-    e = mixed_unitary_transfer([0.3, 0.7], hams, t, basis)
-    rho = random_density(rng, 4)
-    x0 = to_coords(rho, basis)[1:]
-    out = sum(w * expm(-1j * h * t) @ rho @ expm(-1j * h * t).conj().T
-              for w, h in zip((0.3, 0.7), hams))
-    assert np.linalg.norm(e @ x0 - to_coords(out, basis)[1:]) < 1e-10
 
 
 def test_named_channels():
@@ -791,23 +758,18 @@ def test_a_design_whose_divide_and_conquer_svd_fails_is_still_factored(monkeypat
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_the_generator_maps_are_the_exponentials_of_their_generator(d):
-    # discretize_hamiltonian and mixed_unitary_transfer take exp(r dt) through
-    # sampled_unitaries; scipy's expm is the oracle
+    # discretize_hamiltonian takes exp(r dt) through sampled_unitaries;
+    # scipy's expm is the oracle
     rng = np.random.default_rng(40 + d)
     basis = build_basis(d)
     for _ in range(10):
-        hams = []
-        for scale in rng.uniform(0.1, 5.0, size=2):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (g + g.conj().T) / 2.0
-            hams.append(scale * (h - np.trace(h) / d * np.eye(d)))
-        r, dt = hamiltonian_generator(hams[0], basis), rng.uniform(0.1, 2.0)
+        scale = rng.uniform(0.1, 5.0)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (g + g.conj().T) / 2.0
+        h = scale * (h - np.trace(h) / d * np.eye(d))
+        r, dt = hamiltonian_generator(h, basis), rng.uniform(0.1, 2.0)
         for k, q in enumerate(discretize_hamiltonian(r, dt, 5), start=1):
             assert q.dtype == float and np.abs(q - expm(r * dt * k)).max() <= 1e-11
-        weights = (0.3, 0.6)
-        mixed = mixed_unitary_transfer(weights, hams, dt, basis)
-        oracle = sum(w * expm(hamiltonian_generator(h, basis) * dt) for w, h in zip(weights, hams))
-        assert mixed.dtype == float and np.abs(mixed - oracle).max() <= 1e-11
 
 
 _HERMITIAN_ENTRIES = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -845,7 +807,7 @@ def test_the_hamiltonian_maps_read_the_hermitian_part_of_what_they_accept(pair, 
     h, s = (m - np.trace(m) / d * np.eye(d) for m in pair)
     norm = np.linalg.norm(s)
     assume(norm > 1e-3)
-    m = h + 1j * s * (size * 1e-9 * max(1.0, np.linalg.norm(h)) / (2.0 * norm))
+    m = h + 1j * s * (size * HERMITIAN_TOL * max(1.0, np.linalg.norm(h)) / (2.0 * norm))
     part = m / 2.0 + m.conj().T / 2.0
     basis = build_basis(d)
     with warnings.catch_warnings():
@@ -946,13 +908,7 @@ _H1 = pauli("x") / 2
     pytest.param(lambda: discretize_hamiltonian(_R, np.inf, 2), id="inf-dt"),
     pytest.param(lambda: discretize_hamiltonian(_R, 0.1, 2.5), id="fractional-n"),
     pytest.param(lambda: discretize_hamiltonian(_R, 0.1, "2"), id="string-n"),
-    pytest.param(lambda: mixed_unitary_transfer([np.nan], [_H1], 0.8, build_basis(2)),
-                 id="nan-weight"),
-    pytest.param(lambda: mixed_unitary_transfer([1.0], [_H1], np.nan, build_basis(2)),
-                 id="nan-t"),
-    pytest.param(lambda: mixed_unitary_transfer([1.0], [_H1], np.inf, build_basis(2)),
-                 id="inf-t"),
-    pytest.param(lambda: mixed_unitary_transfer([1.0], [np.zeros((2, 3))], 0.8, build_basis(2)),
+    pytest.param(lambda: hamiltonian_generator(np.zeros((2, 3)), build_basis(2)),
                  id="2x3-hamiltonian"),
     pytest.param(lambda: sampled_unitaries(_H1, 1.0, 2.5), id="fractional-n-unitaries"),
     pytest.param(lambda: sampled_unitaries(_H1, 1.0, 0), id="zero-n-unitaries"),
@@ -961,8 +917,6 @@ _H1 = pauli("x") / 2
     pytest.param(lambda: closed_system_channels([(_H1, 1.0)], 2.5), id="fractional-n-channels"),
     pytest.param(lambda: discretize_hamiltonian([["0", "1"], ["-1", "0"]], 0.1, 2),
                  id="string-r"),
-    pytest.param(lambda: mixed_unitary_transfer([[1.0]], [_H1], 0.8, build_basis(2)),
-                 id="2-D-weights"),
     pytest.param(lambda: make_named_channel("unitary", u=np.full((2, 2), 1e300)),
                  id="huge-u"),
     pytest.param(lambda: make_named_channel("unitary", u=np.ones(2)), id="1-D-u"),
@@ -985,13 +939,6 @@ def test_a_generator_that_is_not_antisymmetric_is_refused(r):
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: mixed_unitary_transfer([1.0], None, 0.8, build_basis(2)),
-                 "^Hamiltonians must be a tuple or a list, got NoneType$", id="none-hamiltonians"),
-    pytest.param(lambda: mixed_unitary_transfer([1.0], 3, 0.8, build_basis(2)),
-                 "^Hamiltonians must be a tuple or a list, got int$", id="int-hamiltonians"),
-    pytest.param(lambda: mixed_unitary_transfer([1.0], (h for h in [_H1]), 0.8, build_basis(2)),
-                 "^Hamiltonians must be a tuple or a list, got generator$",
-                 id="generator-hamiltonians"),
     pytest.param(lambda: closed_system_channels(None, 2),
                  "^Hamiltonian records must be a tuple or a list, got NoneType$",
                  id="none-records"),

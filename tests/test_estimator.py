@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
@@ -22,6 +22,7 @@ from jointtomo import (
     OperatorBasis,
     Povm,
     ProcessEnsemble,
+    SosProblem,
     Stage1Config,
     TomographyError,
     ValidationError,
@@ -45,8 +46,8 @@ from jointtomo import (
     ideal_statistics,
     in_physical_set,
     k_coefficients,
+    load_sos_problem,
     make_named_channel,
-    mixed_unitary_transfer,
     nearest_kronecker,
     numerical_rank,
     pauli,
@@ -65,8 +66,10 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.estimator import (POVM_SINGULAR_RTOL, _clip_negative, _physical_povms,
-                                 _physical_states, _solved)
+from jointtomo.estimator import (ANCHOR_RTOL, KRON_ZERO_RTOL, POVM_SINGULAR_RTOL,
+                                 _clip_negative, _physical_povms, _physical_states, _solved)
+from jointtomo.measurement import COMPLETENESS_TOL, PSD_TOL
+from jointtomo.serialize import load_dataset, save_dataset
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -231,26 +234,34 @@ def test_nearest_kronecker_reads_integers_as_floats():
     assert np.array_equal(ints.left, floats.left) and np.array_equal(ints.right, floats.right)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 5), st.integers(1, 5),
-                 st.booleans()).flatmap(lambda case: st.tuples(st.just(case), arrays(
-                     float, (*case[0], case[1] * case[2], 2), elements=_FINITE))))
-def test_nearest_kronecker_matches_the_svd(case):
-    """The Gram route against ``np.linalg.svd``: real and complex, square and
-    not, one matrix or a stack of them."""
-    (lead, rows, cols, cplx), values = case
-    z = values[..., 0] + 1j * values[..., 1] if cplx else values[..., 0]
+# Where a quantity that the test computes by another route than the package
+# lies within this share of its threshold, either verdict is right.  For the
+# Kronecker zero test (s0 <= KRON_ZERO_RTOL max(1, ||Z||)) both routes, the SVD
+# and the Gram's top eigenvalue, compute s0 to a few ulps: they differed by at
+# most 7 ulps of the threshold on 10^5 inputs up to 5 x 5 placed at it.
+_ROUNDOFF_BAND = 16 * np.finfo(float).eps
+
+
+def _kronecker_against_the_svd(z, lead, rows, cols):
+    """Check ``nearest_kronecker(z, rows, cols)`` against ``np.linalg.svd``,
+    and return the SVD's zero verdicts and where they lie outside the band,
+    both over the stack's leading axes.  Outside the band the zero verdict
+    and the ``refused`` mask must be the SVD's; a matrix inside it may be
+    refused or factored."""
     mat = z.reshape(*lead, rows, cols)
     u, s, vh = np.linalg.svd(mat)
     top = s[..., 0]
     norm = np.linalg.norm(mat, axis=(-2, -1))
-    zero = top <= 1e-12 * np.maximum(1.0, norm)
-    if zero.any():
-        with pytest.raises(DegeneracyError, match="numerically zero") as err:
-            nearest_kronecker(z, rows, cols)
-        assert np.array_equal(err.value.refused, zero)
-        return
-    fac = nearest_kronecker(z, rows, cols)
+    threshold = KRON_ZERO_RTOL * np.maximum(1.0, norm)
+    zero = np.asarray(top <= threshold)
+    sure = np.asarray(np.abs(top - threshold) > _ROUNDOFF_BAND * threshold)
+    try:
+        fac = nearest_kronecker(z, rows, cols)
+    except DegeneracyError as err:
+        assert "numerically zero" in str(err)
+        assert np.array_equal(np.asarray(err.refused)[sure], zero[sure])
+        return zero, sure
+    assert not np.any(zero & sure), "a matrix the SVD finds zero was factored"
     assert fac.left.shape == (*lead, rows) and fac.right.shape == (*lead, cols)
     assert fac.singular_values.shape == s.shape
     # squares of the singular values, as accurate as the Gram's eigenvalues
@@ -267,6 +278,55 @@ def test_nearest_kronecker_matches_the_svd(case):
     gap = np.linalg.norm(rank1 - svd_rank1, axis=(-2, -1))
     assert np.all(gap[apart] <= 1e-10 * top[apart])
     assert not np.any(fac.degenerate_tie & (top - second > 1e-10 * top))
+    return zero, sure
+
+
+def _kronecker_case(z1):
+    """A complex 4 x 2 rearrangement, every entry 9.7e-56 but ``z1``: a
+    matrix whose top singular value is ``|z1|``."""
+    values = np.zeros((8, 2))
+    values[:, 0] = 9.7e-56
+    values[1] = z1.real, z1.imag
+    return ([], 4, 2, True), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 5), st.integers(1, 5),
+                 st.booleans()).flatmap(lambda case: st.tuples(st.just(case), arrays(
+                     float, (*case[0], case[1] * case[2], 2), elements=_FINITE))))
+# s0 an ulp above the threshold by the SVD, refused by the Gram route
+@example(_kronecker_case(9.995254228554546e-13 - 3.080469226636558e-14j))
+# s0 on the threshold by the SVD, an ulp above it by the Gram route
+@example(_kronecker_case(-8.916577585175291e-13 + 4.5271010776820046e-13j))
+def test_nearest_kronecker_matches_the_svd(case):
+    """The Gram route against ``np.linalg.svd``: real and complex, square and
+    not, one matrix or a stack of them."""
+    (lead, rows, cols, cplx), values = case
+    z = values[..., 0] + 1j * values[..., 1] if cplx else values[..., 0]
+    _kronecker_against_the_svd(z, lead, rows, cols)
+
+
+def test_nearest_kronecker_matches_the_svd_at_the_edges_of_its_band():
+    """1000 matrices whose top singular value is placed within a few ulps of
+    either edge of the band, or at the threshold: real and complex, 1 x 1 to
+    5 x 5, dense or one entry over a 9.7e-56 background."""
+    rng = np.random.default_rng(36)
+    eps = np.finfo(float).eps
+    band = _ROUNDOFF_BAND / eps
+    offsets = np.concatenate([side * (band + np.arange(-4, 5)) for side in (-1, 1)] + [[0.0]])
+    counts = np.zeros(3, dtype=int)  # surely zero, within the band, surely not zero
+    for i in range(1000):
+        rows, cols = rng.integers(1, 6, size=2)
+        mat = rng.normal(size=(rows, cols)) + (1j * rng.normal(size=(rows, cols)) if i % 2 else 0)
+        if i % 4 >= 2:
+            one = mat.flat[0]
+            mat = np.full((rows, cols), 9.7e-56, dtype=mat.dtype)
+            mat.flat[rng.integers(rows * cols)] = one
+        top = np.linalg.svd(mat, compute_uv=False)[0]
+        mat = mat * (KRON_ZERO_RTOL / top * (1.0 + rng.choice(offsets) * eps))
+        zero, sure = _kronecker_against_the_svd(mat.reshape(-1), [], rows, cols)
+        counts[0 if zero and sure else 2 if sure else 1] += 1
+    assert np.all(counts >= 100), counts
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -363,7 +423,7 @@ def test_a_detector_is_refused_exactly_when_its_sum_is_singular_and_kept_bit_for
             _physical_povms(rough[None])
         assert err.value.refused.tolist() == [True]
         return
-    complete = np.linalg.norm(expected[0].sum(axis=0) - np.eye(d)) <= 1e-10 * d
+    complete = np.linalg.norm(expected[0].sum(axis=0) - np.eye(d)) <= COMPLETENESS_TOL * d
     try:
         out = _physical_povms(rough[None])
     except DegeneracyError as exc:
@@ -1005,8 +1065,10 @@ def test_correct_povm_gives_valid_povms_or_refuses(case):
         assert any(p is None for p in alone)  # refused only with a refused detector in it
         return
     for povm, single in zip(povms, alone):
-        assert np.linalg.norm(povm.sum(axis=0) - np.eye(d)) <= 1e-10 * d
-        assert min(np.linalg.eigvalsh(p)[0] for p in povm) >= -1e-10
+        # the package takes this norm by another route: the band allows for it
+        assert (np.linalg.norm(povm.sum(axis=0) - np.eye(d))
+                <= COMPLETENESS_TOL * d * (1.0 + _ROUNDOFF_BAND))
+        assert min(np.linalg.eigvalsh(p)[0] for p in povm) >= -PSD_TOL
         assert np.allclose(povm, single.elements, rtol=0.0, atol=1e-12)
 
 
@@ -1076,11 +1138,11 @@ def test_v2_scale_fix_gives_unit_traces_just_above_its_refusal(d, t, m, seed, ma
     def draw():
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    # the state factor's traceless part, plus a trace of 1e-6 * margin times its norm
+    # the state factor's traceless part, plus a trace of ANCHOR_RTOL * margin times its norm
     eye = np.eye(d).ravel()
     w = draw()
     w -= (w @ eye / d)[..., None] * eye
-    r = 1e-6 * np.resize(margins, (t, m))
+    r = ANCHOR_RTOL * np.resize(margins, (t, m))
     size = r * np.linalg.norm(w, axis=-1) / np.sqrt(1.0 - r * r / d)
     phase = np.exp(2j * np.pi * rng.random((t, m)))
     left = (w + (size * phase / d)[..., None] * eye) * rng.uniform(1e-3, 1e3, (t, m, 1))
@@ -1090,7 +1152,7 @@ def test_v2_scale_fix_gives_unit_traces_just_above_its_refusal(d, t, m, seed, ma
     mean = candidates.mean(axis=1)
     hermitian = (mean + mean.conj().swapaxes(-1, -2)) / 2.0
     assert np.abs(np.trace(hermitian, axis1=-2, axis2=-1) - 1.0).max() <= 1e-9
-    assert np.all(anchors > 1e-6 * np.linalg.norm(left, axis=-1))
+    assert np.all(anchors > ANCHOR_RTOL * np.linalg.norm(left, axis=-1))
 
 
 def _raw_error_inputs():
@@ -1157,6 +1219,11 @@ def _tilted_basis() -> OperatorBasis:
 # The Hadamard channel, which maps the x coordinate onto z.
 _HADAMARD = make_named_channel("unitary", u=(pauli("x") + pauli("z")) / np.sqrt(2))
 _RESIDUE = "transfer matrix has imaginary residue 4.000e-10"
+
+
+# A path that is not a str or an os.PathLike; as a file descriptor it is not open.
+_FD = 987654
+_NOT_A_PATH = "path must be a str or an os.PathLike, got "
 
 
 def _mse_table(mse_state):
@@ -1243,8 +1310,6 @@ def _mse_table(mse_state):
      "dimension mismatch: channel 2, basis 3"),
     (lambda tmp: hamiltonian_generator(np.diag([1.0, -1.0, 0.0]), build_basis(2)),
      "Hamiltonian must be a 2 x 2 matrix for this basis, got shape (3, 3)"),
-    (lambda tmp: mixed_unitary_transfer([1.0], [pauli("x"), pauli("z")], 0.5, build_basis(2)),
-     "need one weight per Hamiltonian"),
     (lambda tmp: amplitude_damping(1.5), "damping rate must be in [0, 1], got 1.5"),
     (lambda tmp: pauli_sandwich_processes(np.diag([1, 1j]), pauli("x"), 0.1),
      "V1 must be Hermitian"),
@@ -1260,6 +1325,16 @@ def _mse_table(mse_state):
      "table contains MSE values that are not positive and finite"),
     (lambda tmp: fit_loglog_slope(_mse_table([1.0, 0.0, 0.01])),
      "table contains MSE values that are not positive and finite"),
+    (lambda tmp: load_dataset(_FD), _NOT_A_PATH + "int"),
+    (lambda tmp: save_dataset(MeasurementDataset(**_RECORD), bytes(tmp / "ds.json")),
+     _NOT_A_PATH + "bytes"),
+    (lambda tmp: load_sos_problem(_FD), _NOT_A_PATH + "int"),
+    (lambda tmp: SosProblem(1, 1, ("x",), {(1,): 1.0}).write(_FD), _NOT_A_PATH + "int"),
+    (lambda tmp: _mse_table([1.0, 0.1, 0.01]).to_csv(_FD), _NOT_A_PATH + "int"),
+    (lambda tmp: _mse_table([1.0, 0.1, 0.01]).write_metadata(bytes(tmp / "m.json")),
+     _NOT_A_PATH + "bytes"),
+    (lambda tmp: amplitude_damping([[1, 2], [3]]),
+     "damping rate must be a real number, got [[1, 2], [3]]"),
 ], ids=["scale-fraction", "scale-bool", "scale-string", "ideal-scale-fraction",
         "reg-scale-string", "reg-scale-complex", "reg-scale-bool", "v1-object-design",
         "v2-object-design", "refine-object-design", "factor-object-design",
@@ -1275,9 +1350,11 @@ def _mse_table(mse_state):
         "correct-state-huge", "correct-state-huge-diagonal", "k-coefficients-huge",
         "k-coefficients-huge-diagonal", "combine-huge", "combine-huge-diagonal",
         "transfer-basis-residue", "regression-basis-residue", "transfer-dimension",
-        "generator-shape", "mixed-weight-count", "damping-range", "sandwich-not-hermitian",
+        "generator-shape", "damping-range", "sandwich-not-hermitian",
         "stage1-target-length", "correct-state-trace", "v2-columns", "state-shape",
-        "povm-shape", "fit-nan-mse", "fit-zero-mse"])
+        "povm-shape", "fit-nan-mse", "fit-zero-mse", "load-int-path", "save-bytes-path",
+        "sos-load-int-path", "sos-write-int-path", "csv-int-path", "metadata-bytes-path",
+        "damping-ragged"])
 def test_library_inputs_are_refused_with_validation_errors(tmp_path, call, message):
     with pytest.raises(ValidationError) as err:
         call(tmp_path)

@@ -20,9 +20,10 @@ stack); a single estimate is the stack T = 1.  It has four steps:
    ``U^dag Y`` of that same solve (``_solved``), not from a product with B,
 3. factor each column of ``z`` as a Kronecker product of a state vector and
    a detector vector through the top singular triplet of its rearrangement
-   (one stacked ``eigh`` of the rearrangements' Gram matrices for all
-   ``T M`` columns), fix the scales (vectorized), and average each dataset's
-   state candidates,
+   (the top eigenvectors of the rearrangements' Gram matrices for all
+   ``T M`` columns, by stacked repeated squaring, with ``eigh`` only for the
+   lanes that do not converge), fix the scales (vectorized), and average
+   each dataset's state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
    with one stacked eigendecomposition for the T states, one for the
@@ -86,6 +87,18 @@ POVM_SINGULAR_RTOL = 1e-8
 KRON_ZERO_RTOL = 1e-12
 # Top two singular values closer than this share of the top one are tied.
 KRON_TIE_RTOL = 1e-12
+# A lane of nearest_kronecker's squaring route has converged once
+# tr(P^2) > (1 - tol) tr(P)^2: its other weights are below tol of the top one.
+_KRON_POWER_RTOL = 1e-14
+# That route squares this many times between two convergence tests, and tests
+# at most this many times (12 squarings reach s1/s0 up to about 0.996); a
+# lane that has not converged by then takes eigh.
+_KRON_SQUARINGS = 6
+_KRON_TESTS = 2
+# That route multiplies each Gram by 1 / max(tr, this), which is finite.  A
+# Gram with a smaller trace, of a matrix that the zero test refuses, starts
+# from a trace below 1 and may fall back to eigh; a zero Gram stays zero.
+_KRON_TRACE_FLOOR = np.finfo(float).tiny
 # A stage-1 residual whose square is below this share of ||y||^2 lost its
 # digits to cancellation in ||y||^2 - ||c||^2, and is formed from B z directly.
 _CANCELLATION_RTOL = 1e-8
@@ -122,18 +135,17 @@ class KroneckerFactorization:
     For a stack of vectors ``z`` every field carries the stack's leading
     axes, ``residual`` and ``degenerate_tie`` as arrays.
 
-    ``singular_values`` are the square roots of the Gram matrix's
-    eigenvalues, clipped at zero, in descending order (``nearest_kronecker``
-    takes no SVD).  The top one and the gap to the second, which the
-    tie test reads, are as accurate as an SVD's; a value far below the top
-    one carries an absolute error of about ``sqrt(eps)`` times it, so the
-    residual is computed directly rather than from the trailing values.
+    ``nearest_kronecker`` takes no SVD and no full eigendecomposition: it
+    finds the top singular triplet only.  The top singular value is
+    ``||left|| ||right||``; ``residual`` is the distance
+    ``||z - left kron right||``, formed directly; ``degenerate_tie`` flags a
+    top singular value tied with the second (``KRON_TIE_RTOL``), where the
+    factors are not unique.
     """
 
     left: np.ndarray
     right: np.ndarray
     residual: float
-    singular_values: np.ndarray
     degenerate_tie: bool = False
 
 
@@ -280,6 +292,13 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return (a.real ** 2 + a.imag ** 2).sum(axis=0) if np.iscomplexobj(a) else (a * a).sum(axis=0)
 
 
+def _sq_row_norms(x: np.ndarray) -> np.ndarray:
+    """The squared norms along the last axis of ``x``, float64 or
+    complex128, whose last axis must be contiguous."""
+    flat = x.view(float)  # a complex entry is its real and imaginary parts
+    return np.einsum("...i,...i->...", flat, flat)
+
+
 def _solved(design: FactoredDesign, y: np.ndarray, config: Stage1Config) -> tuple:
     """Stage 1 on checked inputs: the solution ``z`` of ``stage1_solve`` and
     the residual norms ``||y - B z||`` of its columns.
@@ -336,52 +355,113 @@ def rearrange(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return z.reshape(*z.shape[:-1], rows, cols)
 
 
+def _top_eigenvectors(g: np.ndarray, tr: np.ndarray) -> tuple:
+    """The top eigenvector of each Hermitian PSD matrix of a stack ``(K, n,
+    n)`` of Grams with traces ``tr``, each up to a scale and a phase, and
+    which of them have a tied top eigenvalue.
+
+    Each lane ``P = G / tr G`` is squared ``_KRON_SQUARINGS`` times per
+    round, for at most ``_KRON_TESTS`` rounds, and divided by its trace
+    before the next.  After a round, ``tau = tr(P^2) / tr(P)^2`` (``tr(P^2)``
+    is the squared Frobenius norm of the Hermitian ``P``) tells whether the
+    lane has converged: ``tau > 1 - _KRON_POWER_RTOL``, about 45 eps, where
+    its roundoff is a few eps.  Its vector is then the column of ``P`` with
+    the largest diagonal.  With ``p_i`` the eigenvalues of ``P / tr P``,
+    ``tau = sum p_i^2 <= p_0 sum p_i = p_0``, so ``p_1 <= 1 - p_0 <= 1 -
+    tau``, and after ``k`` squarings ``(l1 / l0)^(2^k) = p_1 / p_0 <= (1 -
+    tau) / tau``.  So the other weights of a converged ``P`` are below
+    ``_KRON_POWER_RTOL`` of the top one, and its column is the vector to
+    within ``sqrt(n)`` times that.  And a converged lane is provably not
+    tied: ``s1 / s0 = sqrt(l1 / l0)`` is below 0.78 at the first test
+    (``k = 6``) and below 0.9961 at the last (``k = 12``), far from ``1 -
+    KRON_TIE_RTOL``, roundoff included.  A lane that has not converged by
+    then (a tie or near-tie; a zero Gram, which stays zero) takes one
+    stacked ``eigh`` of those lanes, whose tie verdict reads the top two
+    eigenvalues as ``s0 - s1 <= KRON_TIE_RTOL s0``.
+
+    A lane stops squaring where it converges, and each squaring, trace and
+    ``eigh`` reads its own matrix only, so lane ``k`` of a stack is the
+    stack of one of its matrix.
+    """
+    k, n = g.shape[:2]
+    vecs = np.empty((k, n), dtype=g.dtype)
+    tie = np.zeros(k, dtype=bool)
+    live = np.arange(k)  # the lanes not converged yet
+    p, scale = g, tr
+    for _ in range(_KRON_TESTS):
+        p = p * (1.0 / np.maximum(scale, _KRON_TRACE_FLOOR))[:, None, None]
+        for _ in range(_KRON_SQUARINGS):
+            p = p @ p
+        diag = p.diagonal(axis1=1, axis2=2).real
+        scale = diag.sum(axis=1)
+        done = _sq_row_norms(p.reshape(len(p), n * n)) > (1.0 - _KRON_POWER_RTOL) * scale * scale
+        if done.any():
+            at = np.flatnonzero(done)
+            vecs[live[at]] = p[at, :, diag[at].argmax(axis=1)]
+            if len(at) == len(live):
+                return vecs, tie
+            p, live, scale = p[~done], live[~done], scale[~done]
+    w, v = np.linalg.eigh(g[live])
+    vecs[live] = v[..., -1]
+    if n > 1:
+        top, second = np.sqrt(np.maximum(w[:, -2:], 0.0)).T[::-1]
+        tie[live] = top - second <= KRON_TIE_RTOL * top
+    return vecs, tie
+
+
 def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactorization:
     """Best approximation of ``z`` by ``left kron right`` (top SVD triplet).
 
-    The top triplet comes from one stacked ``eigh`` of the Gram matrix
-    ``A A^H`` on the smaller side of the rearrangement ``A`` (``A^T``
-    is factored when ``A`` has more rows than columns): its top eigenvector
-    ``u0`` is the left singular vector, ``u0^H A`` is ``s0`` times the right
-    one, and the residual is formed directly as ``||A - u0 (u0^H A)||``, so
-    it stays exact on exact data.  A tie is read from the second eigenvalue.
+    The top triplet comes from the top eigenvector ``u0`` of the Gram matrix
+    ``A A^H`` on the smaller side of the rearrangement ``A`` (``A^T`` is
+    factored when ``A`` has more rows than columns): ``u0`` is the left
+    singular vector, ``u0^H A`` is ``s0`` times the right one, and ``s0^2``
+    is the Rayleigh quotient ``||u0^H A||^2``.  The vector comes from
+    repeated squaring of the normalized Gram, which checks its own
+    convergence; a lane that does not converge (a tie or near-tie, or a
+    zero matrix) takes ``eigh``, which also gives its tie verdict
+    (``_top_eigenvectors``).  Each ``u0`` is normalized and turned so that
+    its largest-magnitude entry is real and positive.  The residual is
+    formed directly as ``||A - u0 (u0^H A)||``, so it stays exact on exact
+    data.
 
-    The factorization is unique only up to ``(q left, right / q)``, a sign
-    or phase included; ties in the top singular value are resolved by the
-    eigendecomposition's order and flagged in the result.  Leading axes of
-    ``z`` are a stack of vectors, factored by one stacked ``eigh``: every
-    field of the result then carries those axes, and the stack is refused if
-    any of its matrices is zero (the error's ``refused`` mask says which).
+    The factorization is unique only up to ``(q left, right / q)``; here
+    ``||left|| = ||right|| = sqrt(s0)``.  Ties in the top singular value are
+    resolved by the eigendecomposition's order and flagged in the result.
+    Leading axes of ``z`` are a stack of vectors, factored by stacked
+    operations that read each matrix alone: every field of the result then
+    carries those axes, and the stack is refused if any of its matrices is
+    zero (the error's ``refused`` mask says which).
     """
     mat = rearrange(z, rows, cols)
-    if mat.dtype.kind not in "fc":
-        mat = mat.astype(float)
-    a = mat if rows <= cols else mat.swapaxes(-1, -2)
-    a_h = a.swapaxes(-1, -2)
-    if np.iscomplexobj(a):
-        a_h = a_h.conj()
-    w, vecs = np.linalg.eigh(a @ a_h)
-    s = np.sqrt(np.maximum(w[..., ::-1], 0.0))
-    top = s[..., 0]
-    zero = top <= KRON_ZERO_RTOL * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
-    if np.any(zero):
+    # every input is factored in double precision, which _sq_row_norms needs
+    mat = mat.astype(complex if mat.dtype.kind == "c" else float, copy=False)
+    lead, n, m = mat.shape[:-2], min(rows, cols), max(rows, cols)
+    a = (mat if rows <= cols else mat.swapaxes(-1, -2)).reshape(-1, n, m)
+    a_h = a.swapaxes(1, 2).conj() if np.iscomplexobj(a) else a.swapaxes(1, 2)
+    g = a @ np.ascontiguousarray(a_h)  # a transposed operand is the slow case of matmul
+    tr = g.diagonal(axis1=1, axis2=2).sum(axis=1).real  # ||A||^2
+    vecs, tie = _top_eigenvectors(g, tr)
+    size = np.abs(vecs)
+    lane, at = np.arange(len(vecs)), size.argmax(axis=1)
+    u0 = vecs * (vecs[lane, at].conj() / size[lane, at] / np.sqrt(_sq_row_norms(size)))[:, None]
+    row = (u0.conj()[:, None, :] @ a)[:, 0, :]
+    top = np.sqrt(_sq_row_norms(row))
+    zero = (top <= KRON_ZERO_RTOL * np.maximum(1.0, np.sqrt(tr))).reshape(lead)
+    if zero.any():
         raise DegeneracyError("rearranged matrix is numerically zero; no rank-1 factor",
                               refused=zero)
-    u0 = vecs[..., :, -1]
-    row = (u0.conj()[..., None, :] @ a)[..., 0, :]
-    residual = np.linalg.norm(a - u0[..., :, None] * row[..., None, :], axis=(-2, -1))
-    if s.shape[-1] > 1:
-        tie = top - s[..., 1] <= KRON_TIE_RTOL * top
-    else:
-        tie = np.zeros(top.shape, dtype=bool)
+    rest = a - u0[:, :, None] * row[:, None, :]
+    residual = np.sqrt(_sq_row_norms(rest.reshape(len(rest), n * m))).reshape(lead)
+    tie = tie.reshape(lead)
     if mat.ndim == 2:
         residual, tie = float(residual), bool(tie)
-    root = np.sqrt(top)[..., None]
-    left, right = root * u0, row / root
+    root = np.sqrt(top)[:, None]
+    left, right = (root * u0).reshape(*lead, n), (row / root).reshape(*lead, m)
     if rows > cols:
         left, right = right, left
     return KroneckerFactorization(left=left, right=right, residual=residual,
-                                  singular_values=s, degenerate_tie=tie)
+                                  degenerate_tie=tie)
 
 
 def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
@@ -580,8 +660,7 @@ def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: 
     Solves all ``T M`` columns of the ``(T, L, M)`` targets ``y`` with the
     factored design (``_solved``, which also gives their residuals; targets
     laid out ``(L, T, M)`` in memory are read without a copy) and factors
-    each as a ``side x side`` pair by one stacked ``eigh``
-    (``nearest_kronecker``).  Returns the ``(T, M)`` factorizations,
+    each as a ``side x side`` pair (``nearest_kronecker``, stacked).  Returns the ``(T, M)`` factorizations,
     the refused mask (see ``_lanewise``; later steps grow it) and both
     steps' diagnostics.
     """

@@ -66,8 +66,9 @@ from jointtomo import (
 )
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
-from jointtomo.estimator import (ANCHOR_RTOL, KRON_ZERO_RTOL, POVM_SINGULAR_RTOL,
-                                 _clip_negative, _physical_povms, _physical_states, _solved)
+from jointtomo.estimator import (ANCHOR_RTOL, KRON_TIE_RTOL, KRON_ZERO_RTOL, POVM_SINGULAR_RTOL,
+                                 _clip_negative, _physical_povms, _physical_states, _solved,
+                                 _top_eigenvectors)
 from jointtomo.measurement import COMPLETENESS_TOL, PSD_TOL
 from jointtomo.serialize import load_dataset, save_dataset
 
@@ -234,6 +235,28 @@ def test_nearest_kronecker_reads_integers_as_floats():
     assert np.array_equal(ints.left, floats.left) and np.array_equal(ints.right, floats.right)
 
 
+@pytest.mark.parametrize("rows, cols", [(4, 6), (3, 5), (7, 2)], ids=["even", "odd", "tall"])
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_nearest_kronecker_factors_single_precision_in_double(dtype, rows, cols):
+    """A float32 or complex64 stack is factored as the double-precision
+    read of its values, bit for bit, and its zero member is refused alike."""
+    rng = np.random.default_rng(37)
+    z = rng.normal(size=(3, rows * cols)) + (1j * rng.normal(size=(3, rows * cols))
+                                            if dtype is np.complex64 else 0)
+    z = z.astype(dtype)
+    wide = z.astype(np.complex128 if dtype is np.complex64 else np.float64)
+    single, double = nearest_kronecker(z, rows, cols), nearest_kronecker(wide, rows, cols)
+    assert single.left.dtype == double.left.dtype == wide.dtype
+    for field in ("left", "right", "residual", "degenerate_tie"):
+        assert np.array_equal(getattr(single, field), getattr(double, field)), field
+    product = np.einsum("ki,kj->kij", single.left, single.right).reshape(z.shape)
+    assert np.linalg.norm(product - wide, axis=1) == pytest.approx(single.residual, rel=1e-9)
+    z[1] = 0
+    with pytest.raises(DegeneracyError, match="numerically zero") as err:
+        nearest_kronecker(z, rows, cols)
+    assert err.value.refused.tolist() == [False, True, False]
+
+
 # Where a quantity that the test computes by another route than the package
 # lies within this share of its threshold, either verdict is right.  For the
 # Kronecker zero test (s0 <= KRON_ZERO_RTOL max(1, ||Z||)) both routes, the SVD
@@ -263,9 +286,9 @@ def _kronecker_against_the_svd(z, lead, rows, cols):
         return zero, sure
     assert not np.any(zero & sure), "a matrix the SVD finds zero was factored"
     assert fac.left.shape == (*lead, rows) and fac.right.shape == (*lead, cols)
-    assert fac.singular_values.shape == s.shape
-    # squares of the singular values, as accurate as the Gram's eigenvalues
-    assert np.all(np.abs(fac.singular_values ** 2 - s ** 2) <= 1e-12 * top[..., None] ** 2)
+    # the top singular value, ||left|| ||right||, to roundoff in its square
+    s0 = np.linalg.norm(fac.left, axis=-1) * np.linalg.norm(fac.right, axis=-1)
+    assert np.all(np.abs(s0 ** 2 - top ** 2) <= 1e-12 * top ** 2)
     residual = np.sqrt(np.sum(s[..., 1:] ** 2, axis=-1))
     assert np.all(np.abs(fac.residual - residual) <= 1e-12 * np.maximum(1.0, norm))
     rank1 = fac.left[..., :, None] * fac.right[..., None, :]
@@ -359,6 +382,130 @@ def test_nearest_kronecker_flags_a_tie_and_refuses_a_zero_member_by_its_mask():
     assert err.value.refused.tolist() == [[False, True], [False, False]]
 
 
+def _planted(rng, rows, cols, ratio, cplx):
+    """A ``rows x cols`` matrix with ``s1 / s0 = ratio``, the other singular
+    values below half of ``s1``, at a random scale; ``ratio`` None is zero."""
+    n = min(rows, cols)
+    if ratio is None:
+        return np.zeros((rows, cols), dtype=complex if cplx else float)
+
+    def orthonormal(m):
+        x = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if cplx else 0.0)
+        return np.linalg.qr(x)[0]
+
+    s = np.zeros(n)
+    s[0] = 1.0
+    s[1:] = ratio * np.concatenate([[1.0], rng.uniform(0.0, 0.5, size=n - 2)])[:n - 1]
+    return 10.0 ** rng.uniform(-3, 3) * (orthonormal(rows) * s) @ orthonormal(cols).conj().T
+
+
+def _eigh_verdicts(mats):
+    """The rule of the full eigendecomposition on a stack of rearrangements:
+    the zero and tie verdicts, and the top eigenvector of the Gram on the
+    smaller side."""
+    rows, cols = mats.shape[-2:]
+    a = mats if rows <= cols else mats.swapaxes(-1, -2)
+    w, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+    s = np.sqrt(np.maximum(w[..., ::-1], 0.0))
+    zero = s[..., 0] <= KRON_ZERO_RTOL * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+    tie = s[..., 0] - s[..., 1] <= KRON_TIE_RTOL * s[..., 0]
+    return zero, tie, v[..., -1]
+
+
+_RATIOS = (0.0, 0.3, 0.9, 0.99, 0.9999, 1.0, None)  # s1 / s0; None is a zero matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 3), st.booleans(), st.booleans(),
+       st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_the_squaring_route_keeps_the_eigendecomposition_verdicts(side, extra, wide, cplx,
+                                                                  ratios, seed):
+    """Planted gaps from none to a tie, real and complex, with zero members:
+    the zero and tie verdicts are the full eigendecomposition's, and where
+    ``s1 / s0 <= 0.99`` so is the vector, up to its phase."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (side, side + extra) if wide else (side + extra, side)
+    mats = np.stack([_planted(rng, rows, cols, r, cplx) for r in ratios])
+    zero, tie, vec = _eigh_verdicts(mats)
+    apart = np.array([r is not None and r <= 0.99 for r in ratios])
+    if zero.any():
+        with pytest.raises(DegeneracyError, match="numerically zero") as err:
+            nearest_kronecker(mats.reshape(len(mats), -1), rows, cols)
+        assert np.array_equal(err.value.refused, zero)
+        if zero.all():
+            return
+        mats, tie, vec, apart = mats[~zero], tie[~zero], vec[~zero], apart[~zero]
+    fac = nearest_kronecker(mats.reshape(len(mats), -1), rows, cols)
+    assert np.array_equal(fac.degenerate_tie, tie)
+    u = fac.left if rows <= cols else fac.right
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    overlap = np.einsum("ki,ki->k", vec.conj(), u)
+    phase = (overlap / np.abs(overlap))[:, None]
+    assert np.all(np.linalg.norm(u - vec * phase, axis=-1)[apart] <= 1e-12)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_each_member_of_a_mixed_stack_is_its_stack_of_one(cplx):
+    """A fast, a slow, a near-tied, a tied and a zero member: each lane of
+    the stacked route, and each factorization, equals its stack of one."""
+    rng = np.random.default_rng(37)
+    ratios = (0.1, 0.99, 0.9999, 1.0, None)
+    mats = np.stack([_planted(rng, 6, 8, r, cplx) for r in ratios])
+    g = mats @ mats.conj().swapaxes(-1, -2)
+    tr = np.trace(g, axis1=1, axis2=2).real
+    vecs, tie = _top_eigenvectors(g, tr)
+    assert tie.tolist() == [False, False, False, True, True]  # a zero Gram reads as tied
+    for k in range(len(g)):
+        one_vec, one_tie = _top_eigenvectors(g[k:k + 1], tr[k:k + 1])
+        assert np.array_equal(one_vec[0], vecs[k]) and one_tie[0] == tie[k]
+    z = mats.reshape(len(mats), -1)
+    with pytest.raises(DegeneracyError, match="numerically zero") as err:
+        nearest_kronecker(z, 6, 8)
+    assert err.value.refused.tolist() == [False, False, False, False, True]
+    fac = nearest_kronecker(z[:-1], 6, 8)
+    # converged and eigh lanes alike: the largest-magnitude entry is real and positive
+    pivot = fac.left[np.arange(len(fac.left)), np.abs(fac.left).argmax(axis=1)]
+    assert np.all(pivot.real > 0) and np.all(np.abs(pivot.imag) <= 1e-15 * pivot.real)
+    for k in range(len(z) - 1):
+        one = nearest_kronecker(z[k:k + 1], 6, 8)
+        for field in ("left", "right", "residual", "degenerate_tie"):
+            assert np.array_equal(getattr(one, field)[0], getattr(fac, field)[k]), (k, field)
+
+
+@pytest.mark.parametrize("n0", [1000, 100000])
+def test_stage1_matrices_take_no_eigendecomposition_but_ties_and_zeros_do(monkeypatch, n0):
+    """The 150 stage-1 matrices of a 50-trial two-qubit Monte-Carlo block
+    all converge by squaring; a tied and a zero matrix added to them take
+    one ``eigh``, of those two Grams alone."""
+    sc = preset("two_qubit_mixed_unitary")
+    stacks, factor = [], nearest_kronecker
+
+    def spy(z, rows, cols):
+        stacks.append(np.array(z))
+        return factor(z, rows, cols)
+
+    monkeypatch.setattr("jointtomo.estimator.nearest_kronecker", spy)
+    bench.run_mse_experiment(sc, [n0], trials=50, seed=37)
+    monkeypatch.undo()
+    (z,) = stacks
+    assert z.shape == (50, 3, 225)
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    fac = nearest_kronecker(z, 15, 15)
+    assert calls == [] and not fac.degenerate_tie.any()
+    mats = z.reshape(-1, 15, 15)
+    tied, zero = np.eye(15), np.zeros((15, 15))
+    g = np.concatenate([mats, [tied, zero]]) @ np.concatenate([mats, [tied, zero]]).swapaxes(1, 2)
+    _, tie = _top_eigenvectors(g, np.trace(g, axis1=1, axis2=2))
+    assert len(calls) == 1 and np.array_equal(calls[0], g[-2:])
+    assert tie.tolist() == [False] * 150 + [True, True]  # a zero Gram reads as tied
+
+
 def _povm_reference(povm_bar):
     """The detector correction of a stack written out: ``S^{-1/2}`` from
     ``eigh(S)`` of each clipped element sum ``S``, applied to the clipped
@@ -440,13 +587,11 @@ def test_fix_scale_gauge_invariance():
     x1, c1 = fix_scale_v1(fac, x[0])
     assert np.allclose(x1, x) and np.allclose(c1, c)
     # global sign flip of the factors is absorbed
-    flipped = type(fac)(left=-fac.left, right=-fac.right, residual=fac.residual,
-                        singular_values=fac.singular_values)
+    flipped = type(fac)(left=-fac.left, right=-fac.right, residual=fac.residual)
     x2, c2 = fix_scale_v1(flipped, x[0])
     assert np.allclose(x2, x1) and np.allclose(c2, c1)
     # (q, 1/q) rescaling of the factors is absorbed
-    scaled = type(fac)(left=5.0 * fac.left, right=fac.right / 5.0, residual=fac.residual,
-                       singular_values=fac.singular_values)
+    scaled = type(fac)(left=5.0 * fac.left, right=fac.right / 5.0, residual=fac.residual)
     x3, c3 = fix_scale_v1(scaled, x[0])
     assert np.allclose(x3, x1) and np.allclose(c3, c1)
 
@@ -828,16 +973,18 @@ def test_lapack_failure_is_a_stage_labelled_degeneracy(monkeypatch):
                           Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[stage1]")
     # valid inputs reach the Kronecker stage, whose eigendecomposition is
-    # made to fail there
+    # made to fail there: the first outcome's rearrangement is I / 4, a tied
+    # Gram, which the squaring route leaves to eigh
     design = factor_design(np.eye(16))
+    y = np.full((16, 2), 0.25)
+    y[:, 0] = np.eye(4).reshape(-1) / 4.0
 
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DegeneracyError) as err:
-        estimate_joint_v2(_frequencies_only(np.full((16, 2), 0.25)), design,
-                          Stage1Config(method="mp_inverse"))
+        estimate_joint_v2(_frequencies_only(y), design, Stage1Config(method="mp_inverse"))
     assert str(err.value).startswith("[kronecker]")
 
 

@@ -73,9 +73,9 @@ from .measurement import (
     Povm,
     born_probabilities,
     ideal_statistics,
-    random_density_matrix,
     sample_frequencies,
     simulate_dataset,
+    simulate_datasets,
 )
 from .refine import refine_alternating
 

@@ -10,7 +10,11 @@ copies.
 The trial loop works on blocks of trials as arrays: each block is one
 ``DatasetStack``, checked once, estimated as one stack per case, and scored
 from the stacked estimates; a failure is counted from the stack's
-``refused`` mask, and no dataset is estimated a second time.
+``refused`` mask, and no dataset is estimated a second time.  A block of an
+ensemble of at least ``measurement.THREADED_DRAW_ROWS`` processes is drawn
+as one stack (``simulate_datasets``), whose outcome draws run on two
+threads; every trial keeps its own stream, so the datasets are those of one
+``simulate_dataset`` call per trial, bit for bit.
 """
 
 import json
@@ -40,11 +44,13 @@ from .estimator import (
     project_pure,
 )
 from .measurement import (
+    THREADED_DRAW_ROWS,
     DatasetStack,
     DensityMatrix,
     Povm,
     _process_indices,
     simulate_dataset,
+    simulate_datasets,
 )
 
 PRESET_NAMES = (
@@ -295,7 +301,18 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
     reads from the list ``[sc.seed, seed, i, t]`` (``_words``; the first
     three once per grid point), so the stream is that list's.  The trials
     are drawn in blocks of ``TRIAL_BLOCK`` into one ``DatasetStack`` per
-    block, checked once; a process subset is an index on its process axis.
+    block; a process subset is an index on its process axis.  A block of
+    an ensemble of at least ``THREADED_DRAW_ROWS`` processes is drawn by
+    ``simulate_datasets``, which runs the sampled outcome draws, one row per
+    process, on the calling thread and one worker joined before it returns;
+    those multinomials release the GIL, so the two threads overlap them.
+    A smaller block keeps one ``simulate_dataset`` call per trial, stacked
+    and checked once (``DatasetStack.of``): there a draw is too short to pay
+    for a thread (the README's crossover table), and the benchmark's
+    per-layer trace reads that loop as one ``simulate_dataset`` call per
+    trial.  Either way member ``t`` is the
+    dataset ``simulate_dataset`` draws from trial ``t``'s stream, bit for
+    bit.
     Each case estimates the block as one stack and scores the stacked
     estimates directly.  A dataset a step refuses is one failure of its own
     case, counted from the stack's ``refused`` mask and not estimated again,
@@ -316,14 +333,18 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
         errs, copies = [([], []) for _ in cases], [0] * len(cases)
         stream = _words(scenario_seed) + _words(seed) + _words(i)
         for start in range(0, trials, TRIAL_BLOCK):
-            block = DatasetStack.of(
-                simulate_dataset(
-                    sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                    seed=np.random.SeedSequence(np.array(stream + _words(t), dtype=np.uint32)),
-                    scale_observable=sc.anchor_index, exact=exact, basis=sc.basis,
-                )
-                for t in range(start, min(start + TRIAL_BLOCK, trials))
-            )
+            seeds = [np.random.SeedSequence(np.array(stream + _words(t), dtype=np.uint32))
+                     for t in range(start, min(start + TRIAL_BLOCK, trials))]
+            if len(sc.ensemble) < THREADED_DRAW_ROWS:
+                block = DatasetStack.of(
+                    simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=s,
+                                     scale_observable=sc.anchor_index, exact=exact,
+                                     basis=sc.basis)
+                    for s in seeds)
+            else:
+                block = simulate_datasets(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seeds,
+                                          scale_observable=sc.anchor_index, exact=exact,
+                                          basis=sc.basis)
             for c, (config, idx) in enumerate(cases):
                 stack = block if idx is None else block.subset(idx)
                 copies[c] = stack.total_copies

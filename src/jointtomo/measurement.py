@@ -34,13 +34,17 @@ message the constructor raises for its first failing member.  T datasets of
 one protocol form one record, ``DatasetStack`` (``y_hat`` ``(T, L, M)``,
 ``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)``, ``x01_bar`` ``(T,)``),
 checked once; a Monte-Carlo loop draws each trial from its own stream and
-gathers a block of trials into one record (``DatasetStack.of``).  A process
-subset is an index on the process axis.  States and detectors are checked
+gathers a block of trials into one record (``DatasetStack.of``), or draws
+the block as one record (``simulate_datasets``, whose member ``t`` is
+``simulate_dataset`` on seed ``t``, bit for bit).  On a large ensemble that
+record's outcome draws run on two threads.  A process subset is an index
+on the process axis.  States and detectors are checked
 over ``(T, d, d)`` and ``(T, M, d, d)`` stacks (``DensityMatrix.checked``,
 ``Povm.checked``); a non-finite entry fails before any other test reads it.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +65,14 @@ UNIT_MASS_TOL = 1e-9
 NEGATIVE_PROB_TOL = 1e-12
 # The most shots one sampled draw takes: numpy's samplers read n as a C long.
 _MAX_DRAWN_SHOTS = 2 ** 63 - 1
+# Outcome-table rows (processes) from which the outcome draws of a stack of
+# datasets run on two threads (``_outcome_draws``).  Each draw is numpy's
+# multinomial, which runs with the GIL released; below this size a draw is
+# too short for the overlap to pay for the thread and the GIL handoffs.  On
+# a 2-vCPU machine a 50-trial stack drawn on two threads beat one
+# ``simulate_dataset`` call per trial in the median from 256 rows on, and
+# lost at 128 in one of two runs (the README's crossover table).
+THREADED_DRAW_ROWS = 256
 
 
 def _hermitian_psd(x: np.ndarray) -> tuple:
@@ -235,12 +247,64 @@ def sampling_table(p) -> np.ndarray:
 
 def _draw(table: np.ndarray, n0: int, rng) -> np.ndarray:
     """Frequencies of ``n0`` multinomial shots from a ``sampling_table``,
-    with the loss outcome dropped; one independent draw per row.  More than
-    ``_MAX_DRAWN_SHOTS`` shots are refused."""
+    with the loss outcome dropped; one independent draw per row.  ``n0`` has
+    passed ``_drawable``."""
+    return rng.multinomial(n0, table)[..., :-1] / float(n0)
+
+
+def _drawable(n0: int) -> int:
+    """``n0``, refused above ``_MAX_DRAWN_SHOTS``, the most shots a sampled
+    draw takes."""
     if n0 > _MAX_DRAWN_SHOTS:
         raise ValidationError(
             f"a sampled draw takes at most {_MAX_DRAWN_SHOTS} shots, got n0={n0}")
-    return rng.multinomial(n0, table)[..., :-1] / float(n0)
+    return n0
+
+
+def _outcome_draws(table: np.ndarray, n0: int, rngs: list) -> np.ndarray:
+    """The frequencies of ``n0`` shots drawn from ``table`` (``_draw``) by
+    each generator of ``rngs``, stacked in their order: ``(T, rows,
+    outcomes - 1)``.
+
+    A stack of two or more draws from a table of at least
+    ``THREADED_DRAW_ROWS`` rows is drawn by the calling thread and one
+    worker thread.  Both take the next generator from one shared iterator
+    and store its counts at the generator's own place, so the result is the
+    serial one bit for bit.  They do nothing else while the worker runs,
+    and numpy's multinomial releases the GIL, so the two draws overlap.  The
+    worker is joined before this returns or raises.  A failed draw stops
+    both threads from taking another generator, and the error of the lowest
+    failing one is raised, whichever thread drew it.
+    """
+    freqs = np.empty((len(rngs), len(table), table.shape[-1] - 1))
+    todo, failed, lock = iter(range(len(rngs))), {}, threading.Lock()
+
+    def work(catch):
+        while not failed:
+            with lock:
+                t = next(todo, None)
+            if t is None:
+                return
+            try:
+                freqs[t] = rngs[t].multinomial(n0, table)[..., :-1]
+            except catch as exc:
+                failed[t] = exc
+
+    if len(rngs) < 2 or len(table) < THREADED_DRAW_ROWS:
+        work(Exception)
+    else:
+        # The worker keeps every error for the caller to raise; the caller's
+        # own draws let an interrupt through at once.
+        worker = threading.Thread(target=work, args=(BaseException,), name="jointtomo-draw")
+        worker.start()
+        try:
+            work(Exception)
+        finally:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
+    freqs /= float(n0)  # the counts became floats as _draw's division makes them
+    return freqs
 
 
 def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
@@ -253,7 +317,7 @@ def sample_frequencies(p: np.ndarray, n0: int, rng) -> np.ndarray:
     ``sampling_table`` then one draw; a caller that draws from the same
     probabilities many times keeps the table instead (``ideal_statistics``).
     """
-    n0 = _whole(n0, "shot count", 1)
+    n0 = _drawable(_whole(n0, "shot count", 1))
     return _draw(sampling_table(p), n0, _rng(rng))
 
 
@@ -526,6 +590,24 @@ def ideal_statistics(
     return ideal
 
 
+def _calibration_draws(ens: ProcessEnsemble, ideal: IdealStatistics, n0: int, rng,
+                       exact: bool) -> tuple:
+    """One stream's draws after its outcome draw, in the protocol's order:
+    the lossy processes' survival counts, the detector's trace components
+    on the maximally mixed probe state, and the scale observable measured
+    projectively in its own eigenbasis.  Returns ``x_a0_hat``, ``c_j0_hat``
+    and ``x01_bar``; ``exact`` records the ideal values instead."""
+    sqd = math.sqrt(ens.d)
+    x_a0 = np.full(len(ens), 1.0 / sqd)
+    lossy = ~ens.tp_flags
+    if lossy.any():
+        survival = ideal.survival[lossy]
+        x_a0[lossy] = (survival if exact else rng.binomial(n0, survival) / float(n0)) / sqd
+    q = ideal.trace_probabilities if exact else _draw(ideal.trace_table, n0, rng)
+    weights = ideal.scale_probabilities if exact else _draw(ideal.scale_table, n0, rng)
+    return x_a0, sqd * q, float(np.dot(ideal.scale_eigenvalues, weights))
+
+
 def simulate_dataset(
     ens: ProcessEnsemble,
     truth_state: DensityMatrix,
@@ -550,37 +632,51 @@ def simulate_dataset(
     the first call.  Each draw is one multinomial per table of that record,
     whose probabilities were checked when it was made, and a binomial for
     the lossy processes' survival, so the dataset is valid as drawn and is
-    not checked again.
+    not checked again.  The outcome draw, one row per process, comes first,
+    then the calibrations' draws (``_calibration_draws``).
     """
     n0 = _whole(n0, "shot count", 1)
     ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
     rng = _rng(seed)
-    sqd = math.sqrt(ens.d)
-
-    # One draw per process row, then the lossy processes' survival counts.
-    y_hat = ideal.probabilities.copy() if exact else _draw(ideal.outcome_table, n0, rng)
-    x_a0 = np.full(len(ens), 1.0 / sqd)
-    lossy = ~ens.tp_flags
-    if lossy.any():
-        survival = ideal.survival[lossy]
-        x_a0[lossy] = (survival if exact else rng.binomial(n0, survival) / float(n0)) / sqd
-
-    # Detector trace components from the maximally mixed probe state.
-    q = ideal.trace_probabilities if exact else _draw(ideal.trace_table, n0, rng)
-    c_j0 = sqd * q
-
-    # Scale observable measured projectively in its own eigenbasis.
-    weights = ideal.scale_probabilities if exact else _draw(ideal.scale_table, n0, rng)
-    x01 = float(np.dot(ideal.scale_eigenvalues, weights))
-
+    y_hat = (ideal.probabilities.copy() if exact
+             else _draw(ideal.outcome_table, _drawable(n0), rng))
+    x_a0, c_j0, x01 = _calibration_draws(ens, ideal, n0, rng, exact)
     # Drawn from checked tables, the dataset is valid as it is: not checked again.
     return _new(MeasurementDataset, y_hat=y_hat, x_a0_hat=x_a0, c_j0_hat=c_j0, x01_bar=x01,
                 n0=n0, tp_flags=ens.tp_flags, anchor_index=ideal.anchor_index)
 
 
-def random_density_matrix(d: int, rng) -> DensityMatrix:
-    """Full-rank random state from a Ginibre matrix."""
-    d, rng = _whole(d, "dimension", 1), _rng(rng)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return DensityMatrix(d, rho / np.real(np.trace(rho)))
+def simulate_datasets(
+    ens: ProcessEnsemble,
+    truth_state: DensityMatrix,
+    truth_povm: Povm,
+    n0: int,
+    seeds,
+    scale_observable: int = 1,
+    exact: bool = False,
+    basis: OperatorBasis = None,
+) -> DatasetStack:
+    """One simulated dataset per seed of ``seeds``, as one ``DatasetStack``.
+
+    Member ``t`` is the dataset ``simulate_dataset`` draws from
+    ``seeds[t]``, bit for bit: each seed is read as ``simulate_dataset``
+    reads it, and each stream makes the same draws in the same order, its
+    outcome draw first (``_outcome_draws``, on two threads for a large
+    ensemble), then its calibrations' draws.  Two seeds that share a bit
+    generator are refused, since their draws would depend on the order of
+    the members.  The stack, drawn from checked tables, is not checked
+    again.
+    """
+    n0 = _whole(n0, "shot count", 1)
+    ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
+    rngs = [_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValidationError("a stack needs at least one dataset")
+    if len({id(rng.bit_generator) for rng in rngs}) < len(rngs):
+        raise ValidationError("the datasets of one stack need a bit generator each")
+    y_hat = (np.repeat(ideal.probabilities[None], len(rngs), axis=0) if exact
+             else _outcome_draws(ideal.outcome_table, _drawable(n0), rngs))
+    x_a0, c_j0, x01 = zip(*(_calibration_draws(ens, ideal, n0, rng, exact) for rng in rngs))
+    return _new(DatasetStack, y_hat=y_hat, x_a0_hat=np.stack(x_a0), c_j0_hat=np.stack(c_j0),
+                x01_bar=np.array(x01, dtype=float), n0=n0, tp_flags=ens.tp_flags,
+                anchor_index=ideal.anchor_index)

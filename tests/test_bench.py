@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from jointtomo import (
 import jointtomo as jt
 from jointtomo import bench, coherence_to_state, stage1_solve, to_coords
 from jointtomo.bench import MseRow, PRESET_NAMES
+from jointtomo.measurement import THREADED_DRAW_ROWS, MeasurementDataset
 
 
 def test_preset_structures():
@@ -666,13 +668,9 @@ def test_process_subsets_refuse_bad_indices(indices):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_block_draws_are_the_single_dataset_draws(monkeypatch, name):
-    from jointtomo.measurement import MeasurementDataset
     monkeypatch.setattr(bench, "TRIAL_BLOCK", 4)  # blocks of 4 and 2 trials
     sc = preset(name)
-    drawn = []
-    estimate = bench._estimate_block
-    monkeypatch.setattr(bench, "_estimate_block",
-                        lambda sc, stack, *args: drawn.append(stack) or estimate(sc, stack, *args))
+    drawn = _drawn_blocks(monkeypatch)
     grid = [1000, 100000]
     for exact in (False, True):
         drawn.clear()
@@ -681,21 +679,11 @@ def test_block_draws_are_the_single_dataset_draws(monkeypatch, name):
         lossy = ~sc.ensemble.tp_flags
         if lossy.any() and not exact:  # the lossy processes' survival draws vary
             assert np.ptp(drawn[0].x_a0_hat[:, lossy], axis=0).min() > 0
-        blocks = iter(drawn)
         for i, n0 in enumerate(grid):
-            for start in (0, 4):
-                stack = next(blocks)
+            for stack in drawn[2 * i:2 * i + 2]:
                 assert (stack.n0, stack.anchor_index) == (n0, sc.anchor_index)
                 np.testing.assert_array_equal(stack.tp_flags, sc.ensemble.tp_flags)
-                for k, t in enumerate(range(start, start + len(stack))):
-                    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
-                                          seed=np.random.SeedSequence([sc.seed, 9, i, t]),
-                                          scale_observable=sc.anchor_index, exact=exact,
-                                          basis=sc.basis)
-                    assert isinstance(ds, MeasurementDataset)
-                    for field in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar"):
-                        np.testing.assert_array_equal(getattr(stack, field)[k],
-                                                      getattr(ds, field))
+            _assert_serial_draws(drawn[2 * i:2 * i + 2], sc, n0, 9, i=i, exact=exact)
 
 
 def _count_calls(monkeypatch, owner, name, counts) -> None:
@@ -766,3 +754,77 @@ def test_a_v2_scenario_that_is_not_pure_scores_its_estimates_unprojected():
     assert sum(row.trials for row in table.rows) + table.failures == trials * len(grid)
     for column in ("mse_state", "se_state", "mse_povm", "se_povm"):
         assert np.isfinite(table.column(column)).all()
+
+
+@pytest.fixture(scope="module")
+def large():
+    """A preset whose trial blocks are drawn as one stack, on two threads."""
+    sc = preset("two_qubit_mixed_unitary")
+    assert len(sc.ensemble) >= THREADED_DRAW_ROWS
+    return sc
+
+
+def _drawn_blocks(monkeypatch) -> list:
+    """Record every stack ``_run_trials`` estimates, in order."""
+    drawn, estimate = [], bench._estimate_block
+    monkeypatch.setattr(bench, "_estimate_block",
+                        lambda sc, stack, *args: drawn.append(stack) or estimate(sc, stack, *args))
+    return drawn
+
+
+def _thread_starts(monkeypatch) -> list:
+    """Record the name of every thread started."""
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self.name) or start(self))
+    return starts
+
+
+def _assert_serial_draws(stacks, sc, n0, seed, i=0, exact=False, indices=None) -> None:
+    """The stacks, in order, hold the datasets ``simulate_dataset`` draws
+    alone for trials 0, 1, ... at grid index ``i``, bit for bit."""
+    t = 0
+    for stack in stacks:
+        for k in range(len(stack)):
+            ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                  seed=np.random.SeedSequence([sc.seed, seed, i, t]),
+                                  scale_observable=sc.anchor_index, exact=exact,
+                                  basis=sc.basis)
+            assert isinstance(ds, MeasurementDataset)
+            ds = ds if indices is None else ds.subset(indices)
+            for name in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar"):
+                np.testing.assert_array_equal(getattr(stack, name)[k], getattr(ds, name))
+            t += 1
+
+
+@pytest.mark.parametrize("trials", [2, 3, 50, 51, 101])
+def test_a_large_ensembles_blocks_are_the_serial_draws(monkeypatch, large, trials):
+    """Every block of two or more trials starts one worker, which is gone
+    when the call returns, and the stacks are the serial draws."""
+    drawn, starts = _drawn_blocks(monkeypatch), _thread_starts(monkeypatch)
+    threads = threading.active_count()
+    table = run_mse_experiment(large, [1000], trials=trials, seed=3)
+    assert threading.active_count() == threads
+    sizes = [min(bench.TRIAL_BLOCK, trials - s) for s in range(0, trials, bench.TRIAL_BLOCK)]
+    assert [len(stack) for stack in drawn] == sizes and table.rows[0].trials == trials
+    assert len(starts) == sum(size >= 2 for size in sizes)
+    _assert_serial_draws(drawn, large, 1000, 3)
+
+
+def test_a_comparison_with_a_process_subset_draws_the_serial_blocks(monkeypatch, large):
+    drawn, starts = _drawn_blocks(monkeypatch), _thread_starts(monkeypatch)
+    subset = list(range(0, len(large.ensemble), 3))
+    configs = [("full", large.stage1, None), ("subset", Stage1Config("mp_inverse"), subset)]
+    run_method_comparison(large, [1000], trials=51, configs=configs, seed=4)
+    assert [len(stack) for stack in drawn] == [50, 50, 1, 1] and len(starts) == 1
+    _assert_serial_draws(drawn[0::2], large, 1000, 4)
+    _assert_serial_draws(drawn[1::2], large, 1000, 4, indices=subset)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_threads_start_only_for_sampled_blocks_of_large_ensembles(monkeypatch, name):
+    sc = preset(name)
+    starts = _thread_starts(monkeypatch)
+    run_mse_experiment(sc, [1000], trials=3, seed=6, exact=True)
+    assert starts == []
+    run_mse_experiment(sc, [1000], trials=3, seed=6)
+    assert len(starts) == (len(sc.ensemble) >= THREADED_DRAW_ROWS)

@@ -54,7 +54,6 @@ from jointtomo import (
     pauli_sandwich_processes,
     preset,
     project_pure,
-    random_density_matrix,
     rearrange,
     refine_alternating,
     sample_frequencies,
@@ -71,6 +70,8 @@ from jointtomo.estimator import (ANCHOR_RTOL, KRON_TIE_RTOL, KRON_ZERO_RTOL, POV
                                  _top_eigenvectors)
 from jointtomo.measurement import COMPLETENESS_TOL, PSD_TOL
 from jointtomo.serialize import load_dataset, save_dataset
+
+from random_states import random_density_matrix
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 

@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import warnings
 import weakref
 
@@ -21,13 +23,15 @@ from jointtomo import (
     ideal_statistics,
     make_named_channel,
     preset,
-    random_density_matrix,
     sample_frequencies,
     simulate_dataset,
+    simulate_datasets,
 )
 from jointtomo import bench, measurement
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.measurement import DatasetStack, sampling_table
+
+from random_states import random_density_matrix
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -410,6 +414,7 @@ _GOOD_DATASET = dict(y_hat=np.array([[0.4, 0.5], [0.3, 0.6]]), x_a0_hat=np.full(
 _SHOT_COUNT_USERS = {
     "sample_frequencies": lambda n0: sample_frequencies([0.5, 0.2], n0, 0),
     "simulate_dataset": lambda n0: simulate_dataset(*_small_scenario(), n0, seed=0),
+    "simulate_datasets": lambda n0: simulate_datasets(*_small_scenario(), n0, [0, 1]),
     "MeasurementDataset": lambda n0: MeasurementDataset(**{**_GOOD_DATASET, "n0": n0}),
     "shot_grid": lambda n0: bench._shot_grid([n0]),
 }
@@ -719,6 +724,8 @@ def test_sampled_draws_refuse_more_shots_than_the_sampler_takes(n0):
     with pytest.raises(ValidationError, match=message):
         simulate_dataset(*truth, n0, basis=sc.basis)
     with pytest.raises(ValidationError, match=message):
+        simulate_datasets(*truth, n0, [0, 1], basis=sc.basis)
+    with pytest.raises(ValidationError, match=message):
         sample_frequencies([0.3, 0.7], n0, 0)
     # exact simulations, and datasets, keep any whole count
     exact = simulate_dataset(*truth, n0, exact=True, basis=sc.basis)
@@ -866,3 +873,103 @@ def test_a_record_argument_of_the_wrong_type_is_refused_by_name(position, what, 
         with pytest.raises(ValidationError, match=what):
             call()
     assert [id(entry[0]) for entry in measurement._memo(sc.ensemble)] == kept
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_simulated_stack_is_the_single_dataset_draws(monkeypatch, name, threaded, exact):
+    """Member t of ``simulate_datasets`` is ``simulate_dataset`` on seed t,
+    bit for bit, whether or not the outcome draws run on two threads; also
+    when the threads switch every microsecond."""
+    monkeypatch.setattr(measurement, "THREADED_DRAW_ROWS", 1 if threaded else 10 ** 9)
+    sc = preset(name)
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    for t, n0, switch_s in ((2, 1000, None), (3, 100000, None), (51, 1000, None),
+                            (51, 1000, 1e-6)):
+        seeds = [np.random.SeedSequence([5, k]) for k in range(t)]
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        try:
+            if switch_s:
+                sys.setswitchinterval(switch_s)
+            stack = simulate_datasets(*truth, n0, seeds, scale_observable=sc.anchor_index,
+                                      exact=exact, basis=sc.basis)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert isinstance(stack, DatasetStack) and len(stack) == t and stack.n0 == n0
+        for k, seed in enumerate(seeds):
+            ds = simulate_dataset(*truth, n0, seed=seed, scale_observable=sc.anchor_index,
+                                  exact=exact, basis=sc.basis)
+            for field in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar"):
+                np.testing.assert_array_equal(getattr(stack, field)[k], getattr(ds, field))
+            np.testing.assert_array_equal(stack.tp_flags, ds.tp_flags)
+            assert stack.anchor_index == ds.anchor_index
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_simulated_stack_starts_a_thread_only_for_sampled_draws_of_large_ensembles(
+        monkeypatch, name):
+    sc = preset(name)
+    truth = (sc.ensemble, sc.truth_state, sc.truth_povm)
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    for seeds, exact in (([1], False), ([1, 2, 3], True), ([1, 2, 3], False)):
+        simulate_datasets(*truth, 1000, seeds, scale_observable=sc.anchor_index, exact=exact,
+                          basis=sc.basis)
+    assert len(starts) == (len(sc.ensemble) >= measurement.THREADED_DRAW_ROWS)
+
+
+def test_a_simulated_stack_needs_a_stream_per_dataset():
+    truth = _small_scenario()
+    with pytest.raises(ValidationError, match="at least one dataset"):
+        simulate_datasets(*truth, 100, [])
+    generator, bits = np.random.default_rng(1), np.random.PCG64(2)
+    for seeds in ([generator, generator], [bits, 3, bits]):
+        with pytest.raises(ValidationError, match="a bit generator each"):
+            simulate_datasets(*truth, 100, seeds)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_datasets(*truth, 100, [0, -1])
+
+
+def _draws_that_fail(fails) -> list:
+    """Stand-ins for generators in ``_outcome_draws``: draw ``t`` returns
+    zero counts, or raises ``ValueError("trial t")`` when ``fails(t,
+    on_worker)``.  Each thread's first draw waits until the other thread
+    has taken one too, so both threads draw, whatever the scheduler does."""
+    caller, barrier, seen = threading.current_thread(), threading.Barrier(2), threading.local()
+
+    class Draw:
+        def __init__(self, t):
+            self.t = t
+
+        def multinomial(self, n0, table):
+            if not getattr(seen, "drawn", False):
+                seen.drawn = True
+                barrier.wait(timeout=60)
+            if fails(self.t, threading.current_thread() is not caller):
+                raise ValueError(f"trial {self.t}")
+            return np.zeros(table.shape, dtype=np.int64)
+
+    return [Draw(t) for t in range(20)]
+
+
+@pytest.mark.parametrize("share", ["worker", "both"])
+def test_a_failed_outcome_draw_raises_the_lowest_failing_trial(monkeypatch, share):
+    monkeypatch.setattr(measurement, "THREADED_DRAW_ROWS", 1)
+    raised = []
+
+    def fails(t, on_worker):
+        if on_worker or share == "both":
+            raised.append(t)
+            return True
+        return False
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        measurement._outcome_draws(np.full((2, 3), 1 / 3), 10, _draws_that_fail(fails))
+    assert threading.active_count() == threads
+    assert str(caught.value) == f"trial {min(raised)}"
+    # Each thread took one of the first two draws before either failed.
+    assert sorted(raised) == ([0, 1] if share == "both" else raised) and raised[0] in (0, 1)
+    assert len(raised) == (2 if share == "both" else 1)

@@ -19,7 +19,7 @@ REVISIONS = {"parent": "a" * 40, "change": "b" * 40, "change_dirty": True, "chan
              "change_src": "d" * 40}
 # Keys of the file, and of each pair's run and each summary entry in it.
 RECORD_KEYS = {"schema", "revisions", "environment", "workloads", "seeds", "seconds", "pairs",
-               "summary", "correct"}
+               "summary", "bounds", "claim", "correct"}
 RUN_KEYS = {"exit", "correct", "attempted", "failed", "metrics"}
 SUMMARY_KEYS = {"unit", "better", "pairs", "parent_median", "parent_iqr", "change_median",
                 "change_iqr", "change_wins", "ratio"}
@@ -70,6 +70,9 @@ def _assert_layout(record: dict, workloads: list, seeds: list) -> None:
         assert set(metrics) == {m["name"] for m in END_TO_END}
         assert all(set(e) == SUMMARY_KEYS and len(e["parent_iqr"]) == 2
                    for e in metrics.values())
+    assert record["bounds"].keys() == record["summary"].keys()
+    assert all(metrics.keys() == record["summary"][w].keys()
+               for w, metrics in record["bounds"].items())
     assert isinstance(record["correct"], bool)
 
 
@@ -125,3 +128,82 @@ def test_the_revisions_name_the_measured_tree(tmp_path):
     git("commit", "-q", "-m", "two")
     assert dirty["change_tree"] == git("rev-parse", "HEAD^{tree}")
     assert dirty["change_src"] == git("rev-parse", "HEAD:src") != clean["change_src"]
+
+
+def _claimed(parent, change, metric="trials_per_s") -> dict:
+    """The verdict on ``mc_d4/metric`` over pairs of (parent, change) values."""
+    values = {"trials_per_s": lambda v: {"trials_per_s": v},
+              "setup_s": lambda v: {"trials_per_s": 100.0, "setup_s": v}}[metric]
+    pairs = [{"workload": "mc_d4", "seed": k, "first": paired.SIDES[k % 2],
+              "parent": paired.parse_run(_stdout(**values(a)), 0)[0],
+              "change": paired.parse_run(_stdout(**values(b)), 0)[0]}
+             for k, (a, b) in enumerate(zip(parent, change))]
+    record = paired.make_record(REVISIONS, ENVIRONMENT, list(range(len(pairs))), 1.0, pairs,
+                                END_TO_END, claim=f"mc_d4/{metric}")
+    return record["claim"]
+
+
+# Quartiles 98.75 and 101.25 (statistics.quantiles' default method): a distance of 2.5.
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+
+@pytest.mark.parametrize("change, met", [
+    pytest.param([110.0] * 9 + [90.0], True, id="nine-of-ten"),
+    pytest.param([110.0] * 8 + [90.0, 90.0], False, id="eight-of-ten"),
+    pytest.param([110.0] * 9 + [101.0], True, id="a-tie-counts-for-neither"),
+    pytest.param([110.0] * 8 + [PARENT[8], PARENT[9]], False, id="two-ties-are-not-wins"),
+    pytest.param([p + 0.5 for p in PARENT], False, id="gain-inside-the-parent-spread"),
+])
+def test_the_claim_rule(change, met):
+    verdict = _claimed(PARENT, change)
+    assert verdict["met"] is met and verdict["pairs"] == 10
+    assert verdict["parent_iqr_width"] == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_a_claim_needs_ten_pairs(n):
+    verdict = _claimed(PARENT[:n], [200.0] * n)
+    assert verdict["change_wins"] == verdict["pairs"] == n and verdict["met"] is False
+
+
+def test_the_claim_reports_the_calibration_and_wall_clock_shifts():
+    pairs = [{"workload": "mc_d4", "seed": k, "first": paired.SIDES[k % 2],
+              "parent": {"metrics": {"trials_per_s": 100.0, "reference_ms_p50": 10.0,
+                                     "trials_per_s_wall": 50.0}},
+              "change": {"metrics": {"trials_per_s": 110.0, "reference_ms_p50": 11.0,
+                                     "trials_per_s_wall": 50.0 - k}}}
+             for k in range(11)]
+    verdict = paired.claim_verdict(paired.summarize(pairs, END_TO_END), "mc_d4/trials_per_s",
+                                   pairs)
+    assert verdict["reference_ratio"] == pytest.approx(1.1)
+    assert verdict["wall_ratio"] == pytest.approx(45.0 / 50.0)
+    assert _claimed(PARENT, PARENT)["reference_ratio"] is None  # the runs do not report it
+
+
+def test_the_claim_rule_reads_the_better_direction():
+    faster = [0.9 * v for v in PARENT]  # lower is better for setup_s
+    assert _claimed(PARENT, faster, "setup_s")["met"] is True
+    assert _claimed(faster, PARENT, "setup_s")["met"] is False
+    assert _claimed(PARENT, faster)["met"] is False  # higher is better for trials_per_s
+
+
+def test_each_other_metric_is_checked_against_its_bound():
+    pairs = [_pair("mc_d2", 1, 100.0, 80.0, setup_s=0.24, rss=60.0),
+             _pair("mc_d2", 2, 100.0, 70.0, setup_s=0.26, rss=56.0)]
+    record = paired.make_record(REVISIONS, ENVIRONMENT, [1, 2], 1.0, pairs, END_TO_END)
+    assert record["claim"] is None
+    checks = record["bounds"]["mc_d2"]
+    # medians against the parent's: trials_per_s 0.75 (bound 0.25), setup_s 1.25 (0.25),
+    # peak_rss_mb 1.16 (0.15)
+    assert {name: c["worse_than_bound"] for name, c in checks.items()} == {
+        "trials_per_s": False, "setup_s": False, "peak_rss_mb": True}
+    assert checks["trials_per_s"]["ratio"] == pytest.approx(0.75)
+
+
+def test_a_claim_outside_the_run_is_refused_before_anything_runs(tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    for claim in ("mc_d4/trials_per_s", "mc_d2/latency_ms_p50", "mc_d2"):
+        with pytest.raises(SystemExit) as exit_:
+            paired.main(["--workloads", "mc_d2", "--claim", claim, "--out", str(out)])
+        assert exit_.value.code == 2 and "names no workload run" in capsys.readouterr().err
+    assert not out.exists()

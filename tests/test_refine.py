@@ -33,7 +33,6 @@ from jointtomo import (
     load_sos_problem,
     povm_membership,
     preset,
-    random_density_matrix,
     refine_alternating,
     simulate_dataset,
     to_coords,
@@ -56,6 +55,8 @@ from jointtomo.refine import (
 )
 from jointtomo.serialize import result_to_json
 from jointtomo.sos import poly_eval
+
+from random_states import random_density_matrix
 
 
 def random_hermitian(rng, d):

@@ -11,9 +11,19 @@ S --trace 0`` runs once on each side, the side that goes first alternating
 from pair to pair.  The script prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side and the number of
 pairs the change wins, and writes every pair's metrics with that summary, the
-revisions, the seeds and the run environment to ``--out``.  It exits 1 when
-any run exits non-zero, is not ``correct`` or reports a failed trial, and 2
-when the parent revision cannot be exported.
+revisions, the seeds and the run environment to ``--out``.  For every workload
+and metric it also says whether the change's median is worse than the
+parent's by more than the metric's ``bound``.  With ``--claim WORKLOAD/METRIC``
+it prints and writes the verdict of the claim rule on that metric: there are
+at least ten pairs, the change wins at least nine tenths of them, ties
+counting for neither, and its median is better than the parent's, in the
+metric's ``better`` direction, by more than the distance between the parent's
+quartiles.  Beside the verdict it reports the change-over-parent ratio of the
+medians of the calibration kernel's time and of the uncalibrated throughput,
+so that a calibrated gain the calibration's own shift matches shows.  It exits 1 when any
+run exits non-zero, is not ``correct`` or reports a failed trial, and 2 when
+the parent revision cannot be exported or the claim names no workload run and
+end-to-end metric.
 """
 
 import argparse
@@ -31,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = 1
 SIDES = ("parent", "change")
+# The fewest pairs on which a claim can be met.
+MIN_CLAIM_PAIRS = 10
 
 
 def _seeds(text: str) -> list:
@@ -133,13 +145,72 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return summary
 
 
+def _median_ratio(pairs: list, workload: str, name: str):
+    """The change's median of the figure ``name`` on ``workload`` over the
+    parent's, from the pairs that report it on both sides; None without any,
+    or where the parent's median is zero."""
+    got = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
+           for p in pairs if p["workload"] == workload]
+    got = [(a, b) for a, b in got if a is not None and b is not None]
+    if not got:
+        return None
+    med = statistics.median(a for a, _ in got)
+    return statistics.median(b for _, b in got) / med if med else None
+
+
+def claim_verdict(summary: dict, claim: str, pairs: list = ()) -> dict:
+    """The claim rule on ``claim``, ``"WORKLOAD/METRIC"``: met when there are
+    at least ``MIN_CLAIM_PAIRS`` pairs, the change wins at least nine tenths
+    of them (``change_wins`` counts strict wins only, so a tie counts for
+    neither side) and its median beats the parent's, in the metric's better
+    direction, by more than the parent's quartile distance.  Beside it, the
+    ratios of the medians (change over parent) of the calibration kernel's
+    time and of the uncalibrated throughput on the workload, from ``pairs``:
+    a calibrated gain that the calibration's own shift matches is not a
+    gain of the program."""
+    workload, metric = claim.split("/")
+    e = summary.get(workload, {}).get(metric)
+    if e is None:
+        return {"claim": claim, "pairs": 0, "met": False}
+    q1, q3 = e["parent_iqr"]
+    gain = e["change_median"] - e["parent_median"]
+    gain = gain if e["better"] == "higher" else -gain
+    return {"claim": claim, "pairs": e["pairs"], "change_wins": e["change_wins"],
+            "median_gain": gain, "parent_iqr_width": q3 - q1,
+            "met": (e["pairs"] >= MIN_CLAIM_PAIRS and 10 * e["change_wins"] >= 9 * e["pairs"]
+                    and gain > q3 - q1),
+            "reference_ratio": _median_ratio(pairs, workload, "reference_ms_p50"),
+            "wall_ratio": _median_ratio(pairs, workload, "trials_per_s_wall")}
+
+
+def bound_checks(summary: dict, end_to_end: list) -> dict:
+    """Per workload and end-to-end metric: the ratio of the medians and
+    whether the change's median is worse than the parent's by more than the
+    metric's ``bound`` (a fraction of the parent's median); None where the
+    parent's median is zero."""
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
+    checks = {}
+    for workload, metrics in summary.items():
+        checks[workload] = {}
+        for name, e in metrics.items():
+            ratio, bound = e["ratio"], bounds[name]
+            worse = None if ratio is None else (
+                ratio < 1 - bound if e["better"] == "higher" else ratio > 1 + bound)
+            checks[workload][name] = {"ratio": ratio, "bound": bound, "worse_than_bound": worse}
+    return checks
+
+
 def make_record(revisions: dict, environment: dict, seeds: list, seconds: float,
-                pairs: list, end_to_end: list) -> dict:
-    """The file's content: every pair as run, and their summary."""
+                pairs: list, end_to_end: list, claim: str = None) -> dict:
+    """The file's content: every pair as run, their summary, the bound
+    checks and, with a ``claim``, its verdict (else None)."""
+    summary = summarize(pairs, end_to_end)
     return {
         "schema": SCHEMA, "revisions": revisions, "environment": environment,
         "workloads": list(dict.fromkeys(p["workload"] for p in pairs)), "seeds": seeds,
-        "seconds": seconds, "pairs": pairs, "summary": summarize(pairs, end_to_end),
+        "seconds": seconds, "pairs": pairs, "summary": summary,
+        "bounds": bound_checks(summary, end_to_end),
+        "claim": None if claim is None else claim_verdict(summary, claim, pairs),
         "correct": all(p[side]["correct"] and p[side]["failed"] == 0
                        for p in pairs for side in SIDES),
     }
@@ -157,6 +228,28 @@ def _print_summary(summary: dict) -> None:
                   f"{e['change_wins']:>3}/{e['pairs']}")
 
 
+def _print_verdicts(record: dict) -> None:
+    for workload, metrics in record["bounds"].items():
+        for name, check in metrics.items():
+            verdict = {None: "not judged (parent median 0)", True: "WORSE than its bound",
+                       False: "within its bound"}[check["worse_than_bound"]]
+            print(f"{workload}/{name}: change median {verdict} ({check['bound']:.0%})")
+    claim = record["claim"]
+    if claim is None:
+        return
+    if not claim["pairs"]:
+        print(f"claim {claim['claim']}: NOT MET (no pair measured it)")
+        return
+    print(f"claim {claim['claim']}: {'MET' if claim['met'] else 'NOT MET'} "
+          f"(change wins {claim['change_wins']}/{claim['pairs']}, at least "
+          f"{MIN_CLAIM_PAIRS} pairs needed; median gain {claim['median_gain']:.5g} against a "
+          f"parent quartile distance of {claim['parent_iqr_width']:.5g})")
+    for key, what in (("reference_ratio", "calibration kernel time (reference_ms_p50)"),
+                      ("wall_ratio", "uncalibrated throughput (trials_per_s_wall)")):
+        if claim[key] is not None:
+            print(f"  change/parent median of the {what}: {claim[key]:.3f}")
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -165,8 +258,14 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="1", help="a range and list, like 201-210 or 1,4")
     p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--out", type=Path, required=True, help="the JSON file to write")
+    p.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                   help="judge this end-to-end metric of a workload run by the claim rule")
     args = p.parse_args(argv)
     seeds, workloads = _seeds(args.seeds), args.workloads.split(",")
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in workloads or metric not in {m["name"] for m in spec["end_to_end"]}:
+            p.error(f"--claim {args.claim!r} names no workload run and end-to-end metric")
     pairs, environment = [], {}
     with tempfile.TemporaryDirectory(prefix="paired-parent-") as tmp:
         try:
@@ -194,9 +293,11 @@ def main(argv=None) -> int:
                 f"{side} trials_per_s {pair[side]['metrics'].get('trials_per_s')}"
                 for side in SIDES), flush=True)
             pairs.append(pair)
-    record = make_record(revs, environment, seeds, args.seconds, pairs, spec["end_to_end"])
+    record = make_record(revs, environment, seeds, args.seconds, pairs, spec["end_to_end"],
+                         args.claim)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     _print_summary(record["summary"])
+    _print_verdicts(record)
     return 0 if record["correct"] else 1
 
 

@@ -26,7 +26,7 @@ this package assumes that convention.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,18 +103,6 @@ class OperatorBasis:
     @property
     def n_traceless(self) -> int:
         return self.d * self.d - 1
-
-    @cached_property
-    def _real_embedding(self) -> np.ndarray:
-        """Each element's real embedding ``[[Re O, -Im O], [Im O, Re O]]``, as
-        a read-only ``(d^2, 2d, 2d)`` array, formed on first use.  The map is
-        linear, so ``sum_k f_k Omega_k`` embeds as ``f`` times this array; a
-        Hermitian matrix is positive semidefinite exactly when its embedding,
-        a real symmetric matrix with each eigenvalue doubled, is."""
-        re, im = self.omegas.real, self.omegas.imag
-        embedding = np.block([[re, -im], [im, re]])
-        embedding.setflags(write=False)
-        return embedding
 
 
 def build_basis(d: int) -> OperatorBasis:

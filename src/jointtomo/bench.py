@@ -35,7 +35,7 @@ from .channels import (
     make_named_channel,
     pauli,
 )
-from .errors import DegeneracyError, ValidationError, _path, _record, _whole
+from .errors import DegeneracyError, ValidationError, _items, _path, _record, _whole
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -263,7 +263,7 @@ def _mse_row(n_total: int, *errs) -> MseRow:
 def _shot_grid(n0_grid) -> list:
     """The shot grid as a list of ints, refused unless it is non-empty,
     strictly increasing and made of whole shot counts >= 1."""
-    grid = [_whole(v, "shot count", 1) for v in n0_grid]
+    grid = [_whole(v, "shot count", 1) for v in _items(n0_grid, "the shot grid")]
     if not grid:
         raise ValidationError("the shot grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -437,7 +437,7 @@ def fit_loglog_slope(table: MseTable, column: str = "mse_state"):
     """Ordinary least squares of log(mse) on log(N); returns (slope, intercept, r2).
     A ``table`` that is not an MseTable is refused by name."""
     _record(table, MseTable, "table")
-    if column not in ("mse_state", "mse_povm"):
+    if not isinstance(column, str) or column not in ("mse_state", "mse_povm"):
         raise ValidationError(f"column must be mse_state or mse_povm, got {column!r}")
     if len(table.rows) < 3:
         raise ValidationError("need at least 3 rows to fit a slope")

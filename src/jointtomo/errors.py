@@ -2,13 +2,15 @@
 
 Every whole-number or real-number input of the package is read by
 ``_whole`` or ``_real``, every seed by ``_rng``, every array by ``_array``,
-every record argument by ``_record`` and every file path by ``_path``, so
-one place decides what a valid scalar, seed, array, record or path is and
-how its refusal reads.  A matrix whose sums, squares or powers are formed
-from unchecked magnitudes is also read by ``_bounded``, the one magnitude
-rule.  A record whose fields were checked already is made by ``_new``,
-without checking them again.  Whether a matrix is Hermitian is decided by
-one rule too, ``basis._skewed``, next to the coordinate map that needs it.
+every record argument by ``_record``, every file path by ``_path``, a
+sequence of shot counts or seeds by ``_items`` and a bool flag by
+``_flag``, so one place decides what a valid scalar, seed, array, record,
+path, sequence or flag is and how its refusal reads.  A matrix whose sums,
+squares or powers are formed from unchecked magnitudes is also read by
+``_bounded``, the one magnitude rule.  A record whose fields were checked
+already is made by ``_new``, without checking them again.  Whether a matrix
+is Hermitian is decided by one rule too, ``basis._skewed``, next to the
+coordinate map that needs it.
 """
 
 import os
@@ -70,6 +72,14 @@ def _real(value, what: str) -> float:
     return float(x)
 
 
+def _flag(value, what: str) -> bool:
+    """``value`` as a bool, refused by name unless it is a Python or numpy
+    bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a bool, got {type(value).__name__}")
+    return bool(value)
+
+
 def _record(value, cls, what: str):
     """``value`` itself, refused by name unless it is an instance of ``cls``,
     a class or a tuple of classes."""
@@ -78,6 +88,14 @@ def _record(value, cls, what: str):
                  for c in (cls if isinstance(cls, tuple) else (cls,))]
         raise ValidationError(f"{what} must be {' or '.join(names)}, got {type(value).__name__}")
     return value
+
+
+def _items(value, what: str) -> list:
+    """``list(value)``, refused by name unless ``value`` is iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {type(value).__name__}") from None
 
 
 def _path(value):

@@ -117,7 +117,7 @@ class Stage1Config:
     reg_scale: float = None
 
     def __post_init__(self):
-        if self.method not in STAGE1_METHODS:
+        if not isinstance(self.method, str) or self.method not in STAGE1_METHODS:
             raise ValidationError(f"method must be one of {STAGE1_METHODS}, got {self.method!r}")
         if self.reg_scale is not None and _real(self.reg_scale, "regularization scale") < 0:
             raise ValidationError(f"regularization scale must be >= 0, got {self.reg_scale}")
@@ -472,8 +472,9 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
     factor whose anchor coordinate is at most ``ANCHOR_RTOL`` times its norm
     is refused, as is a zero ``x01_bar``; ``anchor`` must index the factor's
     coordinates.  A stacked factorization is rescaled factor by factor, with
-    ``x01_bar`` broadcast against its leading axes; the stack is refused if
-    any factor is (the error's ``refused`` mask says which).
+    ``x01_bar`` broadcast against its leading axes (refused if it does not);
+    the stack is refused if any factor is (the error's ``refused`` mask says
+    which).
     """
     if not isinstance(fac, KroneckerFactorization):
         raise ValidationError(f"need a KroneckerFactorization, got {type(fac).__name__}")
@@ -484,7 +485,12 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
             f"anchor must index the factor's {left.shape[-1]} coordinates, got {anchor}")
     pivot = left[..., anchor]
     small = np.abs(pivot) <= ANCHOR_RTOL * np.linalg.norm(left, axis=-1)
-    x01_bar = np.broadcast_to(_array(x01_bar, "x01_bar", dtype=float), pivot.shape)
+    x01_bar = _array(x01_bar, "x01_bar", dtype=float)
+    try:
+        x01_bar = np.broadcast_to(x01_bar, pivot.shape)
+    except ValueError:
+        raise ValidationError(f"x01_bar of shape {x01_bar.shape} does not broadcast against "
+                              f"the factors' leading axes {pivot.shape}") from None
     zero = x01_bar == 0.0
     if np.any(small):
         raise DegeneracyError(
@@ -530,16 +536,16 @@ def combine_state_estimates(candidates) -> np.ndarray:
     return candidates.mean(axis=0)
 
 
-def _project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of real vectors onto the simplex of sum ``total``,
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of real vectors onto the probability simplex,
     one vector along the last axis of ``v``.
 
     With ``u`` sorted in descending order, the threshold is the largest of
-    ``(u_1 + .. + u_k - total) / k`` over k; it is attained at the last k
+    ``(u_1 + .. + u_k - 1) / k`` over k; it is attained at the last k
     whose ``u_k`` exceeds it.
     """
     u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - total
+    css = np.cumsum(u, axis=-1) - 1.0
     tau = (css / np.arange(1, u.shape[-1] + 1)).max(axis=-1, keepdims=True)
     return np.maximum(v - tau, 0.0)
 

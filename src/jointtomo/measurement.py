@@ -51,7 +51,8 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import ValidationError, _array, _bounded, _new, _record, _rng, _whole
+from .errors import (ValidationError, _array, _bounded, _flag, _items, _new, _record, _rng,
+                     _whole)
 
 # A state or detector element is refused with an eigenvalue below -PSD_TOL,
 # and a state with a trace further than PSD_TOL from 1.
@@ -625,9 +626,9 @@ def simulate_dataset(
 
     ``scale_observable`` selects which basis operator Omega_k is measured on
     the input state to pin the reconstruction scale; its eigenbasis statistics
-    are sampled with ``n0`` shots like every other configuration.  ``exact``
-    bypasses all sampling and records the ideal values (a simulation switch
-    for pipeline-exactness checks, not a physical claim).  The statistics
+    are sampled with ``n0`` shots like every other configuration.  ``exact``,
+    a bool, bypasses all sampling and records the ideal values (a simulation
+    switch for pipeline-exactness checks, not a physical claim).  The statistics
     are the record ``ideal_statistics`` keeps for these inputs, computed on
     the first call.  Each draw is one multinomial per table of that record,
     whose probabilities were checked when it was made, and a binomial for
@@ -636,6 +637,7 @@ def simulate_dataset(
     then the calibrations' draws (``_calibration_draws``).
     """
     n0 = _whole(n0, "shot count", 1)
+    exact = _flag(exact, "exact")
     ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
     rng = _rng(seed)
     y_hat = (ideal.probabilities.copy() if exact
@@ -656,7 +658,8 @@ def simulate_datasets(
     exact: bool = False,
     basis: OperatorBasis = None,
 ) -> DatasetStack:
-    """One simulated dataset per seed of ``seeds``, as one ``DatasetStack``.
+    """One simulated dataset per seed of the iterable ``seeds``, as one
+    ``DatasetStack``.
 
     Member ``t`` is the dataset ``simulate_dataset`` draws from
     ``seeds[t]``, bit for bit: each seed is read as ``simulate_dataset``
@@ -668,8 +671,9 @@ def simulate_datasets(
     again.
     """
     n0 = _whole(n0, "shot count", 1)
+    exact = _flag(exact, "exact")
     ideal = ideal_statistics(ens, truth_state, truth_povm, scale_observable, basis)
-    rngs = [_rng(seed) for seed in seeds]
+    rngs = [_rng(seed) for seed in _items(seeds, "seeds")]
     if not rngs:
         raise ValidationError("a stack needs at least one dataset")
     if len({id(rng.bit_generator) for rng in rngs}) < len(rngs):

@@ -39,23 +39,20 @@ lam_max``, and its lower-left block is ``L^-T`` for ``G = L L^T``, which
 gives the solution by two products (``_min_norm_solve``).
 
 Each block is then projected onto its physical set only if it fails a
-positivity gate, run on coordinates.  First an inscribed ball: a Hermitian
+positivity gate.  First an inscribed ball, on coordinates: a Hermitian
 d x d matrix with trace coordinate ``r_0 > 0`` and coordinate row ``r`` is
 positive semidefinite when ``||r||^2 <= r_0^2 d / (d - 1)``; a block whose
-rows all lie in their balls passes.  Otherwise a Hermitian ``A`` is
-positive semidefinite exactly when its real embedding
-``[[Re A, -Im A], [Im A, Re A]]`` is, and that embedding is the block's
-coordinate row times the basis's embedded elements
-(``OperatorBasis._real_embedding``); one stacked Cholesky of the block's
-embeddings decides.  Cholesky succeeds on a matrix whose smallest eigenvalue
-is above roundoff and fails on one with an eigenvalue below minus roundoff;
-a block that is positive semidefinite but singular to roundoff may go either
-way.  Either way is the same map up to roundoff: projecting a point of a
-convex set returns that point, so a block kept as solved and the projection
-of a block that was already inside differ only by the projection's
-roundoff.  The projection works on the embeddings the gate formed: one real
-``eigh``, whose eigenvalues come in pairs, the estimator's spectral map
-(clip, or simplex), and one product back to coordinates.
+rows all lie in their balls passes.  Otherwise the block becomes its complex
+matrices (``_from_coords``), and one stacked Cholesky decides.  Cholesky
+succeeds on a matrix whose smallest eigenvalue is above roundoff and fails
+on one with an eigenvalue below minus roundoff; a block that is positive
+semidefinite but singular to roundoff may go either way.  Either way is the
+same map up to roundoff: projecting a point of a convex set returns that
+point, so a block kept as solved and the projection of a block that was
+already inside differ only by the projection's roundoff.  A block that fails
+is projected by the closed form's own stacked kernels, on the matrices the
+gate formed: ``_nearest_density`` for the state, ``_clip_negative`` for all
+M detector elements; ``_to_coords`` reads it back.
 
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
@@ -93,15 +90,16 @@ import math
 
 import numpy as np
 
-from .basis import OperatorBasis, _to_coords, coherence_to_state
+from .basis import OperatorBasis, _from_coords, _to_coords, coherence_to_state
 from .channels import _packing, factor_design
 from .errors import ValidationError, _bounded, _real, _record, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
+    _clip_negative,
     _corrected,
     _elements_from_coords,
+    _nearest_density,
     _one_stack,
-    _project_simplex,
     _stage,
     _targets_v1,
     correct_state,
@@ -209,26 +207,25 @@ def _detector_normal_equations(detector_moments: np.ndarray, b_centred: np.ndarr
     return gram, (x @ b_centred).reshape(len(x), -1)
 
 
-def _outside(rows: np.ndarray, ball: list, embedding: np.ndarray):
+def _outside(rows: np.ndarray, ball: list, basis: OperatorBasis):
     """The positivity gate a projected block must fail: ``None`` if the
     Hermitian matrices with coordinate rows ``rows`` (``d^2`` each, the
     trace coordinate first) are all finite and positive definite to
-    roundoff, otherwise their real embeddings, ``(k, 2d, 2d)``.
+    roundoff, otherwise those matrices, ``(k, d, d)``.
 
     A block whose rows all lie in their inscribed balls (``_in_ball``)
-    passes at once.  Otherwise the embeddings, one product with the basis's
-    flattened ``_real_embedding`` (``d^2 x 4d^2``), take one stacked
-    Cholesky.  Cholesky is backward stable: it succeeds on a matrix whose
-    smallest eigenvalue lies above roundoff, a small multiple of ``eps``
-    times its norm, and fails on one whose smallest eigenvalue lies below
-    minus that; on a matrix that is positive semidefinite and singular to
-    roundoff it may go either way.  Matrices that all factor are checked
-    for a non-finite entry last, since LAPACK may factor through a NaN.
+    passes at once.  Otherwise its matrices (``_from_coords``) take one
+    stacked Cholesky.  Cholesky is backward stable: it succeeds on a matrix
+    whose smallest eigenvalue lies above roundoff, a small multiple of
+    ``eps`` times its norm, and fails on one whose smallest eigenvalue lies
+    below minus that; on a matrix that is positive semidefinite and
+    singular to roundoff it may go either way.  Matrices that all factor
+    are checked for a non-finite entry last, since LAPACK may factor
+    through a NaN.
     """
     if _in_ball(rows, ball):
         return None
-    k = math.isqrt(embedding.shape[1])
-    mats = (rows @ embedding).reshape(len(rows), k, k)
+    mats = _from_coords(rows, basis)
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -251,35 +248,6 @@ def _ball(trace_coords, d: int) -> list:
     A non-positive ``r_0`` gets ``-1``, which no row meets."""
     return [r0 * r0 * d / (d - 1) if r0 > 0.0 else -1.0
             for r0 in np.asarray(trace_coords).tolist()]
-
-
-def _projected(mats: np.ndarray, embedding: np.ndarray, spectrum) -> np.ndarray:
-    """The coordinates (``d^2`` per matrix) of the Hermitian matrices whose
-    real embeddings are ``mats`` (``(k, 2d, 2d)``), after ``spectrum`` maps
-    each one's eigenvalues.
-
-    One real ``eigh`` of the embeddings: each eigenvalue of a matrix appears
-    twice in its embedding, and any function of the eigenvalues, taken on the
-    embedding, is the embedding of that function of the matrix.  A
-    coordinate ``Tr(Omega_k A)`` is half the entrywise product of the
-    embeddings of ``Omega_k`` and ``A``, so the coordinates are one product
-    with ``embedding`` (the basis's flattened ``_real_embedding``), halved.
-    """
-    vals, vecs = np.linalg.eigh(mats)
-    mapped = (vecs * spectrum(vals)[:, None, :]) @ vecs.swapaxes(-1, -2)
-    return mapped.reshape(len(mats), -1) @ embedding.T / 2.0
-
-
-def _clipped(vals: np.ndarray) -> np.ndarray:
-    """Negative eigenvalues clipped to zero: ``_clip_negative``'s spectrum."""
-    return np.maximum(vals, 0.0)
-
-
-def _on_simplex(vals: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a unit-trace embedding (each doubled, summing to 2)
-    projected onto their simplex: ``_nearest_density``'s spectrum.  Doubling
-    every value and the total leaves the simplex threshold unchanged."""
-    return _project_simplex(vals, 2.0)
 
 
 def refine_alternating(
@@ -335,11 +303,10 @@ def refine_alternating(
     objective stays in residual form, on the design's rows rotated by its
     left singular vectors.  Each block then passes a positivity gate: the
     ball inscribed in the positive cone, then one stacked Cholesky
-    factorization of its matrices' real embeddings, formed from its
-    coordinates; a block that is singular to roundoff may fail it, and its
-    projection then returns it up to roundoff.  The projections run only on
-    a block that fails the gate, on the embeddings the gate formed: every
-    detector element's negative eigenvalues are clipped
+    factorization of its matrices; a block that is singular to roundoff may
+    fail it, and its projection then returns it up to roundoff.  The
+    projections run only on a block that fails the gate, on the matrices the
+    gate formed: every detector element's negative eigenvalues are clipped
     (``correct_povm``'s clip, without its renormalization), and the state
     goes to the nearest density matrix (``correct_state``'s projection,
     without re-validating a matrix it has just built).  The returned rough
@@ -381,14 +348,13 @@ def refine_alternating(
     y_rotated = design.u.T @ y
     y_off = float(np.linalg.norm(y - design.u @ y_rotated) ** 2)
     # Each block's coordinate rows for its positivity gate, with the trace
-    # column filled in once (the state's 1/sqrt(d), the detector's c_j0), the
-    # inscribed ball's squared radii, and the basis's flattened embeddings.
+    # column filled in once (the state's 1/sqrt(d), the detector's c_j0), and
+    # the inscribed ball's squared radii.
     x_row = np.empty((1, n + 1))
     x_row[0, 0] = 1.0 / math.sqrt(d)
     c_rows = np.empty((m, n + 1))
     c_rows[:, 0] = ds.c_j0_hat
     x_ball, c_ball = _ball(x_row[:, 0], d), _ball(c_rows[:, 0], d)
-    embedding = basis._real_embedding.reshape(d * d, -1)
 
     def objective(x, c):
         """The objective at ``(x, C)``, from the rotated rows."""
@@ -399,8 +365,8 @@ def refine_alternating(
         """``x``, its anchor pinned in place, projected if it fails the gate."""
         x[anchor] = ds.x01_bar
         x_row[0, 1:] = x
-        mats = _outside(x_row, x_ball, embedding)
-        return x if mats is None else _projected(mats, embedding, _on_simplex)[0, 1:]
+        mats = _outside(x_row, x_ball, basis)
+        return x if mats is None else _to_coords(_nearest_density(mats), basis)[0, 1:]
 
     def sweep(x):
         """One sweep from the state ``x``: the new pair and its objective."""
@@ -409,9 +375,9 @@ def refine_alternating(
         # gate, every element's eigenvalues are clipped.
         c_new = _min_norm_solve(*_detector_normal_equations(detector_moments, b_centred, x), l)
         c_rows[:, 1:] = c_new.T
-        mats = _outside(c_rows, c_ball, embedding)
+        mats = _outside(c_rows, c_ball, basis)
         if mats is not None:
-            c_new = _projected(mats, embedding, _clipped)[:, 1:].T
+            c_new = _to_coords(_clip_negative(mats), basis)[:, 1:].T
 
         # State block: the (M L) x n system of all outcomes from the moments,
         # anchor pinned; projected if the state fails the gate.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign
-from .errors import ValidationError, _array, _bounded, _path, _real, _record
+from .errors import ValidationError, _array, _bounded, _flag, _path, _real, _record
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -352,7 +352,7 @@ def export_sos_problem(
     the generalized-unital processes its model needs, and the program
     expands the objective over the state and detector coordinates with
     completeness and anchor equalities plus the semialgebraic positivity
-    inequalities.  With ``pure=True`` it is the ``L x d^4``
+    inequalities.  With ``pure=True`` (a bool) it is the ``L x d^4``
     natural-basis matrix ``b_natural``, and the program is written over the
     real and imaginary amplitudes of a unit state vector plus full detector
     coordinates, regressing the raw frequencies; the state positivity
@@ -362,6 +362,7 @@ def export_sos_problem(
     impractical for this exporter.
     """
     d = _record(basis, OperatorBasis, "basis").d
+    pure = _flag(pure, "pure")
     if d > 3:
         raise ValidationError(f"polynomial export supports d <= 3, got d={d}")
     stack = _one_stack(ds)

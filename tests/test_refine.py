@@ -40,17 +40,13 @@ from jointtomo import (
 )
 from jointtomo.basis import _from_coords, _to_coords
 from jointtomo.channels import FactoredDesign
-from jointtomo.estimator import _clip_negative, _nearest_density
 from jointtomo.refine import (
     _ball,
-    _clipped,
     _detector_normal_equations,
     _in_ball,
     _min_norm_solve,
-    _on_simplex,
     _outside,
     _packing,
-    _projected,
     _state_normal_equations,
 )
 from jointtomo.serialize import result_to_json
@@ -609,7 +605,7 @@ def _gate(a, basis, ball):
     pre-gate or without it (every ball radius negative)."""
     rows = _to_coords(a, basis).reshape(-1, basis.d ** 2)
     radii = _ball(rows[:, 0], basis.d) if ball else [-1.0] * len(rows)
-    return _outside(rows, radii, basis._real_embedding.reshape(len(basis.omegas), -1)) is None
+    return _outside(rows, radii, basis) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -691,43 +687,6 @@ def test_ball_pre_gate_admits_the_inscribed_ball():
         assert not _in_ball(0.0 * rows, _ball(0.0 * rows[:, 0], d))
 
 
-@st.composite
-def _hermitian_spectra(draw):
-    """``(d, A)``: a stack of 1 to 3 Hermitian d x d matrices of norm about 1,
-    d in {2, 3, 4}, each with eigenvalues drawn from a set of two values
-    (so that some are degenerate) or drawn freely, of either sign."""
-    d = draw(st.sampled_from([2, 3, 4]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    mats = []
-    for _ in range(draw(st.integers(1, 3))):
-        vals = (rng.choice(rng.normal(size=2), size=d) if rng.random() < 0.5
-                else rng.normal(size=d))
-        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-        a = (q * vals) @ q.conj().T
-        mats.append((a + a.conj().T) / 2.0)
-    return d, np.stack(mats)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_hermitian_spectra())
-def test_embedding_projections_are_the_estimators_projections(case):
-    """The projections taken on the real embedding give the coordinates of
-    the estimator's complex kernels to 1e-13: the eigenvalue clip of
-    ``_clip_negative``, and, on unit-trace matrices, ``_nearest_density``."""
-    d, a = case
-    basis = build_basis(d)
-    embedding = basis._real_embedding.reshape(d * d, -1)
-
-    def embedded(mats):
-        return (_to_coords(mats, basis) @ embedding).reshape(len(mats), 2 * d, 2 * d)
-
-    clipped = _projected(embedded(a), embedding, _clipped)
-    assert np.max(np.abs(clipped - _to_coords(_clip_negative(a), basis))) <= 1e-13
-    unit = a + ((1.0 - np.trace(a, axis1=-2, axis2=-1).real) / d)[:, None, None] * np.eye(d)
-    nearest = _projected(embedded(unit), embedding, _on_simplex)
-    assert np.max(np.abs(nearest - _to_coords(_nearest_density(unit), basis))) <= 1e-13
-
-
 def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
     """Each sweep's detector and state blocks are recorded as the positivity
     gate sees them; the clip and the density projection must see exactly the
@@ -739,42 +698,83 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
                           scale_observable=sc.anchor_index, basis=sc.basis)
     init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
-    gated, seen = [], {_clipped: [], _on_simplex: []}
+    gated, seen = [], {"_clip_negative": [], "_nearest_density": []}
 
-    def recorded_gate(rows, ball, embedding, gate=refine._outside):
-        outside = gate(rows, ball, embedding)
+    def recorded_gate(rows, ball, basis, gate=refine._outside):
+        outside = gate(rows, ball, basis)
         # the sweep rewrites its coordinate rows in place: keep a copy
         gated.append((_from_coords(rows.copy(), sc.basis), outside))
         return outside
 
-    def recorded_projection(mats, embedding, spectrum, project=refine._projected):
-        seen[spectrum].append(mats)
-        return project(mats, embedding, spectrum)
+    def recorded(name):
+        project = getattr(refine, name)
+
+        def projection(mats):
+            seen[name].append(mats)
+            return project(mats)
+        return projection
 
     monkeypatch.setattr(refine, "_outside", recorded_gate)
-    monkeypatch.setattr(refine, "_projected", recorded_projection)
+    for name in seen:
+        monkeypatch.setattr(refine, name, recorded(name))
     refine_alternating(ds, b, sc.basis, init)
     # The detector's blocks are its M = 3 elements, the state's one matrix.
-    for count, spectrum in ((3, _clipped), (1, _on_simplex)):
+    for count, name in ((3, "_clip_negative"), (1, "_nearest_density")):
         blocks = [(p, outside) for p, outside in gated if len(p) == count]
         outside = [mats for _, mats in blocks if mats is not None]
         # This draw has sweeps of every kind, so a gate that always or never
         # projects, or projects the wrong blocks, is caught.
         assert 0 < len(outside) < len(blocks)
-        assert len(seen[spectrum]) == len(outside) and all(
-            a is e for a, e in zip(seen[spectrum], outside))
+        assert len(seen[name]) == len(outside) and all(
+            a is e for a, e in zip(seen[name], outside))
         for p, mats in blocks:
             inside = mats is None
             if not inside:
-                # the gate hands the projection the block's real embeddings
-                embedding = sc.basis._real_embedding.reshape(len(sc.basis.omegas), -1)
-                expected = (_to_coords(p, sc.basis) @ embedding).reshape(mats.shape)
-                assert np.allclose(mats, expected, rtol=0.0, atol=1e-12)
+                # the gate hands the projection the block's matrices
+                assert np.allclose(mats, p, rtol=0.0, atol=1e-12)
             smallest = (np.linalg.eigvalsh(p)[:, 0] / np.linalg.norm(p, axis=(-2, -1))).min()
             if smallest < 0.0:
                 assert not inside
             elif smallest > 1e-12:
                 assert inside
+
+
+@pytest.mark.parametrize("name", ["one_qubit_closed_incomplete",
+                                  "two_qubit_mixed_unitary_incomplete"])
+def test_permuting_processes_or_outcomes_moves_the_refinement_alike(monkeypatch, name):
+    """Reordering the processes (rows of ``b`` and of the dataset), or the
+    outcomes (``y_hat``'s columns, ``c_j0_hat`` and the starting detector's
+    elements), leaves the refined state and, put back in order, the refined
+    detector as they were.  The largest entry difference measured on these
+    draws is 3.0e-13 (``one_qubit_closed_incomplete``, n0 = 100, seed 1);
+    the bound is 1e-12.  Each preset's draws project some of their sweeps,
+    so the gate and both projections run."""
+    import jointtomo.refine as refine
+    projected = []
+    for kernel in ("_clip_negative", "_nearest_density"):
+        project = getattr(refine, kernel)
+        monkeypatch.setattr(refine, kernel,
+                            lambda mats, project=project: projected.append(1) or project(mats))
+    sc = preset(name)
+    b = build_regression_matrices(sc.ensemble, sc.basis).b
+    processes = np.random.default_rng(5).permutation(len(sc.ensemble))
+    outcomes = np.roll(np.arange(sc.truth_povm.m), 1)
+    back = np.argsort(outcomes)
+    for n0 in (100, 1000):
+        for seed in range(1, 5):
+            ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=seed,
+                                  scale_observable=sc.anchor_index, basis=sc.basis)
+            init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
+            base = refine_alternating(ds, b, sc.basis, init)
+            moved = refine_alternating(ds.subset(processes), b[processes], sc.basis, init)
+            relabelled = refine_alternating(
+                replace(ds, y_hat=ds.y_hat[:, outcomes], c_j0_hat=ds.c_j0_hat[outcomes]), b,
+                sc.basis, replace(init, povm_hat=Povm(sc.d, init.povm_hat.elements[outcomes])))
+            for got, elements in ((moved, moved.povm_hat.elements),
+                                  (relabelled, relabelled.povm_hat.elements[back])):
+                assert np.abs(got.rho_hat.rho - base.rho_hat.rho).max() <= 1e-12
+                assert np.abs(elements - base.povm_hat.elements).max() <= 1e-12
+    assert projected
 
 
 def test_refine_makes_no_least_squares_call(monkeypatch):

@@ -8,7 +8,8 @@ of the mean, and fits the log-log slope against the total number of input
 copies.
 
 The trial loop works on blocks of trials as arrays: each block is one
-``DatasetStack``, checked once, estimated as one stack per case, and scored
+``DatasetStack`` of datasets drawn from checked tables, so not checked
+again, estimated as one stack per case, and scored
 from the stacked estimates; a failure is counted from the stack's
 ``refused`` mask, and no dataset is estimated a second time.  A block of an
 ensemble of at least ``measurement.THREADED_DRAW_ROWS`` processes is drawn
@@ -35,7 +36,7 @@ from .channels import (
     make_named_channel,
     pauli,
 )
-from .errors import DegeneracyError, ValidationError, _items, _path, _record, _whole
+from .errors import DegeneracyError, ValidationError, _items, _new, _path, _record, _whole
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -49,6 +50,7 @@ from .measurement import (
     DensityMatrix,
     Povm,
     _process_indices,
+    _stack_fields,
     simulate_dataset,
     simulate_datasets,
 )
@@ -307,10 +309,11 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
     process, on the calling thread and one worker joined before it returns;
     those multinomials release the GIL, so the two threads overlap them.
     A smaller block keeps one ``simulate_dataset`` call per trial, stacked
-    and checked once (``DatasetStack.of``): there a draw is too short to pay
-    for a thread (the README's crossover table), and the benchmark's
-    per-layer trace reads that loop as one ``simulate_dataset`` call per
-    trial.  Either way member ``t`` is the
+    as ``DatasetStack.of`` stacks them but not checked again, since each
+    was drawn from checked tables, as ``simulate_datasets``' are: there a
+    draw is too short to pay for a thread (the README's crossover table),
+    and the benchmark's per-layer trace reads that loop as one
+    ``simulate_dataset`` call per trial.  Either way member ``t`` is the
     dataset ``simulate_dataset`` draws from trial ``t``'s stream, bit for
     bit.
     Each case estimates the block as one stack and scores the stacked
@@ -336,11 +339,11 @@ def _run_trials(sc: Scenario, n0_grid, trials, seed, exact: bool, cases) -> list
             seeds = [np.random.SeedSequence(np.array(stream + _words(t), dtype=np.uint32))
                      for t in range(start, min(start + TRIAL_BLOCK, trials))]
             if len(sc.ensemble) < THREADED_DRAW_ROWS:
-                block = DatasetStack.of(
+                block = _new(DatasetStack, **_stack_fields([
                     simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seed=s,
                                      scale_observable=sc.anchor_index, exact=exact,
                                      basis=sc.basis)
-                    for s in seeds)
+                    for s in seeds]))
             else:
                 block = simulate_datasets(sc.ensemble, sc.truth_state, sc.truth_povm, n0, seeds,
                                           scale_observable=sc.anchor_index, exact=exact,

@@ -26,9 +26,13 @@ stack); a single estimate is the stack T = 1.  It has four steps:
    each dataset's state candidates,
 4. correct the reconstructed matrices onto the physical sets (eigenvalue
    simplex projection for the state; clip-and-renormalize for the detector),
-   with one stacked eigendecomposition for the T states, one for the
-   ``T M`` detector elements and one for their T sums, and one stacked check
-   of each (``correct_state``/``correct_povm`` are this step on one estimate).
+   with one stacked eigendecomposition for the T element sums, and one
+   stacked check of the states and of the detectors
+   (``correct_state``/``correct_povm`` are this step on one estimate).  A
+   stack of T states or of ``T M`` detector elements is first tried by one
+   stacked Cholesky: one that factors is positive definite to roundoff, so
+   its projection moves no member beyond roundoff and is skipped; only
+   another stack takes its stacked eigendecomposition.
 
 The result is a ``StackEstimates`` record of arrays: the ``(T, d, d)`` states,
 the ``(T, M, d, d)`` detectors, the diagnostics and a ``refused`` mask.
@@ -68,7 +72,8 @@ from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
 from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _bounded, _new,
                      _real, _record, _whole)
-from .measurement import COMPLETENESS_TOL, DatasetStack, DensityMatrix, MeasurementDataset, Povm
+from .measurement import (COMPLETENESS_TOL, DatasetStack, DensityMatrix, MeasurementDataset, Povm,
+                          _positive_definite, _povm_faults)
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
@@ -431,12 +436,19 @@ def nearest_kronecker(z: np.ndarray, rows: int, cols: int) -> KroneckerFactoriza
     Leading axes of ``z`` are a stack of vectors, factored by stacked
     operations that read each matrix alone: every field of the result then
     carries those axes, and the stack is refused if any of its matrices is
-    zero (the error's ``refused`` mask says which).
+    zero (the error's ``refused`` mask says which).  This is the checked
+    form of ``_nearest_kronecker``.
     """
     mat = rearrange(z, rows, cols)
     # every input is factored in double precision, which _sq_row_norms needs
-    mat = mat.astype(complex if mat.dtype.kind == "c" else float, copy=False)
-    lead, n, m = mat.shape[:-2], min(rows, cols), max(rows, cols)
+    return _nearest_kronecker(mat.astype(complex if mat.dtype.kind == "c" else float, copy=False))
+
+
+def _nearest_kronecker(mat: np.ndarray) -> KroneckerFactorization:
+    """``nearest_kronecker`` of the rearranged matrices ``mat`` ``(..., rows,
+    cols)``, float64 or complex128, which are not checked."""
+    lead, (rows, cols) = mat.shape[:-2], mat.shape[-2:]
+    n, m = min(rows, cols), max(rows, cols)
     a = (mat if rows <= cols else mat.swapaxes(-1, -2)).reshape(-1, n, m)
     a_h = a.swapaxes(1, 2).conj() if np.iscomplexobj(a) else a.swapaxes(1, 2)
     g = a @ np.ascontiguousarray(a_h)  # a transposed operand is the slow case of matmul
@@ -555,9 +567,14 @@ def _nearest_density(rho: np.ndarray) -> np.ndarray:
 
     Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
     projection onto the probability simplex; a matrix that is already PSD
-    is only divided by its trace.  Inputs are not checked.
+    is only divided by its trace.  A stack that one Cholesky factors
+    (``_positive_definite``) is positive definite to roundoff, so every
+    member is divided by its trace and no spectrum is taken; any other stack
+    takes one stacked ``eigh``.  Inputs are not checked.
     """
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    if _positive_definite(rho):
+        return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     vals, vecs = np.linalg.eigh(rho)
     psd = vals[..., :1, None] >= 0.0
     n_psd = np.count_nonzero(psd)
@@ -571,8 +588,13 @@ def _nearest_density(rho: np.ndarray) -> np.ndarray:
 
 def _clip_negative(elements: np.ndarray) -> np.ndarray:
     """Symmetrize a stack of matrices ``(..., d, d)`` and clip the negative
-    eigenvalues of each to zero, one stacked ``eigh`` for all."""
+    eigenvalues of each to zero.  A stack that one Cholesky factors
+    (``_positive_definite``) has no eigenvalue below roundoff, and comes
+    back as its Hermitian parts; any other stack is clipped by one stacked
+    ``eigh`` for all."""
     elements = (elements + elements.conj().swapaxes(-1, -2)) / 2.0
+    if _positive_definite(elements):
+        return elements
     vals, vecs = np.linalg.eigh(elements)
     return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
@@ -595,7 +617,13 @@ def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
     """A stack ``(T, M, d, d)`` of finite rough detectors corrected as
     ``correct_povm`` says and checked in one pass; refused if any element
     sum is singular (the error's ``refused`` mask says which).  One stacked
-    ``eigh`` of the sums serves both the singularity test and ``S^{-1/2}``."""
+    ``eigh`` of the sums serves both the singularity test and ``S^{-1/2}``.
+
+    A detector whose renormalized elements fail the detector check is
+    refused in the mask too, read off that check's own verdicts
+    (``_povm_faults``): ``S^{-1/2}`` magnifies the roundoff of the clipped
+    elements by up to ``||S|| / lambda_min(S)``, which can push an
+    eigenvalue past ``-PSD_TOL`` even when ``S`` passes its own test."""
     _bounded(povm_bar, "detector estimate")
     d = povm_bar.shape[-1]
     clipped = _clip_negative(povm_bar)
@@ -608,9 +636,13 @@ def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
         # a direction with (numerically) little clipped mass cannot be renormalized
         singular = (np.linalg.norm(out.sum(axis=-3) - np.eye(d), axis=(-2, -1))
                     > COMPLETENESS_TOL * d)
-    if np.any(singular):
-        raise DegeneracyError("element sum is singular", refused=singular)
-    return Povm.checked(d, out)
+    if not np.any(singular):
+        try:
+            return Povm.checked(d, out)
+        except ValidationError:
+            _, finite, skewed, negative, incomplete = _povm_faults(d, out)
+            singular = (~finite | skewed | negative).any(axis=-1) | incomplete
+    raise DegeneracyError("element sum is singular", refused=singular)
 
 
 def correct_state(rho_bar: np.ndarray) -> DensityMatrix:
@@ -632,8 +664,10 @@ def correct_povm(elements) -> Povm:
     Each element is symmetrized and its negative eigenvalues are clipped to
     zero; the clipped set is then renormalized as ``S^{-1/2} P_j S^{-1/2}``
     with ``S`` the element sum.  A detector whose ``S`` has an eigenvalue at
-    most ``POVM_SINGULAR_RTOL * ||S||``, or whose renormalized sum misses
-    ``I`` by more than ``COMPLETENESS_TOL d``, is refused as singular.
+    most ``POVM_SINGULAR_RTOL * ||S||``, whose renormalized sum misses ``I``
+    by more than ``COMPLETENESS_TOL d``, or whose renormalized elements fail
+    the detector check (``S^{-1/2}`` magnified their roundoff), is refused
+    as singular.
     """
     elements = _array(elements, "detector estimate", 3, complex, square=True)
     return _new(Povm, d=elements.shape[-1], elements=_physical_povms(elements[None])[0])
@@ -666,17 +700,18 @@ def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: 
     Solves all ``T M`` columns of the ``(T, L, M)`` targets ``y`` with the
     factored design (``_solved``, which also gives their residuals; targets
     laid out ``(L, T, M)`` in memory are read without a copy) and factors
-    each as a ``side x side`` pair (``nearest_kronecker``, stacked).  Returns the ``(T, M)`` factorizations,
-    the refused mask (see ``_lanewise``; later steps grow it) and both
-    steps' diagnostics.
+    each as a ``side x side`` pair (``_nearest_kronecker``, stacked: stage
+    1's own solution is not checked again).  Returns the ``(T, M)``
+    factorizations, the refused mask (see ``_lanewise``; later steps grow
+    it) and both steps' diagnostics.
     """
     t, l, m = y.shape
     cols = y.transpose(1, 0, 2).reshape(l, t * m)
     z, residuals = _stage("stage1", _solved, design, cols, config)
     residuals = residuals.reshape(t, m)
-    z = z.T.reshape(t, m, -1)
+    mats = z.T.reshape(t, m, side, side)
     refused = np.zeros(t, dtype=bool)
-    facs = _lanewise("kronecker", refused, [z], nearest_kronecker, z, side, side)
+    facs = _lanewise("kronecker", refused, [mats], _nearest_kronecker, mats)
     return facs, refused, {
         "method": config.method, "reg_scale": config.reg_scale, "rank_b": design.rank,
         "stage1_residuals": residuals, "kron_residuals": facs.residual,

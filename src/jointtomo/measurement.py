@@ -33,14 +33,17 @@ which the constructors are the case T = 1, and a failing stack raises the
 message the constructor raises for its first failing member.  T datasets of
 one protocol form one record, ``DatasetStack`` (``y_hat`` ``(T, L, M)``,
 ``x_a0_hat`` ``(T, L)``, ``c_j0_hat`` ``(T, M)``, ``x01_bar`` ``(T,)``),
-checked once; a Monte-Carlo loop draws each trial from its own stream and
-gathers a block of trials into one record (``DatasetStack.of``), or draws
-the block as one record (``simulate_datasets``, whose member ``t`` is
+checked once (``DatasetStack.of``); a Monte-Carlo loop draws each trial from
+its own stream and gathers a block of trials into one record, not checked
+again since every trial was drawn from checked tables, or draws the block
+as one record (``simulate_datasets``, whose member ``t`` is
 ``simulate_dataset`` on seed ``t``, bit for bit).  On a large ensemble that
 record's outcome draws run on two threads.  A process subset is an index
 on the process axis.  States and detectors are checked
 over ``(T, d, d)`` and ``(T, M, d, d)`` stacks (``DensityMatrix.checked``,
-``Povm.checked``); a non-finite entry fails before any other test reads it.
+``Povm.checked``); a non-finite entry fails before any other test reads it,
+and positivity is cleared by one stacked Cholesky, with spectra only for a
+stack that fails it (``_hermitian_psd``).
 """
 
 import math
@@ -76,16 +79,42 @@ _MAX_DRAWN_SHOTS = 2 ** 63 - 1
 THREADED_DRAW_ROWS = 256
 
 
+def _positive_definite(x: np.ndarray) -> bool:
+    """Whether one stacked Cholesky factors every matrix of the Hermitian
+    stack ``x`` ``(..., d, d)``.  Cholesky is backward stable (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10): it factors a
+    matrix whose smallest eigenvalue lies above roundoff, a small multiple
+    of ``eps`` times its norm, and fails on one whose smallest eigenvalue
+    lies below minus that; a matrix positive semidefinite and singular to
+    roundoff may go either way.  A stack with a non-finite entry is not
+    positive definite, though LAPACK may factor through one."""
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(x).all())
+
+
 def _hermitian_psd(x: np.ndarray) -> tuple:
     """The tests states and detector elements share, over ``(..., d, d)``:
     the Hermitian parts, and the finite, skewed and negative-eigenvalue
-    flags.  A non-finite matrix is read as zeros, so it warns nowhere."""
+    flags.  A non-finite matrix is read as zeros, so it warns nowhere.
+
+    A matrix is negative when an eigenvalue of its Hermitian part lies below
+    ``-PSD_TOL``.  One stacked Cholesky of the parts plus ``PSD_TOL I``
+    clears the whole stack at once (``_positive_definite``); only a stack
+    that fails to factor takes ``eigvalsh``, whose smallest eigenvalues
+    give the per-matrix flags.  The two agree up to roundoff in the
+    smallest eigenvalue, a few ``eps`` times the matrix norm."""
     finite = np.isfinite(x).all(axis=(-2, -1))
     if not finite.all():
         x = np.where(finite[..., None, None], x, 0.0)
     skewed = _skewed(x)
     x = (x + x.conj().swapaxes(-1, -2)) / 2.0
-    negative = np.linalg.eigvalsh(x)[..., 0] < -PSD_TOL
+    if _positive_definite(x + PSD_TOL * np.eye(x.shape[-1])):
+        negative = np.zeros(x.shape[:-2], dtype=bool)
+    else:
+        negative = np.linalg.eigvalsh(x)[..., 0] < -PSD_TOL
     return x, finite, skewed, negative
 
 
@@ -111,16 +140,25 @@ def _checked_states(d: int, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
-    """The detector check on a stack ``(T, M, d, d)``: the Hermitian parts of
-    the T detectors' elements, refused with the message ``Povm`` raises for
-    the first member that fails.  An element with a non-finite entry fails
-    first."""
-    if elements.ndim != 4 or elements.shape[2:] != (d, d):
-        raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
+def _povm_faults(d: int, elements: np.ndarray) -> tuple:
+    """The detector check's verdicts on a stack ``(T, M, d, d)``: the
+    Hermitian parts of the elements, which elements are not finite, not
+    Hermitian or negative (``_hermitian_psd``; each ``(T, M)``), and which
+    detectors' parts do not sum to the identity (``(T,)``)."""
     elements, finite, skewed, negative = _hermitian_psd(elements)
     incomplete = (np.linalg.norm(elements.sum(axis=1) - np.eye(d), axis=(-2, -1))
                   > COMPLETENESS_TOL * d)
+    return elements, finite, skewed, negative, incomplete
+
+
+def _checked_povms(d: int, elements: np.ndarray) -> np.ndarray:
+    """The detector check on a stack ``(T, M, d, d)``: the Hermitian parts of
+    the T detectors' elements, refused with the message ``Povm`` raises for
+    the first member that fails (``_povm_faults``).  An element with a
+    non-finite entry fails first."""
+    if elements.ndim != 4 or elements.shape[2:] != (d, d):
+        raise ValidationError(f"elements must have shape (M, {d}, {d}), got {elements.shape[1:]}")
+    elements, finite, skewed, negative, incomplete = _povm_faults(d, elements)
     bad = (~finite).any(axis=1) | skewed.any(axis=1) | negative.any(axis=1) | incomplete
     if bad.any():
         t = bad.argmax()
@@ -471,13 +509,23 @@ class DatasetStack(_Datasets):
                                             or np.array_equal(ds.tp_flags, first.tp_flags)))):
             if not all(map(same, datasets)):
                 raise ValidationError(f"the datasets of one stack must share their {what}")
-        return cls(
-            y_hat=np.stack([ds.y_hat for ds in datasets]),
-            x_a0_hat=np.stack([ds.x_a0_hat for ds in datasets]),
-            c_j0_hat=np.stack([ds.c_j0_hat for ds in datasets]),
-            x01_bar=np.array([ds.x01_bar for ds in datasets], dtype=float),
-            n0=first.n0, tp_flags=first.tp_flags, anchor_index=first.anchor_index,
-        )
+        return cls(**_stack_fields(datasets))
+
+
+def _stack_fields(datasets: list) -> dict:
+    """The fields of the ``DatasetStack`` of a list of MeasurementDatasets
+    that share their shape, copy count, trace flags and anchor index.
+    ``DatasetStack.of`` checks them; datasets drawn for one protocol
+    (``simulate_dataset``) are valid as drawn, and a stack of them made with
+    ``_new`` is not checked again."""
+    first = datasets[0]
+    return dict(
+        y_hat=np.stack([ds.y_hat for ds in datasets]),
+        x_a0_hat=np.stack([ds.x_a0_hat for ds in datasets]),
+        c_j0_hat=np.stack([ds.c_j0_hat for ds in datasets]),
+        x01_bar=np.array([ds.x01_bar for ds in datasets], dtype=float),
+        n0=first.n0, tp_flags=first.tp_flags, anchor_index=first.anchor_index,
+    )
 
 
 @dataclass(frozen=True)
@@ -492,6 +540,9 @@ class IdealStatistics:
     ``trace_probabilities`` the detector's outcomes on the maximally mixed
     state, and ``scale_eigenvalues``/``scale_probabilities`` the spectrum of
     the scale observable and its outcome probabilities on the truth.
+    ``lossy`` indexes the processes that lose trace, and ``x_a0`` is the
+    trace calibration ``x_a0_hat`` an exact dataset records: the survival
+    over sqrt(d) on those processes, 1/sqrt(d) on the others.
 
     The three probability sets the protocol samples are also kept as the
     tables its multinomial draws read (``sampling_table``: checked, padded
@@ -510,6 +561,8 @@ class IdealStatistics:
     outcome_table: np.ndarray
     trace_table: np.ndarray
     scale_table: np.ndarray
+    lossy: np.ndarray
+    x_a0: np.ndarray
 
 
 # How many truths ``ideal_statistics`` keeps the statistics of per ensemble.
@@ -581,8 +634,11 @@ def ideal_statistics(
     lam, vecs = np.linalg.eigh(basis.omegas[anchor])
     probs = np.clip(np.real(np.einsum("ik,ij,jk->k", vecs.conj(), truth_state.rho, vecs)), 0.0, None)
     probs = probs / probs.sum()
+    lossy = np.flatnonzero(~ens.tp_flags)
+    x_a0 = np.full(len(ens), 1.0 / math.sqrt(d))
+    x_a0[lossy] = survival[lossy] / math.sqrt(d)
     arrays = (p, survival, q, lam, probs,
-              sampling_table(p), sampling_table(q), sampling_table(probs))
+              sampling_table(p), sampling_table(q), sampling_table(probs), lossy, x_a0)
     for a in arrays:
         a.setflags(write=False)
     ideal = IdealStatistics(anchor, *arrays)
@@ -597,13 +653,13 @@ def _calibration_draws(ens: ProcessEnsemble, ideal: IdealStatistics, n0: int, rn
     the lossy processes' survival counts, the detector's trace components
     on the maximally mixed probe state, and the scale observable measured
     projectively in its own eigenbasis.  Returns ``x_a0_hat``, ``c_j0_hat``
-    and ``x01_bar``; ``exact`` records the ideal values instead."""
+    and ``x01_bar``; ``exact`` records the ideal values instead.  Which
+    processes are lossy is read off the record (``ideal.lossy``), not
+    recomputed per stream."""
     sqd = math.sqrt(ens.d)
-    x_a0 = np.full(len(ens), 1.0 / sqd)
-    lossy = ~ens.tp_flags
-    if lossy.any():
-        survival = ideal.survival[lossy]
-        x_a0[lossy] = (survival if exact else rng.binomial(n0, survival) / float(n0)) / sqd
+    x_a0 = ideal.x_a0.copy()
+    if not exact and len(ideal.lossy):
+        x_a0[ideal.lossy] = rng.binomial(n0, ideal.survival[ideal.lossy]) / float(n0) / sqd
     q = ideal.trace_probabilities if exact else _draw(ideal.trace_table, n0, rng)
     weights = ideal.scale_probabilities if exact else _draw(ideal.scale_table, n0, rng)
     return x_a0, sqd * q, float(np.dot(ideal.scale_eigenvalues, weights))

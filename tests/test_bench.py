@@ -716,18 +716,36 @@ def test_trial_loop_makes_no_per_trial_objects(monkeypatch, name):
                         (estimator, "estimate_joint_v2"), (measurement, "_checked_datasets"),
                         (estimator, "_factors")):
         _count_calls(monkeypatch, owner, attr, counts)
+    drawn = _drawn_blocks(monkeypatch)
 
     table = run_mse_experiment(sc, [2, 1000], trials=10, seed=7)
-    # one dataset check and one stage-1 and factor pass per block of trials: no
-    # dataset is built, checked or estimated on its own, and none twice
-    assert counts == {"_checked_datasets": 6, "_factors": 6}
+    # one stage-1 and factor pass per block of trials: no dataset is built or
+    # estimated on its own, none twice, and none is checked, since each was
+    # drawn from checked tables
+    assert counts == {"_factors": 6}
     _assert_table_matches(table, reference)
     if name == "one_qubit_closed_complete":
         assert table.failures > 0
+    # each block is DatasetStack.of its trials' datasets, field by field
+    assert [len(block) for block in drawn] == [4, 4, 2] * 2
+    for i, n0 in enumerate([2, 1000]):
+        t = 0
+        for block in drawn[3 * i:3 * i + 3]:
+            expected = jt.DatasetStack.of([
+                simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                 seed=np.random.SeedSequence([sc.seed, 7, i, t + u]),
+                                 scale_observable=sc.anchor_index, basis=sc.basis)
+                for u in range(len(block))])
+            t += len(block)
+            assert type(block) is jt.DatasetStack
+            for f in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar", "tp_flags"):
+                got, want = getattr(block, f), getattr(expected, f)
+                assert got.dtype == want.dtype and np.array_equal(got, want), f
+            assert (block.n0, block.anchor_index) == (expected.n0, expected.anchor_index)
 
     counts.clear()
     tables = run_method_comparison(sc, [2, 1000], trials=10, configs=configs, seed=8)
-    assert counts == {"_checked_datasets": 6, "_factors": 12}  # one per block and case
+    assert counts == {"_factors": 12}  # one per block and case
     for label, _, _ in configs:
         _assert_table_matches(tables[label], references[label])
 

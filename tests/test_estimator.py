@@ -66,8 +66,8 @@ from jointtomo import (
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.estimator import (ANCHOR_RTOL, KRON_TIE_RTOL, KRON_ZERO_RTOL, POVM_SINGULAR_RTOL,
-                                 _clip_negative, _physical_povms, _physical_states, _solved,
-                                 _top_eigenvectors)
+                                 _clip_negative, _nearest_kronecker, _physical_povms,
+                                 _physical_states, _solved, _top_eigenvectors)
 from jointtomo.measurement import COMPLETENESS_TOL, PSD_TOL
 from jointtomo.serialize import load_dataset, save_dataset
 
@@ -479,17 +479,18 @@ def test_stage1_matrices_take_no_eigendecomposition_but_ties_and_zeros_do(monkey
     all converge by squaring; a tied and a zero matrix added to them take
     one ``eigh``, of those two Grams alone."""
     sc = preset("two_qubit_mixed_unitary")
-    stacks, factor = [], nearest_kronecker
+    stacks, factor = [], _nearest_kronecker
 
-    def spy(z, rows, cols):
-        stacks.append(np.array(z))
-        return factor(z, rows, cols)
+    def spy(mats):
+        stacks.append(np.array(mats))
+        return factor(mats)
 
-    monkeypatch.setattr("jointtomo.estimator.nearest_kronecker", spy)
+    monkeypatch.setattr("jointtomo.estimator._nearest_kronecker", spy)
     bench.run_mse_experiment(sc, [n0], trials=50, seed=37)
     monkeypatch.undo()
-    (z,) = stacks
-    assert z.shape == (50, 3, 225)
+    (mats,) = stacks
+    assert mats.shape == (50, 3, 15, 15)
+    z = mats.reshape(50, 3, 225)
     calls, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):
@@ -522,30 +523,46 @@ def _povm_reference(povm_bar):
     return inv_sqrt @ clipped @ inv_sqrt, standing
 
 
+def _counted_decompositions(monkeypatch) -> dict:
+    """Record the stacks ``np.linalg``'s ``eigh``, ``eigvalsh`` and
+    ``cholesky`` are called on, by name."""
+    calls = {}
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        def counted(a, *args, name=name, original=getattr(np.linalg, name), **kwargs):
+            calls.setdefault(name, []).append(np.array(a))
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_a_singular_detector_is_refused_by_its_mask_after_two_decompositions(monkeypatch):
+    """A stack of positive definite rough detectors takes one eigendecomposition,
+    of its element sums, and two Cholesky factorizations: the clip's, which
+    succeeds, and the final check's.  A stack with a singular detector takes
+    the clip's Cholesky, which fails, then two eigendecompositions, the
+    clip's and the sums', and is refused before any check."""
     rng = np.random.default_rng(31)
     rough = rng.normal(size=(3, 3, 2, 2, 2)) @ np.array([1.0, 1j])
     rough = np.eye(2) / 3.0 + 0.05 * (rough + rough.conj().swapaxes(-1, -2))
+    assert np.linalg.eigvalsh(rough).min() > 0.05
     # clipped, this detector's sum is diag(1, 0): singular
     singular = np.array([np.diag([0.6, -0.2]), np.diag([0.4, -0.1]), np.zeros((2, 2))])
-    calls, eigh = [], np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.array(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    calls = _counted_decompositions(monkeypatch)
     out = _physical_povms(rough)
-    assert len(calls) == 2  # the elements' clip and the sums
+    assert {name: len(stacks) for name, stacks in calls.items()} == {"cholesky": 2, "eigh": 1}
+    assert calls["eigh"][0].shape == (3, 2, 2)  # the sums
+    assert [c.shape for c in calls["cholesky"]] == [(3, 3, 2, 2)] * 2
+    monkeypatch.undo()
     expected, standing = _povm_reference(rough)
     assert standing.all() and np.array_equal(out, Povm.checked(2, expected))
 
     stack = rough.copy()
     stack[1] = singular
-    calls.clear()
+    calls = _counted_decompositions(monkeypatch)
     with pytest.raises(DegeneracyError, match="^element sum is singular$") as err:
         _physical_povms(stack)
-    assert len(calls) == 2  # nothing is decomposed again
+    assert {name: len(stacks) for name, stacks in calls.items()} == {"cholesky": 1, "eigh": 2}
+    assert [c.shape for c in calls["eigh"]] == [(3, 3, 2, 2), (3, 2, 2)]  # the clip, the sums
     assert err.value.refused.tolist() == [False, True, False]
 
 
@@ -565,20 +582,70 @@ def test_a_detector_is_refused_exactly_when_its_sum_is_singular_and_kept_bit_for
         # 10^-tilt, which puts the least eigenvalue of S near the threshold
         q = np.eye(d) - np.outer(v, v.conj()) / np.vdot(v, v).real
         rough = q @ rough @ q + 10.0 ** -tilt * rough
+    _assert_kept_or_refused(d, rough)
+
+
+def _assert_kept_or_refused(d, rough):
+    """``_physical_povms`` of the rough detector ``(M, d, d)`` either keeps
+    it, as the detector check of its renormalized elements
+    (``_povm_reference``), bit for bit, or refuses it by its mask, with
+    DegeneracyError, exactly when its clipped sum is singular or those
+    elements miss the identity or fail that check; it never raises the
+    check's ValidationError."""
     expected, standing = _povm_reference(rough[None])
     if not standing[0]:
         with pytest.raises(DegeneracyError, match="^element sum is singular$") as err:
             _physical_povms(rough[None])
         assert err.value.refused.tolist() == [True]
         return
-    complete = np.linalg.norm(expected[0].sum(axis=0) - np.eye(d)) <= COMPLETENESS_TOL * d
+    expected = expected[0]
+    complete = np.linalg.norm(expected.sum(axis=0) - np.eye(d)) <= COMPLETENESS_TOL * d
+    try:
+        checked = Povm.checked(d, expected[None])
+    except ValidationError:
+        checked = None
     try:
         out = _physical_povms(rough[None])
     except DegeneracyError as exc:
-        assert not complete and exc.refused.tolist() == [True]
+        assert exc.refused.tolist() == [True]
+        assert str(exc) == "element sum is singular"
+        assert not complete or checked is None
         return
-    assert complete
-    assert np.array_equal(out, Povm.checked(d, expected))
+    assert complete and checked is not None
+    assert np.array_equal(out, checked)
+
+
+def _folded_detector(seed):
+    """A rough detector of the property test's kind, from stream ``(27,
+    seed)``: random elements folded into the complement of a direction and
+    tilted back by 10^-5 to 10^-8."""
+    rng = np.random.default_rng([27, seed])
+    d, m = (int(k) for k in rng.integers(2, 5, size=2))
+    rough = rng.uniform(-1.0, 1.0, (m, d, d, 2)) @ np.array([1.0, 1j])
+    v = rng.uniform(-1.0, 1.0, (d, 2)) @ np.array([1.0, 1j])
+    tilt = rng.uniform(5.0, 8.0)
+    q = np.eye(d) - np.outer(v, v.conj()) / np.vdot(v, v).real
+    return d, q @ rough @ q + 10.0 ** -tilt * rough
+
+
+@pytest.mark.parametrize("seed,low,high", [
+    # lambda_min(S) / ||S|| below the singularity threshold
+    (38, 5.0e-9, POVM_SINGULAR_RTOL), (53, 5.0e-9, POVM_SINGULAR_RTOL),
+    # just below the band in which the renormalization leaked a ValidationError
+    (72, 1.0e-8, 1.3e-8), (37, 1.0e-8, 1.3e-8),
+    # in the band, near either edge; each of these leaked it before the check's
+    # verdict joined the refusal mask
+    (620, 1.3e-8, 3.0e-8), (504, 1.3e-8, 3.0e-8), (1137, 1.5e-7, 2.4e-7),
+    (2868, 1.5e-7, 2.4e-7),
+    # just above the band: kept, or refused (597 leaked too)
+    (27, 2.4e-7, 3.0e-7), (44, 2.4e-7, 3.0e-7), (597, 3.0e-7, 4.0e-7),
+])
+def test_a_detector_at_the_edges_of_the_leak_band_is_kept_or_refused(seed, low, high):
+    d, rough = _folded_detector(seed)
+    s = _clip_negative(rough).sum(axis=0)
+    ratio = np.linalg.eigvalsh(s)[0] / np.linalg.norm(s)
+    assert low < ratio < high
+    _assert_kept_or_refused(d, rough)
 
 
 def test_fix_scale_gauge_invariance():
@@ -1026,7 +1093,12 @@ def test_estimators_accept_list_valued_designs():
     assert np.array_equal(listed.rho_bar, estimate_joint_v2(dsp, regp.b_natural).rho_bar)
 
 
-def test_correction_kernels_match_the_per_matrix_corrections():
+def test_correction_kernels_match_the_per_matrix_corrections(monkeypatch):
+    """A stack with a member that is not positive definite is projected by
+    its spectra, member by member as one matrix would be.  A stack that one
+    Cholesky factors takes no spectrum: the clip returns its Hermitian parts
+    and the density projection divides them by their traces, bit for bit,
+    which is the spectral projection up to roundoff."""
     from jointtomo.estimator import _clip_negative, _nearest_density
     rng = np.random.default_rng(17)
     for d in (2, 3, 4):
@@ -1036,10 +1108,29 @@ def test_correction_kernels_match_the_per_matrix_corrections():
             rho = h - (np.trace(h).real - 1.0) / d * np.eye(d)  # unit trace, often not PSD
             nearest = _nearest_density(rho)  # DensityMatrix then symmetrizes it
             assert np.array_equal((nearest + nearest.conj().T) / 2.0, correct_state(rho).rho)
-            stack = np.stack([rho, h, np.eye(d) / d])
+            stack = np.stack([rho, h, np.eye(d) / d, -np.eye(d) / d])
             for p, clipped in zip(stack, _clip_negative(stack)):
                 vals, vecs = np.linalg.eigh(p)
                 assert np.array_equal(clipped, (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+
+            # positive definite, unit trace and a little skewed, as rough estimates are
+            pd = g @ g.conj().T + 1e-3 * np.eye(d)
+            skew = 1e-13j * rng.normal(size=(d, d))
+            pd = np.stack([pd / np.trace(pd).real, np.eye(d) / d]) + skew
+            hermitian = (pd + pd.conj().swapaxes(1, 2)) / 2.0
+            calls = _counted_decompositions(monkeypatch)
+            clipped, projected = _clip_negative(pd), _nearest_density(pd)
+            monkeypatch.undo()
+            assert list(calls) == ["cholesky"] and len(calls["cholesky"]) == 2
+            assert np.array_equal(clipped, hermitian)
+            traces = np.trace(hermitian, axis1=1, axis2=2).real
+            assert np.array_equal(projected, hermitian / traces[:, None, None])
+            for p, kept, moved in zip(hermitian, clipped, projected):
+                vals, vecs = np.linalg.eigh(p)
+                assert vals[0] > 0.0
+                spectral = (vecs * vals) @ vecs.conj().T
+                assert np.allclose(kept, spectral, rtol=0.0, atol=1e-14)
+                assert np.allclose(moved, spectral / vals.sum(), rtol=0.0, atol=1e-14)
 
 
 def _assert_same_estimate(a, b, rtol=1e-12):

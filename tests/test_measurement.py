@@ -586,6 +586,80 @@ def test_stacked_checks_name_the_first_failing_member():
     assert np.array_equal(DensityMatrix.checked(2.0, rho[:1]), DensityMatrix.checked(2, rho[:1]))
 
 
+def _boundary_state(rng, d, scale):
+    """A unit-trace state whose least eigenvalue is ``-PSD_TOL * scale``."""
+    low = -measurement.PSD_TOL * scale
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    spectrum = np.concatenate([[low], rest / rest.sum() * (1.0 - low)])
+    u = haar_unitary(d, rng)
+    return (u * spectrum) @ u.conj().T
+
+
+def _boundary_povm(rng, d, m, j, scale):
+    """A detector of ``m`` elements that sum to the identity, whose element
+    ``j`` has the least eigenvalue ``-PSD_TOL * scale``; the others are
+    shares of the identity minus it, positive definite."""
+    spectrum = np.concatenate([[-measurement.PSD_TOL * scale], rng.uniform(0.2, 0.5, d - 1)])
+    u = haar_unitary(d, rng)
+    low = (u * spectrum) @ u.conj().T
+    weights = rng.uniform(0.5, 1.0, m - 1)
+    others = [w * (np.eye(d) - low) for w in weights / weights.sum()]
+    return np.stack(others[:j] + [low] + others[j:])
+
+
+def _messages(d, rho, elements) -> list:
+    """What each constructor (on a stack of one) and each stacked check
+    raises for the states and detectors, None where it accepts."""
+    out = [_stack_error(DensityMatrix.checked, d, rho), _stack_error(Povm.checked, d, elements)]
+    if len(rho) == 1:
+        out += [_stack_error(DensityMatrix, d, rho[0]), _stack_error(Povm, d, elements[0])]
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("t", [1, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_positivity_verdict_is_the_eigenvalue_rule_at_its_boundary(monkeypatch, d, t,
+                                                                         scale):
+    """A state and a detector element whose least eigenvalue lies 0.1% inside
+    or outside ``-PSD_TOL`` are accepted or refused as the ``eigvalsh`` rule
+    (smallest eigenvalue below ``-PSD_TOL``) accepts or refuses them, with
+    the same first member and message; a stack accepted by its Cholesky
+    verdict takes no spectrum, and a non-finite member still fails first."""
+    rng = np.random.default_rng([41, d, t])
+    k = t // 2  # the boundary member
+    rho, elements = _valid_states(rng, t, d), _valid_povms(rng, t, 3, d)
+    rho[k], elements[k] = _boundary_state(rng, d, scale), _boundary_povm(rng, d, 3, 1, scale)
+    if t > 1:  # a later member that fails on another test
+        rho[-1] = _corrupt_state(rho[-1], "trace")
+        elements[-1] = _corrupt_povm(elements[-1], "sum", 0)
+    nonfinite_rho, nonfinite_elements = rho.copy(), elements.copy()
+    nonfinite_rho[k, 0, 0], nonfinite_elements[k, 1, 0, 0] = np.nan, np.nan
+    eigvalsh, spectra = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: spectra.append(a.shape) or eigvalsh(a, *args, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a non-finite member warns nowhere
+        got = _messages(d, rho, elements)
+        assert (spectra == []) == (scale < 1.0)
+        got_nonfinite = _messages(d, nonfinite_rho, nonfinite_elements)
+        # the rule itself: every stack takes eigvalsh
+        monkeypatch.setattr(measurement, "_positive_definite", lambda x: False)
+        assert _messages(d, rho, elements) == got
+        assert _messages(d, nonfinite_rho, nonfinite_elements) == got_nonfinite
+    if scale > 1.0:
+        first = ["state has a negative eigenvalue beyond tolerance",
+                 "element 1 has a negative eigenvalue beyond tolerance"]
+    elif t > 1:
+        first = [f"state trace is {np.trace(rho[-1]).real:.12g}, not 1",
+                 "elements do not sum to the identity"]
+    else:
+        first = [None, None]
+    assert got == first * (1 + (t == 1))
+    nonfinite = ["state has a non-finite entry", "element 1 has a non-finite entry"]
+    assert got_nonfinite == nonfinite * (1 + (t == 1))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_states_and_detectors_refuse_non_finite_entries(value):
     with warnings.catch_warnings():

@@ -18,7 +18,6 @@ threads; every trial keeps its own stream, so the datasets are those of one
 ``simulate_dataset`` call per trial, bit for bit.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -36,7 +35,7 @@ from .channels import (
     make_named_channel,
     pauli,
 )
-from .errors import DegeneracyError, ValidationError, _items, _new, _path, _record, _whole
+from .errors import DegeneracyError, ValidationError, _items, _new, _record, _whole, _write
 from .estimator import (
     Stage1Config,
     StackEstimates,
@@ -55,13 +54,6 @@ from .measurement import (
     simulate_datasets,
 )
 
-PRESET_NAMES = (
-    "one_qubit_closed_complete",
-    "one_qubit_closed_incomplete",
-    "one_qubit_random_pure",
-    "two_qubit_mixed_unitary",
-    "two_qubit_mixed_unitary_incomplete",
-)
 # Stream keys for the deterministic random draws.  Complete/incomplete
 # variants of one experiment share a stream so they see the same truth and
 # (where applicable) the same probe family; the trailing salts pin one fixed,
@@ -73,6 +65,7 @@ _DRAW_KEYS = {
     "two_qubit_mixed_unitary": (4, 17, 0),
     "two_qubit_mixed_unitary_incomplete": (4, 17, 0),
 }
+PRESET_NAMES = tuple(_DRAW_KEYS)
 # Anchor coordinate must carry a reasonable share of the coherence vector for
 # the scale-fixing division to be well conditioned.
 _ANCHOR_FRACTION = 0.15
@@ -216,6 +209,10 @@ class MseTable:
     metadata: dict = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
+        """Every row's field ``name``, one of ``MseRow``'s fields."""
+        fields = tuple(MseRow.__dataclass_fields__)
+        if _record(name, str, "column") not in fields:
+            raise ValidationError(f"column must be one of {fields}, got {name!r}")
         return np.array([getattr(row, name) for row in self.rows])
 
     def to_csv(self, path) -> None:
@@ -223,12 +220,12 @@ class MseTable:
         for r in self.rows:
             lines.append(f"{r.n},{r.mse_state:.17g},{r.se_state:.17g},"
                          f"{r.mse_povm:.17g},{r.se_povm:.17g},{r.trials}")
-        with open(_path(path), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(path, "\n".join(lines) + "\n")
 
     def write_metadata(self, path) -> None:
-        with open(_path(path), "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2)
+        """The metadata as JSON text (``serialize._json_text``), formed first."""
+        from .serialize import _json_text  # the file formats load on first use, not on import
+        _write(path, _json_text(self.metadata, indent=2))
 
 
 def _estimate_block(sc: Scenario, stack: DatasetStack, design,

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, change_of_basis
-from .errors import ValidationError, _array, _bounded, _new, _real, _record, _rng, _whole
+from .errors import ValidationError, _array, _bounded, _items, _new, _real, _record, _rng, _whole
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -120,7 +120,7 @@ class KrausChannel:
         of the checked stack."""
         d = _whole(d, "channel dimension", 1)
         kraus = _checked_kraus(d, _array(kraus, "a stack of Kraus matrices", 4, complex))
-        labels = tuple(labels)
+        labels = _items(labels, "labels")
         if len(labels) != len(kraus):
             raise ValidationError(f"need one label per channel: {len(kraus)} channels, "
                                   f"{len(labels)} labels")
@@ -136,7 +136,7 @@ class KrausChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve a matrix through the channel by direct Kraus application."""
-        return _sandwich(self.kraus[None], _array(rho, "matrix", 2, complex))[0]
+        return _applied(self.kraus[None], rho)[0]
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,7 @@ class ProcessEnsemble:
         if not channels:
             raise ValidationError("ensemble must contain at least one channel")
         for i, ch in enumerate(channels):
-            if not isinstance(ch, KrausChannel):
-                raise ValidationError(
-                    f"ensemble member {i} must be a KrausChannel, got {type(ch).__name__}")
+            _record(ch, KrausChannel, f"ensemble member {i}")
         d = channels[0].d
         if any(ch.d != d for ch in channels):
             raise ValidationError("all channels in an ensemble must share the dimension")
@@ -205,7 +203,15 @@ class ProcessEnsemble:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evolve one matrix through every channel: the ``(L, d, d)`` outputs."""
-        return _sandwich(self.kraus_stack, _array(rho, "matrix", 2, complex))
+        return _applied(self.kraus_stack, rho)
+
+
+def _applied(kraus: np.ndarray, rho) -> np.ndarray:
+    """``_sandwich`` of ``rho``, refused unless it is a d x d matrix."""
+    rho, d = _array(rho, "matrix", 2, complex), kraus.shape[-1]
+    if rho.shape != (d, d):
+        raise ValidationError(f"matrix must be {d}x{d}, got shape {rho.shape}")
+    return _sandwich(kraus, rho)
 
 
 def _sandwich(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -398,9 +404,7 @@ def make_named_channel(kind: str, **params) -> KrausChannel:
         alpha, ch = param("alpha"), param("channel")
         if not 0.0 < _real(alpha, "scale") <= 1.0:
             raise ValidationError(f"scale must be in (0, 1], got {alpha}")
-        if not isinstance(ch, KrausChannel):
-            raise ValidationError(
-                f"a scaled channel needs a KrausChannel, got {type(ch).__name__}")
+        _record(ch, KrausChannel, "the channel to scale")
         return KrausChannel(ch.d, np.sqrt(alpha) * ch.kraus,
                             label=params.get("label", f"scaled({alpha},{ch.label})"))
     if kind == "random_cp":

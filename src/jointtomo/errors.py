@@ -5,7 +5,8 @@ Every whole-number or real-number input of the package is read by
 every record argument by ``_record``, every file path by ``_path``, a
 sequence of shot counts or seeds by ``_items`` and a bool flag by
 ``_flag``, so one place decides what a valid scalar, seed, array, record,
-path, sequence or flag is and how its refusal reads.  A matrix whose sums,
+path, sequence or flag is and how its refusal reads; every file is written
+whole by ``_write``, from a text formed first.  A matrix whose sums,
 squares or powers are formed from unchecked magnitudes is also read by
 ``_bounded``, the one magnitude rule.  A record whose fields were checked
 already is made by ``_new``, without checking them again.  Whether a matrix
@@ -105,6 +106,13 @@ def _path(value):
     if not isinstance(value, (str, os.PathLike)):
         raise ValidationError(f"path must be a str or an os.PathLike, got {type(value).__name__}")
     return value
+
+
+def _write(path, text: str) -> None:
+    """Write ``text``, formed whole before the call, to the file at ``path``
+    (read by ``_path``), opened once."""
+    with open(_path(path), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _new(cls, **fields):

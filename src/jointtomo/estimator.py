@@ -72,8 +72,8 @@ from .basis import OperatorBasis, _from_coords, _skewed, coherence_to_state
 from .channels import FactoredDesign, factor_design
 from .errors import (DegeneracyError, TomographyError, ValidationError, _array, _bounded, _new,
                      _real, _record, _whole)
-from .measurement import (COMPLETENESS_TOL, DatasetStack, DensityMatrix, MeasurementDataset, Povm,
-                          _positive_definite, _povm_faults)
+from .measurement import (DatasetStack, DensityMatrix, MeasurementDataset, Povm, _positive_definite,
+                          _povm_faults)
 
 STAGE1_METHODS = ("plain_ls", "mp_inverse", "tikhonov")
 # |anchor coordinate| below this fraction of the factor norm is treated as a
@@ -128,6 +128,8 @@ class Stage1Config:
             raise ValidationError(f"regularization scale must be >= 0, got {self.reg_scale}")
 
     def resolved(self, total_copies: int) -> "Stage1Config":
+        """These settings, a Tikhonov scale of None as 100 / ``total_copies``."""
+        total_copies = _whole(total_copies, "total copies", 1)
         if self.method != "tikhonov" or self.reg_scale is not None:
             return self
         return Stage1Config(method=self.method, reg_scale=100.0 / float(total_copies))
@@ -488,8 +490,7 @@ def fix_scale_v1(fac: KroneckerFactorization, x01_bar, anchor: int = 0):
     the stack is refused if any factor is (the error's ``refused`` mask says
     which).
     """
-    if not isinstance(fac, KroneckerFactorization):
-        raise ValidationError(f"need a KroneckerFactorization, got {type(fac).__name__}")
+    _record(fac, KroneckerFactorization, "factorization")
     left = _array(fac.left, "state factor", dtype=float)
     anchor = _whole(anchor, "anchor")
     if not 0 <= anchor < left.shape[-1]:
@@ -565,16 +566,21 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _nearest_density(rho: np.ndarray) -> np.ndarray:
     """The density matrices nearest to Hermitian unit-trace matrices ``(..., d, d)``.
 
-    Keeps the eigenvectors and replaces the eigenvalues by their Euclidean
-    projection onto the probability simplex; a matrix that is already PSD
-    is only divided by its trace.  A stack that one Cholesky factors
-    (``_positive_definite``) is positive definite to roundoff, so every
-    member is divided by its trace and no spectrum is taken; any other stack
-    takes one stacked ``eigh``.  Inputs are not checked.
+    A stack that one Cholesky factors (``_positive_definite``) is positive
+    definite to roundoff, so every member is divided by its trace and no
+    spectrum is taken; any other stack takes ``_nearest_density_eigh``.
+    Inputs are not checked.
     """
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     if _positive_definite(rho):
         return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return _nearest_density_eigh(rho)
+
+
+def _nearest_density_eigh(rho: np.ndarray) -> np.ndarray:
+    """``_nearest_density`` of Hermitian matrices by one stacked ``eigh``: the
+    eigenvalues go to their Euclidean projection onto the probability
+    simplex, and a matrix that is already PSD is only divided by its trace."""
     vals, vecs = np.linalg.eigh(rho)
     psd = vals[..., :1, None] >= 0.0
     n_psd = np.count_nonzero(psd)
@@ -590,11 +596,15 @@ def _clip_negative(elements: np.ndarray) -> np.ndarray:
     """Symmetrize a stack of matrices ``(..., d, d)`` and clip the negative
     eigenvalues of each to zero.  A stack that one Cholesky factors
     (``_positive_definite``) has no eigenvalue below roundoff, and comes
-    back as its Hermitian parts; any other stack is clipped by one stacked
-    ``eigh`` for all."""
+    back as its Hermitian parts; any other stack takes ``_clip_negative_eigh``."""
     elements = (elements + elements.conj().swapaxes(-1, -2)) / 2.0
     if _positive_definite(elements):
         return elements
+    return _clip_negative_eigh(elements)
+
+
+def _clip_negative_eigh(elements: np.ndarray) -> np.ndarray:
+    """``_clip_negative`` of Hermitian matrices by one stacked ``eigh``."""
     vals, vecs = np.linalg.eigh(elements)
     return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
@@ -625,21 +635,20 @@ def _physical_povms(povm_bar: np.ndarray) -> np.ndarray:
     elements by up to ``||S|| / lambda_min(S)``, which can push an
     eigenvalue past ``-PSD_TOL`` even when ``S`` passes its own test."""
     _bounded(povm_bar, "detector estimate")
-    d = povm_bar.shape[-1]
+    t, m, d = povm_bar.shape[:3]
     clipped = _clip_negative(povm_bar)
     s = clipped.sum(axis=-3)
     w, v = np.linalg.eigh(s)
     singular = w[..., 0] <= POVM_SINGULAR_RTOL * np.linalg.norm(s, axis=(-2, -1))
     if not np.any(singular):
-        inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
-        out = inv_sqrt @ clipped @ inv_sqrt
-        # a direction with (numerically) little clipped mass cannot be renormalized
-        singular = (np.linalg.norm(out.sum(axis=-3) - np.eye(d), axis=(-2, -1))
-                    > COMPLETENESS_TOL * d)
-    if not np.any(singular):
+        inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        # S^{-1/2} P_j S^{-1/2} as two stacked products, the M elements side by side
+        left = (inv_sqrt @ clipped.swapaxes(1, 2).reshape(t, d, m * d)).reshape(t, d, m, d)
+        out = (left.swapaxes(1, 2).reshape(t, m * d, d) @ inv_sqrt).reshape(t, m, d, d)
         try:
             return Povm.checked(d, out)
         except ValidationError:
+            # a direction with (numerically) little clipped mass cannot be renormalized
             _, finite, skewed, negative, incomplete = _povm_faults(d, out)
             singular = (~finite | skewed | negative).any(axis=-1) | incomplete
     raise DegeneracyError("element sum is singular", refused=singular)
@@ -731,9 +740,7 @@ def _mean_state(candidates: np.ndarray, anchors: np.ndarray) -> tuple:
 
 def _one_stack(ds) -> DatasetStack:
     """A MeasurementDataset as a stack of one; anything else is refused."""
-    if not isinstance(ds, MeasurementDataset):
-        raise ValidationError(f"need a MeasurementDataset, got {type(ds).__name__}")
-    return ds.as_stack()
+    return _record(ds, MeasurementDataset, "dataset").as_stack()
 
 
 def _check_design_shape(shape: tuple, n_processes: int, columns: int) -> None:

@@ -497,7 +497,7 @@ class DatasetStack(_Datasets):
         count, trace flags and anchor index, checked once; a list that mixes
         them is refused, as is a member of another type."""
         datasets = [_record(ds, MeasurementDataset, f"stack member {i}")
-                    for i, ds in enumerate(datasets)]
+                    for i, ds in enumerate(_items(datasets, "datasets"))]
         if not datasets:
             raise ValidationError("a stack needs at least one dataset")
         first = datasets[0]

@@ -43,16 +43,16 @@ positivity gate.  First an inscribed ball, on coordinates: a Hermitian
 d x d matrix with trace coordinate ``r_0 > 0`` and coordinate row ``r`` is
 positive semidefinite when ``||r||^2 <= r_0^2 d / (d - 1)``; a block whose
 rows all lie in their balls passes.  Otherwise the block becomes its complex
-matrices (``_from_coords``), and one stacked Cholesky decides.  Cholesky
-succeeds on a matrix whose smallest eigenvalue is above roundoff and fails
-on one with an eigenvalue below minus roundoff; a block that is positive
-semidefinite but singular to roundoff may go either way.  Either way is the
-same map up to roundoff: projecting a point of a convex set returns that
-point, so a block kept as solved and the projection of a block that was
-already inside differ only by the projection's roundoff.  A block that fails
-is projected by the closed form's own stacked kernels, on the matrices the
-gate formed: ``_nearest_density`` for the state, ``_clip_negative`` for all
-M detector elements; ``_to_coords`` reads it back.
+matrices (``_from_coords``), and the checks' one Cholesky verdict decides
+(``measurement._positive_definite``, which says how a block singular to
+roundoff may go either way).  Either way is the same map up to roundoff:
+projecting a point of a convex set returns that point, so a block kept as
+solved and the projection of a block that was already inside differ only by
+the projection's roundoff.  A block that fails is projected by the closed
+form's own stacked spectral steps, on the Hermitian parts of the matrices
+the gate formed, which are not factored again: ``_nearest_density_eigh`` for
+the state, ``_clip_negative_eigh`` for all M detector elements;
+``_to_coords`` reads it back.
 
 The objective is evaluated in residual form, not from the Gram data as the
 exporter in :mod:`jointtomo.sos` expands it: the accept test compares
@@ -95,16 +95,16 @@ from .channels import _packing, factor_design
 from .errors import ValidationError, _bounded, _real, _record, _whole
 from .estimator import (  # noqa: F401  (perfbench traces correct_state as an alias here)
     EstimateResult,
-    _clip_negative,
+    _clip_negative_eigh,
     _corrected,
     _elements_from_coords,
-    _nearest_density,
+    _nearest_density_eigh,
     _one_stack,
     _stage,
     _targets_v1,
     correct_state,
 )
-from .measurement import MeasurementDataset
+from .measurement import MeasurementDataset, _positive_definite
 
 
 # The smallest ratio lam_min / tr(gram) at which a Gram's direct solution is
@@ -210,27 +210,13 @@ def _detector_normal_equations(detector_moments: np.ndarray, b_centred: np.ndarr
 def _outside(rows: np.ndarray, ball: list, basis: OperatorBasis):
     """The positivity gate a projected block must fail: ``None`` if the
     Hermitian matrices with coordinate rows ``rows`` (``d^2`` each, the
-    trace coordinate first) are all finite and positive definite to
-    roundoff, otherwise those matrices, ``(k, d, d)``.
-
-    A block whose rows all lie in their inscribed balls (``_in_ball``)
-    passes at once.  Otherwise its matrices (``_from_coords``) take one
-    stacked Cholesky.  Cholesky is backward stable: it succeeds on a matrix
-    whose smallest eigenvalue lies above roundoff, a small multiple of
-    ``eps`` times its norm, and fails on one whose smallest eigenvalue lies
-    below minus that; on a matrix that is positive semidefinite and
-    singular to roundoff it may go either way.  Matrices that all factor
-    are checked for a non-finite entry last, since LAPACK may factor
-    through a NaN.
-    """
+    trace coordinate first) all lie in their inscribed balls (``_in_ball``)
+    or pass ``_positive_definite``, otherwise their Hermitian parts, ``(k,
+    d, d)``, for the spectral steps."""
     if _in_ball(rows, ball):
         return None
     mats = _from_coords(rows, basis)
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return mats
-    return None if np.isfinite(mats).all() else mats
+    return None if _positive_definite(mats) else (mats + mats.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _in_ball(rows: np.ndarray, ball: list) -> bool:
@@ -301,15 +287,11 @@ def refine_alternating(
     ``sqrt(max(rows, n) eps) s_max`` (a least-squares solve on the tall
     matrix would keep them); both give the minimum-norm solution.  The
     objective stays in residual form, on the design's rows rotated by its
-    left singular vectors.  Each block then passes a positivity gate: the
-    ball inscribed in the positive cone, then one stacked Cholesky
-    factorization of its matrices; a block that is singular to roundoff may
-    fail it, and its projection then returns it up to roundoff.  The
-    projections run only on a block that fails the gate, on the matrices the
-    gate formed: every detector element's negative eigenvalues are clipped
-    (``correct_povm``'s clip, without its renormalization), and the state
-    goes to the nearest density matrix (``correct_state``'s projection,
-    without re-validating a matrix it has just built).  The returned rough
+    left singular vectors.  Only a block that fails the positivity gate
+    (module docstring) is projected: every detector element's negative
+    eigenvalues are clipped (``correct_povm``'s clip, without its
+    renormalization), and the state goes to the nearest density matrix
+    (``correct_state``'s projection, without re-validating it).  The returned rough
     pair is built by the estimator's maps (``coherence_to_state``,
     ``_elements_from_coords``).
     """
@@ -317,8 +299,7 @@ def refine_alternating(
     design = _stage("refine", factor_design, b)
     (y,) = _targets_v1(_one_stack(ds), design, basis)
     _bounded(y, "targets")
-    if not isinstance(init, EstimateResult):
-        raise ValidationError(f"init must be an EstimateResult, got {type(init).__name__}")
+    _record(init, EstimateResult, "init")
     n, d, m = basis.n_traceless, basis.d, ds.n_outcomes
     if init.rho_hat.rho.shape != (d, d) or init.povm_hat.elements.shape != (m, d, d):
         raise ValidationError(
@@ -366,7 +347,7 @@ def refine_alternating(
         x[anchor] = ds.x01_bar
         x_row[0, 1:] = x
         mats = _outside(x_row, x_ball, basis)
-        return x if mats is None else _to_coords(_nearest_density(mats), basis)[0, 1:]
+        return x if mats is None else _to_coords(_nearest_density_eigh(mats), basis)[0, 1:]
 
     def sweep(x):
         """One sweep from the state ``x``: the new pair and its objective."""
@@ -377,7 +358,7 @@ def refine_alternating(
         c_rows[:, 1:] = c_new.T
         mats = _outside(c_rows, c_ball, basis)
         if mats is not None:
-            c_new = _to_coords(_clip_negative(mats), basis)[:, 1:].T
+            c_new = _to_coords(_clip_negative_eigh(mats), basis)[:, 1:].T
 
         # State block: the (M L) x n system of all outcomes from the moments,
         # anchor pinned; projected if the state fails the gate.

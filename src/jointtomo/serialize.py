@@ -3,7 +3,8 @@
 Complex matrices are stored as nested arrays of ``[re, im]`` pairs.  Operator
 bases are never serialized; they are rebuilt from the dimension.  A file that
 is not JSON, or whose records lack a field or have the wrong shape, is
-refused by the loaders with a ValidationError.
+refused by the loaders with a ValidationError.  A saver forms its whole text
+(``_json_text``) before ``errors._write`` opens the file.
 """
 
 import json
@@ -12,7 +13,7 @@ import numpy as np
 
 from .basis import _skewed
 from .channels import KrausChannel, ProcessEnsemble
-from .errors import ValidationError, _array, _path, _real, _record, _whole
+from .errors import ValidationError, _array, _items, _path, _real, _record, _whole, _write
 from .estimator import EstimateResult
 from .measurement import DensityMatrix, MeasurementDataset, Povm
 
@@ -36,15 +37,16 @@ def _load(path, parse):
         raise ValidationError(f"{path}: malformed record: {exc!r}") from exc
 
 
-def _save(path, data) -> None:
-    """Write ``data`` as JSON text, which is formed before ``path`` is opened."""
-    text = json.dumps(data)
-    with open(_path(path), "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _fields(data, what: str, keys) -> dict:
+    """``data``, refused by name unless it is a dict that holds every key."""
+    for key in keys:
+        if key not in _record(data, dict, what):
+            raise ValidationError(f"{what} is missing field {key!r}")
+    return data
 
 
 def matrix_to_json(a) -> list:
-    a = np.asarray(a, dtype=complex)
+    a = _array(a, "matrix", 2, complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
@@ -56,26 +58,23 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
+    _record(ch, KrausChannel, "channel")
     return {"d": ch.d, "kraus": [matrix_to_json(a) for a in ch.kraus], "label": ch.label}
 
 
 def channel_from_json(data) -> KrausChannel:
-    for key in ("d", "kraus"):
-        if key not in data:
-            raise ValidationError(f"channel record is missing field {key!r}")
-    kraus = np.stack([matrix_from_json(a) for a in data["kraus"]])
+    _fields(data, "channel record", ("d", "kraus"))
+    kraus = [matrix_from_json(a) for a in _items(data["kraus"], "kraus")]
     return KrausChannel(data["d"], kraus, label=str(data.get("label", "")))
 
 
 def save_ensemble(ens: ProcessEnsemble, path) -> None:
     _record(ens, ProcessEnsemble, "ensemble")
-    _save(path, [channel_to_json(ch) for ch in ens.channels])
+    _write(path, _json_text([channel_to_json(ch) for ch in ens.channels]))
 
 
 def _ensemble_from_json(data) -> ProcessEnsemble:
-    if not isinstance(data, list):
-        raise ValidationError("ensemble file must be a JSON array of channels")
-    return ProcessEnsemble(tuple(channel_from_json(item) for item in data))
+    return ProcessEnsemble([channel_from_json(c) for c in _record(data, list, "ensemble file")])
 
 
 def load_ensemble(path) -> ProcessEnsemble:
@@ -94,9 +93,7 @@ def _hamiltonians_from_json(data) -> list:
         data = [data]
     out = []
     for i, item in enumerate(data, start=1):
-        for key in ("d", "h", "dt_us"):
-            if key not in item:
-                raise ValidationError(f"Hamiltonian record is missing field {key!r}")
+        _fields(item, "Hamiltonian record", ("d", "h", "dt_us"))
         d = _whole(item["d"], "Hamiltonian dimension d")
         h, dt = matrix_from_json(item["h"]), _real(item["dt_us"], "dt_us")
         if h.shape != (d, d):
@@ -111,7 +108,7 @@ def _hamiltonians_from_json(data) -> list:
 
 def save_state(state: DensityMatrix, path) -> None:
     _record(state, DensityMatrix, "state")
-    _save(path, {"d": state.d, "rho": matrix_to_json(state.rho)})
+    _write(path, _json_text({"d": state.d, "rho": matrix_to_json(state.rho)}))
 
 
 def load_state(path) -> DensityMatrix:
@@ -120,7 +117,7 @@ def load_state(path) -> DensityMatrix:
 
 def save_povm(povm: Povm, path) -> None:
     _record(povm, Povm, "povm")
-    _save(path, {"d": povm.d, "elements": [matrix_to_json(p) for p in povm.elements]})
+    _write(path, _json_text({"d": povm.d, "elements": [matrix_to_json(p) for p in povm.elements]}))
 
 
 def load_povm(path) -> Povm:
@@ -142,9 +139,7 @@ def dataset_to_json(ds: MeasurementDataset) -> dict:
 
 
 def dataset_from_json(data) -> MeasurementDataset:
-    for key in ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar", "n0", "tp_flags"):
-        if key not in data:
-            raise ValidationError(f"dataset record is missing field {key!r}")
+    _fields(data, "dataset record", ("y_hat", "x_a0_hat", "c_j0_hat", "x01_bar", "n0", "tp_flags"))
     return MeasurementDataset(
         y_hat=data["y_hat"],
         x_a0_hat=data["x_a0_hat"],
@@ -157,11 +152,19 @@ def dataset_from_json(data) -> MeasurementDataset:
 
 
 def save_dataset(ds: MeasurementDataset, path) -> None:
-    _save(path, dataset_to_json(ds))
+    _write(path, _json_text(dataset_to_json(ds)))
 
 
 def load_dataset(path) -> MeasurementDataset:
     return _load(path, dataset_from_json)
+
+
+def _json_text(data, indent: int = None) -> str:
+    """``data`` as JSON text, read by ``_plain``; a value JSON cannot hold is refused."""
+    try:
+        return json.dumps(_plain(data), indent=indent)
+    except (TypeError, ValueError) as exc:  # ValueError: a container that holds itself
+        raise ValidationError(f"cannot be written as JSON: {exc}") from None
 
 
 def _plain(value):
@@ -188,4 +191,4 @@ def result_to_json(result: EstimateResult) -> dict:
 
 
 def save_result(result: EstimateResult, path) -> None:
-    _save(path, result_to_json(result))
+    _write(path, _json_text(result_to_json(result)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, coherence_to_state
 from .channels import FactoredDesign
-from .errors import ValidationError, _array, _bounded, _flag, _path, _real, _record
+from .errors import ValidationError, _array, _bounded, _flag, _path, _real, _record, _write
 from .estimator import _check_design_shape, _one_stack, _targets_v1
 from .measurement import MeasurementDataset
 from .serialize import _MALFORMED
@@ -279,8 +279,7 @@ class SosProblem:
         for name, poly in self.inequalities:
             lines.append(f"INEQ {name}")
             emit(poly)
-        with open(_path(path), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(path, "\n".join(lines) + "\n")
 
 
 def load_sos_problem(path) -> SosProblem:

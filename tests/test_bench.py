@@ -238,6 +238,19 @@ def test_csv_and_metadata_output(tmp_path):
     assert data["n0_grid"] == [1000, 10000, 100000]
 
 
+def test_metadata_writes_numpy_scalars_as_json_numbers(tmp_path):
+    """A Tikhonov scale given as a numpy scalar is written as a JSON number."""
+    sc = preset("one_qubit_closed_complete")
+    config = Stage1Config("tikhonov", reg_scale=np.float32(0.1))
+    table = run_mse_experiment(sc, [1000, 10000], trials=2, seed=1, config=config)
+    meta = tmp_path / "mse.meta.json"
+    table.write_metadata(meta)
+    import json
+    data = json.loads(meta.read_text())
+    assert data["reg_scale"] == float(np.float32(0.1))
+    assert data["method"] == "tikhonov" and data["trials"] == 2
+
+
 def test_method_comparison_is_paired():
     sc = preset("one_qubit_closed_incomplete")
     cfg = Stage1Config(method="mp_inverse")

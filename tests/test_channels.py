@@ -1030,7 +1030,7 @@ _DATASET_RECORD = {"y_hat": [[0.4, 0.5], [0.3, 0.6]], "x_a0_hat": [0.7, 0.7],
     pytest.param(lambda: pauli(""), "a Pauli string is a non-empty string", id="pauli-empty"),
     pytest.param(lambda: pauli(3), "a Pauli string is a non-empty string", id="pauli-int"),
     pytest.param(lambda: make_named_channel("scaled", alpha=0.5, channel=3),
-                 "a scaled channel needs a KrausChannel, got int", id="scaled-int-channel"),
+                 "the channel to scale must be a KrausChannel, got int", id="scaled-int-channel"),
     pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2, seed="x"),
                  "seed must be a whole number", id="random-cp-string-seed"),
     pytest.param(lambda: make_named_channel("random_cp", d=2, rank=2, seed=-1),

@@ -511,16 +511,20 @@ def test_stage1_matrices_take_no_eigendecomposition_but_ties_and_zeros_do(monkey
 def _povm_reference(povm_bar):
     """The detector correction of a stack written out: ``S^{-1/2}`` from
     ``eigh(S)`` of each clipped element sum ``S``, applied to the clipped
-    elements.  Returns the renormalized elements (before the final check;
-    placeholders where ``S`` is singular) and which sums are not singular,
-    an eigenvalue above ``POVM_SINGULAR_RTOL * ||S||``."""
+    elements on the left, then on the right, each side as one product with
+    the M elements side by side.  Returns the renormalized elements (before
+    the final check; placeholders where ``S`` is singular) and which sums
+    are not singular, an eigenvalue above ``POVM_SINGULAR_RTOL * ||S||``."""
     clipped = _clip_negative(povm_bar)
+    t, m, d = clipped.shape[:3]
     s = clipped.sum(axis=-3)
     w, v = np.linalg.eigh(s)
     standing = w[..., 0] > POVM_SINGULAR_RTOL * np.linalg.norm(s, axis=(-2, -1))
     w = np.where(standing[..., None], w, 1.0)
-    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., None, :, :]
-    return inv_sqrt @ clipped @ inv_sqrt, standing
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    left = np.stack([inv_sqrt[k] @ np.hstack(list(clipped[k])) for k in range(t)])
+    right = np.stack([np.vstack(np.split(left[k], m, axis=1)) @ inv_sqrt[k] for k in range(t)])
+    return right.reshape(t, m, d, d), standing
 
 
 def _counted_decompositions(monkeypatch) -> dict:
@@ -1073,9 +1077,9 @@ def test_estimators_take_a_measurement_dataset_only():
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=6,
                           basis=sc.basis)
     for bad in (ds.y_hat, ds.y_hat.tolist(), ds.as_stack()):
-        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+        with pytest.raises(ValidationError, match="dataset must be a MeasurementDataset"):
             estimate_joint_v2(bad, sc.regression.design_natural, Stage1Config("tikhonov"))
-        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+        with pytest.raises(ValidationError, match="dataset must be a MeasurementDataset"):
             estimate_joint_v1(bad, sc.regression.design, sc.basis)
 
 
@@ -1529,7 +1533,8 @@ def _mse_table(mse_state):
     (lambda tmp: rearrange(np.ones(4), "2", 2), "rows must be a whole number, got '2'"),
     (lambda tmp: fix_scale_v1(_complex_factors(), 0.5),
      "state factor must be real, got dtype complex128"),
-    (lambda tmp: fix_scale_v1(np.ones(3), 0.5), "need a KroneckerFactorization, got ndarray"),
+    (lambda tmp: fix_scale_v1(np.ones(3), 0.5),
+     "factorization must be a KroneckerFactorization, got ndarray"),
     (lambda tmp: combine_state_estimates([]), "need at least one state estimate, got shape (0,)"),
     (lambda tmp: correct_state(np.ones((2, 3))), "state estimate must be square, got shape (2, 3)"),
     (lambda tmp: project_pure(np.ones(3)), "state must be square, got shape (3,)"),

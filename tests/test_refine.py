@@ -53,6 +53,7 @@ from jointtomo.serialize import result_to_json
 from jointtomo.sos import poly_eval
 
 from random_states import random_density_matrix
+from test_estimator import _counted_decompositions
 
 
 def random_hermitian(rng, d):
@@ -698,7 +699,7 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
     ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
                           scale_observable=sc.anchor_index, basis=sc.basis)
     init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
-    gated, seen = [], {"_clip_negative": [], "_nearest_density": []}
+    gated, seen = [], {"_clip_negative_eigh": [], "_nearest_density_eigh": []}
 
     def recorded_gate(rows, ball, basis, gate=refine._outside):
         outside = gate(rows, ball, basis)
@@ -719,7 +720,7 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
         monkeypatch.setattr(refine, name, recorded(name))
     refine_alternating(ds, b, sc.basis, init)
     # The detector's blocks are its M = 3 elements, the state's one matrix.
-    for count, name in ((3, "_clip_negative"), (1, "_nearest_density")):
+    for count, name in ((3, "_clip_negative_eigh"), (1, "_nearest_density_eigh")):
         blocks = [(p, outside) for p, outside in gated if len(p) == count]
         outside = [mats for _, mats in blocks if mats is not None]
         # This draw has sweeps of every kind, so a gate that always or never
@@ -739,6 +740,47 @@ def test_projections_run_exactly_on_the_blocks_outside_their_sets(monkeypatch):
                 assert inside
 
 
+def test_a_projected_block_is_factored_once(monkeypatch):
+    """Each block the gate turns away makes exactly one failing Cholesky
+    factorization, the gate's, and one ``eigh``: its spectral step factors
+    it no second time.  The sweeps' blocks are the 3-D stacks (the solves
+    factor 2-D Grams); the final correction, whose checks factor again, is
+    cut off."""
+    import jointtomo.refine as refine
+    sc = preset("two_qubit_mixed_unitary_incomplete")
+    b = build_regression_matrices(sc.ensemble, sc.basis).b
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 100, seed=2,
+                          scale_observable=sc.anchor_index, basis=sc.basis)
+    init = estimate_joint_v1(ds, b, sc.basis, sc.stage1)
+    projected = []
+    for kernel in ("_clip_negative_eigh", "_nearest_density_eigh"):
+        project = getattr(refine, kernel)
+        monkeypatch.setattr(refine, kernel,
+                            lambda mats, project=project: projected.append(1) or project(mats))
+
+    class Corrected(Exception):
+        pass
+
+    def corrected(*args):
+        raise Corrected
+
+    monkeypatch.setattr(refine, "_corrected", corrected)
+    calls = _counted_decompositions(monkeypatch)
+    with pytest.raises(Corrected):
+        refine_alternating(ds, b, sc.basis, init)
+    factored = [a for a in calls["cholesky"] if a.ndim == 3]
+    spectra = [a for a in calls["eigh"] if a.ndim == 3]
+    monkeypatch.undo()
+    failed = 0
+    for a in factored:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            failed += 1
+    assert 0 < len(projected) < len(factored)
+    assert failed == len(spectra) == len(projected)
+
+
 @pytest.mark.parametrize("name", ["one_qubit_closed_incomplete",
                                   "two_qubit_mixed_unitary_incomplete"])
 def test_permuting_processes_or_outcomes_moves_the_refinement_alike(monkeypatch, name):
@@ -751,7 +793,7 @@ def test_permuting_processes_or_outcomes_moves_the_refinement_alike(monkeypatch,
     so the gate and both projections run."""
     import jointtomo.refine as refine
     projected = []
-    for kernel in ("_clip_negative", "_nearest_density"):
+    for kernel in ("_clip_negative_eigh", "_nearest_density_eigh"):
         project = getattr(refine, kernel)
         monkeypatch.setattr(refine, kernel,
                             lambda mats, project=project: projected.append(1) or project(mats))
@@ -1125,7 +1167,7 @@ def test_export_takes_a_measurement_dataset_only(tmp_path, pure):
                           basis=sc.basis)
     path = tmp_path / "stack.sos"
     for bad in (ds.as_stack(), DatasetStack.of([ds, ds]), {"y_hat": ds.y_hat}):
-        with pytest.raises(ValidationError, match="need a MeasurementDataset"):
+        with pytest.raises(ValidationError, match="dataset must be a MeasurementDataset"):
             export_sos_problem(bad, reg.b_natural if pure else reg.b, sc.basis, path, pure=pure)
     assert not path.exists()
 

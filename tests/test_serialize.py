@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtomo import ValidationError, estimate_joint_v1, preset, simulate_dataset
+from jointtomo import (MseTable, SosProblem, Stage1Config, ValidationError, estimate_joint_v1,
+                       preset, simulate_dataset)
+from jointtomo.bench import MseRow
 from jointtomo.serialize import (
     channel_from_json,
     channel_to_json,
@@ -206,4 +208,30 @@ def test_loaders_raise_only_validation_errors_on_fuzzed_json(tmp_path_factory, d
 def test_writers_refuse_a_wrong_record_before_opening_the_file(tmp_path, save, what):
     with pytest.raises(ValidationError, match=f"^{what}, got NoneType$"):
         save(None, tmp_path / "out.json")
+    assert not list(tmp_path.iterdir())
+
+
+def _result_with_an_object():
+    sc = preset("one_qubit_closed_complete")
+    ds = simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, 1000, seed=3,
+                          basis=sc.basis)
+    est = estimate_joint_v1(ds, sc.regression.design, sc.basis)
+    return replace(est, diagnostics={**est.diagnostics, "solver": object()})
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: save_result(_result_with_an_object(), path), ValidationError),
+    (lambda path: MseTable(rows=(), scenario="x", metadata={"config": Stage1Config()})
+     .write_metadata(path), ValidationError),
+    (lambda path: MseTable(rows=(MseRow(10, "x", 0.0, 0.0, 0.0, 2),), scenario="x")
+     .to_csv(path), ValueError),
+    (lambda path: SosProblem(dim=2, m=2, variables=("x1",), objective={(2,): None})
+     .write(path), TypeError),
+], ids=["save_result", "write_metadata", "to_csv", "sos_write"])
+def test_a_text_that_cannot_be_formed_leaves_no_file(tmp_path, write, error):
+    """Each writer forms its whole text before the file is opened
+    (``errors._write``); a result or metadata that JSON cannot hold is
+    refused with a ValidationError."""
+    with pytest.raises(error):
+        write(tmp_path / "out")
     assert not list(tmp_path.iterdir())

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, _array, _record, _whole
+from .errors import ValidationError, _array, _largest_part, _record, _whole
 
 # A matrix x is Hermitian when ||x - x^dag|| <= HERMITIAN_TOL max(1, ||x||)
 # (Frobenius norms): the package's one Hermitian rule (``_skewed``).
@@ -48,7 +48,7 @@ def _skewed(x: np.ndarray) -> np.ndarray:
     scales both sides alike and keeps every norm finite, so a huge finite
     matrix is judged as its scaled copy would be."""
     floor = 1.0
-    if max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0)) > 1.0:
+    if _largest_part(x) > 1.0:
         s = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1), initial=1.0)
         x, floor = x / s[..., None, None], 1.0 / s
     return (np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))

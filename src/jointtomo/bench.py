@@ -18,41 +18,19 @@ threads; every trial keeps its own stream, so the datasets are those of one
 ``simulate_dataset`` call per trial, bit for bit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .basis import OperatorBasis, build_basis, to_coords
-from .channels import (
-    ProcessEnsemble,
-    RegressionMatrices,
-    _sampled_unitary_channels,
-    build_regression_matrices,
-    closed_system_channels,
-    factor_design,
-    haar_unitary,
-    make_named_channel,
-    pauli,
-)
+from .channels import (ProcessEnsemble, RegressionMatrices, _sampled_unitary_channels,
+                       build_regression_matrices, closed_system_channels, factor_design,
+                       haar_unitary, make_named_channel, pauli)
 from .errors import DegeneracyError, ValidationError, _items, _new, _record, _whole, _write
-from .estimator import (
-    Stage1Config,
-    StackEstimates,
-    _estimates_v1,
-    _estimates_v2,
-    project_pure,
-)
-from .measurement import (
-    THREADED_DRAW_ROWS,
-    DatasetStack,
-    DensityMatrix,
-    Povm,
-    _process_indices,
-    _stack_fields,
-    simulate_dataset,
-    simulate_datasets,
-)
+from .estimator import Stage1Config, StackEstimates, _estimates_v1, _estimates_v2, _pure
+from .measurement import (THREADED_DRAW_ROWS, DatasetStack, DensityMatrix, Povm, _process_indices,
+                          _stack_fields, simulate_dataset, simulate_datasets)
 
 # Stream keys for the deterministic random draws.  Complete/incomplete
 # variants of one experiment share a stream so they see the same truth and
@@ -231,14 +209,11 @@ class MseTable:
 def _estimate_block(sc: Scenario, stack: DatasetStack, design,
                     config: Stage1Config) -> StackEstimates:
     """The estimates the scenario scores for a stack of datasets; a pure
-    scenario's states are projected by one stacked ``project_pure`` and
-    checked as states by one stacked pass."""
+    scenario's are their pure-state variant (``_pure``)."""
     if sc.estimator != "v2":
         return _estimates_v1(stack, design, sc.basis, config)
     est = _estimates_v2(stack, design, config)
-    if not sc.pure:
-        return est
-    return replace(est, rho_hat=DensityMatrix.checked(sc.d, project_pure(est.rho_hat)))
+    return _pure(est) if sc.pure else est
 
 
 def _sq_errors(sc: Scenario, rho: np.ndarray, povm: np.ndarray) -> tuple:

@@ -42,7 +42,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import OperatorBasis, _skewed, change_of_basis
-from .errors import ValidationError, _array, _bounded, _items, _new, _real, _record, _rng, _whole
+from .errors import (_MEMO_SIZE, ValidationError, _array, _bounded, _items, _largest_part, _new,
+                     _real, _recent, _record, _rng, _whole)
 
 # Tolerance on the Kraus inequality max eig(sum A^dag A) <= 1.
 KRAUS_TOL = 1e-8
@@ -292,7 +293,7 @@ def _unitary(u, what: str) -> np.ndarray:
     matrix with ``||u u^dag - I|| <= UNITARY_TOL d``.  An entry with a part
     beyond 2 is refused before the product, which it could overflow."""
     u = _array(u, what, 2, complex, square=True)
-    if (max(np.abs(u.real).max(initial=0.0), np.abs(u.imag).max(initial=0.0)) > 2.0
+    if (_largest_part(u) > 2.0
             or np.linalg.norm(u @ u.conj().T - np.eye(len(u))) > UNITARY_TOL * len(u)):
         raise ValidationError(f"{what} is not unitary")
     return u
@@ -315,7 +316,7 @@ def hamiltonian_generator(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     if h.shape != (basis.d, basis.d):
         raise ValidationError(f"Hamiltonian must be a {basis.d} x {basis.d} matrix for this "
                               f"basis, got shape {h.shape}")
-    largest = max(np.abs(h.real).max(), np.abs(h.imag).max())
+    largest = _largest_part(h)
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 1.0 else 1.0
     h = h / scale
     if abs(np.trace(h)) > TRACELESS_TOL * max(np.linalg.norm(h), _TRACELESS_FLOOR):
@@ -684,9 +685,7 @@ def _factor(b: np.ndarray) -> FactoredDesign:
     return FactoredDesign(b=b, u=u, s=s, vh=vh, rank=_rank(s))
 
 
-# How many raw matrices ``factor_design`` keeps factored, and the designs it
-# keeps, most recently used first.
-_MEMO_SIZE = 4
+# The designs ``factor_design`` keeps, most recently used first (``_recent``).
 _memo = []
 
 
@@ -710,17 +709,14 @@ def factor_design(b) -> FactoredDesign:
     if isinstance(b, FactoredDesign):
         return b
     b = _array(b, "regression matrix", nonfinite=None)
-    for i, design in enumerate(_memo):
-        key = design.b
-        if key.shape == b.shape and key.dtype == b.dtype and np.array_equal(key, b):
-            _memo.insert(0, _memo.pop(i))
-            return design
-    key = b.copy()
-    key.setflags(write=False)
-    design = _factor(key)
-    _memo.insert(0, design)
-    del _memo[_MEMO_SIZE:]
-    return design
+
+    def factored() -> FactoredDesign:
+        key = b.copy()
+        key.setflags(write=False)
+        return _factor(key)
+
+    return _recent(_memo, lambda design: (design.b.shape == b.shape and design.b.dtype == b.dtype
+                                          and np.array_equal(design.b, b)), factored)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,11 @@ from . import bench as bench_mod
 from . import refine as refine_mod
 from . import serialize
 from .basis import build_basis
-from .channels import (
-    ProcessEnsemble,
-    build_regression_matrices,
-    closed_system_channels,
-    min_hamiltonian_count,
-    rank_bound,
-)
+from .channels import (ProcessEnsemble, build_regression_matrices, closed_system_channels,
+                       min_hamiltonian_count, rank_bound)
 from .errors import DegeneracyError, ValidationError, _whole
-from .estimator import (
-    Stage1Config,
-    estimate_joint_v1,
-    estimate_joint_v2,
-    project_pure,
-)
+from .estimator import (Stage1Config, _estimates_v1, _estimates_v2, _one_stack, _pure,
+                        estimate_joint_v1)
 from .measurement import simulate_dataset
 
 _METHOD_NAMES = {"ls": "plain_ls", "plain_ls": "plain_ls", "mp": "mp_inverse",
@@ -175,13 +166,10 @@ def _cmd_estimate(args) -> int:
     ds = serialize.load_dataset(args.dataset)
     reg = build_regression_matrices(ens, basis)
     config = _stage1_config(args)
-    if version == "v2":
-        result = estimate_joint_v2(ds, reg.design_natural, config)
-    else:
-        result = estimate_joint_v1(ds, reg.design, basis, config)
-    if args.pure:
-        from dataclasses import replace
-        result = replace(result, rho_hat=project_pure(result.rho_hat))
+    stack = _one_stack(ds)
+    est = (_estimates_v2(stack, reg.design_natural, config) if version == "v2"
+           else _estimates_v1(stack, reg.design, basis, config))
+    (result,) = (_pure(est) if args.pure else est).results()
     _report_errors(result, state, povm, args.quiet)  # refuses a mismatch before writing
     serialize.save_result(result, args.out)
     if not args.quiet:

@@ -8,10 +8,11 @@ sequence of shot counts or seeds by ``_items`` and a bool flag by
 path, sequence or flag is and how its refusal reads; every file is written
 whole by ``_write``, from a text formed first.  A matrix whose sums,
 squares or powers are formed from unchecked magnitudes is also read by
-``_bounded``, the one magnitude rule.  A record whose fields were checked
-already is made by ``_new``, without checking them again.  Whether a matrix
-is Hermitian is decided by one rule too, ``basis._skewed``, next to the
-coordinate map that needs it.
+``_bounded``, the one magnitude rule, by the scan (``_largest_part``) that
+every size test of a matrix reads.  A record whose fields were checked
+already is made by ``_new``, and a cache of recent records is kept by
+``_recent``.  Whether a matrix is Hermitian is decided by one rule too,
+``basis._skewed``, next to the coordinate map that needs it.
 """
 
 import os
@@ -21,6 +22,8 @@ import numpy as np
 # The largest real or imaginary part ``_bounded`` accepts: far above any estimate
 # the package makes, far below where a matrix's sums, squares or 9th power overflow.
 MAX_ENTRY = 1e30
+# How many records each cache of recent records keeps (``_recent``).
+_MEMO_SIZE = 4
 
 
 class TomographyError(Exception):
@@ -122,10 +125,30 @@ def _new(cls, **fields):
     return obj
 
 
+def _recent(memo: list, found, make):
+    """The first record of ``memo`` that ``found`` accepts, moved to the front;
+    else ``make()``'s, put in front, ``memo`` cut to ``_MEMO_SIZE`` records.
+    A record whose making raises is never kept."""
+    for i, record in enumerate(memo):
+        if found(record):
+            memo.insert(0, memo.pop(i))
+            return record
+    record = make()
+    memo.insert(0, record)
+    del memo[_MEMO_SIZE:]
+    return record
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest real or imaginary part of ``a`` in magnitude, one max per part:
+    0 if ``a`` is empty, NaN if any part is (Python's ``max`` drops a second NaN)."""
+    return float(np.maximum(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
+
+
 def _bounded(a: np.ndarray, what: str) -> np.ndarray:
     """``a`` itself, refused by name unless every real and imaginary part is
-    finite and at most ``MAX_ENTRY`` in magnitude (one max per part)."""
-    m = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    finite and at most ``MAX_ENTRY`` in magnitude (``_largest_part``)."""
+    m = _largest_part(a)
     if not m <= MAX_ENTRY:
         raise ValidationError(f"{what} has a non-finite entry" if not np.isfinite(m)
                               else f"{what} has an entry beyond {MAX_ENTRY:g} in magnitude")

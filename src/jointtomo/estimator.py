@@ -64,7 +64,7 @@ estimates.  The stacked pass reports a refused dataset in its mask only;
 estimating that dataset alone raises the step's error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -691,16 +691,27 @@ def _corrected(rho_bar: np.ndarray, povm_bar: np.ndarray, diagnostics: dict,
     those refused here.  ``diagnostics`` (see ``StackEstimates``) gains the
     correction distances, two stacked norms with one entry per pair.
     """
-    t = len(rho_bar)
     if refused is None:
-        refused = np.zeros(t, dtype=bool)
+        refused = np.zeros(len(rho_bar), dtype=bool)
     rho = _stage("correct", _physical_states, rho_bar)
     povm = _lanewise("correct", refused, [povm_bar], _physical_povms, povm_bar)
     return StackEstimates(rho, povm, rho_bar, povm_bar, refused, {
-        **diagnostics,
-        "state_correction_distance": np.linalg.norm((rho - rho_bar).reshape(t, -1), axis=1),
-        "povm_correction_distance": np.linalg.norm((povm - povm_bar).reshape(t, -1), axis=1),
-    })
+        **diagnostics, "state_correction_distance": _distances(rho, rho_bar),
+        "povm_correction_distance": _distances(povm, povm_bar)})
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per dataset, the Frobenius distance of two stacks led by the dataset axis."""
+    return np.linalg.norm((a - b).reshape(len(a), -1), axis=1)
+
+
+def _pure(est: StackEstimates) -> StackEstimates:
+    """The pure-state variant: each corrected state replaced by the projector
+    onto its top eigenvector (one stacked ``project_pure``, then one stacked
+    check), and ``state_correction_distance`` that projector's from ``rho_bar``."""
+    rho = DensityMatrix.checked(est.rho_hat.shape[-1], project_pure(est.rho_hat))
+    return replace(est, rho_hat=rho, diagnostics={
+        **est.diagnostics, "state_correction_distance": _distances(rho, est.rho_bar)})
 
 
 def _factors(y: np.ndarray, design: FactoredDesign, config: Stage1Config, side: int) -> tuple:

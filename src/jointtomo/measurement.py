@@ -54,8 +54,8 @@ import numpy as np
 
 from .basis import OperatorBasis, _skewed, build_basis
 from .channels import ProcessEnsemble
-from .errors import (ValidationError, _array, _bounded, _flag, _items, _new, _record, _rng,
-                     _whole)
+from .errors import (_MEMO_SIZE, ValidationError, _array, _bounded, _flag, _items, _new, _recent,
+                     _record, _rng, _whole)
 
 # A state or detector element is refused with an eigenvalue below -PSD_TOL,
 # and a state with a trace further than PSD_TOL from 1.
@@ -565,10 +565,6 @@ class IdealStatistics:
     x_a0: np.ndarray
 
 
-# How many truths ``ideal_statistics`` keeps the statistics of per ensemble.
-_MEMO_SIZE = 4
-
-
 def _memo(ens: ProcessEnsemble) -> list:
     """The records ``ideal_statistics`` keeps for ``ens``, most recently used
     first, each as ``(record, objects, key)``: the state, detector and basis
@@ -614,15 +610,17 @@ def ideal_statistics(
     elif _record(basis, OperatorBasis, "basis").d != d:
         raise ValidationError(f"the basis is for d={basis.d}, the ensemble has d={d}")
     anchor = _whole(scale_observable, "scale observable index")
-    memo = _memo(ens)
     key = (id(truth_state), id(truth_povm), id(basis), anchor, truth_state.rho.tobytes(),
            truth_povm.elements.tobytes())
-    for i, (ideal, _, kept) in enumerate(memo):
-        if kept == key:
-            if i:
-                memo.insert(0, memo.pop(i))
-            return ideal
-    # Read only on a miss: an index out of range is never kept.
+    return _recent(_memo(ens), lambda entry: entry[2] == key,
+                   lambda: (_ideal(ens, truth_state, truth_povm, anchor, basis),
+                            (truth_state, truth_povm, basis), key))[0]
+
+
+def _ideal(ens: ProcessEnsemble, truth_state: DensityMatrix, truth_povm: Povm, anchor: int,
+           basis: OperatorBasis) -> IdealStatistics:
+    """``ideal_statistics`` on a miss; an anchor out of range, refused here, is never kept."""
+    d = ens.d
     if not 1 <= anchor <= basis.n_traceless:
         raise ValidationError(
             f"scale observable index must be in 1..{basis.n_traceless}, got {anchor}")
@@ -641,10 +639,7 @@ def ideal_statistics(
               sampling_table(p), sampling_table(q), sampling_table(probs), lossy, x_a0)
     for a in arrays:
         a.setflags(write=False)
-    ideal = IdealStatistics(anchor, *arrays)
-    memo.insert(0, (ideal, (truth_state, truth_povm, basis), key))
-    del memo[_MEMO_SIZE:]
-    return ideal
+    return IdealStatistics(anchor, *arrays)
 
 
 def _calibration_draws(ens: ProcessEnsemble, ideal: IdealStatistics, n0: int, rng,

@@ -150,9 +150,14 @@ def _prealify(p):
 
 
 def poly_eval(p, values) -> float:
+    """The polynomial ``p`` (exponent tuples to coefficients) at ``values``,
+    refused unless ``values`` has one entry per exponent of each monomial."""
     values = _array(values, "values", 1, float)
     total = 0.0
     for exps, coeff in p.items():
+        if len(exps) != len(values):
+            raise ValidationError(f"values has {len(values)} entries, but a monomial has "
+                                  f"{len(exps)} exponents")
         term = coeff
         for e, v in zip(exps, values):
             if e:
@@ -253,6 +258,11 @@ class SosProblem:
     inequalities: tuple = field(default=())
 
     def evaluate_objective(self, values) -> float:
+        """The objective at ``values``, refused unless it has one entry per variable."""
+        values = _array(values, "values", 1, float)
+        if len(values) != len(self.variables):
+            raise ValidationError(f"values has {len(values)} entries, but the program has "
+                                  f"{len(self.variables)} variables")
         return poly_eval(self.objective, values)
 
     def write(self, path) -> None:

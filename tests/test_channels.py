@@ -47,6 +47,7 @@ from jointtomo import channels
 from jointtomo.basis import HERMITIAN_TOL
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.channels import _sampled_unitary_channels, closed_system_channels, sampled_unitaries
+from jointtomo.errors import _MEMO_SIZE, _recent
 from jointtomo.serialize import dataset_from_json
 
 
@@ -965,6 +966,30 @@ def test_the_memo_keeps_the_most_recently_used_designs(svds):
     assert factor_design(mats[1]) is not designs[1] and len(svds) == size + 2
     factor_design(mats[size + 1])
     assert len(channels._memo) == size
+
+
+def test_the_recent_records_policy():
+    memo, made = [], []
+
+    def get(name):
+        return _recent(memo, lambda record: record == name, lambda: made.append(name) or name)
+
+    names = [f"r{k}" for k in range(_MEMO_SIZE + 1)]
+    for name in names[:_MEMO_SIZE]:
+        assert get(name) == name
+    assert memo == names[_MEMO_SIZE - 1::-1] and made == names[:_MEMO_SIZE]
+    assert get(names[1]) == names[1] and len(made) == _MEMO_SIZE  # a hit makes nothing
+    assert memo[0] == names[1]  # and moves to the front
+    get(names[_MEMO_SIZE])  # one record too many evicts the least recently used, names[0]
+    kept = [names[_MEMO_SIZE], names[1]] + names[_MEMO_SIZE - 1:1:-1]
+    assert memo == kept
+
+    def refused():
+        raise ValidationError("refused")
+
+    with pytest.raises(ValidationError, match="^refused$"):
+        _recent(memo, lambda record: record == "x", refused)
+    assert memo == kept  # nothing kept
 
 
 def test_method_comparison_factors_each_subset_design_once(svds):

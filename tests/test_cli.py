@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jointtomo import amplitude_damping, cli, make_named_channel, preset, simulate_dataset
 from jointtomo.channels import ProcessEnsemble
 from jointtomo.cli import main
-from jointtomo.serialize import load_dataset, save_ensemble
+from jointtomo.serialize import load_dataset, matrix_from_json, save_ensemble
 
 
 def run_cli(*args):
@@ -127,6 +127,21 @@ def test_estimate_pure_flag(tmp_path):
     saved = json.loads(out.read_text())
     rho = np.array([[complex(re, im) for re, im in row] for row in saved["rho_hat"]])
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
+
+
+@pytest.mark.parametrize("n0", ["1000", "100000"])
+def test_a_pure_estimate_file_reports_the_distance_its_projection_moved(tmp_path, n0):
+    ds_path, out = tmp_path / "ds.json", tmp_path / "est.json"
+    for seed in range(3):
+        assert run_cli("simulate", "--preset", "one_qubit_random_pure", "--n0", n0,
+                       "--seed", str(seed), "--out", str(ds_path), "--quiet") == 0
+        assert run_cli("estimate", "--preset", "one_qubit_random_pure", "--dataset",
+                       str(ds_path), "--pure", "--out", str(out), "--quiet") == 0
+        saved = json.loads(out.read_text())
+        moved = np.linalg.norm(matrix_from_json(saved["rho_hat"])
+                               - matrix_from_json(saved["rho_bar"]))
+        assert saved["diagnostics"]["state_correction_distance"] == pytest.approx(
+            moved, rel=0.0, abs=1e-15)
 
 
 def test_refine_command(tmp_path, capsys):

@@ -66,8 +66,9 @@ from jointtomo import (
 from jointtomo import bench
 from jointtomo.bench import PRESET_NAMES
 from jointtomo.estimator import (ANCHOR_RTOL, KRON_TIE_RTOL, KRON_ZERO_RTOL, POVM_SINGULAR_RTOL,
-                                 _clip_negative, _nearest_kronecker, _physical_povms,
-                                 _physical_states, _solved, _top_eigenvectors)
+                                 _clip_negative, _estimates_v2, _nearest_kronecker,
+                                 _physical_povms, _physical_states, _pure, _solved,
+                                 _top_eigenvectors)
 from jointtomo.measurement import COMPLETENESS_TOL, PSD_TOL
 from jointtomo.serialize import load_dataset, save_dataset
 
@@ -750,7 +751,8 @@ def test_single_corrections_refuse_stacks_and_are_the_stacked_ones():
         correct_povm(povm_bar)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+# complex(0, nan): a NaN imaginary part beside a finite real one is non-finite too
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_corrections_refuse_non_finite_estimates(value):
     rho = np.full((2, 2), value)
     elements = np.full((2, 2, 2), value)
@@ -1153,11 +1155,14 @@ def _assert_same_estimate(a, b, rtol=1e-12):
 
 
 def _single(sc, ds, design, config):
-    """The single-dataset estimate the preset's experiment scores."""
-    if sc.estimator == "v2":
-        result = estimate_joint_v2(ds, design, config)
-        return replace(result, rho_hat=project_pure(result.rho_hat)) if sc.pure else result
-    return estimate_joint_v1(ds, design, sc.basis, config)
+    """The single-dataset estimate the preset's experiment scores: a pure
+    scenario's is the pure-state variant (``_pure``) of its stack of one."""
+    if sc.estimator != "v2":
+        return estimate_joint_v1(ds, design, sc.basis, config)
+    if not sc.pure:
+        return estimate_joint_v2(ds, design, config)
+    (result,) = _pure(_estimates_v2(ds.as_stack(), design, config)).results()
+    return result
 
 
 def _stack_results(sc, datasets, design, config=None):
@@ -1169,6 +1174,69 @@ def _stack_results(sc, datasets, design, config=None):
     except DegeneracyError:
         return [None] * len(datasets)
     return est.results()
+
+
+@pytest.mark.parametrize("n0", [10 ** 3, 10 ** 5])
+def test_a_pure_estimate_reports_the_distance_its_projection_moved(n0):
+    sc = preset("one_qubit_random_pure")
+    datasets = [simulate_dataset(sc.ensemble, sc.truth_state, sc.truth_povm, n0,
+                                 seed=np.random.SeedSequence([1, t]), basis=sc.basis)
+                for t in range(5)]
+    est = bench._estimate_block(sc, DatasetStack.of(datasets), sc.regression.design_natural,
+                                sc.stage1)
+    moved = np.linalg.norm(est.rho_hat - est.rho_bar, axis=(1, 2))
+    assert np.allclose(est.diagnostics["state_correction_distance"], moved, rtol=0.0, atol=1e-15)
+    assert np.all(moved > 0.0)  # each rough state is mixed, so its projection moved it
+    for ds in datasets:
+        alone = _single(sc, ds, sc.regression.design_natural, sc.stage1)
+        assert alone.diagnostics["state_correction_distance"] == pytest.approx(
+            np.linalg.norm(alone.rho_hat.rho - alone.rho_bar), rel=0.0, abs=1e-15)
+
+
+def _frame_gap(ens, truth_state, truth_povm, v, n0, seed, config=Stage1Config()):
+    """The largest entry by which the natural-basis estimate with the
+    ensemble conjugated by ``v`` (``A_i -> v A_i v^dag``) misses ``v (.)
+    v^dag`` of the estimate with ``ens``, on one dataset simulated with
+    ``ens``: of ``rho_hat``, ``rho_bar`` and every ``povm_hat`` element.
+    A dataset that one estimate refuses must be refused by the other at the
+    same stage, and its gap is 0."""
+    moved = ProcessEnsemble(tuple(KrausChannel(ch.d, v @ ch.kraus @ v.conj().T, label=ch.label)
+                                  for ch in ens.channels))
+    ds = simulate_dataset(ens, truth_state, truth_povm, n0, seed=seed)
+    first, second = (_estimate_or_stage(lambda e=e: estimate_joint_v2(
+        ds, build_regression_matrices(e, build_basis(ens.d)).b_natural, config))
+        for e in (ens, moved))
+    if isinstance(first, str) or isinstance(second, str):
+        assert first == second
+        return 0.0
+    return max(np.abs(v @ x @ v.conj().T - y).max() for x, y in (
+        (first.rho_hat.rho, second.rho_hat.rho), (first.rho_bar, second.rho_bar),
+        (first.povm_hat.elements, second.povm_hat.elements)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_the_natural_basis_estimate_is_covariant_under_a_unitary_frame(d, extra, seed):
+    # d^4 or more channels that do not preserve the trace, so that the
+    # natural design has full rank (trace-preserving ones span d^4 - d^2 + 1)
+    rng = np.random.default_rng(seed)
+    ens = ProcessEnsemble(tuple(
+        make_named_channel("random_cp", d=d, rank=int(rng.integers(1, d * d + 1)), seed=rng)
+        for _ in range(d ** 4 + extra)))
+    u = haar_unitary(d, rng)
+    p0 = (u * rng.uniform(0.1, 0.9, size=d)) @ u.conj().T
+    povm = Povm(d, np.stack([p0, np.eye(d) - p0]))
+    gap = _frame_gap(ens, random_density_matrix(d, rng), povm, haar_unitary(d, rng), 10 ** 5, rng)
+    assert gap <= 1e-10
+
+
+def test_the_pure_preset_estimate_is_covariant_under_a_unitary_frame():
+    sc = preset("one_qubit_random_pure")
+    for t in range(3):
+        rng = np.random.default_rng([43, t])
+        gap = _frame_gap(sc.ensemble, sc.truth_state, sc.truth_povm, haar_unitary(2, rng),
+                         10 ** 5, rng, sc.stage1)
+        assert gap <= 1e-10
 
 
 @pytest.mark.parametrize("n0", [10 ** 3, 10 ** 5])

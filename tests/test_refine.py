@@ -50,7 +50,7 @@ from jointtomo.refine import (
     _state_normal_equations,
 )
 from jointtomo.serialize import result_to_json
-from jointtomo.sos import poly_eval
+from jointtomo.sos import SosProblem, poly_eval
 
 from random_states import random_density_matrix
 from test_estimator import _counted_decompositions
@@ -1123,6 +1123,19 @@ def test_export_pure_mode(tmp_path):
     # unit-norm equality vanishes at the truth amplitudes
     norm_poly = dict(prob.equalities)["state_unit_norm"]
     assert abs(poly_eval(norm_poly, vals)) < 1e-12
+
+
+@pytest.mark.parametrize("values", [[3.0], [3.0, 1.0, 7.0]])
+def test_a_polynomial_refuses_values_of_the_wrong_length(values):
+    objective = {(2, 0): 1.0, (0, 1): -0.5}
+    problem = SosProblem(dim=2, m=2, variables=("x1", "x2"), objective=objective)
+    assert poly_eval(objective, [3.0, 1.0]) == problem.evaluate_objective([3.0, 1.0]) == 8.5
+    with pytest.raises(ValidationError,
+                       match=f"^values has {len(values)} entries, but a monomial has 2 exponents$"):
+        poly_eval(objective, values)
+    with pytest.raises(ValidationError,
+                       match=f"^values has {len(values)} entries, but the program has 2 variables$"):
+        problem.evaluate_objective(values)
 
 
 def test_export_dimension_guard(tmp_path):
